@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from tempoframe._version import __version__
 from tempoframe.bundle import MANIFEST_NAME, read_bundle
-from tempoframe.data import (
-    Continuous,
-    Dataset,
-    Role,
-    TimeSeriesSamples,
-    select_samples,
-)
+from tempoframe.data import Dataset, select_samples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -35,9 +29,8 @@ from tempoframe.errors import (
     TempoframeError,
     TooFewSamples,
 )
-from tempoframe.forecasting import accuracy, rmse
 from tempoframe.interpret import permutation_importance
-from tempoframe.metrics import resolve_metric, static_target_table
+from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import (
     Category,
     build_pipeline,
@@ -45,19 +38,8 @@ from tempoframe.plugins import (
     spec_of,
 )
 from tempoframe.rng import Lcg
-from tempoframe.survival import brier_score, concordance_index, event_outcomes
-from tempoframe.treatment import pehe
 
 log = logging.getLogger("tempoframe.bench")
-
-TASKS = ("forecast", "classify", "survival", "treatment")
-
-_TASK_CATEGORY = {
-    "forecast": Category.PREDICTOR,
-    "classify": Category.PREDICTOR,
-    "survival": Category.SURVIVAL,
-    "treatment": Category.TREATMENT,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +149,9 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
             raise ConfigError(f"interior pipeline step {name!r} is not a "
                               "transform")
     final_cat = spec_of(steps[-1][0]).category
-    if final_cat is not _TASK_CATEGORY[task]:
+    if final_cat is not TASKS[task].category:
         raise ConfigError(
-            f"task {task!r} needs a final {_TASK_CATEGORY[task].value} "
+            f"task {task!r} needs a final {TASKS[task].category.value} "
             f"step, got {steps[-1][0]!r} ({final_cat.value})")
 
     raw_metrics = _require(doc, "metrics", list, "a list of metric names")
@@ -229,7 +211,7 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
             ispec = resolve_metric(imetric)
         except TempoframeError as e:
             raise ConfigError(str(e)) from e
-        if ispec.scorer is None or ispec.task != task:
+        if ispec.task != task or not TASKS[task].in_place:
             raise ConfigError(
                 f"importance metric {imetric!r} is not scorable in place "
                 f"for task {task!r}")
@@ -310,48 +292,6 @@ def _step(fold: int, label: str):
         raise BenchError(f"fold {fold}, {label}: {e}") from e
 
 
-def _temporal_target_ids(ds: Dataset) -> list:
-    if ds.temporal is None:
-        raise BenchError("forecast task needs temporal data")
-    return [fid for fid, _ in ds.temporal.features
-            if ds.roles.role_of(fid) is Role.TARGET]
-
-
-def _holdout_forecast(test: Dataset, horizon: int):
-    """Split each test target series into (history, held-out future).
-
-    Returns the dataset with truncated targets plus the truth series the
-    forecast is scored against.
-    """
-    targets = _temporal_target_ids(test)
-    c = test.temporal
-    tpos = [c._feature_pos[fid] for fid in targets]
-    new_series = []
-    truth_series = []
-    for i, sid in enumerate(c.sample_ids):
-        per_sample = list(c.series[i])
-        truth_row = []
-        for fid, j in zip(targets, tpos):
-            seq = per_sample[j]
-            if len(seq) <= horizon:
-                raise BenchError(
-                    f"sample {sid!r} target {fid!r} has {len(seq)} points; "
-                    f"holding out {horizon} leaves no history")
-            per_sample[j] = seq[:-horizon]
-            truth_row.append(seq[-horizon:])
-        new_series.append(tuple(per_sample))
-        truth_series.append(tuple(truth_row))
-    truncated = Dataset(
-        static=test.static,
-        temporal=TimeSeriesSamples(c.sample_ids, c.features,
-                                   tuple(new_series)),
-        events=test.events, roles=test.roles)
-    truth = TimeSeriesSamples(
-        c.sample_ids, tuple((fid, Continuous()) for fid in targets),
-        tuple(truth_series))
-    return truncated, truth
-
-
 def _final_params(config: BenchConfig) -> dict:
     name, params = config.pipeline[-1]
     return resolve_params(spec_of(name).schema, params)
@@ -359,45 +299,15 @@ def _final_params(config: BenchConfig) -> dict:
 
 def _eval_fold(config: BenchConfig, fold: int, fitted, test: Dataset,
                truth_map) -> dict:
+    with _step(fold, "predict"):
+        pred, truth = TASKS[config.task].observe(
+            fitted, test, _final_params(config), truth_map)
     values = {}
-    if config.task == "forecast":
-        horizon = _final_params(config)["horizon"]
-        with _step(fold, "holdout"):
-            truncated, truth = _holdout_forecast(test, horizon)
-        with _step(fold, "predict"):
-            pred = fitted.predict(truncated)
-        for name in config.metrics:
-            with _step(fold, f"metric {name}"):
-                values[name] = rmse(pred, truth)
-    elif config.task == "classify":
-        with _step(fold, "predict"):
-            pred = fitted.predict(test)
-        for name in config.metrics:
-            with _step(fold, f"metric {name}"):
-                values[name] = accuracy(pred, static_target_table(test))
-    elif config.task == "survival":
-        with _step(fold, "predict"):
-            out = fitted.predict(test)
-            outcomes = event_outcomes(test)
-        for name in config.metrics:
-            with _step(fold, f"metric {name}"):
-                if name == "c_index":
-                    values[name] = concordance_index(out.risks, outcomes)
-                else:
-                    horizon = float(name[len("brier@"):])
-                    values[name] = brier_score(out.curves, outcomes, horizon)
-    else:
-        with _step(fold, "predict"):
-            cf = fitted.predict_counterfactuals(test, (0, 1))
-            estimate = cf.effects()
-        missing = [sid for sid in estimate.sample_ids if sid not in truth_map]
-        if missing:
-            raise BenchError(f"fold {fold}: truth file lacks samples "
-                             f"{missing}")
-        target = [truth_map[sid] for sid in estimate.sample_ids]
-        for name in config.metrics:
-            with _step(fold, f"metric {name}"):
-                values[name] = pehe(estimate, target)
+    for name in config.metrics:
+        with _step(fold, f"metric {name}"):
+            values[name] = resolve_metric(name).score(pred, truth)
+            if not math.isfinite(values[name]):
+                raise BenchError(f"non-finite score {values[name]!r}")
     return values
 
 

@@ -84,11 +84,11 @@ def _cmd_run(args) -> int:
         return 2
     try:
         report = run_benchmark(config)
+        if config.output is None:
+            sys.stdout.write(report_text(report))
     except TempoframeError as e:
         print(f"tempoframe: {e}", file=sys.stderr)
         return 1
-    if config.output is None:
-        sys.stdout.write(report_text(report))
     return 0
 
 

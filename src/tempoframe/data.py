@@ -674,22 +674,22 @@ def covariate_matrix(ds: Dataset) -> tuple:
             names.append(fid)
             columns.append(ds.static.column(fid))
     if ds.temporal is not None:
-        cov = [fid for fid, _ in ds.temporal.features
+        c = ds.temporal
+        pos = [j for j, (fid, _) in enumerate(c.features)
                if ds.roles.role_of(fid) is Role.COVARIATE]
-        if cov:
-            for fid in cov:
-                if isinstance(ds.temporal.kind_of(fid), Categorical):
-                    raise RequirementUnmet(
-                        "non_numeric_feature",
-                        f"temporal covariate {fid!r} is categorical")
-            summary = temporal_summary(ds.temporal)
-            for fid, _ in ds.temporal.features:
-                if fid not in cov:
-                    continue
-                for stat in _SUMMARY_STATS:
-                    name = f"{fid}.{stat}"
-                    names.append(name)
-                    columns.append(summary.column(name))
+        feats = tuple(c.features[j] for j in pos)
+        for fid, kind in feats:
+            if isinstance(kind, Categorical):
+                raise RequirementUnmet(
+                    "non_numeric_feature",
+                    f"temporal covariate {fid!r} is categorical")
+        if feats:
+            summary = temporal_summary(TimeSeriesSamples(
+                c.sample_ids, feats,
+                tuple(tuple(per[j] for j in pos) for per in c.series)))
+            for fid, _ in summary.features:
+                names.append(fid)
+                columns.append(summary.column(fid))
     rows = []
     for i in range(n):
         row = []

@@ -32,6 +32,7 @@ from tempoframe.errors import (
     RequirementUnmet,
 )
 from tempoframe.kernels import logistic_gd, ridge_normal_solve
+from tempoframe.kernels.pure import _sigmoid
 from tempoframe.plugins import (
     Category,
     EstimatorSpec,
@@ -258,13 +259,6 @@ def _logistic_fit(params, ds: Dataset) -> dict:
             "bias": bias}
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
     names, rows = covariate_matrix(ds)
     if names != list(state["columns"]):
@@ -328,52 +322,47 @@ def _numeric(v, where: str) -> float:
     return float(v)
 
 
+def _aligned(pred, truth, table) -> tuple:
+    """Both sides as containers of one kind, with equal sample and feature
+    ids."""
+    a = table(pred)
+    b = table(truth)
+    if a.sample_ids != b.sample_ids:
+        raise AlignmentError("sample ids differ between pred and truth")
+    if a.feature_ids != b.feature_ids:
+        raise AlignmentError("features differ between pred and truth")
+    return a, b
+
+
 def rmse(pred, truth) -> float:
     """Root-mean-square error over all aligned points.
 
     Forecast comparisons require bitwise-equal time grids; any Missing or
     non-numeric value is an alignment failure, not a skip.
     """
-    if isinstance(pred, (ForecastOutput, TimeSeriesSamples)):
-        a = _temporal_table(pred)
-        b = _temporal_table(truth)
-        if a.sample_ids != b.sample_ids:
-            raise AlignmentError("sample ids differ between pred and truth")
-        if a.feature_ids != b.feature_ids:
-            raise AlignmentError("features differ between pred and truth")
-        total = 0.0
-        count = 0
-        for i, sid in enumerate(a.sample_ids):
-            for j, (fid, _) in enumerate(a.features):
+    temporal = isinstance(pred, (ForecastOutput, TimeSeriesSamples))
+    a, b = _aligned(pred, truth,
+                    _temporal_table if temporal else _static_table)
+    total = 0.0
+    count = 0
+    for i, sid in enumerate(a.sample_ids):
+        for j, (fid, _) in enumerate(a.features):
+            if temporal:
                 sa = a.series[i][j]
                 sb = b.series[i][j]
                 if tuple(t for t, _ in sa) != tuple(t for t, _ in sb):
                     raise AlignmentError(
                         f"time grids differ for sample {sid!r}, "
                         f"feature {fid!r}")
-                for (t, va), (_, vb) in zip(sa, sb):
-                    where = f"({sid}, {fid}, t={t})"
-                    d = _numeric(va, where) - _numeric(vb, where)
-                    total += d * d
-                    count += 1
-        if count == 0:
-            raise EmptyInput("no aligned points to compare")
-        return math.sqrt(total / count)
-    a = _static_table(pred)
-    b = _static_table(truth)
-    if a.sample_ids != b.sample_ids:
-        raise AlignmentError("sample ids differ between pred and truth")
-    if a.feature_ids != b.feature_ids:
-        raise AlignmentError("features differ between pred and truth")
-    total = 0.0
-    count = 0
-    for i, sid in enumerate(a.sample_ids):
-        for j, (fid, _) in enumerate(a.features):
-            where = f"({sid}, {fid})"
-            d = _numeric(a.values[i][j], where) - _numeric(b.values[i][j],
-                                                           where)
-            total += d * d
-            count += 1
+                points = [(f"({sid}, {fid}, t={t})", va, vb)
+                          for (t, va), (_, vb) in zip(sa, sb)]
+            else:
+                points = [(f"({sid}, {fid})", a.values[i][j],
+                           b.values[i][j])]
+            for where, va, vb in points:
+                d = _numeric(va, where) - _numeric(vb, where)
+                total += d * d
+                count += 1
     if count == 0:
         raise EmptyInput("no aligned points to compare")
     return math.sqrt(total / count)
@@ -385,12 +374,7 @@ def accuracy(pred, truth, threshold: float = 0.5) -> float:
     Predicted label is 1 when p >= threshold. Truth labels may be Integer
     0/1 or binary Categorical (second category = positive).
     """
-    a = _static_table(pred)
-    b = _static_table(truth)
-    if a.sample_ids != b.sample_ids:
-        raise AlignmentError("sample ids differ between pred and truth")
-    if a.feature_ids != b.feature_ids:
-        raise AlignmentError("features differ between pred and truth")
+    a, b = _aligned(pred, truth, _static_table)
     correct = 0
     count = 0
     for i, sid in enumerate(a.sample_ids):

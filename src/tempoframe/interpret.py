@@ -19,7 +19,7 @@ from tempoframe.data import (
     TimeSeriesSamples,
 )
 from tempoframe.errors import MetricMismatch, TooFewSamples, WrongCategory
-from tempoframe.metrics import resolve_metric
+from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import (
     Category,
     EstimatorSpec,
@@ -89,15 +89,16 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
     if repeats < 1:
         raise TooFewSamples(f"repeats must be >= 1, got {repeats}")
     m = resolve_metric(metric)
-    if m.scorer is None:
+    task = TASKS[m.task]
+    if not task.in_place:
         raise MetricMismatch(
             f"metric {metric!r} is not scorable in place; importance "
             "supports accuracy, c_index and brier@<t>")
-    if inner.effective_category() not in m.categories:
+    if inner.effective_category() is not task.category:
         raise MetricMismatch(
             f"metric {metric!r} does not apply to a "
             f"{inner.effective_category().value} estimator")
-    baseline = m.scorer(inner, ds)
+    baseline = m.score(*task.observe(inner, ds, None, None))
     targets = []
     for fid, _, role, modality in ds.all_features():
         if role is Role.COVARIATE and modality in (Modality.STATIC,
@@ -114,7 +115,7 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
                 shuffled = _permute_static(ds, fid, perm)
             else:
                 shuffled = _permute_temporal(ds, fid, perm)
-            score = m.scorer(inner, shuffled)
+            score = m.score(*task.observe(inner, shuffled, None, None))
             if m.direction == "loss":
                 total += score - baseline
             else:

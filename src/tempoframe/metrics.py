@@ -1,31 +1,35 @@
-"""Metric name registry: maps the names accepted in benchmark configs and
-importance wrappers onto the metric functions that live next to their
-estimators.
+"""The one metric dispatch: for each task, the category its pipeline ends
+in, how a fold's (prediction, truth) pair is obtained, and the named
+metrics that score that pair.
 
-A metric is in-place scorable when its ground truth can be read off the
-evaluation dataset itself (labels or event outcomes). rmse needs a held-out
-future and pehe needs recorded true effects, so those are driven by the
-benchmark harness instead and have no scorer here.
+Classify and survival truth is read off the evaluation dataset itself
+(labels or event outcomes), so those tasks are scorable in place and
+support permutation importance. Forecast truth is the future held out
+past the final step's horizon, and treatment truth is the per-sample
+effects of a truth file; the benchmark harness supplies the horizon and
+the effects.
+
+Metric functions live next to their estimators and are called here
+through their module-global names, never held by reference, so a
+replacement of a module attribute (say, a timing wrapper) sees every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tempoframe.data import Dataset, Role, StaticSamples
-from tempoframe.errors import MetricMismatch
-from tempoframe.forecasting import accuracy
+from tempoframe.data import (
+    Continuous,
+    Dataset,
+    Role,
+    StaticSamples,
+    TimeSeriesSamples,
+)
+from tempoframe.errors import BenchError, MetricMismatch
+from tempoframe.forecasting import accuracy, rmse
 from tempoframe.plugins import Category
 from tempoframe.survival import brier_score, concordance_index, event_outcomes
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    name: str
-    direction: str        # "loss" or "gain"
-    task: str
-    categories: tuple     # effective estimator categories it can score
-    scorer: object = None  # (fitted, ds) -> float, or None
+from tempoframe.treatment import pehe
 
 
 def static_target_table(ds: Dataset) -> StaticSamples:
@@ -43,34 +47,107 @@ def static_target_table(ds: Dataset) -> StaticSamples:
     return StaticSamples(ds.sample_ids, feats, grid)
 
 
-def _score_accuracy(fitted, ds: Dataset) -> float:
-    return accuracy(fitted.predict(ds), static_target_table(ds))
+def _holdout_forecast(ds: Dataset, horizon: int):
+    """Split each target series into (history, held-out future).
+
+    Returns the dataset with truncated targets plus the truth series the
+    forecast is scored against.
+    """
+    c = ds.temporal
+    if c is None:
+        raise BenchError("forecast task needs temporal data")
+    targets = [fid for fid, _ in c.features
+               if ds.roles.role_of(fid) is Role.TARGET]
+    tpos = [c._feature_pos[fid] for fid in targets]
+    new_series = []
+    truth_series = []
+    for i, sid in enumerate(c.sample_ids):
+        per_sample = list(c.series[i])
+        truth_row = []
+        for fid, j in zip(targets, tpos):
+            seq = per_sample[j]
+            if len(seq) <= horizon:
+                raise BenchError(
+                    f"sample {sid!r} target {fid!r} has {len(seq)} points; "
+                    f"holding out {horizon} leaves no history")
+            per_sample[j] = seq[:-horizon]
+            truth_row.append(seq[-horizon:])
+        new_series.append(tuple(per_sample))
+        truth_series.append(tuple(truth_row))
+    truncated = Dataset(
+        static=ds.static,
+        temporal=TimeSeriesSamples(c.sample_ids, c.features,
+                                   tuple(new_series)),
+        events=ds.events, roles=ds.roles)
+    truth = TimeSeriesSamples(
+        c.sample_ids, tuple((fid, Continuous()) for fid in targets),
+        tuple(truth_series))
+    return truncated, truth
 
 
-def _score_c_index(fitted, ds: Dataset) -> float:
-    out = fitted.predict(ds)
-    return concordance_index(out.risks, event_outcomes(ds))
+# An observer maps (fitted, ds, params, effects) to (pred, truth). params
+# are the final step's resolved params; effects maps sample id to its true
+# treatment effect. In-place observers read neither.
+
+def _observe_forecast(fitted, ds, params, effects):
+    history, future = _holdout_forecast(ds, params["horizon"])
+    return fitted.predict(history), future
 
 
-def _score_brier(horizon: float):
-    def score(fitted, ds: Dataset) -> float:
-        out = fitted.predict(ds)
-        return brier_score(out.curves, event_outcomes(ds), horizon)
-    return score
+def _observe_classify(fitted, ds, params, effects):
+    return fitted.predict(ds), static_target_table(ds)
+
+
+def _observe_survival(fitted, ds, params, effects):
+    return fitted.predict(ds), event_outcomes(ds)
+
+
+def _observe_treatment(fitted, ds, params, effects):
+    estimate = fitted.predict_counterfactuals(ds, (0, 1)).effects()
+    missing = [sid for sid in estimate.sample_ids if sid not in effects]
+    if missing:
+        raise BenchError(f"truth file lacks samples {missing}")
+    return estimate, [effects[sid] for sid in estimate.sample_ids]
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    category: Category   # of the pipeline's final estimator
+    observe: object      # (fitted, ds, params, effects) -> (pred, truth)
+    in_place: bool       # truth comes from ds alone
+
+
+TASKS = {
+    "forecast": TaskSpec(Category.PREDICTOR, _observe_forecast, False),
+    "classify": TaskSpec(Category.PREDICTOR, _observe_classify, True),
+    "survival": TaskSpec(Category.SURVIVAL, _observe_survival, True),
+    "treatment": TaskSpec(Category.TREATMENT, _observe_treatment, False),
+}
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    name: str
+    direction: str   # "loss" or "gain"
+    task: str        # key of TASKS whose (pred, truth) pair it scores
+    score: object    # (pred, truth) -> float
 
 
 def resolve_metric(name: str) -> MetricSpec:
     """Metric names: rmse, accuracy, c_index, brier@<t>, pehe."""
     if name == "rmse":
-        return MetricSpec("rmse", "loss", "forecast", (Category.PREDICTOR,))
+        return MetricSpec(name, "loss", "forecast",
+                          lambda pred, truth: rmse(pred, truth))
     if name == "accuracy":
-        return MetricSpec("accuracy", "gain", "classify",
-                          (Category.PREDICTOR,), _score_accuracy)
+        return MetricSpec(name, "gain", "classify",
+                          lambda pred, truth: accuracy(pred, truth))
     if name == "c_index":
-        return MetricSpec("c_index", "gain", "survival",
-                          (Category.SURVIVAL,), _score_c_index)
+        return MetricSpec(
+            name, "gain", "survival",
+            lambda out, outcomes: concordance_index(out.risks, outcomes))
     if name == "pehe":
-        return MetricSpec("pehe", "loss", "treatment", (Category.TREATMENT,))
+        return MetricSpec(name, "loss", "treatment",
+                          lambda pred, truth: pehe(pred, truth))
     if name.startswith("brier@"):
         raw = name[len("brier@"):]
         try:
@@ -78,6 +155,7 @@ def resolve_metric(name: str) -> MetricSpec:
         except ValueError:
             raise MetricMismatch(
                 f"bad brier horizon {raw!r} in metric {name!r}") from None
-        return MetricSpec(name, "loss", "survival", (Category.SURVIVAL,),
-                          _score_brier(horizon))
+        return MetricSpec(
+            name, "loss", "survival",
+            lambda out, outcomes: brier_score(out.curves, outcomes, horizon))
     raise MetricMismatch(f"unknown metric {name!r}")

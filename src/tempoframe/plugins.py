@@ -43,9 +43,6 @@ class Category(enum.Enum):
     SURVIVAL = "survival"
     TREATMENT = "treatment"
     WRAPPER = "wrapper"
-    # Reserved: no clustering plugins ship, but the category slot exists so
-    # registry consumers can already dispatch on it.
-    CLUSTERING = "clustering"
 
 
 # ---------------------------------------------------------------------------

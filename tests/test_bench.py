@@ -303,6 +303,25 @@ def test_benchmark_with_pipeline_and_importance(tmp_path):
     assert all(len(row) == 2 for row in imp["folds"])
 
 
+def test_importance_baseline_is_the_fold_score(tmp_path):
+    """Fold scoring and importance share one (pred, truth) scoring path."""
+    classify = load_config(_classify_setup(
+        tmp_path, n=30, importance={"metric": "accuracy", "repeats": 1}))
+    write_bundle(survival_dataset(5, n=30, censor_rate=0.2, effect=2.0),
+                 str(tmp_path / "surv"))
+    survival = load_config(_write_config(tmp_path, {
+        "bundle": "surv", "task": "survival",
+        "pipeline": [{"plugin": "survival.cox", "params": {"iters": 50}}],
+        "metrics": ["brier@3.0", "c_index"], "cv": {"folds": 3, "seed": 2},
+        "importance": {"metric": "c_index"}}, name="surv.json"))
+    for config, metric in ((classify, "accuracy"), (survival, "c_index")):
+        report = run_benchmark(config)
+        folds = report.metrics[metric]["folds"]
+        assert len(folds) == config.folds
+        for i, value in enumerate(folds):
+            assert report.importance["baselines"][i] == value
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -411,6 +430,29 @@ def test_cli_run_runtime_failure(tmp_path, capsys):
            "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
     assert cli(["run", _write_config(tmp_path, doc)]) == 1
     capsys.readouterr()
+
+
+def test_cli_run_non_finite_score_fails_cleanly(tmp_path):
+    # step_size 50 drives the Cox weights to NaN on fold 0 of this split
+    write_bundle(survival_dataset(5, n=60, censor_rate=0.2, effect=2.0),
+                 str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "survival",
+           "pipeline": [{"plugin": "survival.cox",
+                         "params": {"step_size": 50}}],
+           "metrics": ["brier@5"], "cv": {"folds": 2, "seed": 1}}
+    # c_index stays finite on NaN risks; the NaN importance fails the report
+    nan_importance = dict(doc, metrics=["c_index"],
+                          importance={"metric": "brier@5"})
+    for d, message in ((doc, "fold 0, metric brier@5: "),
+                       (nan_importance, "cannot serialize non-finite")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tempoframe", "run",
+             _write_config(tmp_path, d)],
+            capture_output=True, text=True, env=dict(os.environ))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"tempoframe: {message}")
+        assert proc.stdout == ""
 
 
 def test_cli_synth_ite(tmp_path, capsys):

@@ -401,6 +401,21 @@ def test_covariate_matrix_layout_and_errors():
     assert err.value.reason == "non_numeric_feature"
 
 
+def test_covariate_matrix_ignores_categorical_temporal_target():
+    temporal = build_time_series_samples(
+        [("a", "hr", 0.0, 60.0), ("a", "hr", 1.0, 62.0),
+         ("b", "hr", 0.0, 70.0), ("b", "hr", 2.0, 74.0),
+         ("a", "st", 0.0, "ok"), ("b", "st", 1.0, "bad")],
+        {"hr": Continuous(), "st": Categorical(("ok", "bad"))})
+    ds = assemble_dataset(
+        temporal=temporal, roles=RoleMap.of(covariates=("hr",),
+                                            targets=("st",)))
+    names, rows = covariate_matrix(ds)
+    assert names == ["hr.last", "hr.mean", "hr.min", "hr.max", "hr.slope"]
+    assert rows[0] == [62.0, 61.0, 60.0, 62.0, 2.0]
+    assert rows[1] == [74.0, 72.0, 70.0, 74.0, 2.0]
+
+
 def test_containers_are_immutable():
     ds = _toy_dataset()
     with pytest.raises(AttributeError):
