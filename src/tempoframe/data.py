@@ -166,10 +166,14 @@ def _check_id(s, what: str) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StaticSamples:
+class _Samples:
+    """Sample ids, typed features and the position maps of one container.
+
+    Each subclass adds its per-sample data as the one remaining init field,
+    so every container is built positionally as `(ids, features, rows)`.
+    """
     sample_ids: tuple[str, ...]
     features: tuple[tuple[str, ValueKind], ...]
-    values: tuple[tuple, ...]  # N rows x F columns of CellValue
     _sample_pos: dict = field(init=False, repr=False, compare=False)
     _feature_pos: dict = field(init=False, repr=False, compare=False)
 
@@ -189,6 +193,11 @@ class StaticSamples:
 
     def kind_of(self, feature_id: str) -> ValueKind:
         return self.features[self._feature_pos[feature_id]][1]
+
+
+@dataclass(frozen=True)
+class StaticSamples(_Samples):
+    values: tuple[tuple, ...]  # N rows x F columns of CellValue
 
     def cell(self, sample_id: str, feature_id: str):
         return self.values[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
@@ -207,29 +216,8 @@ class StaticSamples:
 
 
 @dataclass(frozen=True)
-class TimeSeriesSamples:
-    sample_ids: tuple[str, ...]
-    features: tuple[tuple[str, ValueKind], ...]
+class TimeSeriesSamples(_Samples):
     series: tuple[tuple[tuple, ...], ...]  # [sample][feature] -> ((t, v), ...)
-    _sample_pos: dict = field(init=False, repr=False, compare=False)
-    _feature_pos: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_sample_pos",
-                           {s: i for i, s in enumerate(self.sample_ids)})
-        object.__setattr__(self, "_feature_pos",
-                           {f: j for j, (f, _) in enumerate(self.features)})
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
-
-    @property
-    def feature_ids(self) -> tuple[str, ...]:
-        return tuple(f for f, _ in self.features)
-
-    def kind_of(self, feature_id: str) -> ValueKind:
-        return self.features[self._feature_pos[feature_id]][1]
 
     def sequence(self, sample_id: str, feature_id: str) -> tuple:
         return self.series[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
@@ -244,29 +232,8 @@ class TimeSeriesSamples:
 
 
 @dataclass(frozen=True)
-class EventSamples:
-    sample_ids: tuple[str, ...]
-    features: tuple[tuple[str, ValueKind], ...]
+class EventSamples(_Samples):
     entries: tuple[tuple, ...]  # [sample][feature] -> None or (time, value)
-    _sample_pos: dict = field(init=False, repr=False, compare=False)
-    _feature_pos: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_sample_pos",
-                           {s: i for i, s in enumerate(self.sample_ids)})
-        object.__setattr__(self, "_feature_pos",
-                           {f: j for j, (f, _) in enumerate(self.features)})
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
-
-    @property
-    def feature_ids(self) -> tuple[str, ...]:
-        return tuple(f for f, _ in self.features)
-
-    def kind_of(self, feature_id: str) -> ValueKind:
-        return self.features[self._feature_pos[feature_id]][1]
 
     def entry(self, sample_id: str, feature_id: str):
         return self.entries[self._sample_pos[sample_id]][self._feature_pos[feature_id]]

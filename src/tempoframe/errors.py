@@ -197,6 +197,14 @@ class AlignmentError(TempoframeError):
 
 
 # ---------------------------------------------------------------------------
+# Numeric kernels
+# ---------------------------------------------------------------------------
+
+class FitDiverged(TempoframeError):
+    """A numeric fit hit a singular system or produced non-finite values."""
+
+
+# ---------------------------------------------------------------------------
 # Survival
 # ---------------------------------------------------------------------------
 

@@ -279,8 +279,7 @@ def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
 
 register_plugin(EstimatorSpec(
     name="classify.logistic", category=Category.PREDICTOR,
-    schema=(Param("seed", "integer", 0),
-            Param("lr", "real", 0.1, lo=0.0),
+    schema=(Param("lr", "real", 0.1, lo=0.0),
             Param("iters", "integer", 500, lo=1)),
     fit=_logistic_fit, predict=_logistic_predict,
     requirements=_classifier_requirements))

@@ -1,36 +1,13 @@
-"""Numeric kernel backend selection.
+"""Numeric kernels: the fitting inner loops, implemented in `pure`."""
 
-The compiled extension is optional; when it is absent (or the build was
-skipped) the pure-Python twin takes over with identical results. Set
-TEMPOFRAME_KERNELS=pure or =compiled to force a backend; the default
-(auto) prefers the compiled one.
-"""
-
-import os
-
-from tempoframe.kernels import pure as _pure
-
-_choice = os.environ.get("TEMPOFRAME_KERNELS", "auto")
-
-if _choice == "pure":
-    _impl = _pure
-elif _choice == "compiled":
-    from tempoframe.kernels import _compiled as _impl  # type: ignore[no-redef]
-elif _choice == "auto":
-    try:
-        from tempoframe.kernels import _compiled as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-else:
-    raise RuntimeError(
-        f"TEMPOFRAME_KERNELS must be auto, pure or compiled, got {_choice!r}")
-
-BACKEND = _impl.BACKEND
-lu_solve = _impl.lu_solve
-ridge_normal_solve = _impl.ridge_normal_solve
-logistic_gd = _impl.logistic_gd
-cox_gd = _impl.cox_gd
-concordance_counts = _impl.concordance_counts
+from tempoframe.kernels.pure import (
+    BACKEND,
+    concordance_counts,
+    cox_gd,
+    logistic_gd,
+    lu_solve,
+    ridge_normal_solve,
+)
 
 
 def backend_name() -> str:

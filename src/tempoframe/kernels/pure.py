@@ -1,26 +1,34 @@
-"""Pure-Python numeric kernels.
+"""Numeric kernels: the fitting inner loops, in plain Python.
 
-These are the reference implementations of the fitting inner loops. The
-compiled backend (`tempoframe.kernels._compiled`) is a statement-for-statement
-transliteration; both must produce bit-identical doubles, so every loop here
-fixes its iteration and accumulation order, and nothing may be rewritten in a
-mathematically-equivalent-but-reassociated form without changing both files.
+Every loop fixes its iteration and accumulation order, so a fit gives the
+same doubles on every run. Golden reports depend on that: rewriting a loop
+in a mathematically equivalent but reassociated form changes their bytes.
 
 Matrices cross this boundary as flat row-major lists of floats plus explicit
-dimensions, which keeps the two backends' call signatures identical.
+dimensions. A fit that meets a singular system or produces non-finite values
+raises `FitDiverged` instead of returning them.
 """
 
 from __future__ import annotations
 
 import math
 
+from tempoframe.errors import FitDiverged
+
 BACKEND = "pure"
 
 _INF = float("inf")
 
 
+def _check_finite(kernel: str, values) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise FitDiverged(f"{kernel} produced a non-finite value {v!r}")
+
+
 def _exp(v: float) -> float:
-    # C's exp() returns inf on overflow; Python's raises. Match C.
+    # Overflow saturates to inf instead of raising, so an overflowing risk
+    # score surfaces as a non-positive-finite risk-set sum in _cox_obj_grad.
     try:
         return math.exp(v)
     except OverflowError:
@@ -44,7 +52,8 @@ def lu_solve(n: int, a_flat: list, b: list) -> list:
                 best = v
                 p = r
         if best == 0.0:
-            raise ValueError("singular matrix")
+            raise FitDiverged("lu_solve: singular matrix (zero pivot in "
+                              f"column {col})")
         if p != col:
             for c in range(n):
                 a[col * n + c], a[p * n + c] = a[p * n + c], a[col * n + c]
@@ -60,6 +69,7 @@ def lu_solve(n: int, a_flat: list, b: list) -> list:
         for j in range(i + 1, n):
             s -= a[i * n + j] * x[j]
         x[i] = s / a[i * n + i]
+    _check_finite("lu_solve", x)
     return x
 
 
@@ -122,6 +132,7 @@ def logistic_gd(n_rows: int, n_cols: int, x_flat: list, y: list,
         for j in range(n_cols):
             w[j] -= scale * gw[j]
         b -= scale * gb
+    _check_finite("logistic_gd", [*w, b])
     return w, b
 
 
@@ -163,6 +174,10 @@ def _cox_obj_grad(n_rows: int, n_cols: int, z_flat: list, y_order: list,
         for m in range(k, g_end):
             i = y_order[m]
             if occurred[i]:
+                if not 0.0 < s0 < _INF:
+                    raise FitDiverged(
+                        f"cox_gd: risk-set sum {s0!r} at time {t!r} is not "
+                        "positive and finite")
                 obj += xb[i] - math.log(s0)
                 base = i * n_cols
                 for j in range(n_cols):
@@ -197,7 +212,9 @@ def cox_gd(n_rows: int, n_cols: int, z_flat: list, times: list,
     gnorm = 0.0
     for j in range(n_cols):
         gnorm += grad[j] * grad[j]
-    return beta, trace, math.sqrt(gnorm)
+    gnorm = math.sqrt(gnorm)
+    _check_finite("cox_gd", [*beta, *trace, gnorm])
+    return beta, trace, gnorm
 
 
 def concordance_counts(n: int, times: list, occurred: list,

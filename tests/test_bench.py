@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from tempoframe.bench import (
 )
 from tempoframe.bundle import read_bundle, write_bundle
 from tempoframe.cli import cli
+from tempoframe.data import StaticSamples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -432,27 +434,65 @@ def test_cli_run_runtime_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_run_non_finite_score_fails_cleanly(tmp_path):
-    # step_size 50 drives the Cox weights to NaN on fold 0 of this split
-    write_bundle(survival_dataset(5, n=60, censor_rate=0.2, effect=2.0),
+def _run_cli(tmp_path, doc):
+    return subprocess.run(
+        [sys.executable, "-m", "tempoframe", "run",
+         _write_config(tmp_path, doc)],
+        capture_output=True, text=True, env=dict(os.environ))
+
+
+def _assert_clean_failure(proc, prefix):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"tempoframe: {prefix}")
+    assert proc.stdout == ""
+
+
+def _diverging_cox_doc(tmp_path, n, metrics):
+    # step_size 50 drives the Cox fit to a zero or non-finite risk-set sum
+    write_bundle(survival_dataset(5, n=n, censor_rate=0.2, effect=2.0),
                  str(tmp_path / "bundle"))
-    doc = {"bundle": "bundle", "task": "survival",
-           "pipeline": [{"plugin": "survival.cox",
-                         "params": {"step_size": 50}}],
-           "metrics": ["brier@5"], "cv": {"folds": 2, "seed": 1}}
-    # c_index stays finite on NaN risks; the NaN importance fails the report
-    nan_importance = dict(doc, metrics=["c_index"],
-                          importance={"metric": "brier@5"})
-    for d, message in ((doc, "fold 0, metric brier@5: "),
-                       (nan_importance, "cannot serialize non-finite")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tempoframe", "run",
-             _write_config(tmp_path, d)],
-            capture_output=True, text=True, env=dict(os.environ))
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"tempoframe: {message}")
-        assert proc.stdout == ""
+    return {"bundle": "bundle", "task": "survival",
+            "pipeline": [{"plugin": "survival.cox",
+                          "params": {"step_size": 50}}],
+            "metrics": metrics, "cv": {"folds": 2, "seed": 1}}
+
+
+def test_cli_run_non_finite_score_fails_cleanly(tmp_path):
+    doc = _diverging_cox_doc(tmp_path, 60, ["brier@5"])
+    # c_index alone scores NaN risks as a finite number, so only the fit
+    # itself can notice the divergence
+    c_index_only = dict(doc, metrics=["c_index"])
+    nan_importance = dict(c_index_only, importance={"metric": "brier@5"})
+    for d in (doc, c_index_only, nan_importance):
+        _assert_clean_failure(_run_cli(tmp_path, d), "fold 0, fit: cox_gd: ")
+
+
+def test_cli_run_zero_risk_set_sum_fails_cleanly(tmp_path):
+    doc = _diverging_cox_doc(tmp_path, 40, ["brier@5"])
+    _assert_clean_failure(_run_cli(tmp_path, doc),
+                          "fold 1, fit: cox_gd: risk-set sum 0.0 ")
+
+
+def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):
+    # a constant 1.0 covariate duplicates the intercept column; ridge 0
+    # leaves the normal equations singular
+    truth = synth_treatment_data(40, seed=1, tau0=3.0)
+    st = truth.dataset.static
+    j = st.feature_ids.index("x1")
+    rows = tuple(tuple(1.0 if k == j else v for k, v in enumerate(row))
+                 for row in st.values)
+    ds = replace(truth.dataset,
+                 static=StaticSamples(st.sample_ids, st.features, rows))
+    write_bundle(ds, str(tmp_path / "bundle"))
+    write_truth(str(tmp_path / "truth.csv"), ds.sample_ids, truth.effects)
+    doc = {"bundle": "bundle", "task": "treatment",
+           "pipeline": [{"plugin": "treatment.t_learner",
+                         "params": {"ridge": 0}}],
+           "metrics": ["pehe"], "cv": {"folds": 2, "seed": 1},
+           "truth": "truth.csv"}
+    _assert_clean_failure(_run_cli(tmp_path, doc),
+                          "fold 0, fit: lu_solve: singular matrix")
 
 
 def test_cli_synth_ite(tmp_path, capsys):
