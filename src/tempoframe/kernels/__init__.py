@@ -7,6 +7,7 @@ from tempoframe.kernels.pure import (
     logistic_gd,
     lu_solve,
     ridge_normal_solve,
+    risk_groups,
 )
 
 

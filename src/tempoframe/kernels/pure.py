@@ -12,6 +12,8 @@ raises `FitDiverged` instead of returning them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
+from itertools import groupby
 
 from tempoframe.errors import FitDiverged
 
@@ -136,15 +138,21 @@ def logistic_gd(n_rows: int, n_cols: int, x_flat: list, y: list,
     return w, b
 
 
-def _cox_obj_grad(n_rows: int, n_cols: int, z_flat: list, y_order: list,
-                  times: list, occurred: list, lam: float,
-                  beta: list) -> tuple:
+def risk_groups(times: list) -> list:
+    """[(t, [i, ...]), ...]: sample indices grouped by equal time, latest
+    first, tied samples in index order. The one place that orders or ties
+    event times; the risk set R(t) = {j : t_j >= t} is a suffix sum of it.
+    """
+    order = sorted(range(len(times)), key=times.__getitem__, reverse=True)
+    return [(t, list(g)) for t, g in groupby(order, times.__getitem__)]
+
+
+def _cox_obj_grad(n_rows: int, n_cols: int, z_flat: list, groups: list,
+                  occurred: list, lam: float, beta: list) -> tuple:
     """Breslow-tie log partial likelihood and its gradient at `beta`.
 
-    `y_order` lists sample indices by descending event/censor time (ties in
-    original index order), so risk-set sums build as suffix sums. Every
-    member of a tied-time group enters the risk set before any event in the
-    group is scored, because R(t) = {j : t_j >= t}.
+    Walks `risk_groups`: each tied-time group enters the risk-set suffix
+    sums before any of its events is scored, as R(t) = {j : t_j >= t}.
     """
     xb = [0.0] * n_rows
     ex = [0.0] * n_rows
@@ -159,20 +167,14 @@ def _cox_obj_grad(n_rows: int, n_cols: int, z_flat: list, y_order: list,
     grad = [0.0] * n_cols
     s0 = 0.0
     s1 = [0.0] * n_cols
-    k = 0
-    while k < n_rows:
-        t = times[y_order[k]]
-        g_end = k
-        while g_end < n_rows and times[y_order[g_end]] == t:
-            i = y_order[g_end]
+    for t, members in groups:
+        for i in members:
             e = ex[i]
             s0 += e
             base = i * n_cols
             for j in range(n_cols):
                 s1[j] += e * z_flat[base + j]
-            g_end += 1
-        for m in range(k, g_end):
-            i = y_order[m]
+        for i in members:
             if occurred[i]:
                 if not 0.0 < s0 < _INF:
                     raise FitDiverged(
@@ -182,7 +184,6 @@ def _cox_obj_grad(n_rows: int, n_cols: int, z_flat: list, y_order: list,
                 base = i * n_cols
                 for j in range(n_cols):
                     grad[j] += z_flat[base + j] - s1[j] / s0
-        k = g_end
     for j in range(n_cols):
         obj -= lam * beta[j] * beta[j]
         grad[j] -= 2.0 * lam * beta[j]
@@ -196,18 +197,18 @@ def cox_gd(n_rows: int, n_cols: int, z_flat: list, times: list,
     Returns (beta, objective_trace, final_gradient_norm); the trace has
     iters+1 entries (value before each update, then at the final beta).
     """
-    order = sorted(range(n_rows), key=lambda i: times[i], reverse=True)
+    groups = risk_groups(times)
     beta = [0.0] * n_cols
     trace = []
     grad = [0.0] * n_cols
     for _ in range(iters):
-        obj, grad = _cox_obj_grad(n_rows, n_cols, z_flat, order, times,
-                                  occurred, lam, beta)
+        obj, grad = _cox_obj_grad(n_rows, n_cols, z_flat, groups, occurred,
+                                  lam, beta)
         trace.append(obj)
         for j in range(n_cols):
             beta[j] += step * grad[j]
-    obj, grad = _cox_obj_grad(n_rows, n_cols, z_flat, order, times,
-                              occurred, lam, beta)
+    obj, grad = _cox_obj_grad(n_rows, n_cols, z_flat, groups, occurred,
+                              lam, beta)
     trace.append(obj)
     gnorm = 0.0
     for j in range(n_cols):
@@ -222,23 +223,20 @@ def concordance_counts(n: int, times: list, occurred: list,
     """Count (concordant, risk-tied, comparable) ordered pairs.
 
     Pair (i, j) is comparable when sample i's event occurred and
-    t_i < t_j; concordant when risk_i > risk_j.
+    t_i < t_j; concordant when risk_i > risk_j. Each event bisects into
+    the sorted risks of strictly later groups (so risks must not be NaN).
     """
     conc = 0
     tied = 0
     comp = 0
-    for i in range(n):
-        if not occurred[i]:
-            continue
-        ti = times[i]
-        ri = risks[i]
-        for j in range(n):
-            if j == i:
-                continue
-            if ti < times[j]:
-                comp += 1
-                if ri > risks[j]:
-                    conc += 1
-                elif ri == risks[j]:
-                    tied += 1
+    later = []
+    for _, members in risk_groups(times):
+        for i in members:
+            if occurred[i]:
+                lo = bisect_left(later, risks[i])
+                conc += lo
+                tied += bisect_right(later, risks[i], lo) - lo
+                comp += len(later)
+        for i in members:
+            insort(later, risks[i])
     return conc, tied, comp

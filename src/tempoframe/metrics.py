@@ -157,5 +157,6 @@ def resolve_metric(name: str) -> MetricSpec:
                 f"bad brier horizon {raw!r} in metric {name!r}") from None
         return MetricSpec(
             name, "loss", "survival",
-            lambda out, outcomes: brier_score(out.curves, outcomes, horizon))
+            lambda out, outcomes: brier_score(out.survival_at(horizon),
+                                              outcomes, horizon))
     raise MetricMismatch(f"unknown metric {name!r}")

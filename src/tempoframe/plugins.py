@@ -371,8 +371,7 @@ class PipelineFitted(FittedEstimator):
         return self.steps[-1].transform(self._apply_front(ds))
 
     def predict(self, ds: Dataset):
-        if self.spec.category not in (Category.PREDICTOR, Category.SURVIVAL,
-                                      Category.WRAPPER):
+        if self.spec.category not in (Category.PREDICTOR, Category.SURVIVAL):
             raise WrongCategory(
                 f"pipeline of {self.spec.category.value} does not predict")
         _check_exact_fingerprint(self, ds)

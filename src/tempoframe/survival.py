@@ -1,10 +1,12 @@
 """Time-to-event analysis: Kaplan-Meier curves, a Cox-style risk model,
 concordance and Brier metrics.
 
-Conventions pinned for the oracles: Breslow tie handling; at equal times
-events precede censorings (censored-at-t samples stay at risk for deaths
-at t); the Brier score is unweighted over evaluable samples, a documented
-deviation from the censoring-weighted variant.
+One tie rule, from `kernels.risk_groups`: samples with equal times form
+one group. An event at t is scored against R(t) = {j : t_j >= t}, which
+includes t's whole group, censorings too (Kaplan-Meier, and Breslow ties
+in the Cox fit and baseline); concordance compares an event at t only
+with strictly later groups. The Brier score is unweighted over evaluable
+samples, a documented deviation from the censoring-weighted variant.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from dataclasses import dataclass
 from tempoframe.data import Dataset, MISSING, Role, covariate_matrix
 from tempoframe.errors import (
     EmptyInput,
+    MetricMismatch,
     NoComparablePairs,
     NoEvaluableSamples,
     NoEvents,
     RequirementUnmet,
 )
-from tempoframe.kernels import concordance_counts, cox_gd
+from tempoframe.kernels import concordance_counts, cox_gd, risk_groups
+from tempoframe.kernels.pure import _exp
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
 
@@ -49,12 +53,22 @@ class EventOutcome:
 
 @dataclass(frozen=True)
 class SurvivalOutput:
-    """Per-sample risk scores (higher = earlier expected event) and
-    per-sample survival curves."""
+    """Per-sample risks (higher = earlier expected event) and the shared
+    baseline cumulative hazard H0; S_i(t) = exp(-H0(t) * e^{risk_i})."""
 
     sample_ids: tuple
     risks: tuple
-    curves: tuple
+    base_times: tuple
+    cumhaz: tuple
+
+    def survival_at(self, t: float) -> tuple:
+        """Every sample's S_i(t); 1.0 before the first breakpoint."""
+        idx = bisect_right(self.base_times, t)
+        if idx == 0:
+            return (1.0,) * len(self.risks)
+        # H0 > 0 here, so an e^r that saturates to inf gives S = 0.0
+        h = self.cumhaz[idx - 1]
+        return tuple(math.exp(-h * _exp(r)) for r in self.risks)
 
 
 def event_outcomes(ds: Dataset) -> list:
@@ -83,32 +97,45 @@ def event_outcomes(ds: Dataset) -> list:
     return out
 
 
+def _event_steps(outcomes: list, weights: list) -> list:
+    """(t, d events, summed weight of R(t)) per event time, ascending;
+    the weights add up in `risk_groups` order, latest first."""
+    steps = []
+    at_risk = 0
+    for t, members in risk_groups([o.time for o in outcomes]):
+        for i in members:
+            at_risk += weights[i]
+        d = sum(1 for i in members if outcomes[i].occurred)
+        if d:
+            steps.append((t, d, at_risk))
+    return steps[::-1]
+
+
+def _linear_risks(beta, rows) -> list:
+    """beta . z per row, summed in column order as in the Cox kernel."""
+    out = []
+    for row in rows:
+        r = 0.0
+        for b, x in zip(beta, row):
+            r += b * x
+        out.append(r)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 # ---------------------------------------------------------------------------
 
 def kaplan_meier(outcomes) -> SurvivalCurve:
-    """Product-limit estimate over distinct event times.
-
-    At each event time t with d events among n at risk, S multiplies by
-    (1 - d/n); R(t) = {j : t_j >= t}, so samples censored exactly at t are
-    still at risk there.
-    """
+    """Product-limit estimate: at each event time t with d events among
+    the n samples of R(t), S multiplies by (1 - d/n)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise EmptyInput("kaplan_meier needs at least one sample")
-    event_times = sorted({o.time for o in outcomes if o.occurred})
     breakpoints = []
     values = []
     s = 1.0
-    for t in event_times:
-        d = 0
-        n = 0
-        for o in outcomes:
-            if o.time >= t:
-                n += 1
-                if o.occurred and o.time == t:
-                    d += 1
+    for t, d, n in _event_steps(outcomes, [1] * len(outcomes)):
         s = s * (1.0 - d / n)
         breakpoints.append(t)
         values.append(s)
@@ -136,27 +163,13 @@ def _cox_fit(params, ds: Dataset) -> dict:
     beta, trace, grad_norm = cox_gd(n, d, z_flat, times, occurred,
                                     params["step_size"], params["iters"],
                                     params["ridge"])
-    # Breslow baseline cumulative hazard at each distinct event time:
-    # H0(t) = sum over event times u <= t of d_u / S0(u),
-    # with S0(u) = sum of exp(beta . z_j) over j still at risk at u.
-    xb = []
-    for row in rows:
-        s = 0.0
-        for b, x in zip(beta, row):
-            s += b * x
-        xb.append(s)
-    event_times = sorted({o.time for o in outcomes if o.occurred})
+    # Breslow: H0(t) = sum over event times u <= t of d_u / S0(u), with
+    # S0(u) = sum of e^{beta . z_j} over R(u), never inf (cox_gd checked).
+    weights = [_exp(r) for r in _linear_risks(beta, rows)]
     base_times = []
     cumhaz = []
     h = 0.0
-    for t in event_times:
-        d_t = 0
-        s0 = 0.0
-        for i, o in enumerate(outcomes):
-            if o.time >= t:
-                s0 += math.exp(xb[i])
-                if o.occurred and o.time == t:
-                    d_t += 1
+    for t, d_t, s0 in _event_steps(outcomes, weights):
         h += d_t / s0
         base_times.append(t)
         cumhaz.append(h)
@@ -167,20 +180,10 @@ def _cox_fit(params, ds: Dataset) -> dict:
 
 def _cox_predict(params, state, ds: Dataset) -> SurvivalOutput:
     names, rows = covariate_matrix(ds)
-    beta = state["beta"]
-    base_times = tuple(state["baseline"]["times"])
-    cumhaz = state["baseline"]["cumhaz"]
-    risks = []
-    curves = []
-    for row in rows:
-        risk = 0.0
-        for b, x in zip(beta, row):
-            risk += b * x
-        risks.append(risk)
-        scale = math.exp(risk)
-        curves.append(SurvivalCurve(
-            base_times, tuple(math.exp(-h * scale) for h in cumhaz)))
-    return SurvivalOutput(ds.sample_ids, tuple(risks), tuple(curves))
+    return SurvivalOutput(ds.sample_ids,
+                          tuple(_linear_risks(state["beta"], rows)),
+                          tuple(state["baseline"]["times"]),
+                          tuple(state["baseline"]["cumhaz"]))
 
 
 register_plugin(EstimatorSpec(
@@ -198,34 +201,39 @@ register_plugin(EstimatorSpec(
 
 def concordance_index(risks, outcomes) -> float:
     """Concordant fraction over pairs (i, j) with t_i < t_j and i occurred;
-    risk ties count 0.5."""
+    risk ties count 0.5. A NaN risk has no place in the order the counts
+    need, so it raises `MetricMismatch`."""
     outcomes = list(outcomes)
-    risks = list(risks)
+    risks = [float(r) for r in risks]
+    for i, r in enumerate(risks):
+        if math.isnan(r):
+            raise MetricMismatch(f"c_index: risk of sample {i} is NaN")
     times = [o.time for o in outcomes]
     occurred = [1 if o.occurred else 0 for o in outcomes]
     conc, tied, comp = concordance_counts(len(outcomes), times, occurred,
-                                          [float(r) for r in risks])
+                                          risks)
     if comp == 0:
         raise NoComparablePairs("no comparable pair of outcomes")
     return (conc + 0.5 * tied) / comp
 
 
-def brier_score(curves, outcomes, horizon: float) -> float:
+def brier_score(survival, outcomes, horizon: float) -> float:
     """Unweighted mean of (S_i(t*) - 1{t_i > t*})^2 over evaluable samples.
 
+    `survival` holds each sample's S_i(t*) (`SurvivalOutput.survival_at`).
     Evaluable: occurred with t <= t*, or t > t* regardless of status.
     Samples censored at or before t* carry no label and are excluded.
     """
     total = 0.0
     count = 0
-    for curve, o in zip(curves, outcomes):
+    for s, o in zip(survival, outcomes):
         if o.time > horizon:
             label = 1.0
         elif o.occurred:
             label = 0.0
         else:
             continue
-        d = curve.value_at(horizon) - label
+        d = s - label
         total += d * d
         count += 1
     if count == 0:

@@ -176,6 +176,15 @@ def test_c03_concordance_matches_brute_force_on_100_random_sets():
             checked += 1
     assert checked >= 80
 
+    # workload scale: integer (heavily tied) times and rounded risks
+    for _ in range(4):
+        n = 290 + rng.below(21)
+        risks = [round(rng.uniform_in(-2.0, 2.0), 1) for _ in range(n)]
+        outcomes = [EventOutcome(f"s{i}", float(1 + rng.below(20)),
+                                 rng.uniform() < 0.7) for i in range(n)]
+        assert concordance_index(risks, outcomes) == _c_oracle(risks,
+                                                               outcomes)
+
     outcomes = _as_outcomes([(1, 1), (2, 1), (3, 1)])
     assert concordance_index([3.0, 2.0, 1.0], outcomes) == 1.0
     assert concordance_index([5.0, 5.0, 5.0], outcomes) == 0.5

@@ -28,7 +28,7 @@ from tempoframe.bench import (
 )
 from tempoframe.bundle import read_bundle, write_bundle
 from tempoframe.cli import cli
-from tempoframe.data import StaticSamples
+from tempoframe.data import MISSING, EventSamples, StaticSamples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -472,6 +472,33 @@ def test_cli_run_zero_risk_set_sum_fails_cleanly(tmp_path):
     doc = _diverging_cox_doc(tmp_path, 40, ["brier@5"])
     _assert_clean_failure(_run_cli(tmp_path, doc),
                           "fold 1, fit: cox_gd: risk-set sum 0.0 ")
+
+
+def test_cli_run_overflowing_risk_scores_cleanly(tmp_path):
+    # x = 1e6 on one fold-0 test sample overflows e^risk at fold 0's
+    # predict; its survival past the first breakpoint is exactly 0.0.
+    # Censored before every event, it joins no risk set when fold 1 trains
+    # on it, so that fit stays finite.
+    ds = survival_dataset(5, n=40, censor_rate=0.2, effect=2.0)
+    _, test = kfold_split(ds, 2, 1)[0]
+    st, ev = ds.static, ds.events
+    i = st.sample_ids.index(test.sample_ids[0])
+    rows = tuple((1e6,) if k == i else row for k, row in enumerate(st.values))
+    entries = tuple(((0.5, MISSING),) if k == i else e
+                    for k, e in enumerate(ev.entries))
+    ds = replace(ds,
+                 static=StaticSamples(st.sample_ids, st.features, rows),
+                 events=EventSamples(ev.sample_ids, ev.features, entries))
+    write_bundle(ds, str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "survival",
+           "pipeline": [{"plugin": "survival.cox", "params": {"iters": 50}}],
+           "metrics": ["c_index", "brier@5"], "cv": {"folds": 2, "seed": 1}}
+    proc = _run_cli(tmp_path, doc)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    metrics = json.loads(proc.stdout)["metrics"]
+    for entry in metrics.values():
+        assert all(math.isfinite(v) for v in entry["folds"])
 
 
 def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):

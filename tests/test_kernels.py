@@ -165,21 +165,21 @@ def test_cox_trace_shape_and_zero_iters(impl):
 
 def test_cox_gradient_matches_finite_differences():
     z_flat, times, occurred = _cox_inputs(1, n=10)
-    order = sorted(range(10), key=lambda i: times[i], reverse=True)
+    groups = pure.risk_groups(times)
     beta = [0.3, -0.7]
     lam = 0.01
-    obj, grad = pure._cox_obj_grad(10, 2, z_flat, order, times, occurred,
-                                   lam, beta)
+    obj, grad = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
+                                   beta)
     eps = 1e-6
     for j in range(2):
         up = list(beta)
         up[j] += eps
         down = list(beta)
         down[j] -= eps
-        o_up, _ = pure._cox_obj_grad(10, 2, z_flat, order, times, occurred,
-                                     lam, up)
-        o_dn, _ = pure._cox_obj_grad(10, 2, z_flat, order, times, occurred,
-                                     lam, down)
+        o_up, _ = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
+                                     up)
+        o_dn, _ = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
+                                     down)
         fd = (o_up - o_dn) / (2 * eps)
         assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
@@ -190,13 +190,18 @@ def test_cox_breslow_tied_objective_hand_value():
     z_flat = [1.0, 0.0, -1.0]
     times = [1.0, 1.0, 2.0]
     occurred = [1, 1, 0]
-    order = sorted(range(3), key=lambda i: times[i], reverse=True)
+    groups = pure.risk_groups(times)
     beta = [0.5]
     denom = math.exp(0.5) + math.exp(0.0) + math.exp(-0.5)
     expected = (0.5 - math.log(denom)) + (0.0 - math.log(denom))
-    obj, _ = pure._cox_obj_grad(3, 1, z_flat, order, times, occurred,
-                                0.0, beta)
+    obj, _ = pure._cox_obj_grad(3, 1, z_flat, groups, occurred, 0.0, beta)
     assert math.isclose(obj, expected, rel_tol=1e-15)
+
+
+def test_risk_groups_latest_first_ties_in_index_order():
+    groups = pure.risk_groups([2.0, 5.0, 2.0, 1.0, 5.0, 2.0])
+    assert groups == [(5.0, [1, 4]), (2.0, [0, 2, 5]), (1.0, [3])]
+    assert pure.risk_groups([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_save_load_survival_state():
     out_a = fitted.predict(ds)
     out_b = loaded.predict(ds)
     assert out_a.risks == out_b.risks
-    assert out_a.curves == out_b.curves
+    assert out_a == out_b
 
 
 def test_corrupt_blobs():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,11 @@ from tempoframe.data import (
     assemble_dataset,
     build_event_samples,
     build_static_samples,
+    covariate_matrix,
 )
 from tempoframe.errors import (
     EmptyInput,
+    MetricMismatch,
     NoComparablePairs,
     NoEvaluableSamples,
     NoEvents,
@@ -54,6 +57,24 @@ def _km_oracle(spec):
         s *= 1 - Fraction(d, n)
         out.append((t, s))
     return out
+
+
+def _breslow_oracle(outcomes, xb):
+    """Breslow cumulative hazard by rescanning every sample per event time."""
+    times = sorted({o.time for o in outcomes if o.occurred})
+    cumhaz = []
+    h = 0.0
+    for t in times:
+        d = 0
+        s0 = 0.0
+        for o, v in zip(outcomes, xb):
+            if o.time >= t:
+                s0 += math.exp(v)
+                if o.occurred and o.time == t:
+                    d += 1
+        h += d / s0
+        cumhaz.append(h)
+    return times, cumhaz
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +235,54 @@ def test_cox_predictions_are_valid_curves():
     fitted = create("survival.cox", {"iters": 150}).fit(ds)
     out = fitted.predict(ds)
     assert out.sample_ids == ds.sample_ids
-    for curve in out.curves:
-        assert curve.value_at(-1e9) == 1.0
-        prev = 1.0
-        for v in curve.values:
-            assert 0.0 <= v <= prev
-            prev = v
+    assert out.survival_at(-1e9) == (1.0,) * len(ds.sample_ids)
+    prev = out.survival_at(-1e9)
+    for t in out.base_times:
+        now = out.survival_at(t)
+        for v, p in zip(now, prev):
+            assert 0.0 <= v <= p
+        prev = now
     # with a positive beta, higher covariate sorts with higher risk
     c = concordance_index(out.risks, event_outcomes(ds))
     assert c > 0.6
+    # an e^risk that overflows gives S = 0.0 past the first breakpoint
+    extreme = replace(out, risks=(0.0, 1e6, -1e6))
+    first = out.base_times[0]
+    assert extreme.survival_at(first - 1.0) == (1.0, 1.0, 1.0)
+    assert extreme.survival_at(first) == (math.exp(-out.cumhaz[0]), 0.0,
+                                          1.0)
+
+
+def test_cox_breslow_baseline_matches_rescan_oracle():
+    rng = Lcg(5)
+    ids = [f"s{i}" for i in range(40)]
+    static = build_static_samples(
+        [(sid, "x", rng.uniform_in(-1.0, 1.0)) for sid in ids],
+        {"x": Continuous()}, sample_ids=ids)
+    events = build_event_samples(
+        [(sid, "death", float(1 + rng.below(6)),
+          1 if rng.uniform() < 0.6 else MISSING) for sid in ids],
+        {"death": Integer()}, sample_ids=ids)
+    ds = assemble_dataset(static=static, events=events,
+                          roles=RoleMap.of(covariates=("x",),
+                                           targets=("death",)))
+    outcomes = event_outcomes(ds)
+    # the fixture ties events with events and with censorings
+    event_times = [o.time for o in outcomes if o.occurred]
+    censor_times = {o.time for o in outcomes if not o.occurred}
+    assert len(set(event_times)) < len(event_times)
+    assert censor_times & set(event_times)
+
+    fitted = create("survival.cox", {"iters": 100}).fit(ds)
+    _, rows = covariate_matrix(ds)
+    xb = [sum(b * x for b, x in zip(fitted.state["beta"], row))
+          for row in rows]
+    times, cumhaz = _breslow_oracle(outcomes, xb)
+    baseline = fitted.state["baseline"]
+    assert baseline["times"] == times
+    assert len(baseline["cumhaz"]) == len(cumhaz)
+    for got, want in zip(baseline["cumhaz"], cumhaz):
+        assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_cox_risk_is_linear_in_beta():
@@ -294,6 +354,12 @@ def test_c_index_matches_brute_force():
             assert concordance_index(risks, outcomes) == expected
 
 
+def test_c_index_nan_risk_raises_naming_the_sample():
+    outcomes = _outcomes([(1, 1), (2, 1), (3, 0)])
+    with pytest.raises(MetricMismatch, match="sample 1 is NaN"):
+        concordance_index([0.5, float("nan"), 0.1], outcomes)
+
+
 def test_c_index_censored_anchors_are_not_comparable():
     outcomes = _outcomes([(1, 0), (2, 1)])
     with pytest.raises(NoComparablePairs):
@@ -311,7 +377,7 @@ def test_brier_hand_value():
     outcomes = _outcomes([(1.0, 1), (3.0, 0), (1.5, 0)])
     # s0: event by t*=2 -> label 0, S=0.3; s1: t>2 -> label 1, S=0.8;
     # s2: censored before t* -> excluded
-    score = brier_score(curves, outcomes, 2.0)
+    score = brier_score([c.value_at(2.0) for c in curves], outcomes, 2.0)
     assert abs(score - (0.3 ** 2 + 0.2 ** 2) / 2) <= 1e-15
 
 
@@ -319,14 +385,16 @@ def test_brier_boundary_cases():
     curves = [SurvivalCurve((1.0,), (0.4,)), SurvivalCurve((1.0,), (0.4,))]
     # event exactly at the horizon is evaluable with label 0
     outcomes = _outcomes([(2.0, 1), (2.0, 0)])
-    score = brier_score(curves, outcomes, 2.0)
+    score = brier_score([c.value_at(2.0) for c in curves], outcomes, 2.0)
     assert score == 0.4 ** 2
 
     with pytest.raises(NoEvaluableSamples):
-        brier_score(curves, _outcomes([(1.0, 0), (2.0, 0)]), 2.0)
+        brier_score([c.value_at(2.0) for c in curves],
+                    _outcomes([(1.0, 0), (2.0, 0)]), 2.0)
 
 
 def test_perfect_curves_give_zero_brier():
     curves = [SurvivalCurve((1.0,), (0.0,)), SurvivalCurve((5.0,), (0.0,))]
     outcomes = _outcomes([(1.0, 1), (9.0, 1)])
-    assert brier_score(curves, outcomes, 2.0) == 0.0
+    assert brier_score([c.value_at(2.0) for c in curves], outcomes,
+                       2.0) == 0.0
