@@ -252,6 +252,8 @@ def read_truth(path) -> dict:
             rows = list(csv.reader(f))
     except OSError as e:
         raise IoError(f"cannot read truth file {path}: {e}") from e
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ConfigError(f"{path}: unreadable CSV: {e}") from None
     if not rows or rows[0] != ["sample_id", "effect"]:
         raise ConfigError(f"{path}: expected header sample_id,effect")
     out = {}

@@ -10,32 +10,38 @@ Layout:
 Empty value field = Missing. Writing is deterministic: fixed field order,
 shortest round-trip float formatting, UTF-8, LF line endings, so identical
 datasets produce byte-identical bundles.
+
+Reading and validation walk the listed tables the same way and check each
+data row once, in one pass (`tempoframe.data.scan_rows`, shared with the
+builders), so `validate_bundle` reports exactly the table faults that make
+`read_bundle` fail. `read_bundle` raises the first of them in row order as
+`<path>:<line>: <detail>`, with the error type of its violation code.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
 from tempoframe.data import (
-    Categorical,
-    Continuous,
+    VIOLATION_ERRORS,
     Dataset,
-    Integer,
+    EventSamples,
     MISSING,
     Modality,
     Role,
     RoleMap,
+    StaticSamples,
+    TimeSeriesSamples,
     ValueKind,
-    build_event_samples,
-    build_static_samples,
-    build_time_series_samples,
+    Violation,  # noqa: F401  (re-exported: validation results)
     assemble_dataset,
+    grid,
     kind_from_json,
     kind_to_json,
+    scan_rows,
 )
 from tempoframe.errors import (
     IoError,
@@ -48,13 +54,17 @@ from tempoframe.errors import (
 SCHEMA_VERSION = "1"
 MANIFEST_NAME = "manifest"
 
-_FILE_NAMES = {
-    Modality.STATIC: "static.csv",
-    Modality.TEMPORAL: "temporal.csv",
-    Modality.EVENT: "events.csv",
+# Modality -> (file name, header row, long-form rows of its container), in
+# the order tables are written, read and validated.
+_TABLES = {
+    Modality.STATIC: ("static.csv", ["sample_id", "feature_id", "value"],
+                      StaticSamples.to_rows),
+    Modality.TEMPORAL: ("temporal.csv",
+                        ["sample_id", "feature_id", "time", "value"],
+                        TimeSeriesSamples.to_points),
+    Modality.EVENT: ("events.csv", ["sample_id", "feature_id", "time", "value"],
+                     EventSamples.to_entries),
 }
-_STATIC_HEADER = ["sample_id", "feature_id", "value"]
-_TIMED_HEADER = ["sample_id", "feature_id", "time", "value"]
 
 
 @dataclass(frozen=True)
@@ -65,13 +75,6 @@ class BundleManifest:
     features: dict        # modality name -> ordered feature id list
     kinds: dict           # feature_id -> ValueKind
     roles: dict           # feature_id -> role name
-
-
-@dataclass(frozen=True)
-class Violation:
-    row: int
-    code: str
-    detail: str
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,10 @@ def _manifest_kind(d, where: str) -> ValueKind:
         raise ManifestError(str(e)) from None
 
 
+def _is_string_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
 def _value_to_str(v) -> str:
     if v is MISSING:
         return ""
@@ -95,38 +102,6 @@ def _value_to_str(v) -> str:
     return v
 
 
-def _parse_value(kind: ValueKind, s: str, where: str):
-    if s == "":
-        return MISSING
-    if isinstance(kind, Continuous):
-        try:
-            v = float(s)
-        except ValueError:
-            raise KindMismatch(f"{where}: {s!r} is not a real number") from None
-        if not math.isfinite(v):
-            raise KindMismatch(f"{where}: non-finite value {s!r}")
-        return v
-    if isinstance(kind, Integer):
-        try:
-            return int(s, 10)
-        except ValueError:
-            raise KindMismatch(f"{where}: {s!r} is not an integer") from None
-    if s in kind.categories:
-        return s
-    raise KindMismatch(f"{where}: {s!r} not in categories "
-                       f"{list(kind.categories)}")
-
-
-def _parse_time(s: str, where: str) -> float:
-    try:
-        t = float(s)
-    except ValueError:
-        raise ParseError(f"{where}: time {s!r} is not decimal") from None
-    if not math.isfinite(t):
-        raise ParseError(f"{where}: time {s!r} is not finite")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
@@ -135,7 +110,7 @@ def manifest_for(ds: Dataset) -> BundleManifest:
     files = {}
     features = {}
     for modality, container in ds.containers():
-        files[modality.value] = _FILE_NAMES[modality]
+        files[modality.value] = _TABLES[modality][0]
         features[modality.value] = list(container.feature_ids)
     kinds = {}
     roles = {}
@@ -166,27 +141,18 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
-        if ds.static is not None:
-            with open(os.path.join(dir_path, _FILE_NAMES[Modality.STATIC]),
-                      "w", encoding="utf-8", newline="") as f:
+        for modality, container in ds.containers():
+            name, header, long_rows = _TABLES[modality]
+            with open(os.path.join(dir_path, name), "w", encoding="utf-8",
+                      newline="") as f:
                 w = csv.writer(f, lineterminator="\n")
-                w.writerow(_STATIC_HEADER)
-                for sid, fid, v in ds.static.to_rows():
-                    w.writerow([sid, fid, _value_to_str(v)])
-        if ds.temporal is not None:
-            with open(os.path.join(dir_path, _FILE_NAMES[Modality.TEMPORAL]),
-                      "w", encoding="utf-8", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(_TIMED_HEADER)
-                for sid, fid, t, v in ds.temporal.to_points():
-                    w.writerow([sid, fid, repr(t), _value_to_str(v)])
-        if ds.events is not None:
-            with open(os.path.join(dir_path, _FILE_NAMES[Modality.EVENT]),
-                      "w", encoding="utf-8", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(_TIMED_HEADER)
-                for sid, fid, t, v in ds.events.to_entries():
-                    w.writerow([sid, fid, repr(t), _value_to_str(v)])
+                w.writerow(header)
+                if modality is Modality.STATIC:
+                    for sid, fid, v in long_rows(container):
+                        w.writerow([sid, fid, _value_to_str(v)])
+                else:
+                    for sid, fid, t, v in long_rows(container):
+                        w.writerow([sid, fid, repr(t), _value_to_str(v)])
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
@@ -204,6 +170,8 @@ def _load_manifest(manifest_path) -> BundleManifest:
             raw = f.read()
     except OSError as e:
         raise IoError(f"cannot read {manifest_path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{manifest_path}: not UTF-8 text: {e}") from None
     try:
         doc = json.loads(raw)
     except ValueError as e:
@@ -219,30 +187,37 @@ def _load_manifest(manifest_path) -> BundleManifest:
             f"{manifest_path}: unsupported schema_version "
             f"{doc['schema_version']!r} (expected {SCHEMA_VERSION!r})")
     samples = doc["samples"]
-    if not isinstance(samples, list) or \
-            not all(isinstance(s, str) for s in samples):
+    if not _is_string_list(samples):
         raise ManifestError(f"{manifest_path}: samples must be a string list")
+    if len(set(samples)) != len(samples):
+        raise ManifestError(f"{manifest_path}: samples repeat a sample id")
+    for key in ("files", "features", "kinds", "roles"):
+        if not isinstance(doc[key], dict):
+            raise ManifestError(f"{manifest_path}: {key} must be an object")
     files = doc["files"]
     features = doc["features"]
-    if not isinstance(files, dict) or not isinstance(features, dict):
-        raise ManifestError(f"{manifest_path}: files/features must be objects")
-    for modality in files:
+    roles = doc["roles"]
+    for modality, name in files.items():
         if modality not in ("static", "temporal", "event"):
             raise ManifestError(
                 f"{manifest_path}: unknown modality {modality!r}")
+        if not isinstance(name, str):
+            raise ManifestError(
+                f"{manifest_path}: file name for {modality!r} must be a "
+                "string")
         if modality not in features:
             raise ManifestError(
                 f"{manifest_path}: no feature list for {modality!r}")
     kinds = {fid: _manifest_kind(d, f"{manifest_path}: kinds[{fid!r}]")
              for fid, d in doc["kinds"].items()}
-    roles = doc["roles"]
-    if not isinstance(roles, dict):
-        raise ManifestError(f"{manifest_path}: roles must be an object")
     for fid, role in roles.items():
         if role not in ("covariate", "target", "treatment"):
             raise ManifestError(
                 f"{manifest_path}: unknown role {role!r} for {fid!r}")
     for modality, fids in features.items():
+        if not _is_string_list(fids):
+            raise ManifestError(f"{manifest_path}: features of {modality!r} "
+                                "must be a string list")
         for fid in fids:
             if fid not in kinds:
                 raise ManifestError(f"{manifest_path}: feature {fid!r} has "
@@ -254,102 +229,59 @@ def _load_manifest(manifest_path) -> BundleManifest:
                           features, kinds, roles)
 
 
-def _read_table(path, header: list) -> list:
+def _read_table(path, header: list):
+    """Data rows of one CSV table, after its header row is checked."""
     if not os.path.exists(path):
         raise ManifestError(f"listed file does not exist: {path}")
     try:
         with open(path, encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
-            rows = list(reader)
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"{path}: missing header row")
+            if first != header:
+                raise ParseError(f"{path}: bad header {first!r}, "
+                                 f"expected {header!r}")
+            yield from reader
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    if not rows:
-        raise ParseError(f"{path}: missing header row")
-    if rows[0] != header:
-        raise ParseError(f"{path}: bad header {rows[0]!r}, "
-                         f"expected {header!r}")
-    return rows[1:]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"{path}: unreadable CSV: {e}") from None
 
 
-def _typed_static_rows(path, raw_rows, kinds):
-    out = []
-    for i, row in enumerate(raw_rows):
-        line = i + 2
-        if len(row) != 3:
-            raise ParseError(f"{path}:{line}: expected 3 fields, "
-                             f"got {len(row)}")
-        sid, fid, value = row
-        if fid not in kinds:
-            raise KindMismatch(f"{path}:{line}: feature {fid!r} has no "
-                               "declared kind")
-        out.append((sid, fid, _parse_value(kinds[fid], value,
-                                           f"{path}:{line}")))
-    return out
-
-
-def _typed_timed_rows(path, raw_rows, kinds):
-    out = []
-    for i, row in enumerate(raw_rows):
-        line = i + 2
-        if len(row) != 4:
-            raise ParseError(f"{path}:{line}: expected 4 fields, "
-                             f"got {len(row)}")
-        sid, fid, time_s, value = row
-        if time_s == "":
-            raise ParseError(f"{path}:{line}: empty time field")
-        if fid not in kinds:
-            raise KindMismatch(f"{path}:{line}: feature {fid!r} has no "
-                               "declared kind")
-        t = _parse_time(time_s, f"{path}:{line}")
-        out.append((sid, fid, t, _parse_value(kinds[fid], value,
-                                              f"{path}:{line}")))
-    return out
+def _scanned_tables(manifest: BundleManifest, manifest_path):
+    """(modality, file name, path, kinds, Scan) of each listed table."""
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    for modality, (_, header, _) in _TABLES.items():
+        name = manifest.files.get(modality.value)
+        if name is None:
+            continue
+        path = os.path.join(base, name)
+        kinds = {fid: manifest.kinds[fid]
+                 for fid in manifest.features[modality.value]}
+        yield modality, name, path, kinds, scan_rows(
+            _read_table(path, header), modality, kinds, manifest.samples,
+            text=True)
 
 
 def read_bundle(manifest_path) -> Dataset:
-    """Load and validate a bundle; core_data builder errors carry the
-    offending file in their message."""
+    """Load a bundle. A table fault raises as `<path>:<line>: <detail>`;
+    a dataset-level fault carries the manifest path."""
     manifest = _load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    samples = list(manifest.samples)
-
-    def modality_kinds(name):
-        return {fid: manifest.kinds[fid] for fid in manifest.features[name]}
-
-    static = temporal = events = None
-    if "static" in manifest.files:
-        path = os.path.join(base, manifest.files["static"])
-        kinds = modality_kinds("static")
-        rows = _typed_static_rows(path, _read_table(path, _STATIC_HEADER),
-                                  kinds)
-        try:
-            static = build_static_samples(rows, kinds, sample_ids=samples)
-        except TempoframeError as e:
-            raise type(e)(f"{path}: {e}") from None
-    if "temporal" in manifest.files:
-        path = os.path.join(base, manifest.files["temporal"])
-        kinds = modality_kinds("temporal")
-        points = _typed_timed_rows(path, _read_table(path, _TIMED_HEADER),
-                                   kinds)
-        try:
-            temporal = build_time_series_samples(points, kinds,
-                                                 sample_ids=samples)
-        except TempoframeError as e:
-            raise type(e)(f"{path}: {e}") from None
-    if "event" in manifest.files:
-        path = os.path.join(base, manifest.files["event"])
-        kinds = modality_kinds("event")
-        entries = _typed_timed_rows(path, _read_table(path, _TIMED_HEADER),
-                                    kinds)
-        try:
-            events = build_event_samples(entries, kinds, sample_ids=samples)
-        except TempoframeError as e:
-            raise type(e)(f"{path}: {e}") from None
+    containers = {}
+    for modality, _, path, kinds, scan in _scanned_tables(manifest,
+                                                           manifest_path):
+        if scan.violations:
+            v = scan.violations[0]
+            raise VIOLATION_ERRORS[v.code](f"{path}:{v.row + 1}: {v.detail}")
+        containers[modality] = grid(modality, scan, kinds, manifest.samples)
     role_map = RoleMap(tuple(
         (fid, Role(name)) for fid, name in manifest.roles.items()))
     try:
-        return assemble_dataset(static=static, temporal=temporal,
-                                events=events, roles=role_map)
+        return assemble_dataset(static=containers.get(Modality.STATIC),
+                                temporal=containers.get(Modality.TEMPORAL),
+                                events=containers.get(Modality.EVENT),
+                                roles=role_map)
     except TempoframeError as e:
         raise type(e)(f"{manifest_path}: {e}") from None
 
@@ -365,81 +297,13 @@ def validate_long_table(rows, expected_modality, kinds: dict) -> list:
     `rows` are data rows (header excluded) as lists of strings; row numbers
     in violations are 1-based positions in `rows`.
     """
-    timed = expected_modality in (Modality.TEMPORAL, Modality.EVENT)
-    arity = 4 if timed else 3
-    out = []
-    seen = set()
-    for i, row in enumerate(rows):
-        rownum = i + 1
-        if len(row) != arity:
-            out.append(Violation(rownum, "arity",
-                                 f"expected {arity} fields, got {len(row)}"))
-            continue
-        if timed:
-            sid, fid, time_s, value = row
-        else:
-            sid, fid, value = row
-            time_s = None
-        if fid not in kinds:
-            out.append(Violation(rownum, "unknown_feature",
-                                 f"feature {fid!r} has no declared kind"))
-            continue
-        t = None
-        if timed:
-            if time_s == "":
-                out.append(Violation(rownum, "missing_time",
-                                     "empty time field"))
-                continue
-            try:
-                t = _parse_time(time_s, "time")
-            except ParseError:
-                out.append(Violation(rownum, "bad_time",
-                                     f"time {time_s!r} is not decimal"))
-                continue
-        try:
-            _parse_value(kinds[fid], value, "value")
-        except KindMismatch as e:
-            out.append(Violation(rownum, "kind_mismatch", str(e)))
-            continue
-        if expected_modality is Modality.STATIC:
-            key = (sid, fid)
-            if key in seen:
-                out.append(Violation(rownum, "duplicate_cell",
-                                     f"duplicate cell ({sid!r}, {fid!r})"))
-                continue
-        elif expected_modality is Modality.TEMPORAL:
-            key = (sid, fid, t)
-            if key in seen:
-                out.append(Violation(
-                    rownum, "duplicate_time",
-                    f"duplicate time {t} for ({sid!r}, {fid!r})"))
-                continue
-        else:
-            key = (sid, fid)
-            if key in seen:
-                out.append(Violation(rownum, "duplicate_event",
-                                     f"duplicate event ({sid!r}, {fid!r})"))
-                continue
-        seen.add(key)
-    return out
+    return scan_rows(rows, expected_modality, kinds, text=True).violations
 
 
 def validate_bundle(manifest_path) -> list:
-    """Validate all tables of a bundle; returns (file, Violation) pairs."""
+    """Validate all tables of a bundle; returns (file, Violation) pairs.
+    Row numbers count data rows, so the file line is one more."""
     manifest = _load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    out = []
-    for modality_name, modality in (("static", Modality.STATIC),
-                                    ("temporal", Modality.TEMPORAL),
-                                    ("event", Modality.EVENT)):
-        if modality_name not in manifest.files:
-            continue
-        path = os.path.join(base, manifest.files[modality_name])
-        header = _STATIC_HEADER if modality is Modality.STATIC \
-            else _TIMED_HEADER
-        raw = _read_table(path, header)
-        kinds = {fid: manifest.kinds[fid]
-                 for fid in manifest.features[modality_name]}
-        for v in validate_long_table(raw, modality, kinds):
-            out.append((manifest.files[modality_name], v))
-    return out
+    return [(name, v)
+            for _, name, _, _, scan in _scanned_tables(manifest, manifest_path)
+            for v in scan.violations]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from tempoframe.errors import (
     DuplicateCell,
@@ -21,6 +22,7 @@ from tempoframe.errors import (
     KindMismatch,
     MissingInFeatures,
     NonNumericFeature,
+    ParseError,
     RequirementUnmet,
     RoleConflict,
     RoleGap,
@@ -153,6 +155,40 @@ def check_time(t, where: str) -> float:
     if not math.isfinite(tf):
         raise KindMismatch(f"{where}: time must be finite, got {t!r}")
     return tf
+
+
+def _parse_time(s: str) -> float:
+    """A CSV time field as a finite float, or ParseError."""
+    try:
+        t = float(s)
+    except ValueError:
+        raise ParseError(f"time {s!r} is not decimal") from None
+    if not math.isfinite(t):
+        raise ParseError(f"time {s!r} is not finite")
+    return t
+
+
+def _parse_value(kind: ValueKind, s: str):
+    """A CSV value field in the stored form of `check_value`; the empty
+    field is Missing."""
+    if s == "":
+        return MISSING
+    if isinstance(kind, Continuous):
+        try:
+            v = float(s)
+        except ValueError:
+            raise KindMismatch(f"{s!r} is not a real number") from None
+        if not math.isfinite(v):
+            raise KindMismatch(f"non-finite value {s!r}")
+        return v
+    if isinstance(kind, Integer):
+        try:
+            return int(s, 10)
+        except ValueError:
+            raise KindMismatch(f"{s!r} is not an integer") from None
+    if s in kind.categories:
+        return s
+    raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
 
 
 def _check_id(s, what: str) -> str:
@@ -331,22 +367,165 @@ class Dataset:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _feature_order(seen_order: list, kinds: dict) -> list:
-    declared_only = [f for f in kinds if f not in set(seen_order)]
-    return seen_order + declared_only
+@dataclass(frozen=True)
+class Violation:
+    row: int
+    code: str
+    detail: str
 
 
-def _resolve_sample_ids(seen_order: list, sample_ids):
-    if sample_ids is None:
-        return list(seen_order)
-    ids = [_check_id(s, "sample_id") for s in sample_ids]
-    if len(set(ids)) != len(ids):
-        raise SampleIndexMismatch("explicit sample_ids contains duplicates")
-    allowed = set(ids)
-    extra = [s for s in seen_order if s not in allowed]
-    if extra:
+# Violation code -> the error a builder or `read_bundle` raises for it.
+VIOLATION_ERRORS = {
+    "arity": ParseError,
+    "missing_time": ParseError,
+    "bad_time": ParseError,
+    "unknown_feature": KindMismatch,
+    "kind_mismatch": KindMismatch,
+    "unknown_sample": UnknownSample,
+    "duplicate_cell": DuplicateCell,
+    "duplicate_time": DuplicateTimePoint,
+    "duplicate_event": DuplicateEvent,
+}
+
+# Modality -> (container class, content of an absent (sample, feature)
+# cell, violation code and message stem of a repeated record).
+_MODALITIES = {
+    Modality.STATIC: (StaticSamples, MISSING, "duplicate_cell",
+                      "duplicate cell"),
+    Modality.TEMPORAL: (TimeSeriesSamples, (), "duplicate_time",
+                        "duplicate time {t}"),
+    Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
+}
+
+
+class Scan(NamedTuple):
+    cells: dict       # (sample, feature) -> value, {time: value} or (time, value)
+    samples: dict     # sample ids in first-appearance order (values unused)
+    features: dict    # feature ids in first-appearance order (values unused)
+    violations: list  # Violation per rejected record, in record order
+
+
+def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
+              text: bool = False) -> Scan:
+    """Check, convert and group long-form records in one pass.
+
+    Records are `(sample_id, feature_id, value)` for static data and
+    `(sample_id, feature_id, time, value)` for time series and events.
+    `text` records are CSV fields, parsed here (an empty value is
+    Missing); other records hold Python values. A record that breaks a
+    rule is left out and gives one Violation: its 1-based row and the
+    first rule it breaks. With a `pin`, every record must name one of its
+    samples.
+    """
+    timed = modality is not Modality.STATIC
+    series = modality is Modality.TEMPORAL
+    width = 4 if timed else 3
+    _, _, dup_code, dup_stem = _MODALITIES[modality]
+    pinned = None if pin is None else set(pin)
+    cells: dict = {}
+    samples: dict = {}
+    features: dict = {}
+    bad: list = []
+    t = None
+    for row, rec in enumerate(records, 1):
+        if len(rec) != width:
+            bad.append(Violation(row, "arity", f"expected {width} fields, "
+                                               f"got {len(rec)}"))
+            continue
+        if timed:
+            sid, fid, t, value = rec
+        else:
+            sid, fid, value = rec
+        if not (text or isinstance(sid, str) and isinstance(fid, str)):
+            what, s = (("feature_id", fid) if isinstance(sid, str)
+                       else ("sample_id", sid))
+            bad.append(Violation(row, "kind_mismatch",
+                                 f"{what} must be a string, got {s!r}"))
+            continue
+        kind = kinds.get(fid)
+        if kind is None:
+            bad.append(Violation(row, "unknown_feature",
+                                 f"feature {fid!r} has no declared kind"))
+            continue
+        if text and t == "":
+            bad.append(Violation(row, "missing_time", "empty time field"))
+            continue
+        try:
+            if text:
+                if timed:
+                    t = _parse_time(t)
+                value = _parse_value(kind, value)
+            else:
+                where = f"({sid}, {fid})"
+                value_where = f"({sid}, {fid}, t={t})" if series else where
+                if timed:
+                    t = check_time(t, where)
+                value = check_value(kind, value, value_where)
+        except ParseError as e:
+            bad.append(Violation(row, "bad_time", str(e)))
+            continue
+        except KindMismatch as e:
+            bad.append(Violation(row, "kind_mismatch", str(e)))
+            continue
+        key = (sid, fid)
+        if series:
+            seq = cells.get(key)
+            if seq is None:
+                seq = cells[key] = {}
+            repeated = t in seq
+        else:
+            repeated = key in cells
+        if repeated:
+            bad.append(Violation(row, dup_code,
+                                 f"{dup_stem.format(t=t)} for sample {sid!r}, "
+                                 f"feature {fid!r}"))
+            continue
+        if series:
+            seq[t] = value
+        else:
+            cells[key] = (t, value) if timed else value
+        samples[sid] = None
+        features[fid] = None
+        if pinned is not None and sid not in pinned:
+            bad.append(Violation(row, "unknown_sample",
+                                 f"sample {sid!r} is not in the sample list"))
+    return Scan(cells, samples, features, bad)
+
+
+def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
+    """The container of a clean scan.
+
+    Samples come in `pin` order, else in first-appearance order (so `pin`
+    keeps samples without records); features in first-appearance order,
+    then those declared in `kinds` only. Absent cells are Missing, empty
+    sequences or None.
+    """
+    cls, empty, _, _ = _MODALITIES[modality]
+    cells = scan.cells
+    if modality is Modality.TEMPORAL:
+        cells = {key: tuple(sorted(seq.items())) for key, seq in cells.items()}
+    samples = tuple(scan.samples if pin is None else pin)
+    features = list(scan.features)
+    features += [f for f in kinds if f not in scan.features]
+    return cls(samples, tuple((f, kinds[f]) for f in features),
+               tuple(tuple(cells.get((sid, fid), empty) for fid in features)
+                     for sid in samples))
+
+
+def _build(modality: Modality, records, kinds: dict, sample_ids):
+    pin = None
+    if sample_ids is not None:
+        pin = [_check_id(s, "sample_id") for s in sample_ids]
+        if len(set(pin)) != len(pin):
+            raise SampleIndexMismatch("explicit sample_ids contains duplicates")
+    scan = scan_rows(records, modality, kinds, pin)
+    for v in scan.violations:
+        if v.code != "unknown_sample":
+            raise VIOLATION_ERRORS[v.code](v.detail)
+    if scan.violations:
+        extra = [s for s in scan.samples if s not in set(pin)]
         raise UnknownSample(f"rows mention samples not in sample_ids: {extra}")
-    return ids
+    return grid(modality, scan, kinds, pin)
 
 
 def build_static_samples(rows, kinds: dict, *, sample_ids=None) -> StaticSamples:
@@ -357,34 +536,7 @@ def build_static_samples(rows, kinds: dict, *, sample_ids=None) -> StaticSamples
     absent from rows are appended in declaration order. `sample_ids` pins
     the sample list explicitly (needed to keep all-Missing samples).
     """
-    sample_order: list = []
-    feature_order: list = []
-    seen_s: set = set()
-    seen_f: set = set()
-    cells: dict = {}
-    for sid, fid, value in rows:
-        sid = _check_id(sid, "sample_id")
-        fid = _check_id(fid, "feature_id")
-        if fid not in kinds:
-            raise KindMismatch(f"feature {fid!r} has no declared kind")
-        key = (sid, fid)
-        if key in cells:
-            raise DuplicateCell(f"duplicate cell for sample {sid!r}, "
-                                f"feature {fid!r}")
-        cells[key] = check_value(kinds[fid], value, f"({sid}, {fid})")
-        if sid not in seen_s:
-            seen_s.add(sid)
-            sample_order.append(sid)
-        if fid not in seen_f:
-            seen_f.add(fid)
-            feature_order.append(fid)
-    samples = _resolve_sample_ids(sample_order, sample_ids)
-    features = _feature_order(feature_order, kinds)
-    grid = tuple(
-        tuple(cells.get((sid, fid), MISSING) for fid in features)
-        for sid in samples)
-    return StaticSamples(tuple(samples), tuple((f, kinds[f]) for f in features),
-                         grid)
+    return _build(Modality.STATIC, rows, kinds, sample_ids)
 
 
 def build_time_series_samples(points, kinds: dict, *,
@@ -393,38 +545,7 @@ def build_time_series_samples(points, kinds: dict, *,
 
     Unequal lengths and unaligned times across features are preserved.
     """
-    sample_order: list = []
-    feature_order: list = []
-    seen_s: set = set()
-    seen_f: set = set()
-    seqs: dict = {}
-    for sid, fid, t, value in points:
-        sid = _check_id(sid, "sample_id")
-        fid = _check_id(fid, "feature_id")
-        if fid not in kinds:
-            raise KindMismatch(f"feature {fid!r} has no declared kind")
-        tf = check_time(t, f"({sid}, {fid})")
-        v = check_value(kinds[fid], value, f"({sid}, {fid}, t={t})")
-        bucket = seqs.setdefault((sid, fid), {})
-        if tf in bucket:
-            raise DuplicateTimePoint(f"duplicate time {tf} for sample {sid!r}, "
-                                     f"feature {fid!r}")
-        bucket[tf] = v
-        if sid not in seen_s:
-            seen_s.add(sid)
-            sample_order.append(sid)
-        if fid not in seen_f:
-            seen_f.add(fid)
-            feature_order.append(fid)
-    samples = _resolve_sample_ids(sample_order, sample_ids)
-    features = _feature_order(feature_order, kinds)
-    series = tuple(
-        tuple(
-            tuple(sorted(seqs.get((sid, fid), {}).items()))
-            for fid in features)
-        for sid in samples)
-    return TimeSeriesSamples(tuple(samples),
-                             tuple((f, kinds[f]) for f in features), series)
+    return _build(Modality.TEMPORAL, points, kinds, sample_ids)
 
 
 def build_event_samples(entries, kinds: dict, *,
@@ -433,35 +554,7 @@ def build_event_samples(entries, kinds: dict, *,
 
     A Missing value with a present time is a censoring record.
     """
-    sample_order: list = []
-    feature_order: list = []
-    seen_s: set = set()
-    seen_f: set = set()
-    recs: dict = {}
-    for sid, fid, t, value in entries:
-        sid = _check_id(sid, "sample_id")
-        fid = _check_id(fid, "feature_id")
-        if fid not in kinds:
-            raise KindMismatch(f"feature {fid!r} has no declared kind")
-        key = (sid, fid)
-        if key in recs:
-            raise DuplicateEvent(f"duplicate event for sample {sid!r}, "
-                                 f"feature {fid!r}")
-        tf = check_time(t, f"({sid}, {fid})")
-        recs[key] = (tf, check_value(kinds[fid], value, f"({sid}, {fid})"))
-        if sid not in seen_s:
-            seen_s.add(sid)
-            sample_order.append(sid)
-        if fid not in seen_f:
-            seen_f.add(fid)
-            feature_order.append(fid)
-    samples = _resolve_sample_ids(sample_order, sample_ids)
-    features = _feature_order(feature_order, kinds)
-    grid = tuple(
-        tuple(recs.get((sid, fid)) for fid in features)
-        for sid in samples)
-    return EventSamples(tuple(samples), tuple((f, kinds[f]) for f in features),
-                        grid)
+    return _build(Modality.EVENT, entries, kinds, sample_ids)
 
 
 def assemble_dataset(static=None, temporal=None, events=None, *,

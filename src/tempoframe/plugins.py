@@ -25,6 +25,7 @@ from tempoframe.errors import (
     CorruptBlob,
     DuplicatePlugin,
     FingerprintMismatch,
+    FitDiverged,
     IncompatibleInner,
     InvalidAlternative,
     NotATransform,
@@ -470,7 +471,18 @@ def _fitted_from_doc(doc) -> FittedEstimator:
 def save_fitted(f: FittedEstimator) -> bytes:
     doc = {"format": _BLOB_FORMAT, "version": _BLOB_VERSION,
            "fitted": _fitted_to_doc(f)}
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        for step in f.steps if isinstance(f, PipelineFitted) else [f]:
+            try:
+                json.dumps(_fitted_to_doc(step), allow_nan=False)
+            except ValueError:
+                raise FitDiverged(f"{step.spec.name}: fitted state holds a "
+                                  "non-finite number, which a blob cannot "
+                                  "store") from None
+        raise
+    return text.encode("utf-8")
 
 
 def load_fitted(blob: bytes) -> FittedEstimator:

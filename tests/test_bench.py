@@ -522,6 +522,61 @@ def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):
                           "fold 0, fit: lu_solve: singular matrix")
 
 
+def _cli_proc(*args):
+    return subprocess.run([sys.executable, "-m", "tempoframe", *args],
+                          capture_output=True, text=True, env=dict(os.environ))
+
+
+def _assert_clean_exit_1(proc, *fragments):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("tempoframe: ")
+    for fragment in fragments:
+        assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize("key,value", [
+    ("kinds", []),
+    ("features", {"static": 5}),
+    ("files", {"static": 5}),
+])
+def test_cli_malformed_manifest_fails_cleanly(tmp_path, key, value):
+    bundle = tmp_path / "bundle"
+    write_bundle(classification_dataset(0, n=6), str(bundle))
+    manifest = bundle / "manifest"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_clean_exit_1(_cli_proc("validate", str(bundle)), "manifest")
+
+
+def test_cli_undecodable_or_oversized_input_fails_cleanly(tmp_path):
+    config = _classify_setup(tmp_path, n=12)
+    bundle = tmp_path / "bundle"
+    manifest = bundle / "manifest"
+    good = manifest.read_bytes()
+    manifest.write_bytes(good + b"\xff")
+    for args in (("validate", str(bundle)), ("run", config)):
+        _assert_clean_exit_1(_cli_proc(*args), "manifest: not UTF-8")
+    manifest.write_bytes(good)
+    static = bundle / "static.csv"
+    head = static.read_bytes().splitlines()[:2]
+    for bad in (b"s000,x1,\xff", b"s000,x1," + b"1" * 131073):
+        static.write_bytes(b"\n".join(head + [bad]) + b"\n")
+        for args in (("validate", str(bundle)), ("run", config)):
+            _assert_clean_exit_1(_cli_proc(*args), "static.csv: unreadable")
+
+    truth = synth_treatment_data(12, seed=1, tau0=3.0)
+    write_bundle(truth.dataset, str(tmp_path / "tbundle"))
+    (tmp_path / "truth.csv").write_bytes(b"sample_id,effect\n\xff,1.0\n")
+    doc = {"bundle": "tbundle", "task": "treatment",
+           "pipeline": [{"plugin": "treatment.t_learner"}],
+           "metrics": ["pehe"], "cv": {"folds": 2, "seed": 1},
+           "truth": "truth.csv"}
+    _assert_clean_exit_1(_cli_proc("run", _write_config(tmp_path, doc)),
+                         "truth.csv: unreadable")
+
+
 def test_cli_synth_ite(tmp_path, capsys):
     out = tmp_path / "synth"
     args = ["synth-ite", "--n", "12", "--seed", "4", "--out", str(out)]

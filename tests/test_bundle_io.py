@@ -23,10 +23,19 @@ from tempoframe.data import (
     Modality,
     RoleMap,
     assemble_dataset,
+    build_event_samples,
     build_static_samples,
     build_time_series_samples,
 )
-from tempoframe.errors import ManifestError
+from tempoframe.errors import (
+    DuplicateCell,
+    DuplicateEvent,
+    DuplicateTimePoint,
+    KindMismatch,
+    ManifestError,
+    ParseError,
+    UnknownSample,
+)
 
 
 def _write(tmp_path, seed=5):
@@ -182,3 +191,106 @@ def test_round_trip_empty_sequences_and_absent_entries(tmp_path):
     loaded = read_bundle(tmp_path / "b" / MANIFEST_NAME)
     assert loaded.temporal.sequence("b", "f") == ()
     assert loaded.sample_ids == ("a", "b")
+
+
+def test_round_trip_validates_clean_on_20_random_datasets(tmp_path):
+    for seed in range(20):
+        ds, path = _write(tmp_path, seed=seed)
+        assert validate_bundle(path / MANIFEST_NAME) == []
+        loaded = read_bundle(path / MANIFEST_NAME)
+        assert (loaded.static, loaded.temporal, loaded.events) == \
+            (ds.static, ds.temporal, ds.events)
+        assert dict(loaded.roles.assignment) == dict(ds.roles.assignment)
+
+
+def _small_bundle(tmp_path):
+    static = build_static_samples(
+        [("s0", "x", 1.5), ("s0", "c", "a"), ("s1", "x", 2.5)],
+        {"x": Continuous(), "c": Categorical(("a", "b"))})
+    temporal = build_time_series_samples(
+        [("s0", "f", 0.0, 1.0), ("s0", "f", 1.0, 2.0), ("s1", "f", 0.5, 3.0)],
+        {"f": Continuous()})
+    events = build_event_samples(
+        [("s0", "e", 4.0, 1), ("s1", "e", 2.0, MISSING)], {"e": Integer()})
+    ds = assemble_dataset(static=static, temporal=temporal, events=events,
+                          roles=RoleMap.of(covariates=("x", "c", "f"),
+                                           targets=("e",)))
+    path = tmp_path / "small"
+    write_bundle(ds, path)
+    return path
+
+
+# code, table, data row to append, or (row number, replacement), error type
+_ONE_ROW_FAULTS = [
+    ("arity", "static.csv", "s1,x", ParseError),
+    ("missing_time", "temporal.csv", "s1,f,,4.0", ParseError),
+    ("bad_time", "events.csv", (2, "s1,e,soon,"), ParseError),
+    ("bad_time", "temporal.csv", "s1,f,inf,4.0", ParseError),
+    ("unknown_feature", "static.csv", "s1,ghost,1.0", KindMismatch),
+    ("kind_mismatch", "static.csv", (2, "s0,c,z"), KindMismatch),
+    ("kind_mismatch", "events.csv", (1, "s0,e,4.0,1.5"), KindMismatch),
+    ("unknown_sample", "static.csv", "ghost,x,1.0", UnknownSample),
+    ("unknown_sample", "temporal.csv", "ghost,f,0.0,1.0", UnknownSample),
+    ("duplicate_cell", "static.csv", "s0,x,9.0", DuplicateCell),
+    ("duplicate_time", "temporal.csv", "s0,f,1.0,7.0", DuplicateTimePoint),
+    ("duplicate_event", "events.csv", "s1,e,3.0,0", DuplicateEvent),
+]
+
+
+@pytest.mark.parametrize("code,table,edit,error", _ONE_ROW_FAULTS)
+def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
+                                                     edit, error):
+    path = _small_bundle(tmp_path)
+    csv_path = path / table
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    if isinstance(edit, tuple):
+        row, text = edit
+        lines[row] = text
+    else:
+        lines.append(edit)
+        row = len(lines) - 1
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    found = validate_bundle(path / MANIFEST_NAME)
+    assert [(f, v.row, v.code) for f, v in found] == [(table, row, code)]
+    with pytest.raises(error) as err:
+        read_bundle(path / MANIFEST_NAME)
+    assert str(err.value).startswith(f"{csv_path}:{row + 1}: ")
+    assert str(err.value).endswith(found[0][1].detail)
+
+
+@pytest.mark.parametrize("key,sub,value", [
+    ("kinds", None, []),
+    ("features", "static", 5),
+    ("features", "static", ["x", 5]),
+    ("files", "static", 5),
+    ("samples", None, ["s0", "s0"]),
+])
+def test_malformed_manifest_is_a_manifest_error(tmp_path, key, sub, value):
+    path = _small_bundle(tmp_path)
+    doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
+    if sub is None:
+        doc[key] = value
+    else:
+        doc[key][sub] = value
+    (path / MANIFEST_NAME).write_text(json.dumps(doc), encoding="utf-8")
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(ManifestError):
+            load(path / MANIFEST_NAME)
+
+
+def test_undecodable_or_oversized_input_names_the_file(tmp_path):
+    path = _small_bundle(tmp_path)
+    manifest = path / MANIFEST_NAME
+    good = manifest.read_bytes()
+    manifest.write_bytes(good.replace(b'"s0"', b'"s\xff"', 1))
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(ManifestError, match="manifest: not UTF-8"):
+            load(manifest)
+    manifest.write_bytes(good)
+    static = path / "static.csv"
+    lines = static.read_bytes().splitlines()
+    for bad in (b"s0,c,\xff", b"s0,c," + b"a" * 131073):
+        static.write_bytes(b"\n".join(lines[:2] + [bad]) + b"\n")
+        for load in (read_bundle, validate_bundle):
+            with pytest.raises(ParseError, match="static.csv: unreadable CSV"):
+                load(manifest)

@@ -18,6 +18,7 @@ from tempoframe.errors import (
     CorruptBlob,
     DuplicatePlugin,
     FingerprintMismatch,
+    FitDiverged,
     IncompatibleInner,
     NotATransform,
     NotFitted,
@@ -308,6 +309,16 @@ def test_save_load_survival_state():
     out_b = loaded.predict(ds)
     assert out_a.risks == out_b.risks
     assert out_a == out_b
+
+
+def test_save_refuses_non_finite_state_naming_the_plugin():
+    # the mean of two 1.7e308 values overflows, so the stats are inf
+    static = build_static_samples([("a", "x", 1.7e308), ("b", "x", 1.7e308)],
+                                  {"x": Continuous()})
+    ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("x",)))
+    fitted = create("scale.zscore").fit(ds)
+    with pytest.raises(FitDiverged, match="^scale.zscore: "):
+        save_fitted(fitted)
 
 
 def test_corrupt_blobs():
