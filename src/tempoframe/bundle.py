@@ -36,7 +36,7 @@ from tempoframe.data import (
     StaticSamples,
     TimeSeriesSamples,
     ValueKind,
-    Violation,  # noqa: F401  (re-exported: validation results)
+    Violation,
     assemble_dataset,
     grid,
     kind_from_json,
@@ -112,11 +112,9 @@ def manifest_for(ds: Dataset) -> BundleManifest:
     for modality, container in ds.containers():
         files[modality.value] = _TABLES[modality][0]
         features[modality.value] = list(container.feature_ids)
-    kinds = {}
-    roles = {}
-    for fid, kind, role, _ in ds.all_features():
-        kinds[fid] = kind
-        roles[fid] = role.value
+    kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
+    # Assignment order, so the RoleMap read back equals this one.
+    roles = {fid: role.value for fid, role in ds.roles.assignment}
     return BundleManifest(SCHEMA_VERSION, tuple(ds.sample_ids), files,
                           features, kinds, roles)
 
@@ -273,7 +271,8 @@ def read_bundle(manifest_path) -> Dataset:
                                                            manifest_path):
         if scan.violations:
             v = scan.violations[0]
-            raise VIOLATION_ERRORS[v.code](f"{path}:{v.row + 1}: {v.detail}")
+            raise VIOLATION_ERRORS[v.code](
+                f"{path}:{table_line(v)}: {v.detail}")
         containers[modality] = grid(modality, scan, kinds, manifest.samples)
     role_map = RoleMap(tuple(
         (fid, Role(name)) for fid, name in manifest.roles.items()))
@@ -300,9 +299,14 @@ def validate_long_table(rows, expected_modality, kinds: dict) -> list:
     return scan_rows(rows, expected_modality, kinds, text=True).violations
 
 
+def table_line(v: Violation) -> int:
+    """The file line of a table violation: data rows follow the header."""
+    return v.row + 1
+
+
 def validate_bundle(manifest_path) -> list:
     """Validate all tables of a bundle; returns (file, Violation) pairs.
-    Row numbers count data rows, so the file line is one more."""
+    Row numbers count data rows; `table_line` gives the file line."""
     manifest = _load_manifest(manifest_path)
     return [(name, v)
             for _, name, _, _, scan in _scanned_tables(manifest, manifest_path)

@@ -24,7 +24,12 @@ from tempoframe.bench import (
     run_benchmark,
     write_truth,
 )
-from tempoframe.bundle import MANIFEST_NAME, validate_bundle, write_bundle
+from tempoframe.bundle import (
+    MANIFEST_NAME,
+    table_line,
+    validate_bundle,
+    write_bundle,
+)
 from tempoframe.errors import ConfigError, IoError, TempoframeError
 from tempoframe.plugins import Category, list_specs
 from tempoframe.treatment import synth_treatment_data
@@ -105,7 +110,7 @@ def _cmd_validate(args) -> int:
         print(f"tempoframe: {e}", file=sys.stderr)
         return 1
     for fname, v in violations:
-        print(f"{fname}:{v.row}: {v.code}: {v.detail}")
+        print(f"{fname}:{table_line(v)}: {v.code}: {v.detail}")
     return 1 if violations else 0
 
 

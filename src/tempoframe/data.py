@@ -710,19 +710,21 @@ def temporal_summary(ts: TimeSeriesSamples) -> StaticSamples:
 
 
 def covariate_matrix(ds: Dataset) -> tuple:
-    """Featurize covariates into a dense per-sample numeric matrix.
+    """Featurize covariates into a dense numeric matrix of per-feature
+    columns: one list of floats per column, in sample order, the layout
+    every fitting kernel reads (see `tempoframe.kernels.pure`).
 
     Columns are static numeric covariates in container order, then the five
     temporal_summary statistics per temporal covariate. Event features are
-    not featurized. Returns (column_names, rows).
+    not featurized. Returns (column_names, columns).
 
     Raises RequirementUnmet("non_numeric_feature") for categorical
     covariates (one-hot encode first) and MissingInFeatures if any cell of
-    the resulting matrix would be Missing.
+    the resulting matrix would be Missing, naming the first such cell in
+    sample order, then column order.
     """
     names: list = []
     columns: list = []
-    n = len(ds.sample_ids)
     if ds.static is not None:
         for fid, kind in ds.static.features:
             if ds.roles.role_of(fid) is not Role.COVARIATE:
@@ -750,15 +752,10 @@ def covariate_matrix(ds: Dataset) -> tuple:
             for fid, _ in summary.features:
                 names.append(fid)
                 columns.append(summary.column(fid))
-    rows = []
-    for i in range(n):
-        row = []
-        for name, col in zip(names, columns):
-            v = col[i]
-            if v is MISSING:
-                raise MissingInFeatures(
-                    f"covariate {name!r} is missing for sample "
-                    f"{ds.sample_ids[i]!r}")
-            row.append(float(v))
-        rows.append(row)
-    return names, rows
+    missing = [(col.index(MISSING), j) for j, col in enumerate(columns)
+               if MISSING in col]
+    if missing:
+        i, j = min(missing)
+        raise MissingInFeatures(f"covariate {names[j]!r} is missing for "
+                                f"sample {ds.sample_ids[i]!r}")
+    return names, [[float(v) for v in col] for col in columns]

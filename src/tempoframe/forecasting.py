@@ -31,7 +31,11 @@ from tempoframe.errors import (
     NonBinaryTarget,
     RequirementUnmet,
 )
-from tempoframe.kernels import logistic_gd, ridge_normal_solve
+from tempoframe.kernels import (
+    linear_predictor,
+    logistic_gd,
+    ridge_normal_solve,
+)
 from tempoframe.kernels.pure import _sigmoid
 from tempoframe.plugins import (
     Category,
@@ -145,19 +149,17 @@ def _ar_fit(params, ds: Dataset) -> dict:
     step = params["step"]
     models = {}
     for fid in _temporal_targets(ds):
-        x_flat = []
+        # lags[k - 1][i] is the value k steps before target y[i]
+        lags = [[] for _ in range(order)]
         y = []
         for sid in ds.sample_ids:
             values = _regular_values(ds.temporal.sequence(sid, fid), step,
                                      order, sid, fid)
-            for t in range(order, len(values)):
-                x_flat.append(1.0)
-                for k in range(1, order + 1):
-                    x_flat.append(values[t - k])
-                y.append(values[t])
-        n_cols = order + 1
-        coefs = ridge_normal_solve(len(y), n_cols, x_flat, y, 1e-9,
-                                   [1.0] * n_cols)
+            for k, lag in enumerate(lags, 1):
+                lag.extend(values[order - k:len(values) - k])
+            y.extend(values[order:])
+        coefs = ridge_normal_solve([[1.0] * len(y), *lags], y, 1e-9,
+                                   [1.0] * (order + 1))
         models[fid] = {"c": coefs[0], "phi": coefs[1:]}
     return {"models": models}
 
@@ -249,32 +251,25 @@ def _classifier_requirements(params, ds: Dataset) -> None:
 
 def _logistic_fit(params, ds: Dataset) -> dict:
     fid, kind = _binary_static_target(ds)
-    names, rows = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
     y = [_label_of(v, kind, fid, sid)
          for sid, v in zip(ds.sample_ids, ds.static.column(fid))]
-    x_flat = [v for row in rows for v in row]
-    weights, bias = logistic_gd(len(rows), len(names), x_flat, y,
-                                params["lr"], params["iters"])
+    weights, bias = logistic_gd(columns, y, params["lr"], params["iters"])
     return {"target": fid, "columns": names, "weights": weights,
             "bias": bias}
 
 
 def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
-    names, rows = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
     if names != list(state["columns"]):
         raise AlignmentError(
             f"featurized columns changed: trained on {state['columns']}, "
             f"got {names}")
-    weights = state["weights"]
-    bias = state["bias"]
-    values = []
-    for row in rows:
-        z = bias
-        for w, x in zip(weights, row):
-            z += w * x
-        values.append((_sigmoid(z),))
+    z = linear_predictor(columns, state["weights"],
+                         [state["bias"]] * len(ds.sample_ids))
     return StaticOutput(StaticSamples(
-        ds.sample_ids, ((state["target"], Continuous()),), tuple(values)))
+        ds.sample_ids, ((state["target"], Continuous()),),
+        tuple((_sigmoid(v),) for v in z)))
 
 
 register_plugin(EstimatorSpec(

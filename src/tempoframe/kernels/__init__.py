@@ -4,6 +4,7 @@ from tempoframe.kernels.pure import (
     BACKEND,
     concordance_counts,
     cox_gd,
+    linear_predictor,
     logistic_gd,
     lu_solve,
     ridge_normal_solve,

@@ -24,7 +24,12 @@ from tempoframe.errors import (
     NoEvents,
     RequirementUnmet,
 )
-from tempoframe.kernels import concordance_counts, cox_gd, risk_groups
+from tempoframe.kernels import (
+    concordance_counts,
+    cox_gd,
+    linear_predictor,
+    risk_groups,
+)
 from tempoframe.kernels.pure import _exp
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
@@ -111,17 +116,6 @@ def _event_steps(outcomes: list, weights: list) -> list:
     return steps[::-1]
 
 
-def _linear_risks(beta, rows) -> list:
-    """beta . z per row, summed in column order as in the Cox kernel."""
-    out = []
-    for row in rows:
-        r = 0.0
-        for b, x in zip(beta, row):
-            r += b * x
-        out.append(r)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 # ---------------------------------------------------------------------------
@@ -154,18 +148,16 @@ def _cox_fit(params, ds: Dataset) -> dict:
     outcomes = event_outcomes(ds)
     if not any(o.occurred for o in outcomes):
         raise NoEvents("all samples are censored")
-    names, rows = covariate_matrix(ds)
-    n = len(rows)
-    d = len(names)
-    z_flat = [v for row in rows for v in row]
+    names, columns = covariate_matrix(ds)
     times = [o.time for o in outcomes]
     occurred = [1 if o.occurred else 0 for o in outcomes]
-    beta, trace, grad_norm = cox_gd(n, d, z_flat, times, occurred,
+    beta, trace, grad_norm = cox_gd(columns, times, occurred,
                                     params["step_size"], params["iters"],
                                     params["ridge"])
     # Breslow: H0(t) = sum over event times u <= t of d_u / S0(u), with
     # S0(u) = sum of e^{beta . z_j} over R(u), never inf (cox_gd checked).
-    weights = [_exp(r) for r in _linear_risks(beta, rows)]
+    weights = [_exp(r) for r in
+               linear_predictor(columns, beta, [0.0] * len(outcomes))]
     base_times = []
     cumhaz = []
     h = 0.0
@@ -179,9 +171,10 @@ def _cox_fit(params, ds: Dataset) -> dict:
 
 
 def _cox_predict(params, state, ds: Dataset) -> SurvivalOutput:
-    names, rows = covariate_matrix(ds)
-    return SurvivalOutput(ds.sample_ids,
-                          tuple(_linear_risks(state["beta"], rows)),
+    _, columns = covariate_matrix(ds)
+    risks = linear_predictor(columns, state["beta"],
+                             [0.0] * len(ds.sample_ids))
+    return SurvivalOutput(ds.sample_ids, tuple(risks),
                           tuple(state["baseline"]["times"]),
                           tuple(state["baseline"]["cumhaz"]))
 

@@ -32,7 +32,7 @@ from tempoframe.errors import (
     NonBinaryTreatment,
     RequirementUnmet,
 )
-from tempoframe.kernels import ridge_normal_solve
+from tempoframe.kernels import linear_predictor, ridge_normal_solve
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 from tempoframe.rng import Lcg
 
@@ -157,22 +157,17 @@ def _tl_requirements(params, ds: Dataset) -> None:
     _continuous_target(ds)
 
 
-def _fit_arm(rows: list, ys: list, ridge: float) -> list:
+def _fit_arm(columns: list, ys: list, ridge: float) -> list:
     # Intercept as a constant-1 leading column, excluded from the penalty
     # so outcome shifts move the intercept only.
-    d = len(rows[0]) if rows else 0
-    flat = []
-    for row in rows:
-        flat.append(1.0)
-        flat.extend(row)
-    penalty = [0.0] + [1.0] * d
-    return ridge_normal_solve(len(rows), d + 1, flat, ys, ridge, penalty)
+    return ridge_normal_solve([[1.0] * len(ys), *columns], ys, ridge,
+                              [0.0] + [1.0] * len(columns))
 
 
 def _tl_fit(params, ds: Dataset) -> dict:
     fid, arms = _binary_treatment(ds)
     _, ys = _continuous_target(ds)
-    names, rows = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
     need = len(names) + 1
     weights = {}
     for arm in (0, 1):
@@ -180,17 +175,11 @@ def _tl_fit(params, ds: Dataset) -> dict:
         if len(idx) < need:
             raise ArmTooSmall(
                 f"arm {arm} has {len(idx)} samples, needs at least {need}")
-        weights[str(arm)] = _fit_arm([rows[i] for i in idx],
+        weights[str(arm)] = _fit_arm([[col[i] for i in idx]
+                                      for col in columns],
                                      [ys[i] for i in idx], params["ridge"])
     return {"treatment": fid, "columns": names, "arms": weights,
             "seed": params["seed"]}
-
-
-def _predict_arm(w: list, row: list) -> float:
-    s = w[0]
-    for wj, x in zip(w[1:], row):
-        s += wj * x
-    return s
 
 
 def _tl_predict_cf(params, state, ds: Dataset,
@@ -202,10 +191,11 @@ def _tl_predict_cf(params, state, ds: Dataset,
                                      "in {0, 1}")
         alts.append(a)
     alts.sort()
-    _, rows = covariate_matrix(ds)
-    outcomes = tuple(
-        tuple(_predict_arm(state["arms"][str(a)], row) for row in rows)
-        for a in alts)
+    _, columns = covariate_matrix(ds)
+    n = len(ds.sample_ids)
+    arms = [state["arms"][str(a)] for a in alts]
+    outcomes = tuple(tuple(linear_predictor(columns, w[1:], [w[0]] * n))
+                     for w in arms)
     return CounterfactualOutput(ds.sample_ids, tuple(alts), outcomes)
 
 

@@ -395,7 +395,7 @@ def test_cli_validate(tmp_path, capsys):
     static.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli(["validate", str(bundle)]) == 1
     out = capsys.readouterr().out
-    assert "static.csv:2: duplicate_cell" in out
+    assert "static.csv:3: duplicate_cell" in out
 
     assert cli(["validate", str(tmp_path / "nope")]) == 2
 

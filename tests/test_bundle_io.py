@@ -61,6 +61,7 @@ def test_round_trip_many_random_datasets(tmp_path):
         loaded = read_bundle(path / MANIFEST_NAME)
         assert (loaded.static, loaded.temporal, loaded.events) == \
             (ds.static, ds.temporal, ds.events)
+        assert loaded.roles == ds.roles
 
 
 def test_write_is_deterministic(tmp_path):
@@ -200,6 +201,7 @@ def test_round_trip_validates_clean_on_20_random_datasets(tmp_path):
         loaded = read_bundle(path / MANIFEST_NAME)
         assert (loaded.static, loaded.temporal, loaded.events) == \
             (ds.static, ds.temporal, ds.events)
+        assert loaded.roles == ds.roles
         assert dict(loaded.roles.assignment) == dict(ds.roles.assignment)
 
 

@@ -381,17 +381,26 @@ def test_covariate_matrix_layout_and_errors():
     ds = assemble_dataset(
         static=static, temporal=temporal,
         roles=RoleMap.of(covariates=("x", "hr"), targets=("y",)))
-    names, rows = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
     assert names == ["x", "hr.last", "hr.mean", "hr.min", "hr.max",
                      "hr.slope"]
-    assert rows[0][0] == 1.0 and rows[1][0] == 2.0
-    assert rows[0][1] == 62.0  # hr.last for sample a
+    assert columns[0][0] == 1.0 and columns[0][1] == 2.0
+    assert columns[1][0] == 62.0  # hr.last for sample a
 
     sparse = build_static_samples(
         [("a", "x", 1.0)], {"x": Continuous()}, sample_ids=["a", "b"])
     ds2 = assemble_dataset(static=sparse, roles=RoleMap.of(covariates=("x",)))
     with pytest.raises(MissingInFeatures):
         covariate_matrix(ds2)
+    # x is missing for b, y for a: the first sample in order is named
+    holes = build_static_samples(
+        [("a", "x", 1.0), ("b", "y", 2.0), ("c", "x", 3.0), ("c", "y", 4.0)],
+        {"x": Continuous(), "y": Continuous()}, sample_ids=["a", "b", "c"])
+    ds4 = assemble_dataset(static=holes,
+                           roles=RoleMap.of(covariates=("x", "y")))
+    with pytest.raises(MissingInFeatures,
+                       match="covariate 'y' is missing for sample 'a'"):
+        covariate_matrix(ds4)
 
     cat = build_static_samples([("a", "c", "alpha")],
                                {"c": Categorical(("alpha", "beta"))})
@@ -410,10 +419,10 @@ def test_covariate_matrix_ignores_categorical_temporal_target():
     ds = assemble_dataset(
         temporal=temporal, roles=RoleMap.of(covariates=("hr",),
                                             targets=("st",)))
-    names, rows = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
     assert names == ["hr.last", "hr.mean", "hr.min", "hr.max", "hr.slope"]
-    assert rows[0] == [62.0, 61.0, 60.0, 62.0, 2.0]
-    assert rows[1] == [74.0, 72.0, 70.0, 74.0, 2.0]
+    assert [col[0] for col in columns] == [62.0, 61.0, 60.0, 62.0, 2.0]
+    assert [col[1] for col in columns] == [74.0, 72.0, 70.0, 74.0, 2.0]
 
 
 def test_containers_are_immutable():

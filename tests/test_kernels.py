@@ -1,5 +1,11 @@
 """Numeric kernels: oracles for the solvers, gradient checks, and typed
-failures on singular or diverging fits."""
+failures on singular or diverging fits.
+
+The row-major oracles below are the kernels as they were written before
+the matrix crossed the kernel boundary as per-feature columns. The column
+kernels must return `==` results to them: same terms, same order of
+addition, so a reassociated loop fails here before it moves a golden
+report."""
 
 from __future__ import annotations
 
@@ -55,6 +61,167 @@ def test_lu_solve_does_not_mutate_inputs(impl):
 
 
 # ---------------------------------------------------------------------------
+# row-major oracles
+# ---------------------------------------------------------------------------
+
+def _flat(columns):
+    """The row-major flat layout of a column matrix."""
+    return [v for row in zip(*columns) for v in row]
+
+
+def _ridge_oracle(n_rows, n_cols, x_flat, y, lam, penalty):
+    ata = [0.0] * (n_cols * n_cols)
+    aty = [0.0] * n_cols
+    for i in range(n_rows):
+        base = i * n_cols
+        yi = y[i]
+        for j in range(n_cols):
+            xij = x_flat[base + j]
+            row = j * n_cols
+            for k in range(j, n_cols):
+                ata[row + k] += xij * x_flat[base + k]
+            aty[j] += xij * yi
+    for j in range(n_cols):
+        for k in range(j + 1, n_cols):
+            ata[k * n_cols + j] = ata[j * n_cols + k]
+    for j in range(n_cols):
+        ata[j * n_cols + j] += lam * penalty[j]
+    return pure.lu_solve(n_cols, ata, aty)
+
+
+def _logistic_oracle(n_rows, n_cols, x_flat, y, lr, iters):
+    w = [0.0] * n_cols
+    b = 0.0
+    scale = lr / n_rows
+    for _ in range(iters):
+        gw = [0.0] * n_cols
+        gb = 0.0
+        for i in range(n_rows):
+            base = i * n_cols
+            z = b
+            for j in range(n_cols):
+                z += w[j] * x_flat[base + j]
+            d = pure._sigmoid(z) - y[i]
+            for j in range(n_cols):
+                gw[j] += d * x_flat[base + j]
+            gb += d
+        for j in range(n_cols):
+            w[j] -= scale * gw[j]
+        b -= scale * gb
+    return w, b
+
+
+def _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups, occurred, lam,
+                         beta):
+    xb = [0.0] * n_rows
+    ex = [0.0] * n_rows
+    for i in range(n_rows):
+        base = i * n_cols
+        s = 0.0
+        for j in range(n_cols):
+            s += beta[j] * z_flat[base + j]
+        xb[i] = s
+        ex[i] = math.exp(s)
+    obj = 0.0
+    grad = [0.0] * n_cols
+    s0 = 0.0
+    s1 = [0.0] * n_cols
+    for _, members in groups:
+        for i in members:
+            e = ex[i]
+            s0 += e
+            base = i * n_cols
+            for j in range(n_cols):
+                s1[j] += e * z_flat[base + j]
+        for i in members:
+            if occurred[i]:
+                obj += xb[i] - math.log(s0)
+                base = i * n_cols
+                for j in range(n_cols):
+                    grad[j] += z_flat[base + j] - s1[j] / s0
+    for j in range(n_cols):
+        obj -= lam * beta[j] * beta[j]
+        grad[j] -= 2.0 * lam * beta[j]
+    return obj, grad
+
+
+def _cox_gd_oracle(n_rows, n_cols, z_flat, times, occurred, step, iters,
+                   lam):
+    groups = pure.risk_groups(times)
+    beta = [0.0] * n_cols
+    trace = []
+    for _ in range(iters):
+        obj, grad = _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups,
+                                         occurred, lam, beta)
+        trace.append(obj)
+        for j in range(n_cols):
+            beta[j] += step * grad[j]
+    obj, grad = _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups,
+                                     occurred, lam, beta)
+    trace.append(obj)
+    gnorm = 0.0
+    for j in range(n_cols):
+        gnorm += grad[j] * grad[j]
+    return beta, trace, math.sqrt(gnorm)
+
+
+def _random_columns(rng, n, d):
+    return [[rng.uniform_in(-2.0, 2.0) for _ in range(n)] for _ in range(d)]
+
+
+def test_linear_predictor_adds_columns_in_order():
+    rng = Lcg(7)
+    for n, d in ((1, 1), (9, 3), (40, 12)):
+        columns = _random_columns(rng, n, d)
+        w = [rng.uniform_in(-1.0, 1.0) for _ in range(d)]
+        start = [rng.uniform_in(-1.0, 1.0) for _ in range(n)]
+        want = []
+        for i in range(n):
+            s = start[i]
+            for j in range(d):
+                s += w[j] * columns[j][i]
+            want.append(s)
+        assert pure.linear_predictor(columns, w, start) == want
+    assert pure.linear_predictor([], [], [0.5, 1.5]) == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (200, 4), (60, 9)])
+def test_ridge_matches_row_major_oracle(n, d):
+    rng = Lcg(100 + n + d)
+    columns = _random_columns(rng, n, d)
+    y = [rng.uniform_in(-5.0, 5.0) for _ in range(n)]
+    for lam, penalty in ((1e-9, [1.0] * d), (0.5, [0.0] + [1.0] * (d - 1))):
+        want = _ridge_oracle(n, d, _flat(columns), y, lam, penalty)
+        assert pure.ridge_normal_solve(columns, y, lam, penalty) == want
+
+
+@pytest.mark.parametrize("iters", [0, 1, 60])
+def test_logistic_matches_row_major_oracle(iters):
+    rng = Lcg(11)
+    n, d = 50, 4
+    columns = _random_columns(rng, n, d)
+    y = [1.0 if rng.uniform() < 0.4 else 0.0 for _ in range(n)]
+    want = _logistic_oracle(n, d, _flat(columns), y, 0.3, iters)
+    assert pure.logistic_gd(columns, y, 0.3, iters) == want
+
+
+@pytest.mark.parametrize("tie_times", [True, False])
+def test_cox_matches_row_major_oracle(tie_times):
+    columns, times, occurred = _cox_inputs(3, n=30, d=3,
+                                           tie_times=tie_times)
+    z_flat = _flat(columns)
+    groups = pure.risk_groups(times)
+    for beta in ([0.0, 0.0, 0.0], [0.4, -1.1, 0.25]):
+        assert pure._cox_obj_grad(columns, groups, occurred, 1e-3, beta) \
+            == _cox_obj_grad_oracle(30, 3, z_flat, groups, occurred, 1e-3,
+                                    beta)
+    for iters in (0, 1, 40):
+        assert pure.cox_gd(columns, times, occurred, 0.05, iters, 1e-6) \
+            == _cox_gd_oracle(30, 3, z_flat, times, occurred, 0.05, iters,
+                              1e-6)
+
+
+# ---------------------------------------------------------------------------
 # ridge_normal_solve
 # ---------------------------------------------------------------------------
 
@@ -62,7 +229,7 @@ def test_lu_solve_does_not_mutate_inputs(impl):
 def test_ridge_identity_design(impl):
     # X = I: (I + lam*diag(p)) w = y
     y = [2.0, 6.0]
-    w = impl.ridge_normal_solve(2, 2, [1.0, 0.0, 0.0, 1.0], y, 1.0,
+    w = impl.ridge_normal_solve([[1.0, 0.0], [0.0, 1.0]], y, 1.0,
                                 [1.0, 0.0])
     assert w == [1.0, 6.0]
 
@@ -70,9 +237,8 @@ def test_ridge_identity_design(impl):
 @pytest.mark.parametrize("impl", KERNELS)
 def test_ridge_zero_lambda_is_least_squares(impl):
     # exactly determined line: y = 2x + 1 through (0,1), (1,3), (2,5)
-    x_flat = [1.0, 0.0, 1.0, 1.0, 1.0, 2.0]
-    w = impl.ridge_normal_solve(3, 2, x_flat, [1.0, 3.0, 5.0], 0.0,
-                                [1.0, 1.0])
+    columns = [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]
+    w = impl.ridge_normal_solve(columns, [1.0, 3.0, 5.0], 0.0, [1.0, 1.0])
     assert math.isclose(w[0], 1.0, abs_tol=1e-12)
     assert math.isclose(w[1], 2.0, abs_tol=1e-12)
 
@@ -80,10 +246,9 @@ def test_ridge_zero_lambda_is_least_squares(impl):
 def test_ridge_shrinks_penalized_columns_only():
     # intercept free, slope penalized: slope = Sxy / (Sxx + lam), so the
     # penalized column shrinks monotonically while lam grows
-    x_flat = [1.0, 2.0, 1.0, -1.0, 1.0, 0.5, 1.0, 3.0]
+    columns = [[1.0, 1.0, 1.0, 1.0], [2.0, -1.0, 0.5, 3.0]]
     y = [4.0, -2.0, 1.0, 6.0]
-    slopes = [abs(pure.ridge_normal_solve(4, 2, x_flat, y, lam,
-                                          [0.0, 1.0])[1])
+    slopes = [abs(pure.ridge_normal_solve(columns, y, lam, [0.0, 1.0])[1])
               for lam in (0.0, 1.0, 10.0, 100.0)]
     assert slopes == sorted(slopes, reverse=True)
     assert slopes[-1] < slopes[0]
@@ -96,18 +261,18 @@ def test_ridge_shrinks_penalized_columns_only():
 @pytest.mark.parametrize("impl", KERNELS)
 def test_logistic_balanced_symmetric_data_stays_at_zero(impl):
     # identical rows, balanced labels: the gradient vanishes at zero init
-    x_flat = [1.0, 2.0] * 4
+    columns = [[1.0] * 4, [2.0] * 4]
     y = [0.0, 1.0, 0.0, 1.0]
-    w, b = impl.logistic_gd(4, 2, x_flat, y, 0.1, 50)
+    w, b = impl.logistic_gd(columns, y, 0.1, 50)
     assert w == [0.0, 0.0]
     assert b == 0.0
 
 
 @pytest.mark.parametrize("impl", KERNELS)
 def test_logistic_learns_separable_sign(impl):
-    x_flat = [-2.0, -1.5, -1.0, 1.0, 1.5, 2.0]
+    columns = [[-2.0, -1.5, -1.0, 1.0, 1.5, 2.0]]
     y = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-    w, b = impl.logistic_gd(6, 1, x_flat, y, 0.5, 500)
+    w, b = impl.logistic_gd(columns, y, 0.5, 500)
     assert w[0] > 1.0
     assert abs(b) < 1.0
 
@@ -128,8 +293,9 @@ def test_logistic_more_iters_lowers_loss():
             total += -(y[i] * math.log(p) + (1 - y[i]) * math.log(1 - p))
         return total / n
 
-    few = pure.logistic_gd(n, 2, x_flat, y, 0.1, 10)
-    many = pure.logistic_gd(n, 2, x_flat, y, 0.1, 400)
+    columns = [x_flat[0::2], x_flat[1::2]]
+    few = pure.logistic_gd(columns, y, 0.1, 10)
+    many = pure.logistic_gd(columns, y, 0.1, 400)
     assert loss(*many) < loss(*few)
 
 
@@ -147,39 +313,36 @@ def _cox_inputs(seed, n=12, d=2, tie_times=True):
     occurred = [1 if rng.uniform() < 0.7 else 0 for _ in range(n)]
     if not any(occurred):
         occurred[0] = 1
-    return z_flat, times, occurred
+    return [z_flat[j::d] for j in range(d)], times, occurred
 
 
 @pytest.mark.parametrize("impl", KERNELS)
 def test_cox_trace_shape_and_zero_iters(impl):
-    z_flat, times, occurred = _cox_inputs(0)
-    beta, trace, gnorm = impl.cox_gd(12, 2, z_flat, times, occurred,
-                                     0.05, 0, 1e-6)
+    columns, times, occurred = _cox_inputs(0)
+    beta, trace, gnorm = impl.cox_gd(columns, times, occurred, 0.05, 0,
+                                     1e-6)
     assert beta == [0.0, 0.0]
     assert len(trace) == 1
-    beta, trace, gnorm = impl.cox_gd(12, 2, z_flat, times, occurred,
-                                     0.05, 40, 1e-6)
+    beta, trace, gnorm = impl.cox_gd(columns, times, occurred, 0.05, 40,
+                                     1e-6)
     assert len(trace) == 41
     assert gnorm >= 0.0
 
 
 def test_cox_gradient_matches_finite_differences():
-    z_flat, times, occurred = _cox_inputs(1, n=10)
+    columns, times, occurred = _cox_inputs(1, n=10)
     groups = pure.risk_groups(times)
     beta = [0.3, -0.7]
     lam = 0.01
-    obj, grad = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
-                                   beta)
+    obj, grad = pure._cox_obj_grad(columns, groups, occurred, lam, beta)
     eps = 1e-6
     for j in range(2):
         up = list(beta)
         up[j] += eps
         down = list(beta)
         down[j] -= eps
-        o_up, _ = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
-                                     up)
-        o_dn, _ = pure._cox_obj_grad(10, 2, z_flat, groups, occurred, lam,
-                                     down)
+        o_up, _ = pure._cox_obj_grad(columns, groups, occurred, lam, up)
+        o_dn, _ = pure._cox_obj_grad(columns, groups, occurred, lam, down)
         fd = (o_up - o_dn) / (2 * eps)
         assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
@@ -187,14 +350,14 @@ def test_cox_gradient_matches_finite_differences():
 def test_cox_breslow_tied_objective_hand_value():
     # two events tied at t=1, one later censoring; at beta the Breslow
     # objective is sum(xb_events) - d * log(sum of risk-set exps)
-    z_flat = [1.0, 0.0, -1.0]
+    columns = [[1.0, 0.0, -1.0]]
     times = [1.0, 1.0, 2.0]
     occurred = [1, 1, 0]
     groups = pure.risk_groups(times)
     beta = [0.5]
     denom = math.exp(0.5) + math.exp(0.0) + math.exp(-0.5)
     expected = (0.5 - math.log(denom)) + (0.0 - math.log(denom))
-    obj, _ = pure._cox_obj_grad(3, 1, z_flat, groups, occurred, 0.0, beta)
+    obj, _ = pure._cox_obj_grad(columns, groups, occurred, 0.0, beta)
     assert math.isclose(obj, expected, rel_tol=1e-15)
 
 
@@ -232,13 +395,12 @@ def test_lu_solve_non_finite_result_diverges():
 
 
 def test_logistic_overflowing_step_diverges():
-    x_flat = [1e300, -1e300]
     with pytest.raises(FitDiverged, match="logistic_gd"):
-        pure.logistic_gd(2, 1, x_flat, [1.0, 0.0], 1e300, 3)
+        pure.logistic_gd([[1e300, -1e300]], [1.0, 0.0], 1e300, 3)
 
 
 def test_cox_zero_risk_set_sum_diverges():
     # a huge step drives every exp(beta . z) of the risk set to 0.0
-    z_flat, times, occurred = _cox_inputs(2)
+    columns, times, occurred = _cox_inputs(2)
     with pytest.raises(FitDiverged, match="risk-set sum"):
-        pure.cox_gd(12, 2, z_flat, times, occurred, 1e6, 5, 0.0)
+        pure.cox_gd(columns, times, occurred, 1e6, 5, 0.0)

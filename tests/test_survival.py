@@ -274,9 +274,9 @@ def test_cox_breslow_baseline_matches_rescan_oracle():
     assert censor_times & set(event_times)
 
     fitted = create("survival.cox", {"iters": 100}).fit(ds)
-    _, rows = covariate_matrix(ds)
+    _, columns = covariate_matrix(ds)
     xb = [sum(b * x for b, x in zip(fitted.state["beta"], row))
-          for row in rows]
+          for row in zip(*columns)]
     times, cumhaz = _breslow_oracle(outcomes, xb)
     baseline = fitted.state["baseline"]
     assert baseline["times"] == times
@@ -289,11 +289,9 @@ def test_cox_risk_is_linear_in_beta():
     ds = survival_dataset(2, n=25)
     fitted = create("survival.cox", {"iters": 100}).fit(ds)
     out = fitted.predict(ds)
-    names, rows = __import__(
-        "tempoframe.data", fromlist=["covariate_matrix"]
-    ).covariate_matrix(ds)
+    _, columns = covariate_matrix(ds)
     beta = fitted.state["beta"]
-    for risk, row in zip(out.risks, rows):
+    for risk, row in zip(out.risks, zip(*columns)):
         assert abs(risk - sum(b * x for b, x in zip(beta, row))) <= 1e-12
 
 
