@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from tempoframe.errors import (
+    AlignmentError,
     DuplicateCell,
     DuplicateEvent,
     DuplicateFeature,
@@ -667,6 +668,40 @@ def _ols_slope(points: list) -> float:
     return num / den
 
 
+def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
+    """The five summary columns of each temporal feature at `positions`,
+    in that order: last, mean, min, max and slope, each one value per
+    sample in sample order (see `temporal_summary`)."""
+    columns = []
+    for j in positions:
+        stats = ([], [], [], [], [])
+        last, mean, mn, mx, slope = stats
+        for per_sample in ts.series:
+            observed = [(t, float(v)) for t, v in per_sample[j]
+                        if v is not MISSING]
+            if not observed:
+                for col in stats:
+                    col.append(MISSING)
+                continue
+            total = 0.0
+            lo = observed[0][1]
+            hi = observed[0][1]
+            for _, v in observed:
+                total += v
+                if v < lo:
+                    lo = v
+                if v > hi:
+                    hi = v
+            last.append(observed[-1][1])
+            mean.append(total / len(observed))
+            mn.append(lo)
+            mx.append(hi)
+            slope.append(_ols_slope(observed) if len(observed) >= 2
+                         else MISSING)
+        columns.extend(stats)
+    return columns
+
+
 def temporal_summary(ts: TimeSeriesSamples) -> StaticSamples:
     """Collapse each numeric sequence to five static features:
     last, mean, min, max and the OLS slope of value against time,
@@ -680,33 +715,40 @@ def temporal_summary(ts: TimeSeriesSamples) -> StaticSamples:
             raise NonNumericFeature(
                 f"temporal_summary needs numeric features, {fid!r} is "
                 "categorical")
-    features = []
-    for fid, _ in ts.features:
-        for stat in _SUMMARY_STATS:
-            features.append((f"{fid}.{stat}", Continuous()))
-    grid = []
-    for per_sample in ts.series:
-        row = []
-        for seq in per_sample:
-            observed = [(t, float(v)) for t, v in seq if v is not MISSING]
-            if not observed:
-                row.extend([MISSING] * 5)
+    features = tuple((f"{fid}.{stat}", Continuous())
+                     for fid, _ in ts.features for stat in _SUMMARY_STATS)
+    columns = _summary_columns(ts, range(len(ts.features)))
+    grid = tuple(zip(*columns)) if columns else ((),) * ts.n_samples
+    return StaticSamples(ts.sample_ids, features, grid)
+
+
+def covariate_groups(ds: Dataset) -> list:
+    """The matrix columns each covariate becomes, in column order: one
+    (feature_id, modality, column_names) group per static covariate (one
+    column named after the feature), then per temporal covariate (its five
+    `<feature>.<stat>` temporal_summary columns). Event features are not
+    featurized.
+
+    Raises RequirementUnmet("non_numeric_feature") for categorical
+    covariates (one-hot encode first).
+    """
+    groups = []
+    for modality, c in ds.containers():
+        if modality is Modality.EVENT:
+            continue
+        for fid, kind in c.features:
+            if ds.roles.role_of(fid) is not Role.COVARIATE:
                 continue
-            total = 0.0
-            mn = observed[0][1]
-            mx = observed[0][1]
-            for _, v in observed:
-                total += v
-                if v < mn:
-                    mn = v
-                if v > mx:
-                    mx = v
-            last = observed[-1][1]
-            mean = total / len(observed)
-            slope = _ols_slope(observed) if len(observed) >= 2 else MISSING
-            row.extend([last, mean, mn, mx, slope])
-        grid.append(tuple(row))
-    return StaticSamples(ts.sample_ids, tuple(features), tuple(grid))
+            if isinstance(kind, Categorical):
+                raise RequirementUnmet(
+                    "non_numeric_feature",
+                    f"{modality.value} covariate {fid!r} is categorical")
+            if modality is Modality.STATIC:
+                names = (fid,)
+            else:
+                names = tuple(f"{fid}.{stat}" for stat in _SUMMARY_STATS)
+            groups.append((fid, modality, names))
+    return groups
 
 
 def covariate_matrix(ds: Dataset) -> tuple:
@@ -714,44 +756,21 @@ def covariate_matrix(ds: Dataset) -> tuple:
     columns: one list of floats per column, in sample order, the layout
     every fitting kernel reads (see `tempoframe.kernels.pure`).
 
-    Columns are static numeric covariates in container order, then the five
-    temporal_summary statistics per temporal covariate. Event features are
-    not featurized. Returns (column_names, columns).
+    The columns are those of `covariate_groups`, in its order. Returns
+    (column_names, columns).
 
     Raises RequirementUnmet("non_numeric_feature") for categorical
-    covariates (one-hot encode first) and MissingInFeatures if any cell of
-    the resulting matrix would be Missing, naming the first such cell in
-    sample order, then column order.
+    covariates and MissingInFeatures if any cell of the resulting matrix
+    would be Missing, naming the first such cell in sample order, then
+    column order.
     """
-    names: list = []
-    columns: list = []
-    if ds.static is not None:
-        for fid, kind in ds.static.features:
-            if ds.roles.role_of(fid) is not Role.COVARIATE:
-                continue
-            if isinstance(kind, Categorical):
-                raise RequirementUnmet(
-                    "non_numeric_feature",
-                    f"static covariate {fid!r} is categorical")
-            names.append(fid)
-            columns.append(ds.static.column(fid))
-    if ds.temporal is not None:
-        c = ds.temporal
-        pos = [j for j, (fid, _) in enumerate(c.features)
-               if ds.roles.role_of(fid) is Role.COVARIATE]
-        feats = tuple(c.features[j] for j in pos)
-        for fid, kind in feats:
-            if isinstance(kind, Categorical):
-                raise RequirementUnmet(
-                    "non_numeric_feature",
-                    f"temporal covariate {fid!r} is categorical")
-        if feats:
-            summary = temporal_summary(TimeSeriesSamples(
-                c.sample_ids, feats,
-                tuple(tuple(per[j] for j in pos) for per in c.series)))
-            for fid, _ in summary.features:
-                names.append(fid)
-                columns.append(summary.column(fid))
+    groups = covariate_groups(ds)
+    names = [name for _, _, group in groups for name in group]
+    columns = [ds.static.column(fid) for fid, modality, _ in groups
+               if modality is Modality.STATIC]
+    columns.extend(_summary_columns(ds.temporal, [
+        ds.temporal._feature_pos[fid] for fid, modality, _ in groups
+        if modality is Modality.TEMPORAL]))
     missing = [(col.index(MISSING), j) for j, col in enumerate(columns)
                if MISSING in col]
     if missing:
@@ -759,3 +778,11 @@ def covariate_matrix(ds: Dataset) -> tuple:
         raise MissingInFeatures(f"covariate {names[j]!r} is missing for "
                                 f"sample {ds.sample_ids[i]!r}")
     return names, [[float(v) for v in col] for col in columns]
+
+
+def check_column_names(trained, names) -> None:
+    """Raise AlignmentError unless `names`, the featurized columns of a
+    query, are the columns a model was trained on, in the same order."""
+    if names != list(trained):
+        raise AlignmentError(f"featurized columns changed: trained on "
+                             f"{trained}, got {names}")

@@ -262,6 +262,10 @@ class TooFewSamples(TempoframeError):
     """Not enough samples for the requested operation (importance, CV)."""
 
 
+class NonFiniteScore(TempoframeError):
+    """A permutation-importance score came out NaN or infinite."""
+
+
 # ---------------------------------------------------------------------------
 # Benchmarking
 # ---------------------------------------------------------------------------

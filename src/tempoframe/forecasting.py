@@ -18,6 +18,7 @@ from tempoframe.data import (
     Role,
     StaticSamples,
     TimeSeriesSamples,
+    check_column_names,
     covariate_matrix,
 )
 from tempoframe.errors import (
@@ -259,17 +260,19 @@ def _logistic_fit(params, ds: Dataset) -> dict:
             "bias": bias}
 
 
-def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
-    names, columns = covariate_matrix(ds)
-    if names != list(state["columns"]):
-        raise AlignmentError(
-            f"featurized columns changed: trained on {state['columns']}, "
-            f"got {names}")
+def _logistic_predict_columns(params, state, sample_ids, names,
+                              columns) -> StaticOutput:
+    check_column_names(state["columns"], names)
     z = linear_predictor(columns, state["weights"],
-                         [state["bias"]] * len(ds.sample_ids))
+                         [state["bias"]] * len(sample_ids))
     return StaticOutput(StaticSamples(
-        ds.sample_ids, ((state["target"], Continuous()),),
+        sample_ids, ((state["target"], Continuous()),),
         tuple((_sigmoid(v),) for v in z)))
+
+
+def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
+    return _logistic_predict_columns(params, state, ds.sample_ids,
+                                     *covariate_matrix(ds))
 
 
 register_plugin(EstimatorSpec(
@@ -277,6 +280,7 @@ register_plugin(EstimatorSpec(
     schema=(Param("lr", "real", 0.1, lo=0.0),
             Param("iters", "integer", 500, lo=1)),
     fit=_logistic_fit, predict=_logistic_predict,
+    predict_columns=_logistic_predict_columns,
     requirements=_classifier_requirements))
 
 

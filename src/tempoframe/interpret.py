@@ -5,10 +5,19 @@ Importance is metric degradation: score(permuted) - score(baseline) for
 loss-like metrics and baseline - permuted for gain-like ones, so larger
 always means more important. Temporal features are permuted as whole
 per-sample sequences, which keeps within-series autocorrelation intact.
+
+A shuffle of one feature's samples commutes with every per-sample step:
+the transforms that declare `derived_ids` and the featurization
+(`covariate_matrix`). So when every front step declares it and the final
+estimator has `predict_columns`, the front and the featurization run once
+and each shuffle reindexes only the matrix columns derived from the
+feature. Otherwise each shuffle re-runs the whole pipeline on a permuted
+copy of the dataset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from tempoframe.data import (
@@ -17,14 +26,23 @@ from tempoframe.data import (
     Role,
     StaticSamples,
     TimeSeriesSamples,
+    covariate_groups,
+    covariate_matrix,
 )
-from tempoframe.errors import MetricMismatch, TooFewSamples, WrongCategory
+from tempoframe.errors import (
+    MetricMismatch,
+    NonFiniteScore,
+    TooFewSamples,
+    WrongCategory,
+)
 from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import (
     Category,
     EstimatorSpec,
     FittedEstimator,
     Param,
+    PipelineFitted,
+    check_fingerprint,
     register_plugin,
     wrap,
 )
@@ -76,12 +94,62 @@ def _permute_temporal(ds: Dataset, fid: str, perm: list) -> Dataset:
                    events=ds.events, roles=ds.roles)
 
 
+def _dataset_predictor(inner: FittedEstimator, ds: Dataset):
+    """predict(fid, perm): predictions of `inner` on a copy of ds whose
+    feature fid is permuted by perm (fid None: on ds itself)."""
+    static = set(ds.static.feature_ids) if ds.static is not None else set()
+
+    def predict(fid, perm):
+        if fid is None:
+            return inner.predict(ds)
+        permute = _permute_static if fid in static else _permute_temporal
+        return inner.predict(permute(ds, fid, perm))
+    return predict
+
+
+def _column_predictor(inner: FittedEstimator, ds: Dataset):
+    """The same predict(fid, perm) from one featurization of ds, or None
+    when a front step does not declare `derived_ids` or the final
+    estimator has no `predict_columns`."""
+    core = inner
+    while core.spec.category is Category.WRAPPER:
+        core = core._inner()
+    *front, final = core.steps if isinstance(core, PipelineFitted) else [core]
+    if final.spec.predict_columns is None or any(
+            step.spec.derived_ids is None for step in front):
+        return None
+    check_fingerprint(core, ds)
+    running = ds
+    for step in front:
+        running = step.transform(running)
+    check_fingerprint(final, running)
+    names, columns = covariate_matrix(running)
+    sources = [fid for fid, _, group in covariate_groups(running)
+               for _ in group]
+
+    def predict(fid, perm):
+        shuffled = columns
+        if fid is not None:
+            ids = {fid}
+            for step in front:
+                ids = {out for i in ids for out in
+                       step.spec.derived_ids(step.params, step.state, i)}
+            shuffled = [[col[p] for p in perm] if src in ids else col
+                        for src, col in zip(sources, columns)]
+        return final.spec.predict_columns(final.params, final.state,
+                                          running.sample_ids, names,
+                                          shuffled)
+    return predict
+
+
 def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
                            repeats: int = 1, seed: int = 0) -> ImportanceReport:
     """Score degradation per covariate feature under seeded value shuffles.
 
-    The inner estimator is never refitted; only the query dataset changes.
-    Event covariates are not model inputs and are not permuted.
+    The inner estimator is never refitted; only the query changes. Event
+    covariates are not model inputs and are not permuted. Raises
+    NonFiniteScore, naming the metric and the feature, if a score is NaN
+    or infinite.
     """
     n = len(ds.sample_ids)
     if n < 2:
@@ -98,31 +166,34 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         raise MetricMismatch(
             f"metric {metric!r} does not apply to a "
             f"{inner.effective_category().value} estimator")
-    baseline = m.score(*task.observe(inner, ds, None, None))
-    targets = []
-    for fid, _, role, modality in ds.all_features():
-        if role is Role.COVARIATE and modality in (Modality.STATIC,
-                                                   Modality.TEMPORAL):
-            targets.append((fid, modality))
+    predict = (_column_predictor(inner, ds)
+               or _dataset_predictor(inner, ds))
+    unpermuted = predict(None, None)
+    truth = task.truth(ds)
+
+    def score(pred, what: str) -> float:
+        value = m.score(pred, truth)
+        if not math.isfinite(value):
+            raise NonFiniteScore(f"{metric} is {value!r} {what}")
+        return value
+
+    baseline = score(unpermuted, "at baseline")
+    targets = [fid for fid, _, role, modality in ds.all_features()
+               if role is Role.COVARIATE
+               and modality in (Modality.STATIC, Modality.TEMPORAL)]
     rng = Lcg(seed)
-    features = []
     importances = []
-    for fid, modality in targets:
+    for fid in targets:
         total = 0.0
         for _ in range(repeats):
-            perm = rng.permutation(n)
-            if modality is Modality.STATIC:
-                shuffled = _permute_static(ds, fid, perm)
-            else:
-                shuffled = _permute_temporal(ds, fid, perm)
-            score = m.score(*task.observe(inner, shuffled, None, None))
+            value = score(predict(fid, rng.permutation(n)),
+                          f"with feature {fid!r} permuted")
             if m.direction == "loss":
-                total += score - baseline
+                total += value - baseline
             else:
-                total += baseline - score
-        features.append(fid)
+                total += baseline - value
         importances.append(total / repeats)
-    return ImportanceReport(metric, repeats, seed, baseline, tuple(features),
+    return ImportanceReport(metric, repeats, seed, baseline, tuple(targets),
                             tuple(importances))
 
 

@@ -85,21 +85,13 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     return truncated, truth
 
 
-# An observer maps (fitted, ds, params, effects) to (pred, truth). params
-# are the final step's resolved params; effects maps sample id to its true
-# treatment effect. In-place observers read neither.
+# A held-out observer maps (fitted, ds, params, effects) to (pred, truth).
+# params are the final step's resolved params; effects maps sample id to
+# its true treatment effect.
 
 def _observe_forecast(fitted, ds, params, effects):
     history, future = _holdout_forecast(ds, params["horizon"])
     return fitted.predict(history), future
-
-
-def _observe_classify(fitted, ds, params, effects):
-    return fitted.predict(ds), static_target_table(ds)
-
-
-def _observe_survival(fitted, ds, params, effects):
-    return fitted.predict(ds), event_outcomes(ds)
 
 
 def _observe_treatment(fitted, ds, params, effects):
@@ -112,16 +104,29 @@ def _observe_treatment(fitted, ds, params, effects):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    category: Category   # of the pipeline's final estimator
-    observe: object      # (fitted, ds, params, effects) -> (pred, truth)
-    in_place: bool       # truth comes from ds alone
+    category: Category     # of the pipeline's final estimator
+    truth: object = None   # ds -> truth read off ds itself, if in place
+    held_out: object = None  # the observer of a task not scorable in place
+
+    @property
+    def in_place(self) -> bool:
+        return self.truth is not None
+
+    def observe(self, fitted, ds, params, effects) -> tuple:
+        """(pred, truth) of one evaluation dataset; an in-place task
+        predicts ds and reads the truth off it."""
+        if self.truth is None:
+            return self.held_out(fitted, ds, params, effects)
+        return fitted.predict(ds), self.truth(ds)
 
 
 TASKS = {
-    "forecast": TaskSpec(Category.PREDICTOR, _observe_forecast, False),
-    "classify": TaskSpec(Category.PREDICTOR, _observe_classify, True),
-    "survival": TaskSpec(Category.SURVIVAL, _observe_survival, True),
-    "treatment": TaskSpec(Category.TREATMENT, _observe_treatment, False),
+    "forecast": TaskSpec(Category.PREDICTOR, held_out=_observe_forecast),
+    "classify": TaskSpec(Category.PREDICTOR,
+                         truth=lambda ds: static_target_table(ds)),
+    "survival": TaskSpec(Category.SURVIVAL,
+                         truth=lambda ds: event_outcomes(ds)),
+    "treatment": TaskSpec(Category.TREATMENT, held_out=_observe_treatment),
 }
 
 

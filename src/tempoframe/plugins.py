@@ -133,6 +133,17 @@ class EstimatorSpec:
     functions receive (params, state, ds). `requirements(params, ds)` runs
     before fit and raises RequirementUnmet. Wrapper specs leave fit unset
     and declare which inner categories they accept.
+
+    Two optional fields let permutation importance featurize once:
+
+    - `predict_columns(params, state, sample_ids, names, columns)` is the
+      prediction of a model that reads the `covariate_matrix` of its
+      query; its `predict` is that function applied to the matrix.
+    - `derived_ids(params, state, feature_id) -> tuple` names the output
+      features a transform computes from one input feature, and declares
+      the transform per-sample: each output value of a sample depends only
+      on that sample's value of the input feature, and sample order is
+      kept. Leave it unset for any other transform.
     """
 
     name: str
@@ -144,6 +155,8 @@ class EstimatorSpec:
     predict_counterfactuals: object = None
     requirements: object = None
     accepts: tuple = ()
+    predict_columns: object = None
+    derived_ids: object = None
 
 
 _REGISTRY: dict = {}
@@ -192,7 +205,9 @@ def fingerprint_of(ds: Dataset) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def _check_exact_fingerprint(fitted: "FittedEstimator", ds: Dataset) -> None:
+def check_fingerprint(fitted: "FittedEstimator", ds: Dataset) -> None:
+    """Raise FingerprintMismatch unless `ds` has exactly the features
+    `fitted` was trained on."""
     fp = fingerprint_of(ds)
     if fp != fitted.fingerprint:
         raise FingerprintMismatch(
@@ -299,7 +314,7 @@ class FittedEstimator:
             raise WrongCategory(
                 f"{self.spec.name!r} ({self.spec.category.value}) "
                 "does not support predict")
-        _check_exact_fingerprint(self, ds)
+        check_fingerprint(self, ds)
         return self.spec.predict(self.params, self.state, ds)
 
     def predict_counterfactuals(self, ds: Dataset, alternatives):
@@ -312,7 +327,7 @@ class FittedEstimator:
             raise InvalidAlternative("alternatives must be non-empty")
         if len(set(alternatives)) != len(alternatives):
             raise InvalidAlternative("alternatives contain duplicates")
-        _check_exact_fingerprint(self, ds)
+        check_fingerprint(self, ds)
         return self.spec.predict_counterfactuals(self.params, self.state, ds,
                                                  alternatives)
 
@@ -375,7 +390,7 @@ class PipelineFitted(FittedEstimator):
         if self.spec.category not in (Category.PREDICTOR, Category.SURVIVAL):
             raise WrongCategory(
                 f"pipeline of {self.spec.category.value} does not predict")
-        _check_exact_fingerprint(self, ds)
+        check_fingerprint(self, ds)
         return self.steps[-1].predict(self._apply_front(ds))
 
     def predict_counterfactuals(self, ds: Dataset, alternatives):
@@ -383,7 +398,7 @@ class PipelineFitted(FittedEstimator):
             raise WrongCategory(
                 f"pipeline of {self.spec.category.value} does not support "
                 "predict_counterfactuals")
-        _check_exact_fingerprint(self, ds)
+        check_fingerprint(self, ds)
         return self.steps[-1].predict_counterfactuals(self._apply_front(ds),
                                                       alternatives)
 

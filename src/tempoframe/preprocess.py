@@ -40,6 +40,11 @@ def _rebuild(ds: Dataset, static=None, temporal=None, roles=None) -> Dataset:
         roles=roles if roles is not None else ds.roles)
 
 
+def _same_id(params, state, feature_id: str) -> tuple:
+    """derived_ids of a transform that maps each value in place."""
+    return (feature_id,)
+
+
 def _require_temporal(params, ds: Dataset) -> None:
     if ds.temporal is None:
         raise RequirementUnmet("missing_temporal",
@@ -259,6 +264,13 @@ def _onehot_fit(params, ds: Dataset) -> dict:
     return {"encoded": encoded}
 
 
+def _onehot_ids(params, state, feature_id: str) -> tuple:
+    for fid, _, cats in state["encoded"]:
+        if fid == feature_id:
+            return tuple(f"{fid}={c}" for c in cats)
+    return (feature_id,)
+
+
 def _onehot_value(v, cats, fid):
     if v is MISSING:
         return [MISSING] * len(cats)
@@ -388,23 +400,23 @@ def _resample_transform(params, state, ds: Dataset) -> Dataset:
 
 register_plugin(EstimatorSpec(
     name="impute.locf", category=Category.TRANSFORM,
-    fit=_locf_fit, transform=_locf_transform,
+    fit=_locf_fit, transform=_locf_transform, derived_ids=_same_id,
     requirements=_require_temporal))
 
 register_plugin(EstimatorSpec(
     name="impute.mean", category=Category.TRANSFORM,
-    fit=_mean_fit, transform=_mean_transform))
+    fit=_mean_fit, transform=_mean_transform, derived_ids=_same_id))
 
 register_plugin(EstimatorSpec(
     name="scale.zscore", category=Category.TRANSFORM,
-    fit=_zscore_fit, transform=_zscore_transform))
+    fit=_zscore_fit, transform=_zscore_transform, derived_ids=_same_id))
 
 register_plugin(EstimatorSpec(
     name="encode.onehot", category=Category.TRANSFORM,
-    fit=_onehot_fit, transform=_onehot_transform))
+    fit=_onehot_fit, transform=_onehot_transform, derived_ids=_onehot_ids))
 
 register_plugin(EstimatorSpec(
     name="resample.regular", category=Category.TRANSFORM,
     schema=(Param("step", "real", 1.0),),
-    fit=_resample_fit, transform=_resample_transform,
+    fit=_resample_fit, transform=_resample_transform, derived_ids=_same_id,
     requirements=_require_temporal))

@@ -15,7 +15,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from tempoframe.data import Dataset, MISSING, Role, covariate_matrix
+from tempoframe.data import (
+    Dataset,
+    MISSING,
+    Role,
+    check_column_names,
+    covariate_matrix,
+)
 from tempoframe.errors import (
     EmptyInput,
     MetricMismatch,
@@ -170,13 +176,18 @@ def _cox_fit(params, ds: Dataset) -> dict:
             "baseline": {"times": base_times, "cumhaz": cumhaz}}
 
 
-def _cox_predict(params, state, ds: Dataset) -> SurvivalOutput:
-    _, columns = covariate_matrix(ds)
-    risks = linear_predictor(columns, state["beta"],
-                             [0.0] * len(ds.sample_ids))
-    return SurvivalOutput(ds.sample_ids, tuple(risks),
+def _cox_predict_columns(params, state, sample_ids, names,
+                         columns) -> SurvivalOutput:
+    check_column_names(state["columns"], names)
+    risks = linear_predictor(columns, state["beta"], [0.0] * len(sample_ids))
+    return SurvivalOutput(sample_ids, tuple(risks),
                           tuple(state["baseline"]["times"]),
                           tuple(state["baseline"]["cumhaz"]))
+
+
+def _cox_predict(params, state, ds: Dataset) -> SurvivalOutput:
+    return _cox_predict_columns(params, state, ds.sample_ids,
+                                *covariate_matrix(ds))
 
 
 register_plugin(EstimatorSpec(
@@ -185,6 +196,7 @@ register_plugin(EstimatorSpec(
             Param("step_size", "real", 0.1),
             Param("ridge", "real", 1e-6, lo=0.0)),
     fit=_cox_fit, predict=_cox_predict,
+    predict_columns=_cox_predict_columns,
     requirements=_cox_requirements))
 
 

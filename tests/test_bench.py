@@ -15,6 +15,7 @@ import pytest
 
 from datagen import classification_dataset, regular_series_dataset, \
     survival_dataset
+from tempoframe import interpret
 from tempoframe.bench import (
     BenchConfig,
     config_from_doc,
@@ -35,6 +36,7 @@ from tempoframe.errors import (
     IoError,
     TooFewSamples,
 )
+from tempoframe.metrics import MetricSpec
 from tempoframe.treatment import synth_treatment_data
 from tempoframe._version import __version__
 
@@ -466,6 +468,20 @@ def test_cli_run_non_finite_score_fails_cleanly(tmp_path):
     nan_importance = dict(c_index_only, importance={"metric": "brier@5"})
     for d in (doc, c_index_only, nan_importance):
         _assert_clean_failure(_run_cli(tmp_path, d), "fold 0, fit: cox_gd: ")
+
+
+def test_cli_run_non_finite_importance_fails_cleanly(tmp_path, monkeypatch,
+                                                   capsys):
+    # fold 0: a finite baseline, then a NaN score with x1 permuted
+    scores = iter([0.75, float("nan")])
+    monkeypatch.setattr(interpret, "resolve_metric", lambda name: MetricSpec(
+        name, "gain", "classify", lambda pred, truth: next(scores)))
+    path = _classify_setup(tmp_path, importance={"metric": "accuracy"})
+    assert cli(["run", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("tempoframe: fold 0, importance: accuracy is nan "
+                        "with feature 'x1' permuted\n")
 
 
 def test_cli_run_zero_risk_set_sum_fails_cleanly(tmp_path):

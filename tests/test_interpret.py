@@ -2,28 +2,47 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from datagen import classification_dataset, survival_dataset
+from tempoframe import interpret, plugins
 from tempoframe.data import (
+    MISSING,
+    Categorical,
     Continuous,
     Integer,
+    Modality,
+    Role,
     RoleMap,
+    StaticSamples,
+    TimeSeriesSamples,
     assemble_dataset,
     build_static_samples,
+    build_time_series_samples,
 )
 from tempoframe.errors import (
     IncompatibleInner,
     MetricMismatch,
+    NonFiniteScore,
     TooFewSamples,
     WrongCategory,
 )
 from tempoframe.interpret import (
+    _column_predictor,
     as_wrapper,
     importance_report,
     permutation_importance,
 )
-from tempoframe.plugins import create
+from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
+from tempoframe.plugins import (
+    Category,
+    EstimatorSpec,
+    build_pipeline,
+    create,
+)
+from tempoframe.rng import Lcg
 
 
 def _noise_classifier_ds(seed=0, n=60):
@@ -137,3 +156,206 @@ def test_wrapper_rejects_incompatible_inner():
     scaler = create("scale.zscore").fit(ds)
     with pytest.raises(IncompatibleInner):
         as_wrapper(scaler, metric="accuracy")
+
+
+def test_non_finite_score_names_the_feature_and_the_metric(monkeypatch):
+    ds = _noise_classifier_ds(7)
+    fitted = create("classify.logistic", {"iters": 50}).fit(ds)
+
+    def stub_scores(*values):
+        scores = iter(values)
+        monkeypatch.setattr(interpret, "resolve_metric", lambda name: (
+            MetricSpec(name, "gain", "classify",
+                       lambda pred, truth: next(scores))))
+
+    stub_scores(0.75, 0.5, float("nan"))
+    with pytest.raises(NonFiniteScore,
+                       match=r"^accuracy is nan with feature 'x2' permuted$"):
+        permutation_importance(fitted, ds, "accuracy")
+    stub_scores(float("inf"))
+    with pytest.raises(NonFiniteScore, match=r"^accuracy is inf at baseline$"):
+        permutation_importance(fitted, ds, "accuracy")
+
+
+# ---------------------------------------------------------------------------
+# The column path against the dataset-permuting loop
+# ---------------------------------------------------------------------------
+
+def _permuted(ds, fid, perm):
+    """ds with sample i's value (cell or whole sequence) of feature fid
+    taken from sample perm[i]."""
+    if ds.static is not None and fid in ds.static.feature_ids:
+        c = ds.static
+        j = c.feature_ids.index(fid)
+        rows = tuple(row[:j] + (c.values[p][j],) + row[j + 1:]
+                     for row, p in zip(c.values, perm))
+        return replace(ds, static=StaticSamples(c.sample_ids, c.features,
+                                                rows))
+    c = ds.temporal
+    j = c.feature_ids.index(fid)
+    series = tuple(per[:j] + (c.series[p][j],) + per[j + 1:]
+                   for per, p in zip(c.series, perm))
+    return replace(ds, temporal=TimeSeriesSamples(c.sample_ids, c.features,
+                                                  series))
+
+
+def _importance_oracle(fitted, ds, metric, repeats, seed):
+    """(baseline, features, importances) from re-running the whole fitted
+    estimator on a permuted copy of ds per feature x repeat, with the
+    same Lcg draws and arithmetic as permutation_importance."""
+    m = resolve_metric(metric)
+    task = TASKS[m.task]
+    baseline = m.score(*task.observe(fitted, ds, None, None))
+    rng = Lcg(seed)
+    features, importances = [], []
+    for fid, _, role, modality in ds.all_features():
+        if role is not Role.COVARIATE or modality is Modality.EVENT:
+            continue
+        total = 0.0
+        for _ in range(repeats):
+            shuffled = _permuted(ds, fid, rng.permutation(len(ds.sample_ids)))
+            score = m.score(*task.observe(fitted, shuffled, None, None))
+            if m.direction == "loss":
+                total += score - baseline
+            else:
+                total += baseline - score
+        features.append(fid)
+        importances.append(total / repeats)
+    return baseline, tuple(features), tuple(importances)
+
+
+def _gappy_ds(seed, n=48):
+    """Static `age` and `sex` and irregular temporal `hr` and `lab`, each
+    with ~10% Missing cells or points, and a binary target `y`."""
+    rng = Lcg(seed)
+    ids = [f"p{i:03d}" for i in range(n)]
+    rows, points = [], []
+    for sid in ids:
+        age = rng.uniform_in(30.0, 90.0)
+        sex = rng.coin()
+        level = rng.normal()
+        for fid, v in (("age", age), ("sex", sex)):
+            if rng.uniform() >= 0.1:
+                rows.append((sid, fid, v))
+        for fid, trend in (("hr", 0.0), ("lab", level)):
+            t = rng.uniform_in(0.0, 2.0)
+            for _ in range(2 + rng.below(4)):
+                v = level + trend * t + 0.3 * rng.normal()
+                points.append((sid, fid, t,
+                               MISSING if rng.uniform() < 0.1 else v))
+                t += rng.uniform_in(0.3, 3.0)
+        score = 0.04 * (age - 60.0) + 0.5 * sex + level
+        rows.append((sid, "y", 1 if score + 0.3 * rng.normal() > 0.3 else 0))
+    return assemble_dataset(
+        static=build_static_samples(
+            rows, {"age": Continuous(), "sex": Integer(), "y": Integer()},
+            sample_ids=ids),
+        temporal=build_time_series_samples(
+            points, {"hr": Continuous(), "lab": Continuous()},
+            sample_ids=ids),
+        roles=RoleMap.of(covariates=("age", "sex", "hr", "lab"),
+                         targets=("y",)))
+
+
+def _categorical_ds(seed, n=48):
+    """A continuous `x`, a static categorical `site` and a temporal
+    categorical `state` (2-4 points per sample), and a binary `y`."""
+    rng = Lcg(seed)
+    ids = [f"p{i:03d}" for i in range(n)]
+    sites = ("a", "b", "c")
+    rows, points = [], []
+    for sid in ids:
+        x = rng.uniform_in(-1.0, 1.0)
+        site = sites[rng.below(3)]
+        highs = 0
+        t = rng.uniform_in(0.0, 1.0)
+        for _ in range(2 + rng.below(3)):
+            state = ("lo", "hi")[rng.coin()]
+            highs += state == "hi"
+            points.append((sid, "state", t, state))
+            t += rng.uniform_in(0.5, 2.0)
+        score = x + (0.8 if site == "a" else 0.0) + 0.3 * highs
+        rows.extend([(sid, "x", x), (sid, "site", site),
+                     (sid, "y", 1 if score + 0.3 * rng.normal() > 0.6 else 0)])
+    return assemble_dataset(
+        static=build_static_samples(
+            rows, {"x": Continuous(), "site": Categorical(sites),
+                   "y": Integer()},
+            sample_ids=ids),
+        temporal=build_time_series_samples(
+            points, {"state": Categorical(("lo", "hi"))}, sample_ids=ids),
+        roles=RoleMap.of(covariates=("x", "site", "state"), targets=("y",)))
+
+
+def _mix_transform(params, state, ds):
+    """x1 += x2 per sample: per-sample, but not per-feature, so shuffling
+    x1 or x2 before it differs from shuffling its output columns."""
+    c = ds.static
+    i, j = c.feature_ids.index("x1"), c.feature_ids.index("x2")
+    rows = tuple(row[:i] + (row[i] + row[j],) + row[i + 1:]
+                 for row in c.values)
+    return replace(ds, static=StaticSamples(c.sample_ids, c.features, rows))
+
+
+def _imputed_classifier():
+    ds = _gappy_ds(1)
+    fitted = build_pipeline([
+        ("impute.locf", {}), ("impute.mean", {}), ("scale.zscore", {}),
+        ("classify.logistic", {"iters": 150})]).fit(ds)
+    return fitted, ds, "accuracy"
+
+
+def _onehot_classifier():
+    ds = _categorical_ds(2)
+    fitted = build_pipeline([
+        ("encode.onehot", {}),
+        ("classify.logistic", {"iters": 150})]).fit(ds)
+    return fitted, ds, "accuracy"
+
+
+def _bare_cox(metric):
+    def case():
+        ds = survival_dataset(3, n=40, effect=2.0)
+        return create("survival.cox", {"iters": 150}).fit(ds), ds, metric
+    return case
+
+
+def _undeclared_front():
+    ds = classification_dataset(4, n=48)
+    fitted = build_pipeline([
+        ("test.mix", {}), ("classify.logistic", {"iters": 150})]).fit(ds)
+    return fitted, ds, "accuracy"
+
+
+def _wrapped_pipeline():
+    fitted, ds, metric = _imputed_classifier()
+    return as_wrapper(fitted, metric=metric, repeats=2), ds, metric
+
+
+# (case, whether the column path applies)
+_CASES = {
+    "impute-scale": (_imputed_classifier, True),
+    "onehot": (_onehot_classifier, True),
+    "cox-c_index": (_bare_cox("c_index"), True),
+    "cox-brier": (_bare_cox("brier@3.0"), True),
+    "undeclared-transform": (_undeclared_front, False),
+    "wrapper": (_wrapped_pipeline, True),
+}
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_column_path_matches_dataset_oracle(monkeypatch, name, repeats):
+    monkeypatch.setitem(plugins._REGISTRY, "test.mix", EstimatorSpec(
+        name="test.mix", category=Category.TRANSFORM,
+        fit=lambda params, ds: {}, transform=_mix_transform))
+    case, columns = _CASES[name]
+    fitted, ds, metric = case()
+    assert (_column_predictor(fitted, ds) is not None) == columns
+    report = permutation_importance(fitted, ds, metric, repeats, seed=9)
+    baseline, features, importances = _importance_oracle(
+        fitted, ds, metric, repeats, 9)
+    assert report.baseline == baseline
+    assert report.features == features
+    assert report.importances == importances
+    assert any(v != 0.0 for v in importances)

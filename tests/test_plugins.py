@@ -3,17 +3,22 @@ wrappers, persistence."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from datagen import classification_dataset, random_dataset, survival_dataset
 from tempoframe.data import (
+    MISSING,
     Continuous,
     Integer,
     RoleMap,
     assemble_dataset,
+    build_event_samples,
     build_static_samples,
 )
 from tempoframe.errors import (
+    AlignmentError,
     BadPipelineShape,
     CorruptBlob,
     DuplicatePlugin,
@@ -45,6 +50,7 @@ from tempoframe.plugins import (
     spec_of,
     wrap,
 )
+from tempoframe.rng import Lcg
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,26 @@ def test_save_load_survival_state():
     out_b = loaded.predict(ds)
     assert out_a.risks == out_b.risks
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("name", ["classify.logistic", "survival.cox"])
+def test_blob_with_reordered_columns_is_rejected(name):
+    # the features keep the fingerprint; only the stored column order lies
+    cls = classification_dataset(13, n=30)
+    rng = Lcg(13)
+    events = build_event_samples(
+        [(sid, "death", rng.uniform_in(1.0, 5.0),
+          1 if rng.uniform() < 0.7 else MISSING) for sid in cls.sample_ids],
+        {"death": Integer()}, sample_ids=cls.sample_ids)
+    ds = assemble_dataset(static=cls.static, events=events,
+                          roles=RoleMap.of(covariates=("x1", "x2"),
+                                           targets=("y", "death")))
+    doc = json.loads(save_fitted(create(name, {"iters": 20}).fit(ds)))
+    doc["fitted"]["state"]["columns"].reverse()
+    loaded = load_fitted(json.dumps(doc).encode("utf-8"))
+    with pytest.raises(AlignmentError,
+                       match=r"trained on \['x2', 'x1'\], got \['x1', 'x2'\]"):
+        loaded.predict(ds)
 
 
 def test_save_refuses_non_finite_state_naming_the_plugin():
