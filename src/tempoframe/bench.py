@@ -30,6 +30,7 @@ from tempoframe.errors import (
     TooFewSamples,
 )
 from tempoframe.interpret import permutation_importance
+from tempoframe.kernels import mean_std
 from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import (
     Category,
@@ -390,19 +391,6 @@ def strip_timing(text: str) -> str:
     return _emit(doc, "") + "\n"
 
 
-def _mean_std(values: list) -> tuple:
-    n = len(values)
-    total = 0.0
-    for v in values:
-        total += v
-    mean = total / n
-    var = 0.0
-    for v in values:
-        d = v - mean
-        var += d * d
-    return mean, math.sqrt(var / n)
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -442,7 +430,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                  {k: values[k] for k in config.metrics})
     metrics_doc = {}
     for name in config.metrics:
-        mean, std = _mean_std(per_metric[name])
+        mean, std = mean_std(per_metric[name])
         metrics_doc[name] = {"folds": list(per_metric[name]),
                              "mean": mean, "stddev": std}
     report = BenchReport(

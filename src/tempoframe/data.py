@@ -616,6 +616,30 @@ def select_samples(ds: Dataset, ids) -> Dataset:
                    roles=ds.roles)
 
 
+def map_columns(ds: Dataset, fns: dict) -> Dataset:
+    """Replace the column of each static or temporal feature `fid` in
+    `fns` by `fns[fid](column)`.
+
+    A column is the tuple of the feature's per-sample values (static cells
+    or temporal sequences) in sample order, and `fns[fid]` returns one of
+    the same length. Other features, the events and the roles are kept; a
+    container with no mapped feature is returned as is.
+    """
+    def remap(container, rows_attr):
+        if container is None or not any(
+                fid in fns for fid in container.feature_ids):
+            return container
+        rows = getattr(container, rows_attr)
+        columns = [fns[fid](col) if fid in fns else col
+                   for col, (fid, _) in zip(zip(*rows), container.features)]
+        return type(container)(container.sample_ids, container.features,
+                               tuple(zip(*columns)))
+
+    return Dataset(static=remap(ds.static, "values"),
+                   temporal=remap(ds.temporal, "series"),
+                   events=ds.events, roles=ds.roles)
+
+
 def time_window(ts: TimeSeriesSamples, t_lo, t_hi) -> TimeSeriesSamples:
     """Keep points with t_lo <= t <= t_hi; sequences may become empty."""
     lo = check_time(t_lo, "t_lo")

@@ -11,8 +11,8 @@ the transforms that declare `derived_ids` and the featurization
 (`covariate_matrix`). So when every front step declares it and the final
 estimator has `predict_columns`, the front and the featurization run once
 and each shuffle reindexes only the matrix columns derived from the
-feature. Otherwise each shuffle re-runs the whole pipeline on a permuted
-copy of the dataset.
+feature. Otherwise each shuffle re-runs the whole pipeline on a copy of
+the dataset in which `data.map_columns` has permuted the feature's column.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from tempoframe.data import (
     Dataset,
     Modality,
     Role,
-    StaticSamples,
-    TimeSeriesSamples,
     covariate_groups,
     covariate_matrix,
+    map_columns,
 )
 from tempoframe.errors import (
     MetricMismatch,
@@ -63,47 +62,15 @@ class ImportanceReport:
     def importance_of(self, feature_id: str) -> float:
         return self.importances[self.features.index(feature_id)]
 
-    def to_doc(self) -> dict:
-        return {"metric": self.metric, "repeats": self.repeats,
-                "seed": self.seed, "baseline": self.baseline,
-                "features": list(self.features),
-                "importances": list(self.importances)}
-
-
-def _permute_static(ds: Dataset, fid: str, perm: list) -> Dataset:
-    c = ds.static
-    j = c._feature_pos[fid]
-    col = [c.values[perm[i]][j] for i in range(len(perm))]
-    grid = tuple(
-        row[:j] + (col[i],) + row[j + 1:]
-        for i, row in enumerate(c.values))
-    return Dataset(static=StaticSamples(c.sample_ids, c.features, grid),
-                   temporal=ds.temporal, events=ds.events, roles=ds.roles)
-
-
-def _permute_temporal(ds: Dataset, fid: str, perm: list) -> Dataset:
-    c = ds.temporal
-    j = c._feature_pos[fid]
-    seqs = [c.series[perm[i]][j] for i in range(len(perm))]
-    series = tuple(
-        per_sample[:j] + (seqs[i],) + per_sample[j + 1:]
-        for i, per_sample in enumerate(c.series))
-    return Dataset(static=ds.static,
-                   temporal=TimeSeriesSamples(c.sample_ids, c.features,
-                                              series),
-                   events=ds.events, roles=ds.roles)
-
 
 def _dataset_predictor(inner: FittedEstimator, ds: Dataset):
     """predict(fid, perm): predictions of `inner` on a copy of ds whose
     feature fid is permuted by perm (fid None: on ds itself)."""
-    static = set(ds.static.feature_ids) if ds.static is not None else set()
-
     def predict(fid, perm):
         if fid is None:
             return inner.predict(ds)
-        permute = _permute_static if fid in static else _permute_temporal
-        return inner.predict(permute(ds, fid, perm))
+        return inner.predict(map_columns(
+            ds, {fid: lambda col: tuple(col[p] for p in perm)}))
     return predict
 
 

@@ -7,6 +7,7 @@ from tempoframe.kernels.pure import (
     linear_predictor,
     logistic_gd,
     lu_solve,
+    mean_std,
     ridge_normal_solve,
     risk_groups,
 )

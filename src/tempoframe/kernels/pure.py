@@ -90,6 +90,21 @@ def _dot(a: list, b: list) -> float:
     return s
 
 
+def mean_std(values: list) -> tuple:
+    """Population mean and standard deviation of a non-empty list, in two
+    left-to-right passes: the sum, then the squared deviations."""
+    n = len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    ssq = 0.0
+    for v in values:
+        d = v - mean
+        ssq += d * d
+    return mean, math.sqrt(ssq / n)
+
+
 def linear_predictor(columns: list, weights: list, start: list) -> list:
     """start_i + sum over j of w_j * x_ij per sample, the terms added in
     column order (as `s += w_j * x_ij` would); `start` holds one value per

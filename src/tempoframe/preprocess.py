@@ -5,6 +5,11 @@ touched: a censoring sentinel is information, not missingness. Imputers
 cover every static/temporal feature; the scaler and the encoder restrict
 themselves to covariates so that targets keep their outcome units and
 treatment arms stay intact.
+
+The imputers, the scaler and the resampler keep the features, their ids
+and the roles, and rewrite values only: each builds per-feature column
+functions and applies them with `data.map_columns`. The encoder changes
+the feature set and assembles a new validated dataset.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from tempoframe.data import (
     StaticSamples,
     TimeSeriesSamples,
     assemble_dataset,
+    map_columns,
 )
 from tempoframe.errors import (
     AllMissingFeature,
@@ -29,15 +35,8 @@ from tempoframe.errors import (
     RequirementUnmet,
     UnseenCategory,
 )
+from tempoframe.kernels import mean_std
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
-
-
-def _rebuild(ds: Dataset, static=None, temporal=None, roles=None) -> Dataset:
-    return assemble_dataset(
-        static=static if static is not None else ds.static,
-        temporal=temporal if temporal is not None else ds.temporal,
-        events=ds.events,
-        roles=roles if roles is not None else ds.roles)
 
 
 def _same_id(params, state, feature_id: str) -> tuple:
@@ -67,6 +66,20 @@ def _observed_training_values(ds: Dataset) -> dict:
                         vals.append(v)
             out[fid] = vals
     return out
+
+
+def _map_values(ds: Dataset, fns: dict) -> Dataset:
+    """`map_columns` with each `fns[fid]` applied to every value of the
+    feature: each static cell, each temporal point's value."""
+    lifted = {}
+    for fid in (ds.static.feature_ids if ds.static is not None else ()):
+        if fid in fns:
+            lifted[fid] = lambda col, f=fns[fid]: tuple(f(v) for v in col)
+    for fid in (ds.temporal.feature_ids if ds.temporal is not None else ()):
+        if fid in fns:
+            lifted[fid] = lambda col, f=fns[fid]: tuple(
+                tuple((t, f(v)) for t, v in seq) for seq in col)
+    return map_columns(ds, lifted)
 
 
 def _fill_value(kind, observed: list):
@@ -108,26 +121,9 @@ def _mean_fit(params, ds: Dataset) -> dict:
 
 
 def _mean_transform(params, state, ds: Dataset) -> Dataset:
-    fills = state["fills"]
-    static = ds.static
-    if static is not None:
-        grid = tuple(
-            tuple(fills[fid] if v is MISSING and fid in fills else v
-                  for v, (fid, _) in zip(row, static.features))
-            for row in static.values)
-        static = StaticSamples(static.sample_ids, static.features, grid)
-    temporal = ds.temporal
-    if temporal is not None:
-        series = tuple(
-            tuple(
-                tuple((t, fills[fid])
-                      if v is MISSING and fid in fills else (t, v)
-                      for t, v in seq)
-                for seq, (fid, _) in zip(per_sample, temporal.features))
-            for per_sample in temporal.series)
-        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                     series)
-    return _rebuild(ds, static=static, temporal=temporal)
+    return _map_values(ds, {
+        fid: lambda v, fill=fill: fill if v is MISSING else v
+        for fid, fill in state["fills"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +131,12 @@ def _mean_transform(params, state, ds: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _locf_fit(params, ds: Dataset) -> dict:
-    kinds = dict(ds.temporal.features)
-    fills = {}
-    for j, (fid, _) in enumerate(ds.temporal.features):
-        vals = []
-        for per_sample in ds.temporal.series:
-            for _, v in per_sample[j]:
-                if v is not MISSING:
-                    vals.append(v)
-        # Leading-gap fallback; a feature with zero observed training
-        # values has no fallback and its leading gaps stay Missing.
-        fills[fid] = _fill_value(kinds[fid], vals) if vals else None
-    return {"fills": fills}
+    observed = _observed_training_values(ds)
+    # Leading-gap fallback; a feature with zero observed training values
+    # has no fallback and its leading gaps stay Missing.
+    return {"fills": {
+        fid: _fill_value(kind, observed[fid]) if observed[fid] else None
+        for fid, kind in ds.temporal.features}}
 
 
 def _locf_seq(seq, fallback):
@@ -167,15 +157,12 @@ def _locf_seq(seq, fallback):
 
 
 def _locf_transform(params, state, ds: Dataset) -> Dataset:
+    _require_temporal(params, ds)
     fills = state["fills"]
-    temporal = ds.temporal
-    series = tuple(
-        tuple(_locf_seq(seq, fills.get(fid))
-              for seq, (fid, _) in zip(per_sample, temporal.features))
-        for per_sample in temporal.series)
-    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                 series)
-    return _rebuild(ds, temporal=temporal)
+    return map_columns(ds, {
+        fid: lambda col, fallback=fills.get(fid): tuple(
+            _locf_seq(seq, fallback) for seq in col)
+        for fid in ds.temporal.feature_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +186,9 @@ def _zscore_fit(params, ds: Dataset) -> dict:
     observed = _observed_training_values(ds)
     stats = {}
     for fid in _zscore_features(ds):
+        # Nothing observed: flagged degenerate, transform maps to 0.
         vals = observed[fid]
-        if not vals:
-            # Nothing observed: flagged degenerate, transform maps to 0.
-            stats[fid] = [0.0, 0.0]
-            continue
-        total = 0.0
-        for v in vals:
-            total += v
-        mean = total / len(vals)
-        ssq = 0.0
-        for v in vals:
-            d = v - mean
-            ssq += d * d
-        stats[fid] = [mean, math.sqrt(ssq / len(vals))]
+        stats[fid] = list(mean_std(vals)) if vals else [0.0, 0.0]
     return {"stats": stats}
 
 
@@ -226,25 +202,9 @@ def _zscore_apply(v, stat):
 
 
 def _zscore_transform(params, state, ds: Dataset) -> Dataset:
-    stats = state["stats"]
-    static = ds.static
-    if static is not None:
-        grid = tuple(
-            tuple(_zscore_apply(v, stats[fid]) if fid in stats else v
-                  for v, (fid, _) in zip(row, static.features))
-            for row in static.values)
-        static = StaticSamples(static.sample_ids, static.features, grid)
-    temporal = ds.temporal
-    if temporal is not None:
-        series = tuple(
-            tuple(
-                tuple((t, _zscore_apply(v, stats[fid])) for t, v in seq)
-                if fid in stats else seq
-                for seq, (fid, _) in zip(per_sample, temporal.features))
-            for per_sample in temporal.series)
-        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                     series)
-    return _rebuild(ds, static=static, temporal=temporal)
+    return _map_values(ds, {
+        fid: lambda v, stat=stat: _zscore_apply(v, stat)
+        for fid, stat in state["stats"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +300,9 @@ def _onehot_transform(params, state, ds: Dataset) -> Dataset:
     assignment = [(fid, role) for fid, role in ds.roles.assignment
                   if fid not in dropped]
     assignment.extend((fid, Role.COVARIATE) for fid in new_roles)
-    return _rebuild(ds, static=static, temporal=temporal,
-                    roles=RoleMap(tuple(assignment)))
+    return assemble_dataset(static=static, temporal=temporal,
+                            events=ds.events,
+                            roles=RoleMap(tuple(assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +346,10 @@ def _resample_transform(params, state, ds: Dataset) -> Dataset:
     step = params["step"]
     if step <= 0 or not math.isfinite(step):
         raise InvalidStep(f"step must be a positive real, got {step}")
-    temporal = ds.temporal
-    series = tuple(
-        tuple(_resample_seq(seq, step) for seq in per_sample)
-        for per_sample in temporal.series)
-    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                 series)
-    return _rebuild(ds, temporal=temporal)
+    _require_temporal(params, ds)
+    return map_columns(ds, {
+        fid: lambda col: tuple(_resample_seq(seq, step) for seq in col)
+        for fid in ds.temporal.feature_ids})
 
 
 # ---------------------------------------------------------------------------

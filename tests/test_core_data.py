@@ -25,6 +25,7 @@ from tempoframe.data import (
     is_missing,
     kind_from_json,
     kind_to_json,
+    map_columns,
     missing_mask,
     select_samples,
     temporal_summary,
@@ -286,6 +287,37 @@ def test_select_samples_reorders_every_container():
         select_samples(ds, ["nope"])
     with pytest.raises(SampleIndexMismatch):
         select_samples(ds, [ids[0], ids[0]])
+
+
+def test_map_columns_replaces_only_the_mapped_columns():
+    def reverse(col):
+        return tuple(reversed(col))
+
+    checked = 0
+    for seed in range(12):
+        ds = random_dataset(seed)
+        if ds.static is None:
+            continue
+        checked += 1
+        sf, tf = ds.static.feature_ids[0], ds.temporal.feature_ids[0]
+        out = map_columns(ds, {sf: reverse, tf: reverse})
+        assert out.static.column(sf) == reverse(ds.static.column(sf))
+        assert [out.temporal.sequence(s, tf) for s in ds.sample_ids] == \
+            [ds.temporal.sequence(s, tf) for s in reversed(ds.sample_ids)]
+        for fid, _, _, modality in ds.all_features():
+            if modality is Modality.STATIC and fid != sf:
+                assert out.static.column(fid) == ds.static.column(fid)
+            elif modality is Modality.TEMPORAL and fid != tf:
+                for s in ds.sample_ids:
+                    assert out.temporal.sequence(s, fid) == \
+                        ds.temporal.sequence(s, fid)
+        assert out.static.features == ds.static.features
+        assert out.temporal.features == ds.temporal.features
+        assert out.sample_ids == ds.sample_ids
+        assert out.events is ds.events
+        assert out.roles is ds.roles
+        assert map_columns(ds, {}) == ds
+    assert checked >= 3
 
 
 def test_time_window_brackets_inclusive():

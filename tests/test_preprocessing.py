@@ -14,11 +14,14 @@ from tempoframe.data import (
     MISSING,
     Role,
     RoleMap,
+    StaticSamples,
+    TimeSeriesSamples,
     assemble_dataset,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
     missing_mask,
+    select_samples,
 )
 from tempoframe.errors import (
     AllMissingFeature,
@@ -27,6 +30,7 @@ from tempoframe.errors import (
     RoleGap,
 )
 from tempoframe.plugins import create
+from tempoframe.preprocess import _locf_seq, _resample_seq, _zscore_apply
 
 
 def _flatten(mask):
@@ -355,3 +359,119 @@ def test_locf_then_mean_completes_everything():
         for container in (out.static, out.temporal):
             if container is not None:
                 assert _no_missing(container)
+
+
+def test_locf_and_resample_need_temporal_in_the_query():
+    fit_ds = assemble_dataset(
+        static=build_static_samples([("a", "x", 1.0), ("b", "x", 2.0)],
+                                    {"x": Continuous()}),
+        temporal=build_time_series_samples([], {}, sample_ids=["a", "b"]),
+        roles=RoleMap.of(covariates=("x",)))
+    query = _static_ds([("a", "x", 3.0)], {"x": Continuous()},
+                       RoleMap.of(covariates=("x",)))
+    for name in ("impute.locf", "resample.regular"):
+        fitted = create(name).fit(fit_ds)
+        with pytest.raises(RequirementUnmet) as exc:
+            fitted.transform(query)
+        assert exc.value.reason == "missing_temporal"
+
+
+# ---------------------------------------------------------------------------
+# Row-wise oracles: the transforms as they were before `map_columns`,
+# rebuilding the grid and the series row by row
+# ---------------------------------------------------------------------------
+
+def _rebuild(ds, static=None, temporal=None, roles=None):
+    return assemble_dataset(
+        static=static if static is not None else ds.static,
+        temporal=temporal if temporal is not None else ds.temporal,
+        events=ds.events,
+        roles=roles if roles is not None else ds.roles)
+
+
+def _mean_transform(params, state, ds):
+    fills = state["fills"]
+    static = ds.static
+    if static is not None:
+        grid = tuple(
+            tuple(fills[fid] if v is MISSING and fid in fills else v
+                  for v, (fid, _) in zip(row, static.features))
+            for row in static.values)
+        static = StaticSamples(static.sample_ids, static.features, grid)
+    temporal = ds.temporal
+    if temporal is not None:
+        series = tuple(
+            tuple(
+                tuple((t, fills[fid])
+                      if v is MISSING and fid in fills else (t, v)
+                      for t, v in seq)
+                for seq, (fid, _) in zip(per_sample, temporal.features))
+            for per_sample in temporal.series)
+        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
+                                     series)
+    return _rebuild(ds, static=static, temporal=temporal)
+
+
+def _locf_transform(params, state, ds):
+    fills = state["fills"]
+    temporal = ds.temporal
+    series = tuple(
+        tuple(_locf_seq(seq, fills.get(fid))
+              for seq, (fid, _) in zip(per_sample, temporal.features))
+        for per_sample in temporal.series)
+    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
+                                 series)
+    return _rebuild(ds, temporal=temporal)
+
+
+def _zscore_transform(params, state, ds):
+    stats = state["stats"]
+    static = ds.static
+    if static is not None:
+        grid = tuple(
+            tuple(_zscore_apply(v, stats[fid]) if fid in stats else v
+                  for v, (fid, _) in zip(row, static.features))
+            for row in static.values)
+        static = StaticSamples(static.sample_ids, static.features, grid)
+    temporal = ds.temporal
+    if temporal is not None:
+        series = tuple(
+            tuple(
+                tuple((t, _zscore_apply(v, stats[fid])) for t, v in seq)
+                if fid in stats else seq
+                for seq, (fid, _) in zip(per_sample, temporal.features))
+            for per_sample in temporal.series)
+        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
+                                     series)
+    return _rebuild(ds, static=static, temporal=temporal)
+
+
+def _resample_transform(params, state, ds):
+    step = params["step"]
+    if step <= 0 or not math.isfinite(step):
+        raise InvalidStep(f"step must be a positive real, got {step}")
+    temporal = ds.temporal
+    series = tuple(
+        tuple(_resample_seq(seq, step) for seq in per_sample)
+        for per_sample in temporal.series)
+    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
+                                 series)
+    return _rebuild(ds, temporal=temporal)
+
+
+@pytest.mark.parametrize("name, params, oracle, numeric_only", [
+    ("impute.mean", {}, _mean_transform, False),
+    ("impute.locf", {}, _locf_transform, False),
+    ("scale.zscore", {}, _zscore_transform, True),
+    ("resample.regular", {"step": 0.7}, _resample_transform, False),
+])
+def test_transform_matches_row_wise_oracle(name, params, oracle,
+                                           numeric_only):
+    for seed in range(24):
+        ds = random_dataset(seed, ensure_observed=True,
+                            numeric_only=numeric_only)
+        fitted = create(name, params).fit(ds)
+        query = select_samples(ds, reversed(ds.sample_ids))
+        for q in (ds, query):
+            assert fitted.transform(q) == \
+                oracle(fitted.params, fitted.state, q)
