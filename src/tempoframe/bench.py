@@ -15,7 +15,9 @@ import json
 import logging
 import math
 import os
+import threading
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -289,10 +291,12 @@ def write_truth(path, sample_ids, effects) -> None:
 
 @contextmanager
 def _step(fold: int, label: str):
+    t0 = time.perf_counter()
     try:
         yield
     except TempoframeError as e:
         raise BenchError(f"fold {fold}, {label}: {e}") from e
+    log.debug("fold %d, %s: %.6f s", fold, label, time.perf_counter() - t0)
 
 
 def _final_params(config: BenchConfig) -> dict:
@@ -395,6 +399,140 @@ def strip_timing(text: str) -> str:
 # Harness
 # ---------------------------------------------------------------------------
 
+def _run_fold(config: BenchConfig, fold: int, train: Dataset,
+              test: Dataset, truth_map) -> tuple:
+    """One fold: (metric values, importance report or None, seconds)."""
+    log.info("fold %d: %d train / %d test samples", fold,
+             len(train.sample_ids), len(test.sample_ids))
+    t0 = time.perf_counter()
+    with _step(fold, "fit"):
+        fitted = build_pipeline(config.pipeline).fit(train)
+    values = _eval_fold(config, fold, fitted, test, truth_map)
+    rep = None
+    if config.importance is not None:
+        with _step(fold, "importance"):
+            rep = permutation_importance(
+                fitted, test, config.importance["metric"],
+                config.importance["repeats"], config.importance["seed"])
+    seconds = time.perf_counter() - t0
+    log.info("fold %d done: %s", fold,
+             {k: values[k] for k in config.metrics})
+    return values, rep, seconds
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _max_children() -> int:
+    """How many folds may run in forked children at once: one per usable
+    CPU, or none where there is no fork, one CPU, or a second thread
+    (a forked child gets only the calling thread, so a lock another
+    thread holds would stay locked in it)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    cpus = _usable_cpus()
+    return cpus if cpus >= 2 else 0
+
+
+def _fork_fold(run, fold: int) -> tuple:
+    """Start `run(fold)` in a child; return (pid, read end of its pipe).
+
+    The child pickles ("ok", result), ("error", message) for a
+    TempoframeError, or ("crash", type name, traceback text) to the pipe,
+    and always leaves through `os._exit`, so it never returns into the
+    caller's stack, flushes nothing of its parent's and runs no exit
+    handler. Messages, not exception objects, cross the pipe: not every
+    error class survives a pickle round trip.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as e:
+        os.close(r)
+        os.close(w)
+        raise BenchError(f"fold {fold}: cannot start a worker: {e}") from e
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                msg = ("ok", run(fold))
+            except TempoframeError as e:
+                msg = ("error", str(e))
+            except BaseException as e:
+                msg = ("crash", type(e).__name__, traceback.format_exc())
+            with open(w, "wb") as f:
+                pickle.dump(msg, f, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _collect_fold(fold: int, pid: int, r: int):
+    """Read a child's message to EOF (it may exceed the pipe buffer), reap
+    the child, and return its result or raise its error."""
+    import pickle
+
+    try:
+        with open(r, "rb") as f:
+            data = f.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise BenchError(f"fold {fold}: worker exited with status {code}")
+    msg = pickle.loads(data)
+    if msg[0] == "error":
+        raise BenchError(msg[1])
+    if msg[0] == "crash":
+        raise RuntimeError(f"fold {fold}: {msg[1]} in a worker\n{msg[2]}")
+    return msg[1]
+
+
+def _run_folds(config: BenchConfig, splits: list, truth_map) -> list:
+    """Every fold's `_run_fold` result, in fold order.
+
+    Folds 1..k-1 run in forked children, at most `_max_children()` at a
+    time, while this process runs fold 0; the lowest failing fold's error
+    is raised, as a sequential loop would. Every child is reaped on every
+    path. Where no child may be forked, this process runs every fold.
+    """
+    def run(i):
+        return _run_fold(config, i, *splits[i], truth_map)
+
+    limit = _max_children()
+    if limit == 0:
+        return [run(i) for i in range(len(splits))]
+    queue = iter(range(1, len(splits)))
+    live = {}    # fold -> (pid, read fd)
+    try:
+        for i in queue:
+            live[i] = _fork_fold(run, i)
+            if len(live) == limit:
+                break
+        results = [run(0)]
+        for i in range(1, len(splits)):
+            results.append(_collect_fold(i, *live.pop(i)))
+            nxt = next(queue, None)
+            if nxt is not None:
+                live[nxt] = _fork_fold(run, nxt)
+        return results
+    finally:
+        import signal
+
+        for pid, r in live.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
 def run_benchmark(config: BenchConfig) -> BenchReport:
     t_start = time.perf_counter()
     ds = read_bundle(config.bundle)
@@ -408,26 +546,14 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                       "seed": config.importance["seed"],
                       "features": None, "baselines": [], "folds": []}
     fold_seconds = []
-    for i, (train, test) in enumerate(splits):
-        log.info("fold %d: %d train / %d test samples", i,
-                 len(train.sample_ids), len(test.sample_ids))
-        t0 = time.perf_counter()
-        with _step(i, "fit"):
-            fitted = build_pipeline(config.pipeline).fit(train)
-        values = _eval_fold(config, i, fitted, test, truth_map)
+    for values, rep, seconds in _run_folds(config, splits, truth_map):
         for name in config.metrics:
             per_metric[name].append(values[name])
         if importance is not None:
-            with _step(i, "importance"):
-                rep = permutation_importance(
-                    fitted, test, config.importance["metric"],
-                    config.importance["repeats"], config.importance["seed"])
             importance["features"] = list(rep.features)
             importance["baselines"].append(rep.baseline)
             importance["folds"].append(list(rep.importances))
-        fold_seconds.append(time.perf_counter() - t0)
-        log.info("fold %d done: %s", i,
-                 {k: values[k] for k in config.metrics})
+        fold_seconds.append(seconds)
     metrics_doc = {}
     for name in config.metrics:
         mean, std = mean_std(per_metric[name])

@@ -131,8 +131,9 @@ class EstimatorSpec:
 
     fit(params, ds) -> state dict (JSON-able). The optional lifecycle
     functions receive (params, state, ds). `requirements(params, ds)` runs
-    before fit and raises RequirementUnmet. Wrapper specs leave fit unset
-    and declare which inner categories they accept.
+    before fit and before each transform of a query, and raises
+    RequirementUnmet. Wrapper specs leave fit unset and declare which
+    inner categories they accept.
 
     Two optional fields let permutation importance featurize once:
 
@@ -305,6 +306,8 @@ class FittedEstimator:
             raise NotATransform(f"{self.spec.name!r} is a "
                                 f"{self.spec.category.value}, not a transform")
         _check_superset_fingerprint(self, ds)
+        if self.spec.requirements is not None:
+            self.spec.requirements(self.params, ds)
         return self.spec.transform(self.params, self.state, ds)
 
     def predict(self, ds: Dataset):

@@ -157,7 +157,6 @@ def _locf_seq(seq, fallback):
 
 
 def _locf_transform(params, state, ds: Dataset) -> Dataset:
-    _require_temporal(params, ds)
     fills = state["fills"]
     return map_columns(ds, {
         fid: lambda col, fallback=fills.get(fid): tuple(
@@ -346,7 +345,6 @@ def _resample_transform(params, state, ds: Dataset) -> Dataset:
     step = params["step"]
     if step <= 0 or not math.isfinite(step):
         raise InvalidStep(f"step must be a positive real, got {step}")
-    _require_temporal(params, ds)
     return map_columns(ds, {
         fid: lambda col: tuple(_resample_seq(seq, step) for seq in col)
         for fid in ds.temporal.feature_ids})

@@ -7,15 +7,19 @@ import hashlib
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 from datagen import classification_dataset, regular_series_dataset, \
     survival_dataset
-from tempoframe import interpret
+from tempoframe import bench, interpret
 from tempoframe.bench import (
     BenchConfig,
     config_from_doc,
@@ -29,14 +33,25 @@ from tempoframe.bench import (
 )
 from tempoframe.bundle import read_bundle, write_bundle
 from tempoframe.cli import cli
-from tempoframe.data import MISSING, EventSamples, StaticSamples
+from tempoframe.data import (
+    MISSING,
+    Continuous,
+    EventSamples,
+    Integer,
+    RoleMap,
+    StaticSamples,
+    assemble_dataset,
+    build_static_samples,
+)
 from tempoframe.errors import (
     BenchError,
     ConfigError,
     IoError,
+    NonBinaryTarget,
     TooFewSamples,
 )
 from tempoframe.metrics import MetricSpec
+from tempoframe.rng import Lcg
 from tempoframe.treatment import synth_treatment_data
 from tempoframe._version import __version__
 
@@ -649,3 +664,210 @@ def test_golden_report_byte_match():
     # a second run differs at most in timing
     again = strip_timing(report_text(run_benchmark(config)))
     assert again == expected
+
+
+# ---------------------------------------------------------------------------
+# fold processes
+# ---------------------------------------------------------------------------
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: n)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _task_doc(tmp_path, task, folds):
+    bundle = str(tmp_path / "bundle")
+    cv = {"folds": folds, "seed": 3}
+    if task == "forecast":
+        write_bundle(regular_series_dataset(42, n=10, length=12), bundle)
+        return {"bundle": "bundle", "task": "forecast",
+                "pipeline": [{"plugin": "forecast.ar",
+                              "params": {"order": 2, "horizon": 3,
+                                         "step": 1.0}}],
+                "metrics": ["rmse"], "cv": cv}
+    if task == "classify":
+        write_bundle(classification_dataset(0, n=30), bundle)
+        return _classify_doc(
+            pipeline=[{"plugin": "scale.zscore"},
+                      {"plugin": "classify.logistic",
+                       "params": {"iters": 60}}],
+            cv=cv, importance={"metric": "accuracy", "repeats": 2,
+                               "seed": 5})
+    if task == "survival":
+        write_bundle(survival_dataset(5, n=40, censor_rate=0.2, effect=2.0),
+                     bundle)
+        return {"bundle": "bundle", "task": "survival",
+                "pipeline": [{"plugin": "survival.cox",
+                              "params": {"iters": 50}}],
+                "metrics": ["c_index", "brier@3.0"], "cv": cv,
+                "importance": {"metric": "c_index", "repeats": 2}}
+    truth = synth_treatment_data(40, seed=1, tau0=3.0, noise=0.5)
+    write_bundle(truth.dataset, bundle)
+    write_truth(str(tmp_path / "truth.csv"), truth.dataset.sample_ids,
+                truth.effects)
+    return {"bundle": "bundle", "task": "treatment",
+            "pipeline": [{"plugin": "treatment.t_learner"}],
+            "metrics": ["pehe"], "cv": cv, "truth": "truth.csv"}
+
+
+def _fold_reports(config, monkeypatch):
+    """Report texts of `config` run in-process and with forked folds."""
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
+    in_process = report_text(run_benchmark(config))
+    assert forks == []
+    _usable_cpus(monkeypatch, 2)
+    with _deadline(60):
+        forked = report_text(run_benchmark(config))
+    assert len(forks) == config.folds - 1
+    _assert_no_child_left()
+    return in_process, forked
+
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+@pytest.mark.parametrize("task",
+                         ["forecast", "classify", "survival", "treatment"])
+def test_forked_folds_give_the_in_process_report(tmp_path, monkeypatch,
+                                                 task, folds):
+    config = load_config(_write_config(tmp_path,
+                                       _task_doc(tmp_path, task, folds)))
+    in_process, forked = _fold_reports(config, monkeypatch)
+    assert strip_timing(forked) == strip_timing(in_process)
+    assert len(json.loads(forked)["timing"]["fold_seconds"]) == folds
+
+
+def test_fold_result_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
+    # long feature ids make one fold's importance result ~75 KB, above
+    # the 64 KiB a pipe buffers
+    names = [f"f{j:03d}_" + "x" * 300 for j in range(240)]
+    rng = Lcg(7)
+    rows = []
+    for i in range(20):
+        values = [rng.uniform_in(-1.0, 1.0) for _ in names]
+        rows += [(f"s{i:02d}", fid, v) for fid, v in zip(names, values)]
+        rows.append((f"s{i:02d}", "y", int(values[0] > 0.0)))
+    kinds = dict.fromkeys(names, Continuous())
+    kinds["y"] = Integer()
+    ds = assemble_dataset(
+        static=build_static_samples(rows, kinds),
+        roles=RoleMap.of(covariates=tuple(names), targets=("y",)))
+    write_bundle(ds, str(tmp_path / "bundle"))
+    config = load_config(_write_config(tmp_path, _classify_doc(
+        importance={"metric": "accuracy"})))
+    assert sum(map(len, names)) > 65536
+    in_process, forked = _fold_reports(config, monkeypatch)
+    assert strip_timing(forked) == strip_timing(in_process)
+
+
+def _failing_eval(monkeypatch, failing):
+    """Folds in `failing` raise at predict, the lowest one last in time."""
+    real = bench._eval_fold
+
+    def eval_fold(config, fold, fitted, test, truth_map):
+        if fold not in failing:
+            return real(config, fold, fitted, test, truth_map)
+        if fold == min(failing):
+            time.sleep(0.3)
+        with bench._step(fold, "predict"):
+            raise NonBinaryTarget(f"failure {fold}")
+
+    monkeypatch.setattr(bench, "_eval_fold", eval_fold)
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (0, 1, 2)])
+def test_lowest_failing_fold_is_reported(tmp_path, monkeypatch, failing):
+    config = load_config(_classify_setup(tmp_path, cv={"folds": 3,
+                                                       "seed": 0}))
+    _failing_eval(monkeypatch, failing)
+    lo = min(failing)
+    expected = f"fold {lo}, predict: non_binary_target: failure {lo}"
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        with _deadline(60), pytest.raises(BenchError) as exc:
+            run_benchmark(config)
+        assert str(exc.value) == expected
+        _assert_no_child_left()
+
+
+def _fail_in_worker(monkeypatch, fold, fail):
+    """Fold `fold` calls `fail()`, which it may do only in a child."""
+    parent = os.getpid()
+    real = bench._eval_fold
+
+    def eval_fold(config, i, *rest):
+        if i == fold:
+            assert os.getpid() != parent, "fold ran in the parent"
+            fail()
+        return real(config, i, *rest)
+
+    monkeypatch.setattr(bench, "_eval_fold", eval_fold)
+    _usable_cpus(monkeypatch, 2)
+
+
+def test_worker_dying_without_a_result_fails_its_fold(tmp_path, monkeypatch,
+                                                      capsys):
+    path = _classify_setup(tmp_path, cv={"folds": 3, "seed": 0})
+    _fail_in_worker(monkeypatch, 2, lambda: os._exit(3))
+    with _deadline(60):
+        assert cli(["run", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "tempoframe: fold 2: worker exited with status 3\n"
+    _assert_no_child_left()
+
+
+def test_worker_exception_reaches_the_parent_with_its_type(tmp_path,
+                                                          monkeypatch):
+    config = load_config(_classify_setup(tmp_path, cv={"folds": 3,
+                                                       "seed": 0}))
+    _fail_in_worker(monkeypatch, 1, lambda: 1 / 0)
+    with _deadline(60), pytest.raises(RuntimeError) as exc:
+        run_benchmark(config)
+    assert str(exc.value).startswith("fold 1: ZeroDivisionError")
+    assert "division by zero" in str(exc.value)
+    _assert_no_child_left()
+
+
+def test_debug_log_times_each_fold_phase_once(tmp_path):
+    path = _classify_setup(tmp_path, cv={"folds": 3, "seed": 0})
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempoframe", "run", path],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, TEMPOFRAME_LOG="debug"))
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    for fold in range(3):
+        for phase in ("fit", "predict", "metric accuracy"):
+            pattern = rf"tempoframe\.bench: fold {fold}, {phase}: \d+\.\d+ s"
+            assert sum(bool(re.fullmatch(pattern, ln)) for ln in lines) == 1

@@ -16,6 +16,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_event_samples,
     build_static_samples,
+    select_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -28,6 +29,7 @@ from tempoframe.errors import (
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
+    RequirementUnmet,
     UnknownParam,
     UnknownPlugin,
     UnknownPluginInBlob,
@@ -145,6 +147,27 @@ def test_category_gates():
     scaler = create("scale.zscore").fit(ds)
     with pytest.raises(WrongCategory):
         scaler.predict(ds)
+
+
+def test_transform_checks_requirements_on_the_query(monkeypatch):
+    def need_four(params, ds):
+        if len(ds.sample_ids) < 4:
+            raise RequirementUnmet("too_few_samples",
+                                   f"{len(ds.sample_ids)} < 4")
+
+    calls = []
+    monkeypatch.setitem(_REGISTRY, "test.needs_four", EstimatorSpec(
+        name="test.needs_four", category=Category.TRANSFORM,
+        fit=lambda params, ds: {},
+        transform=lambda params, state, ds: calls.append(ds) or ds,
+        requirements=need_four))
+    ds = classification_dataset(5, n=10)
+    fitted = create("test.needs_four").fit(ds)
+    assert fitted.transform(ds) is ds and len(calls) == 1
+    with pytest.raises(RequirementUnmet) as exc:
+        fitted.transform(select_samples(ds, ds.sample_ids[:2]))
+    assert exc.value.reason == "too_few_samples"
+    assert len(calls) == 1
 
 
 def test_fit_does_not_mutate_estimator_inputs():
