@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from tempoframe._version import __version__
-from tempoframe.bundle import MANIFEST_NAME, read_bundle
+from tempoframe.bundle import locate_manifest, read_bundle
 from tempoframe.data import Dataset, select_samples
 from tempoframe.errors import (
     BenchError,
@@ -106,10 +106,6 @@ def _require(doc: dict, key: str, typ, what: str):
     if not isinstance(v, typ) or isinstance(v, bool):
         raise ConfigError(f"config {key!r} must be {what}")
     return v
-
-
-def _manifest_path(path: str) -> str:
-    return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
 
 
 def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
@@ -225,7 +221,7 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
 
     return BenchConfig(
         doc=doc, sha256=sha256,
-        bundle=_manifest_path(resolve(bundle)),
+        bundle=locate_manifest(resolve(bundle)),
         task=task, pipeline=tuple(steps), metrics=tuple(raw_metrics),
         folds=folds, seed=seed,
         output=resolve(output) if output is not None else None,

@@ -77,6 +77,12 @@ class BundleManifest:
     roles: dict           # feature_id -> role name
 
 
+def locate_manifest(path: str) -> str:
+    """The manifest path of a bundle given as its directory or as the
+    manifest itself."""
+    return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
+
+
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------

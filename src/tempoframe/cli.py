@@ -25,7 +25,7 @@ from tempoframe.bench import (
     write_truth,
 )
 from tempoframe.bundle import (
-    MANIFEST_NAME,
+    locate_manifest,
     table_line,
     validate_bundle,
     write_bundle,
@@ -98,9 +98,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = args.bundle
-    if os.path.isdir(path):
-        path = os.path.join(path, MANIFEST_NAME)
+    path = locate_manifest(args.bundle)
     if not os.path.exists(path):
         print(f"tempoframe: no bundle at {args.bundle}", file=sys.stderr)
         return 2

@@ -757,21 +757,18 @@ def covariate_groups(ds: Dataset) -> list:
     covariates (one-hot encode first).
     """
     groups = []
-    for modality, c in ds.containers():
+    for fid, kind, modality in ds.features_with_role(Role.COVARIATE):
         if modality is Modality.EVENT:
             continue
-        for fid, kind in c.features:
-            if ds.roles.role_of(fid) is not Role.COVARIATE:
-                continue
-            if isinstance(kind, Categorical):
-                raise RequirementUnmet(
-                    "non_numeric_feature",
-                    f"{modality.value} covariate {fid!r} is categorical")
-            if modality is Modality.STATIC:
-                names = (fid,)
-            else:
-                names = tuple(f"{fid}.{stat}" for stat in _SUMMARY_STATS)
-            groups.append((fid, modality, names))
+        if isinstance(kind, Categorical):
+            raise RequirementUnmet(
+                "non_numeric_feature",
+                f"{modality.value} covariate {fid!r} is categorical")
+        if modality is Modality.STATIC:
+            names = (fid,)
+        else:
+            names = tuple(f"{fid}.{stat}" for stat in _SUMMARY_STATS)
+        groups.append((fid, modality, names))
     return groups
 
 

@@ -15,6 +15,7 @@ from tempoframe.data import (
     Dataset,
     Integer,
     MISSING,
+    Modality,
     Role,
     StaticSamples,
     TimeSeriesSamples,
@@ -26,7 +27,6 @@ from tempoframe.errors import (
     EmptyInput,
     EmptyTargetSeries,
     InsufficientHistory,
-    InvalidStep,
     IrregularSeries,
     MissingInTarget,
     NonBinaryTarget,
@@ -46,14 +46,13 @@ from tempoframe.plugins import (
     StaticOutput,
     register_plugin,
 )
+from tempoframe.preprocess import check_step
 
 
 def _temporal_targets(ds: Dataset) -> list:
-    if ds.temporal is None:
-        raise RequirementUnmet("missing_temporal_target",
-                               "forecasting needs a temporal target feature")
-    out = [(fid, kind) for fid, kind in ds.temporal.features
-           if ds.roles.role_of(fid) is Role.TARGET]
+    out = [(fid, kind) for fid, kind, modality
+           in ds.features_with_role(Role.TARGET)
+           if modality is Modality.TEMPORAL]
     if not out:
         raise RequirementUnmet("missing_temporal_target",
                                "no temporal feature has the Target role")
@@ -64,21 +63,12 @@ def _temporal_targets(ds: Dataset) -> list:
     return [fid for fid, _ in out]
 
 
-def _check_step(step: float) -> None:
-    if step <= 0 or not math.isfinite(step):
-        raise InvalidStep(f"step must be a positive real, got {step}")
-
-
-def _forecast_requirements(params, ds: Dataset) -> None:
-    _check_step(params["step"])
-    _temporal_targets(ds)
-
-
 # ---------------------------------------------------------------------------
 # forecast.persistence
 # ---------------------------------------------------------------------------
 
 def _persistence_fit(params, ds: Dataset) -> dict:
+    check_step(params["step"])
     return {"targets": _temporal_targets(ds)}
 
 
@@ -112,8 +102,7 @@ register_plugin(EstimatorSpec(
     name="forecast.persistence", category=Category.PREDICTOR,
     schema=(Param("horizon", "integer", 1, lo=1),
             Param("step", "real", 1.0)),
-    fit=_persistence_fit, predict=_persistence_predict,
-    requirements=_forecast_requirements))
+    fit=_persistence_fit, predict=_persistence_predict))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +137,7 @@ def _regular_values(seq, step: float, order: int, sid, fid) -> list:
 def _ar_fit(params, ds: Dataset) -> dict:
     order = params["order"]
     step = params["step"]
+    check_step(step)
     models = {}
     for fid in _temporal_targets(ds):
         # lags[k - 1][i] is the value k steps before target y[i]
@@ -202,8 +192,7 @@ register_plugin(EstimatorSpec(
     schema=(Param("order", "integer", 1, lo=1),
             Param("horizon", "integer", 1, lo=1),
             Param("step", "real", 1.0)),
-    fit=_ar_fit, predict=_ar_predict,
-    requirements=_forecast_requirements))
+    fit=_ar_fit, predict=_ar_predict))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +201,9 @@ register_plugin(EstimatorSpec(
 
 def _binary_static_target(ds: Dataset):
     """The single binary static Target feature, as (feature_id, kind)."""
-    if ds.static is None:
-        raise RequirementUnmet("missing_static_target",
-                               "classification needs a static target")
-    targets = [(fid, kind) for fid, kind in ds.static.features
-               if ds.roles.role_of(fid) is Role.TARGET]
+    targets = [(fid, kind) for fid, kind, modality
+               in ds.features_with_role(Role.TARGET)
+               if modality is Modality.STATIC]
     if not targets:
         raise RequirementUnmet("missing_static_target",
                                "no static feature has the Target role")
@@ -244,10 +231,6 @@ def _label_of(v, kind, fid, sid):
         raise NonBinaryTarget(f"integer target {fid!r} has value {v!r} "
                               "outside {0, 1}")
     return float(v)
-
-
-def _classifier_requirements(params, ds: Dataset) -> None:
-    _binary_static_target(ds)
 
 
 def _logistic_fit(params, ds: Dataset) -> dict:
@@ -280,8 +263,7 @@ register_plugin(EstimatorSpec(
     schema=(Param("lr", "real", 0.1, lo=0.0),
             Param("iters", "integer", 500, lo=1)),
     fit=_logistic_fit, predict=_logistic_predict,
-    predict_columns=_logistic_predict_columns,
-    requirements=_classifier_requirements))
+    predict_columns=_logistic_predict_columns))
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,8 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         return value
 
     baseline = score(unpermuted, "at baseline")
-    targets = [fid for fid, _, role, modality in ds.all_features()
-               if role is Role.COVARIATE
-               and modality in (Modality.STATIC, Modality.TEMPORAL)]
+    targets = [fid for fid, _, modality in ds.features_with_role(Role.COVARIATE)
+               if modality is not Modality.EVENT]
     rng = Lcg(seed)
     importances = []
     for fid in targets:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from tempoframe.data import (
     Continuous,
     Dataset,
+    Modality,
     Role,
     StaticSamples,
     TimeSeriesSamples,
@@ -34,16 +35,12 @@ from tempoframe.treatment import pehe
 
 def static_target_table(ds: Dataset) -> StaticSamples:
     """The static Target columns of a dataset, in container order."""
-    if ds.static is None:
-        raise MetricMismatch("dataset has no static target to score against")
-    feats = tuple((fid, kind) for fid, kind in ds.static.features
-                  if ds.roles.role_of(fid) is Role.TARGET)
+    feats = tuple((fid, kind) for fid, kind, modality
+                  in ds.features_with_role(Role.TARGET)
+                  if modality is Modality.STATIC)
     if not feats:
         raise MetricMismatch("dataset has no static target to score against")
-    cols = {fid: ds.static.column(fid) for fid, _ in feats}
-    grid = tuple(
-        tuple(cols[fid][i] for fid, _ in feats)
-        for i in range(len(ds.sample_ids)))
+    grid = tuple(zip(*(ds.static.column(fid) for fid, _ in feats)))
     return StaticSamples(ds.sample_ids, feats, grid)
 
 
@@ -53,11 +50,11 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     Returns the dataset with truncated targets plus the truth series the
     forecast is scored against.
     """
+    targets = [fid for fid, _, modality in ds.features_with_role(Role.TARGET)
+               if modality is Modality.TEMPORAL]
+    if not targets:
+        raise BenchError("forecast task needs a temporal target")
     c = ds.temporal
-    if c is None:
-        raise BenchError("forecast task needs temporal data")
-    targets = [fid for fid, _ in c.features
-               if ds.roles.role_of(fid) is Role.TARGET]
     tpos = [c._feature_pos[fid] for fid in targets]
     new_series = []
     truth_series = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from tempoframe.data import (
@@ -101,7 +102,12 @@ class Param:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParamOutOfBounds(f"{where}: expected a real number, "
                                        f"got {value!r}")
-            v = float(value)
+            try:
+                v = float(value)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise ParamOutOfBounds(f"{where}: {value!r} is not finite")
         if self.lo is not None and v < self.lo:
             raise ParamOutOfBounds(f"{where}: {v} below lower bound {self.lo}")
         if self.hi is not None and v > self.hi:
@@ -130,10 +136,11 @@ class EstimatorSpec:
     """Registry entry: lifecycle functions keyed by a unique dotted name.
 
     fit(params, ds) -> state dict (JSON-able). The optional lifecycle
-    functions receive (params, state, ds). `requirements(params, ds)` runs
-    before fit and before each transform of a query, and raises
-    RequirementUnmet. Wrapper specs leave fit unset and declare which
-    inner categories they accept.
+    functions receive (params, state, ds). `requirements(params, ds)` is a
+    transform's precondition: it runs before fit and before each transform
+    of a query, and raises RequirementUnmet or another TempoframeError.
+    Estimators check their input inside fit. Wrapper specs leave fit unset
+    and declare which inner categories they accept.
 
     Two optional fields let permutation importance featurize once:
 

@@ -22,10 +22,9 @@ from tempoframe.data import (
     Dataset,
     Integer,
     MISSING,
+    Modality,
     Role,
     RoleMap,
-    StaticSamples,
-    TimeSeriesSamples,
     assemble_dataset,
     map_columns,
 )
@@ -48,6 +47,12 @@ def _require_temporal(params, ds: Dataset) -> None:
     if ds.temporal is None:
         raise RequirementUnmet("missing_temporal",
                                "transform needs a temporal container")
+
+
+def check_step(step: float) -> None:
+    """InvalidStep unless the grid spacing is positive; reals are finite."""
+    if step <= 0:
+        raise InvalidStep(f"step must be a positive real, got {step}")
 
 
 def _observed_training_values(ds: Dataset) -> dict:
@@ -106,11 +111,7 @@ def _fill_value(kind, observed: list):
 
 def _mean_fit(params, ds: Dataset) -> dict:
     observed = _observed_training_values(ds)
-    kinds = {}
-    if ds.static is not None:
-        kinds.update(dict(ds.static.features))
-    if ds.temporal is not None:
-        kinds.update(dict(ds.temporal.features))
+    kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
     fills = {}
     for fid, values in observed.items():
         if not values:
@@ -170,15 +171,9 @@ def _locf_transform(params, state, ds: Dataset) -> Dataset:
 
 def _zscore_features(ds: Dataset) -> list:
     """Continuous covariates, the only features this scaler touches."""
-    out = []
-    for container in (ds.static, ds.temporal):
-        if container is None:
-            continue
-        for fid, kind in container.features:
-            if isinstance(kind, Continuous) and \
-                    ds.roles.role_of(fid) is Role.COVARIATE:
-                out.append(fid)
-    return out
+    return [fid for fid, kind, modality
+            in ds.features_with_role(Role.COVARIATE)
+            if modality is not Modality.EVENT and isinstance(kind, Continuous)]
 
 
 def _zscore_fit(params, ds: Dataset) -> dict:
@@ -211,16 +206,10 @@ def _zscore_transform(params, state, ds: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _onehot_fit(params, ds: Dataset) -> dict:
-    encoded = []
-    for modality, container in (("static", ds.static),
-                                ("temporal", ds.temporal)):
-        if container is None:
-            continue
-        for fid, kind in container.features:
-            if isinstance(kind, Categorical) and \
-                    ds.roles.role_of(fid) is Role.COVARIATE:
-                encoded.append([fid, modality, list(kind.categories)])
-    return {"encoded": encoded}
+    return {"encoded": [
+        [fid, modality.value, list(kind.categories)]
+        for fid, kind, modality in ds.features_with_role(Role.COVARIATE)
+        if modality is not Modality.EVENT and isinstance(kind, Categorical)]}
 
 
 def _onehot_ids(params, state, feature_id: str) -> tuple:
@@ -239,66 +228,50 @@ def _onehot_value(v, cats, fid):
     return [1 if v == c else 0 for c in cats]
 
 
+def _onehot_seq(seq, cats, fid) -> list:
+    """One indicator sequence per category, on the times of `seq`."""
+    bits = [_onehot_value(v, cats, fid) for _, v in seq]
+    return [tuple((t, b[k]) for (t, _), b in zip(seq, bits))
+            for k in range(len(cats))]
+
+
 def _onehot_transform(params, state, ds: Dataset) -> Dataset:
     by_feature = {fid: cats for fid, modality, cats in state["encoded"]}
     if not by_feature:
         return ds
-    new_roles = []
-    dropped = set()
-    static = ds.static
-    if static is not None and any(f in by_feature for f in static.feature_ids):
+    new_ids = []
+
+    def expand(container, rows_attr, indicators):
+        # Row by row, so the first unseen value in sample order, static
+        # before temporal, is the one reported.
+        if container is None or not any(
+                fid in by_feature for fid in container.feature_ids):
+            return container
         features = []
-        for fid, kind in static.features:
+        for fid, kind in container.features:
             if fid in by_feature:
-                dropped.add(fid)
-                for c in by_feature[fid]:
-                    features.append((f"{fid}={c}", Integer()))
-                    new_roles.append(f"{fid}={c}")
+                ids = [f"{fid}={c}" for c in by_feature[fid]]
+                new_ids.extend(ids)
+                features.extend((i, Integer()) for i in ids)
             else:
                 features.append((fid, kind))
-        grid = []
-        for row in static.values:
+        rows = []
+        for row in getattr(container, rows_attr):
             new_row = []
-            for v, (fid, _) in zip(row, static.features):
+            for cell, (fid, _) in zip(row, container.features):
                 if fid in by_feature:
-                    new_row.extend(_onehot_value(v, by_feature[fid], fid))
+                    new_row.extend(indicators(cell, by_feature[fid], fid))
                 else:
-                    new_row.append(v)
-            grid.append(tuple(new_row))
-        static = StaticSamples(static.sample_ids, tuple(features),
-                               tuple(grid))
-    temporal = ds.temporal
-    if temporal is not None and \
-            any(f in by_feature for f in temporal.feature_ids):
-        features = []
-        for fid, kind in temporal.features:
-            if fid in by_feature:
-                dropped.add(fid)
-                for c in by_feature[fid]:
-                    features.append((f"{fid}={c}", Integer()))
-                    new_roles.append(f"{fid}={c}")
-            else:
-                features.append((fid, kind))
-        series = []
-        for per_sample in temporal.series:
-            new_per_sample = []
-            for seq, (fid, _) in zip(per_sample, temporal.features):
-                if fid in by_feature:
-                    cats = by_feature[fid]
-                    expanded = [[] for _ in cats]
-                    for t, v in seq:
-                        bits = _onehot_value(v, cats, fid)
-                        for slot, bit in zip(expanded, bits):
-                            slot.append((t, bit))
-                    new_per_sample.extend(tuple(s) for s in expanded)
-                else:
-                    new_per_sample.append(seq)
-            series.append(tuple(new_per_sample))
-        temporal = TimeSeriesSamples(temporal.sample_ids, tuple(features),
-                                     tuple(series))
+                    new_row.append(cell)
+            rows.append(tuple(new_row))
+        return type(container)(container.sample_ids, tuple(features),
+                               tuple(rows))
+
+    static = expand(ds.static, "values", _onehot_value)
+    temporal = expand(ds.temporal, "series", _onehot_seq)
     assignment = [(fid, role) for fid, role in ds.roles.assignment
-                  if fid not in dropped]
-    assignment.extend((fid, Role.COVARIATE) for fid in new_roles)
+                  if fid not in by_feature]
+    assignment.extend((fid, Role.COVARIATE) for fid in new_ids)
     return assemble_dataset(static=static, temporal=temporal,
                             events=ds.events,
                             roles=RoleMap(tuple(assignment)))
@@ -335,16 +308,13 @@ def _resample_seq(seq, step: float):
     return tuple(out)
 
 
-def _resample_fit(params, ds: Dataset) -> dict:
-    if params["step"] <= 0 or not math.isfinite(params["step"]):
-        raise InvalidStep(f"step must be a positive real, got {params['step']}")
-    return {}
+def _resample_requirements(params, ds: Dataset) -> None:
+    _require_temporal(params, ds)
+    check_step(params["step"])
 
 
 def _resample_transform(params, state, ds: Dataset) -> Dataset:
     step = params["step"]
-    if step <= 0 or not math.isfinite(step):
-        raise InvalidStep(f"step must be a positive real, got {step}")
     return map_columns(ds, {
         fid: lambda col: tuple(_resample_seq(seq, step) for seq in col)
         for fid in ds.temporal.feature_ids})
@@ -374,5 +344,5 @@ register_plugin(EstimatorSpec(
 register_plugin(EstimatorSpec(
     name="resample.regular", category=Category.TRANSFORM,
     schema=(Param("step", "real", 1.0),),
-    fit=_resample_fit, transform=_resample_transform, derived_ids=_same_id,
-    requirements=_require_temporal))
+    fit=lambda params, ds: {}, transform=_resample_transform,
+    derived_ids=_same_id, requirements=_resample_requirements))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from tempoframe.data import (
     Dataset,
     MISSING,
+    Modality,
     Role,
     check_column_names,
     covariate_matrix,
@@ -84,11 +85,8 @@ class SurvivalOutput:
 
 def event_outcomes(ds: Dataset) -> list:
     """Derive per-sample (time, occurred) from the single event Target."""
-    if ds.events is None:
-        raise RequirementUnmet("missing_event_target",
-                               "survival analysis needs an event container")
-    targets = [fid for fid, _ in ds.events.features
-               if ds.roles.role_of(fid) is Role.TARGET]
+    targets = [fid for fid, _, modality in ds.features_with_role(Role.TARGET)
+               if modality is Modality.EVENT]
     if not targets:
         raise RequirementUnmet("missing_event_target",
                                "no event feature has the Target role")
@@ -146,10 +144,6 @@ def kaplan_meier(outcomes) -> SurvivalCurve:
 # survival.cox
 # ---------------------------------------------------------------------------
 
-def _cox_requirements(params, ds: Dataset) -> None:
-    event_outcomes(ds)
-
-
 def _cox_fit(params, ds: Dataset) -> dict:
     outcomes = event_outcomes(ds)
     if not any(o.occurred for o in outcomes):
@@ -196,8 +190,7 @@ register_plugin(EstimatorSpec(
             Param("step_size", "real", 0.1),
             Param("ridge", "real", 1e-6, lo=0.0)),
     fit=_cox_fit, predict=_cox_predict,
-    predict_columns=_cox_predict_columns,
-    requirements=_cox_requirements))
+    predict_columns=_cox_predict_columns))
 
 
 # ---------------------------------------------------------------------------

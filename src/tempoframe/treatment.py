@@ -152,11 +152,6 @@ def _continuous_target(ds: Dataset) -> tuple:
 # treatment.t_learner
 # ---------------------------------------------------------------------------
 
-def _tl_requirements(params, ds: Dataset) -> None:
-    _binary_treatment(ds)
-    _continuous_target(ds)
-
-
 def _fit_arm(columns: list, ys: list, ridge: float) -> list:
     # Intercept as a constant-1 leading column, excluded from the penalty
     # so outcome shifts move the intercept only.
@@ -178,8 +173,7 @@ def _tl_fit(params, ds: Dataset) -> dict:
         weights[str(arm)] = _fit_arm([[col[i] for i in idx]
                                       for col in columns],
                                      [ys[i] for i in idx], params["ridge"])
-    return {"treatment": fid, "columns": names, "arms": weights,
-            "seed": params["seed"]}
+    return {"treatment": fid, "columns": names, "arms": weights}
 
 
 def _tl_predict_cf(params, state, ds: Dataset,
@@ -201,10 +195,8 @@ def _tl_predict_cf(params, state, ds: Dataset,
 
 register_plugin(EstimatorSpec(
     name="treatment.t_learner", category=Category.TREATMENT,
-    schema=(Param("seed", "integer", 0),
-            Param("ridge", "real", 1e-6, lo=0.0)),
-    fit=_tl_fit, predict_counterfactuals=_tl_predict_cf,
-    requirements=_tl_requirements))
+    schema=(Param("ridge", "real", 1e-6, lo=0.0),),
+    fit=_tl_fit, predict_counterfactuals=_tl_predict_cf))
 
 
 # ---------------------------------------------------------------------------

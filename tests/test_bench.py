@@ -175,6 +175,32 @@ def test_config_rejections(tmp_path):
     bad(treatment_doc)  # truth missing
 
 
+def test_config_rejects_non_finite_real_params(tmp_path, capsys):
+    survival = {"bundle": "b", "task": "survival",
+                "pipeline": [{"plugin": "survival.cox"}],
+                "metrics": ["c_index"], "cv": {"folds": 2, "seed": 0}}
+    for doc, param in ((_classify_doc(), "lr"), (survival, "step_size"),
+                       (survival, "ridge")):
+        # JSON NaN and Infinity, and an integer beyond the float range
+        for value in (math.nan, math.inf, -math.inf, 10 ** 400):
+            doc["pipeline"][0]["params"] = {param: value}
+            path = _write_config(tmp_path, doc)
+            with pytest.raises(ConfigError, match=f"'{param}'.*not finite"):
+                load_config(path)
+            assert cli(["run", path]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_config_rejects_a_t_learner_seed(tmp_path):
+    doc = {"bundle": "b", "task": "treatment",
+           "pipeline": [{"plugin": "treatment.t_learner",
+                         "params": {"seed": 0}}],
+           "metrics": ["pehe"], "cv": {"folds": 2, "seed": 0},
+           "truth": "truth.csv"}
+    with pytest.raises(ConfigError, match="unknown hyperparameter 'seed'"):
+        config_from_doc(doc, str(tmp_path), "0" * 64)
+
+
 def test_config_importance_defaults(tmp_path):
     doc = _classify_doc(importance={"metric": "accuracy"})
     config = config_from_doc(doc, str(tmp_path), "0" * 64)

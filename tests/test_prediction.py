@@ -21,6 +21,7 @@ from tempoframe.errors import (
     AlignmentError,
     EmptyTargetSeries,
     InsufficientHistory,
+    InvalidStep,
     IrregularSeries,
     MissingInTarget,
     NonBinaryTarget,
@@ -119,6 +120,20 @@ def test_forecast_rejects_categorical_target():
     with pytest.raises(RequirementUnmet) as exc:
         create("forecast.persistence", {}).fit(ds)
     assert exc.value.reason == "non_numeric_feature"
+
+
+@pytest.mark.parametrize("name", ["forecast.persistence", "forecast.ar"])
+def test_forecast_fit_checks_step_first(name):
+    ds = _series_ds([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
+    for step in (0.0, -1.0):
+        with pytest.raises(InvalidStep):
+            create(name, {"step": step}).fit(ds)
+    # before the target: a dataset without one fails on the step too
+    static = build_static_samples([("a", "x", 1.0)], {"x": Continuous()})
+    no_target = assemble_dataset(static=static,
+                                 roles=RoleMap.of(covariates=("x",)))
+    with pytest.raises(InvalidStep):
+        create(name, {"step": 0.0}).fit(no_target)
 
 
 # ---------------------------------------------------------------------------

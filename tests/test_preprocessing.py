@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -25,11 +26,13 @@ from tempoframe.data import (
 )
 from tempoframe.errors import (
     AllMissingFeature,
+    DuplicateFeature,
     InvalidStep,
     RequirementUnmet,
     RoleGap,
+    UnseenCategory,
 )
-from tempoframe.plugins import create
+from tempoframe.plugins import create, load_fitted, save_fitted, spec_of
 from tempoframe.preprocess import _locf_seq, _resample_seq, _zscore_apply
 
 
@@ -475,3 +478,157 @@ def test_transform_matches_row_wise_oracle(name, params, oracle,
         for q in (ds, query):
             assert fitted.transform(q) == \
                 oracle(fitted.params, fitted.state, q)
+
+
+def _onehot_value(v, cats, fid):
+    if v is MISSING:
+        return [MISSING] * len(cats)
+    if v not in cats:
+        raise UnseenCategory(f"value {v!r} of feature {fid!r} not in "
+                             f"declared categories {cats}")
+    return [1 if v == c else 0 for c in cats]
+
+
+def _onehot_fit(params, ds):
+    encoded = []
+    for modality, container in (("static", ds.static),
+                                ("temporal", ds.temporal)):
+        if container is None:
+            continue
+        for fid, kind in container.features:
+            if isinstance(kind, Categorical) and \
+                    ds.roles.role_of(fid) is Role.COVARIATE:
+                encoded.append([fid, modality, list(kind.categories)])
+    return {"encoded": encoded}
+
+
+def _onehot_transform(params, state, ds):
+    by_feature = {fid: cats for fid, modality, cats in state["encoded"]}
+    if not by_feature:
+        return ds
+    new_roles = []
+    dropped = set()
+    static = ds.static
+    if static is not None and any(f in by_feature for f in static.feature_ids):
+        features = []
+        for fid, kind in static.features:
+            if fid in by_feature:
+                dropped.add(fid)
+                for c in by_feature[fid]:
+                    features.append((f"{fid}={c}", Integer()))
+                    new_roles.append(f"{fid}={c}")
+            else:
+                features.append((fid, kind))
+        grid = []
+        for row in static.values:
+            new_row = []
+            for v, (fid, _) in zip(row, static.features):
+                if fid in by_feature:
+                    new_row.extend(_onehot_value(v, by_feature[fid], fid))
+                else:
+                    new_row.append(v)
+            grid.append(tuple(new_row))
+        static = StaticSamples(static.sample_ids, tuple(features),
+                               tuple(grid))
+    temporal = ds.temporal
+    if temporal is not None and \
+            any(f in by_feature for f in temporal.feature_ids):
+        features = []
+        for fid, kind in temporal.features:
+            if fid in by_feature:
+                dropped.add(fid)
+                for c in by_feature[fid]:
+                    features.append((f"{fid}={c}", Integer()))
+                    new_roles.append(f"{fid}={c}")
+            else:
+                features.append((fid, kind))
+        series = []
+        for per_sample in temporal.series:
+            new_per_sample = []
+            for seq, (fid, _) in zip(per_sample, temporal.features):
+                if fid in by_feature:
+                    cats = by_feature[fid]
+                    expanded = [[] for _ in cats]
+                    for t, v in seq:
+                        bits = _onehot_value(v, cats, fid)
+                        for slot, bit in zip(expanded, bits):
+                            slot.append((t, bit))
+                    new_per_sample.extend(tuple(s) for s in expanded)
+                else:
+                    new_per_sample.append(seq)
+            series.append(tuple(new_per_sample))
+        temporal = TimeSeriesSamples(temporal.sample_ids, tuple(features),
+                                     tuple(series))
+    assignment = [(fid, role) for fid, role in ds.roles.assignment
+                  if fid not in dropped]
+    assignment.extend((fid, Role.COVARIATE) for fid in new_roles)
+    return assemble_dataset(static=static, temporal=temporal,
+                            events=ds.events,
+                            roles=RoleMap(tuple(assignment)))
+
+
+def _outcome(transform, state, ds):
+    try:
+        return transform({}, state, ds)
+    except UnseenCategory as e:
+        return f"UnseenCategory: {e}"
+
+
+def test_onehot_matches_row_wise_oracle():
+    transform = spec_of("encode.onehot").transform
+    both = 0
+    unseen = 0
+    for seed in range(80):
+        ds = random_dataset(seed)
+        fitted = create("encode.onehot").fit(ds)
+        assert fitted.state == _onehot_fit({}, ds)
+        both += {m for _, m, _ in fitted.state["encoded"]} == \
+            {"static", "temporal"}
+        # Without its last category a feature's values of that category
+        # are unseen, so the first one in row order is reported.
+        narrowed = {"encoded": [[fid, m, cats[:-1]]
+                                for fid, m, cats in fitted.state["encoded"]]}
+        for q in (ds, select_samples(ds, reversed(ds.sample_ids))):
+            assert fitted.transform(q) == \
+                _onehot_transform({}, fitted.state, q)
+            got = _outcome(transform, narrowed, q)
+            assert got == _outcome(_onehot_transform, narrowed, q)
+            unseen += isinstance(got, str)
+    assert both >= 5 and unseen >= 20
+
+
+def test_onehot_rejects_an_indicator_id_that_is_taken():
+    static = build_static_samples(
+        [("a", "x", "p"), ("b", "x", "q")],
+        {"x": Categorical(("p", "q"))}, sample_ids=["a", "b"])
+    temporal = build_time_series_samples(
+        [("a", "x=p", 0.0, 1.0)], {"x=p": Continuous()},
+        sample_ids=["a", "b"])
+    ds = assemble_dataset(static=static, temporal=temporal,
+                          roles=RoleMap.of(covariates=("x", "x=p")))
+    with pytest.raises(DuplicateFeature):
+        create("encode.onehot").fit(ds).transform(ds)
+
+
+# ---------------------------------------------------------------------------
+# The step check of resample.regular runs before fit and on every query
+# ---------------------------------------------------------------------------
+
+def test_resample_checks_temporal_before_step():
+    ds = _static_ds([("a", "x", 3.0)], {"x": Continuous()},
+                    RoleMap.of(covariates=("x",)))
+    with pytest.raises(RequirementUnmet) as exc:
+        create("resample.regular", {"step": 0.0}).fit(ds)
+    assert exc.value.reason == "missing_temporal"
+    with pytest.raises(InvalidStep):
+        create("resample.regular", {"step": 0.0}).fit(_mixed_ds())
+
+
+def test_blob_loaded_resample_checks_its_step():
+    ds = _mixed_ds()
+    doc = json.loads(save_fitted(
+        create("resample.regular", {"step": 0.5}).fit(ds)))
+    doc["fitted"]["params"]["step"] = 0.0
+    loaded = load_fitted(json.dumps(doc).encode("utf-8"))
+    with pytest.raises(InvalidStep, match="got 0.0"):
+        loaded.transform(ds)
