@@ -99,7 +99,7 @@ def _persistence_predict(params, state, ds: Dataset) -> ForecastOutput:
 
 
 register_plugin(EstimatorSpec(
-    name="forecast.persistence", category=Category.PREDICTOR,
+    name="forecast.persistence", category=Category.FORECASTER,
     schema=(Param("horizon", "integer", 1, lo=1),
             Param("step", "real", 1.0)),
     fit=_persistence_fit, predict=_persistence_predict))
@@ -188,7 +188,7 @@ def _ar_predict(params, state, ds: Dataset) -> ForecastOutput:
 
 
 register_plugin(EstimatorSpec(
-    name="forecast.ar", category=Category.PREDICTOR,
+    name="forecast.ar", category=Category.FORECASTER,
     schema=(Param("order", "integer", 1, lo=1),
             Param("horizon", "integer", 1, lo=1),
             Param("step", "real", 1.0)),
@@ -253,17 +253,11 @@ def _logistic_predict_columns(params, state, sample_ids, names,
         tuple((_sigmoid(v),) for v in z)))
 
 
-def _logistic_predict(params, state, ds: Dataset) -> StaticOutput:
-    return _logistic_predict_columns(params, state, ds.sample_ids,
-                                     *covariate_matrix(ds))
-
-
 register_plugin(EstimatorSpec(
-    name="classify.logistic", category=Category.PREDICTOR,
+    name="classify.logistic", category=Category.CLASSIFIER,
     schema=(Param("lr", "real", 0.1, lo=0.0),
             Param("iters", "integer", 500, lo=1)),
-    fit=_logistic_fit, predict=_logistic_predict,
-    predict_columns=_logistic_predict_columns))
+    fit=_logistic_fit, predict_columns=_logistic_predict_columns))
 
 
 # ---------------------------------------------------------------------------

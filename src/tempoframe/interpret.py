@@ -1,5 +1,5 @@
 """Permutation feature importance, packaged as a wrapper plugin around an
-already-fitted predictor or survival estimator.
+already-fitted classifier or survival estimator.
 
 Importance is metric degradation: score(permuted) - score(baseline) for
 loss-like metrics and baseline - permuted for gain-like ones, so larger
@@ -8,11 +8,10 @@ per-sample sequences, which keeps within-series autocorrelation intact.
 
 A shuffle of one feature's samples commutes with every per-sample step:
 the transforms that declare `derived_ids` and the featurization
-(`covariate_matrix`). So when every front step declares it and the final
-estimator has `predict_columns`, the front and the featurization run once
-and each shuffle reindexes only the matrix columns derived from the
-feature. Otherwise each shuffle re-runs the whole pipeline on a copy of
-the dataset in which `data.map_columns` has permuted the feature's column.
+(`covariate_matrix`). Importance needs every front step to declare it and
+the final estimator to have `predict_columns`; then the front and the
+featurization run once and each shuffle reindexes only the matrix columns
+derived from the feature.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from tempoframe.data import (
     Role,
     covariate_groups,
     covariate_matrix,
-    map_columns,
 )
 from tempoframe.errors import (
     MetricMismatch,
@@ -63,28 +61,23 @@ class ImportanceReport:
         return self.importances[self.features.index(feature_id)]
 
 
-def _dataset_predictor(inner: FittedEstimator, ds: Dataset):
-    """predict(fid, perm): predictions of `inner` on a copy of ds whose
-    feature fid is permuted by perm (fid None: on ds itself)."""
-    def predict(fid, perm):
-        if fid is None:
-            return inner.predict(ds)
-        return inner.predict(map_columns(
-            ds, {fid: lambda col: tuple(col[p] for p in perm)}))
-    return predict
-
-
 def _column_predictor(inner: FittedEstimator, ds: Dataset):
-    """The same predict(fid, perm) from one featurization of ds, or None
-    when a front step does not declare `derived_ids` or the final
-    estimator has no `predict_columns`."""
+    """predict(fid, perm): predictions of `inner` on ds with feature fid
+    permuted by perm (fid None: on ds itself), from one featurization of
+    ds."""
     core = inner
     while core.spec.category is Category.WRAPPER:
         core = core._inner()
     *front, final = core.steps if isinstance(core, PipelineFitted) else [core]
-    if final.spec.predict_columns is None or any(
-            step.spec.derived_ids is None for step in front):
-        return None
+    for step in front:
+        if step.spec.derived_ids is None:
+            raise MetricMismatch(
+                f"importance needs per-sample transforms; {step.spec.name!r} "
+                "does not declare derived_ids")
+    if final.spec.predict_columns is None:
+        raise MetricMismatch(
+            f"importance needs a model that reads the covariate matrix; "
+            f"{final.spec.name!r} has no predict_columns")
     check_fingerprint(core, ds)
     running = ds
     for step in front:
@@ -133,8 +126,7 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         raise MetricMismatch(
             f"metric {metric!r} does not apply to a "
             f"{inner.effective_category().value} estimator")
-    predict = (_column_predictor(inner, ds)
-               or _dataset_predictor(inner, ds))
+    predict = _column_predictor(inner, ds)
     unpermuted = predict(None, None)
     truth = task.truth(ds)
 
@@ -174,7 +166,8 @@ register_plugin(EstimatorSpec(
     schema=(Param("metric", "string", "accuracy"),
             Param("repeats", "integer", 1, lo=1),
             Param("seed", "integer", 0)),
-    accepts=(Category.PREDICTOR, Category.SURVIVAL, Category.WRAPPER)))
+    accepts=(*(t.category for t in TASKS.values() if t.in_place),
+             Category.WRAPPER)))
 
 
 def as_wrapper(inner: FittedEstimator, *, metric: str, repeats: int = 1,

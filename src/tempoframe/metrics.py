@@ -16,6 +16,7 @@ replacement of a module attribute (say, a timing wrapper) sees every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from tempoframe.data import (
@@ -118,8 +119,8 @@ class TaskSpec:
 
 
 TASKS = {
-    "forecast": TaskSpec(Category.PREDICTOR, held_out=_observe_forecast),
-    "classify": TaskSpec(Category.PREDICTOR,
+    "forecast": TaskSpec(Category.FORECASTER, held_out=_observe_forecast),
+    "classify": TaskSpec(Category.CLASSIFIER,
                          truth=lambda ds: static_target_table(ds)),
     "survival": TaskSpec(Category.SURVIVAL,
                          truth=lambda ds: event_outcomes(ds)),
@@ -155,8 +156,10 @@ def resolve_metric(name: str) -> MetricSpec:
         try:
             horizon = float(raw)
         except ValueError:
+            horizon = math.nan
+        if not math.isfinite(horizon):
             raise MetricMismatch(
-                f"bad brier horizon {raw!r} in metric {name!r}") from None
+                f"bad brier horizon {raw!r} in metric {name!r}")
         return MetricSpec(
             name, "loss", "survival",
             lambda out, outcomes: brier_score(out.survival_at(horizon),

@@ -19,6 +19,7 @@ from tempoframe.data import (
     Dataset,
     StaticSamples,
     TimeSeriesSamples,
+    covariate_matrix,
     kind_to_json,
 )
 from tempoframe.errors import (
@@ -41,10 +42,15 @@ from tempoframe.errors import (
 
 class Category(enum.Enum):
     TRANSFORM = "transform"
-    PREDICTOR = "predictor"
+    FORECASTER = "forecaster"
+    CLASSIFIER = "classifier"
     SURVIVAL = "survival"
     TREATMENT = "treatment"
     WRAPPER = "wrapper"
+
+
+# The categories whose fitted estimators support predict.
+_PREDICTING = (Category.FORECASTER, Category.CLASSIFIER, Category.SURVIVAL)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +152,8 @@ class EstimatorSpec:
 
     - `predict_columns(params, state, sample_ids, names, columns)` is the
       prediction of a model that reads the `covariate_matrix` of its
-      query; its `predict` is that function applied to the matrix.
+      query. A model sets it instead of `predict`; FittedEstimator.predict
+      applies it to the query's `covariate_matrix`.
     - `derived_ids(params, state, feature_id) -> tuple` names the output
       features a transform computes from one input feature, and declares
       the transform per-sample: each output value of a sample depends only
@@ -320,11 +327,15 @@ class FittedEstimator:
     def predict(self, ds: Dataset):
         if self.spec.category is Category.WRAPPER:
             return self._inner().predict(ds)
-        if self.spec.category not in (Category.PREDICTOR, Category.SURVIVAL):
+        if self.spec.category not in _PREDICTING:
             raise WrongCategory(
                 f"{self.spec.name!r} ({self.spec.category.value}) "
                 "does not support predict")
         check_fingerprint(self, ds)
+        if self.spec.predict_columns is not None:
+            return self.spec.predict_columns(self.params, self.state,
+                                             ds.sample_ids,
+                                             *covariate_matrix(ds))
         return self.spec.predict(self.params, self.state, ds)
 
     def predict_counterfactuals(self, ds: Dataset, alternatives):
@@ -397,7 +408,7 @@ class PipelineFitted(FittedEstimator):
         return self.steps[-1].transform(self._apply_front(ds))
 
     def predict(self, ds: Dataset):
-        if self.spec.category not in (Category.PREDICTOR, Category.SURVIVAL):
+        if self.spec.category not in _PREDICTING:
             raise WrongCategory(
                 f"pipeline of {self.spec.category.value} does not predict")
         check_fingerprint(self, ds)

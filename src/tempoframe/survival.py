@@ -179,18 +179,12 @@ def _cox_predict_columns(params, state, sample_ids, names,
                           tuple(state["baseline"]["cumhaz"]))
 
 
-def _cox_predict(params, state, ds: Dataset) -> SurvivalOutput:
-    return _cox_predict_columns(params, state, ds.sample_ids,
-                                *covariate_matrix(ds))
-
-
 register_plugin(EstimatorSpec(
     name="survival.cox", category=Category.SURVIVAL,
     schema=(Param("iters", "integer", 500, lo=0),
             Param("step_size", "real", 0.1),
             Param("ridge", "real", 1e-6, lo=0.0)),
-    fit=_cox_fit, predict=_cox_predict,
-    predict_columns=_cox_predict_columns))
+    fit=_cox_fit, predict_columns=_cox_predict_columns))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,11 @@ def _classify_doc(**extra):
     return doc
 
 
+def _forecast_classifier_doc():
+    """A forecast task whose final step is a classifier."""
+    return _classify_doc(task="forecast", metrics=["rmse"])
+
+
 def _classify_setup(tmp_path, n=24, **extra):
     write_bundle(classification_dataset(0, n=n), str(tmp_path / "bundle"))
     return _write_config(tmp_path, _classify_doc(**extra))
@@ -151,6 +156,8 @@ def test_config_rejections(tmp_path):
                                 {"plugin": "classify.logistic"}]))
     # final step category must fit the task
     bad(_classify_doc(pipeline=[{"plugin": "scale.zscore"}]))
+    bad(_classify_doc(pipeline=[{"plugin": "forecast.ar"}]))
+    bad(_forecast_classifier_doc())
     bad(_classify_doc(metrics=[]))
     bad(_classify_doc(metrics=["accuracy", "accuracy"]))
     bad(_classify_doc(metrics=["rmse"]))
@@ -168,6 +175,11 @@ def test_config_rejections(tmp_path):
                     "pipeline": [{"plugin": "survival.cox"}],
                     "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
     bad(survival_doc)
+    # a Brier horizon must be a finite number
+    for horizon in ("nan", "inf", "-inf", "1e400", "soon"):
+        bad(dict(survival_doc, metrics=[f"brier@{horizon}"]))
+        bad(dict(survival_doc, metrics=["c_index"],
+                 importance={"metric": f"brier@{horizon}"}))
 
     treatment_doc = {"bundle": "b", "task": "treatment",
                      "pipeline": [{"plugin": "treatment.t_learner"}],
@@ -425,6 +437,13 @@ def test_cli_plugins_listing(capsys):
         ["encode.onehot", "impute.locf", "impute.mean", "resample.regular",
          "scale.zscore"]
 
+    for category, names in (("classifier", ["classify.logistic"]),
+                            ("forecaster", ["forecast.ar",
+                                            "forecast.persistence"])):
+        assert cli(["plugins", "--category", category]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines == [f"{name}\t{category}" for name in names]
+
 
 def test_cli_validate(tmp_path, capsys):
     bundle = tmp_path / "bundle"
@@ -488,6 +507,16 @@ def _assert_clean_failure(proc, prefix):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"tempoframe: {prefix}")
+    assert proc.stdout == ""
+
+
+def test_cli_run_forecast_ending_in_classifier_fails_config_check(tmp_path):
+    write_bundle(classification_dataset(0, n=30), str(tmp_path / "bundle"))
+    proc = _run_cli(tmp_path, _forecast_classifier_doc())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "task 'forecast' needs a final forecaster step, got " \
+        "'classify.logistic' (classifier)" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from datagen import classification_dataset, survival_dataset
+from datagen import classification_dataset, regular_series_dataset, \
+    survival_dataset
 from tempoframe import interpret, plugins
 from tempoframe.data import (
     MISSING,
@@ -21,6 +22,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
+    covariate_matrix,
 )
 from tempoframe.errors import (
     IncompatibleInner,
@@ -30,7 +32,6 @@ from tempoframe.errors import (
     WrongCategory,
 )
 from tempoframe.interpret import (
-    _column_predictor,
     as_wrapper,
     importance_report,
     permutation_importance,
@@ -123,6 +124,10 @@ def test_metric_and_sample_guards():
         permutation_importance(fitted, ds, "no_such_metric")
     with pytest.raises(MetricMismatch):
         permutation_importance(fitted, ds, "c_index")
+    series = regular_series_dataset(4, n=8, length=6)
+    forecaster = create("forecast.ar", {"order": 1}).fit(series)
+    with pytest.raises(MetricMismatch, match="forecaster estimator"):
+        permutation_importance(forecaster, series, "accuracy")
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, ds, "accuracy", repeats=0)
 
@@ -130,6 +135,21 @@ def test_metric_and_sample_guards():
     tiny = select_samples(ds, ds.sample_ids[:1])
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, tiny, "accuracy")
+
+
+def test_importance_needs_a_matrix_model(monkeypatch):
+    logistic = plugins.spec_of("classify.logistic")
+    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic", replace(
+        logistic, name="test.dataset_logistic", predict_columns=None,
+        predict=lambda params, state, ds: logistic.predict_columns(
+            params, state, ds.sample_ids, *covariate_matrix(ds))))
+    ds = _noise_classifier_ds(4)
+    fitted = create("test.dataset_logistic", {"iters": 50}).fit(ds)
+    assert fitted.predict(ds) == create(
+        "classify.logistic", {"iters": 50}).fit(ds).predict(ds)
+    with pytest.raises(MetricMismatch, match="'test.dataset_logistic' has "
+                                             "no predict_columns"):
+        permutation_importance(fitted, ds, "accuracy")
 
 
 def test_wrapper_round_trip():
@@ -156,6 +176,10 @@ def test_wrapper_rejects_incompatible_inner():
     scaler = create("scale.zscore").fit(ds)
     with pytest.raises(IncompatibleInner):
         as_wrapper(scaler, metric="accuracy")
+    series = regular_series_dataset(6, n=8, length=6)
+    forecaster = create("forecast.ar", {"order": 1}).fit(series)
+    with pytest.raises(IncompatibleInner):
+        as_wrapper(forecaster, metric="rmse")
 
 
 def test_non_finite_score_names_the_feature_and_the_metric(monkeypatch):
@@ -332,7 +356,7 @@ def _wrapped_pipeline():
     return as_wrapper(fitted, metric=metric, repeats=2), ds, metric
 
 
-# (case, whether the column path applies)
+# (case, whether importance supports it)
 _CASES = {
     "impute-scale": (_imputed_classifier, True),
     "onehot": (_onehot_classifier, True),
@@ -349,9 +373,13 @@ def test_column_path_matches_dataset_oracle(monkeypatch, name, repeats):
     monkeypatch.setitem(plugins._REGISTRY, "test.mix", EstimatorSpec(
         name="test.mix", category=Category.TRANSFORM,
         fit=lambda params, ds: {}, transform=_mix_transform))
-    case, columns = _CASES[name]
+    case, supported = _CASES[name]
     fitted, ds, metric = case()
-    assert (_column_predictor(fitted, ds) is not None) == columns
+    if not supported:
+        with pytest.raises(MetricMismatch,
+                           match="'test.mix' does not declare derived_ids"):
+            permutation_importance(fitted, ds, metric, repeats, seed=9)
+        return
     report = permutation_importance(fitted, ds, metric, repeats, seed=9)
     baseline, features, importances = _importance_oracle(
         fitted, ds, metric, repeats, 9)

@@ -283,12 +283,12 @@ def test_wrapper_delegates_predict():
     wrapped = wrap(inner, "interpret.perm_importance",
                    {"metric": "accuracy"})
     assert wrapped.predict(ds) == inner.predict(ds)
-    assert wrapped.effective_category() is Category.PREDICTOR
+    assert wrapped.effective_category() is Category.CLASSIFIER
 
     double = wrap(wrapped, "interpret.perm_importance",
                   {"metric": "accuracy"})
     assert double.predict(ds) == inner.predict(ds)
-    assert double.effective_category() is Category.PREDICTOR
+    assert double.effective_category() is Category.CLASSIFIER
 
 
 def test_wrapper_rejects_transforms():
