@@ -11,11 +11,11 @@ Empty value field = Missing. Writing is deterministic: fixed field order,
 shortest round-trip float formatting, UTF-8, LF line endings, so identical
 datasets produce byte-identical bundles.
 
-Reading and validation walk the listed tables the same way and check each
-data row once, in one pass (`tempoframe.data.scan_rows`, shared with the
-builders), so `validate_bundle` reports exactly the table faults that make
-`read_bundle` fail. `read_bundle` raises the first of them in row order as
-`<path>:<line>: <detail>`, with the error type of its violation code.
+Reading and validation share one pass over each listed table
+(`tempoframe.data.scan_rows`, as the builders do) that checks each data row
+and places it in its sample's grid row, so `validate_bundle` reports exactly
+the faults that make `read_bundle` fail; `read_bundle` raises the first in
+row order as `<path>:<line>: <detail>`, with the error type of its code.
 """
 
 from __future__ import annotations

@@ -398,33 +398,37 @@ _MODALITIES = {
     Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
 }
 
+_EMPTY = object()  # a scan slot that no record filled (Missing is a value)
+
 
 class Scan(NamedTuple):
-    cells: dict       # (sample, feature) -> value, {time: value} or (time, value)
-    samples: dict     # sample ids in first-appearance order (values unused)
-    features: dict    # feature ids in first-appearance order (values unused)
+    cells: list       # per sample, one slot per feature (`features` order):
+                      # a value, sorted sequence, event entry or _EMPTY
+    samples: dict     # sample id -> row: the pin, then first appearances
+    features: dict    # feature id -> slot, in first-appearance order
     violations: list  # Violation per rejected record, in record order
 
 
 def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
               text: bool = False) -> Scan:
-    """Check, convert and group long-form records in one pass.
+    """Check, convert and place long-form records in one pass.
 
     Records are `(sample_id, feature_id, value)` for static data and
     `(sample_id, feature_id, time, value)` for time series and events.
     `text` records are CSV fields, parsed here (an empty value is
-    Missing); other records hold Python values. A record that breaks a
+    Missing); other records hold Python values. Each accepted record goes
+    straight into its slot of its sample's row. A record that breaks a
     rule is left out and gives one Violation: its 1-based row and the
     first rule it breaks. With a `pin`, every record must name one of its
-    samples.
+    samples; other samples get rows after the pinned ones.
     """
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
     width = 4 if timed else 3
     _, _, dup_code, dup_stem = _MODALITIES[modality]
-    pinned = None if pin is None else set(pin)
-    cells: dict = {}
-    samples: dict = {}
+    samples: dict = {} if pin is None else {s: i for i, s in enumerate(pin)}
+    pinned = math.inf if pin is None else len(samples)
+    cells: list = [[_EMPTY] * len(kinds) for _ in samples]
     features: dict = {}
     bad: list = []
     t = None
@@ -468,49 +472,48 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
         except KindMismatch as e:
             bad.append(Violation(row, "kind_mismatch", str(e)))
             continue
-        key = (sid, fid)
-        if series:
-            seq = cells.get(key)
-            if seq is None:
-                seq = cells[key] = {}
-            repeated = t in seq
-        else:
-            repeated = key in cells
-        if repeated:
+        j = features.setdefault(fid, len(features))
+        i = samples.get(sid)
+        if i is None:
+            i = samples[sid] = len(cells)
+            cells.append([_EMPTY] * len(kinds))
+        held = cells[i][j]
+        if series and held is _EMPTY:
+            held = cells[i][j] = {}
+        if held is not _EMPTY and (not series or t in held):
             bad.append(Violation(row, dup_code,
                                  f"{dup_stem.format(t=t)} for sample {sid!r}, "
                                  f"feature {fid!r}"))
             continue
         if series:
-            seq[t] = value
+            held[t] = value
         else:
-            cells[key] = (t, value) if timed else value
-        samples[sid] = None
-        features[fid] = None
-        if pinned is not None and sid not in pinned:
+            cells[i][j] = (t, value) if timed else value
+        if i >= pinned:
             bad.append(Violation(row, "unknown_sample",
                                  f"sample {sid!r} is not in the sample list"))
+    if series:
+        cells = [[seq if seq is _EMPTY else tuple(sorted(seq.items()))
+                  for seq in r] for r in cells]
     return Scan(cells, samples, features, bad)
 
 
 def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
-    """The container of a clean scan.
+    """The container of a clean scan, from its rows as the scan placed them.
 
-    Samples come in `pin` order, else in first-appearance order (so `pin`
-    keeps samples without records); features in first-appearance order,
-    then those declared in `kinds` only. Absent cells are Missing, empty
+    Samples come in `pin` order (rows of samples outside it are dropped),
+    else in first-appearance order; features in first-appearance order,
+    then those declared in `kinds` only. Empty slots become Missing, empty
     sequences or None.
     """
     cls, empty, _, _ = _MODALITIES[modality]
-    cells = scan.cells
-    if modality is Modality.TEMPORAL:
-        cells = {key: tuple(sorted(seq.items())) for key, seq in cells.items()}
     samples = tuple(scan.samples if pin is None else pin)
     features = list(scan.features)
     features += [f for f in kinds if f not in scan.features]
     return cls(samples, tuple((f, kinds[f]) for f in features),
-               tuple(tuple(cells.get((sid, fid), empty) for fid in features)
-                     for sid in samples))
+               tuple(tuple(empty if v is _EMPTY else v for v in r)
+                     if _EMPTY in r else tuple(r)
+                     for r in scan.cells[:len(samples)]))
 
 
 def _build(modality: Modality, records, kinds: dict, sample_ids):
@@ -524,7 +527,7 @@ def _build(modality: Modality, records, kinds: dict, sample_ids):
         if v.code != "unknown_sample":
             raise VIOLATION_ERRORS[v.code](v.detail)
     if scan.violations:
-        extra = [s for s in scan.samples if s not in set(pin)]
+        extra = list(scan.samples)[len(pin):]
         raise UnknownSample(f"rows mention samples not in sample_ids: {extra}")
     return grid(modality, scan, kinds, pin)
 

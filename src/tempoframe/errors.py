@@ -247,7 +247,7 @@ class MultipleTargets(RequirementUnmet):
 
 
 class InvalidSpec(TempoframeError):
-    """Synthetic-data generator called with an invalid specification."""
+    """A synthetic-data generator or a plugin spec is invalid."""
 
 
 # ---------------------------------------------------------------------------

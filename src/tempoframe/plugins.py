@@ -30,6 +30,7 @@ from tempoframe.errors import (
     FitDiverged,
     IncompatibleInner,
     InvalidAlternative,
+    InvalidSpec,
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
@@ -180,6 +181,11 @@ _REGISTRY: dict = {}
 def register_plugin(spec: EstimatorSpec) -> None:
     if spec.name in _REGISTRY:
         raise DuplicatePlugin(f"plugin {spec.name!r} already registered")
+    if spec.category is Category.FORECASTER and not any(
+            p.name == "horizon" and p.type == "integer" and (p.lo or 0) >= 1
+            for p in spec.schema):
+        raise InvalidSpec(f"forecaster {spec.name!r} must declare the points "
+                          "it holds out as an integer 'horizon' param >= 1")
     _REGISTRY[spec.name] = spec
 
 

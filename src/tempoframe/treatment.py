@@ -8,6 +8,7 @@ Sequential treatment regimes are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from tempoframe.data import (
@@ -18,8 +19,9 @@ from tempoframe.data import (
     Modality,
     Role,
     RoleMap,
+    StaticSamples,
     assemble_dataset,
-    build_static_samples,
+    check_value,
     covariate_matrix,
 )
 from tempoframe.errors import (
@@ -229,14 +231,14 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
     """Generate Y = x.w + tau(x) * a + eps with the true effect recorded.
 
     Exactly one of `tau0` (constant effect) or `gamma` (linear effect
-    tau(x) = gamma . x) must be given. Deterministic per seed: the draw
-    order is w, then per sample x, coin a, and (only if noise > 0) one
-    normal for eps.
+    tau(x) = gamma . x) must be given; `noise`, `tau0` and `gamma` must be
+    finite. Deterministic per seed: the draw order is w, then per sample x,
+    coin a, and (only if noise > 0) one normal for eps.
     """
     if n < 4:
         raise InvalidSpec(f"need n >= 4 samples, got {n}")
-    if noise < 0:
-        raise InvalidSpec(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise InvalidSpec(f"noise must be finite and >= 0, got {noise}")
     if dim < 1:
         raise InvalidSpec(f"dim must be >= 1, got {dim}")
     if (tau0 is None) == (gamma is None):
@@ -245,13 +247,15 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
         gamma = [float(g) for g in gamma]
         if len(gamma) != dim:
             raise InvalidSpec(f"gamma has {len(gamma)} entries for dim={dim}")
+    if not all(map(math.isfinite, gamma or [tau0])):
+        raise InvalidSpec(f"tau0 and gamma must be finite: {gamma or tau0}")
     rng = Lcg(seed)
     w = [rng.uniform_in(-1.0, 1.0) for _ in range(dim)]
     x_names = [f"x{k + 1}" for k in range(dim)]
+    ids = tuple(f"s{i:04d}" for i in range(n))
     rows = []
     effects = []
-    for i in range(n):
-        sid = f"s{i:04d}"
+    for sid in ids:
         x = [rng.uniform_in(-1.0, 1.0) for _ in range(dim)]
         a = rng.coin()
         eps = noise * rng.normal() if noise > 0 else 0.0
@@ -264,16 +268,13 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
         f = 0.0
         for wk, xv in zip(w, x):
             f += wk * xv
-        y = f + tau * a + eps
-        for name, xv in zip(x_names, x):
-            rows.append((sid, name, xv))
-        rows.append((sid, "a", a))
-        rows.append((sid, "y", y))
+        # Only y can be non-finite: each x is in [-1, 1) and a is 0 or 1.
+        y = check_value(Continuous(), f + tau * a + eps, f"({sid}, y)")
+        rows.append((*x, a, y))
         effects.append(tau)
-    kinds = {name: Continuous() for name in x_names}
-    kinds["a"] = Integer()
-    kinds["y"] = Continuous()
-    static = build_static_samples(rows, kinds)
+    static = StaticSamples(ids, (
+        *((name, Continuous()) for name in x_names),
+        ("a", Integer()), ("y", Continuous())), tuple(rows))
     roles = RoleMap.of(covariates=x_names, targets=("y",), treatments=("a",))
     ds = assemble_dataset(static=static, roles=roles)
     return SynthGroundTruth(ds, tuple(effects))

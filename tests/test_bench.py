@@ -685,6 +685,44 @@ def test_cli_synth_ite(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of the files of one small `synth-ite` call, recorded from the
+# generator that built its grid from long-form records.
+_SYNTH_ITE_SHA256 = {
+    "manifest":
+        "31dc420d0c39d24ceffa0b7e82757a2dc04a1439159d0a8fdbddbf8bb14be943",
+    "static.csv":
+        "dae252bf361e982b11243429f7cf31f9e91f9cffe138428c28a3c66c5db6040c",
+    "truth.csv":
+        "1c16575fa3b9e7964f83f578f956cd9a6952b4bbf681db9f8262826ab644587f",
+}
+
+
+def test_cli_synth_ite_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "synth"
+    assert cli(["synth-ite", "--n", "12", "--seed", "4", "--dim", "3",
+                "--gamma", "0.5,-1.25,2.0", "--noise", "0.3",
+                "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(_SYNTH_ITE_SHA256)
+    for name, digest in _SYNTH_ITE_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("arg,message", [
+    (("--noise", "nan"), "noise must be finite and >= 0, got nan"),
+    (("--tau0", "nan"), "tau0 and gamma must be finite: nan"),
+    (("--gamma", "1.0,inf"), "tau0 and gamma must be finite: [1.0, inf]"),
+], ids=["noise", "tau0", "gamma"])
+def test_cli_synth_ite_rejects_non_finite_parameters(tmp_path, arg, message):
+    out = tmp_path / "synth"
+    proc = _cli_proc("synth-ite", "--n", "8", "--seed", "1", "--dim", "2",
+                     *arg, "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"tempoframe: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_usage_errors(capsys):
     assert cli([]) == 2
     assert cli(["frobnicate"]) == 2

@@ -26,6 +26,7 @@ from tempoframe.errors import (
     FingerprintMismatch,
     FitDiverged,
     IncompatibleInner,
+    InvalidSpec,
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
@@ -120,6 +121,27 @@ def test_unknown_and_duplicate_plugins():
         create("no.such.plugin")
     with pytest.raises(DuplicatePlugin):
         register_plugin(_REGISTRY["impute.mean"])
+
+
+@pytest.mark.parametrize("schema", [
+    (),
+    (Param("steps", "integer", 1, lo=1),),
+    (Param("horizon", "real", 1.0, lo=1.0),),
+    (Param("horizon", "integer", 1),),
+    (Param("horizon", "integer", 1, lo=0),),
+])
+def test_forecaster_must_declare_its_horizon(schema):
+    # The forecast task holds out `horizon` points per series; without
+    # such a param a run used to fail with a raw KeyError at scoring.
+    before = dict(_REGISTRY)
+    with pytest.raises(InvalidSpec, match="'horizon'"):
+        register_plugin(EstimatorSpec(
+            name="test.no_horizon", category=Category.FORECASTER,
+            schema=schema, fit=lambda params, ds: {},
+            predict=lambda params, state, ds: None))
+    assert _REGISTRY == before
+    for name in ("forecast.ar", "forecast.persistence"):
+        assert "horizon" in {p.name for p in spec_of(name).schema}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,293 @@
+"""The record scan against the dict-keyed scan it replaced.
+
+`scan_rows` places each accepted record straight into its sample's row,
+and `grid` only builds the container. The oracle below is the previous
+pair: a scan that groups cells in a dict keyed by (sample, feature) and
+a `grid` that gathers them again one sample at a time. Both must give
+the same violations and the same container on every record stream.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from datagen import random_dataset
+from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
+from tempoframe.data import (
+    MISSING,
+    Categorical,
+    Continuous,
+    Integer,
+    Modality,
+    Violation,
+    _MODALITIES,
+    _parse_time,
+    _parse_value,
+    build_event_samples,
+    build_static_samples,
+    build_time_series_samples,
+    check_time,
+    check_value,
+    grid,
+    scan_rows,
+)
+from tempoframe.errors import KindMismatch, ParseError
+from tempoframe.rng import Lcg
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dict-keyed scan and its gathering grid
+# ---------------------------------------------------------------------------
+
+def _oracle_scan(records, modality, kinds, pin=None, *, text=False):
+    timed = modality is not Modality.STATIC
+    series = modality is Modality.TEMPORAL
+    width = 4 if timed else 3
+    _, _, dup_code, dup_stem = _MODALITIES[modality]
+    pinned = None if pin is None else set(pin)
+    cells: dict = {}
+    samples: dict = {}
+    features: dict = {}
+    bad: list = []
+    t = None
+    for row, rec in enumerate(records, 1):
+        if len(rec) != width:
+            bad.append(Violation(row, "arity", f"expected {width} fields, "
+                                               f"got {len(rec)}"))
+            continue
+        if timed:
+            sid, fid, t, value = rec
+        else:
+            sid, fid, value = rec
+        if not (text or isinstance(sid, str) and isinstance(fid, str)):
+            what, s = (("feature_id", fid) if isinstance(sid, str)
+                       else ("sample_id", sid))
+            bad.append(Violation(row, "kind_mismatch",
+                                 f"{what} must be a string, got {s!r}"))
+            continue
+        kind = kinds.get(fid)
+        if kind is None:
+            bad.append(Violation(row, "unknown_feature",
+                                 f"feature {fid!r} has no declared kind"))
+            continue
+        if text and t == "":
+            bad.append(Violation(row, "missing_time", "empty time field"))
+            continue
+        try:
+            if text:
+                if timed:
+                    t = _parse_time(t)
+                value = _parse_value(kind, value)
+            else:
+                where = f"({sid}, {fid})"
+                value_where = f"({sid}, {fid}, t={t})" if series else where
+                if timed:
+                    t = check_time(t, where)
+                value = check_value(kind, value, value_where)
+        except ParseError as e:
+            bad.append(Violation(row, "bad_time", str(e)))
+            continue
+        except KindMismatch as e:
+            bad.append(Violation(row, "kind_mismatch", str(e)))
+            continue
+        key = (sid, fid)
+        if series:
+            seq = cells.get(key)
+            if seq is None:
+                seq = cells[key] = {}
+            repeated = t in seq
+        else:
+            repeated = key in cells
+        if repeated:
+            bad.append(Violation(row, dup_code,
+                                 f"{dup_stem.format(t=t)} for sample {sid!r}, "
+                                 f"feature {fid!r}"))
+            continue
+        if series:
+            seq[t] = value
+        else:
+            cells[key] = (t, value) if timed else value
+        samples[sid] = None
+        features[fid] = None
+        if pinned is not None and sid not in pinned:
+            bad.append(Violation(row, "unknown_sample",
+                                 f"sample {sid!r} is not in the sample list"))
+    return cells, samples, features, bad
+
+
+def _oracle_grid(modality, scan, kinds, pin=None):
+    cls, empty, _, _ = _MODALITIES[modality]
+    cells, scan_samples, scan_features, _ = scan
+    if modality is Modality.TEMPORAL:
+        cells = {key: tuple(sorted(seq.items())) for key, seq in cells.items()}
+    samples = tuple(scan_samples if pin is None else pin)
+    features = list(scan_features)
+    features += [f for f in kinds if f not in scan_features]
+    return cls(samples, tuple((f, kinds[f]) for f in features),
+               tuple(tuple(cells.get((sid, fid), empty) for fid in features)
+                     for sid in samples))
+
+
+# ---------------------------------------------------------------------------
+# Seeded record streams
+# ---------------------------------------------------------------------------
+
+_KINDS = {"f1": Continuous(), "f2": Integer(),
+          "f3": Categorical(("lo", "hi"))}
+_SAMPLES = ("s0", "s1", "s2", "s3", "s4")
+_TEXT_VALUES = ("", "1.5", "-2", "7", "lo", "hi", "x", "nan", "inf",
+                "1e400", "3")
+_TEXT_TIMES = ("0", "1", "2.5", "1", "0", "", "x", "inf")
+_PY_VALUES = (MISSING, 1.5, -2, 7, "lo", "hi", "x", math.nan, True, None,
+              3.0, math.inf)
+_PY_TIMES = (0, 1, 2.5, 1.0, 0.0, "x", math.inf, True)
+_BUILDERS = {Modality.STATIC: build_static_samples,
+             Modality.TEMPORAL: build_time_series_samples,
+             Modality.EVENT: build_event_samples}
+
+
+def _pick(rng, seq):
+    return seq[rng.below(len(seq))]
+
+
+def _dirty_records(rng, modality, text):
+    """Records that break every rule now and then, on a pool small enough
+    to repeat cells, times and out-of-pin samples often."""
+    timed = modality is not Modality.STATIC
+    out = []
+    for _ in range(8 + rng.below(40)):
+        sid = _pick(rng, _SAMPLES + ("s9",))
+        fid = _pick(rng, tuple(_KINDS) + ("zz",))
+        if not text and rng.below(12) == 0:
+            sid, fid = (7, fid) if rng.coin() else (sid, None)
+        value = _pick(rng, _TEXT_VALUES if text else _PY_VALUES)
+        rec = [sid, fid]
+        if timed:
+            rec.append(_pick(rng, _TEXT_TIMES if text else _PY_TIMES))
+        rec.append(value)
+        if rng.below(15) == 0:
+            rec = rec[:-1] if rng.coin() else rec + [value]
+        out.append(tuple(rec))
+    return out
+
+
+def _clean_records(rng, modality, text):
+    """Valid records with no repeated cell or time: a clean scan."""
+    timed = modality is not Modality.STATIC
+    keys = {}
+    for _ in range(4 + rng.below(30)):
+        sid, fid = _pick(rng, _SAMPLES), _pick(rng, tuple(_KINDS))
+        t = float(rng.below(6)) if timed else None
+        key = (sid, fid) if modality is not Modality.TEMPORAL \
+            else (sid, fid, t)
+        kind = _KINDS[fid]
+        if isinstance(kind, Categorical):
+            value = _pick(rng, kind.categories)
+        elif rng.below(5) == 0:
+            value = MISSING
+        elif isinstance(kind, Integer):
+            value = rng.below(9) - 4
+        else:
+            value = rng.uniform_in(-3.0, 3.0)
+        if text:
+            value = "" if value is MISSING else (
+                repr(value) if isinstance(value, float) else str(value))
+            t = None if t is None else repr(t)
+        keys.setdefault(key, (sid, fid, *(() if t is None else (t,)), value))
+    return list(keys.values())
+
+
+def _pin(rng):
+    if rng.coin():
+        return None
+    pool = list(_SAMPLES)
+    rng.shuffle(pool)
+    return pool[:2 + rng.below(3)] + ["p9"]
+
+
+def _assert_same(records, modality, pin, text):
+    new = scan_rows(records, modality, _KINDS, pin, text=text)
+    old = _oracle_scan(records, modality, _KINDS, pin, text=text)
+    assert new.violations == old[3]
+    assert grid(modality, new, _KINDS, pin) == \
+        _oracle_grid(modality, old, _KINDS, pin)
+    return new.violations
+
+
+@pytest.mark.parametrize("modality", list(Modality))
+@pytest.mark.parametrize("text", [True, False])
+def test_scan_matches_the_dict_keyed_oracle(modality, text):
+    codes = set()
+    clean = 0
+    for seed in range(120):
+        rng = Lcg(1000 * seed + 7)
+        pin = _pin(rng)
+        dirty = seed % 3 != 0
+        records = (_dirty_records if dirty else _clean_records)(
+            rng, modality, text)
+        violations = _assert_same(records, modality, pin, text)
+        codes.update(v.code for v in violations)
+        if not violations:
+            clean += 1
+            if not text:
+                assert _BUILDERS[modality](
+                    records, _KINDS,
+                    sample_ids=pin) == _oracle_grid(
+                        modality, _oracle_scan(records, modality, _KINDS,
+                                               pin), _KINDS, pin)
+    # The streams reach every rule of the modality, and clean scans.
+    dup = _MODALITIES[modality][2]
+    expected = {"arity", "unknown_feature", "kind_mismatch",
+                "unknown_sample", dup}
+    if text and modality is not Modality.STATIC:
+        expected |= {"bad_time", "missing_time"}
+    assert expected <= codes
+    assert clean >= 20
+
+
+@pytest.mark.parametrize("modality,fields", [
+    (Modality.STATIC, ("1.5",)),
+    (Modality.TEMPORAL, ("0", "1.5")),
+    (Modality.EVENT, ("0", "1.5")),
+])
+def test_duplicate_of_an_out_of_pin_record(modality, fields):
+    # The record outside the pin takes a row after the pinned ones; its
+    # repeat is a duplicate, not a second unknown sample.
+    records = [("s1", "f1", *fields), ("s1", "f1", *fields),
+               ("s0", "f2", *fields[:-1], "3")]
+    violations = _assert_same(records, modality, ["s0"], True)
+    assert [(v.row, v.code) for v in violations] == [
+        (1, "unknown_sample"), (2, _MODALITIES[modality][2])]
+
+
+def test_table_out_of_manifest_feature_order(tmp_path):
+    # A table whose first-appearance feature order is not the manifest's:
+    # the container takes the table's order, as the oracle does.
+    bundle = tmp_path / "b"
+    ds = random_dataset(3)
+    manifest = write_bundle(ds, str(bundle))
+    seen = 0
+    for modality, name in ((Modality.STATIC, "static.csv"),
+                           (Modality.TEMPORAL, "temporal.csv")):
+        path = bundle / name
+        if not path.exists():
+            continue
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows.reverse()
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        kinds = {fid: manifest.kinds[fid]
+                 for fid in manifest.features[modality.value]}
+        table = [row.split(",") for row in rows]
+        expected = _oracle_grid(
+            modality, _oracle_scan(table, modality, kinds, manifest.samples,
+                                   text=True), kinds, manifest.samples)
+        got = read_bundle(str(bundle / "manifest"))
+        container = got.static if modality is Modality.STATIC \
+            else got.temporal
+        assert container == expected
+        if container.feature_ids != tuple(kinds):
+            seen += 1
+    assert seen >= 1
+    assert validate_bundle(str(bundle / "manifest")) == []

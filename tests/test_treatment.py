@@ -21,6 +21,7 @@ from tempoframe.errors import (
     ArmTooSmall,
     InvalidAlternative,
     InvalidSpec,
+    KindMismatch,
     MultipleTargets,
     NonBinaryTreatment,
     RequirementUnmet,
@@ -336,3 +337,49 @@ def test_synth_invalid_specs():
         synth_treatment_data(10, seed=0, gamma=(1.0,), dim=2)
     with pytest.raises(InvalidSpec):
         synth_treatment_data(10, seed=0, tau0=1.0, dim=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tau0": 1.0, "noise": math.nan},
+    {"tau0": 1.0, "noise": math.inf},
+    {"tau0": math.nan},
+    {"tau0": math.inf},
+    {"tau0": -math.inf, "noise": 0.5},
+    {"gamma": (1.0, math.nan)},
+    {"gamma": (-math.inf, 0.0)},
+    {"gamma": (1e400, 1.0)},
+])
+def test_synth_rejects_non_finite_parameters(kwargs):
+    # A NaN noise compares false both ways and used to run as noise 0; a
+    # non-finite effect used to surface only as a non-finite outcome.
+    with pytest.raises(InvalidSpec, match="must be finite"):
+        synth_treatment_data(10, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("seed,dim,kwargs", [
+    (0, 1, {"tau0": 3.0}),
+    (1, 2, {"tau0": -1.5, "noise": 0.4}),
+    (7, 3, {"gamma": (1.0, 0.0, -2.0)}),
+    (12, 5, {"gamma": (0.5, -0.25, 2.0, 0.0, 1.0), "noise": 1.0}),
+    (31, 8, {"gamma": (1e-3,) * 8, "noise": 0.01}),
+])
+def test_synth_grid_equals_the_built_grid(seed, dim, kwargs):
+    # The generator builds its StaticSamples directly; the validating
+    # builder must give the same container from the same cells.
+    static = synth_treatment_data(9, seed, dim=dim, **kwargs).dataset.static
+    assert static == build_static_samples(static.to_rows(),
+                                          dict(static.features))
+    assert static.feature_ids[-2:] == ("a", "y")
+
+
+@pytest.mark.parametrize("seed,message", [
+    (78, "(s0000, y): non-finite value inf"),
+    (0, "(s0038, y): non-finite value -inf"),
+    (6, "(s0032, y): non-finite value nan"),
+])
+def test_synth_overflowing_outcome_keeps_its_message(seed, message):
+    # Messages recorded from the long-form generator that built its grid
+    # through build_static_samples.
+    with pytest.raises(KindMismatch) as err:
+        synth_treatment_data(50, seed, gamma=(1e308, 1e308), dim=2)
+    assert str(err.value) == message
