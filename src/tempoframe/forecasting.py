@@ -41,9 +41,7 @@ from tempoframe.kernels.pure import _sigmoid
 from tempoframe.plugins import (
     Category,
     EstimatorSpec,
-    ForecastOutput,
     Param,
-    StaticOutput,
     register_plugin,
 )
 from tempoframe.preprocess import check_step
@@ -80,7 +78,7 @@ def _last_observed(seq, sid, fid):
         f"no observed value in target {fid!r} of sample {sid!r}")
 
 
-def _persistence_predict(params, state, ds: Dataset) -> ForecastOutput:
+def _persistence_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     horizon = params["horizon"]
     step = params["step"]
     targets = state["targets"]
@@ -94,8 +92,7 @@ def _persistence_predict(params, state, ds: Dataset) -> ForecastOutput:
             per_sample.append(tuple((t_last + k * step, v_last)
                                     for k in range(1, horizon + 1)))
         series.append(tuple(per_sample))
-    return ForecastOutput(TimeSeriesSamples(ds.sample_ids, features,
-                                            tuple(series)))
+    return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
 
 
 register_plugin(EstimatorSpec(
@@ -155,7 +152,7 @@ def _ar_fit(params, ds: Dataset) -> dict:
     return {"models": models}
 
 
-def _ar_predict(params, state, ds: Dataset) -> ForecastOutput:
+def _ar_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     order = params["order"]
     horizon = params["horizon"]
     step = params["step"]
@@ -171,20 +168,20 @@ def _ar_predict(params, state, ds: Dataset) -> ForecastOutput:
                     f"target {fid!r} of sample {sid!r} has {len(seq)} "
                     f"points, order {order} needs at least {order}")
             history = _regular_values(seq, step, len(seq) - 1, sid, fid)
-            t_last = seq[-1][0]
+            t0 = seq[0][0]
             c = model["c"]
             phi = model["phi"]
             out = []
-            for k in range(1, horizon + 1):
+            for _ in range(horizon):
                 nxt = c
                 for i in range(order):
                     nxt += phi[i] * history[-1 - i]
                 history.append(nxt)
-                out.append((t_last + k * step, nxt))
+                # continue the grid `_regular_values` checks
+                out.append((t0 + (len(history) - 1) * step, nxt))
             per_sample.append(tuple(out))
         series.append(tuple(per_sample))
-    return ForecastOutput(TimeSeriesSamples(ds.sample_ids, features,
-                                            tuple(series)))
+    return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
 
 
 register_plugin(EstimatorSpec(
@@ -244,13 +241,12 @@ def _logistic_fit(params, ds: Dataset) -> dict:
 
 
 def _logistic_predict_columns(params, state, sample_ids, names,
-                              columns) -> StaticOutput:
+                              columns) -> StaticSamples:
     check_column_names(state["columns"], names)
     z = linear_predictor(columns, state["weights"],
                          [state["bias"]] * len(sample_ids))
-    return StaticOutput(StaticSamples(
-        sample_ids, ((state["target"], Continuous()),),
-        tuple((_sigmoid(v),) for v in z)))
+    return StaticSamples(sample_ids, ((state["target"], Continuous()),),
+                         tuple((_sigmoid(v),) for v in z))
 
 
 register_plugin(EstimatorSpec(
@@ -264,30 +260,6 @@ register_plugin(EstimatorSpec(
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _static_table(x):
-    if isinstance(x, StaticOutput):
-        x = x.values
-    if isinstance(x, Dataset):
-        if x.static is None:
-            raise AlignmentError("dataset has no static container to compare")
-        x = x.static
-    if not isinstance(x, StaticSamples):
-        raise AlignmentError(f"expected static predictions, got {type(x).__name__}")
-    return x
-
-
-def _temporal_table(x):
-    if isinstance(x, ForecastOutput):
-        x = x.series
-    if isinstance(x, Dataset):
-        if x.temporal is None:
-            raise AlignmentError("dataset has no temporal container to compare")
-        x = x.temporal
-    if not isinstance(x, TimeSeriesSamples):
-        raise AlignmentError(f"expected forecast predictions, got {type(x).__name__}")
-    return x
-
-
 def _numeric(v, where: str) -> float:
     if v is MISSING:
         raise AlignmentError(f"{where}: missing value in comparison")
@@ -296,34 +268,36 @@ def _numeric(v, where: str) -> float:
     return float(v)
 
 
-def _aligned(pred, truth, table) -> tuple:
-    """Both sides as containers of one kind, with equal sample and feature
-    ids."""
-    a = table(pred)
-    b = table(truth)
-    if a.sample_ids != b.sample_ids:
+def _aligned(pred, truth, cls) -> None:
+    """The one input check of `rmse` and `accuracy`: both sides must be
+    `cls` containers (a `Dataset` or any other type is refused) with equal
+    sample and feature ids."""
+    for side, x in (("pred", pred), ("truth", truth)):
+        if not isinstance(x, cls):
+            raise AlignmentError(f"expected {cls.__name__} as {side}, "
+                                 f"got {type(x).__name__}")
+    if pred.sample_ids != truth.sample_ids:
         raise AlignmentError("sample ids differ between pred and truth")
-    if a.feature_ids != b.feature_ids:
+    if pred.feature_ids != truth.feature_ids:
         raise AlignmentError("features differ between pred and truth")
-    return a, b
 
 
 def rmse(pred, truth) -> float:
-    """Root-mean-square error over all aligned points.
+    """Root-mean-square error over all aligned points of two containers.
 
-    Forecast comparisons require bitwise-equal time grids; any Missing or
-    non-numeric value is an alignment failure, not a skip.
+    Two `TimeSeriesSamples` (a forecast and its held-out future) must have
+    bitwise-equal time grids; otherwise both sides are `StaticSamples`.
+    Any Missing or non-numeric value is an alignment failure, not a skip.
     """
-    temporal = isinstance(pred, (ForecastOutput, TimeSeriesSamples))
-    a, b = _aligned(pred, truth,
-                    _temporal_table if temporal else _static_table)
+    temporal = isinstance(pred, TimeSeriesSamples)
+    _aligned(pred, truth, TimeSeriesSamples if temporal else StaticSamples)
     total = 0.0
     count = 0
-    for i, sid in enumerate(a.sample_ids):
-        for j, (fid, _) in enumerate(a.features):
+    for i, sid in enumerate(pred.sample_ids):
+        for j, (fid, _) in enumerate(pred.features):
             if temporal:
-                sa = a.series[i][j]
-                sb = b.series[i][j]
+                sa = pred.series[i][j]
+                sb = truth.series[i][j]
                 if tuple(t for t, _ in sa) != tuple(t for t, _ in sb):
                     raise AlignmentError(
                         f"time grids differ for sample {sid!r}, "
@@ -331,8 +305,8 @@ def rmse(pred, truth) -> float:
                 points = [(f"({sid}, {fid}, t={t})", va, vb)
                           for (t, va), (_, vb) in zip(sa, sb)]
             else:
-                points = [(f"({sid}, {fid})", a.values[i][j],
-                           b.values[i][j])]
+                points = [(f"({sid}, {fid})", pred.values[i][j],
+                           truth.values[i][j])]
             for where, va, vb in points:
                 d = _numeric(va, where) - _numeric(vb, where)
                 total += d * d
@@ -345,16 +319,17 @@ def rmse(pred, truth) -> float:
 def accuracy(pred, truth, threshold: float = 0.5) -> float:
     """Fraction of cells whose thresholded probability matches the label.
 
-    Predicted label is 1 when p >= threshold. Truth labels may be Integer
-    0/1 or binary Categorical (second category = positive).
+    `pred` and `truth` are `StaticSamples` over the same samples and
+    features. Predicted label is 1 when p >= threshold. Truth labels may be
+    Integer 0/1 or binary Categorical (second category = positive).
     """
-    a, b = _aligned(pred, truth, _static_table)
+    _aligned(pred, truth, StaticSamples)
     correct = 0
     count = 0
-    for i, sid in enumerate(a.sample_ids):
-        for j, (fid, kind) in enumerate(b.features):
-            p = _numeric(a.values[i][j], f"({sid}, {fid})")
-            tv = b.values[i][j]
+    for i, sid in enumerate(pred.sample_ids):
+        for j, (fid, kind) in enumerate(truth.features):
+            p = _numeric(pred.values[i][j], f"({sid}, {fid})")
+            tv = truth.values[i][j]
             if tv is MISSING:
                 raise AlignmentError(f"({sid}, {fid}): missing truth label")
             if isinstance(kind, Categorical):

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 from tempoframe.data import (
     Dataset,
-    StaticSamples,
-    TimeSeriesSamples,
     covariate_matrix,
     kind_to_json,
 )
@@ -249,30 +247,6 @@ def _check_superset_fingerprint(fitted: "FittedEstimator",
 
 
 # ---------------------------------------------------------------------------
-# Prediction outputs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StaticOutput:
-    """Predictions as a static grid over target features."""
-    values: StaticSamples
-
-    @property
-    def sample_ids(self):
-        return self.values.sample_ids
-
-
-@dataclass(frozen=True)
-class ForecastOutput:
-    """Predictions as per-sample forecast sequences over target features."""
-    series: TimeSeriesSamples
-
-    @property
-    def sample_ids(self):
-        return self.series.sample_ids
-
-
-# ---------------------------------------------------------------------------
 # Lifecycle objects
 # ---------------------------------------------------------------------------
 
@@ -316,10 +290,6 @@ class FittedEstimator:
         self.state = state
         self.fingerprint = fingerprint
         self.features = features
-
-    @property
-    def category(self) -> Category:
-        return self.spec.category
 
     def transform(self, ds: Dataset) -> Dataset:
         if self.spec.category is not Category.TRANSFORM:

@@ -21,6 +21,7 @@ from tempoframe.data import (
     RoleMap,
     StaticSamples,
     assemble_dataset,
+    check_column_names,
     check_value,
     covariate_matrix,
 )
@@ -187,7 +188,8 @@ def _tl_predict_cf(params, state, ds: Dataset,
                                      "in {0, 1}")
         alts.append(a)
     alts.sort()
-    _, columns = covariate_matrix(ds)
+    names, columns = covariate_matrix(ds)
+    check_column_names(state["columns"], names)
     n = len(ds.sample_ids)
     arms = [state["arms"][str(a)] for a in alts]
     outcomes = tuple(tuple(linear_predictor(columns, w[1:], [w[0]] * n))
@@ -226,6 +228,15 @@ def pehe(estimate: EffectEstimate, truth) -> float:
 # Synthetic ground truth
 # ---------------------------------------------------------------------------
 
+def _to_float(x) -> float:
+    """x as a float; an int beyond float range becomes a signed inf, which
+    the finiteness checks then refuse."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
                          noise: float = 0.0, dim: int = 2) -> SynthGroundTruth:
     """Generate Y = x.w + tau(x) * a + eps with the true effect recorded.
@@ -237,6 +248,7 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
     """
     if n < 4:
         raise InvalidSpec(f"need n >= 4 samples, got {n}")
+    noise = _to_float(noise)
     if not 0 <= noise < math.inf:
         raise InvalidSpec(f"noise must be finite and >= 0, got {noise}")
     if dim < 1:
@@ -244,9 +256,11 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
     if (tau0 is None) == (gamma is None):
         raise InvalidSpec("give exactly one of tau0 or gamma")
     if gamma is not None:
-        gamma = [float(g) for g in gamma]
+        gamma = [_to_float(g) for g in gamma]
         if len(gamma) != dim:
             raise InvalidSpec(f"gamma has {len(gamma)} entries for dim={dim}")
+    else:
+        tau0 = _to_float(tau0)
     if not all(map(math.isfinite, gamma or [tau0])):
         raise InvalidSpec(f"tau0 and gamma must be finite: {gamma or tau0}")
     rng = Lcg(seed)
@@ -260,7 +274,7 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
         a = rng.coin()
         eps = noise * rng.normal() if noise > 0 else 0.0
         if tau0 is not None:
-            tau = float(tau0)
+            tau = tau0
         else:
             tau = 0.0
             for g, xv in zip(gamma, x):

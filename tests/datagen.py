@@ -203,3 +203,24 @@ def regular_series_dataset(seed: int, n: int = 10, length: int = 20,
     return assemble_dataset(
         static=static, temporal=temporal,
         roles=RoleMap.of(covariates=("age",), targets=("hr",)))
+
+
+def offset_grid_dataset(seed: int, n: int = 12, step: float = 0.1):
+    """AR(1) target series on t0 + j * step, with t0 cycling through
+    0.3, 1.7, 0.0 and 2.25 and lengths 15 to 26: a fractional grid whose
+    last time t_last + k * step can differ from t0 + (j + k) * step."""
+    rng = Lcg(seed)
+    rows, points = [], []
+    for i in range(n):
+        sid = f"s{i:02d}"
+        rows.append((sid, "age", rng.uniform_in(40.0, 80.0)))
+        t0 = (0.3, 1.7, 0.0, 2.25)[i % 4]
+        v = rng.uniform_in(-1.0, 1.0)
+        for j in range(15 + i % 12):
+            points.append((sid, "y", t0 + j * step, v))
+            v = 0.7 * v + 0.2
+    static = build_static_samples(rows, {"age": Continuous()})
+    temporal = build_time_series_samples(points, {"y": Continuous()})
+    return assemble_dataset(
+        static=static, temporal=temporal,
+        roles=RoleMap.of(covariates=("age",), targets=("y",)))

@@ -17,8 +17,8 @@ from dataclasses import replace
 
 import pytest
 
-from datagen import classification_dataset, regular_series_dataset, \
-    survival_dataset
+from datagen import classification_dataset, offset_grid_dataset, \
+    regular_series_dataset, survival_dataset
 from tempoframe import bench, interpret
 from tempoframe.bench import (
     BenchConfig,
@@ -290,6 +290,22 @@ def test_forecast_benchmark(tmp_path):
     assert all(v >= 0.0 and math.isfinite(v) for v in folds)
     # the AR(1) generator is recovered almost exactly
     assert report.metrics["rmse"]["mean"] < 1e-6
+
+
+def test_forecast_on_a_fractional_grid(tmp_path, capsys):
+    # the held-out points sit on t0 + j * 0.1, so the forecast must too
+    write_bundle(offset_grid_dataset(3), str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "forecast",
+           "pipeline": [{"plugin": "resample.regular",
+                         "params": {"step": 0.1}},
+                        {"plugin": "forecast.ar",
+                         "params": {"order": 2, "horizon": 2,
+                                    "step": 0.1}}],
+           "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
+    assert cli(["run", _write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["metrics"]["rmse"]["mean"] < 1e-6
 
 
 def test_forecast_holdout_needs_history(tmp_path):

@@ -54,6 +54,7 @@ from tempoframe.plugins import (
     wrap,
 )
 from tempoframe.rng import Lcg
+from tempoframe.treatment import synth_treatment_data
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,8 @@ def test_save_load_survival_state():
     assert out_a == out_b
 
 
-@pytest.mark.parametrize("name", ["classify.logistic", "survival.cox"])
+@pytest.mark.parametrize("name", ["classify.logistic", "survival.cox",
+                                  "treatment.t_learner"])
 def test_blob_with_reordered_columns_is_rejected(name):
     # the features keep the fingerprint; only the stored column order lies
     cls = classification_dataset(13, n=30)
@@ -374,12 +376,16 @@ def test_blob_with_reordered_columns_is_rejected(name):
     ds = assemble_dataset(static=cls.static, events=events,
                           roles=RoleMap.of(covariates=("x1", "x2"),
                                            targets=("y", "death")))
-    doc = json.loads(save_fitted(create(name, {"iters": 20}).fit(ds)))
+    params, query = {"iters": 20}, lambda f: f.predict(ds)
+    if name == "treatment.t_learner":
+        ds = synth_treatment_data(30, 13, tau0=1.0).dataset
+        params, query = {}, lambda f: f.predict_counterfactuals(ds, (0, 1))
+    doc = json.loads(save_fitted(create(name, params).fit(ds)))
     doc["fitted"]["state"]["columns"].reverse()
     loaded = load_fitted(json.dumps(doc).encode("utf-8"))
     with pytest.raises(AlignmentError,
                        match=r"trained on \['x2', 'x1'\], got \['x1', 'x2'\]"):
-        loaded.predict(ds)
+        query(loaded)
 
 
 def test_save_refuses_non_finite_state_naming_the_plugin():

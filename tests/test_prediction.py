@@ -6,7 +6,11 @@ import math
 
 import pytest
 
-from datagen import classification_dataset, regular_series_dataset
+from datagen import (
+    classification_dataset,
+    offset_grid_dataset,
+    regular_series_dataset,
+)
 from tempoframe.data import (
     Categorical,
     Continuous,
@@ -27,7 +31,7 @@ from tempoframe.errors import (
     NonBinaryTarget,
     RequirementUnmet,
 )
-from tempoframe.forecasting import accuracy, rmse
+from tempoframe.forecasting import _regular_values, accuracy, rmse
 from tempoframe.metrics import static_target_table
 from tempoframe.plugins import (
     FittedEstimator,
@@ -84,10 +88,10 @@ def test_persistence_repeats_last_observed():
     fitted = create("forecast.persistence",
                     {"horizon": 3, "step": 1.0}).fit(ds)
     out = fitted.predict(ds)
-    assert out.series.sequence("s00", "y") == \
+    assert out.sequence("s00", "y") == \
         ((3.0, 5.0), (4.0, 5.0), (5.0, 5.0))
     # the forecast grid is anchored at the last OBSERVED point's time
-    assert out.series.sequence("s01", "y") == \
+    assert out.sequence("s01", "y") == \
         ((1.0, 4.0), (2.0, 4.0), (3.0, 4.0))
 
 
@@ -151,7 +155,7 @@ def test_ar1_recovers_noiseless_coefficients():
     assert abs(model["phi"][0] - 0.8) <= 1e-6
     out = fitted.predict(ds)
     last = series[0][-1]
-    for k, (t, v) in enumerate(out.series.sequence("s00", "y")):
+    for k, (t, v) in enumerate(out.sequence("s00", "y")):
         last = 0.5 + 0.8 * last
         assert t == 29.0 + (k + 1) * 1.0
         assert abs(v - last) <= 1e-6
@@ -210,6 +214,25 @@ def test_ar_insufficient_history():
         fitted.predict(short)
 
 
+def test_ar_forecast_continues_the_history_grid():
+    step = 0.1
+    ds = offset_grid_dataset(5, step=step)
+    out = create("forecast.ar", {"order": 2, "horizon": 3,
+                                 "step": step}).fit(ds).predict(ds)
+    off_grid = 0
+    for sid in ds.sample_ids:
+        seq = ds.temporal.sequence(sid, "y")
+        forecast = out.sequence(sid, "y")
+        t0 = seq[0][0]
+        assert [t for t, _ in forecast] == \
+            [t0 + (len(seq) + k) * step for k in range(3)]
+        _regular_values(seq + forecast, step, 1, sid, "y")
+        off_grid += any(t != seq[-1][0] + (k + 1) * step
+                        for k, (t, _) in enumerate(forecast))
+    # the data does tell the two grid expressions apart
+    assert off_grid > 0
+
+
 def test_ar_beats_persistence_on_mean_reverting_series():
     ds = regular_series_dataset(3, n=8, length=30, phi=0.6, c=2.0)
     truth_tail = {}
@@ -244,8 +267,8 @@ def test_logistic_separates_labels():
     ds = classification_dataset(0, n=40)
     fitted = create("classify.logistic", {"iters": 300}).fit(ds)
     out = fitted.predict(ds)
-    assert out.values.feature_ids == ("y",)
-    probs = out.values.column("y")
+    assert out.feature_ids == ("y",)
+    probs = out.column("y")
     assert all(0.0 < p < 1.0 for p in probs)
     assert accuracy(out, static_target_table(ds)) >= 0.9
 
@@ -262,7 +285,7 @@ def test_logistic_categorical_positive_class_is_second_category():
                           roles=RoleMap.of(covariates=("x1",),
                                            targets=("lab",)))
     out = create("classify.logistic", {"iters": 400}).fit(ds).predict(ds)
-    probs = dict(zip(ds.sample_ids, out.values.column("lab")))
+    probs = dict(zip(ds.sample_ids, out.column("lab")))
     assert probs["b"] > 0.5 > probs["a"]
     assert accuracy(out, static_target_table(ds)) == 1.0
 
@@ -345,6 +368,22 @@ def test_rmse_temporal_alignment_rules():
         sample_ids=["a"])
     with pytest.raises(AlignmentError):
         rmse(a, gappy)
+
+
+def test_metrics_refuse_anything_but_containers():
+    ds = classification_dataset(0, n=10)
+    table = static_target_table(ds)
+    for metric in (rmse, accuracy):
+        with pytest.raises(AlignmentError, match="StaticSamples as pred, "
+                                                 "got Dataset"):
+            metric(ds, table)
+        with pytest.raises(AlignmentError, match="StaticSamples as truth, "
+                                                 "got Dataset"):
+            metric(table, ds)
+    series = regular_series_dataset(0, n=3)
+    with pytest.raises(AlignmentError, match="TimeSeriesSamples as truth, "
+                                             "got Dataset"):
+        rmse(series.temporal, series)
 
 
 def test_accuracy_thresholds_and_truth_kinds():

@@ -348,6 +348,9 @@ def test_synth_invalid_specs():
     {"gamma": (1.0, math.nan)},
     {"gamma": (-math.inf, 0.0)},
     {"gamma": (1e400, 1.0)},
+    {"tau0": 10 ** 400},
+    {"gamma": [10 ** 400, 1]},
+    {"tau0": 1.0, "noise": 10 ** 400},
 ])
 def test_synth_rejects_non_finite_parameters(kwargs):
     # A NaN noise compares false both ways and used to run as noise 0; a
