@@ -7,18 +7,22 @@ in a mathematically equivalent but reassociated form changes their bytes.
 A sample matrix crosses this boundary as per-feature columns: one list of
 floats per feature, in sample order. A reduction over samples adds left to
 right from 0.0 (`_dot`), and `linear_predictor` adds w_j * x_ij to each
-sample one column at a time, in column order. Do not replace either with
-`sum()`, `math.fsum` or `math.sumprod`: they round differently (and
-`sum()` of floats is compensated from Python 3.12 on), which changes the
-golden bytes. A fit that meets a singular system or produces non-finite
-values raises `FitDiverged` instead of returning them.
+sample one column at a time, in column order. `accumulate(..., initial=0.0)`
+adds left to right from 0.0 as `_dot` does, so its prefix sums are allowed.
+Do not replace any of these with `sum()`, `math.fsum` or `math.sumprod`:
+they round differently (and `sum()` of floats is compensated from Python
+3.12 on), which changes the golden bytes. `map(math.exp, ...)` is allowed
+where an `OverflowError` falls back to `_exp`, which keeps its saturation
+to inf. A fit that meets a singular system or produces non-finite values
+raises `FitDiverged` instead of returning them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from itertools import groupby
+from itertools import accumulate, groupby
+from operator import mul
 
 from tempoframe.errors import FitDiverged
 
@@ -171,38 +175,69 @@ def risk_groups(times: list) -> list:
     return [(t, list(g)) for t, g in groupby(order, times.__getitem__)]
 
 
-def _cox_obj_grad(columns: list, groups: list, occurred: list, lam: float,
-                  beta: list) -> tuple:
+def _risk_layout(columns: list, groups: list, occurred: list) -> tuple:
+    """The sweep order of `groups` (from `risk_groups`: latest group first,
+    tied samples in index order), built once per fit so that every
+    iteration reads its risk sets as prefix sums.
+
+    Returns (n, columns, positions, ends, times, event_columns): the
+    number of samples, the covariate columns permuted into sweep order,
+    and for each event in sweep order its index in that order, the number
+    of samples up to the end of its tied group (its risk set
+    R(t) = {j : t_j >= t} is the prefix before it) and its time; then each
+    column's values at the events.
+    """
+    order = []
+    positions = []
+    ends = []
+    times = []
+    for t, members in groups:
+        start = len(order)
+        order.extend(members)
+        for k, i in enumerate(members, start):
+            if occurred[i]:
+                positions.append(k)
+                ends.append(len(order))
+                times.append(t)
+    permuted = [[col[i] for i in order] for col in columns]
+    return (len(order), permuted, positions, ends, times,
+            [[col[k] for k in positions] for col in permuted])
+
+
+def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
     """Breslow-tie log partial likelihood and its gradient at `beta`.
 
-    Walks `risk_groups`: each tied-time group enters the risk-set suffix
-    sums before any of its events is scored, as R(t) = {j : t_j >= t}.
+    S0 and each S1_j are prefix sums over the sweep order, read at each
+    event's group end, so a tied group enters the risk set before any of
+    its events is scored, as R(t) = {j : t_j >= t}. Each sum adds the
+    same terms in the same order as a one-sample-at-a-time sweep; the
+    objective and each gradient entry add their per-event terms in sweep
+    order. Every S0 is checked before any division by one.
     """
-    xb = linear_predictor(columns, beta, [0.0] * len(occurred))
-    ex = [_exp(s) for s in xb]
-    js = range(len(columns))
+    n, columns, positions, ends, times, event_columns = layout
+    xb = linear_predictor(columns, beta, [0.0] * n)
+    try:
+        ex = list(map(math.exp, xb))
+    except OverflowError:
+        ex = [_exp(s) for s in xb]
+    prefix = list(accumulate(ex, initial=0.0))
+    s0 = [prefix[e] for e in ends]
     obj = 0.0
-    grad = [0.0] * len(columns)
-    s0 = 0.0
-    s1 = [0.0] * len(columns)
-    for t, members in groups:
-        for i in members:
-            e = ex[i]
-            s0 += e
-            for j in js:
-                s1[j] += e * columns[j][i]
-        for i in members:
-            if occurred[i]:
-                if not 0.0 < s0 < _INF:
-                    raise FitDiverged(
-                        f"cox_gd: risk-set sum {s0!r} at time {t!r} is not "
-                        "positive and finite")
-                obj += xb[i] - math.log(s0)
-                for j in js:
-                    grad[j] += columns[j][i] - s1[j] / s0
-    for j in js:
-        obj -= lam * beta[j] * beta[j]
-        grad[j] -= 2.0 * lam * beta[j]
+    for i, s, t in zip(positions, s0, times):
+        if not 0.0 < s < _INF:
+            raise FitDiverged(
+                f"cox_gd: risk-set sum {s!r} at time {t!r} is not "
+                "positive and finite")
+        obj += xb[i] - math.log(s)
+    grad = []
+    for b, col, zs in zip(beta, columns, event_columns):
+        s1 = list(accumulate(map(mul, ex, col), initial=0.0))
+        g = 0.0
+        for z, e, s in zip(zs, ends, s0):
+            g += z - s1[e] / s
+        grad.append(g - 2.0 * lam * b)
+    for b in beta:
+        obj -= lam * b * b
     return obj, grad
 
 
@@ -213,14 +248,14 @@ def cox_gd(columns: list, times: list, occurred: list, step: float,
     Returns (beta, objective_trace, final_gradient_norm); the trace has
     iters+1 entries (value before each update, then at the final beta).
     """
-    groups = risk_groups(times)
+    layout = _risk_layout(columns, risk_groups(times), occurred)
     beta = [0.0] * len(columns)
     trace = []
     for _ in range(iters):
-        obj, grad = _cox_obj_grad(columns, groups, occurred, lam, beta)
+        obj, grad = _cox_obj_grad(layout, lam, beta)
         trace.append(obj)
         beta = [bj + step * g for bj, g in zip(beta, grad)]
-    obj, grad = _cox_obj_grad(columns, groups, occurred, lam, beta)
+    obj, grad = _cox_obj_grad(layout, lam, beta)
     trace.append(obj)
     gnorm = math.sqrt(_dot(grad, grad))
     _check_finite("cox_gd", [*beta, *trace, gnorm])

@@ -603,6 +603,59 @@ def test_cli_run_overflowing_risk_scores_cleanly(tmp_path):
         assert all(math.isfinite(v) for v in entry["folds"])
 
 
+def _all_numbers(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _all_numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _all_numbers(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def test_cli_survival_sweep_exits_cleanly(tmp_path, capsys):
+    # A fixed grid of survival configs, some diverging, some with too few
+    # samples or events per fold: each ends in exit 0, 1 or 2 without a
+    # raw exception, and an exit-0 report holds only finite numbers.
+    bundles = [(1, 30, 0.3), (2, 6, 0.5), (3, 9, 0.9), (5, 40, 0.95)]
+    for seed, n, censor_rate in bundles:
+        write_bundle(survival_dataset(seed, n=n, censor_rate=censor_rate),
+                     str(tmp_path / f"b{seed}"))
+    params = [{}, {"iters": 0}, {"step_size": 0}, {"step_size": 1e6},
+              {"step_size": -1e6}, {"step_size": 1e-300}, {"ridge": 1e300},
+              {"iters": 20, "step_size": 5, "ridge": 0}]
+    # every event time of these bundles lies between 2.5 and 6.5
+    metrics = ["c_index", "brier@1", "brier@100"]
+    codes = []
+    for seed, _, _ in bundles:
+        for p in params:
+            for folds in (2, 5):
+                for importance in (None, {"metric": "c_index"}):
+                    doc = {"bundle": f"b{seed}", "task": "survival",
+                           "pipeline": [{"plugin": "survival.cox",
+                                         "params": p}],
+                           "metrics": metrics,
+                           "cv": {"folds": folds, "seed": 1}}
+                    if importance:
+                        doc["importance"] = importance
+                    where = json.dumps(doc)
+                    try:
+                        code = cli(["run", _write_config(tmp_path, doc)])
+                    except Exception as e:
+                        pytest.fail(f"{where}: {type(e).__name__}: {e}")
+                    out, err = capsys.readouterr()
+                    assert code in (0, 1, 2), where
+                    assert "Traceback" not in err, where
+                    if code == 0:
+                        assert all(math.isfinite(v)
+                                   for v in _all_numbers(json.loads(out))), \
+                            where
+                    codes.append(code)
+    assert len(codes) == 128
+    assert {0, 1} <= set(codes)
+
+
 def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):
     # a constant 1.0 covariate duplicates the intercept column; ridge 0
     # leaves the normal equations singular

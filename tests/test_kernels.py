@@ -10,6 +10,7 @@ report."""
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -205,19 +206,44 @@ def test_logistic_matches_row_major_oracle(iters):
     assert pure.logistic_gd(columns, y, 0.3, iters) == want
 
 
-@pytest.mark.parametrize("tie_times", [True, False])
-def test_cox_matches_row_major_oracle(tie_times):
-    columns, times, occurred = _cox_inputs(3, n=30, d=3,
-                                           tie_times=tie_times)
+def _cox_oracle_case(case):
+    """(columns, times, occurred, step, iters) for one oracle case. True
+    and False are 30 samples, 3 columns, with tied or distinct times; the
+    named cases are the boundaries of the risk-ordered layout."""
+    if case in (True, False):
+        return (*_cox_inputs(3, n=30, d=3, tie_times=case), 0.05, (0, 1, 40))
+    if case == "bench-shape":
+        return (*_cox_inputs(8, n=120, d=12), 0.001, (25,))
+    columns, times, occurred = _cox_inputs(4, n=12, d=3)
+    if case == "no-columns":
+        columns = []
+    elif case == "one-event":
+        occurred = [1 if i == 5 else 0 for i in range(12)]
+    elif case == "all-tied":
+        times = [2.0] * 12
+    elif case == "censored-first-and-last":
+        # the latest group and the earliest are censored only
+        times = [float(1 + i % 5) for i in range(12)]
+        occurred = [0 if t in (1.0, 5.0) else 1 for t in times]
+    return columns, times, occurred, 0.05, (0, 1, 40)
+
+
+@pytest.mark.parametrize("case", [True, False, "no-columns", "one-event",
+                                  "all-tied", "censored-first-and-last",
+                                  "bench-shape"])
+def test_cox_matches_row_major_oracle(case):
+    columns, times, occurred, step, iters_list = _cox_oracle_case(case)
+    n, d = len(times), len(columns)
     z_flat = _flat(columns)
     groups = pure.risk_groups(times)
-    for beta in ([0.0, 0.0, 0.0], [0.4, -1.1, 0.25]):
-        assert pure._cox_obj_grad(columns, groups, occurred, 1e-3, beta) \
-            == _cox_obj_grad_oracle(30, 3, z_flat, groups, occurred, 1e-3,
+    layout = pure._risk_layout(columns, groups, occurred)
+    for beta in ([0.0] * d, ([0.4, -1.1, 0.25] * 4)[:d]):
+        assert pure._cox_obj_grad(layout, 1e-3, beta) \
+            == _cox_obj_grad_oracle(n, d, z_flat, groups, occurred, 1e-3,
                                     beta)
-    for iters in (0, 1, 40):
-        assert pure.cox_gd(columns, times, occurred, 0.05, iters, 1e-6) \
-            == _cox_gd_oracle(30, 3, z_flat, times, occurred, 0.05, iters,
+    for iters in iters_list:
+        assert pure.cox_gd(columns, times, occurred, step, iters, 1e-6) \
+            == _cox_gd_oracle(n, d, z_flat, times, occurred, step, iters,
                               1e-6)
 
 
@@ -331,18 +357,18 @@ def test_cox_trace_shape_and_zero_iters(impl):
 
 def test_cox_gradient_matches_finite_differences():
     columns, times, occurred = _cox_inputs(1, n=10)
-    groups = pure.risk_groups(times)
+    layout = pure._risk_layout(columns, pure.risk_groups(times), occurred)
     beta = [0.3, -0.7]
     lam = 0.01
-    obj, grad = pure._cox_obj_grad(columns, groups, occurred, lam, beta)
+    obj, grad = pure._cox_obj_grad(layout, lam, beta)
     eps = 1e-6
     for j in range(2):
         up = list(beta)
         up[j] += eps
         down = list(beta)
         down[j] -= eps
-        o_up, _ = pure._cox_obj_grad(columns, groups, occurred, lam, up)
-        o_dn, _ = pure._cox_obj_grad(columns, groups, occurred, lam, down)
+        o_up, _ = pure._cox_obj_grad(layout, lam, up)
+        o_dn, _ = pure._cox_obj_grad(layout, lam, down)
         fd = (o_up - o_dn) / (2 * eps)
         assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
@@ -353,11 +379,11 @@ def test_cox_breslow_tied_objective_hand_value():
     columns = [[1.0, 0.0, -1.0]]
     times = [1.0, 1.0, 2.0]
     occurred = [1, 1, 0]
-    groups = pure.risk_groups(times)
+    layout = pure._risk_layout(columns, pure.risk_groups(times), occurred)
     beta = [0.5]
     denom = math.exp(0.5) + math.exp(0.0) + math.exp(-0.5)
     expected = (0.5 - math.log(denom)) + (0.0 - math.log(denom))
-    obj, _ = pure._cox_obj_grad(columns, groups, occurred, 0.0, beta)
+    obj, _ = pure._cox_obj_grad(layout, 0.0, beta)
     assert math.isclose(obj, expected, rel_tol=1e-15)
 
 
@@ -400,7 +426,24 @@ def test_logistic_overflowing_step_diverges():
 
 
 def test_cox_zero_risk_set_sum_diverges():
-    # a huge step drives every exp(beta . z) of the risk set to 0.0
+    # a huge step overflows exp(beta . z) in the first risk set; the
+    # overflow saturates to inf, so the sum is inf
     columns, times, occurred = _cox_inputs(2)
-    with pytest.raises(FitDiverged, match="risk-set sum"):
+    with pytest.raises(FitDiverged, match=re.escape(
+            "cox_gd: risk-set sum inf at time 4.0 is not positive and "
+            "finite")):
         pure.cox_gd(columns, times, occurred, 1e6, 5, 0.0)
+
+
+@pytest.mark.parametrize("seed, step, bad", [
+    # every exp(beta . z) of the first risk set underflows to 0.0
+    (1, 1e6, "0.0 at time 4.0"),
+    # the first risk sets are finite: the first bad one in sweep order,
+    # the last group's, is named
+    (3, 1e3, "inf at time 1.0"),
+])
+def test_cox_divergence_names_the_first_bad_risk_set_sum(seed, step, bad):
+    columns, times, occurred = _cox_inputs(seed)
+    with pytest.raises(FitDiverged, match=re.escape(
+            f"cox_gd: risk-set sum {bad} is not positive and finite")):
+        pure.cox_gd(columns, times, occurred, step, 5, 0.0)
