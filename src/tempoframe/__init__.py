@@ -46,7 +46,6 @@ from tempoframe.plugins import (
     load_fitted,
     register_plugin,
     save_fitted,
-    wrap,
 )
 
 # Importing these modules registers their plugins.
@@ -60,11 +59,7 @@ from tempoframe.survival import (
     kaplan_meier,
 )
 from tempoframe.treatment import pehe, synth_treatment_data
-from tempoframe.interpret import (
-    as_wrapper,
-    importance_report,
-    permutation_importance,
-)
+from tempoframe.interpret import permutation_importance
 from tempoframe.bench import (
     BenchConfig,
     BenchReport,
@@ -85,13 +80,13 @@ __all__ = [
     "covariate_matrix",
     "read_bundle", "write_bundle", "validate_bundle",
     "Category", "EstimatorSpec", "Param", "FittedEstimator",
-    "register_plugin", "create", "list_specs", "build_pipeline", "wrap",
+    "register_plugin", "create", "list_specs", "build_pipeline",
     "save_fitted", "load_fitted", "fingerprint_of",
     "rmse", "accuracy",
     "SurvivalCurve", "kaplan_meier", "concordance_index", "brier_score",
     "event_outcomes",
     "pehe", "synth_treatment_data",
-    "permutation_importance", "as_wrapper", "importance_report",
+    "permutation_importance",
     "BenchConfig", "BenchReport", "kfold_split", "load_config",
     "run_benchmark", "report_text",
 ]

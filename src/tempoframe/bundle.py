@@ -11,11 +11,13 @@ Empty value field = Missing. Writing is deterministic: fixed field order,
 shortest round-trip float formatting, UTF-8, LF line endings, so identical
 datasets produce byte-identical bundles.
 
-Reading and validation share one pass over each listed table
-(`tempoframe.data.scan_rows`, as the builders do) that checks each data row
-and places it in its sample's grid row, so `validate_bundle` reports exactly
-the faults that make `read_bundle` fail; `read_bundle` raises the first in
-row order as `<path>:<line>: <detail>`, with the error type of its code.
+Reading and validation share the manifest check, one pass over each
+listed table (`tempoframe.data.scan_rows`, as the builders do) that checks
+each data row and places it in its sample's grid row, and the assembly of
+clean tables into a Dataset, so both fail on the same bundles.
+`validate_bundle` returns every table fault; `read_bundle` raises the
+first in row order as `<path>:<line>: <detail>`, with the error type of
+its code.
 """
 
 from __future__ import annotations
@@ -268,18 +270,11 @@ def _scanned_tables(manifest: BundleManifest, manifest_path):
             text=True)
 
 
-def read_bundle(manifest_path) -> Dataset:
-    """Load a bundle. A table fault raises as `<path>:<line>: <detail>`;
-    a dataset-level fault carries the manifest path."""
-    manifest = _load_manifest(manifest_path)
-    containers = {}
-    for modality, _, path, kinds, scan in _scanned_tables(manifest,
-                                                           manifest_path):
-        if scan.violations:
-            v = scan.violations[0]
-            raise VIOLATION_ERRORS[v.code](
-                f"{path}:{table_line(v)}: {v.detail}")
-        containers[modality] = grid(modality, scan, kinds, manifest.samples)
+def _assemble(manifest: BundleManifest, manifest_path, tables) -> Dataset:
+    """The Dataset of clean scanned tables; a dataset-level fault carries
+    the manifest path."""
+    containers = {modality: grid(modality, scan, kinds, manifest.samples)
+                  for modality, _, _, kinds, scan in tables}
     role_map = RoleMap(tuple(
         (fid, Role(name)) for fid, name in manifest.roles.items()))
     try:
@@ -289,6 +284,21 @@ def read_bundle(manifest_path) -> Dataset:
                                 roles=role_map)
     except TempoframeError as e:
         raise type(e)(f"{manifest_path}: {e}") from None
+
+
+def read_bundle(manifest_path) -> Dataset:
+    """Load a bundle. A table fault raises as `<path>:<line>: <detail>`;
+    a dataset-level fault carries the manifest path."""
+    manifest = _load_manifest(manifest_path)
+    tables = []
+    for table in _scanned_tables(manifest, manifest_path):
+        _, _, path, _, scan = table
+        if scan.violations:
+            v = scan.violations[0]
+            raise VIOLATION_ERRORS[v.code](
+                f"{path}:{table_line(v)}: {v.detail}")
+        tables.append(table)
+    return _assemble(manifest, manifest_path, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +322,13 @@ def table_line(v: Violation) -> int:
 
 def validate_bundle(manifest_path) -> list:
     """Validate all tables of a bundle; returns (file, Violation) pairs.
-    Row numbers count data rows; `table_line` gives the file line."""
+    Row numbers count data rows; `table_line` gives the file line. Raises
+    the error `read_bundle` raises for a manifest fault or, when every
+    table is clean, for a dataset-level fault."""
     manifest = _load_manifest(manifest_path)
-    return [(name, v)
-            for _, name, _, _, scan in _scanned_tables(manifest, manifest_path)
-            for v in scan.violations]
+    tables = list(_scanned_tables(manifest, manifest_path))
+    found = [(name, v) for _, name, _, _, scan in tables
+             for v in scan.violations]
+    if not found:
+        _assemble(manifest, manifest_path, tables)
+    return found

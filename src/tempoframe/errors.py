@@ -129,10 +129,6 @@ class BadPipelineShape(TempoframeError):
     """Pipeline steps empty or with a non-Transform in interior position."""
 
 
-class IncompatibleInner(TempoframeError):
-    """A wrapper cannot encapsulate the given inner estimator."""
-
-
 class InvalidAlternative(TempoframeError):
     """Counterfactual alternatives empty, duplicated, or kind-invalid."""
 

@@ -1,5 +1,5 @@
-"""Permutation feature importance, packaged as a wrapper plugin around an
-already-fitted classifier or survival estimator.
+"""Permutation feature importance of an already-fitted classifier or
+survival estimator (a bare model or a pipeline ending in one).
 
 Importance is metric degradation: score(permuted) - score(baseline) for
 loss-like metrics and baseline - permuted for gain-like ones, so larger
@@ -26,22 +26,12 @@ from tempoframe.data import (
     covariate_groups,
     covariate_matrix,
 )
-from tempoframe.errors import (
-    MetricMismatch,
-    NonFiniteScore,
-    TooFewSamples,
-    WrongCategory,
-)
+from tempoframe.errors import MetricMismatch, NonFiniteScore, TooFewSamples
 from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import (
-    Category,
-    EstimatorSpec,
     FittedEstimator,
-    Param,
     PipelineFitted,
     check_fingerprint,
-    register_plugin,
-    wrap,
 )
 from tempoframe.rng import Lcg
 
@@ -65,10 +55,8 @@ def _column_predictor(inner: FittedEstimator, ds: Dataset):
     """predict(fid, perm): predictions of `inner` on ds with feature fid
     permuted by perm (fid None: on ds itself), from one featurization of
     ds."""
-    core = inner
-    while core.spec.category is Category.WRAPPER:
-        core = core._inner()
-    *front, final = core.steps if isinstance(core, PipelineFitted) else [core]
+    *front, final = (inner.steps if isinstance(inner, PipelineFitted)
+                     else [inner])
     for step in front:
         if step.spec.derived_ids is None:
             raise MetricMismatch(
@@ -78,7 +66,7 @@ def _column_predictor(inner: FittedEstimator, ds: Dataset):
         raise MetricMismatch(
             f"importance needs a model that reads the covariate matrix; "
             f"{final.spec.name!r} has no predict_columns")
-    check_fingerprint(core, ds)
+    check_fingerprint(inner, ds)
     running = ds
     for step in front:
         running = step.transform(running)
@@ -122,10 +110,10 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         raise MetricMismatch(
             f"metric {metric!r} is not scorable in place; importance "
             "supports accuracy, c_index and brier@<t>")
-    if inner.effective_category() is not task.category:
+    if inner.spec.category is not task.category:
         raise MetricMismatch(
             f"metric {metric!r} does not apply to a "
-            f"{inner.effective_category().value} estimator")
+            f"{inner.spec.category.value} estimator")
     predict = _column_predictor(inner, ds)
     unpermuted = predict(None, None)
     truth = task.truth(ds)
@@ -153,36 +141,3 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         importances.append(total / repeats)
     return ImportanceReport(metric, repeats, seed, baseline, tuple(targets),
                             tuple(importances))
-
-
-# ---------------------------------------------------------------------------
-# Wrapper plugin
-# ---------------------------------------------------------------------------
-
-_WRAPPER_NAME = "interpret.perm_importance"
-
-register_plugin(EstimatorSpec(
-    name=_WRAPPER_NAME, category=Category.WRAPPER,
-    schema=(Param("metric", "string", "accuracy"),
-            Param("repeats", "integer", 1, lo=1),
-            Param("seed", "integer", 0)),
-    accepts=(*(t.category for t in TASKS.values() if t.in_place),
-             Category.WRAPPER)))
-
-
-def as_wrapper(inner: FittedEstimator, *, metric: str, repeats: int = 1,
-               seed: int = 0) -> FittedEstimator:
-    """Wrap a fitted estimator; predict delegates unchanged and
-    `importance_report` becomes available."""
-    return wrap(inner, _WRAPPER_NAME,
-                {"metric": metric, "repeats": repeats, "seed": seed})
-
-
-def importance_report(wrapped: FittedEstimator, ds: Dataset) -> ImportanceReport:
-    if wrapped.spec.name != _WRAPPER_NAME:
-        raise WrongCategory(
-            f"{wrapped.spec.name!r} does not expose importance reports")
-    return permutation_importance(wrapped._inner(), ds,
-                                  wrapped.params["metric"],
-                                  wrapped.params["repeats"],
-                                  wrapped.params["seed"])

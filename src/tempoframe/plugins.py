@@ -1,8 +1,9 @@
-"""Estimator lifecycle, plugin registry, pipelines, wrappers, persistence.
+"""Estimator lifecycle, plugin registry, pipelines, persistence.
 
 A plugin is an EstimatorSpec: a dotted name, a category, a hyperparameter
-schema and a set of lifecycle functions. `create` resolves params against
-the schema and returns an Estimator; `fit` produces an immutable
+schema and a set of lifecycle functions; `register_plugin` refuses a spec
+without the ones its category runs. `create` resolves params against the
+schema and returns an Estimator; `fit` produces an immutable
 FittedEstimator carrying JSON-able learned state plus a fingerprint of the
 training features, which predict-time datasets must match.
 """
@@ -13,7 +14,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tempoframe.data import (
     Dataset,
@@ -26,7 +27,6 @@ from tempoframe.errors import (
     DuplicatePlugin,
     FingerprintMismatch,
     FitDiverged,
-    IncompatibleInner,
     InvalidAlternative,
     InvalidSpec,
     NotATransform,
@@ -45,11 +45,16 @@ class Category(enum.Enum):
     CLASSIFIER = "classifier"
     SURVIVAL = "survival"
     TREATMENT = "treatment"
-    WRAPPER = "wrapper"
 
 
 # The categories whose fitted estimators support predict.
 _PREDICTING = (Category.FORECASTER, Category.CLASSIFIER, Category.SURVIVAL)
+
+# Per category, the lifecycle functions of which a spec must set at least
+# one besides fit.
+_LIFECYCLE = {Category.TRANSFORM: ("transform",),
+              Category.TREATMENT: ("predict_counterfactuals",),
+              **{c: ("predict", "predict_columns") for c in _PREDICTING}}
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +149,7 @@ class EstimatorSpec:
     functions receive (params, state, ds). `requirements(params, ds)` is a
     transform's precondition: it runs before fit and before each transform
     of a query, and raises RequirementUnmet or another TempoframeError.
-    Estimators check their input inside fit. Wrapper specs leave fit unset
-    and declare which inner categories they accept.
+    Estimators check their input inside fit.
 
     Two optional fields let permutation importance featurize once:
 
@@ -168,7 +172,6 @@ class EstimatorSpec:
     predict: object = None
     predict_counterfactuals: object = None
     requirements: object = None
-    accepts: tuple = ()
     predict_columns: object = None
     derived_ids: object = None
 
@@ -179,6 +182,10 @@ _REGISTRY: dict = {}
 def register_plugin(spec: EstimatorSpec) -> None:
     if spec.name in _REGISTRY:
         raise DuplicatePlugin(f"plugin {spec.name!r} already registered")
+    needed = _LIFECYCLE[spec.category]
+    if spec.fit is None or all(getattr(spec, f) is None for f in needed):
+        raise InvalidSpec(f"{spec.category.value} {spec.name!r} must set fit "
+                          f"and {' or '.join(needed)}")
     if spec.category is Category.FORECASTER and not any(
             p.name == "horizon" and p.type == "integer" and (p.lo or 0) >= 1
             for p in spec.schema):
@@ -218,10 +225,13 @@ def dataset_signature(ds: Dataset) -> tuple:
         for fid, kind, role, modality in ds.all_features())
 
 
-def fingerprint_of(ds: Dataset) -> str:
-    doc = json.dumps([list(t) for t in dataset_signature(ds)],
-                     separators=(",", ":"))
+def _features_hash(features) -> str:
+    doc = json.dumps([list(t) for t in features], separators=(",", ":"))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def fingerprint_of(ds: Dataset) -> str:
+    return _features_hash(dataset_signature(ds))
 
 
 def check_fingerprint(fitted: "FittedEstimator", ds: Dataset) -> None:
@@ -258,10 +268,6 @@ class Estimator:
         self.params = params
 
     def fit(self, ds: Dataset) -> "FittedEstimator":
-        if self.spec.fit is None:
-            raise WrongCategory(
-                f"{self.spec.name!r} ({self.spec.category.value}) "
-                "does not support fit")
         if self.spec.requirements is not None:
             self.spec.requirements(self.params, ds)
         state = self.spec.fit(self.params, ds)
@@ -301,8 +307,6 @@ class FittedEstimator:
         return self.spec.transform(self.params, self.state, ds)
 
     def predict(self, ds: Dataset):
-        if self.spec.category is Category.WRAPPER:
-            return self._inner().predict(ds)
         if self.spec.category not in _PREDICTING:
             raise WrongCategory(
                 f"{self.spec.name!r} ({self.spec.category.value}) "
@@ -327,15 +331,6 @@ class FittedEstimator:
         check_fingerprint(self, ds)
         return self.spec.predict_counterfactuals(self.params, self.state, ds,
                                                  alternatives)
-
-    def _inner(self) -> "FittedEstimator":
-        return _fitted_from_doc(self.state["inner"])
-
-    def effective_category(self) -> Category:
-        """Category after unwrapping any wrapper layers."""
-        if self.spec.category is Category.WRAPPER:
-            return self._inner().effective_category()
-        return self.spec.category
 
 
 # ---------------------------------------------------------------------------
@@ -413,29 +408,7 @@ def build_pipeline(steps) -> Estimator:
                 f"interior step {est.spec.name!r} is a "
                 f"{est.spec.category.value}; only the last step may be "
                 "non-transform")
-    if len(ests) == 1 and ests[0].spec.category is Category.WRAPPER:
-        raise BadPipelineShape("a wrapper cannot be fitted as a pipeline step")
     return PipelineEstimator(ests)
-
-
-# ---------------------------------------------------------------------------
-# Wrappers
-# ---------------------------------------------------------------------------
-
-def wrap(inner: FittedEstimator, wrapper_name: str,
-         params: dict | None = None) -> FittedEstimator:
-    """Encapsulate an already-fitted estimator in a wrapper plugin."""
-    spec = spec_of(wrapper_name)
-    if spec.category is not Category.WRAPPER:
-        raise WrongCategory(f"{wrapper_name!r} is not a wrapper plugin")
-    resolved = resolve_params(spec.schema, params or {})
-    if inner.spec.category not in spec.accepts:
-        raise IncompatibleInner(
-            f"{wrapper_name!r} cannot wrap a "
-            f"{inner.spec.category.value} estimator")
-    state = {"inner": _fitted_to_doc(inner)}
-    return FittedEstimator(spec, resolved, state, inner.fingerprint,
-                           inner.features)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +439,9 @@ def _fitted_from_doc(doc) -> FittedEstimator:
     try:
         features = tuple(tuple(t) for t in doc["features"])
         fingerprint = doc["fingerprint"]
+        if fingerprint != _features_hash(features):
+            raise CorruptBlob(f"{name!r}: stored fingerprint is not the hash "
+                              "of the stored features")
         if name == _PIPELINE_NAME:
             steps = [_fitted_from_doc(d) for d in doc["steps"]]
             return PipelineFitted(steps, fingerprint, features)

@@ -182,7 +182,7 @@ def _cox_predict_columns(params, state, sample_ids, names,
 register_plugin(EstimatorSpec(
     name="survival.cox", category=Category.SURVIVAL,
     schema=(Param("iters", "integer", 500, lo=0),
-            Param("step_size", "real", 0.1),
+            Param("step_size", "real", 0.1, lo=0.0),
             Param("ridge", "real", 1e-6, lo=0.0)),
     fit=_cox_fit, predict_columns=_cox_predict_columns))
 

@@ -31,7 +31,7 @@ from tempoframe.bench import (
     strip_timing,
     write_truth,
 )
-from tempoframe.bundle import read_bundle, write_bundle
+from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
 from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
@@ -42,12 +42,16 @@ from tempoframe.data import (
     StaticSamples,
     assemble_dataset,
     build_static_samples,
+    build_time_series_samples,
 )
 from tempoframe.errors import (
     BenchError,
     ConfigError,
+    DuplicateFeature,
     IoError,
     NonBinaryTarget,
+    RoleConflict,
+    RoleGap,
     TooFewSamples,
 )
 from tempoframe.metrics import MetricSpec
@@ -213,6 +217,17 @@ def test_config_rejects_a_t_learner_seed(tmp_path):
         config_from_doc(doc, str(tmp_path), "0" * 64)
 
 
+def test_config_rejects_a_negative_cox_step(tmp_path, capsys):
+    # a negative step would run gradient descent on the partial likelihood
+    doc = {"bundle": "b", "task": "survival",
+           "pipeline": [{"plugin": "survival.cox",
+                         "params": {"step_size": -0.1}}],
+           "metrics": ["c_index"], "cv": {"folds": 2, "seed": 0}}
+    assert cli(["run", _write_config(tmp_path, doc)]) == 2
+    assert "param 'step_size': -0.1 below lower bound 0.0" in \
+        capsys.readouterr().err
+
+
 def test_config_importance_defaults(tmp_path):
     doc = _classify_doc(importance={"metric": "accuracy"})
     config = config_from_doc(doc, str(tmp_path), "0" * 64)
@@ -318,6 +333,25 @@ def test_forecast_holdout_needs_history(tmp_path):
     with pytest.raises(BenchError) as exc:
         run_benchmark(load_config(_write_config(tmp_path, doc)))
     assert "fold 0" in str(exc.value)
+
+
+def test_forecast_non_finite_score_fails_its_fold(tmp_path, capsys):
+    # persistence repeats +-1e308, so a squared error overflows to inf
+    points = [(f"s{i}", "y", float(t), (-1.0) ** (i + t) * 1e308)
+              for i in range(6) for t in range(5)]
+    ds = assemble_dataset(
+        static=build_static_samples([(f"s{i}", "a", float(i))
+                                     for i in range(6)], {"a": Continuous()}),
+        temporal=build_time_series_samples(points, {"y": Continuous()}),
+        roles=RoleMap.of(covariates=("a",), targets=("y",)))
+    write_bundle(ds, str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "forecast",
+           "pipeline": [{"plugin": "forecast.persistence",
+                         "params": {"horizon": 2, "step": 1.0}}],
+           "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
+    assert cli(["run", _write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == \
+        "tempoframe: fold 0, metric rmse: non-finite score inf\n"
 
 
 def test_survival_benchmark(tmp_path):
@@ -476,6 +510,36 @@ def test_cli_validate(tmp_path, capsys):
     assert "static.csv:3: duplicate_cell" in out
 
     assert cli(["validate", str(tmp_path / "nope")]) == 2
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda doc: doc["roles"].update(ghost="covariate"), RoleConflict,
+     "roles assigned to unknown features: ['ghost']"),
+    (lambda doc: doc["roles"].update(x="target"), RoleGap,
+     "dataset has no covariate feature"),
+    (lambda doc: doc["features"]["event"].append("x"), DuplicateFeature,
+     "feature ids repeat across containers: ['x']"),
+], ids=["unknown-feature-role", "no-covariate", "repeated-feature"])
+def test_validate_and_read_agree_on_dataset_faults(tmp_path, capsys, edit,
+                                                   error, message):
+    bundle = tmp_path / "bundle"
+    write_bundle(survival_dataset(1, n=12), str(bundle))
+    manifest = bundle / "manifest"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    edit(doc)
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(error) as exc:
+            load(str(manifest))
+        assert str(exc.value) == f"{manifest}: {message}"
+    config = _write_config(tmp_path, {
+        "bundle": "bundle", "task": "survival",
+        "pipeline": [{"plugin": "survival.cox", "params": {"iters": 5}}],
+        "metrics": ["c_index"], "cv": {"folds": 2, "seed": 0}})
+    for args in (["validate", str(bundle)], ["run", config]):
+        assert cli(args) == 1
+        assert capsys.readouterr().err == \
+            f"tempoframe: {manifest}: {message}\n"
 
 
 def test_cli_run(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tempoframe.bundle import (
     validate_long_table,
     write_bundle,
 )
+from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -278,6 +279,72 @@ def test_malformed_manifest_is_a_manifest_error(tmp_path, key, sub, value):
     for load in (read_bundle, validate_bundle):
         with pytest.raises(ManifestError):
             load(path / MANIFEST_NAME)
+
+
+def _manifest_edit(change):
+    def edit(path):
+        manifest = path / MANIFEST_NAME
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(change(doc)), encoding="utf-8")
+    return edit
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _static_table(text):
+    def edit(path):
+        if text is None:
+            os.remove(path / "static.csv")
+        else:
+            (path / "static.csv").write_text(text, encoding="utf-8")
+    return edit
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (_manifest_edit(lambda d: ["manifest"]), ManifestError,
+     "{manifest}: manifest must be an object"),
+    (_manifest_edit(lambda d: _without(d, "roles")), ManifestError,
+     "{manifest}: missing key 'roles'"),
+    (_manifest_edit(lambda d: dict(d, samples=["s0", 1])), ManifestError,
+     "{manifest}: samples must be a string list"),
+    (_manifest_edit(lambda d: dict(d, files=dict(d["files"],
+                                                 video="video.csv"))),
+     ManifestError, "{manifest}: unknown modality 'video'"),
+    (_manifest_edit(lambda d: dict(d, features=_without(d["features"],
+                                                        "temporal"))),
+     ManifestError, "{manifest}: no feature list for 'temporal'"),
+    (_manifest_edit(lambda d: dict(d, roles=dict(d["roles"], x="label"))),
+     ManifestError, "{manifest}: unknown role 'label' for 'x'"),
+    (_manifest_edit(lambda d: dict(d, kinds=_without(d["kinds"], "x"))),
+     ManifestError, "{manifest}: feature 'x' has no kind"),
+    (_manifest_edit(lambda d: dict(d, roles=_without(d["roles"], "x"))),
+     ManifestError, "{manifest}: feature 'x' has no role"),
+    (_manifest_edit(lambda d: dict(d, kinds=dict(d["kinds"],
+                                                 x={"kind": "complex"}))),
+     ManifestError, "{manifest}: kinds['x']: unknown kind 'complex'"),
+    (_static_table(None), ManifestError,
+     "listed file does not exist: {static}"),
+    (_static_table(""), ParseError, "{static}: missing header row"),
+    (_static_table("sid,fid,value\n"), ParseError,
+     "{static}: bad header ['sid', 'fid', 'value'], expected "
+     "['sample_id', 'feature_id', 'value']"),
+], ids=["not-an-object", "missing-key", "samples-not-strings",
+        "unknown-modality", "no-feature-list", "unknown-role", "no-kind",
+        "no-role", "bad-kind", "missing-file", "empty-table", "bad-header"])
+def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
+                                              message):
+    path = _small_bundle(tmp_path)
+    edit(path)
+    expected = message.format(manifest=path / MANIFEST_NAME,
+                              static=path / "static.csv")
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(error) as exc:
+            load(path / MANIFEST_NAME)
+        assert str(exc.value) == expected
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"tempoframe: {expected}\n"
 
 
 def test_undecodable_or_oversized_input_names_the_file(tmp_path):

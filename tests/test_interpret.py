@@ -1,4 +1,4 @@
-"""Permutation importance and its wrapper plugin."""
+"""Permutation importance."""
 
 from __future__ import annotations
 
@@ -25,17 +25,11 @@ from tempoframe.data import (
     covariate_matrix,
 )
 from tempoframe.errors import (
-    IncompatibleInner,
     MetricMismatch,
     NonFiniteScore,
     TooFewSamples,
-    WrongCategory,
 )
-from tempoframe.interpret import (
-    as_wrapper,
-    importance_report,
-    permutation_importance,
-)
+from tempoframe.interpret import permutation_importance
 from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
 from tempoframe.plugins import (
     Category,
@@ -128,6 +122,9 @@ def test_metric_and_sample_guards():
     forecaster = create("forecast.ar", {"order": 1}).fit(series)
     with pytest.raises(MetricMismatch, match="forecaster estimator"):
         permutation_importance(forecaster, series, "accuracy")
+    scaler = create("scale.zscore").fit(ds)
+    with pytest.raises(MetricMismatch, match="transform estimator"):
+        permutation_importance(scaler, ds, "accuracy")
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, ds, "accuracy", repeats=0)
 
@@ -150,36 +147,6 @@ def test_importance_needs_a_matrix_model(monkeypatch):
     with pytest.raises(MetricMismatch, match="'test.dataset_logistic' has "
                                              "no predict_columns"):
         permutation_importance(fitted, ds, "accuracy")
-
-
-def test_wrapper_round_trip():
-    ds = _noise_classifier_ds(5)
-    inner = create("classify.logistic", {"iters": 200}).fit(ds)
-    wrapped = as_wrapper(inner, metric="accuracy", repeats=4, seed=2)
-    assert wrapped.predict(ds) == inner.predict(ds)
-    report = importance_report(wrapped, ds)
-    direct = permutation_importance(inner, ds, "accuracy", repeats=4,
-                                    seed=2)
-    assert report == direct
-
-    double = as_wrapper(wrapped, metric="accuracy", repeats=1)
-    assert double.predict(ds) == inner.predict(ds)
-    assert importance_report(double, ds) == permutation_importance(
-        inner, ds, "accuracy", repeats=1, seed=0)
-
-    with pytest.raises(WrongCategory):
-        importance_report(inner, ds)
-
-
-def test_wrapper_rejects_incompatible_inner():
-    ds = _noise_classifier_ds(6)
-    scaler = create("scale.zscore").fit(ds)
-    with pytest.raises(IncompatibleInner):
-        as_wrapper(scaler, metric="accuracy")
-    series = regular_series_dataset(6, n=8, length=6)
-    forecaster = create("forecast.ar", {"order": 1}).fit(series)
-    with pytest.raises(IncompatibleInner):
-        as_wrapper(forecaster, metric="rmse")
 
 
 def test_non_finite_score_names_the_feature_and_the_metric(monkeypatch):
@@ -351,11 +318,6 @@ def _undeclared_front():
     return fitted, ds, "accuracy"
 
 
-def _wrapped_pipeline():
-    fitted, ds, metric = _imputed_classifier()
-    return as_wrapper(fitted, metric=metric, repeats=2), ds, metric
-
-
 # (case, whether importance supports it)
 _CASES = {
     "impute-scale": (_imputed_classifier, True),
@@ -363,7 +325,6 @@ _CASES = {
     "cox-c_index": (_bare_cox("c_index"), True),
     "cox-brier": (_bare_cox("brier@3.0"), True),
     "undeclared-transform": (_undeclared_front, False),
-    "wrapper": (_wrapped_pipeline, True),
 }
 
 

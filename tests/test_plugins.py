@@ -1,13 +1,16 @@
 """Plugin registry, estimator lifecycle, fingerprints, pipelines,
-wrappers, persistence."""
+persistence."""
 
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
 from datagen import classification_dataset, random_dataset, survival_dataset
+from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
     Continuous,
@@ -25,7 +28,6 @@ from tempoframe.errors import (
     DuplicatePlugin,
     FingerprintMismatch,
     FitDiverged,
-    IncompatibleInner,
     InvalidSpec,
     NotATransform,
     NotFitted,
@@ -51,7 +53,6 @@ from tempoframe.plugins import (
     resolve_params,
     save_fitted,
     spec_of,
-    wrap,
 )
 from tempoframe.rng import Lcg
 from tempoframe.treatment import synth_treatment_data
@@ -108,11 +109,33 @@ def test_registry_contents():
                      "encode.onehot", "resample.regular",
                      "forecast.persistence", "forecast.ar",
                      "classify.logistic", "survival.cox",
-                     "treatment.t_learner", "interpret.perm_importance"):
+                     "treatment.t_learner"):
         assert expected in names
     transforms = [s.name for s in list_specs(Category.TRANSFORM)]
     assert transforms == ["encode.onehot", "impute.locf", "impute.mean",
                           "resample.regular", "scale.zscore"]
+
+
+def test_readme_plugin_table_matches_the_registry():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    table = text.split("## Shipped plugins", 1)[1].split("\n\n", 2)[1]
+    rows = [re.match(r"\| `([^`]+)` \| (\w+) \|", line)
+            for line in table.splitlines()[2:]]
+    assert sorted(m.groups() for m in rows) == \
+        [(s.name, s.category.value) for s in list_specs()]
+
+
+def test_importance_is_not_a_plugin(capsys):
+    assert cli(["plugins", "--category", "wrapper"]) == 2
+    assert "invalid choice: 'wrapper'" in capsys.readouterr().err
+    ds = classification_dataset(15, n=12)
+    blob = save_fitted(create("classify.logistic", {"iters": 5}).fit(ds))
+    with pytest.raises(UnknownPluginInBlob,
+                       match="unregistered plugin 'interpret.perm_importance'"):
+        load_fitted(blob.replace(b"classify.logistic",
+                                 b"interpret.perm_importance"))
 
 
 def test_unknown_and_duplicate_plugins():
@@ -143,6 +166,36 @@ def test_forecaster_must_declare_its_horizon(schema):
     assert _REGISTRY == before
     for name in ("forecast.ar", "forecast.persistence"):
         assert "horizon" in {p.name for p in spec_of(name).schema}
+
+
+def _noop(*args):
+    return {}
+
+
+@pytest.mark.parametrize("category,functions,needed", [
+    (Category.CLASSIFIER, {"predict_columns": _noop},
+     "predict or predict_columns"),
+    (Category.TRANSFORM, {"fit": _noop, "predict": _noop}, "transform"),
+    (Category.FORECASTER, {"fit": _noop, "transform": _noop},
+     "predict or predict_columns"),
+    (Category.CLASSIFIER, {"fit": _noop}, "predict or predict_columns"),
+    (Category.SURVIVAL, {"fit": _noop, "predict_counterfactuals": _noop},
+     "predict or predict_columns"),
+    (Category.TREATMENT, {"fit": _noop, "predict": _noop},
+     "predict_counterfactuals"),
+], ids=["no-fit", "transform", "forecaster", "classifier", "survival",
+        "treatment"])
+def test_register_refuses_a_spec_that_cannot_run(category, functions,
+                                                 needed):
+    # such a spec used to fail only when called, with a raw TypeError
+    before = dict(_REGISTRY)
+    with pytest.raises(InvalidSpec, match=(
+            f"^{category.value} 'test.cannot_run' must set fit and "
+            f"{needed}$")):
+        register_plugin(EstimatorSpec(
+            name="test.cannot_run", category=category,
+            schema=(Param("horizon", "integer", 1, lo=1),), **functions))
+    assert _REGISTRY == before
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +335,6 @@ def test_pipeline_shape_checks():
         build_pipeline([])
     with pytest.raises(BadPipelineShape):
         build_pipeline([("classify.logistic", {}), ("scale.zscore", {})])
-    with pytest.raises(BadPipelineShape):
-        build_pipeline([("interpret.perm_importance", {})])
 
 
 def test_pipeline_of_transforms_is_a_transform():
@@ -294,34 +345,6 @@ def test_pipeline_of_transforms_is_a_transform():
     assert out.sample_ids == ds.sample_ids
     with pytest.raises(WrongCategory):
         fitted.predict(ds)
-
-
-# ---------------------------------------------------------------------------
-# Wrappers
-# ---------------------------------------------------------------------------
-
-def test_wrapper_delegates_predict():
-    ds = classification_dataset(7)
-    inner = create("classify.logistic", {"iters": 20}).fit(ds)
-    wrapped = wrap(inner, "interpret.perm_importance",
-                   {"metric": "accuracy"})
-    assert wrapped.predict(ds) == inner.predict(ds)
-    assert wrapped.effective_category() is Category.CLASSIFIER
-
-    double = wrap(wrapped, "interpret.perm_importance",
-                  {"metric": "accuracy"})
-    assert double.predict(ds) == inner.predict(ds)
-    assert double.effective_category() is Category.CLASSIFIER
-
-
-def test_wrapper_rejects_transforms():
-    ds = classification_dataset(8)
-    scaler = create("scale.zscore").fit(ds)
-    with pytest.raises(IncompatibleInner):
-        wrap(scaler, "interpret.perm_importance", {"metric": "accuracy"})
-    inner = create("classify.logistic", {"iters": 5}).fit(ds)
-    with pytest.raises(WrongCategory):
-        wrap(inner, "classify.logistic", {})
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +369,6 @@ def test_save_load_round_trip_pipeline_and_wrapper():
                              ("classify.logistic", {"iters": 30})]).fit(ds)
     loaded = load_fitted(save_fitted(fitted))
     assert loaded.predict(ds) == fitted.predict(ds)
-
-    wrapped = wrap(create("classify.logistic", {"iters": 10}).fit(ds),
-                   "interpret.perm_importance", {"metric": "accuracy"})
-    loaded = load_fitted(save_fitted(wrapped))
-    assert loaded.predict(ds) == wrapped.predict(ds)
 
 
 def test_save_load_survival_state():
@@ -396,6 +414,24 @@ def test_save_refuses_non_finite_state_naming_the_plugin():
     fitted = create("scale.zscore").fit(ds)
     with pytest.raises(FitDiverged, match="^scale.zscore: "):
         save_fitted(fitted)
+
+
+def test_blob_whose_fingerprint_and_features_disagree_is_corrupt():
+    # predict trusts the stored fingerprint and transform the stored
+    # features, so a blob whose two records disagree must not load
+    ds = classification_dataset(14, n=20)
+    renamed = json.loads(save_fitted(
+        create("classify.logistic", {"iters": 5}).fit(ds)))
+    for t in renamed["fitted"]["features"]:
+        t[0] = f"{t[0]}_renamed"
+    zeroed = json.loads(save_fitted(create("scale.zscore").fit(ds)))
+    zeroed["fitted"]["fingerprint"] = "0" * 64
+    for doc, name in ((renamed, "classify.logistic"),
+                      (zeroed, "scale.zscore")):
+        with pytest.raises(CorruptBlob, match=(
+                f"^'{name}': stored fingerprint is not the hash of the "
+                "stored features$")):
+            load_fitted(json.dumps(doc).encode("utf-8"))
 
 
 def test_corrupt_blobs():
