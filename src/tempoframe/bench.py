@@ -295,16 +295,10 @@ def _step(fold: int, label: str):
     log.debug("fold %d, %s: %.6f s", fold, label, time.perf_counter() - t0)
 
 
-def _final_params(config: BenchConfig) -> dict:
-    name, params = config.pipeline[-1]
-    return resolve_params(spec_of(name).schema, params)
-
-
 def _eval_fold(config: BenchConfig, fold: int, fitted, test: Dataset,
                truth_map) -> dict:
     with _step(fold, "predict"):
-        pred, truth = TASKS[config.task].observe(
-            fitted, test, _final_params(config), truth_map)
+        pred, truth = TASKS[config.task].observe(fitted, test, truth_map)
     values = {}
     for name in config.metrics:
         with _step(fold, f"metric {name}"):

@@ -323,12 +323,22 @@ def table_line(v: Violation) -> int:
 def validate_bundle(manifest_path) -> list:
     """Validate all tables of a bundle; returns (file, Violation) pairs.
     Row numbers count data rows; `table_line` gives the file line. Raises
-    the error `read_bundle` raises for a manifest fault or, when every
-    table is clean, for a dataset-level fault."""
+    the error `read_bundle` raises for a manifest fault, for a table that
+    cannot be read when no earlier table has a violation (such as a
+    missing file) or, when every table is clean, for a dataset-level
+    fault."""
     manifest = _load_manifest(manifest_path)
-    tables = list(_scanned_tables(manifest, manifest_path))
-    found = [(name, v) for _, name, _, _, scan in tables
-             for v in scan.violations]
+    tables, found = [], []
+    try:
+        for table in _scanned_tables(manifest, manifest_path):
+            _, name, _, _, scan = table
+            tables.append(table)
+            found.extend((name, v) for v in scan.violations)
+    except (ManifestError, ParseError, IoError):
+        # a table that cannot be read; read_bundle stops before it when
+        # an earlier table has a violation
+        if not found:
+            raise
     if not found:
         _assemble(manifest, manifest_path, tables)
     return found

@@ -71,14 +71,18 @@ def _persistence_fit(params, ds: Dataset) -> dict:
 
 
 def _last_observed(seq, sid, fid):
-    for t, v in reversed(seq):
-        if v is not MISSING:
-            return t, float(v)
+    """(index, value) of the last observed point of seq."""
+    for j in range(len(seq) - 1, -1, -1):
+        if seq[j][1] is not MISSING:
+            return j, float(seq[j][1])
     raise EmptyTargetSeries(
         f"no observed value in target {fid!r} of sample {sid!r}")
 
 
 def _persistence_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
+    """The last observed value, at the next `horizon` times after it: on
+    a sequence on its grid t0 + j * step, the grid's own times, as
+    `forecast.ar` continues it; else t_last + k * step."""
     horizon = params["horizon"]
     step = params["step"]
     targets = state["targets"]
@@ -87,10 +91,15 @@ def _persistence_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     for sid in ds.sample_ids:
         per_sample = []
         for fid in targets:
-            t_last, v_last = _last_observed(ds.temporal.sequence(sid, fid),
-                                            sid, fid)
-            per_sample.append(tuple((t_last + k * step, v_last)
-                                    for k in range(1, horizon + 1)))
+            seq = ds.temporal.sequence(sid, fid)
+            j, v_last = _last_observed(seq, sid, fid)
+            t0 = seq[0][0]
+            ks = range(1, horizon + 1)
+            if all(t == t0 + i * step for i, (t, _) in enumerate(seq)):
+                times = [t0 + (j + k) * step for k in ks]
+            else:
+                times = [seq[j][0] + k * step for k in ks]
+            per_sample.append(tuple((t, v_last) for t in times))
         series.append(tuple(per_sample))
     return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
 

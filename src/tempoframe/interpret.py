@@ -28,11 +28,7 @@ from tempoframe.data import (
 )
 from tempoframe.errors import MetricMismatch, NonFiniteScore, TooFewSamples
 from tempoframe.metrics import TASKS, resolve_metric
-from tempoframe.plugins import (
-    FittedEstimator,
-    PipelineFitted,
-    check_fingerprint,
-)
+from tempoframe.plugins import FittedEstimator, check_fingerprint
 from tempoframe.rng import Lcg
 
 
@@ -55,22 +51,17 @@ def _column_predictor(inner: FittedEstimator, ds: Dataset):
     """predict(fid, perm): predictions of `inner` on ds with feature fid
     permuted by perm (fid None: on ds itself), from one featurization of
     ds."""
-    *front, final = (inner.steps if isinstance(inner, PipelineFitted)
-                     else [inner])
-    for step in front:
+    for step in inner.front:
         if step.spec.derived_ids is None:
             raise MetricMismatch(
                 f"importance needs per-sample transforms; {step.spec.name!r} "
                 "does not declare derived_ids")
-    if final.spec.predict_columns is None:
+    if inner.spec.predict_columns is None:
         raise MetricMismatch(
             f"importance needs a model that reads the covariate matrix; "
-            f"{final.spec.name!r} has no predict_columns")
-    check_fingerprint(inner, ds)
-    running = ds
-    for step in front:
-        running = step.transform(running)
-    check_fingerprint(final, running)
+            f"{inner.spec.name!r} has no predict_columns")
+    running = inner.run_front(ds)
+    check_fingerprint(inner, running)
     names, columns = covariate_matrix(running)
     sources = [fid for fid, _, group in covariate_groups(running)
                for _ in group]
@@ -79,12 +70,12 @@ def _column_predictor(inner: FittedEstimator, ds: Dataset):
         shuffled = columns
         if fid is not None:
             ids = {fid}
-            for step in front:
+            for step in inner.front:
                 ids = {out for i in ids for out in
                        step.spec.derived_ids(step.params, step.state, i)}
             shuffled = [[col[p] for p in perm] if src in ids else col
                         for src, col in zip(sources, columns)]
-        return final.spec.predict_columns(final.params, final.state,
+        return inner.spec.predict_columns(inner.params, inner.state,
                                           running.sample_ids, names,
                                           shuffled)
     return predict

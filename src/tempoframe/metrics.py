@@ -83,16 +83,15 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     return truncated, truth
 
 
-# A held-out observer maps (fitted, ds, params, effects) to (pred, truth).
-# params are the final step's resolved params; effects maps sample id to
-# its true treatment effect.
+# A held-out observer maps (fitted, ds, effects) to (pred, truth); effects
+# maps sample id to its true treatment effect.
 
-def _observe_forecast(fitted, ds, params, effects):
-    history, future = _holdout_forecast(ds, params["horizon"])
+def _observe_forecast(fitted, ds, effects):
+    history, future = _holdout_forecast(ds, fitted.params["horizon"])
     return fitted.predict(history), future
 
 
-def _observe_treatment(fitted, ds, params, effects):
+def _observe_treatment(fitted, ds, effects):
     estimate = fitted.predict_counterfactuals(ds, (0, 1)).effects()
     missing = [sid for sid in estimate.sample_ids if sid not in effects]
     if missing:
@@ -110,11 +109,11 @@ class TaskSpec:
     def in_place(self) -> bool:
         return self.truth is not None
 
-    def observe(self, fitted, ds, params, effects) -> tuple:
+    def observe(self, fitted, ds, effects) -> tuple:
         """(pred, truth) of one evaluation dataset; an in-place task
         predicts ds and reads the truth off it."""
         if self.truth is None:
-            return self.held_out(fitted, ds, params, effects)
+            return self.held_out(fitted, ds, effects)
         return fitted.predict(ds), self.truth(ds)
 
 

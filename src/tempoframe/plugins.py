@@ -5,7 +5,10 @@ schema and a set of lifecycle functions; `register_plugin` refuses a spec
 without the ones its category runs. `create` resolves params against the
 schema and returns an Estimator; `fit` produces an immutable
 FittedEstimator carrying JSON-able learned state plus a fingerprint of the
-training features, which predict-time datasets must match.
+training features, which predict-time datasets must match. A pipeline is
+its last step's Estimator with the other steps, all transforms, as its
+front: fit fits and applies the front first, and every query runs it
+first.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ _LIFECYCLE = {Category.TRANSFORM: ("transform",),
 class Param:
     """One hyperparameter: name, type, bounds/choices and a default.
 
-    type is one of "real", "integer", "categorical", "boolean", "string".
-    Bounds are inclusive and optional; categorical params use `choices`
-    instead.
+    type is one of "real", "integer", "categorical". Bounds are inclusive
+    and optional; categorical params use `choices` instead.
     """
 
     name: str
@@ -78,8 +80,7 @@ class Param:
     choices: tuple = None
 
     def __post_init__(self):
-        if self.type not in ("real", "integer", "categorical", "boolean",
-                             "string"):
+        if self.type not in ("real", "integer", "categorical"):
             raise ValueError(f"bad param type {self.type!r}")
         if self.type == "categorical" and not self.choices:
             raise ValueError(f"param {self.name!r} needs choices")
@@ -88,16 +89,6 @@ class Param:
 
     def check(self, value):
         where = f"param {self.name!r}"
-        if self.type == "string":
-            if not isinstance(value, str):
-                raise ParamOutOfBounds(f"{where}: expected a string, "
-                                       f"got {value!r}")
-            return value
-        if self.type == "boolean":
-            if not isinstance(value, bool):
-                raise ParamOutOfBounds(f"{where}: expected a boolean, "
-                                       f"got {value!r}")
-            return value
         if self.type == "categorical":
             if value not in self.choices:
                 raise ParamOutOfBounds(f"{where}: {value!r} not in "
@@ -146,10 +137,8 @@ class EstimatorSpec:
     """Registry entry: lifecycle functions keyed by a unique dotted name.
 
     fit(params, ds) -> state dict (JSON-able). The optional lifecycle
-    functions receive (params, state, ds). `requirements(params, ds)` is a
-    transform's precondition: it runs before fit and before each transform
-    of a query, and raises RequirementUnmet or another TempoframeError.
-    Estimators check their input inside fit.
+    functions receive (params, state, ds). Each checks its own input and
+    raises RequirementUnmet or another TempoframeError.
 
     Two optional fields let permutation importance featurize once:
 
@@ -171,7 +160,6 @@ class EstimatorSpec:
     transform: object = None
     predict: object = None
     predict_counterfactuals: object = None
-    requirements: object = None
     predict_columns: object = None
     derived_ids: object = None
 
@@ -261,18 +249,23 @@ def _check_superset_fingerprint(fitted: "FittedEstimator",
 # ---------------------------------------------------------------------------
 
 class Estimator:
-    """Unfitted estimator: a spec plus resolved params."""
+    """Unfitted estimator: a spec plus resolved params, after a front of
+    unfitted transforms (a pipeline's earlier steps)."""
 
-    def __init__(self, spec: EstimatorSpec, params: dict):
+    def __init__(self, spec: EstimatorSpec, params: dict, front=()):
         self.spec = spec
         self.params = params
+        self.front = tuple(front)
 
     def fit(self, ds: Dataset) -> "FittedEstimator":
-        if self.spec.requirements is not None:
-            self.spec.requirements(self.params, ds)
+        front = []
+        for est in self.front:
+            front.append(est.fit(ds))
+            ds = front[-1].transform(ds)
         state = self.spec.fit(self.params, ds)
         return FittedEstimator(self.spec, self.params, state,
-                               fingerprint_of(ds), dataset_signature(ds))
+                               fingerprint_of(ds), dataset_signature(ds),
+                               front)
 
     # Lifecycle safety: predict-family calls before fit are NotFitted,
     # never AttributeError.
@@ -287,23 +280,32 @@ class Estimator:
 
 
 class FittedEstimator:
-    """Immutable result of fit: learned state plus training fingerprint."""
+    """Immutable result of fit: learned state plus the fingerprint of the
+    features it was trained on, after its fitted front. A query runs the
+    front, whose steps each accept a superset of their training features
+    and keep extra features in order, then the step's own checks."""
 
     def __init__(self, spec: EstimatorSpec, params: dict, state: dict,
-                 fingerprint: str, features: tuple):
+                 fingerprint: str, features: tuple, front=()):
         self.spec = spec
         self.params = params
         self.state = state
         self.fingerprint = fingerprint
         self.features = features
+        self.front = tuple(front)
+
+    def run_front(self, ds: Dataset) -> Dataset:
+        """ds after each fitted front step's transform, in order."""
+        for f in self.front:
+            ds = f.transform(ds)
+        return ds
 
     def transform(self, ds: Dataset) -> Dataset:
         if self.spec.category is not Category.TRANSFORM:
             raise NotATransform(f"{self.spec.name!r} is a "
                                 f"{self.spec.category.value}, not a transform")
+        ds = self.run_front(ds)
         _check_superset_fingerprint(self, ds)
-        if self.spec.requirements is not None:
-            self.spec.requirements(self.params, ds)
         return self.spec.transform(self.params, self.state, ds)
 
     def predict(self, ds: Dataset):
@@ -311,6 +313,7 @@ class FittedEstimator:
             raise WrongCategory(
                 f"{self.spec.name!r} ({self.spec.category.value}) "
                 "does not support predict")
+        ds = self.run_front(ds)
         check_fingerprint(self, ds)
         if self.spec.predict_columns is not None:
             return self.spec.predict_columns(self.params, self.state,
@@ -328,6 +331,7 @@ class FittedEstimator:
             raise InvalidAlternative("alternatives must be non-empty")
         if len(set(alternatives)) != len(alternatives):
             raise InvalidAlternative("alternatives contain duplicates")
+        ds = self.run_front(ds)
         check_fingerprint(self, ds)
         return self.spec.predict_counterfactuals(self.params, self.state, ds,
                                                  alternatives)
@@ -337,78 +341,21 @@ class FittedEstimator:
 # Pipelines
 # ---------------------------------------------------------------------------
 
-_PIPELINE_NAME = "__pipeline__"
-
-
-class PipelineEstimator(Estimator):
-    def __init__(self, steps: list):
-        self.steps = steps  # list of Estimator
-        last = steps[-1]
-        spec = EstimatorSpec(name=_PIPELINE_NAME, category=last.spec.category)
-        super().__init__(spec, {})
-
-    def fit(self, ds: Dataset) -> "PipelineFitted":
-        fitted_steps = []
-        running = ds
-        for est in self.steps[:-1]:
-            f = est.fit(running)
-            fitted_steps.append(f)
-            running = f.transform(running)
-        fitted_steps.append(self.steps[-1].fit(running))
-        return PipelineFitted(fitted_steps, fingerprint_of(ds),
-                              dataset_signature(ds))
-
-
-class PipelineFitted(FittedEstimator):
-    def __init__(self, steps: list, fingerprint: str, features: tuple):
-        self.steps = steps
-        spec = EstimatorSpec(name=_PIPELINE_NAME,
-                             category=steps[-1].spec.category)
-        super().__init__(spec, {}, {}, fingerprint, features)
-
-    def _apply_front(self, ds: Dataset) -> Dataset:
-        running = ds
-        for f in self.steps[:-1]:
-            running = f.transform(running)
-        return running
-
-    def transform(self, ds: Dataset) -> Dataset:
-        if self.spec.category is not Category.TRANSFORM:
-            raise NotATransform("pipeline does not end in a transform")
-        _check_superset_fingerprint(self, ds)
-        return self.steps[-1].transform(self._apply_front(ds))
-
-    def predict(self, ds: Dataset):
-        if self.spec.category not in _PREDICTING:
-            raise WrongCategory(
-                f"pipeline of {self.spec.category.value} does not predict")
-        check_fingerprint(self, ds)
-        return self.steps[-1].predict(self._apply_front(ds))
-
-    def predict_counterfactuals(self, ds: Dataset, alternatives):
-        if self.spec.category is not Category.TREATMENT:
-            raise WrongCategory(
-                f"pipeline of {self.spec.category.value} does not support "
-                "predict_counterfactuals")
-        check_fingerprint(self, ds)
-        return self.steps[-1].predict_counterfactuals(self._apply_front(ds),
-                                                      alternatives)
-
-
 def build_pipeline(steps) -> Estimator:
     """steps: list of (plugin_name, params) pairs; every step but the last
-    must be a Transform."""
+    must be a Transform. Returns the last step's Estimator with the others
+    as its front."""
     steps = list(steps)
     if not steps:
         raise BadPipelineShape("pipeline needs at least one step")
-    ests = [create(name, params) for name, params in steps]
-    for est in ests[:-1]:
+    *front, last = [create(name, params) for name, params in steps]
+    for est in front:
         if est.spec.category is not Category.TRANSFORM:
             raise BadPipelineShape(
                 f"interior step {est.spec.name!r} is a "
                 f"{est.spec.category.value}; only the last step may be "
                 "non-transform")
-    return PipelineEstimator(ests)
+    return Estimator(last.spec, last.params, front)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +363,10 @@ def build_pipeline(steps) -> Estimator:
 # ---------------------------------------------------------------------------
 
 _BLOB_FORMAT = "tempoframe.fitted"
-_BLOB_VERSION = 1
+_BLOB_VERSION = 2
 
 
-def _fitted_to_doc(f: FittedEstimator) -> dict:
-    if isinstance(f, PipelineFitted):
-        return {"plugin": _PIPELINE_NAME,
-                "steps": [_fitted_to_doc(s) for s in f.steps],
-                "fingerprint": f.fingerprint,
-                "features": [list(t) for t in f.features]}
+def _step_to_doc(f: FittedEstimator) -> dict:
     return {"plugin": f.spec.name,
             "params": f.params,
             "state": f.state,
@@ -432,7 +374,7 @@ def _fitted_to_doc(f: FittedEstimator) -> dict:
             "features": [list(t) for t in f.features]}
 
 
-def _fitted_from_doc(doc) -> FittedEstimator:
+def _step_from_doc(doc, front=()) -> FittedEstimator:
     if not isinstance(doc, dict) or "plugin" not in doc:
         raise CorruptBlob("missing plugin name")
     name = doc["plugin"]
@@ -442,9 +384,6 @@ def _fitted_from_doc(doc) -> FittedEstimator:
         if fingerprint != _features_hash(features):
             raise CorruptBlob(f"{name!r}: stored fingerprint is not the hash "
                               "of the stored features")
-        if name == _PIPELINE_NAME:
-            steps = [_fitted_from_doc(d) for d in doc["steps"]]
-            return PipelineFitted(steps, fingerprint, features)
         params = doc["params"]
         state = doc["state"]
     except (KeyError, TypeError) as e:
@@ -453,18 +392,21 @@ def _fitted_from_doc(doc) -> FittedEstimator:
         raise UnknownPluginInBlob(f"blob names unregistered plugin {name!r}")
     spec = _REGISTRY[name]
     return FittedEstimator(spec, resolve_params(spec.schema, params), state,
-                           fingerprint, features)
+                           fingerprint, features, front)
 
 
 def save_fitted(f: FittedEstimator) -> bytes:
+    """The blob: the step's document plus a `front` list of its front
+    steps' documents."""
     doc = {"format": _BLOB_FORMAT, "version": _BLOB_VERSION,
-           "fitted": _fitted_to_doc(f)}
+           "fitted": {**_step_to_doc(f),
+                      "front": [_step_to_doc(s) for s in f.front]}}
     try:
         text = json.dumps(doc, sort_keys=True, allow_nan=False)
     except ValueError:
-        for step in f.steps if isinstance(f, PipelineFitted) else [f]:
+        for step in (*f.front, f):
             try:
-                json.dumps(_fitted_to_doc(step), allow_nan=False)
+                json.dumps([step.params, step.state], allow_nan=False)
             except ValueError:
                 raise FitDiverged(f"{step.spec.name}: fitted state holds a "
                                   "non-finite number, which a blob cannot "
@@ -484,4 +426,8 @@ def load_fitted(blob: bytes) -> FittedEstimator:
         raise CorruptBlob(f"unsupported blob version {doc.get('version')!r}")
     if "fitted" not in doc:
         raise CorruptBlob("blob has no fitted document")
-    return _fitted_from_doc(doc["fitted"])
+    fitted = doc["fitted"]
+    front = fitted.get("front") if isinstance(fitted, dict) else None
+    if not isinstance(front, list):
+        raise CorruptBlob("fitted document has no front list")
+    return _step_from_doc(fitted, [_step_from_doc(d) for d in front])

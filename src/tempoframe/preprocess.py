@@ -43,7 +43,7 @@ def _same_id(params, state, feature_id: str) -> tuple:
     return (feature_id,)
 
 
-def _require_temporal(params, ds: Dataset) -> None:
+def _require_temporal(ds: Dataset) -> None:
     if ds.temporal is None:
         raise RequirementUnmet("missing_temporal",
                                "transform needs a temporal container")
@@ -132,6 +132,7 @@ def _mean_transform(params, state, ds: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _locf_fit(params, ds: Dataset) -> dict:
+    _require_temporal(ds)
     observed = _observed_training_values(ds)
     # Leading-gap fallback; a feature with zero observed training values
     # has no fallback and its leading gaps stay Missing.
@@ -158,6 +159,7 @@ def _locf_seq(seq, fallback):
 
 
 def _locf_transform(params, state, ds: Dataset) -> Dataset:
+    _require_temporal(ds)
     fills = state["fills"]
     return map_columns(ds, {
         fid: lambda col, fallback=fills.get(fid): tuple(
@@ -308,13 +310,16 @@ def _resample_seq(seq, step: float):
     return tuple(out)
 
 
-def _resample_requirements(params, ds: Dataset) -> None:
-    _require_temporal(params, ds)
+def _resample_fit(params, ds: Dataset) -> dict:
+    _require_temporal(ds)
     check_step(params["step"])
+    return {}
 
 
 def _resample_transform(params, state, ds: Dataset) -> Dataset:
+    _require_temporal(ds)
     step = params["step"]
+    check_step(step)
     return map_columns(ds, {
         fid: lambda col: tuple(_resample_seq(seq, step) for seq in col)
         for fid in ds.temporal.feature_ids})
@@ -326,8 +331,7 @@ def _resample_transform(params, state, ds: Dataset) -> Dataset:
 
 register_plugin(EstimatorSpec(
     name="impute.locf", category=Category.TRANSFORM,
-    fit=_locf_fit, transform=_locf_transform, derived_ids=_same_id,
-    requirements=_require_temporal))
+    fit=_locf_fit, transform=_locf_transform, derived_ids=_same_id))
 
 register_plugin(EstimatorSpec(
     name="impute.mean", category=Category.TRANSFORM,
@@ -344,5 +348,5 @@ register_plugin(EstimatorSpec(
 register_plugin(EstimatorSpec(
     name="resample.regular", category=Category.TRANSFORM,
     schema=(Param("step", "real", 1.0),),
-    fit=lambda params, ds: {}, transform=_resample_transform,
-    derived_ids=_same_id, requirements=_resample_requirements))
+    fit=_resample_fit, transform=_resample_transform,
+    derived_ids=_same_id))

@@ -205,10 +205,14 @@ def regular_series_dataset(seed: int, n: int = 10, length: int = 20,
         roles=RoleMap.of(covariates=("age",), targets=("hr",)))
 
 
-def offset_grid_dataset(seed: int, n: int = 12, step: float = 0.1):
+def offset_grid_dataset(seed: int, n: int = 12, step: float = 0.1,
+                        drop: float = 0.0, keep_last: int = 0):
     """AR(1) target series on t0 + j * step, with t0 cycling through
     0.3, 1.7, 0.0 and 2.25 and lengths 15 to 26: a fractional grid whose
-    last time t_last + k * step can differ from t0 + (j + k) * step."""
+    last time t_last + k * step can differ from t0 + (j + k) * step.
+
+    With `drop` > 0, each interior point but the last `keep_last` is
+    dropped with that probability, so the series need resampling."""
     rng = Lcg(seed)
     rows, points = [], []
     for i in range(n):
@@ -216,11 +220,67 @@ def offset_grid_dataset(seed: int, n: int = 12, step: float = 0.1):
         rows.append((sid, "age", rng.uniform_in(40.0, 80.0)))
         t0 = (0.3, 1.7, 0.0, 2.25)[i % 4]
         v = rng.uniform_in(-1.0, 1.0)
-        for j in range(15 + i % 12):
-            points.append((sid, "y", t0 + j * step, v))
+        length = 15 + i % 12
+        for j in range(length):
+            if not (drop and 0 < j < length - keep_last
+                    and rng.uniform() < drop):
+                points.append((sid, "y", t0 + j * step, v))
             v = 0.7 * v + 0.2
     static = build_static_samples(rows, {"age": Continuous()})
     temporal = build_time_series_samples(points, {"y": Continuous()})
     return assemble_dataset(
         static=static, temporal=temporal,
         roles=RoleMap.of(covariates=("age",), targets=("y",)))
+
+
+def patient_dataset(seed: int, n: int = 48, outcome: str = "survival"):
+    """Two static and two irregular temporal covariates per patient, about
+    10% of the cells Missing, and an outcome driven by a latent linear
+    score of them: a right-censored `death` event (`outcome="survival"`)
+    or a binary static `label` (`outcome="classify"`)."""
+    rng = Lcg(seed)
+    ids, rows, points, entries = [], [], [], []
+    for i in range(n):
+        sid = f"p{i:03d}"
+        age = rng.uniform_in(30.0, 90.0)
+        sex = rng.coin()
+        hr_level = rng.normal()
+        lab_trend = 0.5 * rng.normal()
+        for fid, v in (("age", age), ("sex", sex)):
+            if rng.uniform() >= 0.1:
+                rows.append((sid, fid, v))
+        for fid, level, trend in (("hr", hr_level, 0.0),
+                                  ("lab", 0.0, lab_trend)):
+            t = rng.uniform_in(0.0, 2.0)
+            for _ in range(2 + rng.below(4)):
+                v = level + trend * t + 0.3 * rng.normal()
+                points.append((sid, fid, t,
+                               MISSING if rng.uniform() < 0.1 else v))
+                t += rng.uniform_in(0.3, 3.0)
+        score = (0.04 * (age - 60.0) + 0.5 * sex + 0.6 * hr_level
+                 + 1.2 * lab_trend)
+        if outcome == "survival":
+            t = 4.0 - score + rng.uniform()
+            entries.append((sid, "death", t,
+                            1 if rng.uniform() >= 0.3 else MISSING))
+        else:
+            rows.append((sid, "label",
+                         1 if score + 0.3 * rng.normal() > 0.3 else 0))
+        ids.append(sid)
+    static_kinds = {"age": Continuous(), "sex": Integer()}
+    events = None
+    if outcome == "survival":
+        events = build_event_samples(entries, {"death": Integer()},
+                                     sample_ids=ids)
+        target = "death"
+    else:
+        static_kinds["label"] = Integer()
+        target = "label"
+    return assemble_dataset(
+        static=build_static_samples(rows, static_kinds, sample_ids=ids),
+        temporal=build_time_series_samples(
+            points, {"hr": Continuous(), "lab": Continuous()},
+            sample_ids=ids),
+        events=events,
+        roles=RoleMap.of(covariates=("age", "sex", "hr", "lab"),
+                         targets=(target,)))

@@ -323,6 +323,19 @@ def test_forecast_on_a_fractional_grid(tmp_path, capsys):
     assert json.loads(captured.out)["metrics"]["rmse"]["mean"] < 1e-6
 
 
+def test_persistence_forecast_on_a_fractional_grid(tmp_path, capsys):
+    # persistence continues the grid too, so its held-out times match
+    write_bundle(offset_grid_dataset(3), str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "forecast",
+           "pipeline": [{"plugin": "forecast.persistence",
+                         "params": {"horizon": 2, "step": 0.1}}],
+           "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
+    assert cli(["run", _write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert 0.0 < json.loads(captured.out)["metrics"]["rmse"]["mean"] < 1.0
+
+
 def test_forecast_holdout_needs_history(tmp_path):
     ds = regular_series_dataset(1, n=6, length=4)
     write_bundle(ds, str(tmp_path / "bundle"))
@@ -890,6 +903,23 @@ def test_golden_report_byte_match():
     # a second run differs at most in timing
     again = strip_timing(report_text(run_benchmark(config)))
     assert again == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
+@pytest.mark.parametrize("task", ["survival", "classify", "forecast"])
+def test_task_golden_report(monkeypatch, task, cpus):
+    # A transform front before each task's fitting step, written by
+    # tests/golden/regenerate.py; forked folds and a one-process run
+    # must both reproduce it byte for byte.
+    _usable_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    config = load_config(os.path.join(GOLDEN, task, "config.json"))
+    got = strip_timing(report_text(run_benchmark(config)))
+    with open(os.path.join(GOLDEN, task, "expected_report.txt"),
+              encoding="utf-8", newline="") as f:
+        assert got == f.read()
+    assert len(forks) == (config.folds - 1 if cpus > 1 else 0)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

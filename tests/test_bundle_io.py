@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from datagen import random_dataset
+from datagen import random_dataset, survival_dataset
 from tempoframe.bundle import (
     MANIFEST_NAME,
     read_bundle,
@@ -345,6 +345,35 @@ def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
         assert str(exc.value) == expected
     assert cli(["validate", str(path)]) == 1
     assert capsys.readouterr().err == f"tempoframe: {expected}\n"
+
+
+def test_validate_reports_row_faults_before_a_missing_table(tmp_path,
+                                                           capsys):
+    # read_bundle stops at the first table fault; validate used to scan on
+    # and raise for the later missing file, printing no violation line
+    path = tmp_path / "bundle"
+    write_bundle(survival_dataset(1, n=12), path)
+    static = path / "static.csv"
+    lines = static.read_text(encoding="utf-8").splitlines(keepends=True)
+    static.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+    (path / "events.csv").unlink()
+    detail = "duplicate cell for sample 's000', feature 'x'"
+    with pytest.raises(DuplicateCell) as exc:
+        read_bundle(path / MANIFEST_NAME)
+    assert str(exc.value) == f"{static}:3: {detail}"
+    found = validate_bundle(path / MANIFEST_NAME)
+    assert [(name, v.row, v.code, v.detail) for name, v in found] == \
+        [("static.csv", 2, "duplicate_cell", detail)]
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"static.csv:3: duplicate_cell: " \
+        f"{detail}\n"
+
+    # with no earlier fault the missing table still raises
+    static.write_text("".join(lines), encoding="utf-8")
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(ManifestError, match=(
+                "^listed file does not exist: .*events.csv$")):
+            load(path / MANIFEST_NAME)
 
 
 def test_undecodable_or_oversized_input_names_the_file(tmp_path):

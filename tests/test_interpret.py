@@ -196,7 +196,7 @@ def _importance_oracle(fitted, ds, metric, repeats, seed):
     same Lcg draws and arithmetic as permutation_importance."""
     m = resolve_metric(metric)
     task = TASKS[m.task]
-    baseline = m.score(*task.observe(fitted, ds, None, None))
+    baseline = m.score(*task.observe(fitted, ds, None))
     rng = Lcg(seed)
     features, importances = [], []
     for fid, _, role, modality in ds.all_features():
@@ -205,7 +205,7 @@ def _importance_oracle(fitted, ds, metric, repeats, seed):
         total = 0.0
         for _ in range(repeats):
             shuffled = _permuted(ds, fid, rng.permutation(len(ds.sample_ids)))
-            score = m.score(*task.observe(fitted, shuffled, None, None))
+            score = m.score(*task.observe(fitted, shuffled, None))
             if m.direction == "loss":
                 total += score - baseline
             else:

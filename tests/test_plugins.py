@@ -19,7 +19,6 @@ from tempoframe.data import (
     assemble_dataset,
     build_event_samples,
     build_static_samples,
-    select_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -32,14 +31,15 @@ from tempoframe.errors import (
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
-    RequirementUnmet,
     UnknownParam,
     UnknownPlugin,
     UnknownPluginInBlob,
     WrongCategory,
 )
+from tempoframe.interpret import permutation_importance
 from tempoframe.plugins import (
     Category,
+    Estimator,
     EstimatorSpec,
     Param,
     _REGISTRY,
@@ -82,10 +82,9 @@ def test_param_types():
         == "b"
     with pytest.raises(ParamOutOfBounds):
         Param("mode", "categorical", "a", choices=("a", "b")).check("c")
-    assert Param("flag", "boolean", False).check(True) is True
-    assert Param("name", "string", "x").check("y") == "y"
-    with pytest.raises(ValueError):
-        Param("weird", "complex", 1)
+    for gone in ("complex", "boolean", "string"):
+        with pytest.raises(ValueError, match=f"bad param type '{gone}'"):
+            Param("weird", gone, 1)
     with pytest.raises(ParamOutOfBounds):
         Param("bad_default", "integer", "nope")
 
@@ -225,27 +224,6 @@ def test_category_gates():
         scaler.predict(ds)
 
 
-def test_transform_checks_requirements_on_the_query(monkeypatch):
-    def need_four(params, ds):
-        if len(ds.sample_ids) < 4:
-            raise RequirementUnmet("too_few_samples",
-                                   f"{len(ds.sample_ids)} < 4")
-
-    calls = []
-    monkeypatch.setitem(_REGISTRY, "test.needs_four", EstimatorSpec(
-        name="test.needs_four", category=Category.TRANSFORM,
-        fit=lambda params, ds: {},
-        transform=lambda params, state, ds: calls.append(ds) or ds,
-        requirements=need_four))
-    ds = classification_dataset(5, n=10)
-    fitted = create("test.needs_four").fit(ds)
-    assert fitted.transform(ds) is ds and len(calls) == 1
-    with pytest.raises(RequirementUnmet) as exc:
-        fitted.transform(select_samples(ds, ds.sample_ids[:2]))
-    assert exc.value.reason == "too_few_samples"
-    assert len(calls) == 1
-
-
 def test_fit_does_not_mutate_estimator_inputs():
     ds = classification_dataset(2)
     before = (ds.static, ds.roles.assignment)
@@ -330,6 +308,61 @@ def test_pipeline_equals_manual_composition():
     assert pred == manual
 
 
+def _static_like(ds, order, extra=None):
+    """ds with its static features in `order`, plus an `extra` integer
+    covariate when given."""
+    rows = [(sid, fid, v) for fid in order
+            for sid, v in zip(ds.sample_ids, ds.static.column(fid))]
+    kinds = {fid: dict(ds.static.features)[fid] for fid in order}
+    covariates = [fid for fid in order if fid != "y"]
+    if extra is not None:
+        rows += [(sid, extra, 1) for sid in ds.sample_ids]
+        kinds[extra] = Integer()
+        covariates.append(extra)
+    return assemble_dataset(
+        static=build_static_samples(rows, kinds,
+                                    sample_ids=list(ds.sample_ids)),
+        roles=RoleMap.of(covariates=tuple(covariates), targets=("y",)))
+
+
+def test_pipeline_is_its_last_step_with_a_front():
+    ds = classification_dataset(7)
+    pipeline = build_pipeline([("impute.mean", {}), ("scale.zscore", {}),
+                               ("classify.logistic", {"iters": 20})])
+    assert type(pipeline) is Estimator
+    assert pipeline.spec is spec_of("classify.logistic")
+    assert pipeline.params == create("classify.logistic",
+                                     {"iters": 20}).params
+    assert [e.spec.name for e in pipeline.front] == ["impute.mean",
+                                                      "scale.zscore"]
+    fitted = pipeline.fit(ds)
+    assert fitted.spec is pipeline.spec
+    assert [f.spec.name for f in fitted.front] == ["impute.mean",
+                                                   "scale.zscore"]
+    assert all(f.front == () for f in fitted.front)
+    assert fitted.features == dataset_signature(fitted.run_front(ds))
+
+
+@pytest.mark.parametrize("query", ["extra", "reordered"])
+def test_fitted_pipeline_refuses_changed_query_features(query):
+    # Each front step accepts a superset of its training features and
+    # keeps extra features in order, so the last step's exact check sees
+    # the change and names that step.
+    ds = classification_dataset(8)
+    fitted = build_pipeline([("impute.mean", {}), ("scale.zscore", {}),
+                             ("classify.logistic", {"iters": 20})]).fit(ds)
+    fitted.predict(_static_like(ds, ("x1", "x2", "y")))
+    changed = (_static_like(ds, ("x1", "x2", "y"), extra="extra")
+               if query == "extra" else _static_like(ds, ("x2", "x1", "y")))
+    for f in (fitted, load_fitted(save_fitted(fitted))):
+        with pytest.raises(FingerprintMismatch,
+                           match="training features for 'classify.logistic'"):
+            f.predict(changed)
+        with pytest.raises(FingerprintMismatch,
+                           match="training features for 'classify.logistic'"):
+            permutation_importance(f, changed, "accuracy")
+
+
 def test_pipeline_shape_checks():
     with pytest.raises(BadPipelineShape):
         build_pipeline([])
@@ -369,6 +402,27 @@ def test_save_load_round_trip_pipeline_and_wrapper():
                              ("classify.logistic", {"iters": 30})]).fit(ds)
     loaded = load_fitted(save_fitted(fitted))
     assert loaded.predict(ds) == fitted.predict(ds)
+
+
+def test_blob_is_the_last_step_with_a_front_list():
+    ds = classification_dataset(16)
+    fitted = build_pipeline([("impute.mean", {}), ("scale.zscore", {}),
+                             ("classify.logistic", {"iters": 5})]).fit(ds)
+    doc = json.loads(save_fitted(fitted))
+    assert doc["version"] == 2
+    assert doc["fitted"]["plugin"] == "classify.logistic"
+    assert [d["plugin"] for d in doc["fitted"]["front"]] == \
+        ["impute.mean", "scale.zscore"]
+    assert all("front" not in d for d in doc["fitted"]["front"])
+    assert json.loads(save_fitted(create("scale.zscore").fit(ds)))[
+        "fitted"]["front"] == []
+    # version 1 stored a pipeline as a "__pipeline__" document with steps
+    v1 = dict(doc, version=1)
+    with pytest.raises(CorruptBlob, match="^unsupported blob version 1$"):
+        load_fitted(json.dumps(v1).encode("utf-8"))
+    del doc["fitted"]["front"]
+    with pytest.raises(CorruptBlob, match="^fitted document has no front"):
+        load_fitted(json.dumps(doc).encode("utf-8"))
 
 
 def test_save_load_survival_state():

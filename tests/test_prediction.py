@@ -233,6 +233,33 @@ def test_ar_forecast_continues_the_history_grid():
     assert off_grid > 0
 
 
+def test_persistence_continues_the_history_grid():
+    step = 0.1
+    ds = offset_grid_dataset(5, step=step)
+    fitted = create("forecast.persistence",
+                    {"horizon": 2, "step": step}).fit(ds)
+    out = fitted.predict(ds)
+    off_grid = 0
+    for sid in ds.sample_ids:
+        seq = ds.temporal.sequence(sid, "y")
+        t0 = seq[0][0]
+        assert out.sequence(sid, "y") == tuple(
+            (t0 + (len(seq) + k) * step, seq[-1][1]) for k in range(2))
+        off_grid += any(t0 + (len(seq) + k) * step
+                        != seq[-1][0] + (k + 1) * step for k in range(2))
+    assert off_grid > 0
+    # a sequence off any grid of that step continues from its last point
+    irregular = assemble_dataset(
+        static=build_static_samples([("a", "age", 50.0)],
+                                    {"age": Continuous()}),
+        temporal=build_time_series_samples(
+            [("a", "y", 0.0, 1.0), ("a", "y", 0.25, 2.0),
+             ("a", "y", 0.3, 3.0)], {"y": Continuous()}),
+        roles=RoleMap.of(covariates=("age",), targets=("y",)))
+    assert fitted.predict(irregular).sequence("a", "y") == \
+        ((0.3 + 0.1, 3.0), (0.3 + 0.2, 3.0))
+
+
 def test_ar_beats_persistence_on_mean_reverting_series():
     ds = regular_series_dataset(3, n=8, length=30, phi=0.6, c=2.0)
     truth_tail = {}
