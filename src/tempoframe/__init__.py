@@ -58,7 +58,7 @@ from tempoframe.survival import (
     event_outcomes,
     kaplan_meier,
 )
-from tempoframe.treatment import pehe, synth_treatment_data
+from tempoframe.treatment import synth_treatment_data
 from tempoframe.interpret import permutation_importance
 from tempoframe.bench import (
     BenchConfig,
@@ -85,7 +85,7 @@ __all__ = [
     "rmse", "accuracy",
     "SurvivalCurve", "kaplan_meier", "concordance_index", "brier_score",
     "event_outcomes",
-    "pehe", "synth_treatment_data",
+    "synth_treatment_data",
     "permutation_importance",
     "BenchConfig", "BenchReport", "kfold_split", "load_config",
     "run_benchmark", "report_text",

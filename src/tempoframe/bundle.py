@@ -305,16 +305,6 @@ def read_bundle(manifest_path) -> Dataset:
 # Validation (non-fail-fast)
 # ---------------------------------------------------------------------------
 
-def validate_long_table(rows, expected_modality, kinds: dict) -> list:
-    """Collect every violation in a parsed table; empty list iff the
-    corresponding builder call would succeed.
-
-    `rows` are data rows (header excluded) as lists of strings; row numbers
-    in violations are 1-based positions in `rows`.
-    """
-    return scan_rows(rows, expected_modality, kinds, text=True).violations
-
-
 def table_line(v: Violation) -> int:
     """The file line of a table violation: data rows follow the header."""
     return v.row + 1

@@ -99,8 +99,13 @@ class Categorical:
 ValueKind = Continuous | Integer | Categorical
 
 
-def check_value(kind: ValueKind, value, where: str):
-    """Return the canonical stored form of `value`, or raise KindMismatch.
+def _mismatch(where, what: str) -> KindMismatch:
+    return KindMismatch(what if where is None else f"{where}: {what}")
+
+
+def check_value(kind: ValueKind, value, where: str = None):
+    """Return the canonical stored form of `value`, or raise KindMismatch,
+    whose message starts with `where: ` when a `where` is given.
 
     Missing passes through unchanged. Continuous stores float, Integer int,
     Categorical str. Booleans are rejected everywhere; non-finite floats are
@@ -110,19 +115,19 @@ def check_value(kind: ValueKind, value, where: str):
         return MISSING
     if isinstance(kind, Continuous):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise KindMismatch(f"{where}: expected a real number, got {value!r}")
+            raise _mismatch(where, f"expected a real number, got {value!r}")
         v = float(value)
         if not math.isfinite(v):
-            raise KindMismatch(f"{where}: non-finite value {value!r}")
+            raise _mismatch(where, f"non-finite value {value!r}")
         return v
     if isinstance(kind, Integer):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise KindMismatch(f"{where}: expected an integer, got {value!r}")
+            raise _mismatch(where, f"expected an integer, got {value!r}")
         return value
     if isinstance(value, str) and value in kind.categories:
         return value
-    raise KindMismatch(
-        f"{where}: {value!r} not in categories {list(kind.categories)}")
+    raise _mismatch(
+        where, f"{value!r} not in categories {list(kind.categories)}")
 
 
 def kind_to_json(kind: ValueKind) -> dict:
@@ -149,12 +154,13 @@ def kind_from_json(d, where: str) -> ValueKind:
     raise KindMismatch(f"{where}: unknown kind {name!r}")
 
 
-def check_time(t, where: str) -> float:
+def check_time(t, where: str = None) -> float:
+    """t as a finite float, or KindMismatch named as in `check_value`."""
     if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise KindMismatch(f"{where}: time must be a real number, got {t!r}")
+        raise _mismatch(where, f"time must be a real number, got {t!r}")
     tf = float(t)
     if not math.isfinite(tf):
-        raise KindMismatch(f"{where}: time must be finite, got {t!r}")
+        raise _mismatch(where, f"time must be finite, got {t!r}")
     return tf
 
 
@@ -455,22 +461,26 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
         if text and t == "":
             bad.append(Violation(row, "missing_time", "empty time field"))
             continue
+        at = None  # the raw time, once it passed its check
         try:
             if text:
                 if timed:
                     t = _parse_time(t)
                 value = _parse_value(kind, value)
             else:
-                where = f"({sid}, {fid})"
-                value_where = f"({sid}, {fid}, t={t})" if series else where
                 if timed:
-                    t = check_time(t, where)
-                value = check_value(kind, value, value_where)
+                    at, t = t, check_time(t)
+                value = check_value(kind, value)
         except ParseError as e:
             bad.append(Violation(row, "bad_time", str(e)))
             continue
         except KindMismatch as e:
-            bad.append(Violation(row, "kind_mismatch", str(e)))
+            detail = str(e)
+            if not text:
+                # Located only on failure; a series value names its time.
+                t_at = f", t={at}" if series and at is not None else ""
+                detail = f"({sid}, {fid}{t_at}): {detail}"
+            bad.append(Violation(row, "kind_mismatch", detail))
             continue
         j = features.setdefault(fid, len(features))
         i = samples.get(sid)

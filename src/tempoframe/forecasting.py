@@ -269,10 +269,14 @@ register_plugin(EstimatorSpec(
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _numeric(v, where: str) -> float:
-    if v is MISSING:
-        raise AlignmentError(f"{where}: missing value in comparison")
-    if isinstance(v, str):
+def _numeric(v, sid, fid, t=None) -> float:
+    """v as a float. Missing or a string is an alignment failure; its
+    location `(sid, fid)`, or `(sid, fid, t=t)` for a series point, is
+    formatted only then."""
+    if v is MISSING or isinstance(v, str):
+        where = f"({sid}, {fid})" if t is None else f"({sid}, {fid}, t={t})"
+        if v is MISSING:
+            raise AlignmentError(f"{where}: missing value in comparison")
         raise AlignmentError(f"{where}: non-numeric value {v!r}")
     return float(v)
 
@@ -311,13 +315,11 @@ def rmse(pred, truth) -> float:
                     raise AlignmentError(
                         f"time grids differ for sample {sid!r}, "
                         f"feature {fid!r}")
-                points = [(f"({sid}, {fid}, t={t})", va, vb)
-                          for (t, va), (_, vb) in zip(sa, sb)]
+                points = [(t, va, vb) for (t, va), (_, vb) in zip(sa, sb)]
             else:
-                points = [(f"({sid}, {fid})", pred.values[i][j],
-                           truth.values[i][j])]
-            for where, va, vb in points:
-                d = _numeric(va, where) - _numeric(vb, where)
+                points = ((None, pred.values[i][j], truth.values[i][j]),)
+            for t, va, vb in points:
+                d = _numeric(va, sid, fid, t) - _numeric(vb, sid, fid, t)
                 total += d * d
                 count += 1
     if count == 0:
@@ -337,7 +339,7 @@ def accuracy(pred, truth, threshold: float = 0.5) -> float:
     count = 0
     for i, sid in enumerate(pred.sample_ids):
         for j, (fid, kind) in enumerate(truth.features):
-            p = _numeric(pred.values[i][j], f"({sid}, {fid})")
+            p = _numeric(pred.values[i][j], sid, fid)
             tv = truth.values[i][j]
             if tv is MISSING:
                 raise AlignmentError(f"({sid}, {fid}): missing truth label")

@@ -31,7 +31,6 @@ from tempoframe.errors import BenchError, MetricMismatch
 from tempoframe.forecasting import accuracy, rmse
 from tempoframe.plugins import Category
 from tempoframe.survival import brier_score, concordance_index, event_outcomes
-from tempoframe.treatment import pehe
 
 
 def static_target_table(ds: Dataset) -> StaticSamples:
@@ -92,11 +91,17 @@ def _observe_forecast(fitted, ds, effects):
 
 
 def _observe_treatment(fitted, ds, effects):
-    estimate = fitted.predict_counterfactuals(ds, (0, 1)).effects()
-    missing = [sid for sid in estimate.sample_ids if sid not in effects]
+    """One `effect` column each: the arm-1 minus the arm-0 outcome, and
+    the truth file's effect."""
+    outcomes = fitted.predict_counterfactuals(ds, (0, 1))
+    ids = outcomes.sample_ids
+    missing = [sid for sid in ids if sid not in effects]
     if missing:
         raise BenchError(f"truth file lacks samples {missing}")
-    return estimate, [effects[sid] for sid in estimate.sample_ids]
+    effect = (("effect", Continuous()),)
+    return (StaticSamples(ids, effect,
+                          tuple((y1 - y0,) for y0, y1 in outcomes.values)),
+            StaticSamples(ids, effect, tuple((effects[s],) for s in ids)))
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,9 @@ def resolve_metric(name: str) -> MetricSpec:
             name, "gain", "survival",
             lambda out, outcomes: concordance_index(out.risks, outcomes))
     if name == "pehe":
+        # PEHE is the RMSE of the per-sample effects (Hill 2011).
         return MetricSpec(name, "loss", "treatment",
-                          lambda pred, truth: pehe(pred, truth))
+                          lambda pred, truth: rmse(pred, truth))
     if name.startswith("brier@"):
         raw = name[len("brier@"):]
         try:

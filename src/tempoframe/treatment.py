@@ -1,5 +1,6 @@
 """Individualized treatment effects via a two-model (T-learner) estimator,
-plus the PEHE metric and a ground-truth synthetic generator.
+plus a ground-truth synthetic generator. PEHE is `rmse` over effect
+columns (see `metrics`).
 
 Scope is deliberately narrow: one binary static treatment, one continuous
 static outcome, arm-wise ridge regression over featurized covariates.
@@ -26,7 +27,6 @@ from tempoframe.data import (
     covariate_matrix,
 )
 from tempoframe.errors import (
-    AlignmentError,
     ArmTooSmall,
     InvalidAlternative,
     InvalidSpec,
@@ -38,40 +38,6 @@ from tempoframe.errors import (
 from tempoframe.kernels import linear_predictor, ridge_normal_solve
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 from tempoframe.rng import Lcg
-
-
-@dataclass(frozen=True)
-class CounterfactualOutput:
-    """One predicted outcome per sample per requested alternative.
-
-    `outcomes[k]` is aligned with `sample_ids` and belongs to
-    `alternatives[k]` (sorted ascending).
-    """
-
-    sample_ids: tuple
-    alternatives: tuple
-    outcomes: tuple
-
-    def outcomes_for(self, alternative: int) -> tuple:
-        try:
-            k = self.alternatives.index(alternative)
-        except ValueError:
-            raise InvalidAlternative(
-                f"alternative {alternative!r} was not predicted") from None
-        return self.outcomes[k]
-
-    def effects(self) -> "EffectEstimate":
-        """tau-hat per sample: outcome under arm 1 minus under arm 0."""
-        ones = self.outcomes_for(1)
-        zeros = self.outcomes_for(0)
-        return EffectEstimate(self.sample_ids,
-                              tuple(a - b for a, b in zip(ones, zeros)))
-
-
-@dataclass(frozen=True)
-class EffectEstimate:
-    sample_ids: tuple
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -180,7 +146,9 @@ def _tl_fit(params, ds: Dataset) -> dict:
 
 
 def _tl_predict_cf(params, state, ds: Dataset,
-                   alternatives) -> CounterfactualOutput:
+                   alternatives) -> StaticSamples:
+    """One Continuous column `<treatment>=<arm>` per requested arm, in
+    ascending arm order: each sample's predicted outcome under that arm."""
     alts = []
     for a in alternatives:
         if isinstance(a, bool) or a not in (0, 1):
@@ -192,36 +160,17 @@ def _tl_predict_cf(params, state, ds: Dataset,
     check_column_names(state["columns"], names)
     n = len(ds.sample_ids)
     arms = [state["arms"][str(a)] for a in alts]
-    outcomes = tuple(tuple(linear_predictor(columns, w[1:], [w[0]] * n))
-                     for w in arms)
-    return CounterfactualOutput(ds.sample_ids, tuple(alts), outcomes)
+    outcomes = [linear_predictor(columns, w[1:], [w[0]] * n) for w in arms]
+    return StaticSamples(
+        ds.sample_ids,
+        tuple((f"{state['treatment']}={a}", Continuous()) for a in alts),
+        tuple(zip(*outcomes)))
 
 
 register_plugin(EstimatorSpec(
     name="treatment.t_learner", category=Category.TREATMENT,
     schema=(Param("ridge", "real", 1e-6, lo=0.0),),
     fit=_tl_fit, predict_counterfactuals=_tl_predict_cf))
-
-
-# ---------------------------------------------------------------------------
-# Metric
-# ---------------------------------------------------------------------------
-
-def pehe(estimate: EffectEstimate, truth) -> float:
-    """Root mean squared error between estimated and true effects."""
-    if isinstance(truth, EffectEstimate):
-        if truth.sample_ids != estimate.sample_ids:
-            raise AlignmentError("effect estimates cover different samples")
-        truth = truth.values
-    truth = list(truth)
-    if len(truth) != len(estimate.values):
-        raise AlignmentError(
-            f"{len(estimate.values)} estimates vs {len(truth)} true effects")
-    total = 0.0
-    for tau_hat, tau in zip(estimate.values, truth):
-        d = tau_hat - tau
-        total += d * d
-    return (total / len(truth)) ** 0.5
 
 
 # ---------------------------------------------------------------------------

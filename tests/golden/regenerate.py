@@ -3,10 +3,14 @@
     python tests/golden/regenerate.py
 
 For each task this writes the bundle (from a seeded `tests/datagen.py`
-generator), `config.json` and `expected_report.txt`: the timing-stripped
-report of one `run_benchmark` call. Run it only when a report is meant to
-change, and say why with the change. The forecast golden directly under
-tests/golden/ is kept by hand and not rewritten here.
+generator, or `synth_treatment_data` with its `truth.csv`), `config.json`
+and `expected_report.txt`: the timing-stripped report of one
+`run_benchmark` call. For the tasks in FITTED it also writes
+`fitted.json`: the `save_fitted` blob of the pipeline fitted on the whole
+bundle, which pins fitted weights that a thresholded metric cannot see.
+Run it only when a report is meant to change, and say why with the
+change. The forecast golden directly under tests/golden/ is kept by hand
+and not rewritten here.
 """
 
 from __future__ import annotations
@@ -26,13 +30,19 @@ from tempoframe.bench import (  # noqa: E402
     report_text,
     run_benchmark,
     strip_timing,
+    write_truth,
 )
-from tempoframe.bundle import write_bundle  # noqa: E402
+from tempoframe.bundle import read_bundle, write_bundle  # noqa: E402
+from tempoframe.plugins import build_pipeline, save_fitted  # noqa: E402
+from tempoframe.treatment import (  # noqa: E402
+    SynthGroundTruth,
+    synth_treatment_data,
+)
 
 _FRONT = [{"plugin": "impute.locf"}, {"plugin": "impute.mean"},
           {"plugin": "scale.zscore"}]
 
-# task -> (dataset, config without its "bundle" key)
+# task -> (dataset or SynthGroundTruth, config without its "bundle" key)
 GOLDENS = {
     "survival": (lambda: patient_dataset(3, n=48, outcome="survival"), {
         "task": "survival",
@@ -59,7 +69,18 @@ GOLDENS = {
         "metrics": ["rmse"],
         "cv": {"folds": 3, "seed": 37},
     }),
+    "treatment": (lambda: synth_treatment_data(60, 8, gamma=(1.0, -0.5),
+                                               noise=0.5), {
+        "task": "treatment",
+        "truth": "truth.csv",
+        "pipeline": [{"plugin": "treatment.t_learner"}],
+        "metrics": ["pehe"],
+        "cv": {"folds": 3, "seed": 11},
+    }),
 }
+
+# Tasks whose fitted blob is pinned beside the report.
+FITTED = ("classify",)
 
 
 def regenerate(task: str) -> None:
@@ -67,16 +88,30 @@ def regenerate(task: str) -> None:
     out = os.path.join(HERE, task)
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out)
-    write_bundle(make(), os.path.join(out, "bundle"))
+    made = make()
+    if isinstance(made, SynthGroundTruth):
+        write_truth(os.path.join(out, "truth.csv"), made.dataset.sample_ids,
+                    made.effects)
+        made = made.dataset
+    write_bundle(made, os.path.join(out, "bundle"))
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8",
               newline="\n") as f:
         json.dump({"bundle": "bundle", **doc}, f, indent=2)
         f.write("\n")
-    report = report_text(run_benchmark(
-        load_config(os.path.join(out, "config.json"))))
+    config = load_config(os.path.join(out, "config.json"))
     with open(os.path.join(out, "expected_report.txt"), "w",
               encoding="utf-8", newline="\n") as f:
-        f.write(strip_timing(report))
+        f.write(strip_timing(report_text(run_benchmark(config))))
+    if task in FITTED:
+        with open(os.path.join(out, "fitted.json"), "wb") as f:
+            f.write(fitted_blob(config))
+
+
+def fitted_blob(config) -> bytes:
+    """The `save_fitted` bytes of the config's pipeline fitted on its
+    whole bundle."""
+    return save_fitted(build_pipeline(config.pipeline).fit(
+        read_bundle(config.bundle)))
 
 
 if __name__ == "__main__":

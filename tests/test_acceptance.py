@@ -37,6 +37,7 @@ from tempoframe.data import (
 from tempoframe.bundle import MANIFEST_NAME, read_bundle, write_bundle
 from tempoframe.errors import NoComparablePairs
 from tempoframe.interpret import permutation_importance
+from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import FittedEstimator, build_pipeline, create
 from tempoframe.rng import Lcg
 from tempoframe.survival import (
@@ -45,7 +46,7 @@ from tempoframe.survival import (
     event_outcomes,
     kaplan_meier,
 )
-from tempoframe.treatment import pehe, synth_treatment_data
+from tempoframe.treatment import synth_treatment_data
 
 import os
 
@@ -289,21 +290,28 @@ def test_c05_cox_positive_effect_and_zero_on_constant_covariate():
 # 6. treatment-effect recovery and counterfactual consistency
 # ---------------------------------------------------------------------------
 
+def _pehe(fitted, truth):
+    """The `pehe` metric of a fit on its own synthetic dataset."""
+    effects = dict(zip(truth.dataset.sample_ids, truth.effects))
+    return resolve_metric("pehe").score(
+        *TASKS["treatment"].observe(fitted, truth.dataset, effects))
+
+
 def test_c06_treatment_effect_recovery_and_consistency():
     truth = synth_treatment_data(40, seed=1, tau0=3.0)
     fitted = create("treatment.t_learner", {}).fit(truth.dataset)
-    cf = fitted.predict_counterfactuals(truth.dataset, (0, 1))
-    assert pehe(cf.effects(), truth.effects) <= 1e-6
+    assert _pehe(fitted, truth) <= 1e-6
 
     noisy = synth_treatment_data(400, seed=1, tau0=3.0, noise=0.1)
     fitted_noisy = create("treatment.t_learner", {}).fit(noisy.dataset)
-    cf_noisy = fitted_noisy.predict_counterfactuals(noisy.dataset, (0, 1))
-    assert pehe(cf_noisy.effects(), noisy.effects) <= 0.1
+    assert _pehe(fitted_noisy, noisy) <= 0.1
 
     # asking for one alternative returns the same numbers as asking for both
+    cf = fitted.predict_counterfactuals(truth.dataset, (0, 1))
     for arm in (0, 1):
         single = fitted.predict_counterfactuals(truth.dataset, (arm,))
-        assert single.outcomes_for(arm) == cf.outcomes_for(arm)
+        assert single.feature_ids == (f"a={arm}",)
+        assert single.column(f"a={arm}") == cf.column(f"a={arm}")
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from tempoframe.errors import (
     TooFewSamples,
 )
 from tempoframe.metrics import MetricSpec
+from tempoframe.plugins import build_pipeline, save_fitted
 from tempoframe.rng import Lcg
 from tempoframe.treatment import synth_treatment_data
 from tempoframe._version import __version__
@@ -906,7 +907,8 @@ def test_golden_report_byte_match():
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
-@pytest.mark.parametrize("task", ["survival", "classify", "forecast"])
+@pytest.mark.parametrize("task",
+                         ["survival", "classify", "forecast", "treatment"])
 def test_task_golden_report(monkeypatch, task, cpus):
     # A transform front before each task's fitting step, written by
     # tests/golden/regenerate.py; forked folds and a one-process run
@@ -920,6 +922,16 @@ def test_task_golden_report(monkeypatch, task, cpus):
         assert got == f.read()
     assert len(forks) == (config.folds - 1 if cpus > 1 else 0)
     _assert_no_child_left()
+
+
+def test_classify_golden_fitted_blob():
+    # Accuracy is a thresholded count, so the report alone misses a
+    # change in the logistic weights; the fitted blob pins them.
+    config = load_config(os.path.join(GOLDEN, "classify", "config.json"))
+    blob = save_fitted(build_pipeline(config.pipeline).fit(
+        read_bundle(config.bundle)))
+    with open(os.path.join(GOLDEN, "classify", "fitted.json"), "rb") as f:
+        assert blob == f.read()
 
 
 # ---------------------------------------------------------------------------

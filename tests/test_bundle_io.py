@@ -12,7 +12,6 @@ from tempoframe.bundle import (
     MANIFEST_NAME,
     read_bundle,
     validate_bundle,
-    validate_long_table,
     write_bundle,
 )
 from tempoframe.cli import cli
@@ -27,6 +26,7 @@ from tempoframe.data import (
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
+    scan_rows,
 )
 from tempoframe.errors import (
     DuplicateCell,
@@ -150,7 +150,7 @@ def test_validate_long_table_collects_all_violations():
         ["s0", "x"],               # arity
         ["s1", "x", "abc"],        # unparseable number
     ]
-    violations = validate_long_table(rows, Modality.STATIC, kinds)
+    violations = scan_rows(rows, Modality.STATIC, kinds, text=True).violations
     codes = [v.code for v in violations]
     assert codes == ["duplicate_cell", "unknown_feature", "kind_mismatch",
                      "arity", "kind_mismatch"]
@@ -165,7 +165,8 @@ def test_validate_long_table_timed_rules():
         ["s0", "f", "", "3.0"],      # missing time
         ["s0", "f", "zzz", "3.0"],   # bad time
     ]
-    violations = validate_long_table(rows, Modality.TEMPORAL, kinds)
+    violations = scan_rows(rows, Modality.TEMPORAL, kinds,
+                           text=True).violations
     assert [v.code for v in violations] == ["duplicate_time", "missing_time",
                                             "bad_time"]
 

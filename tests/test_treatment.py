@@ -12,6 +12,7 @@ from tempoframe.data import (
     Integer,
     MISSING,
     RoleMap,
+    StaticSamples,
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
@@ -26,16 +27,28 @@ from tempoframe.errors import (
     NonBinaryTreatment,
     RequirementUnmet,
 )
+from tempoframe.metrics import TASKS, resolve_metric
 from tempoframe.plugins import create
-from tempoframe.treatment import (
-    EffectEstimate,
-    pehe,
-    synth_treatment_data,
-)
+from tempoframe.treatment import synth_treatment_data
 
 
 def _fit(ds, **params):
     return create("treatment.t_learner", params).fit(ds)
+
+
+def _pehe(fitted, truth):
+    """The `pehe` metric of a fit on a synthetic dataset, scored as the
+    benchmark scores a treatment fold."""
+    effects = dict(zip(truth.dataset.sample_ids, truth.effects))
+    return resolve_metric("pehe").score(
+        *TASKS["treatment"].observe(fitted, truth.dataset, effects))
+
+
+def _effects(cf):
+    """Per-sample arm-1 minus arm-0 outcome of a prediction for treatment
+    `a`."""
+    return tuple(y1 - y0 for y0, y1 in zip(cf.column("a=0"),
+                                           cf.column("a=1")))
 
 
 def _hand_ds(rows, kinds, roles, sample_ids):
@@ -67,23 +80,17 @@ def _balanced_ds(n=12, tau=2.0, seed=0):
 
 def test_noiseless_constant_effect_recovery():
     truth = synth_treatment_data(40, seed=1, tau0=3.0)
-    fitted = _fit(truth.dataset)
-    cf = fitted.predict_counterfactuals(truth.dataset, (0, 1))
-    assert pehe(cf.effects(), truth.effects) <= 1e-6
+    assert _pehe(_fit(truth.dataset), truth) <= 1e-6
 
 
 def test_noiseless_linear_effect_recovery():
     truth = synth_treatment_data(60, seed=5, gamma=(2.0, -1.0))
-    fitted = _fit(truth.dataset)
-    cf = fitted.predict_counterfactuals(truth.dataset, (0, 1))
-    assert pehe(cf.effects(), truth.effects) <= 1e-6
+    assert _pehe(_fit(truth.dataset), truth) <= 1e-6
 
 
 def test_noisy_recovery_stays_close():
     truth = synth_treatment_data(400, seed=1, tau0=3.0, noise=0.1)
-    fitted = _fit(truth.dataset)
-    cf = fitted.predict_counterfactuals(truth.dataset, (0, 1))
-    assert pehe(cf.effects(), truth.effects) <= 0.1
+    assert _pehe(_fit(truth.dataset), truth) <= 0.1
 
 
 def test_outcome_shift_equivariance():
@@ -97,9 +104,9 @@ def test_outcome_shift_equivariance():
 
     cf_a = _fit(base).predict_counterfactuals(base, (0, 1))
     cf_b = _fit(shifted).predict_counterfactuals(shifted, (0, 1))
-    for ea, eb in zip(cf_a.effects().values, cf_b.effects().values):
+    for ea, eb in zip(_effects(cf_a), _effects(cf_b)):
         assert math.isclose(ea, eb, rel_tol=0.0, abs_tol=1e-9)
-    for oa, ob in zip(cf_a.outcomes_for(0), cf_b.outcomes_for(0)):
+    for oa, ob in zip(cf_a.column("a=0"), cf_b.column("a=0")):
         assert math.isclose(ob - oa, 100.0, abs_tol=1e-8)
 
 
@@ -111,18 +118,18 @@ def test_counterfactual_output_is_sorted_and_consistent():
     ds = _balanced_ds()
     fitted = _fit(ds)
     cf = fitted.predict_counterfactuals(ds, (1, 0))
-    assert cf.alternatives == (0, 1)
+    assert isinstance(cf, StaticSamples)
+    assert cf.features == (("a=0", Continuous()), ("a=1", Continuous()))
     assert cf.sample_ids == ds.sample_ids
-    # effects are exactly the arm-1 minus arm-0 predictions
-    diffs = tuple(a - b for a, b in zip(cf.outcomes_for(1),
-                                        cf.outcomes_for(0)))
-    assert cf.effects().values == diffs
+    # the scored effects are exactly the arm-1 minus arm-0 predictions
+    pred, _ = TASKS["treatment"].observe(fitted, ds,
+                                         dict.fromkeys(ds.sample_ids, 0.0))
+    assert pred.feature_ids == ("effect",)
+    assert pred.column("effect") == _effects(cf)
 
     single = fitted.predict_counterfactuals(ds, (1,))
-    assert single.alternatives == (1,)
-    assert single.outcomes_for(1) == cf.outcomes_for(1)
-    with pytest.raises(InvalidAlternative):
-        single.outcomes_for(0)
+    assert single.feature_ids == ("a=1",)
+    assert single.column("a=1") == cf.column("a=1")
 
 
 def test_invalid_alternatives_rejected():
@@ -155,7 +162,7 @@ def test_categorical_treatment_arms():
         sample_ids)
     cf = _fit(ds).predict_counterfactuals(ds, (0, 1))
     # second category is arm 1
-    for tau in cf.effects().values:
+    for tau in _effects(cf):
         assert math.isclose(tau, 4.0, abs_tol=1e-6)
 
 
@@ -264,26 +271,30 @@ def test_target_requirements():
 # pehe
 # ---------------------------------------------------------------------------
 
+def _effect_column(sample_ids, values):
+    return StaticSamples(tuple(sample_ids), (("effect", Continuous()),),
+                         tuple((v,) for v in values))
+
+
 def test_pehe_hand_values():
-    est = EffectEstimate(("a", "b"), (0.0, 0.0))
-    assert pehe(est, [3.0, 4.0]) == math.sqrt(12.5)
-    assert pehe(est, [0.0, 0.0]) == 0.0
-
-    truth = EffectEstimate(("a", "b"), (3.0, 4.0))
-    assert pehe(est, truth) == math.sqrt(12.5)
+    # PEHE is `rmse` over two aligned `effect` columns.
+    score = resolve_metric("pehe").score
+    est = _effect_column("ab", (0.0, 0.0))
+    assert score(est, _effect_column("ab", (3.0, 4.0))) == math.sqrt(12.5)
+    assert score(est, _effect_column("ab", (0.0, 0.0))) == 0.0
 
     with pytest.raises(AlignmentError):
-        pehe(est, [1.0])
+        score(est, _effect_column("a", (1.0,)))
     with pytest.raises(AlignmentError):
-        pehe(est, EffectEstimate(("a", "zz"), (3.0, 4.0)))
+        score(est, _effect_column(("a", "zz"), (3.0, 4.0)))
 
 
 def test_pehe_permutation_invariant():
-    est = EffectEstimate(("a", "b", "c"), (1.0, -2.0, 0.5))
-    truth = (0.5, -1.0, 2.0)
-    direct = pehe(est, truth)
-    perm = EffectEstimate(("c", "a", "b"), (0.5, 1.0, -2.0))
-    assert pehe(perm, (2.0, 0.5, -1.0)) == direct
+    score = resolve_metric("pehe").score
+    direct = score(_effect_column("abc", (1.0, -2.0, 0.5)),
+                   _effect_column("abc", (0.5, -1.0, 2.0)))
+    assert score(_effect_column("cab", (0.5, 1.0, -2.0)),
+                 _effect_column("cab", (2.0, 0.5, -1.0))) == direct
 
 
 # ---------------------------------------------------------------------------
