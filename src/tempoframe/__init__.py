@@ -41,7 +41,6 @@ from tempoframe.plugins import (
     Param,
     build_pipeline,
     create,
-    fingerprint_of,
     list_specs,
     load_fitted,
     register_plugin,
@@ -81,7 +80,7 @@ __all__ = [
     "read_bundle", "write_bundle", "validate_bundle",
     "Category", "EstimatorSpec", "Param", "FittedEstimator",
     "register_plugin", "create", "list_specs", "build_pipeline",
-    "save_fitted", "load_fitted", "fingerprint_of",
+    "save_fitted", "load_fitted",
     "rmse", "accuracy",
     "SurvivalCurve", "kaplan_meier", "concordance_index", "brier_score",
     "event_outcomes",

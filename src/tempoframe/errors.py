@@ -110,7 +110,7 @@ class RequirementUnmet(TempoframeError):
 
 
 class FingerprintMismatch(TempoframeError):
-    """Query dataset features differ from the training fingerprint."""
+    """Query dataset features differ from the training features."""
 
 
 class NotFitted(TempoframeError):

@@ -28,6 +28,7 @@ from tempoframe.errors import (
     EmptyTargetSeries,
     InsufficientHistory,
     IrregularSeries,
+    MetricMismatch,
     MissingInTarget,
     NonBinaryTarget,
     RequirementUnmet,
@@ -331,8 +332,9 @@ def accuracy(pred, truth, threshold: float = 0.5) -> float:
     """Fraction of cells whose thresholded probability matches the label.
 
     `pred` and `truth` are `StaticSamples` over the same samples and
-    features. Predicted label is 1 when p >= threshold. Truth labels may be
-    Integer 0/1 or binary Categorical (second category = positive).
+    features. Predicted label is 1 when p >= threshold; a NaN p has no
+    label, so it raises `MetricMismatch`. Truth labels may be Integer 0/1
+    or binary Categorical (second category = positive).
     """
     _aligned(pred, truth, StaticSamples)
     correct = 0
@@ -340,6 +342,9 @@ def accuracy(pred, truth, threshold: float = 0.5) -> float:
     for i, sid in enumerate(pred.sample_ids):
         for j, (fid, kind) in enumerate(truth.features):
             p = _numeric(pred.values[i][j], sid, fid)
+            if math.isnan(p):
+                raise MetricMismatch(f"accuracy: ({sid}, {fid}): predicted "
+                                     "probability is NaN")
             tv = truth.values[i][j]
             if tv is MISSING:
                 raise AlignmentError(f"({sid}, {fid}): missing truth label")

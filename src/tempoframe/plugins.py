@@ -4,7 +4,7 @@ A plugin is an EstimatorSpec: a dotted name, a category, a hyperparameter
 schema and a set of lifecycle functions; `register_plugin` refuses a spec
 without the ones its category runs. `create` resolves params against the
 schema and returns an Estimator; `fit` produces an immutable
-FittedEstimator carrying JSON-able learned state plus a fingerprint of the
+FittedEstimator carrying JSON-able learned state plus the signature of its
 training features, which predict-time datasets must match. A pipeline is
 its last step's Estimator with the other steps, all transforms, as its
 front: fit fits and applies the front first, and every query runs it
@@ -14,7 +14,6 @@ first.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -202,7 +201,7 @@ def create(name: str, params: dict | None = None) -> "Estimator":
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints
+# Feature signatures
 # ---------------------------------------------------------------------------
 
 def dataset_signature(ds: Dataset) -> tuple:
@@ -213,20 +212,10 @@ def dataset_signature(ds: Dataset) -> tuple:
         for fid, kind, role, modality in ds.all_features())
 
 
-def _features_hash(features) -> str:
-    doc = json.dumps([list(t) for t in features], separators=(",", ":"))
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-
-def fingerprint_of(ds: Dataset) -> str:
-    return _features_hash(dataset_signature(ds))
-
-
 def check_fingerprint(fitted: "FittedEstimator", ds: Dataset) -> None:
     """Raise FingerprintMismatch unless `ds` has exactly the features
     `fitted` was trained on."""
-    fp = fingerprint_of(ds)
-    if fp != fitted.fingerprint:
+    if dataset_signature(ds) != fitted.features:
         raise FingerprintMismatch(
             f"query features differ from training features for "
             f"{fitted.spec.name!r}: trained on "
@@ -264,8 +253,7 @@ class Estimator:
             ds = front[-1].transform(ds)
         state = self.spec.fit(self.params, ds)
         return FittedEstimator(self.spec, self.params, state,
-                               fingerprint_of(ds), dataset_signature(ds),
-                               front)
+                               dataset_signature(ds), front)
 
     # Lifecycle safety: predict-family calls before fit are NotFitted,
     # never AttributeError.
@@ -280,17 +268,16 @@ class Estimator:
 
 
 class FittedEstimator:
-    """Immutable result of fit: learned state plus the fingerprint of the
+    """Immutable result of fit: learned state plus the signature of the
     features it was trained on, after its fitted front. A query runs the
     front, whose steps each accept a superset of their training features
     and keep extra features in order, then the step's own checks."""
 
     def __init__(self, spec: EstimatorSpec, params: dict, state: dict,
-                 fingerprint: str, features: tuple, front=()):
+                 features: tuple, front=()):
         self.spec = spec
         self.params = params
         self.state = state
-        self.fingerprint = fingerprint
         self.features = features
         self.front = tuple(front)
 
@@ -370,7 +357,6 @@ def _step_to_doc(f: FittedEstimator) -> dict:
     return {"plugin": f.spec.name,
             "params": f.params,
             "state": f.state,
-            "fingerprint": f.fingerprint,
             "features": [list(t) for t in f.features]}
 
 
@@ -380,10 +366,8 @@ def _step_from_doc(doc, front=()) -> FittedEstimator:
     name = doc["plugin"]
     try:
         features = tuple(tuple(t) for t in doc["features"])
-        fingerprint = doc["fingerprint"]
-        if fingerprint != _features_hash(features):
-            raise CorruptBlob(f"{name!r}: stored fingerprint is not the hash "
-                              "of the stored features")
+        if any(len(t) != 4 or {*map(type, t)} != {str} for t in features):
+            raise CorruptBlob(f"{name!r}: stored features are malformed")
         params = doc["params"]
         state = doc["state"]
     except (KeyError, TypeError) as e:
@@ -392,7 +376,7 @@ def _step_from_doc(doc, front=()) -> FittedEstimator:
         raise UnknownPluginInBlob(f"blob names unregistered plugin {name!r}")
     spec = _REGISTRY[name]
     return FittedEstimator(spec, resolve_params(spec.schema, params), state,
-                           fingerprint, features, front)
+                           features, front)
 
 
 def save_fitted(f: FittedEstimator) -> bytes:

@@ -256,7 +256,7 @@ def test_c04_ar_recovery_and_persistence_reduction():
     ar = create("forecast.ar", {"order": 1, "horizon": 3, "step": 1.0}).fit(ds)
     snapped = FittedEstimator(ar.spec, ar.params,
                               {"models": {"hr": {"c": 0.0, "phi": [1.0]}}},
-                              ar.fingerprint, ar.features)
+                              ar.features)
     assert snapped.predict(ds) == persistence.predict(ds)
 
 

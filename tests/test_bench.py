@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from datagen import classification_dataset, offset_grid_dataset, \
-    regular_series_dataset, survival_dataset
+    patient_dataset, regular_series_dataset, survival_dataset
 from tempoframe import bench, interpret
 from tempoframe.bench import (
     BenchConfig,
@@ -692,10 +692,39 @@ def _all_numbers(value):
         yield value
 
 
+def _sweep(tmp_path, capsys, docs) -> list:
+    """The exit code of `tempoframe run` on each config of `docs`. Each
+    must be 0, 1 or 2 without a raw exception, and an exit-0 report must
+    hold only finite numbers."""
+    codes = []
+    for doc in docs:
+        where = json.dumps(doc)
+        try:
+            code = cli(["run", _write_config(tmp_path, doc)])
+        except Exception as e:
+            pytest.fail(f"{where}: {type(e).__name__}: {e}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        if code == 0:
+            assert all(math.isfinite(v)
+                       for v in _all_numbers(json.loads(out))), where
+        codes.append(code)
+    return codes
+
+
+def _grid(task, bundles, pipelines, metrics, importances=(None,)):
+    """One config per (bundle, pipeline, folds 2 or 5, importance)."""
+    return [{"bundle": b, "task": task, "pipeline": pipeline,
+             "metrics": metrics, "cv": {"folds": folds, "seed": 1},
+             **({"importance": imp} if imp else {})}
+            for b in bundles for pipeline in pipelines for folds in (2, 5)
+            for imp in importances]
+
+
 def test_cli_survival_sweep_exits_cleanly(tmp_path, capsys):
     # A fixed grid of survival configs, some diverging, some with too few
-    # samples or events per fold: each ends in exit 0, 1 or 2 without a
-    # raw exception, and an exit-0 report holds only finite numbers.
+    # samples or events per fold.
     bundles = [(1, 30, 0.3), (2, 6, 0.5), (3, 9, 0.9), (5, 40, 0.95)]
     for seed, n, censor_rate in bundles:
         write_bundle(survival_dataset(seed, n=n, censor_rate=censor_rate),
@@ -704,33 +733,76 @@ def test_cli_survival_sweep_exits_cleanly(tmp_path, capsys):
               {"step_size": -1e6}, {"step_size": 1e-300}, {"ridge": 1e300},
               {"iters": 20, "step_size": 5, "ridge": 0}]
     # every event time of these bundles lies between 2.5 and 6.5
-    metrics = ["c_index", "brier@1", "brier@100"]
-    codes = []
-    for seed, _, _ in bundles:
-        for p in params:
-            for folds in (2, 5):
-                for importance in (None, {"metric": "c_index"}):
-                    doc = {"bundle": f"b{seed}", "task": "survival",
-                           "pipeline": [{"plugin": "survival.cox",
-                                         "params": p}],
-                           "metrics": metrics,
-                           "cv": {"folds": folds, "seed": 1}}
-                    if importance:
-                        doc["importance"] = importance
-                    where = json.dumps(doc)
-                    try:
-                        code = cli(["run", _write_config(tmp_path, doc)])
-                    except Exception as e:
-                        pytest.fail(f"{where}: {type(e).__name__}: {e}")
-                    out, err = capsys.readouterr()
-                    assert code in (0, 1, 2), where
-                    assert "Traceback" not in err, where
-                    if code == 0:
-                        assert all(math.isfinite(v)
-                                   for v in _all_numbers(json.loads(out))), \
-                            where
-                    codes.append(code)
+    codes = _sweep(tmp_path, capsys, _grid(
+        "survival", [f"b{seed}" for seed, _, _ in bundles],
+        [[{"plugin": "survival.cox", "params": p}] for p in params],
+        ["c_index", "brier@1", "brier@100"],
+        (None, {"metric": "c_index"})))
     assert len(codes) == 128
+    assert {0, 1} <= set(codes)
+
+
+def test_cli_classify_sweep_exits_cleanly(tmp_path, capsys):
+    # Missing cells without an imputer, test folds too small for
+    # importance, zero and huge learning rates.
+    bundles = {"clean": classification_dataset(1, n=30),
+               "tiny": classification_dataset(2, n=6),
+               "noise": classification_dataset(3, n=20, informative="x2"),
+               "patients": patient_dataset(4, n=24, outcome="classify")}
+    for name, ds in bundles.items():
+        write_bundle(ds, str(tmp_path / name))
+    fronts = [[], [{"plugin": "impute.locf"}, {"plugin": "impute.mean"},
+                   {"plugin": "scale.zscore"}]]
+    params = [{"iters": 30}, {"lr": 0, "iters": 5},
+              {"lr": 1e6, "iters": 30}, {"lr": 1e300, "iters": 2}]
+    codes = _sweep(tmp_path, capsys, _grid(
+        "classify", list(bundles),
+        [front + [{"plugin": "classify.logistic", "params": p}]
+         for front in fronts for p in params],
+        ["accuracy"], (None, {"metric": "accuracy", "seed": 2})))
+    assert len(codes) == 128
+    assert {0, 1} <= set(codes)
+
+
+def test_cli_forecast_sweep_exits_cleanly(tmp_path, capsys):
+    # Irregular series without a resampler, series too short for the
+    # order and horizon, grid steps that miss or match the data's, a
+    # negative step.
+    bundles = {"regular": regular_series_dataset(1, n=8, length=12),
+               "short": regular_series_dataset(2, n=4, length=4),
+               "offset": offset_grid_dataset(6, n=8, drop=0.2, keep_last=4)}
+    for name, ds in bundles.items():
+        write_bundle(ds, str(tmp_path / name))
+    fronts = [[], [{"plugin": "resample.regular", "params": {"step": 0.1}}],
+              [{"plugin": "resample.regular", "params": {"step": 1.0}}]]
+    models = [("forecast.persistence", {"horizon": 2, "step": 1.0}),
+              ("forecast.persistence", {"horizon": 1, "step": 0.1}),
+              ("forecast.ar", {"order": 1, "horizon": 1, "step": 1.0}),
+              ("forecast.ar", {"order": 3, "horizon": 3, "step": 0.1}),
+              ("forecast.ar", {"order": 2, "horizon": 2, "step": -1.0})]
+    codes = _sweep(tmp_path, capsys, _grid(
+        "forecast", list(bundles),
+        [front + [{"plugin": name, "params": p}]
+         for front in fronts for name, p in models], ["rmse"]))
+    assert len(codes) == 90
+    assert {0, 1} <= set(codes)
+
+
+def test_cli_treatment_sweep_exits_cleanly(tmp_path, capsys):
+    # Zero, tiny and huge ridges; folds too small for both arms.
+    for n, seed in ((40, 1), (8, 2), (12, 3)):
+        truth = synth_treatment_data(n, seed, gamma=(1.0, -0.5), noise=0.5)
+        write_bundle(truth.dataset, str(tmp_path / f"b{seed}"))
+        write_truth(str(tmp_path / f"b{seed}" / "truth.csv"),
+                    truth.dataset.sample_ids, truth.effects)
+    fronts = [[], [{"plugin": "scale.zscore"}]]
+    params = [{}, {"ridge": 0}, {"ridge": 1e300}, {"ridge": 1e-300}]
+    codes = _sweep(tmp_path, capsys, [
+        dict(doc, truth=f"{doc['bundle']}/truth.csv") for doc in _grid(
+            "treatment", ["b1", "b2", "b3"],
+            [front + [{"plugin": "treatment.t_learner", "params": p}]
+             for front in fronts for p in params], ["pehe"])])
+    assert len(codes) == 48
     assert {0, 1} <= set(codes)
 
 

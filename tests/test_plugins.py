@@ -1,5 +1,5 @@
 """Plugin registry, estimator lifecycle, fingerprints, pipelines,
-persistence."""
+persistence, public names."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from datagen import classification_dataset, random_dataset, survival_dataset
+import tempoframe
+from datagen import classification_dataset, survival_dataset
 from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
@@ -46,7 +47,6 @@ from tempoframe.plugins import (
     build_pipeline,
     create,
     dataset_signature,
-    fingerprint_of,
     list_specs,
     load_fitted,
     register_plugin,
@@ -236,16 +236,34 @@ def test_fit_does_not_mutate_estimator_inputs():
 # ---------------------------------------------------------------------------
 
 def test_fingerprint_is_order_and_content_sensitive():
-    ds = random_dataset(21)
-    assert fingerprint_of(ds) == fingerprint_of(ds)
-    sig = dataset_signature(ds)
-    assert len(sig) == len(ds.all_features())
+    ds = classification_dataset(21)
+    fitted = create("classify.logistic", {"iters": 5}).fit(ds)
+    rows, kinds = ds.static.to_rows(), dict(ds.static.features)
+    roles = RoleMap.of(covariates=("x1", "x2"), targets=("y",))
+
+    def variant(kinds, roles=roles, rows=rows):
+        return assemble_dataset(static=build_static_samples(rows, kinds),
+                                roles=roles)
+
+    assert dataset_signature(variant(kinds)) == fitted.features
+    # features take the order of their first row, so x2's rows go first
+    reordered = variant(kinds, rows=sorted(rows, key=lambda r: r[1] != "x2"))
+    assert sorted(dataset_signature(reordered)) == sorted(fitted.features)
+    for other in (reordered,
+                  variant({**kinds, "y": Continuous()}),
+                  variant(kinds, RoleMap.of(covariates=("x1", "x2"),
+                                            treatments=("y",)))):
+        assert dataset_signature(other) != fitted.features
+        with pytest.raises(FingerprintMismatch, match=(
+                "^query features differ from training features for "
+                "'classify.logistic'")):
+            fitted.predict(other)
 
 
 def test_predict_requires_exact_fingerprint():
     ds = classification_dataset(3)
     fitted = create("classify.logistic", {"iters": 5}).fit(ds)
-    assert fitted.fingerprint == fingerprint_of(ds)
+    assert fitted.features == dataset_signature(ds)
     fitted.predict(ds)
 
     # an extra feature changes the fingerprint
@@ -392,8 +410,15 @@ def test_save_load_round_trip_plain():
     assert loaded.spec.name == "classify.logistic"
     assert loaded.params == fitted.params
     assert loaded.state == fitted.state
-    assert loaded.fingerprint == fitted.fingerprint
+    assert loaded.features == fitted.features
     assert loaded.predict(ds) == fitted.predict(ds)
+    # the features are the blob's one record of the training features; a
+    # stale `fingerprint` key, as older blobs hold, is never read
+    doc = json.loads(blob)
+    assert "fingerprint" not in doc["fitted"]
+    doc["fitted"]["fingerprint"] = "0" * 64
+    assert load_fitted(json.dumps(doc).encode("utf-8")).predict(ds) == \
+        fitted.predict(ds)
 
 
 def test_save_load_round_trip_pipeline_and_wrapper():
@@ -470,22 +495,19 @@ def test_save_refuses_non_finite_state_naming_the_plugin():
         save_fitted(fitted)
 
 
-def test_blob_whose_fingerprint_and_features_disagree_is_corrupt():
-    # predict trusts the stored fingerprint and transform the stored
-    # features, so a blob whose two records disagree must not load
+def test_blob_with_edited_features_fails_its_first_query():
+    # predict and transform both check the stored features, so a blob
+    # whose features were edited loads and refuses its first query
     ds = classification_dataset(14, n=20)
-    renamed = json.loads(save_fitted(
-        create("classify.logistic", {"iters": 5}).fit(ds)))
-    for t in renamed["fitted"]["features"]:
-        t[0] = f"{t[0]}_renamed"
-    zeroed = json.loads(save_fitted(create("scale.zscore").fit(ds)))
-    zeroed["fitted"]["fingerprint"] = "0" * 64
-    for doc, name in ((renamed, "classify.logistic"),
-                      (zeroed, "scale.zscore")):
-        with pytest.raises(CorruptBlob, match=(
-                f"^'{name}': stored fingerprint is not the hash of the "
-                "stored features$")):
-            load_fitted(json.dumps(doc).encode("utf-8"))
+    for name, params, query in (
+            ("classify.logistic", {"iters": 5}, lambda f: f.predict(ds)),
+            ("scale.zscore", {}, lambda f: f.transform(ds))):
+        doc = json.loads(save_fitted(create(name, params).fit(ds)))
+        for t in doc["fitted"]["features"]:
+            t[0] = f"{t[0]}_renamed"
+        loaded = load_fitted(json.dumps(doc).encode("utf-8"))
+        with pytest.raises(FingerprintMismatch, match=f" for '{name}'"):
+            query(loaded)
 
 
 def test_corrupt_blobs():
@@ -501,3 +523,22 @@ def test_corrupt_blobs():
     hacked = blob.replace(b"classify.logistic", b"classify.missing12")
     with pytest.raises(UnknownPluginInBlob):
         load_fitted(hacked)
+    # stored features that are not (id, kind, role, modality) strings
+    for features in ([["x1"]], [[]], [[["x1"], "k", "r", "m"]]):
+        doc = json.loads(blob)
+        doc["fitted"]["features"] = features
+        with pytest.raises(CorruptBlob, match=(
+                "^'classify.logistic': stored features are malformed$")):
+            load_fitted(json.dumps(doc).encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+def test_every_public_name_resolves():
+    assert len(set(tempoframe.__all__)) == len(tempoframe.__all__)
+    assert [n for n in tempoframe.__all__ if not hasattr(tempoframe, n)] == []
+    namespace = {}
+    exec("from tempoframe import *", namespace)
+    assert set(tempoframe.__all__) <= set(namespace)

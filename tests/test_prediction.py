@@ -17,6 +17,7 @@ from tempoframe.data import (
     Integer,
     MISSING,
     RoleMap,
+    StaticSamples,
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
@@ -27,17 +28,15 @@ from tempoframe.errors import (
     InsufficientHistory,
     InvalidStep,
     IrregularSeries,
+    MetricMismatch,
     MissingInTarget,
     NonBinaryTarget,
     RequirementUnmet,
 )
 from tempoframe.forecasting import _regular_values, accuracy, rmse
+from tempoframe.interpret import permutation_importance
 from tempoframe.metrics import static_target_table
-from tempoframe.plugins import (
-    FittedEstimator,
-    create,
-    fingerprint_of,
-)
+from tempoframe.plugins import FittedEstimator, create
 from tempoframe.rng import Lcg
 
 
@@ -180,7 +179,7 @@ def test_ar_unit_root_state_equals_persistence():
     snapped = FittedEstimator(
         ar.spec, ar.params,
         {"models": {"y": {"c": 0.0, "phi": [1.0]}}},
-        ar.fingerprint, ar.features)
+        ar.features)
     persistence = create("forecast.persistence",
                          {"horizon": 4, "step": 1.0}).fit(ds)
     assert snapped.predict(ds) == persistence.predict(ds)
@@ -435,3 +434,43 @@ def test_accuracy_thresholds_and_truth_kinds():
         {"y": Integer()}, sample_ids=["a", "b", "c"])
     with pytest.raises(AlignmentError):
         accuracy(pred, bad)
+
+
+def test_accuracy_refuses_a_nan_probability():
+    # p >= threshold is false for NaN, which would score NaN as label 0
+    # built as a model builds its prediction; the builder refuses NaN
+    pred = StaticSamples(("a", "b"), (("y", Continuous()),),
+                         ((0.9,), (math.nan,)))
+    for label in (0, 1):
+        truth = build_static_samples([("a", "y", 1), ("b", "y", label)],
+                                     {"y": Integer()})
+        with pytest.raises(MetricMismatch, match=(
+                r"^accuracy: \(b, y\): predicted probability is NaN$")):
+            accuracy(pred, truth)
+
+
+def test_finite_query_with_a_nan_probability_fails_scoring():
+    # finite cells x1 = x2 = 1e308 give inf - inf = NaN in the logit
+    rng = Lcg(3)
+    rows = []
+    for i in range(40):
+        x1, x2 = rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)
+        rows += [(f"s{i:02d}", "x1", x1), (f"s{i:02d}", "x2", x2),
+                 (f"s{i:02d}", "y", 1 if x1 > x2 else 0)]
+    kinds = {"x1": Continuous(), "x2": Continuous(), "y": Integer()}
+    roles = RoleMap.of(covariates=("x1", "x2"), targets=("y",))
+    fitted = create("classify.logistic", {"lr": 0.5, "iters": 200}).fit(
+        assemble_dataset(static=build_static_samples(rows, kinds),
+                         roles=roles))
+    w1, w2 = fitted.state["weights"]
+    assert w1 > 1.0 and w2 < -1.0
+    for label in (0, 1):
+        query = assemble_dataset(static=build_static_samples(
+            [(sid, fid, v) for sid in ("q0", "q1")
+             for fid, v in (("x1", 1e308), ("x2", 1e308), ("y", label))],
+            kinds), roles=roles)
+        assert all(math.isnan(p) for (p,) in fitted.predict(query).values)
+        with pytest.raises(MetricMismatch, match=r"^accuracy: \(q0, y\): "):
+            accuracy(fitted.predict(query), static_target_table(query))
+        with pytest.raises(MetricMismatch, match=r"^accuracy: \(q0, y\): "):
+            permutation_importance(fitted, query, "accuracy")
