@@ -22,6 +22,7 @@ from tempoframe.errors import (
     InvalidWindow,
     KindMismatch,
     MissingInFeatures,
+    MultipleTargets,
     NonNumericFeature,
     ParseError,
     RequirementUnmet,
@@ -103,31 +104,53 @@ def _mismatch(where, what: str) -> KindMismatch:
     return KindMismatch(what if where is None else f"{where}: {what}")
 
 
+def _float_of(x, where) -> float:
+    """float(x) of a real number; an int that float() cannot take is a
+    KindMismatch named as in `check_value`."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise _mismatch(where, "integer beyond float range") from None
+
+
 def check_value(kind: ValueKind, value, where: str = None):
     """Return the canonical stored form of `value`, or raise KindMismatch,
     whose message starts with `where: ` when a `where` is given.
 
     Missing passes through unchanged. Continuous stores float, Integer int,
     Categorical str. Booleans are rejected everywhere; non-finite floats are
-    rejected because they cannot round-trip through value equality.
+    rejected because they cannot round-trip through value equality, and
+    ints beyond float range because no model can read them.
     """
     if value is MISSING:
         return MISSING
     if isinstance(kind, Continuous):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _mismatch(where, f"expected a real number, got {value!r}")
-        v = float(value)
+        v = _float_of(value, where)
         if not math.isfinite(v):
             raise _mismatch(where, f"non-finite value {value!r}")
         return v
     if isinstance(kind, Integer):
         if isinstance(value, bool) or not isinstance(value, int):
             raise _mismatch(where, f"expected an integer, got {value!r}")
+        _float_of(value, where)
         return value
     if isinstance(value, str) and value in kind.categories:
         return value
     raise _mismatch(
         where, f"{value!r} not in categories {list(kind.categories)}")
+
+
+def binary_codes(kind: ValueKind) -> dict:
+    """The one binary coding, {value: 0 or 1}: Integer 0/1 as themselves,
+    a two-category Categorical's first category 0 and second 1; {} for
+    any other kind, which is not binary."""
+    if isinstance(kind, Integer):
+        return {0: 0, 1: 1}
+    if isinstance(kind, Categorical) and len(kind.categories) == 2:
+        return {kind.categories[0]: 0, kind.categories[1]: 1}
+    return {}
 
 
 def kind_to_json(kind: ValueKind) -> dict:
@@ -158,7 +181,7 @@ def check_time(t, where: str = None) -> float:
     """t as a finite float, or KindMismatch named as in `check_value`."""
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise _mismatch(where, f"time must be a real number, got {t!r}")
-    tf = float(t)
+    tf = _float_of(t, where)
     if not math.isfinite(tf):
         raise _mismatch(where, f"time must be finite, got {t!r}")
     return tf
@@ -190,9 +213,11 @@ def _parse_value(kind: ValueKind, s: str):
         return v
     if isinstance(kind, Integer):
         try:
-            return int(s, 10)
+            i = int(s, 10)
         except ValueError:
             raise KindMismatch(f"{s!r} is not an integer") from None
+        _float_of(i, None)
+        return i
     if s in kind.categories:
         return s
     raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
@@ -332,6 +357,15 @@ class RoleMap:
         return tuple(self._by_feature)
 
 
+def missing_role(role: Role, modality=None) -> RequirementUnmet:
+    """RequirementUnmet("missing_[<modality>_]<role>"): no feature has
+    `role` (and `modality`, when given)."""
+    where = "" if modality is None else f"{modality.value} "
+    return RequirementUnmet(
+        f"missing_{where.replace(' ', '_')}{role.value}",
+        f"no {where}feature has the {role.value.capitalize()} role")
+
+
 @dataclass(frozen=True)
 class Dataset:
     static: StaticSamples | None
@@ -365,9 +399,27 @@ class Dataset:
                 out.append((fid, kind, self.roles.role_of(fid), modality))
         return out
 
-    def features_with_role(self, role: Role) -> list:
-        return [(fid, kind, modality)
-                for fid, kind, r, modality in self.all_features() if r is role]
+    def features_with_role(self, role: Role, modality=None) -> list:
+        """(feature_id, kind, modality) of each feature with `role`, in
+        container order; only those of `modality` when one is given."""
+        return [(fid, kind, m) for fid, kind, r, m in self.all_features()
+                if r is role and modality in (None, m)]
+
+    def sole_feature(self, role: Role, modality=None) -> tuple:
+        """(feature_id, kind, modality) of the one feature with `role` (and
+        `modality`, when given). None raises `missing_role`; several raise
+        RequirementUnmet("multiple_<role>s"), MultipleTargets for targets."""
+        feats = self.features_with_role(role, modality)
+        if not feats:
+            raise missing_role(role, modality)
+        if len(feats) > 1:
+            where = "" if modality is None else f"{modality.value} "
+            detail = (f"expected one {where}{role.value}, "
+                      f"got {[f for f, _, _ in feats]}")
+            if role is Role.TARGET:
+                raise MultipleTargets(detail)
+            raise RequirementUnmet(f"multiple_{role.value}s", detail)
+        return feats[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ from tempoframe.data import (
     Categorical,
     Continuous,
     Dataset,
-    Integer,
     MISSING,
     Modality,
     Role,
     StaticSamples,
     TimeSeriesSamples,
+    binary_codes,
     check_column_names,
     covariate_matrix,
+    missing_role,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -49,17 +50,14 @@ from tempoframe.preprocess import check_step
 
 
 def _temporal_targets(ds: Dataset) -> list:
-    out = [(fid, kind) for fid, kind, modality
-           in ds.features_with_role(Role.TARGET)
-           if modality is Modality.TEMPORAL]
+    out = ds.features_with_role(Role.TARGET, Modality.TEMPORAL)
     if not out:
-        raise RequirementUnmet("missing_temporal_target",
-                               "no temporal feature has the Target role")
-    for fid, kind in out:
+        raise missing_role(Role.TARGET, Modality.TEMPORAL)
+    for fid, kind, _ in out:
         if isinstance(kind, Categorical):
             raise RequirementUnmet("non_numeric_feature",
                                    f"target {fid!r} is categorical")
-    return [fid for fid, _ in out]
+    return [fid for fid, _, _ in out]
 
 
 # ---------------------------------------------------------------------------
@@ -206,45 +204,23 @@ register_plugin(EstimatorSpec(
 # classify.logistic
 # ---------------------------------------------------------------------------
 
-def _binary_static_target(ds: Dataset):
-    """The single binary static Target feature, as (feature_id, kind)."""
-    targets = [(fid, kind) for fid, kind, modality
-               in ds.features_with_role(Role.TARGET)
-               if modality is Modality.STATIC]
-    if not targets:
-        raise RequirementUnmet("missing_static_target",
-                               "no static feature has the Target role")
-    if len(targets) > 1:
-        raise RequirementUnmet(
-            "multiple_targets",
-            f"expected one static target, got {[f for f, _ in targets]}")
-    fid, kind = targets[0]
-    if isinstance(kind, Categorical):
-        if len(kind.categories) != 2:
-            raise NonBinaryTarget(
-                f"target {fid!r} has {len(kind.categories)} categories")
-    elif not isinstance(kind, Integer):
-        raise NonBinaryTarget(f"target {fid!r} is continuous")
-    return fid, kind
-
-
-def _label_of(v, kind, fid, sid):
-    if v is MISSING:
-        raise MissingInTarget(f"target {fid!r} missing for sample {sid!r}")
-    if isinstance(kind, Categorical):
-        # Positive class is the second declared category.
-        return 1.0 if v == kind.categories[1] else 0.0
-    if v not in (0, 1):
-        raise NonBinaryTarget(f"integer target {fid!r} has value {v!r} "
-                              "outside {0, 1}")
-    return float(v)
-
-
 def _logistic_fit(params, ds: Dataset) -> dict:
-    fid, kind = _binary_static_target(ds)
+    fid, kind, _ = ds.sole_feature(Role.TARGET, Modality.STATIC)
+    codes = binary_codes(kind)
+    if isinstance(kind, Categorical) and not codes:
+        raise NonBinaryTarget(
+            f"target {fid!r} has {len(kind.categories)} categories")
+    if not codes:
+        raise NonBinaryTarget(f"target {fid!r} is continuous")
     names, columns = covariate_matrix(ds)
-    y = [_label_of(v, kind, fid, sid)
-         for sid, v in zip(ds.sample_ids, ds.static.column(fid))]
+    y = []
+    for sid, v in zip(ds.sample_ids, ds.static.column(fid)):
+        if v is MISSING:
+            raise MissingInTarget(f"target {fid!r} missing for sample {sid!r}")
+        if v not in codes:
+            raise NonBinaryTarget(f"integer target {fid!r} has value {v!r} "
+                                  "outside {0, 1}")
+        y.append(float(codes[v]))
     weights, bias = logistic_gd(columns, y, params["lr"], params["iters"])
     return {"target": fid, "columns": names, "weights": weights,
             "bias": bias}

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, groupby
 from operator import mul
 
-from tempoframe.errors import FitDiverged
+from tempoframe.errors import AlignmentError, FitDiverged
 
 BACKEND = "pure"
 
@@ -112,7 +112,11 @@ def mean_std(values: list) -> tuple:
 def linear_predictor(columns: list, weights: list, start: list) -> list:
     """start_i + sum over j of w_j * x_ij per sample, the terms added in
     column order (as `s += w_j * x_ij` would); `start` holds one value per
-    sample, so a matrix without columns still has a length."""
+    sample, so a matrix without columns still has a length. Raises
+    AlignmentError unless there is one weight per column."""
+    if len(weights) != len(columns):
+        raise AlignmentError(f"model has {len(weights)} weights for "
+                             f"{len(columns)} columns")
     xb = start
     for w, col in zip(weights, columns):
         xb = [s + w * z for s, z in zip(xb, col)]

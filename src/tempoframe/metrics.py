@@ -35,9 +35,8 @@ from tempoframe.survival import brier_score, concordance_index, event_outcomes
 
 def static_target_table(ds: Dataset) -> StaticSamples:
     """The static Target columns of a dataset, in container order."""
-    feats = tuple((fid, kind) for fid, kind, modality
-                  in ds.features_with_role(Role.TARGET)
-                  if modality is Modality.STATIC)
+    feats = tuple((fid, kind) for fid, kind, _
+                  in ds.features_with_role(Role.TARGET, Modality.STATIC))
     if not feats:
         raise MetricMismatch("dataset has no static target to score against")
     grid = tuple(zip(*(ds.static.column(fid) for fid, _ in feats)))
@@ -50,8 +49,8 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     Returns the dataset with truncated targets plus the truth series the
     forecast is scored against.
     """
-    targets = [fid for fid, _, modality in ds.features_with_role(Role.TARGET)
-               if modality is Modality.TEMPORAL]
+    targets = [fid for fid, _, _
+               in ds.features_with_role(Role.TARGET, Modality.TEMPORAL)]
     if not targets:
         raise BenchError("forecast task needs a temporal target")
     c = ds.temporal

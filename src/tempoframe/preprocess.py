@@ -283,16 +283,27 @@ def _onehot_transform(params, state, ds: Dataset) -> Dataset:
 # resample.regular
 # ---------------------------------------------------------------------------
 
+# Most grid points one resampled sequence may get; a finer grid is refused
+# before it is allocated.
+_MAX_GRID = 10 ** 6
+
+
 def _resample_seq(seq, step: float):
     if not seq:
         return ()
     t_min = seq[0][0]
     t_max = seq[-1][0]
-    count = int(math.floor((t_max - t_min) / step)) + 1
-    # Floor in floating point can land one short of an exactly-representable
-    # endpoint; extend if the next grid time still fits.
-    while t_min + count * step <= t_max:
-        count += 1
+    span = t_max - t_min
+    count = span / step + 1  # a float, possibly inf, until known to be small
+    if count <= _MAX_GRID + 1:
+        count = int(math.floor(span / step)) + 1
+        # Floor in floating point can land one short of an exactly-
+        # representable endpoint; extend if the next grid time still fits.
+        while t_min + count * step <= t_max:
+            count += 1
+    if count > _MAX_GRID:
+        raise InvalidStep(f"step {step} over a span of {span} gives "
+                          f"{count:.0f} grid points, more than {_MAX_GRID}")
     out = []
     src = 0
     carry = MISSING

@@ -85,15 +85,7 @@ class SurvivalOutput:
 
 def event_outcomes(ds: Dataset) -> list:
     """Derive per-sample (time, occurred) from the single event Target."""
-    targets = [fid for fid, _, modality in ds.features_with_role(Role.TARGET)
-               if modality is Modality.EVENT]
-    if not targets:
-        raise RequirementUnmet("missing_event_target",
-                               "no event feature has the Target role")
-    if len(targets) > 1:
-        raise RequirementUnmet("multiple_targets",
-                               f"expected one event target, got {targets}")
-    fid = targets[0]
+    fid, _, _ = ds.sole_feature(Role.TARGET, Modality.EVENT)
     out = []
     for sid in ds.sample_ids:
         entry = ds.events.entry(sid, fid)

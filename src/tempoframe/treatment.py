@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from tempoframe.data import (
+    Categorical,
     Continuous,
     Dataset,
     Integer,
@@ -22,6 +23,7 @@ from tempoframe.data import (
     RoleMap,
     StaticSamples,
     assemble_dataset,
+    binary_codes,
     check_column_names,
     check_value,
     covariate_matrix,
@@ -31,7 +33,6 @@ from tempoframe.errors import (
     InvalidAlternative,
     InvalidSpec,
     MissingInTarget,
-    MultipleTargets,
     NonBinaryTreatment,
     RequirementUnmet,
 )
@@ -55,61 +56,38 @@ class SynthGroundTruth:
 
 def _binary_treatment(ds: Dataset) -> tuple:
     """Returns (feature_id, per-sample arm in {0, 1})."""
-    feats = ds.features_with_role(Role.TREATMENT)
-    if not feats:
-        raise RequirementUnmet("missing_treatment",
-                               "no feature has the Treatment role")
-    if len(feats) > 1:
-        raise RequirementUnmet(
-            "multiple_treatments",
-            f"expected one treatment feature, got {[f for f, _, _ in feats]}")
-    fid, kind, modality = feats[0]
+    fid, kind, modality = ds.sole_feature(Role.TREATMENT)
     if modality is not Modality.STATIC:
         raise RequirementUnmet("non_static_treatment",
                                f"treatment {fid!r} is {modality.value}")
-    if isinstance(kind, Integer):
-        def arm_of(v):
-            if v in (0, 1):
-                return v
-            raise NonBinaryTreatment(f"treatment {fid!r} has value {v!r} "
-                                     "outside {0, 1}")
-    elif hasattr(kind, "categories"):
-        cats = kind.categories
-        if len(cats) != 2:
-            raise NonBinaryTreatment(
-                f"treatment {fid!r} has {len(cats)} categories")
-
-        def arm_of(v):
-            return cats.index(v)
-    else:
+    codes = binary_codes(kind)
+    if isinstance(kind, Categorical) and not codes:
+        raise NonBinaryTreatment(
+            f"treatment {fid!r} has {len(kind.categories)} categories")
+    if not codes:
         raise NonBinaryTreatment(f"treatment {fid!r} is continuous")
     arms = []
-    for sid in ds.sample_ids:
-        v = ds.static.cell(sid, fid)
+    for sid, v in zip(ds.sample_ids, ds.static.column(fid)):
         if v is MISSING:
             raise RequirementUnmet(
                 "missing_treatment_value",
                 f"sample {sid!r} has no treatment assignment")
-        arms.append(arm_of(v))
+        if v not in codes:
+            raise NonBinaryTreatment(f"treatment {fid!r} has value {v!r} "
+                                     "outside {0, 1}")
+        arms.append(codes[v])
     return fid, arms
 
 
 def _continuous_target(ds: Dataset) -> tuple:
     """Returns (feature_id, per-sample outcome floats)."""
-    feats = ds.features_with_role(Role.TARGET)
-    if not feats:
-        raise RequirementUnmet("missing_target",
-                               "no feature has the Target role")
-    if len(feats) > 1:
-        raise MultipleTargets(f"got {[f for f, _, _ in feats]}")
-    fid, kind, modality = feats[0]
+    fid, kind, modality = ds.sole_feature(Role.TARGET)
     if modality is not Modality.STATIC or not isinstance(kind, Continuous):
         raise RequirementUnmet(
             "non_continuous_target",
             f"outcome {fid!r} must be a continuous static feature")
     ys = []
-    for sid in ds.sample_ids:
-        v = ds.static.cell(sid, fid)
+    for sid, v in zip(ds.sample_ids, ds.static.column(fid)):
         if v is MISSING:
             raise MissingInTarget(f"outcome {fid!r} missing for sample "
                                   f"{sid!r}")

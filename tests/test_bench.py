@@ -840,6 +840,31 @@ def _assert_clean_exit_1(proc, *fragments):
         assert fragment in proc.stderr
 
 
+def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
+    rows = []
+    for i in range(12):
+        rows += [(f"s{i:02d}", "x1", i / 4.0), (f"s{i:02d}", "k", i % 3),
+                 (f"s{i:02d}", "y", i % 2)]
+    ds = assemble_dataset(
+        static=build_static_samples(
+            rows, {"x1": Continuous(), "k": Integer(), "y": Integer()}),
+        roles=RoleMap.of(covariates=("x1", "k"), targets=("y",)))
+    bundle = tmp_path / "bundle"
+    write_bundle(ds, str(bundle))
+    static = bundle / "static.csv"
+    lines = static.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == "s00,k,0"
+    lines[2] = "s00,k,1" + "0" * 400
+    static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _cli_proc("validate", str(bundle))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == \
+        "static.csv:3: kind_mismatch: integer beyond float range\n"
+    _assert_clean_exit_1(
+        _cli_proc("run", _write_config(tmp_path, _classify_doc())),
+        "static.csv:3: integer beyond float range")
+
+
 @pytest.mark.parametrize("key,value", [
     ("kinds", []),
     ("features", {"static": 5}),

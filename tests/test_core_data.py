@@ -17,9 +17,11 @@ from tempoframe.data import (
     Role,
     RoleMap,
     assemble_dataset,
+    binary_codes,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
+    check_time,
     check_value,
     covariate_matrix,
     is_missing,
@@ -40,6 +42,7 @@ from tempoframe.errors import (
     InvalidWindow,
     KindMismatch,
     MissingInFeatures,
+    MultipleTargets,
     NonNumericFeature,
     RequirementUnmet,
     RoleConflict,
@@ -81,6 +84,27 @@ def test_check_value_canonical_forms():
 def test_check_value_rejections(kind, value):
     with pytest.raises(KindMismatch):
         check_value(kind, value, "w")
+
+
+def test_ints_beyond_float_range_are_kind_mismatches():
+    big = 10 ** 400
+    for kind in (Continuous(), Integer()):
+        with pytest.raises(KindMismatch,
+                           match=r"^w: integer beyond float range$"):
+            check_value(kind, big, "w")
+        with pytest.raises(KindMismatch,
+                           match=r"^\(a, x\): integer beyond float range$"):
+            build_static_samples([("a", "x", -big)], {"x": kind})
+    with pytest.raises(KindMismatch, match="integer beyond float range"):
+        check_time(big)
+    with pytest.raises(KindMismatch, match="integer beyond float range"):
+        build_time_series_samples([("a", "f", big, 1.0)], {"f": Continuous()})
+    with pytest.raises(KindMismatch, match="integer beyond float range"):
+        build_event_samples([("a", "d", big, 1)], {"d": Integer()})
+    # the largest finite double is still an Integer value and a time
+    top = int(1.7976931348623157e308)
+    assert check_value(Integer(), top) == top
+    assert check_time(top) == 1.7976931348623157e308
 
 
 def test_categorical_requires_unique_nonempty_categories():
@@ -258,6 +282,86 @@ def test_all_features_container_order():
         if container is not None:
             expected.extend(container.feature_ids)
     assert fids == expected
+
+
+def _roles_ds(static=(), temporal=(), events=(), **roles):
+    """One sample; a Continuous covariate `x` plus the named static,
+    temporal and event features (Integer), under `roles`."""
+    static_ids = ("x", *static)
+    return assemble_dataset(
+        static=build_static_samples(
+            [("a", f, 1) for f in static_ids],
+            {f: Continuous() if f == "x" else Integer() for f in static_ids}),
+        temporal=build_time_series_samples(
+            [("a", f, 0.0, 1) for f in temporal],
+            {f: Integer() for f in temporal}, sample_ids=["a"]),
+        events=build_event_samples(
+            [("a", f, 1.0, 1) for f in events],
+            {f: Integer() for f in events}, sample_ids=["a"]),
+        roles=RoleMap.of(covariates=("x",), **roles))
+
+
+def test_features_with_role_filters_by_modality():
+    ds = _roles_ds(static=("y",), temporal=("z",), events=("d",),
+                   targets=("y", "z", "d"))
+    assert [f for f, _, _ in ds.features_with_role(Role.TARGET)] == \
+        ["y", "z", "d"]
+    assert ds.features_with_role(Role.TARGET, Modality.TEMPORAL) == \
+        [("z", Integer(), Modality.TEMPORAL)]
+    assert ds.features_with_role(Role.TREATMENT, Modality.STATIC) == []
+    assert ds.sole_feature(Role.TARGET, Modality.EVENT) == \
+        ("d", Integer(), Modality.EVENT)
+    assert ds.sole_feature(Role.COVARIATE) == \
+        ("x", Continuous(), Modality.STATIC)
+
+
+@pytest.mark.parametrize("features,roles,role,modality,error,message", [
+    ({}, {}, Role.TARGET, None, RequirementUnmet,
+     "missing_target: no feature has the Target role"),
+    ({"temporal": ("z",)}, {"targets": ("z",)}, Role.TARGET,
+     Modality.STATIC, RequirementUnmet,
+     "missing_static_target: no static feature has the Target role"),
+    ({"static": ("y",)}, {"targets": ("y",)}, Role.TARGET,
+     Modality.TEMPORAL, RequirementUnmet,
+     "missing_temporal_target: no temporal feature has the Target role"),
+    ({"static": ("y",)}, {"targets": ("y",)}, Role.TARGET,
+     Modality.EVENT, RequirementUnmet,
+     "missing_event_target: no event feature has the Target role"),
+    ({"static": ("y",)}, {"targets": ("y",)}, Role.TREATMENT, None,
+     RequirementUnmet,
+     "missing_treatment: no feature has the Treatment role"),
+    ({"static": ("y1", "y2")}, {"targets": ("y1", "y2")}, Role.TARGET,
+     Modality.STATIC, MultipleTargets,
+     "multiple_targets: expected one static target, got ['y1', 'y2']"),
+    ({"events": ("d1", "d2")}, {"targets": ("d1", "d2")}, Role.TARGET,
+     Modality.EVENT, MultipleTargets,
+     "multiple_targets: expected one event target, got ['d1', 'd2']"),
+    ({"static": ("y",), "events": ("d",)}, {"targets": ("y", "d")},
+     Role.TARGET, None, MultipleTargets,
+     "multiple_targets: expected one target, got ['y', 'd']"),
+    ({"static": ("a", "b")}, {"treatments": ("a", "b")}, Role.TREATMENT,
+     None, RequirementUnmet,
+     "multiple_treatments: expected one treatment, got ['a', 'b']"),
+], ids=["missing", "missing-static", "missing-temporal", "missing-event",
+        "missing-treatment", "multiple-static", "multiple-event",
+        "multiple-any-modality", "multiple-treatments"])
+def test_sole_feature_errors(features, roles, role, modality, error,
+                             message):
+    ds = _roles_ds(**features, **roles)
+    with pytest.raises(error) as exc:
+        ds.sole_feature(role, modality)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.reason == message.split(":")[0]
+
+
+def test_binary_codes():
+    assert binary_codes(Integer()) == {0: 0, 1: 1}
+    assert binary_codes(Categorical(("no", "yes"))) == {"no": 0, "yes": 1}
+    assert binary_codes(Categorical(("yes", "no"))) == {"yes": 0, "no": 1}
+    assert binary_codes(Categorical(("a", "b", "c"))) == {}
+    assert binary_codes(Categorical(("a",))) == {}
+    assert binary_codes(Continuous()) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,42 @@ def test_blob_with_reordered_columns_is_rejected(name):
         query(loaded)
 
 
+@pytest.mark.parametrize("cut", [1, -3], ids=["one-weight", "three-more"])
+@pytest.mark.parametrize("name", ["classify.logistic", "survival.cox",
+                                  "treatment.t_learner"])
+def test_blob_with_the_wrong_number_of_weights_is_rejected(name, cut):
+    # each model here is trained on two covariate columns, x1 and x2
+    ds = classification_dataset(13, n=30)
+    params, query, key = {"iters": 20}, lambda f: f.predict(ds), "weights"
+    if name == "survival.cox":
+        events = build_event_samples(
+            [(sid, "death", 1.0 + i % 5, 1)
+             for i, sid in enumerate(ds.sample_ids)],
+            {"death": Integer()}, sample_ids=ds.sample_ids)
+        ds = assemble_dataset(static=ds.static, events=events,
+                              roles=RoleMap.of(covariates=("x1", "x2"),
+                                               targets=("y", "death")))
+        key = "beta"
+    if name == "treatment.t_learner":
+        ds = synth_treatment_data(30, 13, tau0=1.0).dataset
+        params, query = {}, lambda f: f.predict_counterfactuals(ds, (0, 1))
+    doc = json.loads(save_fitted(create(name, params).fit(ds)))
+    state = doc["fitted"]["state"]
+    # a t_learner arm holds its intercept, then one weight per column
+    vectors = list(state["arms"].values()) if key not in state \
+        else [state[key]]
+    for w in vectors:
+        if cut > 0:
+            del w[-cut:]
+        else:
+            w.extend([0.5] * -cut)
+    n = 2 - cut
+    loaded = load_fitted(json.dumps(doc).encode("utf-8"))
+    with pytest.raises(AlignmentError,
+                       match=rf"^model has {n} weights for 2 columns$"):
+        query(loaded)
+
+
 def test_save_refuses_non_finite_state_naming_the_plugin():
     # the mean of two 1.7e308 values overflows, so the stats are inf
     static = build_static_samples([("a", "x", 1.7e308), ("b", "x", 1.7e308)],

@@ -341,6 +341,22 @@ def test_resample_step_below_time_resolution():
         fitted.transform(ds)
 
 
+@pytest.mark.parametrize("step,count", [
+    (1e-9, "20000000001"), (2e-5, "1000001"), (5e-324, "inf")])
+def test_resample_refuses_more_than_a_million_grid_points(step, count):
+    # refused before any grid point is built, so no step here allocates
+    temporal = build_time_series_samples(
+        [("a", "x", 0.0, 1.0), ("a", "x", 20.0, 2.0)],
+        {"x": Continuous()}, sample_ids=["a"])
+    ds = assemble_dataset(temporal=temporal,
+                          roles=RoleMap.of(covariates=("x",)))
+    fitted = create("resample.regular", {"step": step}).fit(ds)
+    with pytest.raises(InvalidStep, match=(
+            rf"^step {step} over a span of 20.0 gives {count} grid points, "
+            r"more than 1000000$")):
+        fitted.transform(ds)
+
+
 def test_resample_idempotent_on_its_own_grid():
     ds = _mixed_ds()
     fitted = create("resample.regular", {"step": 0.5}).fit(ds)

@@ -14,6 +14,7 @@ from tempoframe.data import (
     RoleMap,
     StaticSamples,
     assemble_dataset,
+    binary_codes,
     build_static_samples,
     build_time_series_samples,
 )
@@ -164,6 +165,41 @@ def test_categorical_treatment_arms():
     # second category is arm 1
     for tau in _effects(cf):
         assert math.isclose(tau, 4.0, abs_tol=1e-6)
+
+
+def test_two_category_feature_codes_alike_as_label_and_arm():
+    # One feature `g` is the classify.logistic label and the t_learner
+    # arm; each must fit as its Integer twin coded by `binary_codes`, and
+    # not as the twin with the codes swapped.
+    kind = Categorical(("ctl", "trt"))
+    codes = binary_codes(kind)
+    rows = []
+    for i in range(12):
+        sid = f"g{i:02d}"
+        x = (i - 6) / 3.0
+        g = kind.categories[(i * 7) % 3 % 2]
+        rows.append((sid, x, g, 1.5 * x + 3.0 * codes[g]))
+
+    def ds(g_kind, code, roles):
+        return _hand_ds(
+            [cell for sid, x, g, y in rows
+             for cell in ((sid, "x", x), (sid, "g", code(g)), (sid, "y", y))],
+            {"x": Continuous(), "g": g_kind, "y": Continuous()},
+            roles, [r[0] for r in rows])
+
+    for name, roles, part in (
+            ("classify.logistic",
+             RoleMap.of(covariates=("x", "y"), targets=("g",)), "weights"),
+            ("treatment.t_learner",
+             RoleMap.of(covariates=("x",), targets=("y",),
+                        treatments=("g",)), "arms")):
+        def state(g_kind, code):
+            fitted = create(name, {}).fit(ds(g_kind, code, roles))
+            return fitted.state[part]
+
+        categorical = state(kind, lambda g: g)
+        assert categorical == state(Integer(), codes.get)
+        assert categorical != state(Integer(), lambda g: 1 - codes[g])
 
 
 # ---------------------------------------------------------------------------
