@@ -245,7 +245,8 @@ def load_config(path) -> BenchConfig:
 
 
 def read_truth(path) -> dict:
-    """Per-sample true effects: CSV with header sample_id,effect."""
+    """Per-sample true effects, each finite: CSV with header
+    sample_id,effect."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -263,10 +264,12 @@ def read_truth(path) -> dict:
         if sid in out:
             raise ConfigError(f"{path}: line {i}: duplicate sample {sid!r}")
         try:
-            out[sid] = float(val)
+            effect = float(val)
         except ValueError:
-            raise ConfigError(f"{path}: line {i}: bad effect {val!r}") \
-                from None
+            effect = math.nan
+        if not math.isfinite(effect):
+            raise ConfigError(f"{path}: line {i}: bad effect {val!r}")
+        out[sid] = effect
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -215,6 +216,10 @@ def _parse_value(kind: ValueKind, s: str):
         try:
             i = int(s, 10)
         except ValueError:
+            # int() refuses a field of digits only past its length limit
+            # (4,300 digits), far beyond float range; do not echo it
+            if re.fullmatch(r"[+-]?[0-9]+", s):
+                raise KindMismatch("integer beyond float range") from None
             raise KindMismatch(f"{s!r} is not an integer") from None
         _float_of(i, None)
         return i
@@ -331,6 +336,8 @@ class RoleMap:
             if fid in by_feature and by_feature[fid] is not role:
                 raise RoleConflict(f"feature {fid!r} assigned two roles")
             by_feature[fid] = role
+        # a repeated pair is stored once, as a bundle manifest stores it
+        object.__setattr__(self, "assignment", tuple(by_feature.items()))
         object.__setattr__(self, "_by_feature", by_feature)
 
     @classmethod

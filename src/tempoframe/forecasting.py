@@ -304,19 +304,24 @@ def rmse(pred, truth) -> float:
     return math.sqrt(total / count)
 
 
-def accuracy(pred, truth, threshold: float = 0.5) -> float:
-    """Fraction of cells whose thresholded probability matches the label.
+def accuracy(pred, truth) -> float:
+    """Fraction of cells whose predicted label matches the truth label.
 
     `pred` and `truth` are `StaticSamples` over the same samples and
-    features. Predicted label is 1 when p >= threshold; a NaN p has no
-    label, so it raises `MetricMismatch`. Truth labels may be Integer 0/1
-    or binary Categorical (second category = positive).
+    features. Predicted label is 1 when p >= 0.5; a NaN p has no label,
+    so it raises `MetricMismatch`. Truth is coded by `binary_codes`, so
+    a kind `classify.logistic` cannot fit on is refused here too.
     """
     _aligned(pred, truth, StaticSamples)
+    codes = []
+    for fid, kind in truth.features:
+        codes.append(binary_codes(kind))
+        if not codes[-1]:
+            raise AlignmentError(f"truth feature {fid!r} is not binary")
     correct = 0
     count = 0
     for i, sid in enumerate(pred.sample_ids):
-        for j, (fid, kind) in enumerate(truth.features):
+        for j, (fid, _) in enumerate(truth.features):
             p = _numeric(pred.values[i][j], sid, fid)
             if math.isnan(p):
                 raise MetricMismatch(f"accuracy: ({sid}, {fid}): predicted "
@@ -324,17 +329,10 @@ def accuracy(pred, truth, threshold: float = 0.5) -> float:
             tv = truth.values[i][j]
             if tv is MISSING:
                 raise AlignmentError(f"({sid}, {fid}): missing truth label")
-            if isinstance(kind, Categorical):
-                if len(kind.categories) != 2:
-                    raise AlignmentError(
-                        f"truth feature {fid!r} is not binary")
-                label = 1 if tv == kind.categories[1] else 0
-            elif tv in (0, 1):
-                label = int(tv)
-            else:
+            if tv not in codes[j]:
                 raise AlignmentError(
                     f"({sid}, {fid}): truth label {tv!r} outside {{0, 1}}")
-            correct += 1 if (1 if p >= threshold else 0) == label else 0
+            correct += 1 if (1 if p >= 0.5 else 0) == codes[j][tv] else 0
             count += 1
     if count == 0:
         raise EmptyInput("no cells to compare")

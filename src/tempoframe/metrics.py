@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from tempoframe.data import (
     Continuous,
@@ -26,59 +27,44 @@ from tempoframe.data import (
     Role,
     StaticSamples,
     TimeSeriesSamples,
+    map_columns,
 )
 from tempoframe.errors import BenchError, MetricMismatch
-from tempoframe.forecasting import accuracy, rmse
+from tempoframe.forecasting import _temporal_targets, accuracy, rmse
 from tempoframe.plugins import Category
 from tempoframe.survival import brier_score, concordance_index, event_outcomes
 
 
 def static_target_table(ds: Dataset) -> StaticSamples:
-    """The static Target columns of a dataset, in container order."""
-    feats = tuple((fid, kind) for fid, kind, _
-                  in ds.features_with_role(Role.TARGET, Modality.STATIC))
-    if not feats:
-        raise MetricMismatch("dataset has no static target to score against")
-    grid = tuple(zip(*(ds.static.column(fid) for fid, _ in feats)))
-    return StaticSamples(ds.sample_ids, feats, grid)
+    """The one static Target column of a dataset, the one
+    `classify.logistic` fits on."""
+    fid, kind, _ = ds.sole_feature(Role.TARGET, Modality.STATIC)
+    return StaticSamples(ds.sample_ids, ((fid, kind),),
+                         tuple((v,) for v in ds.static.column(fid)))
 
 
 def _holdout_forecast(ds: Dataset, horizon: int):
-    """Split each target series into (history, held-out future).
+    """Split each of the forecasters' target series into (history,
+    held-out future): the dataset with its targets cut `horizon` points
+    short, and the truth series of those points."""
+    targets = _temporal_targets(ds)
+    ids = ds.temporal.sample_ids
+    futures = dict.fromkeys(targets, ())
 
-    Returns the dataset with truncated targets plus the truth series the
-    forecast is scored against.
-    """
-    targets = [fid for fid, _, _
-               in ds.features_with_role(Role.TARGET, Modality.TEMPORAL)]
-    if not targets:
-        raise BenchError("forecast task needs a temporal target")
-    c = ds.temporal
-    tpos = [c._feature_pos[fid] for fid in targets]
-    new_series = []
-    truth_series = []
-    for i, sid in enumerate(c.sample_ids):
-        per_sample = list(c.series[i])
-        truth_row = []
-        for fid, j in zip(targets, tpos):
-            seq = per_sample[j]
+    def cut(fid, column):
+        for sid, seq in zip(ids, column):
             if len(seq) <= horizon:
                 raise BenchError(
                     f"sample {sid!r} target {fid!r} has {len(seq)} points; "
                     f"holding out {horizon} leaves no history")
-            per_sample[j] = seq[:-horizon]
-            truth_row.append(seq[-horizon:])
-        new_series.append(tuple(per_sample))
-        truth_series.append(tuple(truth_row))
-    truncated = Dataset(
-        static=ds.static,
-        temporal=TimeSeriesSamples(c.sample_ids, c.features,
-                                   tuple(new_series)),
-        events=ds.events, roles=ds.roles)
-    truth = TimeSeriesSamples(
-        c.sample_ids, tuple((fid, Continuous()) for fid in targets),
-        tuple(truth_series))
-    return truncated, truth
+        futures[fid] = tuple(seq[-horizon:] for seq in column)
+        return tuple(seq[:-horizon] for seq in column)
+
+    history = map_columns(ds, {fid: partial(cut, fid) for fid in targets})
+    future = TimeSeriesSamples(
+        ids, tuple((fid, Continuous()) for fid in targets),
+        tuple(zip(*futures.values())))
+    return history, future
 
 
 # A held-out observer maps (fitted, ds, effects) to (pred, truth); effects

@@ -40,6 +40,7 @@ from tempoframe.data import (
     Integer,
     RoleMap,
     StaticSamples,
+    TimeSeriesSamples,
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
@@ -273,6 +274,26 @@ def test_truth_rejections(tmp_path):
         read_truth(str(path))
 
 
+@pytest.mark.parametrize("effect", ["nan", "inf", "-inf", "1e999"])
+def test_cli_non_finite_true_effect_names_its_line(tmp_path, effect):
+    assert cli(["synth-ite", "--n", "40", "--seed", "1", "--out",
+                str(tmp_path / "synth")]) == 0
+    truth = tmp_path / "synth" / "truth.csv"
+    lines = truth.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].split(",")[0] + "," + effect
+    truth.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=(
+            rf": line 3: bad effect '{re.escape(effect)}'$")):
+        read_truth(str(truth))
+    doc = {"bundle": "synth", "task": "treatment",
+           "pipeline": [{"plugin": "treatment.t_learner"}],
+           "metrics": ["pehe"], "cv": {"folds": 2, "seed": 1},
+           "truth": "synth/truth.csv"}
+    proc = _cli_proc("run", _write_config(tmp_path, doc))
+    _assert_clean_exit_1(proc, f"truth.csv: line 3: bad effect '{effect}'")
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # run_benchmark per task
 # ---------------------------------------------------------------------------
@@ -347,6 +368,34 @@ def test_forecast_holdout_needs_history(tmp_path):
     with pytest.raises(BenchError) as exc:
         run_benchmark(load_config(_write_config(tmp_path, doc)))
     assert "fold 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
+def test_cli_forecast_horizon_exhausting_a_series_fails_cleanly(
+        tmp_path, monkeypatch, capfd, cpus):
+    # one series of 2 points, in fold 1's test set, cannot hold out 2
+    ds = regular_series_dataset(1, n=6, length=5)
+    short = kfold_split(ds, 2, 0)[1][1].sample_ids[0]
+    temporal = ds.temporal
+    i = temporal.sample_ids.index(short)
+    series = tuple(((seqs[0][:2],) if k == i else seqs)
+                   for k, seqs in enumerate(temporal.series))
+    write_bundle(replace(ds, temporal=TimeSeriesSamples(
+        temporal.sample_ids, temporal.features, series)),
+        str(tmp_path / "bundle"))
+    doc = {"bundle": "bundle", "task": "forecast",
+           "pipeline": [{"plugin": "forecast.persistence",
+                         "params": {"horizon": 2, "step": 1.0}}],
+           "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
+    _usable_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    assert cli(["run", _write_config(tmp_path, doc)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == (f"tempoframe: fold 1, predict: sample {short!r} target "
+                   "'hr' has 2 points; holding out 2 leaves no history\n")
+    assert len(forks) == (1 if cpus > 1 else 0)
+    _assert_no_child_left()
 
 
 def test_forecast_non_finite_score_fails_its_fold(tmp_path, capsys):
@@ -863,6 +912,30 @@ def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
     _assert_clean_exit_1(
         _cli_proc("run", _write_config(tmp_path, _classify_doc())),
         "static.csv:3: integer beyond float range")
+
+
+@pytest.mark.parametrize("field", [
+    "1" + "0" * 5000, "-" + "9" * 4301, "+" + "1" * 4400],
+    ids=["5001-digits", "minus-4301-digits", "plus-4400-digits"])
+def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
+    # int() refuses a field of more than 4,300 digits for its length alone
+    bundle = tmp_path / "bundle"
+    write_bundle(classification_dataset(0, n=6), str(bundle))
+    static = bundle / "static.csv"
+    lines = static.read_text(encoding="utf-8").splitlines()
+    assert lines[3].startswith("s000,y,")
+    lines[3] = "s000,y," + field
+    static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _cli_proc("validate", str(bundle))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == \
+        "static.csv:4: kind_mismatch: integer beyond float range\n"
+    lines[3] = "s000,y,1" + "0" * 4400 + "x"
+    static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _cli_proc("validate", str(bundle))
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("static.csv:4: kind_mismatch: '100")
+    assert proc.stdout.endswith("0x' is not an integer\n")
 
 
 @pytest.mark.parametrize("key,value", [

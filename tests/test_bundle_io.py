@@ -21,6 +21,7 @@ from tempoframe.data import (
     Continuous,
     Integer,
     Modality,
+    Role,
     RoleMap,
     assemble_dataset,
     build_event_samples,
@@ -35,6 +36,7 @@ from tempoframe.errors import (
     KindMismatch,
     ManifestError,
     ParseError,
+    RoleConflict,
     UnknownSample,
 )
 
@@ -63,6 +65,21 @@ def test_round_trip_many_random_datasets(tmp_path):
         assert (loaded.static, loaded.temporal, loaded.events) == \
             (ds.static, ds.temporal, ds.events)
         assert loaded.roles == ds.roles
+
+
+def test_a_repeated_role_pair_round_trips(tmp_path):
+    # the manifest keeps one role per feature, so the map must too
+    cov, target = Role.COVARIATE, Role.TARGET
+    roles = RoleMap((("x", cov), ("x", cov), ("y", target), ("x", cov)))
+    assert roles.assignment == (("x", cov), ("y", target))
+    assert roles == RoleMap.of(covariates=("x",), targets=("y",))
+    ds = assemble_dataset(static=build_static_samples(
+        [("a", "x", 1.0), ("a", "y", 0), ("b", "x", 2.0), ("b", "y", 1)],
+        {"x": Continuous(), "y": Integer()}), roles=roles)
+    write_bundle(ds, tmp_path / "b")
+    assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
+    with pytest.raises(RoleConflict):
+        RoleMap.of(covariates=("x", "x"))
 
 
 def test_write_is_deterministic(tmp_path):

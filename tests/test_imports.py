@@ -1,8 +1,9 @@
-"""Every module under `src/tempoframe` uses each name it imports.
+"""Every module under `src/tempoframe` uses each name it imports, and
+every private module-level name is used somewhere under `src/tempoframe`.
 
-Package `__init__` files are left out: their imports are the public names
-they re-export. An import kept for its side effect says so with
-`# noqa: F401` on its line, as for flake8.
+Package `__init__` files are left out of the import check: their imports
+are the public names they re-export. An import kept for its side effect
+says so with `# noqa: F401` on its line, as for flake8.
 """
 
 from __future__ import annotations
@@ -57,3 +58,69 @@ def test_modules_are_found():
                               for p in _MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict) -> list:
+    """(module, line, name) of each private module-level function, class
+    or constant of `sources` (module name -> source) that no name,
+    attribute or import of any of them reads; a docstring is no use."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in targets
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1]
+                            for alias in node.names)
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_unused_private_names_are_found():
+    sources = {
+        "a": ("\"\"\"_dead and _Gone are named only here.\"\"\"\n"
+              "_LIMIT = 3\n"
+              "_dead_total: int = 0\n"
+              "__version__ = '1'\n"
+              "def _dead(x):\n"
+              "    return _LIMIT\n"
+              "class _Gone:\n"
+              "    pass\n"
+              "def _imported():\n"
+              "    pass\n"
+              "def _read_as_attribute():\n"
+              "    pass\n"
+              "def public():\n"
+              "    _local = 1\n"
+              "    return _local\n"),
+        "b": ("from a import _imported\n"
+              "import a\n"
+              "a._read_as_attribute()\n"),
+    }
+    assert unused_private_names(sources) == [
+        ("a", 3, "_dead_total"), ("a", 5, "_dead"), ("a", 7, "_Gone")]
+
+
+def test_every_private_name_is_used():
+    sources = {p.relative_to(_SRC).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted(_SRC.rglob("*.py"))}
+    assert len(sources) > len(_MODULES)
+    assert unused_private_names(sources) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -16,26 +17,31 @@ from tempoframe.data import (
     Continuous,
     Integer,
     MISSING,
+    Modality,
+    Role,
     RoleMap,
     StaticSamples,
+    TimeSeriesSamples,
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
+    BenchError,
     EmptyTargetSeries,
     InsufficientHistory,
     InvalidStep,
     IrregularSeries,
     MetricMismatch,
     MissingInTarget,
+    MultipleTargets,
     NonBinaryTarget,
     RequirementUnmet,
 )
 from tempoframe.forecasting import _regular_values, accuracy, rmse
 from tempoframe.interpret import permutation_importance
-from tempoframe.metrics import static_target_table
+from tempoframe.metrics import _holdout_forecast, static_target_table
 from tempoframe.plugins import FittedEstimator, create
 from tempoframe.rng import Lcg
 
@@ -419,10 +425,8 @@ def test_accuracy_thresholds_and_truth_kinds():
     truth = build_static_samples(
         [("a", "y", 1), ("b", "y", 1), ("c", "y", 1)],
         {"y": Integer()}, sample_ids=["a", "b", "c"])
-    # p >= threshold predicts the positive class, so 0.5 counts
+    # p >= 0.5 predicts the positive class, so 0.5 counts
     assert accuracy(pred, truth) == 2 / 3
-    assert accuracy(pred, truth, threshold=0.95) == 0.0
-    assert accuracy(pred, truth, threshold=0.4) == 1.0
 
     cat_truth = build_static_samples(
         [("a", "y", "pos"), ("b", "y", "neg"), ("c", "y", "neg")],
@@ -434,6 +438,134 @@ def test_accuracy_thresholds_and_truth_kinds():
         {"y": Integer()}, sample_ids=["a", "b", "c"])
     with pytest.raises(AlignmentError):
         accuracy(pred, bad)
+
+
+def _static_truth(kind, labels):
+    return build_static_samples(
+        [(f"s{i}", "y", v) for i, v in enumerate(labels)], {"y": kind},
+        sample_ids=[f"s{i}" for i in range(len(labels))])
+
+
+def test_accuracy_codes_truth_as_the_classifier_fits_it():
+    # the truth feature kinds classify.logistic refuses, accuracy refuses
+    pred = _static_truth(Continuous(), [0.9, 0.2])
+    for kind, labels in ((Continuous(), [1.0, 0.0]),
+                         (Categorical(("u", "v", "w")), ["v", "u"]),
+                         (Categorical(("u",)), ["u", "u"])):
+        truth = _static_truth(kind, labels)
+        with pytest.raises(AlignmentError,
+                           match=r"^truth feature 'y' is not binary$"):
+            accuracy(pred, truth)
+        ds = assemble_dataset(
+            static=build_static_samples(
+                [("s0", "x", 1.0), ("s0", "y", labels[0]),
+                 ("s1", "x", 0.0), ("s1", "y", labels[1])],
+                {"x": Continuous(), "y": kind}),
+            roles=RoleMap.of(covariates=("x",), targets=("y",)))
+        with pytest.raises(NonBinaryTarget):
+            create("classify.logistic", {"iters": 5}).fit(ds)
+    # an Integer truth and its two-category twin score alike
+    pred = _static_truth(Continuous(), [0.9, 0.5, 0.49, 0.1])
+    ints = [1, 0, 0, 0]
+    as_ints = accuracy(pred, _static_truth(Integer(), ints))
+    assert as_ints == 0.75
+    assert accuracy(pred, _static_truth(
+        Categorical(("neg", "pos")), [("neg", "pos")[v] for v in ints])) \
+        == as_ints
+    # a label outside the codes keeps its message
+    with pytest.raises(AlignmentError,
+                       match=r"^\(s1, y\): truth label 2 outside \{0, 1\}$"):
+        accuracy(pred, _static_truth(Integer(), [1, 2, 0, 0]))
+    with pytest.raises(AlignmentError,
+                       match=r"^\(s2, y\): missing truth label$"):
+        accuracy(pred, _static_truth(Integer(), [1, 0, MISSING, 0]))
+
+
+def test_static_target_table_is_the_classifier_target():
+    ds = classification_dataset(0, n=6)
+    table = static_target_table(ds)
+    assert table.features == (("y", Integer()),)
+    assert table.column("y") == ds.static.column("y")
+    assert table.sample_ids == ds.sample_ids
+
+    def with_roles(**roles):
+        return assemble_dataset(static=ds.static, roles=RoleMap.of(**roles))
+
+    none = with_roles(covariates=("x1", "x2", "y"))
+    two = with_roles(covariates=("x1",), targets=("x2", "y"))
+    for bad, error, reason in ((none, RequirementUnmet,
+                                "missing_static_target"),
+                               (two, MultipleTargets, "multiple_targets")):
+        with pytest.raises(error) as at_score:
+            static_target_table(bad)
+        with pytest.raises(error) as at_fit:
+            create("classify.logistic", {"iters": 5}).fit(bad)
+        assert at_score.value.reason == reason
+        assert str(at_score.value) == str(at_fit.value)
+
+
+def _holdout_rows(ds, horizon):
+    """The hold-out built sample by sample: the row-wise oracle of
+    `_holdout_forecast`."""
+    c = ds.temporal
+    targets = [fid for fid, _, _
+               in ds.features_with_role(Role.TARGET, Modality.TEMPORAL)]
+    series, futures = [], []
+    for i, sid in enumerate(c.sample_ids):
+        row = list(c.series[i])
+        future = []
+        for fid in targets:
+            j = c.feature_ids.index(fid)
+            if len(row[j]) <= horizon:
+                raise BenchError(
+                    f"sample {sid!r} target {fid!r} has {len(row[j])} "
+                    f"points; holding out {horizon} leaves no history")
+            future.append(row[j][-horizon:])
+            row[j] = row[j][:-horizon]
+        series.append(tuple(row))
+        futures.append(tuple(future))
+    history = replace(ds, temporal=TimeSeriesSamples(
+        c.sample_ids, c.features, tuple(series)))
+    return history, TimeSeriesSamples(
+        c.sample_ids, tuple((fid, Continuous()) for fid in targets),
+        tuple(futures))
+
+
+def _two_target_ds(lengths):
+    """Temporal targets y1, y2 among two temporal covariates; sample i's
+    y1 has lengths[i][0] points and its y2 lengths[i][1]."""
+    points, rows = [], []
+    for i, (n1, n2) in enumerate(lengths):
+        sid = f"s{i}"
+        rows.append((sid, "age", float(i)))
+        for fid, n in (("a", 3), ("y1", n1), ("b", 2), ("y2", n2)):
+            points += [(sid, fid, float(k), MISSING if (i + k) % 4 == 3
+                        else float(10 * i + k)) for k in range(n)]
+    kinds = {fid: Continuous() for fid in ("a", "y1", "b", "y2")}
+    return assemble_dataset(
+        static=build_static_samples(rows, {"age": Continuous()}),
+        temporal=build_time_series_samples(points, kinds),
+        roles=RoleMap.of(covariates=("age", "a", "b"),
+                         targets=("y1", "y2")))
+
+
+def test_two_target_holdout_matches_the_row_wise_oracle():
+    ds = _two_target_ds([(6, 4), (5, 7), (4, 4), (8, 5)])
+    assert ds.temporal.feature_ids == ("a", "y1", "b", "y2")
+    for horizon in (1, 2, 3):
+        history, future = _holdout_forecast(ds, horizon)
+        assert (history, future) == _holdout_rows(ds, horizon)
+        assert future.feature_ids == ("y1", "y2")
+        assert history.temporal.sequence("s1", "y2") == \
+            ds.temporal.sequence("s1", "y2")[:-horizon]
+    # several series too short: the first sample of the first short target
+    # is reported, where the sample-major oracle reports the first sample
+    with pytest.raises(BenchError, match=(
+            r"^sample 's2' target 'y1' has 4 points; holding out 4 leaves "
+            r"no history$")):
+        _holdout_forecast(ds, 4)
+    with pytest.raises(BenchError, match=r"^sample 's0' target 'y2' has 4 "):
+        _holdout_rows(ds, 4)
 
 
 def test_accuracy_refuses_a_nan_probability():
