@@ -20,6 +20,7 @@ from tempoframe.errors import (
     DuplicateFeature,
     DuplicateTimePoint,
     EmptyDataset,
+    FitDiverged,
     InvalidWindow,
     KindMismatch,
     MissingInFeatures,
@@ -747,6 +748,8 @@ _SUMMARY_STATS = ("last", "mean", "min", "max", "slope")
 
 
 def _ols_slope(points: list) -> float:
+    """OLS slope of value against time; NaN where the squared time spread
+    underflows to 0.0, as distinct times ~1e-200 apart make it."""
     n = len(points)
     mean_t = 0.0
     mean_v = 0.0
@@ -761,18 +764,23 @@ def _ols_slope(points: list) -> float:
         dt = t - mean_t
         num += dt * (v - mean_v)
         den += dt * dt
-    return num / den
+    return num / den if den != 0.0 else math.nan
 
 
 def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
     """The five summary columns of each temporal feature at `positions`,
     in that order: last, mean, min, max and slope, each one value per
-    sample in sample order (see `temporal_summary`)."""
+    sample in sample order (see `temporal_summary`).
+
+    Raises FitDiverged, naming the feature and the sample, for a mean or a
+    slope that is not finite.
+    """
     columns = []
     for j in positions:
+        fid = ts.features[j][0]
         stats = ([], [], [], [], [])
         last, mean, mn, mx, slope = stats
-        for per_sample in ts.series:
+        for sid, per_sample in zip(ts.sample_ids, ts.series):
             observed = [(t, float(v)) for t, v in per_sample[j]
                         if v is not MISSING]
             if not observed:
@@ -788,12 +796,19 @@ def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
                     lo = v
                 if v > hi:
                     hi = v
+            mean_v = total / len(observed)
+            slope_v = (_ols_slope(observed) if len(observed) >= 2
+                       else MISSING)
+            for stat, v in (("mean", mean_v), ("slope", slope_v)):
+                if v is not MISSING and not math.isfinite(v):
+                    raise FitDiverged(
+                        f"temporal summary of {fid!r} in sample {sid!r}: "
+                        f"{stat} is not finite ({v!r})")
             last.append(observed[-1][1])
-            mean.append(total / len(observed))
+            mean.append(mean_v)
             mn.append(lo)
             mx.append(hi)
-            slope.append(_ols_slope(observed) if len(observed) >= 2
-                         else MISSING)
+            slope.append(slope_v)
         columns.extend(stats)
     return columns
 
@@ -804,7 +819,8 @@ def temporal_summary(ts: TimeSeriesSamples) -> StaticSamples:
     named `<feature>.<stat>`.
 
     Missing points are skipped; fewer than two observed points give a
-    Missing slope, zero observed points give all five Missing.
+    Missing slope, zero observed points give all five Missing. A mean or
+    slope that is not finite raises FitDiverged.
     """
     for fid, kind in ts.features:
         if isinstance(kind, Categorical):
@@ -847,7 +863,7 @@ def covariate_groups(ds: Dataset) -> list:
 def covariate_matrix(ds: Dataset) -> tuple:
     """Featurize covariates into a dense numeric matrix of per-feature
     columns: one list of floats per column, in sample order, the layout
-    every fitting kernel reads (see `tempoframe.kernels.pure`).
+    every fitting kernel reads (see `tempoframe.kernels`).
 
     The columns are those of `covariate_groups`, in its order. Returns
     (column_names, columns).

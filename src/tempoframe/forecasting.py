@@ -35,11 +35,11 @@ from tempoframe.errors import (
     RequirementUnmet,
 )
 from tempoframe.kernels import (
+    _sigmoid,
     linear_predictor,
     logistic_gd,
     ridge_normal_solve,
 )
-from tempoframe.kernels.pure import _sigmoid
 from tempoframe.plugins import (
     Category,
     EstimatorSpec,

@@ -65,10 +65,9 @@ _LIFECYCLE = {Category.TRANSFORM: ("transform",),
 
 @dataclass(frozen=True)
 class Param:
-    """One hyperparameter: name, type, bounds/choices and a default.
+    """One hyperparameter: name, type, bounds and a default.
 
-    type is one of "real", "integer", "categorical". Bounds are inclusive
-    and optional; categorical params use `choices` instead.
+    type is "real" or "integer". Bounds are inclusive and optional.
     """
 
     name: str
@@ -76,23 +75,15 @@ class Param:
     default: object
     lo: object = None
     hi: object = None
-    choices: tuple = None
 
     def __post_init__(self):
-        if self.type not in ("real", "integer", "categorical"):
+        if self.type not in ("real", "integer"):
             raise ValueError(f"bad param type {self.type!r}")
-        if self.type == "categorical" and not self.choices:
-            raise ValueError(f"param {self.name!r} needs choices")
         # Defaults must satisfy their own constraints.
         object.__setattr__(self, "default", self.check(self.default))
 
     def check(self, value):
         where = f"param {self.name!r}"
-        if self.type == "categorical":
-            if value not in self.choices:
-                raise ParamOutOfBounds(f"{where}: {value!r} not in "
-                                       f"{list(self.choices)}")
-            return value
         if self.type == "integer":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParamOutOfBounds(f"{where}: expected an integer, "

@@ -32,12 +32,12 @@ from tempoframe.errors import (
     RequirementUnmet,
 )
 from tempoframe.kernels import (
+    _exp,
     concordance_counts,
     cox_gd,
     linear_predictor,
     risk_groups,
 )
-from tempoframe.kernels.pure import _exp
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -889,6 +890,44 @@ def _assert_clean_exit_1(proc, *fragments):
         assert fragment in proc.stderr
 
 
+def test_cli_run_non_finite_temporal_summary_fails_cleanly(
+        tmp_path, monkeypatch, capsys):
+    # s00's two times are distinct, but their squared spread underflows
+    points, rows = [], []
+    for i in range(12):
+        sid = f"s{i:02d}"
+        times = (1e-200, 2e-200) if i == 0 else (0.0, 1.0)
+        points += [(sid, "x", t, float(i + k)) for k, t in enumerate(times)]
+        rows.append((sid, "y", i % 2))
+    write_bundle(assemble_dataset(
+        static=build_static_samples(rows, {"y": Integer()}),
+        temporal=build_time_series_samples(points, {"x": Continuous()}),
+        roles=RoleMap.of(covariates=("x",), targets=("y",))),
+        str(tmp_path / "bundle"))
+    path = _write_config(tmp_path, _classify_doc())
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        with _deadline(60):
+            assert cli(["run", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tempoframe: fold 0, fit: temporal summary of 'x' in "
+                       "sample 's00': slope is not finite (nan)\n")
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_cli_synth_ite_onto_a_file_fails_cleanly(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    proc = _cli_proc("synth-ite", "--n", "8", "--seed", "1",
+                     "--out", str(out))
+    _assert_clean_exit_1(proc, f"tempoframe: cannot write bundle at {out}: ")
+    assert proc.stdout == ""
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
     rows = []
     for i in range(12):
@@ -1074,6 +1113,39 @@ def test_golden_report_byte_match():
     # a second run differs at most in timing
     again = strip_timing(report_text(run_benchmark(config)))
     assert again == expected
+
+
+def _check_goldens(golden_dir):
+    tests = os.path.dirname(GOLDEN)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.environ["PYTHONPATH"], tests]))
+    return subprocess.run(
+        [sys.executable, os.path.join(golden_dir, "check_goldens.py")],
+        capture_output=True, text=True, env=env)
+
+
+def test_golden_check_script(tmp_path):
+    # The pytest-free check that runs the goldens under any interpreter.
+    proc = _check_goldens(GOLDEN)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:-1] == [
+        f"ok  {name}" for name in (
+            "expected_report.txt", "survival/expected_report.txt",
+            "classify/expected_report.txt", "classify/fitted.json",
+            "forecast/expected_report.txt", "treatment/expected_report.txt")]
+    assert lines[-1].endswith(": all goldens match")
+
+    # and it fails on a golden that no longer matches
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fitted = copy / "classify" / "fitted.json"
+    fitted.write_bytes(fitted.read_bytes().replace(b"0", b"1", 1))
+    proc = _check_goldens(str(copy))
+    assert proc.returncode == 1
+    assert "DIFFERS  classify/fitted.json" in proc.stdout.splitlines()
+    assert proc.stdout.count("ok  ") == 5
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])

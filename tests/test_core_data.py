@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -39,6 +40,7 @@ from tempoframe.errors import (
     DuplicateFeature,
     DuplicateTimePoint,
     EmptyDataset,
+    FitDiverged,
     InvalidWindow,
     KindMismatch,
     MissingInFeatures,
@@ -504,6 +506,26 @@ def test_temporal_summary_rejects_categorical():
         [("a", "f", 0.0, "alpha")], {"f": Categorical(("alpha", "beta"))})
     with pytest.raises(NonNumericFeature):
         temporal_summary(ts)
+
+
+@pytest.mark.parametrize("points,stat", [
+    # distinct times whose squared spread underflows to 0.0
+    ([(1e-200, 1.0), (2e-200, 2.0)], "slope is not finite (nan)"),
+    # times whose sum overflows
+    ([(1e308, 1.0), (1.7e308, 2.0)], "slope is not finite (nan)"),
+    # values whose sum overflows
+    ([(0.0, 1e308), (1.0, 1.7e308)], "mean is not finite (inf)"),
+], ids=["tiny-times", "huge-times", "huge-values"])
+def test_non_finite_summary_stat_diverges(points, stat):
+    ts = build_time_series_samples(
+        [("a", "f", 0.0, 1.0), ("a", "f", 1.0, 2.0)]
+        + [("b", "f", t, v) for t, v in points], {"f": Continuous()})
+    ds = assemble_dataset(temporal=ts, roles=RoleMap.of(covariates=("f",)))
+    message = f"^temporal summary of 'f' in sample 'b': {re.escape(stat)}$"
+    with pytest.raises(FitDiverged, match=message):
+        temporal_summary(ts)
+    with pytest.raises(FitDiverged, match=message):
+        covariate_matrix(ds)
 
 
 def test_covariate_matrix_layout_and_errors():

@@ -1,5 +1,6 @@
 """Every module under `src/tempoframe` uses each name it imports, and
 every private module-level name is used somewhere under `src/tempoframe`.
+Every name the benchmark in `perfbench/` imports from the library exists.
 
 Package `__init__` files are left out of the import check: their imports
 are the public names they re-export. An import kept for its side effect
@@ -9,12 +10,14 @@ says so with `# noqa: F401` on its line, as for flake8.
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tempoframe"
 _MODULES = sorted(p for p in _SRC.rglob("*.py") if p.name != "__init__.py")
+_PERFBENCH = _SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -50,7 +53,7 @@ def test_unused_imports_are_found():
 
 def test_modules_are_found():
     names = {p.relative_to(_SRC).as_posix() for p in _MODULES}
-    assert {"data.py", "forecasting.py", "kernels/pure.py"} <= names
+    assert {"data.py", "forecasting.py", "kernels.py"} <= names
 
 
 @pytest.mark.parametrize("path", _MODULES,
@@ -124,3 +127,19 @@ def test_every_private_name_is_used():
                for p in sorted(_SRC.rglob("*.py"))}
     assert len(sources) > len(_MODULES)
     assert unused_private_names(sources) == []
+
+
+def test_benchmark_imports_from_the_library_resolve():
+    # A name the benchmark imports and the library no longer has fails
+    # every benchmark run, so a refactor that drops one fails here first.
+    imports = []
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.split(".")[0] == "tempoframe"):
+                imports += [(path.name, node.lineno, node.module, alias.name)
+                            for alias in node.names]
+    assert {"backend_name", "strip_timing", "cli", "Lcg"} <= {
+        name for *_, name in imports}
+    assert [i for i in imports
+            if not hasattr(importlib.import_module(i[2]), i[3])] == []

@@ -20,8 +20,10 @@ from tempoframe.data import (
     StaticSamples,
     TimeSeriesSamples,
     assemble_dataset,
+    build_event_samples,
     build_static_samples,
     build_time_series_samples,
+    covariate_groups,
     covariate_matrix,
 )
 from tempoframe.errors import (
@@ -132,6 +134,22 @@ def test_metric_and_sample_guards():
     tiny = select_samples(ds, ds.sample_ids[:1])
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, tiny, "accuracy")
+
+
+def test_event_covariates_are_neither_featurized_nor_permuted():
+    plain = _noise_classifier_ds(2, n=30)
+    events = build_event_samples(
+        [(sid, "e", float(i), float(i % 3))
+         for i, sid in enumerate(plain.sample_ids)],
+        {"e": Continuous()}, sample_ids=plain.sample_ids)
+    ds = assemble_dataset(static=plain.static, events=events,
+                          roles=RoleMap.of(covariates=("x1", "x2", "e"),
+                                           targets=("y",)))
+    assert [g[0] for g in covariate_groups(ds)] == ["x1", "x2"]
+    assert covariate_matrix(ds) == covariate_matrix(plain)
+    fitted = create("classify.logistic", {"iters": 50}).fit(ds)
+    report = permutation_importance(fitted, ds, "accuracy", repeats=2)
+    assert report.features == ("x1", "x2")
 
 
 def test_importance_needs_a_matrix_model(monkeypatch):

@@ -14,12 +14,13 @@ import re
 
 import pytest
 
+from tempoframe import kernels
 from tempoframe.errors import FitDiverged
-from tempoframe.kernels import backend_name, pure
 from tempoframe.rng import Lcg
 
-# One value keeps the historical test ids (`[tempoframe.kernels.pure]`).
-KERNELS = [pure]
+# One value keeps the test ids these tests had while the kernels lived in
+# `tempoframe.kernels.pure`.
+KERNELS = [pytest.param(kernels, id="tempoframe.kernels.pure")]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def _ridge_oracle(n_rows, n_cols, x_flat, y, lam, penalty):
             ata[k * n_cols + j] = ata[j * n_cols + k]
     for j in range(n_cols):
         ata[j * n_cols + j] += lam * penalty[j]
-    return pure.lu_solve(n_cols, ata, aty)
+    return kernels.lu_solve(n_cols, ata, aty)
 
 
 def _logistic_oracle(n_rows, n_cols, x_flat, y, lr, iters):
@@ -102,7 +103,7 @@ def _logistic_oracle(n_rows, n_cols, x_flat, y, lr, iters):
             z = b
             for j in range(n_cols):
                 z += w[j] * x_flat[base + j]
-            d = pure._sigmoid(z) - y[i]
+            d = kernels._sigmoid(z) - y[i]
             for j in range(n_cols):
                 gw[j] += d * x_flat[base + j]
             gb += d
@@ -148,7 +149,7 @@ def _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups, occurred, lam,
 
 def _cox_gd_oracle(n_rows, n_cols, z_flat, times, occurred, step, iters,
                    lam):
-    groups = pure.risk_groups(times)
+    groups = kernels.risk_groups(times)
     beta = [0.0] * n_cols
     trace = []
     for _ in range(iters):
@@ -182,8 +183,8 @@ def test_linear_predictor_adds_columns_in_order():
             for j in range(d):
                 s += w[j] * columns[j][i]
             want.append(s)
-        assert pure.linear_predictor(columns, w, start) == want
-    assert pure.linear_predictor([], [], [0.5, 1.5]) == [0.5, 1.5]
+        assert kernels.linear_predictor(columns, w, start) == want
+    assert kernels.linear_predictor([], [], [0.5, 1.5]) == [0.5, 1.5]
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (200, 4), (60, 9)])
@@ -193,7 +194,7 @@ def test_ridge_matches_row_major_oracle(n, d):
     y = [rng.uniform_in(-5.0, 5.0) for _ in range(n)]
     for lam, penalty in ((1e-9, [1.0] * d), (0.5, [0.0] + [1.0] * (d - 1))):
         want = _ridge_oracle(n, d, _flat(columns), y, lam, penalty)
-        assert pure.ridge_normal_solve(columns, y, lam, penalty) == want
+        assert kernels.ridge_normal_solve(columns, y, lam, penalty) == want
 
 
 @pytest.mark.parametrize("iters", [0, 1, 60])
@@ -203,7 +204,7 @@ def test_logistic_matches_row_major_oracle(iters):
     columns = _random_columns(rng, n, d)
     y = [1.0 if rng.uniform() < 0.4 else 0.0 for _ in range(n)]
     want = _logistic_oracle(n, d, _flat(columns), y, 0.3, iters)
-    assert pure.logistic_gd(columns, y, 0.3, iters) == want
+    assert kernels.logistic_gd(columns, y, 0.3, iters) == want
 
 
 def _cox_oracle_case(case):
@@ -235,14 +236,14 @@ def test_cox_matches_row_major_oracle(case):
     columns, times, occurred, step, iters_list = _cox_oracle_case(case)
     n, d = len(times), len(columns)
     z_flat = _flat(columns)
-    groups = pure.risk_groups(times)
-    layout = pure._risk_layout(columns, groups, occurred)
+    groups = kernels.risk_groups(times)
+    layout = kernels._risk_layout(columns, groups, occurred)
     for beta in ([0.0] * d, ([0.4, -1.1, 0.25] * 4)[:d]):
-        assert pure._cox_obj_grad(layout, 1e-3, beta) \
+        assert kernels._cox_obj_grad(layout, 1e-3, beta) \
             == _cox_obj_grad_oracle(n, d, z_flat, groups, occurred, 1e-3,
                                     beta)
     for iters in iters_list:
-        assert pure.cox_gd(columns, times, occurred, step, iters, 1e-6) \
+        assert kernels.cox_gd(columns, times, occurred, step, iters, 1e-6) \
             == _cox_gd_oracle(n, d, z_flat, times, occurred, step, iters,
                               1e-6)
 
@@ -274,7 +275,7 @@ def test_ridge_shrinks_penalized_columns_only():
     # penalized column shrinks monotonically while lam grows
     columns = [[1.0, 1.0, 1.0, 1.0], [2.0, -1.0, 0.5, 3.0]]
     y = [4.0, -2.0, 1.0, 6.0]
-    slopes = [abs(pure.ridge_normal_solve(columns, y, lam, [0.0, 1.0])[1])
+    slopes = [abs(kernels.ridge_normal_solve(columns, y, lam, [0.0, 1.0])[1])
               for lam in (0.0, 1.0, 10.0, 100.0)]
     assert slopes == sorted(slopes, reverse=True)
     assert slopes[-1] < slopes[0]
@@ -314,14 +315,14 @@ def test_logistic_more_iters_lowers_loss():
         total = 0.0
         for i in range(n):
             z = b + w[0] * x_flat[2 * i] + w[1] * x_flat[2 * i + 1]
-            p = pure._sigmoid(z)
+            p = kernels._sigmoid(z)
             p = min(max(p, 1e-12), 1 - 1e-12)
             total += -(y[i] * math.log(p) + (1 - y[i]) * math.log(1 - p))
         return total / n
 
     columns = [x_flat[0::2], x_flat[1::2]]
-    few = pure.logistic_gd(columns, y, 0.1, 10)
-    many = pure.logistic_gd(columns, y, 0.1, 400)
+    few = kernels.logistic_gd(columns, y, 0.1, 10)
+    many = kernels.logistic_gd(columns, y, 0.1, 400)
     assert loss(*many) < loss(*few)
 
 
@@ -357,18 +358,18 @@ def test_cox_trace_shape_and_zero_iters(impl):
 
 def test_cox_gradient_matches_finite_differences():
     columns, times, occurred = _cox_inputs(1, n=10)
-    layout = pure._risk_layout(columns, pure.risk_groups(times), occurred)
+    layout = kernels._risk_layout(columns, kernels.risk_groups(times), occurred)
     beta = [0.3, -0.7]
     lam = 0.01
-    obj, grad = pure._cox_obj_grad(layout, lam, beta)
+    obj, grad = kernels._cox_obj_grad(layout, lam, beta)
     eps = 1e-6
     for j in range(2):
         up = list(beta)
         up[j] += eps
         down = list(beta)
         down[j] -= eps
-        o_up, _ = pure._cox_obj_grad(layout, lam, up)
-        o_dn, _ = pure._cox_obj_grad(layout, lam, down)
+        o_up, _ = kernels._cox_obj_grad(layout, lam, up)
+        o_dn, _ = kernels._cox_obj_grad(layout, lam, down)
         fd = (o_up - o_dn) / (2 * eps)
         assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
@@ -379,18 +380,18 @@ def test_cox_breslow_tied_objective_hand_value():
     columns = [[1.0, 0.0, -1.0]]
     times = [1.0, 1.0, 2.0]
     occurred = [1, 1, 0]
-    layout = pure._risk_layout(columns, pure.risk_groups(times), occurred)
+    layout = kernels._risk_layout(columns, kernels.risk_groups(times), occurred)
     beta = [0.5]
     denom = math.exp(0.5) + math.exp(0.0) + math.exp(-0.5)
     expected = (0.5 - math.log(denom)) + (0.0 - math.log(denom))
-    obj, _ = pure._cox_obj_grad(layout, 0.0, beta)
+    obj, _ = kernels._cox_obj_grad(layout, 0.0, beta)
     assert math.isclose(obj, expected, rel_tol=1e-15)
 
 
 def test_risk_groups_latest_first_ties_in_index_order():
-    groups = pure.risk_groups([2.0, 5.0, 2.0, 1.0, 5.0, 2.0])
+    groups = kernels.risk_groups([2.0, 5.0, 2.0, 1.0, 5.0, 2.0])
     assert groups == [(5.0, [1, 4]), (2.0, [0, 2, 5]), (1.0, [3])]
-    assert pure.risk_groups([]) == []
+    assert kernels.risk_groups([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +412,18 @@ def test_concordance_counts_hand_case(impl):
 # ---------------------------------------------------------------------------
 
 def test_backend_name_is_pure():
-    assert backend_name() == "pure"
+    assert kernels.backend_name() == "pure"
 
 
 def test_lu_solve_non_finite_result_diverges():
     # the pivot is not zero, but the quotient overflows to inf
     with pytest.raises(FitDiverged, match="non-finite"):
-        pure.lu_solve(1, [1e-300], [1e300])
+        kernels.lu_solve(1, [1e-300], [1e300])
 
 
 def test_logistic_overflowing_step_diverges():
     with pytest.raises(FitDiverged, match="logistic_gd"):
-        pure.logistic_gd([[1e300, -1e300]], [1.0, 0.0], 1e300, 3)
+        kernels.logistic_gd([[1e300, -1e300]], [1.0, 0.0], 1e300, 3)
 
 
 def test_cox_zero_risk_set_sum_diverges():
@@ -432,7 +433,7 @@ def test_cox_zero_risk_set_sum_diverges():
     with pytest.raises(FitDiverged, match=re.escape(
             "cox_gd: risk-set sum inf at time 4.0 is not positive and "
             "finite")):
-        pure.cox_gd(columns, times, occurred, 1e6, 5, 0.0)
+        kernels.cox_gd(columns, times, occurred, 1e6, 5, 0.0)
 
 
 @pytest.mark.parametrize("seed, step, bad", [
@@ -446,4 +447,4 @@ def test_cox_divergence_names_the_first_bad_risk_set_sum(seed, step, bad):
     columns, times, occurred = _cox_inputs(seed)
     with pytest.raises(FitDiverged, match=re.escape(
             f"cox_gd: risk-set sum {bad} is not positive and finite")):
-        pure.cox_gd(columns, times, occurred, step, 5, 0.0)
+        kernels.cox_gd(columns, times, occurred, step, 5, 0.0)

@@ -29,6 +29,7 @@ from tempoframe.data import (
 from tempoframe.errors import (
     AlignmentError,
     BenchError,
+    EmptyInput,
     EmptyTargetSeries,
     InsufficientHistory,
     InvalidStep,
@@ -416,6 +417,24 @@ def test_metrics_refuse_anything_but_containers():
     with pytest.raises(AlignmentError, match="TimeSeriesSamples as truth, "
                                              "got Dataset"):
         rmse(series.temporal, series)
+
+
+def test_metrics_refuse_unscorable_and_empty_inputs():
+    truth = build_static_samples([("s", "y", 1.0)], {"y": Continuous()})
+    coded = build_static_samples([("s", "y", "q")],
+                                 {"y": Categorical(("q", "r"))})
+    with pytest.raises(AlignmentError,
+                       match=r"^\(s, y\): non-numeric value 'q'$"):
+        rmse(coded, truth)
+    renamed = build_static_samples([("s", "z", 1.0)], {"z": Continuous()})
+    with pytest.raises(AlignmentError,
+                       match="^features differ between pred and truth$"):
+        rmse(renamed, truth)
+    empty = build_static_samples([], {"y": Integer()}, sample_ids=[])
+    for metric, message in ((rmse, "no aligned points to compare"),
+                            (accuracy, "no cells to compare")):
+        with pytest.raises(EmptyInput, match=f"^{message}$"):
+            metric(empty, empty)
 
 
 def test_accuracy_thresholds_and_truth_kinds():

@@ -24,6 +24,7 @@ from tempoframe.errors import (
     InvalidAlternative,
     InvalidSpec,
     KindMismatch,
+    MissingInTarget,
     MultipleTargets,
     NonBinaryTreatment,
     RequirementUnmet,
@@ -301,6 +302,15 @@ def test_target_requirements():
     with pytest.raises(RequirementUnmet) as exc:
         _fit(ds)
     assert exc.value.reason == "non_continuous_target"
+
+
+def test_missing_outcome_is_refused():
+    ds = _balanced_ds()
+    rows = [r for r in ds.static.to_rows() if r[:2] != ("p03", "y")]
+    ds = _hand_ds(rows, dict(ds.static.features), ds.roles, ds.sample_ids)
+    with pytest.raises(MissingInTarget,
+                       match="^outcome 'y' missing for sample 'p03'$"):
+        _fit(ds)
 
 
 # ---------------------------------------------------------------------------
