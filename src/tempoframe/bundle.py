@@ -1,23 +1,27 @@
-"""Bundle file format: a `manifest` JSON file plus one long-format CSV per
-modality.
+"""Bundle file format: a `manifest` JSON file plus one CSV per modality.
 
-Layout:
+Layout (schema "2"):
     manifest                     JSON: schema_version, samples, files,
                                  features, kinds, roles
-    static.csv                   sample_id,feature_id,value
-    temporal.csv / events.csv    sample_id,feature_id,time,value
+    static.csv                   sample_id,<static feature ids>: one row
+                                 per sample, in manifest order
+    temporal.csv / events.csv    sample_id,feature_id,time,value: one row
+                                 per point or event
 
 Empty value field = Missing. Writing is deterministic: fixed field order,
 shortest round-trip float formatting, UTF-8, LF line endings, so identical
-datasets produce byte-identical bundles.
+datasets produce byte-identical bundles. Schema "1" bundles, whose
+`static.csv` is long-form (`sample_id,feature_id,value`, one row per
+cell), still read.
 
 Reading and validation share the manifest check, one pass over each
-listed table (`tempoframe.data.scan_rows`, as the builders do) that checks
-each data row and places it in its sample's grid row, and the assembly of
-clean tables into a Dataset, so both fail on the same bundles.
-`validate_bundle` returns every table fault; `read_bundle` raises the
-first in row order as `<path>:<line>: <detail>`, with the error type of
-its code.
+listed table (`tempoframe.data.scan_wide` for a wide static table,
+`tempoframe.data.scan_rows`, as the builders use, for a long-form one)
+that checks each data row and places it in its sample's grid row, and the
+assembly of clean tables into a Dataset, so both fail on the same
+bundles. `validate_bundle` returns every table fault; `read_bundle` raises
+the first in row order as `<path>:<line>: <detail>`, with the error type
+of its code.
 """
 
 from __future__ import annotations
@@ -30,20 +34,19 @@ from dataclasses import dataclass
 from tempoframe.data import (
     VIOLATION_ERRORS,
     Dataset,
-    EventSamples,
     MISSING,
     Modality,
     Role,
     RoleMap,
-    StaticSamples,
-    TimeSeriesSamples,
     ValueKind,
     Violation,
+    _check_id,
     assemble_dataset,
     grid,
     kind_from_json,
     kind_to_json,
     scan_rows,
+    scan_wide,
 )
 from tempoframe.errors import (
     IoError,
@@ -53,20 +56,18 @@ from tempoframe.errors import (
     TempoframeError,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 MANIFEST_NAME = "manifest"
 
-# Modality -> (file name, header row, long-form rows of its container), in
-# the order tables are written, read and validated.
+# Modality -> table file name, in the order tables are written, read and
+# validated.
 _TABLES = {
-    Modality.STATIC: ("static.csv", ["sample_id", "feature_id", "value"],
-                      StaticSamples.to_rows),
-    Modality.TEMPORAL: ("temporal.csv",
-                        ["sample_id", "feature_id", "time", "value"],
-                        TimeSeriesSamples.to_points),
-    Modality.EVENT: ("events.csv", ["sample_id", "feature_id", "time", "value"],
-                     EventSamples.to_entries),
+    Modality.STATIC: "static.csv",
+    Modality.TEMPORAL: "temporal.csv",
+    Modality.EVENT: "events.csv",
 }
+_TIMED_HEADER = ["sample_id", "feature_id", "time", "value"]
+_LONG_STATIC_HEADER = ["sample_id", "feature_id", "value"]  # schema "1"
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,11 @@ def _is_string_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
-def _value_to_str(v) -> str:
-    if v is MISSING:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, int):
-        return str(v)
-    return v
+def _manifest_id(s: str, what: str, manifest_path) -> None:
+    try:
+        _check_id(s, what)
+    except KindMismatch as e:
+        raise ManifestError(f"{manifest_path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def manifest_for(ds: Dataset) -> BundleManifest:
     files = {}
     features = {}
     for modality, container in ds.containers():
-        files[modality.value] = _TABLES[modality][0]
+        files[modality.value] = _TABLES[modality]
         features[modality.value] = list(container.feature_ids)
     kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
     # Assignment order, so the RoleMap read back equals this one.
@@ -139,6 +137,22 @@ def _manifest_json(m: BundleManifest) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _table_rows(modality: Modality, container):
+    """The header and data rows of a container's table, as written:
+    csv.writer writes None (a Missing value) as an empty field and a float
+    by its shortest round-trip repr."""
+    if modality is Modality.STATIC:
+        yield ["sample_id", *container.feature_ids]
+        for sid, row in zip(container.sample_ids, container.values):
+            yield [sid, *[None if v is MISSING else v for v in row]]
+        return
+    yield _TIMED_HEADER
+    points = (container.to_points() if modality is Modality.TEMPORAL
+              else container.to_entries())
+    for sid, fid, t, v in points:
+        yield [sid, fid, t, None if v is MISSING else v]
+
+
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     """Write manifest plus one CSV per present modality; deterministic."""
     manifest = manifest_for(ds)
@@ -148,17 +162,10 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
         for modality, container in ds.containers():
-            name, header, long_rows = _TABLES[modality]
-            with open(os.path.join(dir_path, name), "w", encoding="utf-8",
-                      newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(header)
-                if modality is Modality.STATIC:
-                    for sid, fid, v in long_rows(container):
-                        w.writerow([sid, fid, _value_to_str(v)])
-                else:
-                    for sid, fid, t, v in long_rows(container):
-                        w.writerow([sid, fid, repr(t), _value_to_str(v)])
+            with open(os.path.join(dir_path, _TABLES[modality]), "w",
+                      encoding="utf-8", newline="") as f:
+                csv.writer(f, lineterminator="\n").writerows(
+                    _table_rows(modality, container))
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
@@ -188,15 +195,18 @@ def _load_manifest(manifest_path) -> BundleManifest:
                 "roles"):
         if key not in doc:
             raise ManifestError(f"{manifest_path}: missing key {key!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if doc["schema_version"] not in ("1", SCHEMA_VERSION):
         raise ManifestError(
             f"{manifest_path}: unsupported schema_version "
-            f"{doc['schema_version']!r} (expected {SCHEMA_VERSION!r})")
+            f"{doc['schema_version']!r} (expected '1' or "
+            f"{SCHEMA_VERSION!r})")
     samples = doc["samples"]
     if not _is_string_list(samples):
         raise ManifestError(f"{manifest_path}: samples must be a string list")
     if len(set(samples)) != len(samples):
         raise ManifestError(f"{manifest_path}: samples repeat a sample id")
+    for sid in samples:
+        _manifest_id(sid, "sample_id", manifest_path)
     for key in ("files", "features", "kinds", "roles"):
         if not isinstance(doc[key], dict):
             raise ManifestError(f"{manifest_path}: {key} must be an object")
@@ -225,6 +235,7 @@ def _load_manifest(manifest_path) -> BundleManifest:
             raise ManifestError(f"{manifest_path}: features of {modality!r} "
                                 "must be a string list")
         for fid in fids:
+            _manifest_id(fid, "feature_id", manifest_path)
             if fid not in kinds:
                 raise ManifestError(f"{manifest_path}: feature {fid!r} has "
                                     "no kind")
@@ -258,16 +269,22 @@ def _read_table(path, header: list):
 def _scanned_tables(manifest: BundleManifest, manifest_path):
     """(modality, file name, path, kinds, Scan) of each listed table."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    for modality, (_, header, _) in _TABLES.items():
+    for modality in _TABLES:
         name = manifest.files.get(modality.value)
         if name is None:
             continue
         path = os.path.join(base, name)
         kinds = {fid: manifest.kinds[fid]
                  for fid in manifest.features[modality.value]}
-        yield modality, name, path, kinds, scan_rows(
-            _read_table(path, header), modality, kinds, manifest.samples,
-            text=True)
+        if modality is Modality.STATIC and manifest.schema_version != "1":
+            scan = scan_wide(_read_table(path, ["sample_id", *kinds]), kinds,
+                             manifest.samples)
+        else:
+            header = (_LONG_STATIC_HEADER if modality is Modality.STATIC
+                      else _TIMED_HEADER)
+            scan = scan_rows(_read_table(path, header), modality, kinds,
+                             manifest.samples, text=True)
+        yield modality, name, path, kinds, scan
 
 
 def _assemble(manifest: BundleManifest, manifest_path, tables) -> Dataset:

@@ -96,6 +96,7 @@ class Categorical:
             if not isinstance(c, str) or c == "":
                 raise KindMismatch(
                     "categorical categories must be non-empty strings")
+            _check_id(c, "category")
         object.__setattr__(self, "categories", tuple(self.categories))
 
 
@@ -175,7 +176,10 @@ def kind_from_json(d, where: str) -> ValueKind:
         cats = d.get("categories")
         if not isinstance(cats, list):
             raise KindMismatch(f"{where}: categorical kind needs categories")
-        return Categorical(tuple(cats))
+        try:
+            return Categorical(tuple(cats))
+        except KindMismatch as e:
+            raise KindMismatch(f"{where}: {e}") from None
     raise KindMismatch(f"{where}: unknown kind {name!r}")
 
 
@@ -217,11 +221,16 @@ def _parse_value(kind: ValueKind, s: str):
         try:
             i = int(s, 10)
         except ValueError:
+            m = re.fullmatch(r"([+-]?)0*([0-9]+)", s)
+            if m is None:
+                raise KindMismatch(f"{s!r} is not an integer") from None
             # int() refuses a field of digits only past its length limit
-            # (4,300 digits), far beyond float range; do not echo it
-            if re.fullmatch(r"[+-]?[0-9]+", s):
+            # (4,300 digits), leading zeros included; without them the
+            # value is read, or it is far beyond float range: do not echo it
+            try:
+                i = int(m[1] + m[2], 10)
+            except ValueError:
                 raise KindMismatch("integer beyond float range") from None
-            raise KindMismatch(f"{s!r} is not an integer") from None
         _float_of(i, None)
         return i
     if s in kind.categories:
@@ -230,8 +239,14 @@ def _parse_value(kind: ValueKind, s: str):
 
 
 def _check_id(s, what: str) -> str:
+    """`s` if it can be an id (a sample or feature id, a category): a
+    string with no lone carriage return. Some interpreters' CSV writer
+    (LF line ends) leaves a "\\r" outside "\\r\\n" unquoted, and a reader
+    then ends the record there."""
     if not isinstance(s, str):
         raise KindMismatch(f"{what} must be a string, got {s!r}")
+    if "\r" in s and "\r" in s.replace("\r\n", ""):
+        raise KindMismatch(f"{what} {s!r} holds a lone carriage return")
     return s
 
 
@@ -482,7 +497,9 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
     Records are `(sample_id, feature_id, value)` for static data and
     `(sample_id, feature_id, time, value)` for time series and events.
     `text` records are CSV fields, parsed here (an empty value is
-    Missing); other records hold Python values. Each accepted record goes
+    Missing); other records hold Python values, and their ids must pass
+    `_check_id` (a text id need only match `kinds` or `pin`, whose ids the
+    bundle reader checks in the manifest). Each accepted record goes
     straight into its slot of its sample's row. A record that breaks a
     rule is left out and gives one Violation: its 1-based row and the
     first rule it breaks. With a `pin`, every record must name one of its
@@ -507,12 +524,13 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
             sid, fid, t, value = rec
         else:
             sid, fid, value = rec
-        if not (text or isinstance(sid, str) and isinstance(fid, str)):
-            what, s = (("feature_id", fid) if isinstance(sid, str)
-                       else ("sample_id", sid))
-            bad.append(Violation(row, "kind_mismatch",
-                                 f"{what} must be a string, got {s!r}"))
-            continue
+        if not text:
+            try:
+                _check_id(sid, "sample_id")
+                _check_id(fid, "feature_id")
+            except KindMismatch as e:
+                bad.append(Violation(row, "kind_mismatch", str(e)))
+                continue
         kind = kinds.get(fid)
         if kind is None:
             bad.append(Violation(row, "unknown_feature",
@@ -568,6 +586,56 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
     return Scan(cells, samples, features, bad)
 
 
+def scan_wide(rows, kinds: dict, pin) -> Scan:
+    """Check, convert and place the data rows of a wide static table in
+    one pass.
+
+    Each row is a sample id, then one text field per feature of `kinds`,
+    in its order, read by `_parse_value` (an empty field is Missing). As
+    in `scan_rows`, a row that breaks a rule is left out and gives one
+    Violation, for the first rule it breaks: its field count, the first
+    field its feature's kind refuses (the detail names the feature), a
+    repeat of an earlier row's sample (`duplicate_cell`), or a sample
+    outside `pin`, which still gets a row after the pinned ones.
+    """
+    fids = tuple(kinds)
+    kind_list = tuple(kinds.values())
+    width = len(fids) + 1
+    samples = {s: i for i, s in enumerate(pin)}
+    pinned = len(samples)
+    blank = [_EMPTY] * len(fids)  # the row of a sample no data row filled
+    cells = [blank] * pinned
+    bad = []
+    for row, rec in enumerate(rows, 1):
+        if len(rec) != width:
+            bad.append(Violation(row, "arity", f"expected {width} fields, "
+                                               f"got {len(rec)}"))
+            continue
+        sid = rec[0]
+        values = []
+        try:
+            for kind, s in zip(kind_list, rec[1:]):
+                values.append(_parse_value(kind, s))
+        except KindMismatch as e:
+            bad.append(Violation(row, "kind_mismatch",
+                                 f"feature {fids[len(values)]!r}: {e}"))
+            continue
+        i = samples.get(sid)
+        if i is None:
+            i = samples[sid] = len(cells)
+            cells.append(values)
+        elif cells[i] is blank:
+            cells[i] = values
+        else:
+            bad.append(Violation(row, "duplicate_cell",
+                                 f"duplicate row for sample {sid!r}"))
+            continue
+        if i >= pinned:
+            bad.append(Violation(row, "unknown_sample",
+                                 f"sample {sid!r} is not in the sample list"))
+    return Scan(cells, samples, {f: j for j, f in enumerate(fids)}, bad)
+
+
 def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
     """The container of a clean scan, from its rows as the scan placed them.
 
@@ -587,6 +655,8 @@ def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
 
 
 def _build(modality: Modality, records, kinds: dict, sample_ids):
+    for fid in kinds:
+        _check_id(fid, "feature_id")
     pin = None
     if sample_ids is not None:
         pin = [_check_id(s, "sample_id") for s in sample_ids]

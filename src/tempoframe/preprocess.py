@@ -30,6 +30,7 @@ from tempoframe.data import (
 )
 from tempoframe.errors import (
     AllMissingFeature,
+    FitDiverged,
     InvalidStep,
     RequirementUnmet,
     UnseenCategory,
@@ -185,6 +186,10 @@ def _zscore_fit(params, ds: Dataset) -> dict:
         # Nothing observed: flagged degenerate, transform maps to 0.
         vals = observed[fid]
         stats[fid] = list(mean_std(vals)) if vals else [0.0, 0.0]
+        for stat, v in zip(("mean", "std"), stats[fid]):
+            if not math.isfinite(v):
+                raise FitDiverged(f"scale.zscore of {fid!r}: {stat} is not "
+                                  f"finite ({v!r})")
     return {"stats": stats}
 
 

@@ -8,6 +8,8 @@ and `expected_report.txt`: the timing-stripped report of one
 `run_benchmark` call. For the tasks in FITTED it also writes
 `fitted.json`: the `save_fitted` blob of the pipeline fitted on the whole
 bundle, which pins fitted weights that a thresholded metric cannot see.
+The bundles are written in schema "1" (`datagen.write_v1_bundle`), since
+they are also the read fixtures of that schema.
 Run it only when a report is meant to change, and say why with the
 change. The forecast golden directly under tests/golden/ is kept by hand
 and not rewritten here.
@@ -24,7 +26,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TESTS = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
 
-from datagen import offset_grid_dataset, patient_dataset  # noqa: E402
+from datagen import (  # noqa: E402
+    offset_grid_dataset,
+    patient_dataset,
+    write_v1_bundle,
+)
 from tempoframe.bench import (  # noqa: E402
     load_config,
     report_text,
@@ -32,7 +38,7 @@ from tempoframe.bench import (  # noqa: E402
     strip_timing,
     write_truth,
 )
-from tempoframe.bundle import read_bundle, write_bundle  # noqa: E402
+from tempoframe.bundle import read_bundle  # noqa: E402
 from tempoframe.plugins import build_pipeline, save_fitted  # noqa: E402
 from tempoframe.treatment import (  # noqa: E402
     SynthGroundTruth,
@@ -93,7 +99,7 @@ def regenerate(task: str) -> None:
         write_truth(os.path.join(out, "truth.csv"), made.dataset.sample_ids,
                     made.effects)
         made = made.dataset
-    write_bundle(made, os.path.join(out, "bundle"))
+    write_v1_bundle(made, os.path.join(out, "bundle"))
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8",
               newline="\n") as f:
         json.dump({"bundle": "bundle", **doc}, f, indent=2)

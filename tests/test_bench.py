@@ -567,11 +567,12 @@ def test_cli_validate(tmp_path, capsys):
 
     static = bundle / "static.csv"
     rows = static.read_text(encoding="utf-8").splitlines()
-    rows.insert(2, rows[1])  # duplicate cell
+    rows.insert(2, rows[1])  # duplicate sample row
     static.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli(["validate", str(bundle)]) == 1
     out = capsys.readouterr().out
-    assert "static.csv:3: duplicate_cell" in out
+    assert out == "static.csv:3: duplicate_cell: duplicate row for sample " \
+        "'s000'\n"
 
     assert cli(["validate", str(tmp_path / "nope")]) == 2
 
@@ -890,6 +891,26 @@ def _assert_clean_exit_1(proc, *fragments):
         assert fragment in proc.stderr
 
 
+def test_cli_run_non_finite_zscore_stats_fail_cleanly(tmp_path):
+    # x sums past the float range in every training fold, so its mean is
+    # inf: the scaler refuses it instead of handing NaN cells on
+    rows = []
+    for i in range(12):
+        sid = f"s{i:02d}"
+        rows += [(sid, "x", 1e308 if i % 2 else 1.7e308), (sid, "y", i % 2)]
+    write_bundle(assemble_dataset(
+        static=build_static_samples(rows, {"x": Continuous(),
+                                           "y": Integer()}),
+        roles=RoleMap.of(covariates=("x",), targets=("y",))),
+        str(tmp_path / "bundle"))
+    doc = _classify_doc()
+    doc["pipeline"].insert(0, {"plugin": "scale.zscore"})
+    proc = _cli_proc("run", _write_config(tmp_path, doc))
+    _assert_clean_exit_1(proc, "fit: scale.zscore of 'x': mean is not "
+                               "finite (inf)\n")
+    assert "logistic" not in proc.stderr
+
+
 def test_cli_run_non_finite_temporal_summary_fails_cleanly(
         tmp_path, monkeypatch, capsys):
     # s00's two times are distinct, but their squared spread underflows
@@ -941,16 +962,16 @@ def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
     write_bundle(ds, str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[2] == "s00,k,0"
-    lines[2] = "s00,k,1" + "0" * 400
+    assert lines[1] == "s00,0.0,0,0"
+    lines[1] = "s00,0.0,1" + "0" * 400 + ",0"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == \
-        "static.csv:3: kind_mismatch: integer beyond float range\n"
+    assert proc.stdout == ("static.csv:2: kind_mismatch: feature 'k': "
+                           "integer beyond float range\n")
     _assert_clean_exit_1(
         _cli_proc("run", _write_config(tmp_path, _classify_doc())),
-        "static.csv:3: integer beyond float range")
+        "static.csv:2: feature 'k': integer beyond float range")
 
 
 @pytest.mark.parametrize("field", [
@@ -962,19 +983,27 @@ def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
     write_bundle(classification_dataset(0, n=6), str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[3].startswith("s000,y,")
-    lines[3] = "s000,y," + field
+    head, y = lines[1].rsplit(",", 1)
+    assert (lines[0], y) == ("sample_id,x1,x2,y", "0")
+    lines[1] = f"{head},{field}"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == \
-        "static.csv:4: kind_mismatch: integer beyond float range\n"
-    lines[3] = "s000,y,1" + "0" * 4400 + "x"
+    assert proc.stdout == ("static.csv:2: kind_mismatch: feature 'y': "
+                           "integer beyond float range\n")
+    lines[1] = f"{head},1" + "0" * 4400 + "x"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert proc.returncode == 1
-    assert proc.stdout.startswith("static.csv:4: kind_mismatch: '100")
+    assert proc.stdout.startswith("static.csv:2: kind_mismatch: feature "
+                                  "'y': '100")
     assert proc.stdout.endswith("0x' is not an integer\n")
+    # leading zeros do not count toward the value: the field reads as 1
+    lines[1] = f"{head},+" + "0" * 4400 + "1"
+    static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _cli_proc("validate", str(bundle)).returncode == 0
+    assert read_bundle(str(bundle / "manifest")).static.cell(
+        "s000", "y") == 1
 
 
 @pytest.mark.parametrize("key,value", [
@@ -1042,12 +1071,14 @@ def test_cli_synth_ite(tmp_path, capsys):
 
 
 # sha256 of the files of one small `synth-ite` call, recorded from the
-# generator that built its grid from long-form records.
+# generator that built its grid from long-form records; the bundle files
+# were re-recorded at schema "2" from a bundle that reads to the same
+# dataset as the schema "1" one.
 _SYNTH_ITE_SHA256 = {
     "manifest":
-        "31dc420d0c39d24ceffa0b7e82757a2dc04a1439159d0a8fdbddbf8bb14be943",
+        "2c7cbf9293fa34a49d20761e76eeb95f51826d7cb820a7fa58231f72535d9454",
     "static.csv":
-        "dae252bf361e982b11243429f7cf31f9e91f9cffe138428c28a3c66c5db6040c",
+        "d9af88cc036a6bf56820edbdb96ffcf0bfe8668880ec02bccaf3550c2072bb34",
     "truth.csv":
         "1c16575fa3b9e7964f83f578f956cd9a6952b4bbf681db9f8262826ab644587f",
 }

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from datagen import random_dataset, survival_dataset
+from datagen import random_dataset, survival_dataset, write_v1_bundle
 from tempoframe.bundle import (
     MANIFEST_NAME,
     read_bundle,
@@ -93,12 +93,115 @@ def test_write_is_deterministic(tmp_path):
         assert b"\r" not in a  # LF only
 
 
+def _edge_dataset():
+    """Ids that need CSV quoting, every kind, and samples whose static
+    cells are all Missing."""
+    ids = ["plain", "a,b", 's"q', "line\nfeed", "cr\r\nlf", "\ufeffbom",
+           "sep\u2028", " lead", "", "all-missing"]
+    kinds = {"x": Continuous(), "k,1": Integer(),
+             "c": Categorical(("lo", "hi,\"q\"", "\r\n"))}
+    values = [(-0.0, 2 ** 63, "lo"), (5e-324, -7, "hi,\"q\""),
+              (1e308, 0, "\r\n"), (-1e308, MISSING, "lo"), (0.1, 1, MISSING)]
+    rows = [(sid, fid, v) for sid, cells in zip(ids, values)
+            for fid, v in zip(kinds, cells) if v is not MISSING]
+    static = build_static_samples(rows, kinds, sample_ids=ids)
+    temporal = build_time_series_samples(
+        [(sid, "t\nf", 1.5, 2.0) for sid in ids[:3]], {"t\nf": Continuous()},
+        sample_ids=ids)
+    return assemble_dataset(static=static, temporal=temporal,
+                            roles=RoleMap.of(covariates=("x", "k,1", "t\nf"),
+                                             targets=("c",)))
+
+
+def test_round_trip_of_edge_case_ids_and_values(tmp_path):
+    ds = _edge_dataset()
+    assert ds.static.values[-1] == (MISSING,) * 3
+    write_bundle(ds, tmp_path / "one")
+    assert read_bundle(tmp_path / "one" / MANIFEST_NAME) == ds
+    assert validate_bundle(tmp_path / "one" / MANIFEST_NAME) == []
+    write_bundle(read_bundle(tmp_path / "one" / MANIFEST_NAME),
+                 tmp_path / "two")
+    for name in os.listdir(tmp_path / "one"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes()
+    write_v1_bundle(ds, tmp_path / "v1")
+    assert read_bundle(tmp_path / "v1" / MANIFEST_NAME) == ds
+
+
+def test_wide_static_table_is_pinned(tmp_path):
+    kinds = {"x": Continuous(), "k": Integer(),
+             "c": Categorical(("lo", "hi"))}
+    static = build_static_samples(
+        [("s0", "x", 1.5), ("s0", "k", -3), ("s0", "c", "hi"),
+         ('s"q', "c", "lo"), ('s"q', "k", 7), ('s"q', "x", 1e-300)],
+        kinds, sample_ids=["s0", "a,b", 's"q'])
+    ds = assemble_dataset(static=static,
+                          roles=RoleMap.of(covariates=("x", "k", "c")))
+    write_bundle(ds, tmp_path / "b")
+    assert (tmp_path / "b" / "static.csv").read_bytes() == (
+        b'sample_id,x,k,c\n'
+        b's0,1.5,-3,hi\n'
+        b'"a,b",,,\n'
+        b'"s""q",1e-300,7,lo\n')
+    assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
+
+
+def test_schema_1_bundles_still_read(tmp_path):
+    for seed in range(10):
+        ds = random_dataset(seed)
+        path = tmp_path / f"v1-{seed}"
+        assert write_v1_bundle(ds, path).schema_version == "1"
+        assert json.loads((path / MANIFEST_NAME).read_text(
+            encoding="utf-8"))["schema_version"] == "1"
+        assert validate_bundle(path / MANIFEST_NAME) == []
+        assert read_bundle(path / MANIFEST_NAME) == ds
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("task", ["", "survival", "classify", "forecast",
+                                  "treatment"])
+def test_committed_golden_bundles_are_schema_1_fixtures(tmp_path, task):
+    # the golden bundles were written at schema "1" and stay so: they read
+    # to the dataset that writes them back byte for byte in that schema
+    golden = os.path.join(_GOLDEN, task, "bundle")
+    ds = read_bundle(os.path.join(golden, MANIFEST_NAME))
+    write_v1_bundle(ds, tmp_path / "v1")
+    assert sorted(os.listdir(tmp_path / "v1")) == sorted(os.listdir(golden))
+    for name in os.listdir(golden):
+        with open(os.path.join(golden, name), "rb") as f:
+            assert (tmp_path / "v1" / name).read_bytes() == f.read()
+    write_bundle(ds, tmp_path / "v2")
+    assert read_bundle(tmp_path / "v2" / MANIFEST_NAME) == ds
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_static_samples([("a\rb", "x", 1.0)], {"x": Continuous()}),
+    lambda: build_static_samples([("a", "x\ry", 1.0)], {"x\ry": Continuous()}),
+    lambda: build_static_samples([], {"x\r": Continuous()},
+                                 sample_ids=["a"]),
+    lambda: build_static_samples([("a", "x", 1.0)], {"x": Continuous()},
+                                 sample_ids=["a", "b\r"]),
+    lambda: build_time_series_samples([("a\r\r\n", "f", 0.0, 1.0)],
+                                      {"f": Continuous()}),
+    lambda: build_event_samples([("a", "e\r", 1.0, 1)], {"e\r": Integer()}),
+    lambda: Categorical(("p", "p\rq")),
+], ids=["sample", "feature", "declared-feature", "pinned-sample",
+        "temporal-sample", "event-feature", "category"])
+def test_a_lone_carriage_return_in_an_id_is_refused(build):
+    # csv.writer(lineterminator="\n") leaves a lone "\r" unquoted on some
+    # interpreters, and the table then does not read back
+    with pytest.raises(KindMismatch, match="holds a lone carriage return"):
+        build()
+
+
 def test_manifest_shape(tmp_path):
     ds, path = _write(tmp_path, seed=2)
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert list(doc) == ["schema_version", "samples", "files", "features",
                          "kinds", "roles"]
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["samples"] == list(ds.sample_ids)
     for modality, container in ds.containers():
         assert doc["features"][modality.value] == list(container.feature_ids)
@@ -113,7 +216,7 @@ def test_empty_value_field_means_missing(tmp_path):
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("x",)))
     write_bundle(ds, tmp_path / "b")
     text = (tmp_path / "b" / "static.csv").read_text(encoding="utf-8")
-    assert "b,x,\n" in text
+    assert text == "sample_id,x\na,1.5\nb,\n"
     loaded = read_bundle(tmp_path / "b" / MANIFEST_NAME)
     assert loaded.static.cell("b", "x") is MISSING
 
@@ -224,7 +327,7 @@ def test_round_trip_validates_clean_on_20_random_datasets(tmp_path):
         assert dict(loaded.roles.assignment) == dict(ds.roles.assignment)
 
 
-def _small_bundle(tmp_path):
+def _small_bundle(tmp_path, write=write_bundle):
     static = build_static_samples(
         [("s0", "x", 1.5), ("s0", "c", "a"), ("s1", "x", 2.5)],
         {"x": Continuous(), "c": Categorical(("a", "b"))})
@@ -237,11 +340,12 @@ def _small_bundle(tmp_path):
                           roles=RoleMap.of(covariates=("x", "c", "f"),
                                            targets=("e",)))
     path = tmp_path / "small"
-    write_bundle(ds, path)
+    write(ds, path)
     return path
 
 
-# code, table, data row to append, or (row number, replacement), error type
+# code, table, data row to append, or (row number, replacement), error
+# type; the long-form static.csv rows are faults of a schema "1" bundle
 _ONE_ROW_FAULTS = [
     ("arity", "static.csv", "s1,x", ParseError),
     ("missing_time", "temporal.csv", "s1,f,,4.0", ParseError),
@@ -261,7 +365,52 @@ _ONE_ROW_FAULTS = [
 @pytest.mark.parametrize("code,table,edit,error", _ONE_ROW_FAULTS)
 def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
                                                      edit, error):
+    path = _small_bundle(tmp_path, write_v1_bundle
+                         if table == "static.csv" else write_bundle)
+    _one_row_fault(path, code, table, edit, error)
+
+
+# the wide static.csv of `_small_bundle`:
+#   sample_id,x,c / s0,1.5,a / s1,2.5,
+_WIDE_ROW_FAULTS = [
+    ("arity", "s1,2.5", ParseError, "expected 3 fields, got 2"),
+    ("arity", (1, "s0,1.5,a,"), ParseError, "expected 3 fields, got 4"),
+    ("kind_mismatch", (2, "s1,2.5,z"), KindMismatch,
+     "feature 'c': 'z' not in categories ['a', 'b']"),
+    ("kind_mismatch", (1, "s0,1e999,z"), KindMismatch,
+     "feature 'x': non-finite value '1e999'"),
+    ("unknown_sample", "ghost,1.0,b", UnknownSample,
+     "sample 'ghost' is not in the sample list"),
+    ("duplicate_cell", "s0,9.0,", DuplicateCell,
+     "duplicate row for sample 's0'"),
+]
+
+
+@pytest.mark.parametrize("code,edit,error,detail", _WIDE_ROW_FAULTS)
+def test_read_and_validate_agree_on_a_wide_row_fault(tmp_path, code, edit,
+                                                      error, detail):
     path = _small_bundle(tmp_path)
+    assert (path / "static.csv").read_text(encoding="utf-8") == \
+        "sample_id,x,c\ns0,1.5,a\ns1,2.5,\n"
+    assert _one_row_fault(path, code, "static.csv", edit, error) == detail
+
+
+def test_a_repeated_unknown_sample_row_is_a_duplicate(tmp_path):
+    # the row outside the sample list takes a row after the listed ones,
+    # so its repeat is a duplicate, not a second unknown sample
+    path = _small_bundle(tmp_path)
+    with open(path / "static.csv", "a", encoding="utf-8") as f:
+        f.write("ghost,1.0,a\nghost,2.0,b\n")
+    found = validate_bundle(path / MANIFEST_NAME)
+    assert [(v.row, v.code) for _, v in found] == [
+        (3, "unknown_sample"), (4, "duplicate_cell")]
+    with pytest.raises(UnknownSample, match=r"static.csv:4: sample 'ghost'"):
+        read_bundle(path / MANIFEST_NAME)
+
+
+def _one_row_fault(path, code, table, edit, error) -> str:
+    """Apply a one-row edit to a table, check that validate and read report
+    it alike, and return its detail."""
     csv_path = path / table
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     if isinstance(edit, tuple):
@@ -277,6 +426,7 @@ def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
         read_bundle(path / MANIFEST_NAME)
     assert str(err.value).startswith(f"{csv_path}:{row + 1}: ")
     assert str(err.value).endswith(found[0][1].detail)
+    return found[0][1].detail
 
 
 @pytest.mark.parametrize("key,sub,value", [
@@ -347,10 +497,35 @@ def _static_table(text):
     (_static_table(""), ParseError, "{static}: missing header row"),
     (_static_table("sid,fid,value\n"), ParseError,
      "{static}: bad header ['sid', 'fid', 'value'], expected "
-     "['sample_id', 'feature_id', 'value']"),
+     "['sample_id', 'x', 'c']"),
+    (_static_table("sample_id,c,x\ns0,a,1.5\n"), ParseError,
+     "{static}: bad header ['sample_id', 'c', 'x'], expected "
+     "['sample_id', 'x', 'c']"),
+    (_static_table("sample_id,x\ns0,1.5\n"), ParseError,
+     "{static}: bad header ['sample_id', 'x'], expected "
+     "['sample_id', 'x', 'c']"),
+    (_static_table("sample_id,x,c,ghost\n"), ParseError,
+     "{static}: bad header ['sample_id', 'x', 'c', 'ghost'], expected "
+     "['sample_id', 'x', 'c']"),
+    (_manifest_edit(lambda d: dict(d, schema_version="3")), ManifestError,
+     "{manifest}: unsupported schema_version '3' (expected '1' or '2')"),
+    (_manifest_edit(lambda d: dict(d, samples=["s0", "s\r1"])),
+     ManifestError,
+     "{manifest}: sample_id 's\\r1' holds a lone carriage return"),
+    (_manifest_edit(lambda d: dict(
+        d, features=dict(d["features"], static=["x", "c\r"]))),
+     ManifestError,
+     "{manifest}: feature_id 'c\\r' holds a lone carriage return"),
+    (_manifest_edit(lambda d: dict(d, kinds=dict(
+        d["kinds"], c={"kind": "categorical", "categories": ["a", "\rb"]}))),
+     ManifestError,
+     "{manifest}: kinds['c']: category '\\rb' holds a lone carriage "
+     "return"),
 ], ids=["not-an-object", "missing-key", "samples-not-strings",
         "unknown-modality", "no-feature-list", "unknown-role", "no-kind",
-        "no-role", "bad-kind", "missing-file", "empty-table", "bad-header"])
+        "no-role", "bad-kind", "missing-file", "empty-table", "bad-header",
+        "reordered-header", "short-header", "long-header", "schema-3",
+        "cr-in-sample", "cr-in-feature", "cr-in-category"])
 def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
                                               message):
     path = _small_bundle(tmp_path)
@@ -375,7 +550,7 @@ def test_validate_reports_row_faults_before_a_missing_table(tmp_path,
     lines = static.read_text(encoding="utf-8").splitlines(keepends=True)
     static.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
     (path / "events.csv").unlink()
-    detail = "duplicate cell for sample 's000', feature 'x'"
+    detail = "duplicate row for sample 's000'"
     with pytest.raises(DuplicateCell) as exc:
         read_bundle(path / MANIFEST_NAME)
     assert str(exc.value) == f"{static}:3: {detail}"

@@ -4,6 +4,7 @@ persistence, public names."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 
@@ -20,6 +21,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_event_samples,
     build_static_samples,
+    select_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -42,6 +44,7 @@ from tempoframe.plugins import (
     Category,
     Estimator,
     EstimatorSpec,
+    FittedEstimator,
     Param,
     _REGISTRY,
     build_pipeline,
@@ -518,11 +521,18 @@ def test_blob_with_the_wrong_number_of_weights_is_rejected(name, cut):
 
 
 def test_save_refuses_non_finite_state_naming_the_plugin():
-    # the mean of two 1.7e308 values overflows, so the stats are inf
+    # the mean of two 1.7e308 values overflows: the zscore fit refuses it,
+    # and a blob refuses such stats set by hand
     static = build_static_samples([("a", "x", 1.7e308), ("b", "x", 1.7e308)],
                                   {"x": Continuous()})
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("x",)))
-    fitted = create("scale.zscore").fit(ds)
+    with pytest.raises(FitDiverged, match=re.escape(
+            "scale.zscore of 'x': mean is not finite (inf)")):
+        create("scale.zscore").fit(ds)
+    fitted = create("scale.zscore").fit(select_samples(ds, ["a"]))
+    fitted = FittedEstimator(fitted.spec, fitted.params,
+                             {"stats": {"x": [math.inf, math.inf]}},
+                             fitted.features)
     with pytest.raises(FitDiverged, match="^scale.zscore: "):
         save_fitted(fitted)
 

@@ -13,8 +13,8 @@ import math
 
 import pytest
 
-from datagen import random_dataset
-from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
+from datagen import random_dataset, write_v1_bundle
+from tempoframe.bundle import read_bundle, validate_bundle
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -263,11 +263,12 @@ def test_duplicate_of_an_out_of_pin_record(modality, fields):
 
 
 def test_table_out_of_manifest_feature_order(tmp_path):
-    # A table whose first-appearance feature order is not the manifest's:
-    # the container takes the table's order, as the oracle does.
+    # A long-form table (a schema "1" static one, or a temporal one) whose
+    # first-appearance feature order is not the manifest's: the container
+    # takes the table's order, as the oracle does.
     bundle = tmp_path / "b"
     ds = random_dataset(3)
-    manifest = write_bundle(ds, str(bundle))
+    manifest = write_v1_bundle(ds, str(bundle))
     seen = 0
     for modality, name in ((Modality.STATIC, "static.csv"),
                            (Modality.TEMPORAL, "temporal.csv")):
@@ -291,3 +292,13 @@ def test_table_out_of_manifest_feature_order(tmp_path):
             seen += 1
     assert seen >= 1
     assert validate_bundle(str(bundle / "manifest")) == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("+" + "0" * 4400 + "7", 7), ("-" + "0" * 4400 + "7", -7),
+    ("0" * 5000, 0), ("0" * 4400 + "1" + "0" * 300, 10 ** 300)])
+def test_leading_zeros_do_not_count_toward_the_digit_limit(field, value):
+    assert _parse_value(Integer(), field) == value
+    for refused in ("+" + "1" * 4400, "0" * 4400 + "1" + "0" * 400):
+        with pytest.raises(KindMismatch, match="^integer beyond float range$"):
+            _parse_value(Integer(), refused)
