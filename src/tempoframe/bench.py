@@ -1,10 +1,10 @@
 """Config-driven benchmarking: k-fold cross-validation of a pipeline on a
 bundle, with a byte-deterministic report.
 
-Configs and reports are JSON. Reports are emitted with fixed key order and
-17-significant-digit floats so that identical (bundle, config) inputs give
-byte-identical files, timing fields aside; that is what the golden-file
-tests compare.
+Configs and reports are JSON. Reports are written by `json.dumps`, as
+bundle manifests are: fixed key order and shortest round-trip (`repr`)
+floats, so that identical (bundle, config) inputs give byte-identical
+files, timing fields aside; that is what the golden-file tests compare.
 """
 
 from __future__ import annotations
@@ -342,42 +342,19 @@ class BenchReport:
         return doc
 
 
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise BenchError(f"cannot serialize non-finite float {v!r}")
-    return format(v, ".17g")
-
-
-def _emit(v, pad: str) -> str:
-    if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=False)
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        parts = []
-        for k, val in v.items():
-            parts.append(f'{pad}  {json.dumps(str(k), ensure_ascii=False)}: '
-                         f'{_emit(val, pad + "  ")}')
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        parts = [f"{pad}  {_emit(x, pad + '  ')}" for x in v]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise BenchError(f"cannot serialize {type(v).__name__} in a report")
+def _report_json(doc: dict) -> str:
+    """`doc` as report text; a non-finite float is a BenchError."""
+    try:
+        return json.dumps(doc, indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise BenchError("cannot serialize a non-finite float in a "
+                         "report") from None
 
 
 def report_text(report: BenchReport) -> str:
-    """Fixed key order, 17-significant-digit floats, LF line ends."""
-    return _emit(report.to_doc(), "") + "\n"
+    """Fixed key order, repr floats, LF line ends."""
+    return _report_json(report.to_doc())
 
 
 def strip_timing(text: str) -> str:
@@ -385,7 +362,7 @@ def strip_timing(text: str) -> str:
     doc = json.loads(text)
     doc["timing"] = {"fold_seconds": [0.0] * len(doc["timing"]["fold_seconds"]),
                      "total_seconds": 0.0}
-    return _emit(doc, "") + "\n"
+    return _report_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ Layout (schema "2"):
 
 Empty value field = Missing. Writing is deterministic: fixed field order,
 shortest round-trip float formatting, UTF-8, LF line endings, so identical
-datasets produce byte-identical bundles. Schema "1" bundles, whose
-`static.csv` is long-form (`sample_id,feature_id,value`, one row per
-cell), still read.
+datasets produce byte-identical bundles. A manifest of any other schema,
+such as "1", is refused.
 
 Reading and validation share the manifest check, one pass over each
-listed table (`tempoframe.data.scan_wide` for a wide static table,
-`tempoframe.data.scan_rows`, as the builders use, for a long-form one)
-that checks each data row and places it in its sample's grid row, and the
+listed table (`tempoframe.data.scan_wide` for the static table,
+`tempoframe.data.scan_rows`, as the builders use, for a timed one) that
+checks each data row and places it in its sample's grid row, and the
 assembly of clean tables into a Dataset, so both fail on the same
 bundles. `validate_bundle` returns every table fault; `read_bundle` raises
 the first in row order as `<path>:<line>: <detail>`, with the error type
@@ -67,12 +66,10 @@ _TABLES = {
     Modality.EVENT: "events.csv",
 }
 _TIMED_HEADER = ["sample_id", "feature_id", "time", "value"]
-_LONG_STATIC_HEADER = ["sample_id", "feature_id", "value"]  # schema "1"
 
 
 @dataclass(frozen=True)
 class BundleManifest:
-    schema_version: str
     samples: tuple[str, ...]
     files: dict           # modality name -> relative path
     features: dict        # modality name -> ordered feature id list
@@ -121,13 +118,13 @@ def manifest_for(ds: Dataset) -> BundleManifest:
     kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
     # Assignment order, so the RoleMap read back equals this one.
     roles = {fid: role.value for fid, role in ds.roles.assignment}
-    return BundleManifest(SCHEMA_VERSION, tuple(ds.sample_ids), files,
-                          features, kinds, roles)
+    return BundleManifest(tuple(ds.sample_ids), files, features, kinds,
+                          roles)
 
 
 def _manifest_json(m: BundleManifest) -> str:
     doc = {
-        "schema_version": m.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "samples": list(m.samples),
         "files": m.files,
         "features": m.features,
@@ -195,11 +192,10 @@ def _load_manifest(manifest_path) -> BundleManifest:
                 "roles"):
         if key not in doc:
             raise ManifestError(f"{manifest_path}: missing key {key!r}")
-    if doc["schema_version"] not in ("1", SCHEMA_VERSION):
+    if doc["schema_version"] != SCHEMA_VERSION:
         raise ManifestError(
             f"{manifest_path}: unsupported schema_version "
-            f"{doc['schema_version']!r} (expected '1' or "
-            f"{SCHEMA_VERSION!r})")
+            f"{doc['schema_version']!r} (expected {SCHEMA_VERSION!r})")
     samples = doc["samples"]
     if not _is_string_list(samples):
         raise ManifestError(f"{manifest_path}: samples must be a string list")
@@ -242,8 +238,7 @@ def _load_manifest(manifest_path) -> BundleManifest:
             if fid not in roles:
                 raise ManifestError(f"{manifest_path}: feature {fid!r} has "
                                     "no role")
-    return BundleManifest(doc["schema_version"], tuple(samples), files,
-                          features, kinds, roles)
+    return BundleManifest(tuple(samples), files, features, kinds, roles)
 
 
 def _read_table(path, header: list):
@@ -276,14 +271,12 @@ def _scanned_tables(manifest: BundleManifest, manifest_path):
         path = os.path.join(base, name)
         kinds = {fid: manifest.kinds[fid]
                  for fid in manifest.features[modality.value]}
-        if modality is Modality.STATIC and manifest.schema_version != "1":
+        if modality is Modality.STATIC:
             scan = scan_wide(_read_table(path, ["sample_id", *kinds]), kinds,
                              manifest.samples)
         else:
-            header = (_LONG_STATIC_HEADER if modality is Modality.STATIC
-                      else _TIMED_HEADER)
-            scan = scan_rows(_read_table(path, header), modality, kinds,
-                             manifest.samples, text=True)
+            scan = scan_rows(_read_table(path, _TIMED_HEADER), modality,
+                             kinds, manifest.samples, text=True)
         yield modality, name, path, kinds, scan
 
 

@@ -240,11 +240,14 @@ def _parse_value(kind: ValueKind, s: str):
 
 def _check_id(s, what: str) -> str:
     """`s` if it can be an id (a sample or feature id, a category): a
-    string with no lone carriage return. Some interpreters' CSV writer
-    (LF line ends) leaves a "\\r" outside "\\r\\n" unquoted, and a reader
-    then ends the record there."""
+    string with no NUL and no lone carriage return. The CSV writer of
+    Python 3.10 cannot write a NUL, and some interpreters' writer (LF line
+    ends) leaves a "\\r" outside "\\r\\n" unquoted, so a reader then ends
+    the record there."""
     if not isinstance(s, str):
         raise KindMismatch(f"{what} must be a string, got {s!r}")
+    if "\0" in s:
+        raise KindMismatch(f"{what} {s!r} holds a NUL character")
     if "\r" in s and "\r" in s.replace("\r\n", ""):
         raise KindMismatch(f"{what} {s!r} holds a lone carriage return")
     return s

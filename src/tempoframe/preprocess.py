@@ -88,9 +88,10 @@ def _map_values(ds: Dataset, fns: dict) -> Dataset:
     return map_columns(ds, lifted)
 
 
-def _fill_value(kind, observed: list):
+def _fill_value(plugin: str, fid: str, kind, observed: list):
     """Training fill statistic: mean (Integer: rounded half-even),
-    or modal category with ties broken lexicographically."""
+    or modal category with ties broken lexicographically. A mean past
+    the float range is a FitDiverged naming the plugin and feature."""
     if isinstance(kind, Categorical):
         counts: dict = {}
         for v in observed:
@@ -101,6 +102,9 @@ def _fill_value(kind, observed: list):
     for v in observed:
         total += float(v)
     mean = total / len(observed)
+    if not math.isfinite(mean):
+        raise FitDiverged(f"{plugin} of {fid!r}: mean is not finite "
+                          f"({mean!r})")
     if isinstance(kind, Integer):
         return round(mean)
     return mean
@@ -118,7 +122,7 @@ def _mean_fit(params, ds: Dataset) -> dict:
         if not values:
             raise AllMissingFeature(
                 f"feature {fid!r} has no observed training value")
-        fills[fid] = _fill_value(kinds[fid], values)
+        fills[fid] = _fill_value("impute.mean", fid, kinds[fid], values)
     return {"fills": fills}
 
 
@@ -138,7 +142,8 @@ def _locf_fit(params, ds: Dataset) -> dict:
     # Leading-gap fallback; a feature with zero observed training values
     # has no fallback and its leading gaps stay Missing.
     return {"fills": {
-        fid: _fill_value(kind, observed[fid]) if observed[fid] else None
+        fid: _fill_value("impute.locf", fid, kind, observed[fid])
+        if observed[fid] else None
         for fid, kind in ds.temporal.features}}
 
 

@@ -9,11 +9,6 @@ the explicit sample-id list.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import os
-
-from tempoframe.bundle import MANIFEST_NAME, write_bundle
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -290,24 +285,3 @@ def patient_dataset(seed: int, n: int = 48, outcome: str = "survival"):
         roles=RoleMap.of(covariates=("age", "sex", "hr", "lab"),
                          targets=(target,)))
 
-
-def write_v1_bundle(ds, path):
-    """Write `ds` as a schema "1" bundle, byte for byte as writers before
-    schema "2" did: the same manifest with `schema_version` "1", and a
-    long-form `static.csv` of one `sample_id,feature_id,value` row per
-    cell, Missing included, sample by sample. Returns its manifest."""
-    manifest = write_bundle(ds, path)
-    with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as f:
-        text = f.read()
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8",
-              newline="\n") as f:
-        f.write(text.replace('"schema_version": "2"',
-                             '"schema_version": "1"', 1))
-    if ds.static is not None:
-        with open(os.path.join(path, "static.csv"), "w", encoding="utf-8",
-                  newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["sample_id", "feature_id", "value"])
-            w.writerows((sid, fid, None if v is MISSING else v)
-                        for sid, fid, v in ds.static.to_rows())
-    return dataclasses.replace(manifest, schema_version="1")

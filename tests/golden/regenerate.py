@@ -2,17 +2,15 @@
 
     python tests/golden/regenerate.py
 
-For each task this writes the bundle (from a seeded `tests/datagen.py`
-generator, or `synth_treatment_data` with its `truth.csv`), `config.json`
-and `expected_report.txt`: the timing-stripped report of one
-`run_benchmark` call. For the tasks in FITTED it also writes
-`fitted.json`: the `save_fitted` blob of the pipeline fitted on the whole
-bundle, which pins fitted weights that a thresholded metric cannot see.
-The bundles are written in schema "1" (`datagen.write_v1_bundle`), since
-they are also the read fixtures of that schema.
-Run it only when a report is meant to change, and say why with the
-change. The forecast golden directly under tests/golden/ is kept by hand
-and not rewritten here.
+For each task this writes the bundle (`write_bundle` of a seeded
+`tests/datagen.py` generator, or of `synth_treatment_data` with its
+`truth.csv`), `config.json` and `expected_report.txt`: the
+timing-stripped report of one `run_benchmark` call. For the tasks in
+FITTED it also writes `fitted.json`: the `save_fitted` blob of the
+pipeline fitted on the whole bundle, which pins fitted weights that a
+thresholded metric cannot see. Run it only when a bundle or report is
+meant to change, and say why with the change. The forecast golden
+directly under tests/golden/ is kept by hand and not rewritten here.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ sys.path[:0] = [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
 from datagen import (  # noqa: E402
     offset_grid_dataset,
     patient_dataset,
-    write_v1_bundle,
 )
 from tempoframe.bench import (  # noqa: E402
     load_config,
@@ -38,7 +35,7 @@ from tempoframe.bench import (  # noqa: E402
     strip_timing,
     write_truth,
 )
-from tempoframe.bundle import read_bundle  # noqa: E402
+from tempoframe.bundle import read_bundle, write_bundle  # noqa: E402
 from tempoframe.plugins import build_pipeline, save_fitted  # noqa: E402
 from tempoframe.treatment import (  # noqa: E402
     SynthGroundTruth,
@@ -99,7 +96,7 @@ def regenerate(task: str) -> None:
         write_truth(os.path.join(out, "truth.csv"), made.dataset.sample_ids,
                     made.effects)
         made = made.dataset
-    write_v1_bundle(made, os.path.join(out, "bundle"))
+    write_bundle(made, os.path.join(out, "bundle"))
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8",
               newline="\n") as f:
         json.dump({"bundle": "bundle", **doc}, f, indent=2)

@@ -23,6 +23,7 @@ from datagen import classification_dataset, offset_grid_dataset, \
 from tempoframe import bench, interpret
 from tempoframe.bench import (
     BenchConfig,
+    BenchReport,
     config_from_doc,
     kfold_split,
     load_config,
@@ -510,7 +511,7 @@ def test_report_text_layout_and_determinism(tmp_path):
     assert doc["config"] == json.loads(
         (tmp_path / "config.json").read_text(encoding="utf-8"))
     assert a.endswith("\n") and "\r" not in a
-    # floats survive the 17-significant-digit round trip exactly
+    # floats survive their repr round trip exactly
     report = run_benchmark(config)
     for v, parsed in zip(report.metrics["accuracy"]["folds"],
                          json.loads(a)["metrics"]["accuracy"]["folds"]):
@@ -523,6 +524,30 @@ def test_report_text_layout_and_determinism(tmp_path):
     full = json.loads(a)
     del full["timing"]
     assert stripped == full
+
+
+def test_report_floats_are_written_by_repr():
+    report = BenchReport(
+        config_doc={"cv": {"seed": 1}}, config_sha256="0" * 64,
+        version=__version__, folds=2,
+        metrics={"rmse": {"folds": [0.1 + 0.2, 1.0], "mean": 2 / 3,
+                          "stddev": 5e-324}},
+        importance=None, fold_seconds=[0.5, 0.25], total_seconds=1e20)
+    text = report_text(report)
+    for v in (0.1 + 0.2, 1.0, 2 / 3, 5e-324, 1e20):
+        assert f" {v!r}" in text
+    assert json.loads(text) == report.to_doc()
+    assert strip_timing(text) == text.replace("0.5,", "0.0,").replace(
+        "0.25\n", "0.0\n").replace("1e+20", "0.0")
+
+    # a non-finite float has no JSON text: the report is refused
+    nan = replace(report, metrics={"rmse": {"folds": [math.nan, 1.0],
+                                            "mean": math.nan, "stddev": 0.0}})
+    with pytest.raises(BenchError, match="^cannot serialize a non-finite "
+                                         "float in a report$"):
+        report_text(nan)
+    with pytest.raises(BenchError, match="non-finite"):
+        strip_timing(text.replace("5e-324", "Infinity"))
 
 
 def test_report_written_to_output(tmp_path):
@@ -911,6 +936,36 @@ def test_cli_run_non_finite_zscore_stats_fail_cleanly(tmp_path):
     assert "logistic" not in proc.stderr
 
 
+def test_cli_run_integer_fill_past_the_float_range_fails_cleanly(
+        tmp_path, monkeypatch, capsys):
+    # the Integer x sums past the float range in every training fold: the
+    # mean imputer refuses its fill instead of raising OverflowError from
+    # round(inf)
+    rows = []
+    for i in range(12):
+        sid = f"s{i:02d}"
+        rows.append((sid, "y", i % 2))
+        rows.append((sid, "x", MISSING if i in (3, 8) else 10 ** 308))
+    write_bundle(assemble_dataset(
+        static=build_static_samples(rows, {"x": Integer(), "y": Integer()}),
+        roles=RoleMap.of(covariates=("x",), targets=("y",))),
+        str(tmp_path / "bundle"))
+    doc = _classify_doc()
+    doc["pipeline"].insert(0, {"plugin": "impute.mean"})
+    path = _write_config(tmp_path, doc)
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        with _deadline(60):
+            assert cli(["run", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tempoframe: fold 0, fit: impute.mean of 'x': mean is "
+                       "not finite (inf)\n")
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
 def test_cli_run_non_finite_temporal_summary_fails_cleanly(
         tmp_path, monkeypatch, capsys):
     # s00's two times are distinct, but their squared spread underflows
@@ -1160,23 +1215,37 @@ def test_golden_check_script(tmp_path):
     proc = _check_goldens(GOLDEN)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:-1] == [
-        f"ok  {name}" for name in (
-            "expected_report.txt", "survival/expected_report.txt",
-            "classify/expected_report.txt", "classify/fitted.json",
-            "forecast/expected_report.txt", "treatment/expected_report.txt")]
+    bundle = ("bundle/manifest", "bundle/static.csv", "bundle/temporal.csv")
+    assert lines[:-1] == [f"ok  {name}" for name in (
+        "expected_report.txt", *bundle,
+        "survival/expected_report.txt", "survival/bundle/events.csv",
+        *(f"survival/{name}" for name in bundle),
+        "classify/expected_report.txt", "classify/fitted.json",
+        *(f"classify/{name}" for name in bundle),
+        "forecast/expected_report.txt",
+        *(f"forecast/{name}" for name in bundle),
+        "treatment/expected_report.txt", "treatment/bundle/manifest",
+        "treatment/bundle/static.csv", "treatment/truth.csv")]
     assert lines[-1].endswith(": all goldens match")
 
-    # and it fails on a golden that no longer matches
+    # and it fails on a golden that no longer matches: a blob, or a
+    # bundle table that reads to the same dataset but is not what the
+    # writer gives
     copy = tmp_path / "golden"
     shutil.copytree(GOLDEN, copy,
                     ignore=shutil.ignore_patterns("__pycache__"))
     fitted = copy / "classify" / "fitted.json"
     fitted.write_bytes(fitted.read_bytes().replace(b"0", b"1", 1))
+    static = copy / "bundle" / "static.csv"
+    static.write_bytes(static.read_bytes().replace(
+        b"s000,62.729213065756305", b"s000,62.7292130657563050", 1))
     proc = _check_goldens(str(copy))
     assert proc.returncode == 1
-    assert "DIFFERS  classify/fitted.json" in proc.stdout.splitlines()
-    assert proc.stdout.count("ok  ") == 5
+    lines = proc.stdout.splitlines()
+    assert "ok  expected_report.txt" in lines
+    assert "DIFFERS  bundle/static.csv" in lines
+    assert "DIFFERS  classify/fitted.json" in lines
+    assert proc.stdout.count("ok  ") == 20
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])

@@ -27,6 +27,7 @@ from tempoframe.data import (
 from tempoframe.errors import (
     AllMissingFeature,
     DuplicateFeature,
+    FitDiverged,
     InvalidStep,
     RequirementUnmet,
     RoleGap,
@@ -113,6 +114,26 @@ def test_mean_all_missing_feature_rejected_at_fit():
         RoleMap.of(covariates=("x", "y")))
     with pytest.raises(AllMissingFeature):
         create("impute.mean").fit(ds)
+
+
+@pytest.mark.parametrize("plugin", ["impute.mean", "impute.locf"])
+@pytest.mark.parametrize("kind,big", [(Integer(), 10 ** 308),
+                                      (Continuous(), 1.7e308)],
+                         ids=["integer", "continuous"])
+def test_a_fill_past_the_float_range_is_refused_at_fit(plugin, kind, big):
+    # two values sum to inf: an Integer fill would raise OverflowError in
+    # round(), a Continuous one would write inf into the Missing cell
+    values = {"a": big, "b": big, "c": MISSING}
+    if plugin == "impute.mean":
+        ds = _static_ds([(sid, "x", v) for sid, v in values.items()],
+                        {"x": kind}, RoleMap.of(covariates=("x",)))
+    else:
+        ds = assemble_dataset(temporal=build_time_series_samples(
+            [(sid, "x", 0.0, v) for sid, v in values.items()], {"x": kind}),
+            roles=RoleMap.of(covariates=("x",)))
+    with pytest.raises(FitDiverged) as err:
+        create(plugin).fit(ds)
+    assert str(err.value) == f"{plugin} of 'x': mean is not finite (inf)"
 
 
 def test_mean_uses_training_statistics_not_input():

@@ -13,8 +13,8 @@ import math
 
 import pytest
 
-from datagen import random_dataset, write_v1_bundle
-from tempoframe.bundle import read_bundle, validate_bundle
+from datagen import random_dataset
+from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -263,34 +263,25 @@ def test_duplicate_of_an_out_of_pin_record(modality, fields):
 
 
 def test_table_out_of_manifest_feature_order(tmp_path):
-    # A long-form table (a schema "1" static one, or a temporal one) whose
-    # first-appearance feature order is not the manifest's: the container
-    # takes the table's order, as the oracle does.
+    # A long-form temporal table whose first-appearance feature order is
+    # not the manifest's: the container takes the table's order, as the
+    # oracle does.
     bundle = tmp_path / "b"
     ds = random_dataset(3)
-    manifest = write_v1_bundle(ds, str(bundle))
-    seen = 0
-    for modality, name in ((Modality.STATIC, "static.csv"),
-                           (Modality.TEMPORAL, "temporal.csv")):
-        path = bundle / name
-        if not path.exists():
-            continue
-        header, *rows = path.read_text(encoding="utf-8").splitlines()
-        rows.reverse()
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-        kinds = {fid: manifest.kinds[fid]
-                 for fid in manifest.features[modality.value]}
-        table = [row.split(",") for row in rows]
-        expected = _oracle_grid(
-            modality, _oracle_scan(table, modality, kinds, manifest.samples,
-                                   text=True), kinds, manifest.samples)
-        got = read_bundle(str(bundle / "manifest"))
-        container = got.static if modality is Modality.STATIC \
-            else got.temporal
-        assert container == expected
-        if container.feature_ids != tuple(kinds):
-            seen += 1
-    assert seen >= 1
+    manifest = write_bundle(ds, str(bundle))
+    path = bundle / "temporal.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows.reverse()
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    kinds = {fid: manifest.kinds[fid] for fid in manifest.features["temporal"]}
+    expected = _oracle_grid(
+        Modality.TEMPORAL,
+        _oracle_scan([row.split(",") for row in rows], Modality.TEMPORAL,
+                     kinds, manifest.samples, text=True),
+        kinds, manifest.samples)
+    got = read_bundle(str(bundle / "manifest")).temporal
+    assert got == expected
+    assert got.feature_ids != tuple(kinds)
     assert validate_bundle(str(bundle / "manifest")) == []
 
 
