@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from tempoframe.data import (
     VIOLATION_ERRORS,
+    Categorical,
     Dataset,
     MISSING,
     Modality,
@@ -151,8 +152,19 @@ def _table_rows(modality: Modality, container):
 
 
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
-    """Write manifest plus one CSV per present modality; deterministic."""
+    """Write manifest plus one CSV per present modality; deterministic.
+
+    Every sample id, feature id and category is checked with `_check_id`
+    before any file is opened, so a directly built container whose ids
+    `read_bundle` would refuse raises `KindMismatch` and writes nothing."""
     manifest = manifest_for(ds)
+    for sid in manifest.samples:
+        _check_id(sid, "sample_id")
+    for fid, kind in manifest.kinds.items():
+        _check_id(fid, "feature_id")
+        if isinstance(kind, Categorical):
+            for c in kind.categories:
+                _check_id(c, "category")
     try:
         os.makedirs(dir_path, exist_ok=True)
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -218,17 +217,20 @@ def _parse_value(kind: ValueKind, s: str):
             raise KindMismatch(f"non-finite value {s!r}")
         return v
     if isinstance(kind, Integer):
+        # ASCII [+-]?[0-9]+ only: int() would also read "0_1", " 7 " and
+        # non-ASCII digits
+        if not (s.isascii() and (s.isdigit()
+                                 or s[0] in "+-" and s[1:].isdigit())):
+            raise KindMismatch(f"{s!r} is not an integer")
         try:
             i = int(s, 10)
         except ValueError:
-            m = re.fullmatch(r"([+-]?)0*([0-9]+)", s)
-            if m is None:
-                raise KindMismatch(f"{s!r} is not an integer") from None
             # int() refuses a field of digits only past its length limit
             # (4,300 digits), leading zeros included; without them the
             # value is read, or it is far beyond float range: do not echo it
+            sign = s[0] if s[0] in "+-" else ""
             try:
-                i = int(m[1] + m[2], 10)
+                i = int(sign + (s[len(sign):].lstrip("0") or "0"), 10)
             except ValueError:
                 raise KindMismatch("integer beyond float range") from None
         _float_of(i, None)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, groupby
-from operator import mul
 
 from tempoframe.errors import AlignmentError, FitDiverged
 
@@ -186,43 +185,66 @@ def risk_groups(times: list) -> list:
 def _risk_layout(columns: list, groups: list, occurred: list) -> tuple:
     """The sweep order of `groups` (from `risk_groups`: latest group first,
     tied samples in index order), built once per fit so that every
-    iteration reads its risk sets as prefix sums.
+    iteration reads its risk sets as prefix sums and its gradient as one
+    dot product per column.
 
-    Returns (n, columns, positions, ends, times, event_columns): the
-    number of samples, the covariate columns permuted into sweep order,
-    and for each event in sweep order its index in that order, the number
-    of samples up to the end of its tied group (its risk set
-    R(t) = {j : t_j >= t} is the prefix before it) and its time; then each
-    column's values at the events.
+    Returns (n, columns, positions, ends, times, first, shifted,
+    event_sums). The samples after the last event's group are dropped:
+    they are in no risk set, so n counts only the samples that are, and
+    `columns` holds the covariate columns permuted into sweep order. For
+    each event in sweep order come its index in that order, the number of
+    samples up to the end of its tied group (its risk set
+    R(t) = {j : t_j >= t} is the prefix before it) and its time. `first`
+    gives each sample the index of the first event whose risk set holds
+    it: the count of events in earlier groups. `shifted` is each column
+    minus its first value, and `event_sums` each shifted column's sum over
+    the events, added in sweep order. The shift cancels in the gradient
+    (see `_cox_obj_grad`), and a constant column becomes exact zeros.
     """
     order = []
+    first = []
     positions = []
     ends = []
     times = []
     for t, members in groups:
         start = len(order)
         order.extend(members)
+        first.extend([len(positions)] * len(members))
         for k, i in enumerate(members, start):
             if occurred[i]:
                 positions.append(k)
                 ends.append(len(order))
                 times.append(t)
+    n = ends[-1] if ends else 0
+    del order[n:], first[n:]
     permuted = [[col[i] for i in order] for col in columns]
-    return (len(order), permuted, positions, ends, times,
-            [[col[k] for k in positions] for col in permuted])
+    shifted = [[v - col[0] for v in col] for col in permuted]
+    event_sums = []
+    for col in shifted:
+        s = 0.0
+        for k in positions:
+            s += col[k]
+        event_sums.append(s)
+    return n, permuted, positions, ends, times, first, shifted, event_sums
 
 
 def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
     """Breslow-tie log partial likelihood and its gradient at `beta`.
 
-    S0 and each S1_j are prefix sums over the sweep order, read at each
-    event's group end, so a tied group enters the risk set before any of
-    its events is scored, as R(t) = {j : t_j >= t}. Each sum adds the
-    same terms in the same order as a one-sample-at-a-time sweep; the
-    objective and each gradient entry add their per-event terms in sweep
-    order. Every S0 is checked before any division by one.
+    S0 is a prefix sum over the sweep order, read at each event's group
+    end, so a tied group enters the risk set before any of its events is
+    scored, as R(t) = {j : t_j >= t}. Every S0 is checked before any
+    division by one. The gradient is the score in its martingale-residual
+    form: with the Breslow hazard increments 1/S0 and their suffix sums
+    H (the cumulative hazard at each event), sample k weighs
+    w_k = e^{x_k b} H_k, where H_k sums the increments of every event whose
+    risk set holds k; then g_j = sum over events of z_j - sum over samples
+    of z_j w_k. The weights sum to the event count, so the columns'
+    shift by a constant cancels, and each entry is `event_sums[j]` minus
+    one `_dot` of the shifted column with w. A cumulative hazard that
+    overflows raises `FitDiverged`, so it never reaches the gradient.
     """
-    n, columns, positions, ends, times, event_columns = layout
+    n, columns, positions, ends, times, first, shifted, event_sums = layout
     xb = linear_predictor(columns, beta, [0.0] * n)
     try:
         ex = list(map(math.exp, xb))
@@ -237,13 +259,18 @@ def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
                 f"cox_gd: risk-set sum {s!r} at time {t!r} is not "
                 "positive and finite")
         obj += xb[i] - math.log(s)
-    grad = []
-    for b, col, zs in zip(beta, columns, event_columns):
-        s1 = list(accumulate(map(mul, ex, col), initial=0.0))
-        g = 0.0
-        for z, e, s in zip(zs, ends, s0):
-            g += z - s1[e] / s
-        grad.append(g - 2.0 * lam * b)
+    hazard = list(accumulate([1.0 / s for s in reversed(s0)],
+                             initial=0.0))[::-1]
+    if hazard[0] == _INF:
+        # the suffix sums grow towards index 0; name the event where the
+        # cumulative hazard first overflows
+        e = hazard.count(_INF) - 1
+        raise FitDiverged(
+            f"cox_gd: cumulative hazard at time {times[e]!r} is not finite "
+            f"(risk-set sum {s0[e]!r})")
+    w = [x * hazard[f] for x, f in zip(ex, first)]
+    grad = [s - _dot(col, w) - 2.0 * lam * b
+            for b, col, s in zip(beta, shifted, event_sums)]
     for b in beta:
         obj -= lam * b * b
     return obj, grad

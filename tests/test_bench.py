@@ -1061,6 +1061,24 @@ def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
         "s000", "y") == 1
 
 
+def test_cli_validate_lists_integer_fields_that_are_not_ascii_decimals(
+        tmp_path):
+    bundle = tmp_path / "bundle"
+    write_bundle(classification_dataset(0, n=6), str(bundle))
+    static = bundle / "static.csv"
+    lines = static.read_text(encoding="utf-8").splitlines()
+    for k, field in enumerate(("0_1", " 7 ", "\u0663"), 1):
+        lines[k] = f"{lines[k].rsplit(',', 1)[0]},{field}"
+    static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _cli_proc("validate", str(bundle))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        "static.csv:2: kind_mismatch: feature 'y': '0_1' is not an integer\n"
+        "static.csv:3: kind_mismatch: feature 'y': ' 7 ' is not an integer\n"
+        "static.csv:4: kind_mismatch: feature 'y': '\u0663' is not an "
+        "integer\n")
+
+
 @pytest.mark.parametrize("key,value", [
     ("kinds", []),
     ("features", {"static": 5}),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -23,6 +24,7 @@ from tempoframe.data import (
     Modality,
     Role,
     RoleMap,
+    StaticSamples,
     assemble_dataset,
     build_event_samples,
     build_static_samples,
@@ -178,6 +180,21 @@ def test_a_lone_carriage_return_in_an_id_is_refused(build, held):
     # Python 3.10 cannot write a NUL at all
     with pytest.raises(KindMismatch, match=f"holds a {held}$"):
         build()
+
+
+@pytest.mark.parametrize("sid, fid, held", [
+    ("a\rb", "x", "sample_id 'a\\rb' holds a lone carriage return"),
+    ("a\x00b", "x", "sample_id 'a\\x00b' holds a NUL character"),
+    ("a", "x\ry", "feature_id 'x\\ry' holds a lone carriage return"),
+], ids=["cr-sample", "nul-sample", "cr-feature"])
+def test_write_bundle_checks_ids_before_writing(tmp_path, sid, fid, held):
+    # a container built directly skips the builders' id check; the writer
+    # refuses the id before it opens any file, so no partial bundle is left
+    static = StaticSamples((sid,), ((fid, Continuous()),), ((1.0,),))
+    ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=(fid,)))
+    with pytest.raises(KindMismatch, match=re.escape(held)):
+        write_bundle(ds, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
 
 
 def test_manifest_shape(tmp_path):

@@ -10,6 +10,7 @@ the same violations and the same container on every record stream.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -293,3 +294,14 @@ def test_leading_zeros_do_not_count_toward_the_digit_limit(field, value):
     for refused in ("+" + "1" * 4400, "0" * 4400 + "1" + "0" * 400):
         with pytest.raises(KindMismatch, match="^integer beyond float range$"):
             _parse_value(Integer(), refused)
+
+
+@pytest.mark.parametrize("field", ["0_1", " 7 ", "\u0663", "7 ", "+", "-",
+                                   "+-1", "1.0", "\uff17", "\u00b2"])
+def test_integer_fields_are_ascii_decimals(field):
+    # int() reads "0_1", " 7 " and the Arabic-Indic digit three as 1, 7, 3
+    with pytest.raises(KindMismatch, match=f"^{re.escape(repr(field))} is "
+                                           "not an integer$"):
+        _parse_value(Integer(), field)
+    assert _parse_value(Integer(), "+007") == 7
+    assert _parse_value(Integer(), "-0") == 0
