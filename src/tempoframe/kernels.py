@@ -7,9 +7,14 @@ in a mathematically equivalent but reassociated form changes their bytes.
 A sample matrix crosses this boundary as per-feature columns: one list of
 floats per feature, in sample order. A reduction over samples adds left to
 right from 0.0 (`_dot`), and `linear_predictor` adds w_j * x_ij to each
-sample one column at a time, in column order. `accumulate(..., initial=0.0)`
-adds left to right from 0.0 as `_dot` does, so its prefix sums are allowed.
-Do not replace any of these with `sum()`, `math.fsum` or `math.sumprod`:
+sample in column order. Both consume the columns four per pass over the
+samples (`_dots` keeps four accumulators; the predictor adds four terms in
+one left-to-right expression), which saves interpreter loop overhead but
+leaves each sample's terms and each dot's terms added in the same order,
+so the doubles are those of one column at a time. `accumulate(...,
+initial=0.0)` adds left to right from 0.0 as `_dot` does, so its prefix
+sums are allowed. Do not replace any of these with `sum()`, `math.fsum` or
+`math.sumprod` (`tests/test_imports.py` fails on any call to them here):
 they round differently (and `sum()` of floats is compensated from Python
 3.12 on), which changes the golden bytes. `map(math.exp, ...)` is allowed
 where an `OverflowError` falls back to `_exp`, which keeps its saturation
@@ -97,6 +102,25 @@ def _dot(a: list, b: list) -> float:
     return s
 
 
+def _dots(v: list, columns: list) -> list:
+    """`[_dot(v, col) for col in columns]`, four columns per pass over v:
+    each of the four sums starts at 0.0 and adds v_i * x_i left to right,
+    so it is the same double as its `_dot`. The 0-3 columns left over go
+    through `_dot`. Every column has v's length."""
+    out = []
+    full = len(columns) - len(columns) % 4
+    for j in range(0, full, 4):
+        s0 = s1 = s2 = s3 = 0.0
+        for x, a, b, c, d in zip(v, *columns[j:j + 4]):
+            s0 += x * a
+            s1 += x * b
+            s2 += x * c
+            s3 += x * d
+        out += (s0, s1, s2, s3)
+    out += [_dot(v, col) for col in columns[full:]]
+    return out
+
+
 def mean_std(values: list) -> tuple:
     """Population mean and standard deviation of a non-empty list, in two
     left-to-right passes: the sum, then the squared deviations."""
@@ -115,13 +139,27 @@ def mean_std(values: list) -> tuple:
 def linear_predictor(columns: list, weights: list, start: list) -> list:
     """start_i + sum over j of w_j * x_ij per sample, the terms added in
     column order (as `s += w_j * x_ij` would); `start` holds one value per
-    sample, so a matrix without columns still has a length. Raises
-    AlignmentError unless there is one weight per column."""
+    sample, so a matrix without columns still has a length. Four columns
+    go in each pass, as `s + w0 * a + w1 * b + w2 * c + w3 * d`, which
+    Python adds left to right, so each sample's terms keep their order;
+    the 0-3 columns left over go one per pass. Raises AlignmentError
+    unless there is one weight per column and one value per sample in
+    each column."""
     if len(weights) != len(columns):
         raise AlignmentError(f"model has {len(weights)} weights for "
                              f"{len(columns)} columns")
+    n = len(start)
+    for j, col in enumerate(columns):
+        if len(col) != n:
+            raise AlignmentError(f"column {j} has {len(col)} values for "
+                                 f"{n} samples")
     xb = start
-    for w, col in zip(weights, columns):
+    full = len(columns) - len(columns) % 4
+    for j in range(0, full, 4):
+        w0, w1, w2, w3 = weights[j:j + 4]
+        xb = [s + w0 * a + w1 * b + w2 * c + w3 * d
+              for s, a, b, c, d in zip(xb, *columns[j:j + 4])]
+    for w, col in zip(weights[full:], columns[full:]):
         xb = [s + w * z for s, z in zip(xb, col)]
     return xb
 
@@ -132,16 +170,16 @@ def ridge_normal_solve(columns: list, y: list, lam: float,
 
     `penalty` has one entry per column (1.0 = penalized, 0.0 = free), so the
     same kernel serves full-diagonal jitter and intercept-free ridge.
-    Each entry of XᵀX and Xᵀy is one `_dot` over samples; the upper
-    triangle is mirrored.
+    Each entry of XᵀX and Xᵀy is one dot product over samples, taken by
+    `_dots` a row of XᵀX at a time; the upper triangle is mirrored.
     """
     p = len(columns)
     ata = [0.0] * (p * p)
     for j, cj in enumerate(columns):
-        for k in range(j, p):
-            ata[j * p + k] = ata[k * p + j] = _dot(cj, columns[k])
+        for k, v in enumerate(_dots(cj, columns[j:]), j):
+            ata[j * p + k] = ata[k * p + j] = v
         ata[j * p + j] += lam * penalty[j]
-    return lu_solve(p, ata, [_dot(c, y) for c in columns])
+    return lu_solve(p, ata, _dots(y, columns))
 
 
 def _sigmoid(z: float) -> float:
@@ -167,7 +205,7 @@ def logistic_gd(columns: list, y: list, lr: float, iters: int) -> tuple:
         gb = 0.0
         for v in d:
             gb += v
-        w = [wj - scale * _dot(d, col) for wj, col in zip(w, columns)]
+        w = [wj - scale * g for wj, g in zip(w, _dots(d, columns))]
         b -= scale * gb
     _check_finite("logistic_gd", [*w, b])
     return w, b
@@ -241,8 +279,9 @@ def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
     risk set holds k; then g_j = sum over events of z_j - sum over samples
     of z_j w_k. The weights sum to the event count, so the columns'
     shift by a constant cancels, and each entry is `event_sums[j]` minus
-    one `_dot` of the shifted column with w. A cumulative hazard that
-    overflows raises `FitDiverged`, so it never reaches the gradient.
+    the dot of w with the shifted column (from `_dots`). A cumulative
+    hazard that overflows raises `FitDiverged`, so it never reaches the
+    gradient.
     """
     n, columns, positions, ends, times, first, shifted, event_sums = layout
     xb = linear_predictor(columns, beta, [0.0] * n)
@@ -269,8 +308,8 @@ def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
             f"cox_gd: cumulative hazard at time {times[e]!r} is not finite "
             f"(risk-set sum {s0[e]!r})")
     w = [x * hazard[f] for x, f in zip(ex, first)]
-    grad = [s - _dot(col, w) - 2.0 * lam * b
-            for b, col, s in zip(beta, shifted, event_sums)]
+    grad = [s - g - 2.0 * lam * b
+            for b, g, s in zip(beta, _dots(w, shifted), event_sums)]
     for b in beta:
         obj -= lam * b * b
     return obj, grad

@@ -5,6 +5,10 @@ Every name the benchmark in `perfbench/` imports from the library exists.
 Package `__init__` files are left out of the import check: their imports
 are the public names they re-export. An import kept for its side effect
 says so with `# noqa: F401` on its line, as for flake8.
+
+`kernels.py` calls none of `sum`, `math.fsum` and `math.sumprod`: they
+round differently from its left-to-right loops, so one call there would
+move the golden reports.
 """
 
 from __future__ import annotations
@@ -127,6 +131,41 @@ def test_every_private_name_is_used():
                for p in sorted(_SRC.rglob("*.py"))}
     assert len(sources) > len(_MODULES)
     assert unused_private_names(sources) == []
+
+
+def reassociating_sums(source: str) -> list:
+    """(line, name) of each call in `source` to `sum`, `fsum` or `sumprod`,
+    by bare name or as `math.fsum` / `math.sumprod`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in ("sum", "fsum", "sumprod"):
+            found.append((node.lineno, f.id))
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id == "math" and f.attr in ("fsum", "sumprod")):
+            found.append((node.lineno, f"math.{f.attr}"))
+    return sorted(found)
+
+
+def test_reassociating_sums_are_found():
+    source = ("import math\n"
+              "from math import fsum, sumprod\n"
+              "def f(a, b):\n"
+              "    s = 0.0\n"
+              "    for x, y in zip(a, b):\n"
+              "        s += x * y\n"
+              "    return (sum(a), math.fsum(a), math.sumprod(a, b),\n"
+              "            fsum(b), sumprod(a, b), a.sum(), s)\n")
+    assert reassociating_sums(source) == [
+        (7, "math.fsum"), (7, "math.sumprod"), (7, "sum"), (8, "fsum"),
+        (8, "sumprod")]
+
+
+def test_kernels_add_only_in_their_own_order():
+    source = (_SRC / "kernels.py").read_text(encoding="utf-8")
+    assert reassociating_sums(source) == []
 
 
 def test_benchmark_imports_from_the_library_resolve():

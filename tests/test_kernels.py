@@ -17,7 +17,7 @@ import re
 import pytest
 
 from tempoframe import kernels
-from tempoframe.errors import FitDiverged
+from tempoframe.errors import AlignmentError, FitDiverged
 from tempoframe.rng import Lcg
 
 # One value keeps the test ids these tests had while the kernels lived in
@@ -344,6 +344,108 @@ def test_cox_hazard_weights_agree_with_per_event_sums(case):
         for v, ref in zip(beta + trace, ref_beta + ref_trace):
             assert math.isclose(v, ref, rel_tol=FIT_REL_TOL,
                                 abs_tol=FIT_REL_TOL)
+
+
+# ---------------------------------------------------------------------------
+# every column count: the kernels take the columns four per pass, so
+# d = 0..9 covers each remainder mod 4 with no, one and two full blocks
+# ---------------------------------------------------------------------------
+
+COLUMN_COUNTS = list(range(10))
+
+
+def _linear_predictor_oracle(n_rows, n_cols, x_flat, w, start):
+    out = []
+    for i in range(n_rows):
+        base = i * n_cols
+        s = start[i]
+        for j in range(n_cols):
+            s += w[j] * x_flat[base + j]
+        out.append(s)
+    return out
+
+
+def _dots_oracle(n_rows, n_cols, x_flat, v):
+    acc = [0.0] * n_cols
+    for i in range(n_rows):
+        base = i * n_cols
+        for j in range(n_cols):
+            acc[j] += v[i] * x_flat[base + j]
+    return acc
+
+
+@pytest.mark.parametrize("d", COLUMN_COUNTS)
+def test_linear_predictor_and_dots_match_oracles_for_every_width(d):
+    rng = Lcg(300 + d)
+    n = 23
+    columns = _random_columns(rng, n, d)
+    w = [rng.uniform_in(-1.0, 1.0) for _ in range(d)]
+    v = [rng.uniform_in(-3.0, 3.0) for _ in range(n)]
+    start = [rng.uniform_in(-1.0, 1.0) for _ in range(n)]
+    x_flat = _flat(columns)
+    assert kernels.linear_predictor(columns, w, start) \
+        == _linear_predictor_oracle(n, d, x_flat, w, start)
+    assert kernels._dots(v, columns) == _dots_oracle(n, d, x_flat, v)
+    assert kernels._dots(v, columns) == [kernels._dot(v, c) for c in columns]
+
+
+@pytest.mark.parametrize("d", COLUMN_COUNTS)
+def test_ridge_matches_row_major_oracle_for_every_width(d):
+    rng = Lcg(400 + d)
+    n = 31
+    columns = _random_columns(rng, n, d)
+    y = [rng.uniform_in(-5.0, 5.0) for _ in range(n)]
+    for lam, penalty in ((1e-9, [1.0] * d),
+                         (0.5, [float(j > 0) for j in range(d)])):
+        want = _ridge_oracle(n, d, _flat(columns), y, lam, penalty)
+        assert kernels.ridge_normal_solve(columns, y, lam, penalty) == want
+
+
+@pytest.mark.parametrize("d", COLUMN_COUNTS)
+def test_logistic_matches_row_major_oracle_for_every_width(d):
+    rng = Lcg(500 + d)
+    n = 37
+    columns = _random_columns(rng, n, d)
+    y = [1.0 if rng.uniform() < 0.4 else 0.0 for _ in range(n)]
+    for iters in (0, 1, 30):
+        want = _logistic_oracle(n, d, _flat(columns), y, 0.3, iters)
+        assert kernels.logistic_gd(columns, y, 0.3, iters) == want
+
+
+@pytest.mark.parametrize("d", COLUMN_COUNTS)
+def test_cox_matches_row_major_oracle_for_every_width(d):
+    columns, times, occurred = _cox_inputs(600 + d, n=25, d=d)
+    n = len(times)
+    z_flat = _flat(columns)
+    groups = kernels.risk_groups(times)
+    layout = kernels._risk_layout(columns, groups, occurred)
+    beta = ([0.4, -1.1, 0.25] * 4)[:d]
+    assert kernels._cox_obj_grad(layout, 1e-3, beta) \
+        == _cox_obj_grad_oracle(n, d, z_flat, groups, occurred, 1e-3, beta)
+    for iters in (0, 1, 30):
+        assert kernels.cox_gd(columns, times, occurred, 0.05, iters, 1e-6) \
+            == _cox_gd_oracle(n, d, z_flat, times, occurred, 0.05, iters,
+                              1e-6)
+
+
+@pytest.mark.parametrize("d, bad", [(1, 0), (5, 2)],
+                         ids=["alone", "in-a-block"])
+def test_linear_predictor_refuses_a_short_column(d, bad):
+    columns = [[1.0, 2.0, 3.0] for _ in range(d)]
+    columns[bad] = [1.0, 2.0]
+    with pytest.raises(AlignmentError, match=re.escape(
+            f"column {bad} has 2 values for 3 samples")):
+        kernels.linear_predictor(columns, [1.0] * d, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d, bad", [(1, 0), (5, 2)],
+                         ids=["alone", "in-a-block"])
+def test_linear_predictor_refuses_a_long_column(d, bad):
+    columns = [[1.0, 2.0, 3.0] for _ in range(d)]
+    columns[bad] = [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(AlignmentError, match=re.escape(
+            f"column {bad} has 4 values for 3 samples")):
+        kernels.linear_predictor(columns, [1.0] * d, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
