@@ -27,11 +27,7 @@ from tempoframe.data import (
     build_static_samples,
     build_time_series_samples,
     covariate_matrix,
-    is_missing,
-    missing_mask,
     select_samples,
-    temporal_summary,
-    time_window,
 )
 from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
 from tempoframe.plugins import (
@@ -70,13 +66,12 @@ from tempoframe.bench import (
 
 __all__ = [
     "__version__",
-    "MISSING", "is_missing", "Continuous", "Integer", "Categorical",
+    "MISSING", "Continuous", "Integer", "Categorical",
     "Role", "Modality", "RoleMap", "Dataset",
     "StaticSamples", "TimeSeriesSamples", "EventSamples",
     "build_static_samples", "build_time_series_samples",
     "build_event_samples", "assemble_dataset",
-    "select_samples", "time_window", "missing_mask", "temporal_summary",
-    "covariate_matrix",
+    "select_samples", "covariate_matrix",
     "read_bundle", "write_bundle", "validate_bundle",
     "Category", "EstimatorSpec", "Param", "FittedEstimator",
     "register_plugin", "create", "list_specs", "build_pipeline",

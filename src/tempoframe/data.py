@@ -20,11 +20,9 @@ from tempoframe.errors import (
     DuplicateTimePoint,
     EmptyDataset,
     FitDiverged,
-    InvalidWindow,
     KindMismatch,
     MissingInFeatures,
     MultipleTargets,
-    NonNumericFeature,
     ParseError,
     RequirementUnmet,
     RoleConflict,
@@ -49,10 +47,6 @@ class _MissingType:
 
 
 MISSING = _MissingType()
-
-
-def is_missing(v) -> bool:
-    return v is MISSING
 
 
 class Role(enum.Enum):
@@ -278,15 +272,8 @@ class _Samples:
                            {f: j for j, (f, _) in enumerate(self.features)})
 
     @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
-
-    @property
     def feature_ids(self) -> tuple[str, ...]:
         return tuple(f for f, _ in self.features)
-
-    def kind_of(self, feature_id: str) -> ValueKind:
-        return self.features[self._feature_pos[feature_id]][1]
 
 
 @dataclass(frozen=True)
@@ -299,14 +286,6 @@ class StaticSamples(_Samples):
     def column(self, feature_id: str) -> tuple:
         j = self._feature_pos[feature_id]
         return tuple(row[j] for row in self.values)
-
-    def to_rows(self) -> list:
-        """Long-form rows for every cell, Missing included, row-major."""
-        out = []
-        for i, sid in enumerate(self.sample_ids):
-            for j, (fid, _) in enumerate(self.features):
-                out.append((sid, fid, self.values[i][j]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -788,37 +767,6 @@ def map_columns(ds: Dataset, fns: dict) -> Dataset:
                    events=ds.events, roles=ds.roles)
 
 
-def time_window(ts: TimeSeriesSamples, t_lo, t_hi) -> TimeSeriesSamples:
-    """Keep points with t_lo <= t <= t_hi; sequences may become empty."""
-    lo = check_time(t_lo, "t_lo")
-    hi = check_time(t_hi, "t_hi")
-    if lo > hi:
-        raise InvalidWindow(f"window lower bound {lo} above upper bound {hi}")
-    series = tuple(
-        tuple(
-            tuple(p for p in seq if lo <= p[0] <= hi)
-            for seq in per_sample)
-        for per_sample in ts.series)
-    return TimeSeriesSamples(ts.sample_ids, ts.features, series)
-
-
-def missing_mask(container):
-    """Boolean structure congruent to the container's values;
-    true exactly where the value is Missing."""
-    if isinstance(container, StaticSamples):
-        return tuple(tuple(v is MISSING for v in row)
-                     for row in container.values)
-    if isinstance(container, TimeSeriesSamples):
-        return tuple(
-            tuple(tuple(v is MISSING for _, v in seq) for seq in per_sample)
-            for per_sample in container.series)
-    if isinstance(container, EventSamples):
-        return tuple(
-            tuple(None if e is None else e[1] is MISSING for e in per_sample)
-            for per_sample in container.entries)
-    raise TypeError(f"not a modality container: {container!r}")
-
-
 _SUMMARY_STATS = ("last", "mean", "min", "max", "slope")
 
 
@@ -844,9 +792,10 @@ def _ols_slope(points: list) -> float:
 
 def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
     """The five summary columns of each temporal feature at `positions`,
-    in that order: last, mean, min, max and slope, each one value per
-    sample in sample order (see `temporal_summary`).
-
+    in that order: the last observed value, their mean, min and max, and
+    the OLS slope of value against time, each one value per sample in
+    sample order. Missing points are skipped; a sample with fewer than two
+    observed points gets a Missing slope, one with none all five Missing.
     Raises FitDiverged, naming the feature and the sample, for a mean or a
     slope that is not finite.
     """
@@ -888,33 +837,12 @@ def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
     return columns
 
 
-def temporal_summary(ts: TimeSeriesSamples) -> StaticSamples:
-    """Collapse each numeric sequence to five static features:
-    last, mean, min, max and the OLS slope of value against time,
-    named `<feature>.<stat>`.
-
-    Missing points are skipped; fewer than two observed points give a
-    Missing slope, zero observed points give all five Missing. A mean or
-    slope that is not finite raises FitDiverged.
-    """
-    for fid, kind in ts.features:
-        if isinstance(kind, Categorical):
-            raise NonNumericFeature(
-                f"temporal_summary needs numeric features, {fid!r} is "
-                "categorical")
-    features = tuple((f"{fid}.{stat}", Continuous())
-                     for fid, _ in ts.features for stat in _SUMMARY_STATS)
-    columns = _summary_columns(ts, range(len(ts.features)))
-    grid = tuple(zip(*columns)) if columns else ((),) * ts.n_samples
-    return StaticSamples(ts.sample_ids, features, grid)
-
-
 def covariate_groups(ds: Dataset) -> list:
     """The matrix columns each covariate becomes, in column order: one
     (feature_id, modality, column_names) group per static covariate (one
     column named after the feature), then per temporal covariate (its five
-    `<feature>.<stat>` temporal_summary columns). Event features are not
-    featurized.
+    `<feature>.<stat>` summary columns, stat one of last, mean, min, max
+    and slope; see `_summary_columns`). Event features are not featurized.
 
     Raises RequirementUnmet("non_numeric_feature") for categorical
     covariates (one-hot encode first).

@@ -49,14 +49,6 @@ class UnknownSample(TempoframeError):
     """A sample id outside the dataset was requested."""
 
 
-class InvalidWindow(TempoframeError):
-    """Time window bounds with lower bound above the upper bound."""
-
-
-class NonNumericFeature(TempoframeError):
-    """A numeric-only operation was given a categorical feature."""
-
-
 class EmptyDataset(TempoframeError):
     """A dataset was assembled without any modality container."""
 

@@ -43,9 +43,6 @@ class ImportanceReport:
     features: tuple
     importances: tuple
 
-    def importance_of(self, feature_id: str) -> float:
-        return self.importances[self.features.index(feature_id)]
-
 
 def _column_predictor(inner: FittedEstimator, ds: Dataset):
     """predict(fid, perm): predictions of `inner` on ds with feature fid

@@ -136,6 +136,16 @@ def mean_std(values: list) -> tuple:
     return mean, math.sqrt(ssq / n)
 
 
+def _check_lengths(n: int, unit: str, columns=(), **named) -> None:
+    """Raise AlignmentError, naming the first offender, unless each of
+    `columns` and of the `named` sequences holds n values, one per `unit`."""
+    for what, values in [*((f"column {j}", c) for j, c in enumerate(columns)),
+                         *named.items()]:
+        if len(values) != n:
+            raise AlignmentError(f"{what} has {len(values)} values for {n} "
+                                 f"{unit}")
+
+
 def linear_predictor(columns: list, weights: list, start: list) -> list:
     """start_i + sum over j of w_j * x_ij per sample, the terms added in
     column order (as `s += w_j * x_ij` would); `start` holds one value per
@@ -148,11 +158,7 @@ def linear_predictor(columns: list, weights: list, start: list) -> list:
     if len(weights) != len(columns):
         raise AlignmentError(f"model has {len(weights)} weights for "
                              f"{len(columns)} columns")
-    n = len(start)
-    for j, col in enumerate(columns):
-        if len(col) != n:
-            raise AlignmentError(f"column {j} has {len(col)} values for "
-                                 f"{n} samples")
+    _check_lengths(len(start), "samples", columns)
     xb = start
     full = len(columns) - len(columns) % 4
     for j in range(0, full, 4):
@@ -172,8 +178,11 @@ def ridge_normal_solve(columns: list, y: list, lam: float,
     same kernel serves full-diagonal jitter and intercept-free ridge.
     Each entry of XᵀX and Xᵀy is one dot product over samples, taken by
     `_dots` a row of XᵀX at a time; the upper triangle is mirrored.
+    Misaligned columns or penalty raise AlignmentError.
     """
     p = len(columns)
+    _check_lengths(len(y), "samples", columns)
+    _check_lengths(p, "columns", penalty=penalty)
     ata = [0.0] * (p * p)
     for j, cj in enumerate(columns):
         for k, v in enumerate(_dots(cj, columns[j:]), j):
@@ -321,7 +330,9 @@ def cox_gd(columns: list, times: list, occurred: list, step: float,
 
     Returns (beta, objective_trace, final_gradient_norm); the trace has
     iters+1 entries (value before each update, then at the final beta).
+    Columns or flags misaligned with `times` raise AlignmentError.
     """
+    _check_lengths(len(times), "samples", columns, occurred=occurred)
     layout = _risk_layout(columns, risk_groups(times), occurred)
     beta = [0.0] * len(columns)
     trace = []
@@ -338,12 +349,14 @@ def cox_gd(columns: list, times: list, occurred: list, step: float,
 
 def concordance_counts(n: int, times: list, occurred: list,
                        risks: list) -> tuple:
-    """Count (concordant, risk-tied, comparable) ordered pairs.
+    """Count (concordant, risk-tied, comparable) ordered pairs of n samples.
 
     Pair (i, j) is comparable when sample i's event occurred and
     t_i < t_j; concordant when risk_i > risk_j. Each event bisects into
     the sorted risks of strictly later groups (so risks must not be NaN).
+    Inputs of another length than n raise AlignmentError.
     """
+    _check_lengths(n, "samples", times=times, occurred=occurred, risks=risks)
     conc = 0
     tied = 0
     comp = 0

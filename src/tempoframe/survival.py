@@ -32,6 +32,7 @@ from tempoframe.errors import (
     RequirementUnmet,
 )
 from tempoframe.kernels import (
+    _check_lengths,
     _exp,
     concordance_counts,
     cox_gd,
@@ -186,7 +187,8 @@ register_plugin(EstimatorSpec(
 def concordance_index(risks, outcomes) -> float:
     """Concordant fraction over pairs (i, j) with t_i < t_j and i occurred;
     risk ties count 0.5. A NaN risk has no place in the order the counts
-    need, so it raises `MetricMismatch`."""
+    need, so it raises `MetricMismatch`; risks and outcomes of unequal
+    length raise AlignmentError."""
     outcomes = list(outcomes)
     risks = [float(r) for r in risks]
     for i, r in enumerate(risks):
@@ -207,7 +209,9 @@ def brier_score(survival, outcomes, horizon: float) -> float:
     `survival` holds each sample's S_i(t*) (`SurvivalOutput.survival_at`).
     Evaluable: occurred with t <= t*, or t > t* regardless of status.
     Samples censored at or before t* carry no label and are excluded.
+    A `survival` of another length than `outcomes` raises AlignmentError.
     """
+    _check_lengths(len(outcomes), "samples", survival=survival)
     total = 0.0
     count = 0
     for s, o in zip(survival, outcomes):

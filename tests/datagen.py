@@ -124,6 +124,13 @@ def random_dataset(seed: int, *, ensure_observed: bool = False,
                             roles=RoleMap(tuple(assignment)))
 
 
+def static_rows(static) -> list:
+    """The long-form (sample_id, feature_id, value) row of every cell of a
+    StaticSamples, Missing included, row-major: what its builder reads."""
+    return [(sid, fid, v) for sid, row in zip(static.sample_ids, static.values)
+            for (fid, _), v in zip(static.features, row)]
+
+
 def _with_observed_temporal(points, kinds, sample_ids, rng: Lcg):
     """Guarantee one observed point per temporal feature so imputers have a
     training statistic."""

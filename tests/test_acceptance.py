@@ -20,6 +20,7 @@ from datagen import (
     classification_dataset,
     random_dataset,
     regular_series_dataset,
+    static_rows,
     survival_dataset,
 )
 from tempoframe.bench import load_config, report_text, run_benchmark, strip_timing
@@ -32,7 +33,6 @@ from tempoframe.data import (
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
-    missing_mask,
 )
 from tempoframe.bundle import MANIFEST_NAME, read_bundle, write_bundle
 from tempoframe.errors import NoComparablePairs
@@ -62,7 +62,7 @@ def test_c01_data_model_round_trips_200_datasets(tmp_path):
 
         # builders <-> long rows
         if ds.static is not None:
-            again = build_static_samples(ds.static.to_rows(),
+            again = build_static_samples(static_rows(ds.static),
                                          dict(ds.static.features),
                                          sample_ids=ds.static.sample_ids)
             assert again == ds.static
@@ -325,9 +325,10 @@ def test_c07_imputation_completes_and_is_idempotent_100_datasets():
         fitted = pipeline.fit(ds)
         once = fitted.transform(ds)
         if once.static is not None:
-            assert not any(any(row) for row in missing_mask(once.static))
-        assert not any(flag for sample in missing_mask(once.temporal)
-                       for seq in sample for flag in seq)
+            assert not any(v is MISSING for row in once.static.values
+                           for v in row)
+        assert not any(v is MISSING for sample in once.temporal.series
+                       for seq in sample for _, v in seq)
         twice = fitted.transform(once)
         assert twice == once
 
@@ -392,14 +393,16 @@ def test_c09_importance_separates_informative_from_noise():
     fitted = create("classify.logistic", {"lr": 0.5, "iters": 150}).fit(ds)
     report = permutation_importance(fitted, ds, metric="accuracy",
                                     repeats=10, seed=5)
-    informative = report.importance_of("x1")
-    noise = report.importance_of("x2")
+    informative = report.importances[report.features.index("x1")]
+    noise = report.importances[report.features.index("x2")]
     assert informative > noise
 
     # spread of a single-shuffle run, scaled to the 10-repeat mean
-    singles = [permutation_importance(fitted, ds, metric="accuracy",
-                                      repeats=1, seed=s).importance_of("x2")
-               for s in range(200, 212)]
+    singles = []
+    for s in range(200, 212):
+        single = permutation_importance(fitted, ds, metric="accuracy",
+                                        repeats=1, seed=s)
+        singles.append(single.importances[single.features.index("x2")])
     band = 3 * statistics.pstdev(singles) / math.sqrt(10)
     if band == 0.0:
         assert noise == 0.0

@@ -3,6 +3,7 @@ report emission, and the command line."""
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import math
@@ -1219,13 +1220,54 @@ def test_golden_report_byte_match():
     assert again == expected
 
 
-def _check_goldens(golden_dir):
+def _check_goldens(golden_dir, python=sys.executable):
     tests = os.path.dirname(GOLDEN)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.environ["PYTHONPATH"], tests]))
     return subprocess.run(
-        [sys.executable, os.path.join(golden_dir, "check_goldens.py")],
+        [python, os.path.join(golden_dir, "check_goldens.py")],
         capture_output=True, text=True, env=env)
+
+
+def _other_pythons() -> dict:
+    """Path -> version of each CPython 3.10 or newer installed under
+    `$PYENV_ROOT/versions` (default `~/.pyenv`), other than the one
+    running. The pyenv shims are not used: they run only the versions a
+    shell has selected."""
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    running = os.path.realpath(sys.executable)
+    found = {}
+    for python in sorted(glob.glob(os.path.join(root, "versions", "*", "bin",
+                                                "python"))):
+        if os.path.realpath(python) == running:
+            continue
+        # sys.implementation is 3.3+, so an older interpreter fails here
+        proc = subprocess.run(
+            [python, "-c", "import sys; sys.stdout.write('%s %d %d %d' % "
+             "((sys.implementation.name,) + sys.version_info[:3]))"],
+            capture_output=True, text=True, timeout=60)
+        probe = proc.stdout.split()
+        if proc.returncode != 0 or probe[0] != "cpython":
+            continue
+        if tuple(map(int, probe[1:])) >= (3, 10):
+            found[python] = ".".join(probe[1:])
+    return found
+
+
+def test_goldens_match_under_every_interpreter():
+    # The goldens must be byte-identical on every supported Python; with
+    # no other interpreter installed, the running one is checked instead.
+    pythons = _other_pythons()
+    if not pythons:
+        print("no other CPython >= 3.10 found; checking the running "
+              f"interpreter {sys.executable} only")
+        pythons = {sys.executable: sys.version.split()[0]}
+    for python, version in pythons.items():
+        proc = _check_goldens(GOLDEN, python)
+        assert proc.returncode == 0, (python, proc.stdout + proc.stderr)
+        last = proc.stdout.splitlines()[-1]
+        assert last == f"python {version}: all goldens match", python
+        print(f"{python}: {last}")
 
 
 def test_golden_check_script(tmp_path):

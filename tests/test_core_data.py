@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from datagen import random_dataset
+from datagen import random_dataset, static_rows
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -25,14 +25,10 @@ from tempoframe.data import (
     check_time,
     check_value,
     covariate_matrix,
-    is_missing,
     kind_from_json,
     kind_to_json,
     map_columns,
-    missing_mask,
     select_samples,
-    temporal_summary,
-    time_window,
 )
 from tempoframe.errors import (
     DuplicateCell,
@@ -41,11 +37,9 @@ from tempoframe.errors import (
     DuplicateTimePoint,
     EmptyDataset,
     FitDiverged,
-    InvalidWindow,
     KindMismatch,
     MissingInFeatures,
     MultipleTargets,
-    NonNumericFeature,
     RequirementUnmet,
     RoleConflict,
     RoleGap,
@@ -60,9 +54,6 @@ from tempoframe.errors import (
 
 def test_missing_is_a_singleton():
     assert MISSING is type(MISSING)()
-    assert is_missing(MISSING)
-    assert not is_missing(None)
-    assert not is_missing(0.0)
 
 
 def test_check_value_canonical_forms():
@@ -208,7 +199,7 @@ def test_builder_round_trip_on_random_datasets():
         ids = list(ds.sample_ids)
         if ds.static is not None:
             rebuilt = build_static_samples(
-                ds.static.to_rows(), dict(ds.static.features),
+                static_rows(ds.static), dict(ds.static.features),
                 sample_ids=ids)
             assert rebuilt == ds.static
         rebuilt = build_time_series_samples(
@@ -426,86 +417,52 @@ def test_map_columns_replaces_only_the_mapped_columns():
     assert checked >= 3
 
 
-def test_time_window_brackets_inclusive():
+# ---------------------------------------------------------------------------
+# temporal summary columns and covariate_matrix
+# ---------------------------------------------------------------------------
+
+def _summary_matrix(points, sample_ids=None):
+    """covariate_matrix of one Continuous temporal covariate "f" with
+    these (time, value) points per sample."""
     ts = build_time_series_samples(
-        [("a", "f", 0.0, 1.0), ("a", "f", 1.0, 2.0), ("a", "f", 2.0, 3.0)],
-        {"f": Continuous()})
-    w = time_window(ts, 1.0, 2.0)
-    assert w.sequence("a", "f") == ((1.0, 2.0), (2.0, 3.0))
-    assert time_window(ts, 5.0, 6.0).sequence("a", "f") == ()
-    with pytest.raises(InvalidWindow):
-        time_window(ts, 2.0, 1.0)
+        [(sid, "f", t, v) for sid, pts in points.items() for t, v in pts],
+        {"f": Continuous()}, sample_ids=sample_ids)
+    return covariate_matrix(assemble_dataset(
+        temporal=ts, roles=RoleMap.of(covariates=("f",))))
 
-
-def test_missing_mask_congruence():
-    ds = random_dataset(17)
-    if ds.static is not None:
-        mask = missing_mask(ds.static)
-        for i, row in enumerate(ds.static.values):
-            for j, v in enumerate(row):
-                assert mask[i][j] == (v is MISSING)
-    mask = missing_mask(ds.temporal)
-    for i, per_sample in enumerate(ds.temporal.series):
-        for j, seq in enumerate(per_sample):
-            assert len(mask[i][j]) == len(seq)
-            for flag, (_, v) in zip(mask[i][j], seq):
-                assert flag == (v is MISSING)
-    if ds.events is not None:
-        mask = missing_mask(ds.events)
-        for i, per_sample in enumerate(ds.events.entries):
-            for j, e in enumerate(per_sample):
-                if e is None:
-                    assert mask[i][j] is None
-                else:
-                    assert mask[i][j] == (e[1] is MISSING)
-
-
-# ---------------------------------------------------------------------------
-# temporal_summary and covariate_matrix
-# ---------------------------------------------------------------------------
 
 def test_temporal_summary_stats():
-    ts = build_time_series_samples(
-        [("a", "f", 0.0, 1.0), ("a", "f", 1.0, 3.0), ("a", "f", 2.0, 2.0)],
-        {"f": Continuous()})
-    s = temporal_summary(ts)
-    assert s.feature_ids == ("f.last", "f.mean", "f.min", "f.max", "f.slope")
-    assert s.cell("a", "f.last") == 2.0
-    assert s.cell("a", "f.mean") == 2.0
-    assert s.cell("a", "f.min") == 1.0
-    assert s.cell("a", "f.max") == 3.0
-    assert abs(s.cell("a", "f.slope") - 0.5) < 1e-12
+    names, columns = _summary_matrix({"a": [(0.0, 1.0), (1.0, 3.0),
+                                            (2.0, 2.0)]})
+    assert names == ["f.last", "f.mean", "f.min", "f.max", "f.slope"]
+    (last,), (mean,), (mn,), (mx,), (slope,) = columns
+    assert last == 2.0
+    assert mean == 2.0
+    assert mn == 1.0
+    assert mx == 3.0
+    assert abs(slope - 0.5) < 1e-12
 
 
 def test_temporal_summary_sparse_sequences():
-    ts = build_time_series_samples(
-        [("a", "f", 0.0, 5.0), ("b", "g", 0.0, 1.0)],
-        {"f": Continuous(), "g": Continuous()})
-    s = temporal_summary(ts)
-    # one point: slope undefined, other stats defined
-    assert s.cell("a", "f.mean") == 5.0
-    assert s.cell("a", "f.slope") is MISSING
-    # zero points: everything undefined
-    assert s.cell("b", "f.last") is MISSING
-    assert s.cell("b", "f.slope") is MISSING
+    # one point: the slope is undefined and is the first Missing cell, so
+    # the other stats are defined
+    with pytest.raises(MissingInFeatures, match="^covariate 'f.slope' is "
+                                                "missing for sample 'a'$"):
+        _summary_matrix({"a": [(0.0, 5.0)]})
+    names, columns = _summary_matrix({"a": [(0.0, 5.0), (1.0, 5.0)]})
+    assert columns[names.index("f.mean")] == [5.0]
+    # zero points: everything undefined, so the first stat is Missing
+    with pytest.raises(MissingInFeatures, match="^covariate 'f.last' is "
+                                                "missing for sample 'b'$"):
+        _summary_matrix({"a": [(0.0, 1.0), (1.0, 2.0)]},
+                        sample_ids=["a", "b"])
 
 
 def test_temporal_summary_slope_translation_invariance():
     pts = [(0.0, 1.0), (1.5, 4.0), (3.0, 2.0), (4.5, 8.0)]
-    base = build_time_series_samples(
-        [("a", "f", t, v) for t, v in pts], {"f": Continuous()})
-    shifted = build_time_series_samples(
-        [("a", "f", t + 100.0, v) for t, v in pts], {"f": Continuous()})
-    s0 = temporal_summary(base).cell("a", "f.slope")
-    s1 = temporal_summary(shifted).cell("a", "f.slope")
-    assert math.isclose(s0, s1, rel_tol=1e-9)
-
-
-def test_temporal_summary_rejects_categorical():
-    ts = build_time_series_samples(
-        [("a", "f", 0.0, "alpha")], {"f": Categorical(("alpha", "beta"))})
-    with pytest.raises(NonNumericFeature):
-        temporal_summary(ts)
+    _, base = _summary_matrix({"a": pts})
+    _, shifted = _summary_matrix({"a": [(t + 100.0, v) for t, v in pts]})
+    assert math.isclose(base[4][0], shifted[4][0], rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("points,stat", [
@@ -522,8 +479,6 @@ def test_non_finite_summary_stat_diverges(points, stat):
         + [("b", "f", t, v) for t, v in points], {"f": Continuous()})
     ds = assemble_dataset(temporal=ts, roles=RoleMap.of(covariates=("f",)))
     message = f"^temporal summary of 'f' in sample 'b': {re.escape(stat)}$"
-    with pytest.raises(FitDiverged, match=message):
-        temporal_summary(ts)
     with pytest.raises(FitDiverged, match=message):
         covariate_matrix(ds)
 

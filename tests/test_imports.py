@@ -1,5 +1,10 @@
 """Every module under `src/tempoframe` uses each name it imports, and
 every private module-level name is used somewhere under `src/tempoframe`.
+Every public module-level function and class, and every public method and
+property of a class, is reached: a library module other than `__init__.py`
+or a file in `perfbench/` reads it (as a name, an attribute or an import),
+or README names it as a word. Tests are not callers, so a name only they
+use goes; `_KEEP_PUBLIC` lists each exception with its reason.
 Every name the benchmark in `perfbench/` imports from the library exists.
 
 Package `__init__` files are left out of the import check: their imports
@@ -16,6 +21,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -67,6 +73,20 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def names_read(tree) -> set:
+    """Every name the module `tree` reads: each name it does not assign,
+    each attribute, and each imported name (its last dotted part)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+    return used
+
+
 def unused_private_names(sources: dict) -> list:
     """(module, line, name) of each private module-level function, class
     or constant of `sources` (module name -> source) that no name,
@@ -89,15 +109,7 @@ def unused_private_names(sources: dict) -> list:
                 continue
             defined += [(module, node.lineno, name) for name in targets
                         if name.startswith("_") and not name.endswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                             ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                used.update(alias.name.split(".")[-1]
-                            for alias in node.names)
+        used |= names_read(tree)
     return sorted(d for d in defined if d[2] not in used)
 
 
@@ -131,6 +143,82 @@ def test_every_private_name_is_used():
                for p in sorted(_SRC.rglob("*.py"))}
     assert len(sources) > len(_MODULES)
     assert unused_private_names(sources) == []
+
+
+def unreached_public_names(sources: dict, used: set) -> list:
+    """(module, line, name) of each public module-level function or class
+    of `sources` (module name -> source), and of each public method or
+    property of their classes (named `Class.name`), whose own name is not
+    in `used`."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            names = [(node.lineno, node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                names += [(m.lineno, m.name, f"{node.name}.{m.name}")
+                          for m in node.body
+                          if isinstance(m, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))]
+            found += [(module, line, qualname)
+                      for line, name, qualname in names
+                      if not name.startswith("_") and name not in used]
+    return sorted(found)
+
+
+def test_unreached_public_names_are_found():
+    sources = {"a": ("def gone():\n"
+                     "    pass\n"
+                     "def called():\n"
+                     "    pass\n"
+                     "def _private():\n"
+                     "    return called()\n"
+                     "class Box:\n"
+                     "    def __len__(self):\n"
+                     "        return 0\n"
+                     "    def unread(self):\n"
+                     "        pass\n"
+                     "    @property\n"
+                     "    def size(self):\n"
+                     "        return 1\n"
+                     "class _Base:\n"
+                     "    def read(self):\n"
+                     "        pass\n"
+                     "    def lost(self):\n"
+                     "        pass\n")}
+    used = names_read(ast.parse(sources["a"])) | names_read(
+        ast.parse("from a import Box\nBox().size.read()\n"))
+    assert unreached_public_names(sources, used) == [
+        ("a", 1, "gone"), ("a", 10, "Box.unread"), ("a", 18, "_Base.lost")]
+
+
+# Public names with no caller yet that stay, each with its reason.
+_KEEP_PUBLIC = {
+    "kaplan_meier": "estimates the censoring survival G of the "
+                    "censoring-weighted Brier score on the ROADMAP",
+    "SurvivalCurve.value_at": "reads G at each event time and at the "
+                              "horizon for the same Brier score",
+}
+
+
+def test_every_public_name_is_reached():
+    # A public name counts as reached when a library module other than
+    # `__init__.py` or a benchmark file reads it, or README names it;
+    # tests do not count as callers.
+    sources = {p.relative_to(_SRC).as_posix(): p.read_text(encoding="utf-8")
+               for p in _MODULES}
+    used = set(re.findall(r"\w+", (_SRC.parent.parent / "README.md")
+                          .read_text(encoding="utf-8")))
+    for source in [*sources.values(),
+                   *(p.read_text(encoding="utf-8")
+                     for p in sorted(_PERFBENCH.glob("*.py")))]:
+        used |= names_read(ast.parse(source))
+    unreached = unreached_public_names(sources, used)
+    assert [u for u in unreached if u[2] not in _KEEP_PUBLIC] == []
+    # a kept name that gained a caller leaves the keep-list
+    assert sorted(name for *_, name in unreached) == sorted(_KEEP_PUBLIC)
 
 
 def reassociating_sums(source: str) -> list:

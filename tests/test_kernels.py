@@ -448,6 +448,49 @@ def test_linear_predictor_refuses_a_long_column(d, bad):
         kernels.linear_predictor(columns, [1.0] * d, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernels.ridge_normal_solve(
+        [[1.0, 2.0, 3.0], [1.0, -2.0]], [1.0, 2.0, 3.0], 1e-3, [1.0, 1.0]),
+     "column 1 has 2 values for 3 samples"),
+    (lambda: kernels.ridge_normal_solve(
+        [[1.0, 2.0, 3.0]], [1.0, 2.0], 1e-3, [1.0]),
+     "column 0 has 3 values for 2 samples"),
+    (lambda: kernels.ridge_normal_solve(
+        [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], 1e-3, [1.0, 1.0]),
+     "penalty has 2 values for 1 columns"),
+    (lambda: kernels.ridge_normal_solve(
+        [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], 1e-3, []),
+     "penalty has 0 values for 1 columns"),
+    (lambda: kernels.cox_gd(
+        [[1.0, 2.0]], [1.0, 2.0, 3.0], [1, 1, 1], 0.1, 2, 0.0),
+     "column 0 has 2 values for 3 samples"),
+    (lambda: kernels.cox_gd(
+        [[1.0, 2.0, 3.0, 4.0]], [1.0, 2.0, 3.0], [1, 1, 1], 0.1, 2, 0.0),
+     "column 0 has 4 values for 3 samples"),
+    (lambda: kernels.cox_gd(
+        [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], [1, 1], 0.1, 2, 0.0),
+     "occurred has 2 values for 3 samples"),
+    (lambda: kernels.cox_gd(
+        [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], [1, 1, 1, 1], 0.1, 2, 0.0),
+     "occurred has 4 values for 3 samples"),
+    (lambda: kernels.concordance_counts(
+        3, [1.0, 2.0], [1, 1, 1], [1.0, 2.0, 3.0]),
+     "times has 2 values for 3 samples"),
+    (lambda: kernels.concordance_counts(
+        3, [1.0, 2.0, 3.0], [1, 1, 1, 0], [1.0, 2.0, 3.0]),
+     "occurred has 4 values for 3 samples"),
+    (lambda: kernels.concordance_counts(
+        3, [1.0, 2.0, 3.0], [1, 1, 1], [1.0, 2.0]),
+     "risks has 2 values for 3 samples"),
+], ids=["ridge-short-column", "ridge-short-y", "ridge-extra-penalty",
+        "ridge-no-penalty", "cox-short-column", "cox-long-column",
+        "cox-short-flags", "cox-long-flags", "concordance-short-times",
+        "concordance-long-flags", "concordance-short-risks"])
+def test_kernels_refuse_misaligned_inputs(call, message):
+    with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # ridge_normal_solve
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import re
 import pytest
 
 import tempoframe
-from datagen import classification_dataset, survival_dataset
+from datagen import classification_dataset, static_rows, survival_dataset
 from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
@@ -237,7 +237,7 @@ def test_fit_does_not_mutate_estimator_inputs():
 def test_fingerprint_is_order_and_content_sensitive():
     ds = classification_dataset(21)
     fitted = create("classify.logistic", {"iters": 5}).fit(ds)
-    rows, kinds = ds.static.to_rows(), dict(ds.static.features)
+    rows, kinds = static_rows(ds.static), dict(ds.static.features)
     roles = RoleMap.of(covariates=("x1", "x2"), targets=("y",))
 
     def variant(kinds, roles=roles, rows=rows):
@@ -266,8 +266,8 @@ def test_predict_requires_exact_fingerprint():
     fitted.predict(ds)
 
     # an extra feature changes the fingerprint
-    rows = ds.static.to_rows() + [(sid, "extra", 0.0)
-                                  for sid in ds.sample_ids]
+    rows = static_rows(ds.static) + [(sid, "extra", 0.0)
+                                     for sid in ds.sample_ids]
     kinds = dict(ds.static.features)
     kinds["extra"] = Continuous()
     bigger = assemble_dataset(
@@ -282,7 +282,8 @@ def test_transform_accepts_supersets_but_not_changes():
     ds = classification_dataset(4)
     scaler = create("scale.zscore").fit(ds)
 
-    rows = ds.static.to_rows() + [(sid, "extra", 1) for sid in ds.sample_ids]
+    rows = static_rows(ds.static) + [(sid, "extra", 1)
+                                     for sid in ds.sample_ids]
     kinds = dict(ds.static.features)
     kinds["extra"] = Integer()
     bigger = assemble_dataset(

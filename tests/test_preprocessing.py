@@ -21,7 +21,6 @@ from tempoframe.data import (
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
-    missing_mask,
     select_samples,
 )
 from tempoframe.errors import (
@@ -37,16 +36,11 @@ from tempoframe.plugins import create, load_fitted, save_fitted, spec_of
 from tempoframe.preprocess import _locf_seq, _resample_seq, _zscore_apply
 
 
-def _flatten(mask):
-    for item in mask:
-        if isinstance(item, tuple):
-            yield from _flatten(item)
-        elif item is not None:
-            yield item
-
-
 def _no_missing(container) -> bool:
-    return not any(_flatten(missing_mask(container)))
+    if isinstance(container, StaticSamples):
+        return all(v is not MISSING for row in container.values for v in row)
+    return all(v is not MISSING for per_sample in container.series
+               for seq in per_sample for _, v in seq)
 
 
 def _static_ds(rows, kinds, roles, events=None):
@@ -275,7 +269,7 @@ def test_onehot_expands_categorical_covariates():
     # a Missing source value expands to Missing indicator cells
     assert out.static.cell("c", "sex=f") is MISSING
     assert out.static.cell("c", "sex=m") is MISSING
-    assert isinstance(out.static.kind_of("sex=f"), Integer)
+    assert isinstance(dict(out.static.features)["sex=f"], Integer)
     assert out.roles.role_of("sex=f") is Role.COVARIATE
     with pytest.raises(RoleGap):
         out.roles.role_of("sex")

@@ -21,6 +21,7 @@ from tempoframe.data import (
     covariate_matrix,
 )
 from tempoframe.errors import (
+    AlignmentError,
     EmptyInput,
     MetricMismatch,
     NoComparablePairs,
@@ -364,9 +365,29 @@ def test_c_index_censored_anchors_are_not_comparable():
         concordance_index([1.0, 2.0], outcomes)
 
 
+@pytest.mark.parametrize("risks, message", [
+    ([1.0, 2.0], "risks has 2 values for 3 samples"),
+    ([1.0, 2.0, 3.0, 4.0], "risks has 4 values for 3 samples"),
+], ids=["short", "long"])
+def test_c_index_refuses_risks_of_another_length(risks, message):
+    outcomes = _outcomes([(1, 1), (2, 1), (3, 0)])
+    with pytest.raises(AlignmentError, match=f"^{message}$"):
+        concordance_index(risks, outcomes)
+
+
 # ---------------------------------------------------------------------------
 # Brier
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("survival, message", [
+    ([0.3, 0.8], "survival has 2 values for 3 samples"),
+    ([0.3, 0.8, 0.5, 0.1], "survival has 4 values for 3 samples"),
+], ids=["short", "long"])
+def test_brier_refuses_survival_of_another_length(survival, message):
+    outcomes = _outcomes([(1.0, 1), (3.0, 0), (1.5, 1)])
+    with pytest.raises(AlignmentError, match=f"^{message}$"):
+        brier_score(survival, outcomes, 2.0)
+
 
 def test_brier_hand_value():
     curves = [SurvivalCurve((1.0,), (0.3,)),

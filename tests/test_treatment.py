@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from datagen import static_rows
 from tempoframe.data import (
     Categorical,
     Continuous,
@@ -98,7 +99,7 @@ def test_noisy_recovery_stays_close():
 def test_outcome_shift_equivariance():
     base = _balanced_ds()
     shifted_rows = []
-    for sid, fid, v in base.static.to_rows():
+    for sid, fid, v in static_rows(base.static):
         shifted_rows.append((sid, fid, v + 100.0 if fid == "y" else v))
     shifted = _hand_ds(
         shifted_rows, dict(base.static.features), base.roles,
@@ -306,7 +307,7 @@ def test_target_requirements():
 
 def test_missing_outcome_is_refused():
     ds = _balanced_ds()
-    rows = [r for r in ds.static.to_rows() if r[:2] != ("p03", "y")]
+    rows = [r for r in static_rows(ds.static) if r[:2] != ("p03", "y")]
     ds = _hand_ds(rows, dict(ds.static.features), ds.roles, ds.sample_ids)
     with pytest.raises(MissingInTarget,
                        match="^outcome 'y' missing for sample 'p03'$"):
@@ -361,7 +362,7 @@ def test_synth_layout():
     ds = truth.dataset
     assert ds.sample_ids == tuple(f"s{i:04d}" for i in range(6))
     assert ds.static.feature_ids == ("x1", "x2", "x3", "a", "y")
-    assert isinstance(ds.static.kind_of("a"), Integer)
+    assert isinstance(dict(ds.static.features)["a"], Integer)
     assert all(v in (0, 1) for v in ds.static.column("a"))
     # recorded effect is gamma . x
     for sid, tau in zip(ds.sample_ids, truth.effects):
@@ -427,7 +428,7 @@ def test_synth_grid_equals_the_built_grid(seed, dim, kwargs):
     # The generator builds its StaticSamples directly; the validating
     # builder must give the same container from the same cells.
     static = synth_treatment_data(9, seed, dim=dim, **kwargs).dataset.static
-    assert static == build_static_samples(static.to_rows(),
+    assert static == build_static_samples(static_rows(static),
                                           dict(static.features))
     assert static.feature_ids[-2:] == ("a", "y")
 
