@@ -31,15 +31,10 @@ from tempoframe.errors import (
     TempoframeError,
     TooFewSamples,
 )
-from tempoframe.interpret import permutation_importance
+from tempoframe.interpret import check_importance, permutation_importance
 from tempoframe.kernels import mean_std
 from tempoframe.metrics import TASKS, resolve_metric
-from tempoframe.plugins import (
-    Category,
-    build_pipeline,
-    resolve_params,
-    spec_of,
-)
+from tempoframe.plugins import build_pipeline
 from tempoframe.rng import Lcg
 
 log = logging.getLogger("tempoframe.bench")
@@ -99,23 +94,46 @@ class BenchConfig:
     importance: dict = None
 
 
-def _require(doc: dict, key: str, typ, what: str):
-    if key not in doc:
-        raise ConfigError(f"config is missing {key!r}")
-    v = doc[key]
-    if not isinstance(v, typ) or isinstance(v, bool):
-        raise ConfigError(f"config {key!r} must be {what}")
-    return v
+def _require(obj: dict, key: str, typ, what: str, default=...,
+             where: str = "config"):
+    """obj[key], a `typ` but never a bool. An absent or null key takes its
+    `default`, and is refused if that is `...`; `where` names obj."""
+    v = obj.get(key)
+    if v is None and default is ...:
+        raise ConfigError(f"{where} is missing {key!r}")
+    if v is not None and (not isinstance(v, typ) or isinstance(v, bool)):
+        raise ConfigError(f"{where} {key!r} must be {what}")
+    return default if v is None else v
+
+
+def _check_object(obj, allowed: tuple, where: str) -> None:
+    """Refuse `obj` unless it is a JSON object with only `allowed` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {unknown}")
+
+
+def _check_metric(name, task: str, where: str) -> None:
+    """Refuse `name` unless it names a metric of `task`."""
+    if not isinstance(name, str):
+        raise ConfigError(f"{where} must hold metric names, got {name!r}")
+    try:
+        spec = resolve_metric(name)
+    except TempoframeError as e:
+        raise ConfigError(f"{where}: {e}") from e
+    if spec.task != task:
+        raise ConfigError(f"{where}: metric {name!r} does not apply to task "
+                          f"{task!r}")
 
 
 def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = {"bundle", "task", "pipeline", "metrics", "cv", "output",
-               "truth", "importance"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+    """The config of a parsed document, checked by building what the run
+    builds; every key is read by `_require`. A ConfigError names the key
+    and its object. Paths are resolved against `base_dir`."""
+    _check_object(doc, ("bundle", "task", "pipeline", "metrics", "cv",
+                      "output", "truth", "importance"), "config")
     bundle = _require(doc, "bundle", str, "a path string")
     task = _require(doc, "task", str, "a task name")
     if task not in TASKS:
@@ -126,107 +144,67 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
         raise ConfigError("pipeline must have at least one step")
     steps = []
     for i, step in enumerate(raw_steps):
-        if not isinstance(step, dict) or "plugin" not in step:
-            raise ConfigError(f"pipeline step {i} must be an object with "
-                              "a 'plugin' key")
-        stray = sorted(set(step) - {"plugin", "params"})
-        if stray:
-            raise ConfigError(f"pipeline step {i} has unknown keys: {stray}")
-        name = step["plugin"]
-        params = step.get("params", {})
-        if not isinstance(name, str) or not isinstance(params, dict):
-            raise ConfigError(f"pipeline step {i}: plugin must be a string "
-                              "and params an object")
-        try:
-            spec = spec_of(name)
-            resolve_params(spec.schema, params)
-        except TempoframeError as e:
-            raise ConfigError(f"pipeline step {i}: {e}") from e
-        steps.append((name, params))
-    for name, _ in steps[:-1]:
-        if spec_of(name).category is not Category.TRANSFORM:
-            raise ConfigError(f"interior pipeline step {name!r} is not a "
-                              "transform")
-    final_cat = spec_of(steps[-1][0]).category
-    if final_cat is not TASKS[task].category:
+        where = f"pipeline step {i}"
+        _check_object(step, ("plugin", "params"), where)
+        steps.append((_require(step, "plugin", str, "a plugin name",
+                               where=where),
+                      _require(step, "params", dict, "an object", {}, where)))
+    try:
+        est = build_pipeline(steps)
+    except TempoframeError as e:
+        raise ConfigError(f"pipeline {e}") from e
+    if est.spec.category is not TASKS[task].category:
         raise ConfigError(
-            f"task {task!r} needs a final {TASKS[task].category.value} "
-            f"step, got {steps[-1][0]!r} ({final_cat.value})")
+            f"task {task!r} needs a final {TASKS[task].category.value} step, "
+            f"got {est.spec.name!r} ({est.spec.category.value})")
 
-    raw_metrics = _require(doc, "metrics", list, "a list of metric names")
-    if not raw_metrics:
-        raise ConfigError("metrics must name at least one metric")
-    for m in raw_metrics:
-        if not isinstance(m, str):
-            raise ConfigError("metric names must be strings")
-        try:
-            spec = resolve_metric(m)
-        except TempoframeError as e:
-            raise ConfigError(str(e)) from e
-        if spec.task != task:
-            raise ConfigError(f"metric {m!r} does not apply to task {task!r}")
-    if len(set(raw_metrics)) != len(raw_metrics):
-        raise ConfigError("metrics contain duplicates")
+    metrics = _require(doc, "metrics", list, "a list of metric names")
+    for m in metrics:
+        _check_metric(m, task, "config 'metrics'")
+    if not metrics or len(set(metrics)) != len(metrics):
+        raise ConfigError("config 'metrics' must name one or more distinct "
+                          "metrics")
 
     cv = _require(doc, "cv", dict, "an object")
-    stray = sorted(set(cv) - {"folds", "seed"})
-    if stray:
-        raise ConfigError(f"cv has unknown keys: {stray}")
-    folds = _require(cv, "folds", int, "an integer")
-    seed = _require(cv, "seed", int, "an integer")
+    _check_object(cv, ("folds", "seed"), "cv")
+    folds = _require(cv, "folds", int, "an integer", where="cv")
+    seed = _require(cv, "seed", int, "an integer", where="cv")
     if folds < 2:
-        raise ConfigError(f"cv.folds must be >= 2, got {folds}")
+        raise ConfigError(f"cv 'folds' must be >= 2, got {folds}")
 
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output must be a path string")
-
-    truth = doc.get("truth")
-    if task == "treatment":
-        if truth is None:
-            raise ConfigError("task 'treatment' needs a 'truth' file with "
-                              "per-sample true effects")
-        if not isinstance(truth, str):
-            raise ConfigError("truth must be a path string")
-    elif truth is not None:
+    output = _require(doc, "output", str, "a path string", None)
+    truth = _require(doc, "truth", str, "a path string",
+                     ... if task == "treatment" else None)
+    if task != "treatment" and truth is not None:
         raise ConfigError("'truth' only applies to the treatment task")
 
-    importance = doc.get("importance")
+    importance = _require(doc, "importance", dict, "an object", None)
     if importance is not None:
-        if not isinstance(importance, dict):
-            raise ConfigError("importance must be an object")
-        stray = sorted(set(importance) - {"metric", "repeats", "seed"})
-        if stray:
-            raise ConfigError(f"importance has unknown keys: {stray}")
-        imetric = _require(importance, "metric", str, "a metric name")
-        irepeats = importance.get("repeats", 1)
-        iseed = importance.get("seed", 0)
-        if not isinstance(irepeats, int) or isinstance(irepeats, bool) \
-                or irepeats < 1:
-            raise ConfigError("importance.repeats must be an integer >= 1")
-        if not isinstance(iseed, int) or isinstance(iseed, bool):
-            raise ConfigError("importance.seed must be an integer")
+        where = "importance"
+        _check_object(importance, ("metric", "repeats", "seed"), where)
+        importance = {
+            "metric": _require(importance, "metric", str, "a metric name",
+                               where=where),
+            "repeats": _require(importance, "repeats", int, "an integer",
+                                1, where),
+            "seed": _require(importance, "seed", int, "an integer", 0, where)}
+        if importance["repeats"] < 1:
+            raise ConfigError("importance 'repeats' must be >= 1")
+        _check_metric(importance["metric"], task, "importance 'metric'")
         try:
-            ispec = resolve_metric(imetric)
+            check_importance(est, importance["metric"])
         except TempoframeError as e:
             raise ConfigError(str(e)) from e
-        if ispec.task != task or not TASKS[task].in_place:
-            raise ConfigError(
-                f"importance metric {imetric!r} is not scorable in place "
-                f"for task {task!r}")
-        importance = {"metric": imetric, "repeats": irepeats, "seed": iseed}
 
     def resolve(p):
-        return os.path.normpath(os.path.join(base_dir, p))
+        if p is not None:
+            return os.path.normpath(os.path.join(base_dir, p))
 
-    return BenchConfig(
-        doc=doc, sha256=sha256,
-        bundle=locate_manifest(resolve(bundle)),
-        task=task, pipeline=tuple(steps), metrics=tuple(raw_metrics),
-        folds=folds, seed=seed,
-        output=resolve(output) if output is not None else None,
-        truth=resolve(truth) if truth is not None else None,
-        importance=importance)
+    return BenchConfig(doc=doc, sha256=sha256,
+                       bundle=locate_manifest(resolve(bundle)), task=task,
+                       pipeline=tuple(steps), metrics=tuple(metrics),
+                       folds=folds, seed=seed, output=resolve(output),
+                       truth=resolve(truth), importance=importance)
 
 
 def load_config(path) -> BenchConfig:
@@ -381,9 +359,7 @@ def _run_fold(config: BenchConfig, fold: int, train: Dataset,
     rep = None
     if config.importance is not None:
         with _step(fold, "importance"):
-            rep = permutation_importance(
-                fitted, test, config.importance["metric"],
-                config.importance["repeats"], config.importance["seed"])
+            rep = permutation_importance(fitted, test, **config.importance)
     seconds = time.perf_counter() - t0
     log.info("fold %d done: %s", fold,
              {k: values[k] for k in config.metrics})
@@ -511,10 +487,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     per_metric = {name: [] for name in config.metrics}
     importance = None
     if config.importance is not None:
-        importance = {"metric": config.importance["metric"],
-                      "repeats": config.importance["repeats"],
-                      "seed": config.importance["seed"],
-                      "features": None, "baselines": [], "folds": []}
+        importance = {**config.importance, "features": None,
+                      "baselines": [], "folds": []}
     fold_seconds = []
     for values, rep, seconds in _run_folds(config, splits, truth_map):
         for name in config.metrics:

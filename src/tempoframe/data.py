@@ -470,7 +470,7 @@ class Scan(NamedTuple):
     cells: list       # per sample, one slot per feature (`features` order):
                       # a value, sorted sequence, event entry or _EMPTY
     samples: dict     # sample id -> row: the pin, then first appearances
-    features: dict    # feature id -> slot, in first-appearance order
+    features: dict    # feature id -> slot, in the order `scan_rows` states
     violations: list  # Violation per rejected record, in record order
 
 
@@ -481,13 +481,14 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
     Records are `(sample_id, feature_id, value)` for static data and
     `(sample_id, feature_id, time, value)` for time series and events.
     `text` records are CSV fields, parsed here (an empty value is
-    Missing); other records hold Python values, and their ids must pass
-    `_check_id` (a text id need only match `kinds` or `pin`, whose ids the
-    bundle reader checks in the manifest). Each accepted record goes
-    straight into its slot of its sample's row. A record that breaks a
-    rule is left out and gives one Violation: its 1-based row and the
-    first rule it breaks. With a `pin`, every record must name one of its
-    samples; other samples get rows after the pinned ones.
+    Missing), with features in `kinds` (manifest) order; other records
+    hold Python values, with features in first-appearance order, and their
+    ids must pass `_check_id` (a text id need only match `kinds` or `pin`,
+    whose ids the bundle reader checks in the manifest). Each accepted
+    record goes straight into its slot of its sample's row. A record that
+    breaks a rule is left out and gives one Violation: its 1-based row and
+    the first rule it breaks. With a `pin`, every record must name one of
+    its samples; other samples get rows after the pinned ones.
     """
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
@@ -496,7 +497,7 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
     samples: dict = {} if pin is None else {s: i for i, s in enumerate(pin)}
     pinned = math.inf if pin is None else len(samples)
     cells: list = [[_EMPTY] * len(kinds) for _ in samples]
-    features: dict = {}
+    features = {f: j for j, f in enumerate(kinds)} if text else {}
     bad: list = []
     t = None
     for row, rec in enumerate(records, 1):
@@ -624,14 +625,13 @@ def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
     """The container of a clean scan, from its rows as the scan placed them.
 
     Samples come in `pin` order (rows of samples outside it are dropped),
-    else in first-appearance order; features in first-appearance order,
-    then those declared in `kinds` only. Empty slots become Missing, empty
+    else in first-appearance order; features in the scan's order, then
+    those declared in `kinds` only. Empty slots become Missing, empty
     sequences or None.
     """
     cls, empty, _, _ = _MODALITIES[modality]
     samples = tuple(scan.samples if pin is None else pin)
-    features = list(scan.features)
-    features += [f for f in kinds if f not in scan.features]
+    features = [*scan.features, *(f for f in kinds if f not in scan.features)]
     return cls(samples, tuple((f, kinds[f]) for f in features),
                tuple(tuple(empty if v is _EMPTY else v for v in r)
                      if _EMPTY in r else tuple(r)

@@ -44,19 +44,35 @@ class ImportanceReport:
     importances: tuple
 
 
-def _column_predictor(inner: FittedEstimator, ds: Dataset):
-    """predict(fid, perm): predictions of `inner` on ds with feature fid
-    permuted by perm (fid None: on ds itself), from one featurization of
-    ds."""
-    for step in inner.front:
+def check_importance(est, metric: str):
+    """The spec of `metric` if importance over it can run on `est`, fitted
+    or not: the metric is scorable in place and fits the final category,
+    every front step declares derived_ids, the model has predict_columns."""
+    m = resolve_metric(metric)
+    if not TASKS[m.task].in_place:
+        raise MetricMismatch(
+            f"metric {metric!r} is not scorable in place; importance "
+            "supports accuracy, c_index and brier@<t>")
+    if est.spec.category is not TASKS[m.task].category:
+        raise MetricMismatch(
+            f"metric {metric!r} does not apply to a "
+            f"{est.spec.category.value} estimator")
+    for step in est.front:
         if step.spec.derived_ids is None:
             raise MetricMismatch(
                 f"importance needs per-sample transforms; {step.spec.name!r} "
                 "does not declare derived_ids")
-    if inner.spec.predict_columns is None:
+    if est.spec.predict_columns is None:
         raise MetricMismatch(
             f"importance needs a model that reads the covariate matrix; "
-            f"{inner.spec.name!r} has no predict_columns")
+            f"{est.spec.name!r} has no predict_columns")
+    return m
+
+
+def _column_predictor(inner: FittedEstimator, ds: Dataset):
+    """predict(fid, perm): predictions of `inner`, which passed
+    `check_importance`, on ds with feature fid permuted by perm (fid None:
+    on ds itself), from one featurization of ds."""
     running = inner.run_front(ds)
     check_fingerprint(inner, running)
     names, columns = covariate_matrix(running)
@@ -92,19 +108,10 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
         raise TooFewSamples(f"importance needs at least 2 samples, got {n}")
     if repeats < 1:
         raise TooFewSamples(f"repeats must be >= 1, got {repeats}")
-    m = resolve_metric(metric)
-    task = TASKS[m.task]
-    if not task.in_place:
-        raise MetricMismatch(
-            f"metric {metric!r} is not scorable in place; importance "
-            "supports accuracy, c_index and brier@<t>")
-    if inner.spec.category is not task.category:
-        raise MetricMismatch(
-            f"metric {metric!r} does not apply to a "
-            f"{inner.spec.category.value} estimator")
+    m = check_importance(inner, metric)
     predict = _column_predictor(inner, ds)
     unpermuted = predict(None, None)
-    truth = task.truth(ds)
+    truth = TASKS[m.task].truth(ds)
 
     def score(pred, what: str) -> float:
         value = m.score(pred, truth)

@@ -34,6 +34,7 @@ from tempoframe.errors import (
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
+    TempoframeError,
     UnknownParam,
     UnknownPlugin,
     UnknownPluginInBlob,
@@ -322,17 +323,22 @@ class FittedEstimator:
 def build_pipeline(steps) -> Estimator:
     """steps: list of (plugin_name, params) pairs; every step but the last
     must be a Transform. Returns the last step's Estimator with the others
-    as its front."""
+    as its front. A step's fault raises as `step <i> (<plugin>): ...`."""
     steps = list(steps)
     if not steps:
         raise BadPipelineShape("pipeline needs at least one step")
-    *front, last = [create(name, params) for name, params in steps]
-    for est in front:
-        if est.spec.category is not Category.TRANSFORM:
-            raise BadPipelineShape(
-                f"interior step {est.spec.name!r} is a "
-                f"{est.spec.category.value}; only the last step may be "
-                "non-transform")
+    ests = []
+    for i, (name, params) in enumerate(steps):
+        try:
+            est = create(name, params)
+            if i < len(steps) - 1 and \
+                    est.spec.category is not Category.TRANSFORM:
+                raise BadPipelineShape(f"a {est.spec.category.value} may "
+                                       "only be the last step")
+        except TempoframeError as e:
+            raise type(e)(f"step {i} ({name}): {e}") from None
+        ests.append(est)
+    *front, last = ests
     return Estimator(last.spec, last.params, front)
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from datagen import classification_dataset, offset_grid_dataset, \
     patient_dataset, regular_series_dataset, survival_dataset
-from tempoframe import bench, interpret
+from tempoframe import bench, interpret, plugins
 from tempoframe.bench import (
     BenchConfig,
     BenchReport,
@@ -59,7 +59,12 @@ from tempoframe.errors import (
     TooFewSamples,
 )
 from tempoframe.metrics import MetricSpec
-from tempoframe.plugins import build_pipeline, save_fitted
+from tempoframe.plugins import (
+    Category,
+    EstimatorSpec,
+    build_pipeline,
+    save_fitted,
+)
 from tempoframe.rng import Lcg
 from tempoframe.treatment import synth_treatment_data
 from tempoframe._version import __version__
@@ -238,6 +243,26 @@ def test_config_importance_defaults(tmp_path):
     config = config_from_doc(doc, str(tmp_path), "0" * 64)
     assert config.importance == {"metric": "accuracy", "repeats": 1,
                                  "seed": 0}
+
+
+def test_config_refuses_importance_its_pipeline_cannot_serve(tmp_path,
+                                                             monkeypatch):
+    # A front step without derived_ids: refused at the config check, with
+    # exit 2, before the bundle is read.
+    monkeypatch.setitem(plugins._REGISTRY, "test.ident", EstimatorSpec(
+        name="test.ident", category=Category.TRANSFORM,
+        fit=lambda params, ds: {}, transform=lambda params, state, ds: ds))
+    doc = _classify_doc(importance={"metric": "accuracy"})
+    doc["pipeline"].insert(0, {"plugin": "test.ident"})
+    message = ("importance needs per-sample transforms; 'test.ident' does "
+               "not declare derived_ids")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_doc(doc, str(tmp_path), "0" * 64)
+    write_bundle(classification_dataset(0, n=24), str(tmp_path / "bundle"))
+    reads = []
+    monkeypatch.setattr(bench, "read_bundle",
+                        lambda path: reads.append(path) or read_bundle(path))
+    assert (cli(["run", _write_config(tmp_path, doc)]), reads) == (2, [])
 
 
 def test_load_config_io_errors(tmp_path):
@@ -881,6 +906,80 @@ def test_cli_treatment_sweep_exits_cleanly(tmp_path, capsys):
              for front in fronts for p in params], ["pehe"])])
     assert len(codes) == 48
     assert {0, 1} <= set(codes)
+
+
+# Per object of a config: key -> (the Python type it takes, required).
+_CONFIG_KEYS = {
+    "config": {"bundle": (str, True), "task": (str, True),
+               "pipeline": (list, True), "metrics": (list, True),
+               "cv": (dict, True), "output": (str, False),
+               "truth": (str, False), "importance": (dict, False)},
+    "step": {"plugin": (str, True), "params": (dict, False)},
+    "cv": {"folds": (int, True), "seed": (int, True)},
+    "importance": {"metric": (str, True), "repeats": (int, False),
+                   "seed": (int, False)},
+}
+# One value of each JSON type; both an integral and a fractional number.
+_JSON_VALUES = (None, True, 3, 2.5, "x", ["x"], {"x": 1})
+
+
+def _config_objects(doc):
+    """(name in messages, kind in _CONFIG_KEYS, object) of each object of
+    a config."""
+    yield "config", "config", doc
+    for i, step in enumerate(doc["pipeline"]):
+        yield f"pipeline step {i}", "step", step
+    yield "cv", "cv", doc["cv"]
+    if "importance" in doc:
+        yield "importance", "importance", doc["importance"]
+
+
+def _config_mutations(doc):
+    """(config, object name, key) for each one-field mutation of a valid
+    config: a required key dropped, a key given a value of a JSON type it
+    refuses, and an unknown key added to an object."""
+    out = []
+    for n, (where, kind, _) in enumerate(_config_objects(doc)):
+        def mutated(change):
+            copy = json.loads(json.dumps(doc))
+            change(list(_config_objects(copy))[n][2])
+            return copy
+
+        for key, (typ, required) in _CONFIG_KEYS[kind].items():
+            required = required or (key, doc["task"]) == ("truth",
+                                                          "treatment")
+            if required:
+                out.append((mutated(lambda o: o.pop(key)), where, key))
+            for v in _JSON_VALUES:
+                if (required if v is None
+                        else isinstance(v, bool) or not isinstance(v, typ)):
+                    out.append((mutated(lambda o: o.update({key: v})),
+                                where, key))
+        out.append((mutated(lambda o: o.update(zzz=1)), where, "zzz"))
+    return out
+
+
+def test_cli_config_mutation_sweep_exits_cleanly(tmp_path, capsys):
+    # Each golden config with one field broken: exit 2 before any bundle is
+    # read, with one line that names the key and, for a nested key, its
+    # object.
+    docs = []
+    for path in sorted(glob.glob(os.path.join(GOLDEN, "**", "config.json"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as f:
+            docs.append(json.load(f))
+    cases = [case for doc in docs for case in _config_mutations(doc)]
+    assert len(docs) == 5 and len(cases) == 524
+    for doc, where, key in cases:
+        what = f"{where} {key!r}: {json.dumps(doc)}"
+        assert cli(["run", _write_config(tmp_path, doc)]) == 2, what
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err, what
+        assert err.startswith("tempoframe: ") and err.count("\n") == 1, what
+        line = err[len("tempoframe: "):]
+        assert repr(key) in line, what
+        if where != "config":
+            assert line.startswith(f"{where} "), what
 
 
 def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):
