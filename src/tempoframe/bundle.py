@@ -1,52 +1,68 @@
 """Bundle file format: a `manifest` JSON file plus one CSV per modality.
 
-Layout (schema "2"):
-    manifest                     JSON: schema_version, samples, files,
-                                 features, kinds, roles
-    static.csv                   sample_id,<static feature ids>: one row
-                                 per sample, in manifest order
-    temporal.csv / events.csv    sample_id,feature_id,time,value: one row
-                                 per point or event
+Layout (schema "3"):
+    manifest       JSON: schema_version, samples, files, features, kinds,
+                   roles
+    static.csv     sample_id,<static feature ids>: one row per sample, in
+                   manifest order
+    temporal.csv   sample_id,feature_id,times,values: one row per non-empty
+                   (sample, feature) sequence, in manifest sample order,
+                   then feature order
+    events.csv     sample_id,feature_id,time,value: one row per event
 
-Empty value field = Missing. Writing is deterministic: fixed field order,
-shortest round-trip float formatting, UTF-8, LF line endings, so identical
-datasets produce byte-identical bundles. A manifest of any other schema,
-such as "1", is refused.
+A packed `times` or `values` field holds one token per point, `repr`
+numbers separated by single spaces, with times strictly increasing. A
+Categorical temporal value is written as its 0-based index in the
+manifest's category list, since a category may hold a space; a static or
+event value is the category itself. An empty value (field or token) is
+Missing. A sequence whose two packed fields would pass `_ROW_CHARS`
+characters goes on in the next row, so no field reaches the csv module's
+field limit. Writing is deterministic: fixed field order, shortest
+round-trip float formatting, UTF-8, LF line endings, so identical datasets
+produce byte-identical bundles. A manifest of any other schema, such as
+"2" or "1", is refused.
 
-Reading and validation share the manifest check, one pass over each
-listed table (`tempoframe.data.scan_wide` for the static table,
-`tempoframe.data.scan_rows`, as the builders use, for a timed one) that
-checks each data row and places it in its sample's grid row, and the
-assembly of clean tables into a Dataset, so both fail on the same
-bundles. `validate_bundle` returns every table fault; `read_bundle` raises
-the first in row order as `<path>:<line>: <detail>`, with the error type
-of its code.
+This module holds the file grammar. Reading and validation share the
+manifest check, one pass over each listed table (`scan_wide` for the
+static table, `scan_sequences` for a timed one) that checks each data row
+and places it in its sample's grid row, and the assembly of clean tables
+into a Dataset, so both fail on the same bundles. `validate_bundle`
+returns every table fault; `read_bundle` raises the first in row order as
+`<path>:<line>: <detail>`, with the error type of its code.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby, islice
+from operator import itemgetter, lt
 
 from tempoframe.data import (
     VIOLATION_ERRORS,
     Categorical,
+    Continuous,
     Dataset,
+    Integer,
     MISSING,
     Modality,
     Role,
     RoleMap,
+    Scan,
     ValueKind,
     Violation,
+    _EMPTY,
+    _MODALITIES,
     _check_id,
+    _float_of,
     assemble_dataset,
     grid,
     kind_from_json,
     kind_to_json,
-    scan_rows,
-    scan_wide,
 )
 from tempoframe.errors import (
     IoError,
@@ -56,7 +72,7 @@ from tempoframe.errors import (
     TempoframeError,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 MANIFEST_NAME = "manifest"
 
 # Modality -> table file name, in the order tables are written, read and
@@ -66,7 +82,14 @@ _TABLES = {
     Modality.TEMPORAL: "temporal.csv",
     Modality.EVENT: "events.csv",
 }
-_TIMED_HEADER = ["sample_id", "feature_id", "time", "value"]
+# Modality -> header of its timed table.
+_TIMED_HEADERS = {
+    Modality.TEMPORAL: ["sample_id", "feature_id", "times", "values"],
+    Modality.EVENT: ["sample_id", "feature_id", "time", "value"],
+}
+# The packed characters of one temporal row, times and values together:
+# half of `csv.field_size_limit()`'s default, which the reader keeps.
+_ROW_CHARS = 65536
 
 
 @dataclass(frozen=True)
@@ -138,17 +161,35 @@ def _manifest_json(m: BundleManifest) -> str:
 def _table_rows(modality: Modality, container):
     """The header and data rows of a container's table, as written:
     csv.writer writes None (a Missing value) as an empty field and a float
-    by its shortest round-trip repr."""
+    by its shortest round-trip repr; a packed field joins the same tokens,
+    a category by its index."""
     if modality is Modality.STATIC:
         yield ["sample_id", *container.feature_ids]
         for sid, row in zip(container.sample_ids, container.values):
             yield [sid, *[None if v is MISSING else v for v in row]]
         return
-    yield _TIMED_HEADER
-    points = (container.to_points() if modality is Modality.TEMPORAL
-              else container.to_entries())
-    for sid, fid, t, v in points:
-        yield [sid, fid, t, None if v is MISSING else v]
+    yield _TIMED_HEADERS[modality]
+    if modality is Modality.EVENT:
+        for sid, fid, t, v in container.to_entries():
+            yield [sid, fid, t, None if v is MISSING else v]
+        return
+    index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
+             for fid, kind in container.features
+             if isinstance(kind, Categorical)}
+    for (sid, fid), points in groupby(container.to_points(),
+                                      itemgetter(0, 1)):
+        codes = index.get(fid)
+        times, values, size = [], [], 0
+        for _, _, t, v in points:
+            tt = repr(t)
+            vt = "" if v is MISSING else repr(v) if codes is None else codes[v]
+            size += len(tt) + len(vt) + 2
+            if size > _ROW_CHARS and times:
+                yield [sid, fid, " ".join(times), " ".join(values)]
+                times, values, size = [], [], len(tt) + len(vt) + 2
+            times.append(tt)
+            values.append(vt)
+        yield [sid, fid, " ".join(times), " ".join(values)]
 
 
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
@@ -178,6 +219,271 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
+
+
+# ---------------------------------------------------------------------------
+# Table grammar
+# ---------------------------------------------------------------------------
+
+def _parse_time(s: str) -> float:
+    """A time token as a finite float, or ParseError."""
+    try:
+        t = float(s)
+    except ValueError:
+        raise ParseError(f"time {s!r} is not decimal") from None
+    if not math.isfinite(t):
+        raise ParseError(f"time {s!r} is not finite")
+    return t
+
+
+def _parse_value(kind: ValueKind, s: str):
+    """A value field or token in the stored form of `check_value`; the
+    empty one is Missing."""
+    if s == "":
+        return MISSING
+    if isinstance(kind, Continuous):
+        try:
+            v = float(s)
+        except ValueError:
+            raise KindMismatch(f"{s!r} is not a real number") from None
+        if not math.isfinite(v):
+            raise KindMismatch(f"non-finite value {s!r}")
+        return v
+    if isinstance(kind, Integer):
+        # ASCII [+-]?[0-9]+ only: int() would also read "0_1", " 7 " and
+        # non-ASCII digits
+        if not (s.isascii() and (s.isdigit()
+                                 or s[0] in "+-" and s[1:].isdigit())):
+            raise KindMismatch(f"{s!r} is not an integer")
+        try:
+            i = int(s, 10)
+        except ValueError:
+            # int() refuses a field of digits only past its length limit
+            # (4,300 digits), leading zeros included; without them the
+            # value is read, or it is far beyond float range: do not echo it
+            sign = s[0] if s[0] in "+-" else ""
+            try:
+                i = int(sign + (s[len(sign):].lstrip("0") or "0"), 10)
+            except ValueError:
+                raise KindMismatch("integer beyond float range") from None
+        _float_of(i, None)
+        return i
+    if s in kind.categories:
+        return s
+    raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
+
+
+def _token_reader(kind: ValueKind, indexed: bool):
+    """token -> stored value of `kind`, by `_parse_value`; a Categorical
+    token of a packed (`indexed`) field is the category's index."""
+    if not (indexed and isinstance(kind, Categorical)):
+        return partial(_parse_value, kind)
+    by_index = {str(i): c for i, c in enumerate(kind.categories)}
+    by_index[""] = MISSING
+
+    def read(s):
+        try:
+            return by_index[s]
+        except KeyError:
+            raise KindMismatch(f"{s!r} is not a category index below "
+                               f"{len(kind.categories)}") from None
+    return read
+
+
+class _RowFault(Exception):
+    """The first rule a table row breaks; args are its violation code and
+    detail."""
+
+
+# The characters `repr` writes for a finite number; a packed number field
+# also holds the spaces between its tokens. `str.translate` deletes them.
+_NUMBER_CHARS = "0123456789.e+-"
+_NOT_NUMBER = {False: str.maketrans("", "", _NUMBER_CHARS),
+               True: str.maketrans("", "", _NUMBER_CHARS + " ")}
+
+
+def _check_number_field(field: str, packed: bool, code: str, name: str):
+    """Refuse a number field that holds a character `repr` does not write
+    for a finite number, or a space outside a `packed` field; checked once
+    per field. `float()` and `int()` alone would read `2_5`, ` 1.5`,
+    non-ASCII digits and `nan`."""
+    odd = field.translate(_NOT_NUMBER[packed])
+    if odd:
+        raise _RowFault(code, f"{name} field holds {odd[0]!r}")
+
+
+def scan_wide(rows, kinds: dict, pin) -> Scan:
+    """Check, convert and place the data rows of a wide static table in
+    one pass.
+
+    Each row is a sample id, then one text field per feature of `kinds`,
+    in its order, read by `_parse_value` (an empty field is Missing). A
+    row that breaks a rule is left out and gives one Violation, with its
+    1-based row, for the first rule it breaks: its field count, the first
+    field its feature's kind refuses (the detail names the feature), a
+    repeat of an earlier row's sample (`duplicate_cell`), or a sample
+    outside `pin`, which still gets a row after the pinned ones.
+    """
+    fids = tuple(kinds)
+    kind_list = tuple(kinds.values())
+    width = len(fids) + 1
+    samples = {s: i for i, s in enumerate(pin)}
+    pinned = len(samples)
+    blank = [_EMPTY] * len(fids)  # the row of a sample no data row filled
+    cells = [blank] * pinned
+    bad = []
+    for row, rec in enumerate(rows, 1):
+        if len(rec) != width:
+            bad.append(Violation(row, "arity", f"expected {width} fields, "
+                                               f"got {len(rec)}"))
+            continue
+        sid = rec[0]
+        values = []
+        try:
+            for kind, s in zip(kind_list, rec[1:]):
+                values.append(_parse_value(kind, s))
+        except KindMismatch as e:
+            bad.append(Violation(row, "kind_mismatch",
+                                 f"feature {fids[len(values)]!r}: {e}"))
+            continue
+        i = samples.get(sid)
+        if i is None:
+            i = samples[sid] = len(cells)
+            cells.append(values)
+        elif cells[i] is blank:
+            cells[i] = values
+        else:
+            bad.append(Violation(row, "duplicate_cell",
+                                 f"duplicate row for sample {sid!r}"))
+            continue
+        if i >= pinned:
+            bad.append(Violation(row, "unknown_sample",
+                                 f"sample {sid!r} is not in the sample list"))
+    return Scan(cells, samples, {f: j for j, f in enumerate(fids)}, bad)
+
+
+def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
+    """Check, convert and place the data rows of a timed table in one pass.
+
+    Each row is a sample id, a feature of `kinds`, a times field and a
+    values field: packed tokens in `temporal.csv` (a category by its
+    index), one token in `events.csv` (a category by itself). As in
+    `scan_wide`, a row that breaks a rule is left out and gives one
+    Violation, for the first rule it breaks: its field count, its
+    feature, an empty times field (`missing_time`), a number field outside
+    `_check_number_field`, unequal token counts (`arity`), a second row of
+    a (sample, feature) that is not a temporal row right after the first
+    (the modality's duplicate code), a point of `_points`, or a sample
+    outside `pin`, which still gets a row after the pinned ones. A row
+    right after the first continues its sequence. Slots follow `kinds`
+    (manifest) order.
+    """
+    packed = modality is Modality.TEMPORAL
+    dup_code = _MODALITIES[modality][2]
+    features = {f: j for j, f in enumerate(kinds)}
+    # feature -> its token reader and kind
+    readers = {f: (_token_reader(k, packed), k) for f, k in kinds.items()}
+    samples = {s: i for i, s in enumerate(pin)}
+    pinned = len(samples)
+    cells = [[_EMPTY] * len(features) for _ in samples]
+    bad = []
+    last = None  # (row, slot) of the last accepted table row
+    for row, rec in enumerate(rows, 1):
+        try:
+            if len(rec) != 4:
+                raise _RowFault("arity", f"expected 4 fields, got {len(rec)}")
+            sid, fid, times, values = rec
+            if fid not in readers:
+                raise _RowFault("unknown_feature",
+                                f"feature {fid!r} has no declared kind")
+            read, kind = readers[fid]
+            if times == "":
+                raise _RowFault("missing_time", "empty time field")
+            _check_number_field(times, packed, "bad_time", "times")
+            if not isinstance(kind, Categorical):
+                _check_number_field(values, packed, "kind_mismatch", "values")
+            if packed:
+                ts, vs = times.split(" "), values.split(" ")
+                if len(ts) != len(vs):
+                    raise _RowFault("arity", f"{len(ts)} times but "
+                                             f"{len(vs)} values")
+            else:
+                ts, vs = (times,), (values,)
+            j = features[fid]
+            i = samples.get(sid)
+            held = _EMPTY if i is None else cells[i][j]
+            if held is _EMPTY:
+                prev = -math.inf
+            elif packed and last == (i, j):
+                prev = held[-1][0]
+            else:
+                raise _RowFault(dup_code, f"duplicate row for sample {sid!r}, "
+                                          f"feature {fid!r}")
+            points = _points(ts, vs, read, isinstance(kind, Continuous),
+                             prev)
+        except _RowFault as e:
+            bad.append(Violation(row, *e.args))
+            continue
+        if i is None:
+            i = samples[sid] = len(cells)
+            cells.append([_EMPTY] * len(features))
+        if held is not _EMPTY:
+            points = held + points
+        elif not packed:
+            points = points[0]  # an event entry
+        cells[i][j] = points
+        last = (i, j)
+        if i >= pinned:
+            bad.append(Violation(row, "unknown_sample",
+                                 f"sample {sid!r} is not in the sample list"))
+    return Scan(cells, samples, features, bad)
+
+
+def _reals(tokens) -> list:
+    """The Continuous values of number-field tokens, or ValueError; after
+    `_check_number_field` no token reads as nan, so a non-finite one is
+    ±inf."""
+    values = [float(s) if s else MISSING for s in tokens]
+    if math.inf in values or -math.inf in values:
+        raise ValueError("non-finite value")
+    return values
+
+
+def _points(ts, vs, read, reals: bool, prev: float) -> tuple:
+    """The (time, value) points of one row's tokens, values read by `read`
+    (by `_reals` when `reals`); times must be finite and strictly
+    increasing after `prev`. Else the first point that breaks a rule,
+    found one point at a time, raises; the detail names its index and
+    time."""
+    try:
+        times = [float(s) for s in ts]
+        values = _reals(vs) if reals else list(map(read, vs))
+        if (prev < times[0] and times[-1] < math.inf
+                and all(map(lt, times, islice(times, 1, None)))):
+            return tuple(zip(times, values))
+    except (ValueError, KindMismatch):
+        pass
+    for k, (tt, vt) in enumerate(zip(ts, vs)):
+        try:
+            t = _parse_time(tt)
+            read(vt)
+        except ParseError as e:
+            raise _RowFault("bad_time", f"point {k}: {e}") from None
+        except KindMismatch as e:
+            raise _RowFault("kind_mismatch", f"point {k}, t={t!r}: {e}") \
+                from None
+        if not prev < t:
+            if k == 0:  # the row goes on from the row before
+                detail = (f"time {t!r} is not after {prev!r}, the last of "
+                          "the row before")
+            elif t == prev:
+                detail = f"duplicate time {t!r}"
+            else:
+                detail = f"time {t!r} is not after {prev!r}"
+            code = "bad_time" if k and t < prev else "duplicate_time"
+            raise _RowFault(code, f"point {k}: {detail}")
+        prev = t
+    raise AssertionError("the fast path refused a row with no fault")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +593,8 @@ def _scanned_tables(manifest: BundleManifest, manifest_path):
             scan = scan_wide(_read_table(path, ["sample_id", *kinds]), kinds,
                              manifest.samples)
         else:
-            scan = scan_rows(_read_table(path, _TIMED_HEADER), modality,
-                             kinds, manifest.samples, text=True)
+            scan = scan_sequences(_read_table(path, _TIMED_HEADERS[modality]),
+                                  modality, kinds, manifest.samples)
         yield modality, name, path, kinds, scan
 
 

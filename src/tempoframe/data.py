@@ -186,54 +186,6 @@ def check_time(t, where: str = None) -> float:
     return tf
 
 
-def _parse_time(s: str) -> float:
-    """A CSV time field as a finite float, or ParseError."""
-    try:
-        t = float(s)
-    except ValueError:
-        raise ParseError(f"time {s!r} is not decimal") from None
-    if not math.isfinite(t):
-        raise ParseError(f"time {s!r} is not finite")
-    return t
-
-
-def _parse_value(kind: ValueKind, s: str):
-    """A CSV value field in the stored form of `check_value`; the empty
-    field is Missing."""
-    if s == "":
-        return MISSING
-    if isinstance(kind, Continuous):
-        try:
-            v = float(s)
-        except ValueError:
-            raise KindMismatch(f"{s!r} is not a real number") from None
-        if not math.isfinite(v):
-            raise KindMismatch(f"non-finite value {s!r}")
-        return v
-    if isinstance(kind, Integer):
-        # ASCII [+-]?[0-9]+ only: int() would also read "0_1", " 7 " and
-        # non-ASCII digits
-        if not (s.isascii() and (s.isdigit()
-                                 or s[0] in "+-" and s[1:].isdigit())):
-            raise KindMismatch(f"{s!r} is not an integer")
-        try:
-            i = int(s, 10)
-        except ValueError:
-            # int() refuses a field of digits only past its length limit
-            # (4,300 digits), leading zeros included; without them the
-            # value is read, or it is far beyond float range: do not echo it
-            sign = s[0] if s[0] in "+-" else ""
-            try:
-                i = int(sign + (s[len(sign):].lstrip("0") or "0"), 10)
-            except ValueError:
-                raise KindMismatch("integer beyond float range") from None
-        _float_of(i, None)
-        return i
-    if s in kind.categories:
-        return s
-    raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
-
-
 def _check_id(s, what: str) -> str:
     """`s` if it can be an id (a sample or feature id, a category): a
     string with no NUL and no lone carriage return. The CSV writer of
@@ -470,25 +422,22 @@ class Scan(NamedTuple):
     cells: list       # per sample, one slot per feature (`features` order):
                       # a value, sorted sequence, event entry or _EMPTY
     samples: dict     # sample id -> row: the pin, then first appearances
-    features: dict    # feature id -> slot, in the order `scan_rows` states
+    features: dict    # feature id -> slot, in the order the scan states
     violations: list  # Violation per rejected record, in record order
 
 
-def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
-              text: bool = False) -> Scan:
-    """Check, convert and place long-form records in one pass.
+def scan_rows(records, modality: Modality, kinds: dict, pin=None) -> Scan:
+    """Check and place the builders' long-form records in one pass.
 
-    Records are `(sample_id, feature_id, value)` for static data and
-    `(sample_id, feature_id, time, value)` for time series and events.
-    `text` records are CSV fields, parsed here (an empty value is
-    Missing), with features in `kinds` (manifest) order; other records
-    hold Python values, with features in first-appearance order, and their
-    ids must pass `_check_id` (a text id need only match `kinds` or `pin`,
-    whose ids the bundle reader checks in the manifest). Each accepted
-    record goes straight into its slot of its sample's row. A record that
-    breaks a rule is left out and gives one Violation: its 1-based row and
-    the first rule it breaks. With a `pin`, every record must name one of
-    its samples; other samples get rows after the pinned ones.
+    Records hold Python values: `(sample_id, feature_id, value)` for static
+    data and `(sample_id, feature_id, time, value)` for time series and
+    events. Their ids must pass `_check_id`; features take slots in
+    first-appearance order. Each accepted record goes straight into its
+    slot of its sample's row. A record that breaks a rule is left out and
+    gives one Violation: its 1-based row and the first rule it breaks.
+    With a `pin`, every record must name one of its samples; other samples
+    get rows after the pinned ones. (A bundle's tables are text, read by
+    `tempoframe.bundle.scan_wide` and `scan_sequences`.)
     """
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
@@ -497,7 +446,7 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
     samples: dict = {} if pin is None else {s: i for i, s in enumerate(pin)}
     pinned = math.inf if pin is None else len(samples)
     cells: list = [[_EMPTY] * len(kinds) for _ in samples]
-    features = {f: j for j, f in enumerate(kinds)} if text else {}
+    features: dict = {}
     bad: list = []
     t = None
     for row, rec in enumerate(records, 1):
@@ -509,41 +458,27 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
             sid, fid, t, value = rec
         else:
             sid, fid, value = rec
-        if not text:
-            try:
-                _check_id(sid, "sample_id")
-                _check_id(fid, "feature_id")
-            except KindMismatch as e:
-                bad.append(Violation(row, "kind_mismatch", str(e)))
-                continue
+        try:
+            _check_id(sid, "sample_id")
+            _check_id(fid, "feature_id")
+        except KindMismatch as e:
+            bad.append(Violation(row, "kind_mismatch", str(e)))
+            continue
         kind = kinds.get(fid)
         if kind is None:
             bad.append(Violation(row, "unknown_feature",
                                  f"feature {fid!r} has no declared kind"))
             continue
-        if text and t == "":
-            bad.append(Violation(row, "missing_time", "empty time field"))
-            continue
         at = None  # the raw time, once it passed its check
         try:
-            if text:
-                if timed:
-                    t = _parse_time(t)
-                value = _parse_value(kind, value)
-            else:
-                if timed:
-                    at, t = t, check_time(t)
-                value = check_value(kind, value)
-        except ParseError as e:
-            bad.append(Violation(row, "bad_time", str(e)))
-            continue
+            if timed:
+                at, t = t, check_time(t)
+            value = check_value(kind, value)
         except KindMismatch as e:
-            detail = str(e)
-            if not text:
-                # Located only on failure; a series value names its time.
-                t_at = f", t={at}" if series and at is not None else ""
-                detail = f"({sid}, {fid}{t_at}): {detail}"
-            bad.append(Violation(row, "kind_mismatch", detail))
+            # Located only on failure; a series value names its time.
+            t_at = f", t={at}" if series and at is not None else ""
+            bad.append(Violation(row, "kind_mismatch",
+                                 f"({sid}, {fid}{t_at}): {e}"))
             continue
         j = features.setdefault(fid, len(features))
         i = samples.get(sid)
@@ -569,56 +504,6 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None, *,
         cells = [[seq if seq is _EMPTY else tuple(sorted(seq.items()))
                   for seq in r] for r in cells]
     return Scan(cells, samples, features, bad)
-
-
-def scan_wide(rows, kinds: dict, pin) -> Scan:
-    """Check, convert and place the data rows of a wide static table in
-    one pass.
-
-    Each row is a sample id, then one text field per feature of `kinds`,
-    in its order, read by `_parse_value` (an empty field is Missing). As
-    in `scan_rows`, a row that breaks a rule is left out and gives one
-    Violation, for the first rule it breaks: its field count, the first
-    field its feature's kind refuses (the detail names the feature), a
-    repeat of an earlier row's sample (`duplicate_cell`), or a sample
-    outside `pin`, which still gets a row after the pinned ones.
-    """
-    fids = tuple(kinds)
-    kind_list = tuple(kinds.values())
-    width = len(fids) + 1
-    samples = {s: i for i, s in enumerate(pin)}
-    pinned = len(samples)
-    blank = [_EMPTY] * len(fids)  # the row of a sample no data row filled
-    cells = [blank] * pinned
-    bad = []
-    for row, rec in enumerate(rows, 1):
-        if len(rec) != width:
-            bad.append(Violation(row, "arity", f"expected {width} fields, "
-                                               f"got {len(rec)}"))
-            continue
-        sid = rec[0]
-        values = []
-        try:
-            for kind, s in zip(kind_list, rec[1:]):
-                values.append(_parse_value(kind, s))
-        except KindMismatch as e:
-            bad.append(Violation(row, "kind_mismatch",
-                                 f"feature {fids[len(values)]!r}: {e}"))
-            continue
-        i = samples.get(sid)
-        if i is None:
-            i = samples[sid] = len(cells)
-            cells.append(values)
-        elif cells[i] is blank:
-            cells[i] = values
-        else:
-            bad.append(Violation(row, "duplicate_cell",
-                                 f"duplicate row for sample {sid!r}"))
-            continue
-        if i >= pinned:
-            bad.append(Violation(row, "unknown_sample",
-                                 f"sample {sid!r} is not in the sample list"))
-    return Scan(cells, samples, {f: j for j, f in enumerate(fids)}, bad)
 
 
 def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):

@@ -1249,7 +1249,7 @@ def test_cli_synth_ite(tmp_path, capsys):
 # dataset as the schema "1" one.
 _SYNTH_ITE_SHA256 = {
     "manifest":
-        "2c7cbf9293fa34a49d20761e76eeb95f51826d7cb820a7fa58231f72535d9454",
+        "fe14a139b2f6ae4124ef9d9c401df0a15f84e8211615f6f94001421d972024b5",
     "static.csv":
         "d9af88cc036a6bf56820edbdb96ffcf0bfe8668880ec02bccaf3550c2072bb34",
     "truth.csv":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from datagen import random_dataset, survival_dataset
 from tempoframe.bundle import (
     MANIFEST_NAME,
     read_bundle,
+    scan_sequences,
     validate_bundle,
     write_bundle,
 )
@@ -110,30 +112,60 @@ def test_write_is_deterministic(tmp_path):
         assert b"\r" not in a  # LF only
 
 
+# Categories that hold a space, a comma, a quote and CRLF.
+_EDGE_CATEGORIES = ("lo", "a b", "hi,\"q\"", "\r\n")
+_LONG = 10_000  # points of one sequence, past the csv field limit packed
+
+
 def _edge_dataset():
     """Ids that need CSV quoting, every kind, and samples whose static
-    cells are all Missing."""
+    cells are all Missing; sequences of extreme values, of one point, of
+    Missing values only, none at all, and one too long for one row."""
     ids = ["plain", "a,b", 's"q', "line\nfeed", "cr\r\nlf", "\ufeffbom",
            "sep\u2028", " lead", "", "all-missing"]
     kinds = {"x": Continuous(), "k,1": Integer(),
-             "c": Categorical(("lo", "hi,\"q\"", "\r\n"))}
+             "c": Categorical(_EDGE_CATEGORIES)}
     values = [(-0.0, 2 ** 63, "lo"), (5e-324, -7, "hi,\"q\""),
-              (1e308, 0, "\r\n"), (-1e308, MISSING, "lo"), (0.1, 1, MISSING)]
+              (1e308, 0, "\r\n"), (-1e308, MISSING, "a b"),
+              (0.1, 1, MISSING)]
     rows = [(sid, fid, v) for sid, cells in zip(ids, values)
             for fid, v in zip(kinds, cells) if v is not MISSING]
     static = build_static_samples(rows, kinds, sample_ids=ids)
+    reals = (-0.0, 5e-324, 1e308, -1e308, MISSING, 0.1)
+    points = [(ids[0], "t\nf", k / 7, reals[k % len(reals)])
+              for k in range(_LONG)]
+    points += [(sid, "t\nf", 1.5, 2.0) for sid in ids[1:3]]
+    points += [(ids[3], "t\nf", t, MISSING) for t in (-1.0, 0.0, 2.5)]
+    points += [(ids[k % 3], "k t", float(k), v)
+               for k, v in enumerate((2 ** 63, -7, MISSING, 0))]
+    points += [(ids[k % 4], "c t", k * 0.5, c)
+               for k, c in enumerate(_EDGE_CATEGORIES + (MISSING,))]
     temporal = build_time_series_samples(
-        [(sid, "t\nf", 1.5, 2.0) for sid in ids[:3]], {"t\nf": Continuous()},
-        sample_ids=ids)
-    return assemble_dataset(static=static, temporal=temporal,
-                            roles=RoleMap.of(covariates=("x", "k,1", "t\nf"),
-                                             targets=("c",)))
+        points, {"t\nf": Continuous(), "k t": Integer(),
+                 "c t": Categorical(_EDGE_CATEGORIES)}, sample_ids=ids)
+    events = build_event_samples(
+        [(sid, "e,v", float(i), c) for i, (sid, c) in enumerate(
+            zip(ids, _EDGE_CATEGORIES + (MISSING,)))],
+        {"e,v": Categorical(_EDGE_CATEGORIES)}, sample_ids=ids)
+    return assemble_dataset(static=static, temporal=temporal, events=events,
+                            roles=RoleMap.of(covariates=("x", "k,1", "t\nf",
+                                                         "k t", "c t"),
+                                             targets=("c", "e,v")))
 
 
 def test_round_trip_of_edge_case_ids_and_values(tmp_path):
     ds = _edge_dataset()
     assert ds.static.values[-1] == (MISSING,) * 3
+    assert len(ds.temporal.sequence("plain", "t\nf")) == _LONG
     write_bundle(ds, tmp_path / "one")
+    # the long sequence goes on over rows whose fields csv can read
+    with open(tmp_path / "one" / "temporal.csv", encoding="utf-8",
+              newline="") as f:
+        rows = list(csv.reader(f))
+    long_rows = [r for r in rows if r[:2] == ["plain", "t\nf"]]
+    assert len(long_rows) > 1
+    assert sum(len(r[2]) for r in long_rows) > csv.field_size_limit()
+    assert all(len(r[2]) + len(r[3]) <= 65536 for r in rows)
     assert read_bundle(tmp_path / "one" / MANIFEST_NAME) == ds
     assert validate_bundle(tmp_path / "one" / MANIFEST_NAME) == []
     write_bundle(read_bundle(tmp_path / "one" / MANIFEST_NAME),
@@ -158,6 +190,28 @@ def test_wide_static_table_is_pinned(tmp_path):
         b's0,1.5,-3,hi\n'
         b'"a,b",,,\n'
         b'"s""q",1e-300,7,lo\n')
+    assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
+
+
+def test_packed_temporal_table_is_pinned(tmp_path):
+    # one row per non-empty sequence, in sample then feature order; a
+    # Categorical value is its index, an empty token Missing
+    kinds = {"y": Continuous(), "c": Categorical(("lo", "a b"))}
+    temporal = build_time_series_samples(
+        [("s0", "y", 2.5, -3), ("s0", "y", 0.5, 1.5), ("s0", "y", 1.0, MISSING),
+         ("s0", "c", 0.0, "a b"), ('s"q', "c", 1.0, MISSING),
+         ('s"q', "c", 3.0, MISSING), ('s"q', "y", 1e-300, 1e300),
+         ("s0", "c", 2.0, "lo")],
+        kinds, sample_ids=["s0", "a,b", 's"q'])
+    ds = assemble_dataset(temporal=temporal,
+                          roles=RoleMap.of(covariates=("y", "c")))
+    write_bundle(ds, tmp_path / "b")
+    assert (tmp_path / "b" / "temporal.csv").read_bytes() == (
+        b'sample_id,feature_id,times,values\n'
+        b's0,y,0.5 1.0 2.5,1.5  -3.0\n'
+        b's0,c,0.0 2.0,1 0\n'
+        b'"s""q",y,1e-300,1e+300\n'
+        b'"s""q",c,1.0 3.0, \n')
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
@@ -217,7 +271,7 @@ def test_manifest_shape(tmp_path):
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert list(doc) == ["schema_version", "samples", "files", "features",
                          "kinds", "roles"]
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["samples"] == list(ds.sample_ids)
     for modality, container in ds.containers():
         assert doc["features"][modality.value] == list(container.feature_ids)
@@ -279,14 +333,14 @@ def test_read_reports_offending_file(tmp_path):
 def test_validate_long_table_collects_all_violations():
     kinds = {"x": Continuous(), "c": Categorical(("a", "b"))}
     rows = [
-        ["s0", "x", "1.5"],
-        ["s0", "x", "2.5"],        # duplicate cell
-        ["s0", "ghost", "1"],      # unknown feature
+        ["s0", "x", 1.5],
+        ["s0", "x", 2.5],          # duplicate cell
+        ["s0", "ghost", 1],        # unknown feature
         ["s0", "c", "z"],          # kind mismatch
         ["s0", "x"],               # arity
-        ["s1", "x", "abc"],        # unparseable number
+        ["s1", "x", "abc"],        # not a number
     ]
-    violations = scan_rows(rows, Modality.STATIC, kinds, text=True).violations
+    violations = scan_rows(rows, Modality.STATIC, kinds).violations
     codes = [v.code for v in violations]
     assert codes == ["duplicate_cell", "unknown_feature", "kind_mismatch",
                      "arity", "kind_mismatch"]
@@ -301,8 +355,8 @@ def test_validate_long_table_timed_rules():
         ["s0", "f", "", "3.0"],      # missing time
         ["s0", "f", "zzz", "3.0"],   # bad time
     ]
-    violations = scan_rows(rows, Modality.TEMPORAL, kinds,
-                           text=True).violations
+    violations = scan_sequences(rows, Modality.TEMPORAL, kinds,
+                                ["s0"]).violations
     assert [v.code for v in violations] == ["duplicate_time", "missing_time",
                                             "bad_time"]
 
@@ -361,7 +415,9 @@ def _small_bundle(tmp_path):
 
 
 # code, table, data row to append, or (row number, replacement), error
-# type; more faults of the wide static.csv are in _WIDE_ROW_FAULTS
+# type; more faults of the wide static.csv are in _WIDE_ROW_FAULTS. The
+# packed temporal.csv of `_small_bundle`:
+#   sample_id,feature_id,times,values / s0,f,0.0 1.0,1.0 2.0 / s1,f,0.5,3.0
 _ONE_ROW_FAULTS = [
     ("arity", "static.csv", "s1,x", ParseError),
     ("missing_time", "temporal.csv", "s1,f,,4.0", ParseError),
@@ -371,8 +427,26 @@ _ONE_ROW_FAULTS = [
     ("kind_mismatch", "static.csv", (2, "s1,abc,"), KindMismatch),
     ("kind_mismatch", "events.csv", (1, "s0,e,4.0,1.5"), KindMismatch),
     ("unknown_sample", "temporal.csv", "ghost,f,0.0,1.0", UnknownSample),
+    # a repeat of (s0, f) that does not follow its row
     ("duplicate_time", "temporal.csv", "s0,f,1.0,7.0", DuplicateTimePoint),
     ("duplicate_event", "events.csv", "s1,e,3.0,0", DuplicateEvent),
+    ("arity", "temporal.csv", (2, "s1,f,0.5 0.7,3.0"), ParseError),
+    ("duplicate_time", "temporal.csv", (1, "s0,f,0.0 0.0,1.0 2.0"),
+     DuplicateTimePoint),
+    ("bad_time", "temporal.csv", (1, "s0,f,1.0 0.0,1.0 2.0"), ParseError),
+    # a row that goes on from (s1, f) at a time before its last one
+    ("duplicate_time", "temporal.csv", "s1,f,0.25 0.75,4.0 5.0",
+     DuplicateTimePoint),
+    ("kind_mismatch", "temporal.csv", (1, "s0,f,0.0 1.0,1.0 1.2.3"),
+     KindMismatch),
+    ("bad_time", "temporal.csv", (2, "s1,f,2_5.0,3.0"), ParseError),
+    ("bad_time", "temporal.csv", (1, "s0,f,0.0  1.0,1.0 2.0 3.0"),
+     ParseError),
+    ("kind_mismatch", "temporal.csv", (2, "s1,f,0.5,3.0\t"), KindMismatch),
+    ("kind_mismatch", "temporal.csv", (2, "s1,f,0.5,\u0661.\u0665"),
+     KindMismatch),
+    ("kind_mismatch", "temporal.csv", (2, "s1,f,0.5,nan"), KindMismatch),
+    ("bad_time", "events.csv", (1, "s0,e, 4.0,1"), ParseError),
 ]
 
 
@@ -380,6 +454,32 @@ _ONE_ROW_FAULTS = [
 def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
                                                      edit, error):
     _one_row_fault(_small_bundle(tmp_path), code, table, edit, error)
+
+
+@pytest.mark.parametrize("code,edit,error,detail", [
+    ("duplicate_time", (1, "s0,f,0.0 0.0,1.0 2.0"), DuplicateTimePoint,
+     "point 1: duplicate time 0.0"),
+    ("bad_time", (1, "s0,f,0.0 2.0 1.5,1.0 2.0 3.0"), ParseError,
+     "point 2: time 1.5 is not after 2.0"),
+    ("duplicate_time", "s1,f,0.5 0.75,4.0 5.0", DuplicateTimePoint,
+     "point 0: time 0.5 is not after 0.5, the last of the row before"),
+    ("bad_time", (1, "s0,f,0.0 1.0 inf,1.0 2.0 3.0"), ParseError,
+     "times field holds 'i'"),
+    ("bad_time", (1, "s0,f,0.0 1.0 1e999,1.0 2.0 3.0"), ParseError,
+     "point 2: time '1e999' is not finite"),
+    ("kind_mismatch", (1, "s0,f,0.0 1.0,1.0 1e999"), KindMismatch,
+     "point 1, t=1.0: non-finite value '1e999'"),
+    ("arity", (2, "s1,f,0.5 0.6,3.0"), ParseError, "2 times but 1 values"),
+    ("duplicate_time", "s0,f,7.0,7.0", DuplicateTimePoint,
+     "duplicate row for sample 's0', feature 'f'"),
+])
+def test_a_packed_row_fault_names_its_point(tmp_path, code, edit, error,
+                                            detail):
+    path = _small_bundle(tmp_path)
+    assert (path / "temporal.csv").read_text(encoding="utf-8") == \
+        "sample_id,feature_id,times,values\ns0,f,0.0 1.0,1.0 2.0\n" \
+        "s1,f,0.5,3.0\n"
+    assert _one_row_fault(path, code, "temporal.csv", edit, error) == detail
 
 
 # the wide static.csv of `_small_bundle`:
@@ -519,10 +619,12 @@ def _static_table(text):
     (_static_table("sample_id,x,c,ghost\n"), ParseError,
      "{static}: bad header ['sample_id', 'x', 'c', 'ghost'], expected "
      "['sample_id', 'x', 'c']"),
-    (_manifest_edit(lambda d: dict(d, schema_version="3")), ManifestError,
-     "{manifest}: unsupported schema_version '3' (expected '2')"),
+    (_manifest_edit(lambda d: dict(d, schema_version="2")), ManifestError,
+     "{manifest}: unsupported schema_version '2' (expected '3')"),
     (_manifest_edit(lambda d: dict(d, schema_version="1")), ManifestError,
-     "{manifest}: unsupported schema_version '1' (expected '2')"),
+     "{manifest}: unsupported schema_version '1' (expected '3')"),
+    (_manifest_edit(lambda d: dict(d, schema_version="4")), ManifestError,
+     "{manifest}: unsupported schema_version '4' (expected '3')"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", "s\r1"])),
      ManifestError,
      "{manifest}: sample_id 's\\r1' holds a lone carriage return"),
@@ -540,8 +642,8 @@ def _static_table(text):
 ], ids=["not-an-object", "missing-key", "samples-not-strings",
         "unknown-modality", "no-feature-list", "unknown-role", "no-kind",
         "no-role", "bad-kind", "missing-file", "empty-table", "bad-header",
-        "reordered-header", "short-header", "long-header", "schema-3",
-        "schema-1", "cr-in-sample", "cr-in-feature", "cr-in-category",
+        "reordered-header", "short-header", "long-header", "schema-2",
+        "schema-1", "schema-4", "cr-in-sample", "cr-in-feature", "cr-in-category",
         "nul-in-sample"])
 def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
                                               message):

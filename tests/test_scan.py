@@ -15,7 +15,12 @@ import re
 import pytest
 
 from datagen import random_dataset
-from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
+from tempoframe.bundle import (
+    _parse_value,
+    read_bundle,
+    validate_bundle,
+    write_bundle,
+)
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -24,8 +29,6 @@ from tempoframe.data import (
     Modality,
     Violation,
     _MODALITIES,
-    _parse_time,
-    _parse_value,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
@@ -34,7 +37,7 @@ from tempoframe.data import (
     grid,
     scan_rows,
 )
-from tempoframe.errors import KindMismatch, ParseError
+from tempoframe.errors import KindMismatch
 from tempoframe.rng import Lcg
 
 
@@ -42,7 +45,7 @@ from tempoframe.rng import Lcg
 # Oracle: the dict-keyed scan and its gathering grid
 # ---------------------------------------------------------------------------
 
-def _oracle_scan(records, modality, kinds, pin=None, *, text=False):
+def _oracle_scan(records, modality, kinds, pin=None):
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
     width = 4 if timed else 3
@@ -50,8 +53,7 @@ def _oracle_scan(records, modality, kinds, pin=None, *, text=False):
     pinned = None if pin is None else set(pin)
     cells: dict = {}
     samples: dict = {}
-    # a bundle table's features keep the manifest's order, that of kinds
-    features: dict = dict.fromkeys(kinds) if text else {}
+    features: dict = {}
     bad: list = []
     t = None
     for row, rec in enumerate(records, 1):
@@ -63,7 +65,7 @@ def _oracle_scan(records, modality, kinds, pin=None, *, text=False):
             sid, fid, t, value = rec
         else:
             sid, fid, value = rec
-        if not (text or isinstance(sid, str) and isinstance(fid, str)):
+        if not (isinstance(sid, str) and isinstance(fid, str)):
             what, s = (("feature_id", fid) if isinstance(sid, str)
                        else ("sample_id", sid))
             bad.append(Violation(row, "kind_mismatch",
@@ -74,23 +76,12 @@ def _oracle_scan(records, modality, kinds, pin=None, *, text=False):
             bad.append(Violation(row, "unknown_feature",
                                  f"feature {fid!r} has no declared kind"))
             continue
-        if text and t == "":
-            bad.append(Violation(row, "missing_time", "empty time field"))
-            continue
         try:
-            if text:
-                if timed:
-                    t = _parse_time(t)
-                value = _parse_value(kind, value)
-            else:
-                where = f"({sid}, {fid})"
-                value_where = f"({sid}, {fid}, t={t})" if series else where
-                if timed:
-                    t = check_time(t, where)
-                value = check_value(kind, value, value_where)
-        except ParseError as e:
-            bad.append(Violation(row, "bad_time", str(e)))
-            continue
+            where = f"({sid}, {fid})"
+            value_where = f"({sid}, {fid}, t={t})" if series else where
+            if timed:
+                t = check_time(t, where)
+            value = check_value(kind, value, value_where)
         except KindMismatch as e:
             bad.append(Violation(row, "kind_mismatch", str(e)))
             continue
@@ -139,9 +130,6 @@ def _oracle_grid(modality, scan, kinds, pin=None):
 _KINDS = {"f1": Continuous(), "f2": Integer(),
           "f3": Categorical(("lo", "hi"))}
 _SAMPLES = ("s0", "s1", "s2", "s3", "s4")
-_TEXT_VALUES = ("", "1.5", "-2", "7", "lo", "hi", "x", "nan", "inf",
-                "1e400", "3")
-_TEXT_TIMES = ("0", "1", "2.5", "1", "0", "", "x", "inf")
 _PY_VALUES = (MISSING, 1.5, -2, 7, "lo", "hi", "x", math.nan, True, None,
               3.0, math.inf)
 _PY_TIMES = (0, 1, 2.5, 1.0, 0.0, "x", math.inf, True)
@@ -154,7 +142,7 @@ def _pick(rng, seq):
     return seq[rng.below(len(seq))]
 
 
-def _dirty_records(rng, modality, text):
+def _dirty_records(rng, modality):
     """Records that break every rule now and then, on a pool small enough
     to repeat cells, times and out-of-pin samples often."""
     timed = modality is not Modality.STATIC
@@ -162,12 +150,12 @@ def _dirty_records(rng, modality, text):
     for _ in range(8 + rng.below(40)):
         sid = _pick(rng, _SAMPLES + ("s9",))
         fid = _pick(rng, tuple(_KINDS) + ("zz",))
-        if not text and rng.below(12) == 0:
+        if rng.below(12) == 0:
             sid, fid = (7, fid) if rng.coin() else (sid, None)
-        value = _pick(rng, _TEXT_VALUES if text else _PY_VALUES)
+        value = _pick(rng, _PY_VALUES)
         rec = [sid, fid]
         if timed:
-            rec.append(_pick(rng, _TEXT_TIMES if text else _PY_TIMES))
+            rec.append(_pick(rng, _PY_TIMES))
         rec.append(value)
         if rng.below(15) == 0:
             rec = rec[:-1] if rng.coin() else rec + [value]
@@ -175,7 +163,7 @@ def _dirty_records(rng, modality, text):
     return out
 
 
-def _clean_records(rng, modality, text):
+def _clean_records(rng, modality):
     """Valid records with no repeated cell or time: a clean scan."""
     timed = modality is not Modality.STATIC
     keys = {}
@@ -193,10 +181,6 @@ def _clean_records(rng, modality, text):
             value = rng.below(9) - 4
         else:
             value = rng.uniform_in(-3.0, 3.0)
-        if text:
-            value = "" if value is MISSING else (
-                repr(value) if isinstance(value, float) else str(value))
-            t = None if t is None else repr(t)
         keys.setdefault(key, (sid, fid, *(() if t is None else (t,)), value))
     return list(keys.values())
 
@@ -209,9 +193,9 @@ def _pin(rng):
     return pool[:2 + rng.below(3)] + ["p9"]
 
 
-def _assert_same(records, modality, pin, text):
-    new = scan_rows(records, modality, _KINDS, pin, text=text)
-    old = _oracle_scan(records, modality, _KINDS, pin, text=text)
+def _assert_same(records, modality, pin):
+    new = scan_rows(records, modality, _KINDS, pin)
+    old = _oracle_scan(records, modality, _KINDS, pin)
     assert new.violations == old[3]
     assert grid(modality, new, _KINDS, pin) == \
         _oracle_grid(modality, old, _KINDS, pin)
@@ -219,71 +203,59 @@ def _assert_same(records, modality, pin, text):
 
 
 @pytest.mark.parametrize("modality", list(Modality))
-@pytest.mark.parametrize("text", [True, False])
-def test_scan_matches_the_dict_keyed_oracle(modality, text):
+def test_scan_matches_the_dict_keyed_oracle(modality):
     codes = set()
     clean = 0
     for seed in range(120):
         rng = Lcg(1000 * seed + 7)
         pin = _pin(rng)
         dirty = seed % 3 != 0
-        records = (_dirty_records if dirty else _clean_records)(
-            rng, modality, text)
-        violations = _assert_same(records, modality, pin, text)
+        records = (_dirty_records if dirty else _clean_records)(rng, modality)
+        violations = _assert_same(records, modality, pin)
         codes.update(v.code for v in violations)
         if not violations:
             clean += 1
-            if not text:
-                assert _BUILDERS[modality](
-                    records, _KINDS,
-                    sample_ids=pin) == _oracle_grid(
-                        modality, _oracle_scan(records, modality, _KINDS,
-                                               pin), _KINDS, pin)
+            assert _BUILDERS[modality](
+                records, _KINDS, sample_ids=pin) == _oracle_grid(
+                    modality, _oracle_scan(records, modality, _KINDS, pin),
+                    _KINDS, pin)
     # The streams reach every rule of the modality, and clean scans.
     dup = _MODALITIES[modality][2]
     expected = {"arity", "unknown_feature", "kind_mismatch",
                 "unknown_sample", dup}
-    if text and modality is not Modality.STATIC:
-        expected |= {"bad_time", "missing_time"}
     assert expected <= codes
     assert clean >= 20
 
 
 @pytest.mark.parametrize("modality,fields", [
-    (Modality.STATIC, ("1.5",)),
-    (Modality.TEMPORAL, ("0", "1.5")),
-    (Modality.EVENT, ("0", "1.5")),
+    (Modality.STATIC, (1.5,)),
+    (Modality.TEMPORAL, (0.0, 1.5)),
+    (Modality.EVENT, (0.0, 1.5)),
 ])
 def test_duplicate_of_an_out_of_pin_record(modality, fields):
     # The record outside the pin takes a row after the pinned ones; its
     # repeat is a duplicate, not a second unknown sample.
     records = [("s1", "f1", *fields), ("s1", "f1", *fields),
-               ("s0", "f2", *fields[:-1], "3")]
-    violations = _assert_same(records, modality, ["s0"], True)
+               ("s0", "f2", *fields[:-1], 3)]
+    violations = _assert_same(records, modality, ["s0"])
     assert [(v.row, v.code) for v in violations] == [
         (1, "unknown_sample"), (2, _MODALITIES[modality][2])]
 
 
 def test_table_out_of_manifest_feature_order(tmp_path):
-    # A long-form temporal table whose first-appearance feature order is
-    # not the manifest's: the container takes the manifest's order, as the
-    # oracle does.
+    # A temporal table whose rows name a later manifest feature first: the
+    # container takes the manifest's order.
     bundle = tmp_path / "b"
     ds = random_dataset(3)
     manifest = write_bundle(ds, str(bundle))
     path = bundle / "temporal.csv"
     header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert len({row.split(",")[1] for row in rows}) > 1
     rows.reverse()
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    kinds = {fid: manifest.kinds[fid] for fid in manifest.features["temporal"]}
-    expected = _oracle_grid(
-        Modality.TEMPORAL,
-        _oracle_scan([row.split(",") for row in rows], Modality.TEMPORAL,
-                     kinds, manifest.samples, text=True),
-        kinds, manifest.samples)
     got = read_bundle(str(bundle / "manifest")).temporal
-    assert got == expected
-    assert got.feature_ids == tuple(kinds)
+    assert got == ds.temporal
+    assert got.feature_ids == tuple(manifest.features["temporal"])
     assert validate_bundle(str(bundle / "manifest")) == []
 
 
