@@ -22,13 +22,15 @@ round-trip float formatting, UTF-8, LF line endings, so identical datasets
 produce byte-identical bundles. A manifest of any other schema, such as
 "2" or "1", is refused.
 
-This module holds the file grammar. Reading and validation share the
-manifest check, one pass over each listed table (`scan_wide` for the
-static table, `scan_sequences` for a timed one) that checks each data row
-and places it in its sample's grid row, and the assembly of clean tables
-into a Dataset, so both fail on the same bundles. `validate_bundle`
-returns every table fault; `read_bundle` raises the first in row order as
-`<path>:<line>: <detail>`, with the error type of its code.
+This module holds the file grammar, and owns the violation codes of its
+table faults and the error each raises (`VIOLATION_ERRORS`). Reading and
+validation share the manifest check, one pass over each listed table
+(`scan_wide` for the static table, `scan_sequences` for a timed one) that
+checks each data row and places it in its sample's row, and the assembly
+of clean tables into a Dataset, so both fail on the same bundles.
+`validate_bundle` returns every table fault; `read_bundle` raises the
+first in row order as `<path>:<line>: <detail>`, with the error type of
+its code.
 """
 
 from __future__ import annotations
@@ -41,46 +43,50 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
 from operator import itemgetter, lt
+from typing import NamedTuple
 
 from tempoframe.data import (
-    VIOLATION_ERRORS,
     Categorical,
     Continuous,
     Dataset,
+    EventSamples,
     Integer,
     MISSING,
     Modality,
     Role,
     RoleMap,
-    Scan,
+    StaticSamples,
+    TimeSeriesSamples,
     ValueKind,
-    Violation,
-    _EMPTY,
-    _MODALITIES,
     _check_id,
     _float_of,
     assemble_dataset,
-    grid,
+    check_time,
+    check_value,
     kind_from_json,
     kind_to_json,
 )
 from tempoframe.errors import (
+    DuplicateCell,
+    DuplicateEvent,
+    DuplicateTimePoint,
     IoError,
     KindMismatch,
     ManifestError,
     ParseError,
     TempoframeError,
+    UnknownSample,
 )
 
 SCHEMA_VERSION = "3"
 MANIFEST_NAME = "manifest"
 
-# Modality -> table file name, in the order tables are written, read and
-# validated.
+# Modality -> (table file name, the container it is read into), in the
+# order tables are written, read and validated.
 _TABLES = {
-    Modality.STATIC: "static.csv",
-    Modality.TEMPORAL: "temporal.csv",
-    Modality.EVENT: "events.csv",
+    Modality.STATIC: ("static.csv", StaticSamples),
+    Modality.TEMPORAL: ("temporal.csv", TimeSeriesSamples),
+    Modality.EVENT: ("events.csv", EventSamples),
 }
 # Modality -> header of its timed table.
 _TIMED_HEADERS = {
@@ -90,6 +96,33 @@ _TIMED_HEADERS = {
 # The packed characters of one temporal row, times and values together:
 # half of `csv.field_size_limit()`'s default, which the reader keeps.
 _ROW_CHARS = 65536
+
+
+@dataclass(frozen=True)
+class Violation:
+    row: int
+    code: str
+    detail: str
+
+
+# Violation code -> the error `read_bundle` raises for it.
+VIOLATION_ERRORS = {
+    "arity": ParseError,
+    "missing_time": ParseError,
+    "bad_time": ParseError,
+    "unknown_feature": KindMismatch,
+    "kind_mismatch": KindMismatch,
+    "unknown_sample": UnknownSample,
+    "duplicate_cell": DuplicateCell,
+    "duplicate_time": DuplicateTimePoint,
+    "duplicate_event": DuplicateEvent,
+}
+
+
+class Scan(NamedTuple):
+    cells: list       # per manifest sample, one cell per feature (manifest
+                      # order); then a row per sample outside the manifest
+    violations: list  # Violation per rejected row, in row order
 
 
 @dataclass(frozen=True)
@@ -137,7 +170,7 @@ def manifest_for(ds: Dataset) -> BundleManifest:
     files = {}
     features = {}
     for modality, container in ds.containers():
-        files[modality.value] = _TABLES[modality]
+        files[modality.value] = _TABLES[modality][0]
         features[modality.value] = list(container.feature_ids)
     kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
     # Assignment order, so the RoleMap read back equals this one.
@@ -192,11 +225,32 @@ def _table_rows(modality: Modality, container):
         yield [sid, fid, " ".join(times), " ".join(values)]
 
 
+def _check_points(modality: Modality, container) -> None:
+    """KindMismatch, naming the sample, feature and point, unless each
+    point of a timed container has a finite time after the one before it
+    and a value `check_value` accepts: what `read_bundle` reads back."""
+    rows = (container.series if modality is Modality.TEMPORAL
+            else [[() if e is None else (e,) for e in row]
+                  for row in container.entries])
+    for sid, row in zip(container.sample_ids, rows):
+        for (fid, kind), points in zip(container.features, row):
+            prev = -math.inf
+            for k, (t, v) in enumerate(points):
+                where = f"sample {sid!r}, feature {fid!r}, point {k}"
+                t = check_time(t, where)
+                if not prev < t:
+                    raise KindMismatch(f"{where}: time {t!r} is not after "
+                                       f"{prev!r}")
+                check_value(kind, v, where)
+                prev = t
+
+
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     """Write manifest plus one CSV per present modality; deterministic.
 
-    Every sample id, feature id and category is checked with `_check_id`
-    before any file is opened, so a directly built container whose ids
+    Before any file is opened, every sample id, feature id and category is
+    checked with `_check_id`, and each timed container with
+    `_check_points`, so a directly built container whose ids or points
     `read_bundle` would refuse raises `KindMismatch` and writes nothing."""
     manifest = manifest_for(ds)
     for sid in manifest.samples:
@@ -206,13 +260,16 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
         if isinstance(kind, Categorical):
             for c in kind.categories:
                 _check_id(c, "category")
+    for modality, container in ds.containers():
+        if modality is not Modality.STATIC:
+            _check_points(modality, container)
     try:
         os.makedirs(dir_path, exist_ok=True)
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
         for modality, container in ds.containers():
-            with open(os.path.join(dir_path, _TABLES[modality]), "w",
+            with open(os.path.join(dir_path, _TABLES[modality][0]), "w",
                       encoding="utf-8", newline="") as f:
                 csv.writer(f, lineterminator="\n").writerows(
                     _table_rows(modality, container))
@@ -322,14 +379,15 @@ def scan_wide(rows, kinds: dict, pin) -> Scan:
     1-based row, for the first rule it breaks: its field count, the first
     field its feature's kind refuses (the detail names the feature), a
     repeat of an earlier row's sample (`duplicate_cell`), or a sample
-    outside `pin`, which still gets a row after the pinned ones.
+    outside `pin`, which still gets a row after the pinned ones. A pinned
+    sample no row names gets a row of Missing.
     """
     fids = tuple(kinds)
     kind_list = tuple(kinds.values())
     width = len(fids) + 1
     samples = {s: i for i, s in enumerate(pin)}
     pinned = len(samples)
-    blank = [_EMPTY] * len(fids)  # the row of a sample no data row filled
+    blank = [MISSING] * len(fids)  # the row of a sample no data row filled
     cells = [blank] * pinned
     bad = []
     for row, rec in enumerate(rows, 1):
@@ -359,7 +417,7 @@ def scan_wide(rows, kinds: dict, pin) -> Scan:
         if i >= pinned:
             bad.append(Violation(row, "unknown_sample",
                                  f"sample {sid!r} is not in the sample list"))
-    return Scan(cells, samples, {f: j for j, f in enumerate(fids)}, bad)
+    return Scan(cells, bad)
 
 
 def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
@@ -376,16 +434,18 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
     (the modality's duplicate code), a point of `_points`, or a sample
     outside `pin`, which still gets a row after the pinned ones. A row
     right after the first continues its sequence. Slots follow `kinds`
-    (manifest) order.
+    (manifest) order; one no row fills holds an empty sequence, or None
+    for no event.
     """
     packed = modality is Modality.TEMPORAL
-    dup_code = _MODALITIES[modality][2]
+    dup_code = "duplicate_time" if packed else "duplicate_event"
+    empty = () if packed else None  # an empty sequence, no event entry
     features = {f: j for j, f in enumerate(kinds)}
     # feature -> its token reader and kind
     readers = {f: (_token_reader(k, packed), k) for f, k in kinds.items()}
     samples = {s: i for i, s in enumerate(pin)}
     pinned = len(samples)
-    cells = [[_EMPTY] * len(features) for _ in samples]
+    cells = [[empty] * len(features) for _ in samples]
     bad = []
     last = None  # (row, slot) of the last accepted table row
     for row, rec in enumerate(rows, 1):
@@ -411,8 +471,8 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
                 ts, vs = (times,), (values,)
             j = features[fid]
             i = samples.get(sid)
-            held = _EMPTY if i is None else cells[i][j]
-            if held is _EMPTY:
+            held = empty if i is None else cells[i][j]
+            if not held:
                 prev = -math.inf
             elif packed and last == (i, j):
                 prev = held[-1][0]
@@ -426,8 +486,8 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
             continue
         if i is None:
             i = samples[sid] = len(cells)
-            cells.append([_EMPTY] * len(features))
-        if held is not _EMPTY:
+            cells.append([empty] * len(features))
+        if held:
             points = held + points
         elif not packed:
             points = points[0]  # an event entry
@@ -436,7 +496,7 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
         if i >= pinned:
             bad.append(Violation(row, "unknown_sample",
                                  f"sample {sid!r} is not in the sample list"))
-    return Scan(cells, samples, features, bad)
+    return Scan(cells, bad)
 
 
 def _reals(tokens) -> list:
@@ -599,10 +659,14 @@ def _scanned_tables(manifest: BundleManifest, manifest_path):
 
 
 def _assemble(manifest: BundleManifest, manifest_path, tables) -> Dataset:
-    """The Dataset of clean scanned tables; a dataset-level fault carries
-    the manifest path."""
-    containers = {modality: grid(modality, scan, kinds, manifest.samples)
-                  for modality, _, _, kinds, scan in tables}
+    """The Dataset of clean scanned tables, each container straight from
+    its scan's rows, in manifest order; a dataset-level fault carries the
+    manifest path."""
+    containers = {}
+    for modality, _, _, kinds, scan in tables:
+        containers[modality] = _TABLES[modality][1](
+            manifest.samples, tuple(kinds.items()),
+            tuple(map(tuple, scan.cells)))
     role_map = RoleMap(tuple(
         (fid, Role(name)) for fid, name in manifest.roles.items()))
     try:

@@ -1,8 +1,11 @@
 """Core data model: three modality containers, value kinds, roles, datasets.
 
 Containers are immutable after construction. The builder functions are the
-validating constructors; internal operations preserve invariants by
-construction and may instantiate the dataclasses directly.
+validating constructors: they take Python values and raise at the first
+record that breaks a rule. Internal operations preserve invariants by
+construction and may instantiate the dataclasses directly. A bundle's text
+tables are read and checked by `tempoframe.bundle`, which owns the
+violation codes and their errors.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from tempoframe.errors import (
     AlignmentError,
@@ -385,90 +387,58 @@ class Dataset:
 # Builders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    row: int
-    code: str
-    detail: str
-
-
-# Violation code -> the error a builder or `read_bundle` raises for it.
-VIOLATION_ERRORS = {
-    "arity": ParseError,
-    "missing_time": ParseError,
-    "bad_time": ParseError,
-    "unknown_feature": KindMismatch,
-    "kind_mismatch": KindMismatch,
-    "unknown_sample": UnknownSample,
-    "duplicate_cell": DuplicateCell,
-    "duplicate_time": DuplicateTimePoint,
-    "duplicate_event": DuplicateEvent,
-}
-
 # Modality -> (container class, content of an absent (sample, feature)
-# cell, violation code and message stem of a repeated record).
+# cell, error and message stem of a repeated record).
 _MODALITIES = {
-    Modality.STATIC: (StaticSamples, MISSING, "duplicate_cell",
-                      "duplicate cell"),
-    Modality.TEMPORAL: (TimeSeriesSamples, (), "duplicate_time",
+    Modality.STATIC: (StaticSamples, MISSING, DuplicateCell, "duplicate cell"),
+    Modality.TEMPORAL: (TimeSeriesSamples, (), DuplicateTimePoint,
                         "duplicate time {t}"),
-    Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
+    Modality.EVENT: (EventSamples, None, DuplicateEvent, "duplicate event"),
 }
 
-_EMPTY = object()  # a scan slot that no record filled (Missing is a value)
 
-
-class Scan(NamedTuple):
-    cells: list       # per sample, one slot per feature (`features` order):
-                      # a value, sorted sequence, event entry or _EMPTY
-    samples: dict     # sample id -> row: the pin, then first appearances
-    features: dict    # feature id -> slot, in the order the scan states
-    violations: list  # Violation per rejected record, in record order
-
-
-def scan_rows(records, modality: Modality, kinds: dict, pin=None) -> Scan:
-    """Check and place the builders' long-form records in one pass.
+def _build(modality: Modality, records, kinds: dict, sample_ids):
+    """The container of the builders' long-form records, checked and
+    placed in one pass.
 
     Records hold Python values: `(sample_id, feature_id, value)` for static
     data and `(sample_id, feature_id, time, value)` for time series and
-    events. Their ids must pass `_check_id`; features take slots in
-    first-appearance order. Each accepted record goes straight into its
-    slot of its sample's row. A record that breaks a rule is left out and
-    gives one Violation: its 1-based row and the first rule it breaks.
-    With a `pin`, every record must name one of its samples; other samples
-    get rows after the pinned ones. (A bundle's tables are text, read by
-    `tempoframe.bundle.scan_wide` and `scan_sequences`.)
+    events. The first record that breaks a rule raises: its field count
+    (ParseError), its ids (`_check_id`), its feature's declared kind, its
+    time and value (KindMismatch), or a repeat of an earlier record's cell,
+    or of its time in a series. Features take slots in first-appearance
+    order, then those declared in `kinds` only. With `sample_ids`, records
+    may name other samples only to raise UnknownSample, naming them all,
+    once every record passed every other check.
     """
+    cls, empty, duplicate, stem = _MODALITIES[modality]
+    for fid, kind in kinds.items():
+        _check_id(fid, "feature_id")
+        if not isinstance(kind, ValueKind):
+            raise KindMismatch(f"feature {fid!r}: {kind!r} is not a value "
+                               "kind instance")
+    pin = [] if sample_ids is None else [_check_id(s, "sample_id")
+                                         for s in sample_ids]
+    rows = {s: {} for s in pin}  # sample -> {slot: value, entry or sequence}
+    if len(rows) != len(pin):
+        raise SampleIndexMismatch("explicit sample_ids contains duplicates")
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
     width = 4 if timed else 3
-    _, _, dup_code, dup_stem = _MODALITIES[modality]
-    samples: dict = {} if pin is None else {s: i for i, s in enumerate(pin)}
-    pinned = math.inf if pin is None else len(samples)
-    cells: list = [[_EMPTY] * len(kinds) for _ in samples]
-    features: dict = {}
-    bad: list = []
+    features: dict = {}  # feature id -> slot
     t = None
-    for row, rec in enumerate(records, 1):
+    for rec in records:
         if len(rec) != width:
-            bad.append(Violation(row, "arity", f"expected {width} fields, "
-                                               f"got {len(rec)}"))
-            continue
+            raise ParseError(f"expected {width} fields, got {len(rec)}")
         if timed:
             sid, fid, t, value = rec
         else:
             sid, fid, value = rec
-        try:
-            _check_id(sid, "sample_id")
-            _check_id(fid, "feature_id")
-        except KindMismatch as e:
-            bad.append(Violation(row, "kind_mismatch", str(e)))
-            continue
+        _check_id(sid, "sample_id")
+        _check_id(fid, "feature_id")
         kind = kinds.get(fid)
         if kind is None:
-            bad.append(Violation(row, "unknown_feature",
-                                 f"feature {fid!r} has no declared kind"))
-            continue
+            raise KindMismatch(f"feature {fid!r} has no declared kind")
         at = None  # the raw time, once it passed its check
         try:
             if timed:
@@ -477,68 +447,29 @@ def scan_rows(records, modality: Modality, kinds: dict, pin=None) -> Scan:
         except KindMismatch as e:
             # Located only on failure; a series value names its time.
             t_at = f", t={at}" if series and at is not None else ""
-            bad.append(Violation(row, "kind_mismatch",
-                                 f"({sid}, {fid}{t_at}): {e}"))
-            continue
+            raise KindMismatch(f"({sid}, {fid}{t_at}): {e}") from None
         j = features.setdefault(fid, len(features))
-        i = samples.get(sid)
-        if i is None:
-            i = samples[sid] = len(cells)
-            cells.append([_EMPTY] * len(kinds))
-        held = cells[i][j]
-        if series and held is _EMPTY:
-            held = cells[i][j] = {}
-        if held is not _EMPTY and (not series or t in held):
-            bad.append(Violation(row, dup_code,
-                                 f"{dup_stem.format(t=t)} for sample {sid!r}, "
-                                 f"feature {fid!r}"))
-            continue
-        if series:
-            held[t] = value
-        else:
-            cells[i][j] = (t, value) if timed else value
-        if i >= pinned:
-            bad.append(Violation(row, "unknown_sample",
-                                 f"sample {sid!r} is not in the sample list"))
-    if series:
-        cells = [[seq if seq is _EMPTY else tuple(sorted(seq.items()))
-                  for seq in r] for r in cells]
-    return Scan(cells, samples, features, bad)
-
-
-def grid(modality: Modality, scan: Scan, kinds: dict, pin=None):
-    """The container of a clean scan, from its rows as the scan placed them.
-
-    Samples come in `pin` order (rows of samples outside it are dropped),
-    else in first-appearance order; features in the scan's order, then
-    those declared in `kinds` only. Empty slots become Missing, empty
-    sequences or None.
-    """
-    cls, empty, _, _ = _MODALITIES[modality]
-    samples = tuple(scan.samples if pin is None else pin)
-    features = [*scan.features, *(f for f in kinds if f not in scan.features)]
-    return cls(samples, tuple((f, kinds[f]) for f in features),
-               tuple(tuple(empty if v is _EMPTY else v for v in r)
-                     if _EMPTY in r else tuple(r)
-                     for r in scan.cells[:len(samples)]))
-
-
-def _build(modality: Modality, records, kinds: dict, sample_ids):
-    for fid in kinds:
-        _check_id(fid, "feature_id")
-    pin = None
-    if sample_ids is not None:
-        pin = [_check_id(s, "sample_id") for s in sample_ids]
-        if len(set(pin)) != len(pin):
-            raise SampleIndexMismatch("explicit sample_ids contains duplicates")
-    scan = scan_rows(records, modality, kinds, pin)
-    for v in scan.violations:
-        if v.code != "unknown_sample":
-            raise VIOLATION_ERRORS[v.code](v.detail)
-    if scan.violations:
-        extra = list(scan.samples)[len(pin):]
+        cells = rows.get(sid)
+        if cells is None:
+            cells = rows[sid] = {}
+        key = j
+        if series:  # a sequence is a dict keyed by time
+            cells, key = cells.setdefault(j, {}), t
+        if key in cells:
+            raise duplicate(f"{stem.format(t=t)} for sample {sid!r}, "
+                            f"feature {fid!r}")
+        cells[key] = (t, value) if modality is Modality.EVENT else value
+    if sample_ids is not None and len(rows) > len(pin):
+        extra = list(rows)[len(pin):]
         raise UnknownSample(f"rows mention samples not in sample_ids: {extra}")
-    return grid(modality, scan, kinds, pin)
+    if series:
+        for row in rows.values():
+            for j, held in row.items():
+                row[j] = tuple(sorted(held.items()))
+    fids = [*features, *(f for f in kinds if f not in features)]
+    return cls(tuple(rows), tuple((f, kinds[f]) for f in fids),
+               tuple(tuple(row.get(j, empty) for j in range(len(fids)))
+                     for row in rows.values()))
 
 
 def build_static_samples(rows, kinds: dict, *, sample_ids=None) -> StaticSamples:

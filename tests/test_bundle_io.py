@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 
@@ -22,16 +23,17 @@ from tempoframe.data import (
     MISSING,
     Categorical,
     Continuous,
+    EventSamples,
     Integer,
     Modality,
     Role,
     RoleMap,
     StaticSamples,
+    TimeSeriesSamples,
     assemble_dataset,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
-    scan_rows,
     select_samples,
 )
 from tempoframe.errors import (
@@ -266,6 +268,37 @@ def test_write_bundle_checks_ids_before_writing(tmp_path, sid, fid, held):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("modality,kind,points,held", [
+    ("temporal", Continuous(), ((1.0, 1.0), (0.0, 2.0)),
+     "point 1: time 0.0 is not after 1.0"),
+    ("temporal", Continuous(), ((1.0, 1.0), (1.0, 2.0)),
+     "point 1: time 1.0 is not after 1.0"),
+    ("temporal", Categorical(("x",)), ((1.0, "x"), (2.0, "y")),
+     "point 1: 'y' not in categories ['x']"),
+    ("temporal", Continuous(), ((1.0, math.nan),), "point 0: non-finite "
+                                                    "value nan"),
+    ("temporal", Continuous(), ((math.inf, 1.0),), "point 0: time must be "
+                                                    "finite, got inf"),
+    ("events", Categorical(("x",)), (1.0, "y"),
+     "point 0: 'y' not in categories ['x']"),
+    ("events", Integer(), (math.nan, 1), "point 0: time must be finite, "
+                                        "got nan"),
+], ids=["decreasing", "repeated", "category", "nan-value", "inf-time",
+        "event-category", "event-nan-time"])
+def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
+                                                         kind, points, held):
+    # a container built directly skips the builders' checks; a point the
+    # reader would refuse is refused before any file is opened
+    cls = TimeSeriesSamples if modality == "temporal" else EventSamples
+    container = cls(("s0", "a"), (("f", kind),), ((points,), (points,)))
+    ds = assemble_dataset(**{modality: container},
+                          roles=RoleMap.of(covariates=("f",)))
+    with pytest.raises(KindMismatch, match=re.escape(
+            f"sample 's0', feature 'f', {held}")):
+        write_bundle(ds, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
 def test_manifest_shape(tmp_path):
     ds, path = _write(tmp_path, seed=2)
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -328,23 +361,6 @@ def test_read_reports_offending_file(tmp_path):
     with pytest.raises(Exception) as err:
         read_bundle(path / MANIFEST_NAME)
     assert "temporal.csv" in str(err.value)
-
-
-def test_validate_long_table_collects_all_violations():
-    kinds = {"x": Continuous(), "c": Categorical(("a", "b"))}
-    rows = [
-        ["s0", "x", 1.5],
-        ["s0", "x", 2.5],          # duplicate cell
-        ["s0", "ghost", 1],        # unknown feature
-        ["s0", "c", "z"],          # kind mismatch
-        ["s0", "x"],               # arity
-        ["s1", "x", "abc"],        # not a number
-    ]
-    violations = scan_rows(rows, Modality.STATIC, kinds).violations
-    codes = [v.code for v in violations]
-    assert codes == ["duplicate_cell", "unknown_feature", "kind_mismatch",
-                     "arity", "kind_mismatch"]
-    assert [v.row for v in violations] == [2, 3, 4, 5, 6]
 
 
 def test_validate_long_table_timed_rules():

@@ -142,6 +142,21 @@ def test_static_builder_undeclared_feature():
         build_static_samples([("a", "g", 1.0)], {"f": Continuous()})
 
 
+@pytest.mark.parametrize("build,record", [
+    (build_static_samples, ("a", "x", 1.0)),
+    (build_time_series_samples, ("a", "x", 0.0, 1.0)),
+    (build_event_samples, ("a", "x", 0.0, 1.0))],
+    ids=["static", "temporal", "event"])
+@pytest.mark.parametrize("kind", [Continuous, "continuous", None],
+                         ids=["class", "name", "none"])
+def test_builders_refuse_a_kinds_entry_that_is_no_kind(build, record, kind):
+    # check_value would read `.categories` of it: a raw AttributeError
+    for records in ([record], []):
+        with pytest.raises(KindMismatch, match=re.escape(
+                f"feature 'x': {kind!r} is not a value kind instance")):
+            build(records, {"x": kind})
+
+
 def test_explicit_sample_ids_keep_all_missing_samples():
     s = build_static_samples([("a", "f", 1.0)], {"f": Continuous()},
                              sample_ids=["a", "ghost"])

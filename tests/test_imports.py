@@ -6,6 +6,8 @@ or a file in `perfbench/` reads it (as a name, an attribute or an import),
 or README names it as a word. Tests are not callers, so a name only they
 use goes; `_KEEP_PUBLIC` lists each exception with its reason.
 Every name the benchmark in `perfbench/` imports from the library exists.
+No module imports another `tempoframe` module's private name, except the
+few `_SHARED_PRIVATE` lists, each with its reason.
 
 Package `__init__` files are left out of the import check: their imports
 are the public names they re-export. An import kept for its side effect
@@ -219,6 +221,70 @@ def test_every_public_name_is_reached():
     assert [u for u in unreached if u[2] not in _KEEP_PUBLIC] == []
     # a kept name that gained a caller leaves the keep-list
     assert sorted(name for *_, name in unreached) == sorted(_KEEP_PUBLIC)
+
+
+def private_imports(source: str) -> list:
+    """(line, module, name) of each private name `source` imports from a
+    `tempoframe` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "tempoframe"):
+            found += [(node.lineno, node.module, alias.name)
+                      for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from tempoframe.data import MISSING, _EMPTY as empty\n"
+              "from tempoframe import __version__\n"
+              "def f():\n"
+              "    from tempoframe.kernels import _exp\n")
+    assert private_imports(source) == [
+        (3, "tempoframe.data", "_EMPTY"), (6, "tempoframe.kernels", "_exp")]
+
+
+# Importing module -> the private names it may import from another
+# module, each with its reason.
+_SHARED_PRIVATE = {
+    "bundle": {
+        "_check_id": "the id rule the builders apply; the writer and the "
+                     "manifest check apply the same one",
+        "_float_of": "the integer range rule of `check_value`, for "
+                     "Integer fields read from text",
+    },
+    "forecasting": {
+        "_sigmoid": "the classifier predicts with the kernel's own "
+                    "overflow-safe sigmoid, so fit and predict agree",
+    },
+    "metrics": {
+        "_temporal_targets": "the forecast metrics score the targets the "
+                             "forecaster chose, by its own rule",
+    },
+    "survival": {
+        "_check_lengths": "the kernels' length check, for the survival "
+                          "curve glue's columns",
+        "_exp": "the Cox kernel's clamped exp, so risks in the curves "
+                "match the fit",
+    },
+}
+
+
+def test_no_private_name_crosses_a_module():
+    # A private name is one module's own; another module that imports it
+    # couples to an implementation detail, unless it is listed above.
+    found = [(path.relative_to(_SRC).with_suffix("").as_posix(), *imported)
+             for path in _MODULES
+             for imported in private_imports(path.read_text(encoding="utf-8"))]
+    assert [f for f in found
+            if f[3] not in _SHARED_PRIVATE.get(f[0], {})] == []
+    # a listed name that is no longer imported leaves the list
+    assert {(m, name) for m, names in _SHARED_PRIVATE.items()
+            for name in names} <= {(f[0], f[3]) for f in found}
 
 
 def reassociating_sums(source: str) -> list:

@@ -1,10 +1,12 @@
-"""The record scan against the dict-keyed scan it replaced.
+"""The builders against a dict-keyed scan of their records.
 
-`scan_rows` places each accepted record straight into its sample's row,
-and `grid` only builds the container. The oracle below is the previous
-pair: a scan that groups cells in a dict keyed by (sample, feature) and
-a `grid` that gathers them again one sample at a time. Both must give
-the same violations and the same container on every record stream.
+The builders check and place each record in one pass and raise at the
+first one that breaks a rule. The oracle below lists every fault of a
+record stream, keyed by (sample, feature), and a `grid` gathers its cells
+one sample at a time. On every stream a builder must raise the oracle's
+first fault other than an unknown sample, with the error of its code and
+its detail as the message; else UnknownSample when records name samples
+outside the pin; else return the oracle's container.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 
 from datagen import random_dataset
 from tempoframe.bundle import (
+    VIOLATION_ERRORS,
+    Violation,
     _parse_value,
     read_bundle,
     validate_bundle,
@@ -25,25 +29,35 @@ from tempoframe.data import (
     MISSING,
     Categorical,
     Continuous,
+    EventSamples,
     Integer,
     Modality,
-    Violation,
-    _MODALITIES,
+    StaticSamples,
+    TimeSeriesSamples,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
     check_time,
     check_value,
-    grid,
-    scan_rows,
 )
-from tempoframe.errors import KindMismatch
+from tempoframe.errors import KindMismatch, TempoframeError, UnknownSample
 from tempoframe.rng import Lcg
 
 
 # ---------------------------------------------------------------------------
 # Oracle: the dict-keyed scan and its gathering grid
 # ---------------------------------------------------------------------------
+
+# Modality -> (container class, content of an absent (sample, feature)
+# cell, violation code and message stem of a repeated record).
+_MODALITIES = {
+    Modality.STATIC: (StaticSamples, MISSING, "duplicate_cell",
+                      "duplicate cell"),
+    Modality.TEMPORAL: (TimeSeriesSamples, (), "duplicate_time",
+                        "duplicate time {t}"),
+    Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
+}
+
 
 def _oracle_scan(records, modality, kinds, pin=None):
     timed = modality is not Modality.STATIC
@@ -194,12 +208,27 @@ def _pin(rng):
 
 
 def _assert_same(records, modality, pin):
-    new = scan_rows(records, modality, _KINDS, pin)
-    old = _oracle_scan(records, modality, _KINDS, pin)
-    assert new.violations == old[3]
-    assert grid(modality, new, _KINDS, pin) == \
-        _oracle_grid(modality, old, _KINDS, pin)
-    return new.violations
+    """Build `records` and check the outcome against the oracle's; returns
+    the oracle's violations."""
+    scan = _oracle_scan(records, modality, _KINDS, pin)
+    cells, samples, _, violations = scan
+    build = _BUILDERS[modality]
+    faults = [v for v in violations if v.code != "unknown_sample"]
+    if faults:
+        with pytest.raises(TempoframeError) as info:
+            build(records, _KINDS, sample_ids=pin)
+        assert type(info.value) is VIOLATION_ERRORS[faults[0].code]
+        assert str(info.value) == faults[0].detail
+    elif violations:
+        extra = [s for s in samples if s not in pin]
+        with pytest.raises(UnknownSample) as info:
+            build(records, _KINDS, sample_ids=pin)
+        assert str(info.value) == \
+            f"rows mention samples not in sample_ids: {extra}"
+    else:
+        assert build(records, _KINDS, sample_ids=pin) == \
+            _oracle_grid(modality, scan, _KINDS, pin)
+    return violations
 
 
 @pytest.mark.parametrize("modality", list(Modality))
@@ -213,12 +242,7 @@ def test_scan_matches_the_dict_keyed_oracle(modality):
         records = (_dirty_records if dirty else _clean_records)(rng, modality)
         violations = _assert_same(records, modality, pin)
         codes.update(v.code for v in violations)
-        if not violations:
-            clean += 1
-            assert _BUILDERS[modality](
-                records, _KINDS, sample_ids=pin) == _oracle_grid(
-                    modality, _oracle_scan(records, modality, _KINDS, pin),
-                    _KINDS, pin)
+        clean += not violations
     # The streams reach every rule of the modality, and clean scans.
     dup = _MODALITIES[modality][2]
     expected = {"arity", "unknown_feature", "kind_mismatch",
@@ -234,12 +258,16 @@ def test_scan_matches_the_dict_keyed_oracle(modality):
 ])
 def test_duplicate_of_an_out_of_pin_record(modality, fields):
     # The record outside the pin takes a row after the pinned ones; its
-    # repeat is a duplicate, not a second unknown sample.
+    # repeat is a duplicate, raised before the unknown sample.
     records = [("s1", "f1", *fields), ("s1", "f1", *fields),
                ("s0", "f2", *fields[:-1], 3)]
     violations = _assert_same(records, modality, ["s0"])
     assert [(v.row, v.code) for v in violations] == [
         (1, "unknown_sample"), (2, _MODALITIES[modality][2])]
+    # Without the repeat only the unknown sample is left.
+    del records[1]
+    assert [v.code for v in _assert_same(records, modality, ["s0"])] == [
+        "unknown_sample"]
 
 
 def test_table_out_of_manifest_feature_order(tmp_path):
