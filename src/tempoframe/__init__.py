@@ -44,16 +44,10 @@ from tempoframe.plugins import (
 )
 
 # Importing these modules registers their plugins.
-from tempoframe import preprocess  # noqa: F401
-from tempoframe.forecasting import accuracy, rmse
-from tempoframe.survival import (
-    SurvivalCurve,
-    brier_score,
-    concordance_index,
-    event_outcomes,
-    kaplan_meier,
-)
+from tempoframe import forecasting, preprocess  # noqa: F401
+from tempoframe.survival import SurvivalCurve, event_outcomes, kaplan_meier
 from tempoframe.treatment import synth_treatment_data
+from tempoframe.metrics import accuracy, brier_score, concordance_index, rmse
 from tempoframe.interpret import permutation_importance
 from tempoframe.bench import (
     BenchConfig,

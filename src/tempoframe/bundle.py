@@ -245,13 +245,48 @@ def _check_points(modality: Modality, container) -> None:
                 prev = t
 
 
+# Kind -> the one type `check_value` stores a cell of that kind as.
+_STORED = {Continuous: float, Integer: int, Categorical: str}
+
+
+def _clean_column(kind: ValueKind, column) -> bool:
+    """Whether each cell of a static column is, by C-level passes over
+    the column, Missing or stored as `check_value` stores it: a finite
+    float, an int in float range, or one of the categories. False when
+    in doubt (a Continuous int)."""
+    types = set(map(type, column))
+    if type(MISSING) in types:
+        types.discard(type(MISSING))
+        column = [v for v in column if v is not MISSING]
+    if not types <= {_STORED[type(kind)]}:
+        return False
+    if isinstance(kind, Categorical):
+        return set(kind.categories).issuperset(column)
+    try:
+        return all(map(math.isfinite, column))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _check_static(container: StaticSamples) -> None:
+    """KindMismatch, naming the sample and feature, unless each cell of a
+    static container is one `check_value` accepts: what `read_bundle`
+    reads back. A column `_clean_column` doubts is checked cell by cell."""
+    for (fid, kind), column in zip(container.features,
+                                   zip(*container.values)):
+        if not _clean_column(kind, column):
+            for sid, v in zip(container.sample_ids, column):
+                check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
+
+
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     """Write manifest plus one CSV per present modality; deterministic.
 
     Before any file is opened, every sample id, feature id and category is
-    checked with `_check_id`, and each timed container with
-    `_check_points`, so a directly built container whose ids or points
-    `read_bundle` would refuse raises `KindMismatch` and writes nothing."""
+    checked with `_check_id`, the static container with `_check_static`
+    and each timed one with `_check_points`, so a directly built container
+    whose ids, cells or points `read_bundle` would refuse raises
+    `KindMismatch` and writes nothing."""
     manifest = manifest_for(ds)
     for sid in manifest.samples:
         _check_id(sid, "sample_id")
@@ -261,7 +296,9 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
             for c in kind.categories:
                 _check_id(c, "category")
     for modality, container in ds.containers():
-        if modality is not Modality.STATIC:
+        if modality is Modality.STATIC:
+            _check_static(container)
+        else:
             _check_points(modality, container)
     try:
         os.makedirs(dir_path, exist_ok=True)

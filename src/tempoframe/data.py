@@ -152,22 +152,19 @@ def binary_codes(kind: ValueKind) -> dict:
 
 
 def kind_to_json(kind: ValueKind) -> dict:
-    if isinstance(kind, Continuous):
-        return {"kind": "continuous"}
-    if isinstance(kind, Integer):
-        return {"kind": "integer"}
-    return {"kind": "categorical", "categories": list(kind.categories)}
+    if isinstance(kind, Categorical):
+        return {"kind": kind.name, "categories": list(kind.categories)}
+    return {"kind": kind.name}
 
 
 def kind_from_json(d, where: str) -> ValueKind:
     if not isinstance(d, dict) or "kind" not in d:
         raise KindMismatch(f"{where}: malformed kind descriptor {d!r}")
     name = d["kind"]
-    if name == "continuous":
-        return Continuous()
-    if name == "integer":
-        return Integer()
-    if name == "categorical":
+    for cls in (Continuous, Integer):
+        if name == cls.name:
+            return cls()
+    if name == Categorical.name:
         cats = d.get("categories")
         if not isinstance(cats, list):
             raise KindMismatch(f"{where}: categorical kind needs categories")

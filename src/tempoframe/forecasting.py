@@ -1,4 +1,4 @@
-"""Forecasting baselines and static-outcome classification.
+"""Forecast baselines, and the static-outcome classifier `classify.logistic`.
 
 Plugins: `forecast.persistence`, `forecast.ar`, `classify.logistic`.
 The AR fitter requires already-regular target series (resample first; see
@@ -6,8 +6,6 @@ The AR fitter requires already-regular target series (resample first; see
 """
 
 from __future__ import annotations
-
-import math
 
 from tempoframe.data import (
     Categorical,
@@ -24,12 +22,9 @@ from tempoframe.data import (
     missing_role,
 )
 from tempoframe.errors import (
-    AlignmentError,
-    EmptyInput,
     EmptyTargetSeries,
     InsufficientHistory,
     IrregularSeries,
-    MetricMismatch,
     MissingInTarget,
     NonBinaryTarget,
     RequirementUnmet,
@@ -40,12 +35,7 @@ from tempoframe.kernels import (
     logistic_gd,
     ridge_normal_solve,
 )
-from tempoframe.plugins import (
-    Category,
-    EstimatorSpec,
-    Param,
-    register_plugin,
-)
+from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 from tempoframe.preprocess import check_step
 
 
@@ -241,99 +231,3 @@ register_plugin(EstimatorSpec(
             Param("iters", "integer", 500, lo=1)),
     fit=_logistic_fit, predict_columns=_logistic_predict_columns))
 
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def _numeric(v, sid, fid, t=None) -> float:
-    """v as a float. Missing or a string is an alignment failure; its
-    location `(sid, fid)`, or `(sid, fid, t=t)` for a series point, is
-    formatted only then."""
-    if v is MISSING or isinstance(v, str):
-        where = f"({sid}, {fid})" if t is None else f"({sid}, {fid}, t={t})"
-        if v is MISSING:
-            raise AlignmentError(f"{where}: missing value in comparison")
-        raise AlignmentError(f"{where}: non-numeric value {v!r}")
-    return float(v)
-
-
-def _aligned(pred, truth, cls) -> None:
-    """The one input check of `rmse` and `accuracy`: both sides must be
-    `cls` containers (a `Dataset` or any other type is refused) with equal
-    sample and feature ids."""
-    for side, x in (("pred", pred), ("truth", truth)):
-        if not isinstance(x, cls):
-            raise AlignmentError(f"expected {cls.__name__} as {side}, "
-                                 f"got {type(x).__name__}")
-    if pred.sample_ids != truth.sample_ids:
-        raise AlignmentError("sample ids differ between pred and truth")
-    if pred.feature_ids != truth.feature_ids:
-        raise AlignmentError("features differ between pred and truth")
-
-
-def rmse(pred, truth) -> float:
-    """Root-mean-square error over all aligned points of two containers.
-
-    Two `TimeSeriesSamples` (a forecast and its held-out future) must have
-    bitwise-equal time grids; otherwise both sides are `StaticSamples`.
-    Any Missing or non-numeric value is an alignment failure, not a skip.
-    """
-    temporal = isinstance(pred, TimeSeriesSamples)
-    _aligned(pred, truth, TimeSeriesSamples if temporal else StaticSamples)
-    total = 0.0
-    count = 0
-    for i, sid in enumerate(pred.sample_ids):
-        for j, (fid, _) in enumerate(pred.features):
-            if temporal:
-                sa = pred.series[i][j]
-                sb = truth.series[i][j]
-                if tuple(t for t, _ in sa) != tuple(t for t, _ in sb):
-                    raise AlignmentError(
-                        f"time grids differ for sample {sid!r}, "
-                        f"feature {fid!r}")
-                points = [(t, va, vb) for (t, va), (_, vb) in zip(sa, sb)]
-            else:
-                points = ((None, pred.values[i][j], truth.values[i][j]),)
-            for t, va, vb in points:
-                d = _numeric(va, sid, fid, t) - _numeric(vb, sid, fid, t)
-                total += d * d
-                count += 1
-    if count == 0:
-        raise EmptyInput("no aligned points to compare")
-    return math.sqrt(total / count)
-
-
-def accuracy(pred, truth) -> float:
-    """Fraction of cells whose predicted label matches the truth label.
-
-    `pred` and `truth` are `StaticSamples` over the same samples and
-    features. Predicted label is 1 when p >= 0.5; a NaN p has no label,
-    so it raises `MetricMismatch`. Truth is coded by `binary_codes`, so
-    a kind `classify.logistic` cannot fit on is refused here too.
-    """
-    _aligned(pred, truth, StaticSamples)
-    codes = []
-    for fid, kind in truth.features:
-        codes.append(binary_codes(kind))
-        if not codes[-1]:
-            raise AlignmentError(f"truth feature {fid!r} is not binary")
-    correct = 0
-    count = 0
-    for i, sid in enumerate(pred.sample_ids):
-        for j, (fid, _) in enumerate(truth.features):
-            p = _numeric(pred.values[i][j], sid, fid)
-            if math.isnan(p):
-                raise MetricMismatch(f"accuracy: ({sid}, {fid}): predicted "
-                                     "probability is NaN")
-            tv = truth.values[i][j]
-            if tv is MISSING:
-                raise AlignmentError(f"({sid}, {fid}): missing truth label")
-            if tv not in codes[j]:
-                raise AlignmentError(
-                    f"({sid}, {fid}): truth label {tv!r} outside {{0, 1}}")
-            correct += 1 if (1 if p >= 0.5 else 0) == codes[j][tv] else 0
-            count += 1
-    if count == 0:
-        raise EmptyInput("no cells to compare")
-    return correct / count

@@ -1,12 +1,10 @@
-"""Time-to-event analysis: Kaplan-Meier curves, a Cox-style risk model,
-concordance and Brier metrics.
+"""Time-to-event analysis: Kaplan-Meier curves and a Cox-style risk model.
 
 One tie rule, from `kernels.risk_groups`: samples with equal times form
 one group. An event at t is scored against R(t) = {j : t_j >= t}, which
 includes t's whole group, censorings too (Kaplan-Meier, and Breslow ties
-in the Cox fit and baseline); concordance compares an event at t only
-with strictly later groups. The Brier score is unweighted over evaluable
-samples, a documented deviation from the censoring-weighted variant.
+in the Cox fit and baseline); concordance (`metrics.concordance_index`)
+compares an event at t only with strictly later groups.
 """
 
 from __future__ import annotations
@@ -23,22 +21,8 @@ from tempoframe.data import (
     check_column_names,
     covariate_matrix,
 )
-from tempoframe.errors import (
-    EmptyInput,
-    MetricMismatch,
-    NoComparablePairs,
-    NoEvaluableSamples,
-    NoEvents,
-    RequirementUnmet,
-)
-from tempoframe.kernels import (
-    _check_lengths,
-    _exp,
-    concordance_counts,
-    cox_gd,
-    linear_predictor,
-    risk_groups,
-)
+from tempoframe.errors import EmptyInput, NoEvents, RequirementUnmet
+from tempoframe.kernels import _exp, cox_gd, linear_predictor, risk_groups
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
 
@@ -179,52 +163,3 @@ register_plugin(EstimatorSpec(
             Param("ridge", "real", 1e-6, lo=0.0)),
     fit=_cox_fit, predict_columns=_cox_predict_columns))
 
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def concordance_index(risks, outcomes) -> float:
-    """Concordant fraction over pairs (i, j) with t_i < t_j and i occurred;
-    risk ties count 0.5. A NaN risk has no place in the order the counts
-    need, so it raises `MetricMismatch`; risks and outcomes of unequal
-    length raise AlignmentError."""
-    outcomes = list(outcomes)
-    risks = [float(r) for r in risks]
-    for i, r in enumerate(risks):
-        if math.isnan(r):
-            raise MetricMismatch(f"c_index: risk of sample {i} is NaN")
-    times = [o.time for o in outcomes]
-    occurred = [1 if o.occurred else 0 for o in outcomes]
-    conc, tied, comp = concordance_counts(len(outcomes), times, occurred,
-                                          risks)
-    if comp == 0:
-        raise NoComparablePairs("no comparable pair of outcomes")
-    return (conc + 0.5 * tied) / comp
-
-
-def brier_score(survival, outcomes, horizon: float) -> float:
-    """Unweighted mean of (S_i(t*) - 1{t_i > t*})^2 over evaluable samples.
-
-    `survival` holds each sample's S_i(t*) (`SurvivalOutput.survival_at`).
-    Evaluable: occurred with t <= t*, or t > t* regardless of status.
-    Samples censored at or before t* carry no label and are excluded.
-    A `survival` of another length than `outcomes` raises AlignmentError.
-    """
-    _check_lengths(len(outcomes), "samples", survival=survival)
-    total = 0.0
-    count = 0
-    for s, o in zip(survival, outcomes):
-        if o.time > horizon:
-            label = 1.0
-        elif o.occurred:
-            label = 0.0
-        else:
-            continue
-        d = s - label
-        total += d * d
-        count += 1
-    if count == 0:
-        raise NoEvaluableSamples(
-            f"no sample is evaluable at horizon {horizon}")
-    return total / count

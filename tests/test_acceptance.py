@@ -37,15 +37,10 @@ from tempoframe.data import (
 from tempoframe.bundle import MANIFEST_NAME, read_bundle, write_bundle
 from tempoframe.errors import NoComparablePairs
 from tempoframe.interpret import permutation_importance
-from tempoframe.metrics import TASKS, resolve_metric
+from tempoframe.metrics import TASKS, concordance_index, resolve_metric
 from tempoframe.plugins import FittedEstimator, build_pipeline, create
 from tempoframe.rng import Lcg
-from tempoframe.survival import (
-    EventOutcome,
-    concordance_index,
-    event_outcomes,
-    kaplan_meier,
-)
+from tempoframe.survival import EventOutcome, event_outcomes, kaplan_meier
 from tempoframe.treatment import synth_treatment_data
 
 import os

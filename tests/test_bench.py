@@ -217,6 +217,15 @@ def test_config_rejects_non_finite_real_params(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_config_refuses_a_metric_that_is_not_a_name(tmp_path, capsys):
+    held = "config 'metrics' must hold metric names, got 1"
+    path = _write_config(tmp_path, _classify_doc(metrics=[1]))
+    with pytest.raises(ConfigError, match=f"^{re.escape(held)}$"):
+        load_config(path)
+    assert cli(["run", path]) == 2
+    assert held in capsys.readouterr().err
+
+
 def test_config_rejects_a_t_learner_seed(tmp_path):
     doc = {"bundle": "b", "task": "treatment",
            "pipeline": [{"plugin": "treatment.t_learner",

@@ -299,6 +299,47 @@ def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("kind,column,held", [
+    (Continuous(), (1.0, math.nan), "sample 'b', feature 'f': non-finite "
+                                    "value nan"),
+    (Continuous(), (math.inf, 1.0), "sample 'a', feature 'f': non-finite "
+                                    "value inf"),
+    (Continuous(), (1.0, "1.5"), "sample 'b', feature 'f': expected a real "
+                                 "number, got '1.5'"),
+    (Categorical(("x",)), ("x", "zz"), "sample 'b', feature 'f': 'zz' not in "
+                                       "categories ['x']"),
+    (Integer(), (MISSING, True), "sample 'b', feature 'f': expected an "
+                                 "integer, got True"),
+    (Integer(), (2.5, 1), "sample 'a', feature 'f': expected an integer, "
+                          "got 2.5"),
+    (Integer(), (1, 10 ** 400), "sample 'b', feature 'f': integer beyond "
+                                "float range"),
+], ids=["nan", "inf", "continuous-str", "category", "integer-bool",
+        "integer-float", "integer-huge"])
+def test_write_bundle_checks_static_cells_before_writing(tmp_path, kind,
+                                                         column, held):
+    # a container built directly skips the builders' checks; a cell the
+    # reader would refuse is refused before any file is opened
+    static = StaticSamples(("a", "b"), (("g", Continuous()), ("f", kind)),
+                           tuple((1.0, v) for v in column))
+    ds = assemble_dataset(static=static,
+                          roles=RoleMap.of(covariates=("g", "f")))
+    with pytest.raises(KindMismatch, match=f"^{re.escape(held)}$"):
+        write_bundle(ds, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+def test_write_bundle_takes_a_static_column_checked_cell_by_cell(tmp_path):
+    # Continuous ints fail the column pass but `check_value` takes them;
+    # they read back as equal floats
+    static = StaticSamples(("a", "b"), (("f", Continuous()),), ((1,), (-2,)))
+    ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("f",)))
+    write_bundle(ds, tmp_path / "b")
+    assert (tmp_path / "b" / "static.csv").read_text(encoding="utf-8") == \
+        "sample_id,f\na,1\nb,-2\n"
+    assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
+
+
 def test_manifest_shape(tmp_path):
     ds, path = _write(tmp_path, seed=2)
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -463,6 +504,8 @@ _ONE_ROW_FAULTS = [
      KindMismatch),
     ("kind_mismatch", "temporal.csv", (2, "s1,f,0.5,nan"), KindMismatch),
     ("bad_time", "events.csv", (1, "s0,e, 4.0,1"), ParseError),
+    ("arity", "temporal.csv", "s1,f,0.5", ParseError),
+    ("arity", "events.csv", (1, "s0,e,4.0,1,1"), ParseError),
 ]
 
 
@@ -488,6 +531,7 @@ def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
     ("arity", (2, "s1,f,0.5 0.6,3.0"), ParseError, "2 times but 1 values"),
     ("duplicate_time", "s0,f,7.0,7.0", DuplicateTimePoint,
      "duplicate row for sample 's0', feature 'f'"),
+    ("arity", "s1,f,0.5", ParseError, "expected 4 fields, got 3"),
 ])
 def test_a_packed_row_fault_names_its_point(tmp_path, code, edit, error,
                                             detail):
@@ -496,6 +540,24 @@ def test_a_packed_row_fault_names_its_point(tmp_path, code, edit, error,
         "sample_id,feature_id,times,values\ns0,f,0.0 1.0,1.0 2.0\n" \
         "s1,f,0.5,3.0\n"
     assert _one_row_fault(path, code, "temporal.csv", edit, error) == detail
+
+
+@pytest.mark.parametrize("token,detail", [
+    ("2", "point 1, t=1.0: '2' is not a category index below 2"),
+    ("hi", "point 1, t=1.0: 'hi' is not a category index below 2"),
+])
+def test_a_temporal_category_token_is_its_index(tmp_path, token, detail):
+    temporal = build_time_series_samples(
+        [("s0", "k", 0.0, "lo"), ("s0", "k", 1.0, "hi")],
+        {"k": Categorical(("lo", "hi"))})
+    path = tmp_path / "b"
+    write_bundle(assemble_dataset(temporal=temporal,
+                                  roles=RoleMap.of(covariates=("k",))), path)
+    assert (path / "temporal.csv").read_text(encoding="utf-8") == \
+        "sample_id,feature_id,times,values\ns0,k,0.0 1.0,0 1\n"
+    assert _one_row_fault(path, "kind_mismatch", "temporal.csv",
+                          (1, f"s0,k,0.0 1.0,0 {token}"),
+                          KindMismatch) == detail
 
 
 # the wide static.csv of `_small_bundle`:

@@ -116,6 +116,19 @@ def test_kind_json_round_trip():
         kind_from_json({"kind": "tensor"}, "w")
 
 
+@pytest.mark.parametrize("d, held", [
+    (["continuous"], "w: malformed kind descriptor ['continuous']"),
+    ("continuous", "w: malformed kind descriptor 'continuous'"),
+    ({"name": "integer"}, "w: malformed kind descriptor {'name': 'integer'}"),
+    ({"kind": "categorical"}, "w: categorical kind needs categories"),
+    ({"kind": "categorical", "categories": "ab"},
+     "w: categorical kind needs categories"),
+], ids=["list", "str", "no-kind", "no-categories", "categories-not-a-list"])
+def test_kind_from_json_refuses_a_malformed_descriptor(d, held):
+    with pytest.raises(KindMismatch, match=f"^{re.escape(held)}$"):
+        kind_from_json(d, "w")
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -251,6 +264,13 @@ def test_role_map_is_exhaustive_and_disjoint():
     with pytest.raises(RoleConflict):
         assemble_dataset(static=static,
                          roles=RoleMap.of(covariates=("x", "phantom")))
+
+
+def test_role_map_refuses_two_roles_for_one_feature():
+    # an assignment built directly, as a bundle manifest's roles are read
+    with pytest.raises(RoleConflict, match="^feature 'x' assigned two roles$"):
+        RoleMap((("x", Role.COVARIATE), ("y", Role.TARGET),
+                 ("x", Role.TARGET)))
 
 
 def test_dataset_needs_a_covariate():

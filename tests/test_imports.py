@@ -262,12 +262,12 @@ _SHARED_PRIVATE = {
                     "overflow-safe sigmoid, so fit and predict agree",
     },
     "metrics": {
+        "_check_lengths": "the kernels' length check, for the Brier "
+                          "score's survival column",
         "_temporal_targets": "the forecast metrics score the targets the "
                              "forecaster chose, by its own rule",
     },
     "survival": {
-        "_check_lengths": "the kernels' length check, for the survival "
-                          "curve glue's columns",
         "_exp": "the Cox kernel's clamped exp, so risks in the curves "
                 "match the fit",
     },
@@ -336,3 +336,15 @@ def test_benchmark_imports_from_the_library_resolve():
         name for *_, name in imports}
     assert [i for i in imports
             if not hasattr(importlib.import_module(i[2]), i[3])] == []
+
+
+def test_the_metric_dispatch_holds_the_scoring_functions():
+    # one module scores every task: `resolve_metric` binds the functions
+    # of `tempoframe.metrics` themselves, and the package exports them
+    import tempoframe
+    from tempoframe import metrics
+    for name in ("rmse", "pehe"):
+        assert metrics.resolve_metric(name).score is metrics.rmse
+    assert metrics.resolve_metric("accuracy").score is metrics.accuracy
+    for name in ("rmse", "accuracy", "concordance_index", "brier_score"):
+        assert getattr(tempoframe, name) is getattr(metrics, name)

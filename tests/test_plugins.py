@@ -575,6 +575,25 @@ def test_corrupt_blobs():
             load_fitted(json.dumps(doc).encode("utf-8"))
 
 
+@pytest.mark.parametrize("edit, held", [
+    (lambda doc: doc.pop("fitted"), "blob has no fitted document"),
+    (lambda doc: doc["fitted"].pop("plugin"), "missing plugin name"),
+    (lambda doc: doc["fitted"]["front"].append([]), "missing plugin name"),
+    (lambda doc: doc["fitted"].pop("state"),
+     "malformed fitted-estimator document: 'state'"),
+    (lambda doc: doc["fitted"]["front"][0].pop("params"),
+     "malformed fitted-estimator document: 'params'"),
+], ids=["no-fitted", "no-plugin", "front-not-a-document", "no-state",
+        "front-no-params"])
+def test_a_blob_with_a_malformed_document_is_corrupt(edit, held):
+    ds = classification_dataset(12)
+    doc = json.loads(save_fitted(build_pipeline([
+        ("scale.zscore", {}), ("classify.logistic", {"iters": 5})]).fit(ds)))
+    edit(doc)
+    with pytest.raises(CorruptBlob, match=f"^{re.escape(held)}$"):
+        load_fitted(json.dumps(doc).encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # Public names
 # ---------------------------------------------------------------------------

@@ -40,9 +40,14 @@ from tempoframe.errors import (
     NonBinaryTarget,
     RequirementUnmet,
 )
-from tempoframe.forecasting import _regular_values, accuracy, rmse
+from tempoframe.forecasting import _regular_values
 from tempoframe.interpret import permutation_importance
-from tempoframe.metrics import _holdout_forecast, static_target_table
+from tempoframe.metrics import (
+    _holdout_forecast,
+    accuracy,
+    rmse,
+    static_target_table,
+)
 from tempoframe.plugins import FittedEstimator, create
 from tempoframe.rng import Lcg
 

@@ -29,13 +29,12 @@ from tempoframe.errors import (
     NoEvents,
     RequirementUnmet,
 )
+from tempoframe.metrics import brier_score, concordance_index
 from tempoframe.plugins import create
 from tempoframe.rng import Lcg
 from tempoframe.survival import (
     EventOutcome,
     SurvivalCurve,
-    brier_score,
-    concordance_index,
     event_outcomes,
     kaplan_meier,
 )
