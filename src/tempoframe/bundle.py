@@ -41,8 +41,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
-from operator import itemgetter, lt
+from itertools import islice
+from operator import lt
 from typing import NamedTuple
 
 from tempoframe.data import (
@@ -209,33 +209,39 @@ def _table_rows(modality: Modality, container):
     index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
              for fid, kind in container.features
              if isinstance(kind, Categorical)}
-    for (sid, fid), points in groupby(container.to_points(),
-                                      itemgetter(0, 1)):
-        codes = index.get(fid)
-        times, values, size = [], [], 0
-        for _, _, t, v in points:
-            tt = repr(t)
-            vt = "" if v is MISSING else repr(v) if codes is None else codes[v]
-            size += len(tt) + len(vt) + 2
-            if size > _ROW_CHARS and times:
+    for sid, row in zip(container.sample_ids, container.series):
+        for (fid, _), seq in zip(container.features, row):
+            codes = index.get(fid)
+            times, values, size = [], [], 0
+            for t, v in zip(*seq):
+                tt = repr(t)
+                vt = "" if v is MISSING else codes[v] if codes else repr(v)
+                size += len(tt) + len(vt) + 2
+                if size > _ROW_CHARS and times:
+                    yield [sid, fid, " ".join(times), " ".join(values)]
+                    times, values, size = [], [], len(tt) + len(vt) + 2
+                times.append(tt)
+                values.append(vt)
+            if times:
                 yield [sid, fid, " ".join(times), " ".join(values)]
-                times, values, size = [], [], len(tt) + len(vt) + 2
-            times.append(tt)
-            values.append(vt)
-        yield [sid, fid, " ".join(times), " ".join(values)]
 
 
 def _check_points(modality: Modality, container) -> None:
     """KindMismatch, naming the sample, feature and point, unless each
-    point of a timed container has a finite time after the one before it
-    and a value `check_value` accepts: what `read_bundle` reads back."""
+    sequence of a timed container has as many times as values, and each
+    point a finite time after the one before it and a value `check_value`
+    accepts: what `read_bundle` reads back."""
     rows = (container.series if modality is Modality.TEMPORAL
-            else [[() if e is None else (e,) for e in row]
-                  for row in container.entries])
+            else [[((), ()) if e is None else ((e[0],), (e[1],))
+                   for e in row] for row in container.entries])
     for sid, row in zip(container.sample_ids, rows):
-        for (fid, kind), points in zip(container.features, row):
+        for (fid, kind), (times, values) in zip(container.features, row):
+            if len(times) != len(values):
+                raise KindMismatch(f"sample {sid!r}, feature {fid!r}: "
+                                   f"{len(times)} times but {len(values)} "
+                                   "values")
             prev = -math.inf
-            for k, (t, v) in enumerate(points):
+            for k, (t, v) in enumerate(zip(times, values)):
                 where = f"sample {sid!r}, feature {fid!r}, point {k}"
                 t = check_time(t, where)
                 if not prev < t:
@@ -476,7 +482,7 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
     """
     packed = modality is Modality.TEMPORAL
     dup_code = "duplicate_time" if packed else "duplicate_event"
-    empty = () if packed else None  # an empty sequence, no event entry
+    empty = ((), ()) if packed else None  # an empty sequence, no event entry
     features = {f: j for j, f in enumerate(kinds)}
     # feature -> its token reader and kind
     readers = {f: (_token_reader(k, packed), k) for f, k in kinds.items()}
@@ -509,26 +515,24 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
             j = features[fid]
             i = samples.get(sid)
             held = empty if i is None else cells[i][j]
-            if not held:
+            if held is empty:
                 prev = -math.inf
             elif packed and last == (i, j):
-                prev = held[-1][0]
+                prev = held[0][-1]
             else:
                 raise _RowFault(dup_code, f"duplicate row for sample {sid!r}, "
                                           f"feature {fid!r}")
-            points = _points(ts, vs, read, isinstance(kind, Continuous),
-                             prev)
+            times, values = _points(ts, vs, read,
+                                    isinstance(kind, Continuous), prev)
         except _RowFault as e:
             bad.append(Violation(row, *e.args))
             continue
         if i is None:
             i = samples[sid] = len(cells)
             cells.append([empty] * len(features))
-        if held:
-            points = held + points
-        elif not packed:
-            points = points[0]  # an event entry
-        cells[i][j] = points
+        if held is not empty:  # the row goes on from the row before
+            times, values = held[0] + times, held[1] + values
+        cells[i][j] = (times, values) if packed else (times[0], values[0])
         last = (i, j)
         if i >= pinned:
             bad.append(Violation(row, "unknown_sample",
@@ -547,8 +551,8 @@ def _reals(tokens) -> list:
 
 
 def _points(ts, vs, read, reals: bool, prev: float) -> tuple:
-    """The (time, value) points of one row's tokens, values read by `read`
-    (by `_reals` when `reals`); times must be finite and strictly
+    """The (times, values) tuples of one row's tokens, values read by
+    `read` (by `_reals` when `reals`); times must be finite and strictly
     increasing after `prev`. Else the first point that breaks a rule,
     found one point at a time, raises; the detail names its index and
     time."""
@@ -557,7 +561,7 @@ def _points(ts, vs, read, reals: bool, prev: float) -> tuple:
         values = _reals(vs) if reals else list(map(read, vs))
         if (prev < times[0] and times[-1] < math.inf
                 and all(map(lt, times, islice(times, 1, None)))):
-            return tuple(zip(times, values))
+            return tuple(times), tuple(values)
     except (ValueError, KindMismatch):
         pass
     for k, (tt, vt) in enumerate(zip(ts, vs)):

@@ -116,9 +116,10 @@ def check_value(kind: ValueKind, value, where: str = None):
     whose message starts with `where: ` when a `where` is given.
 
     Missing passes through unchanged. Continuous stores float, Integer int,
-    Categorical str. Booleans are rejected everywhere; non-finite floats are
-    rejected because they cannot round-trip through value equality, and
-    ints beyond float range because no model can read them.
+    Categorical str. Booleans are rejected everywhere; non-finite floats,
+    and Continuous ints that no float holds exactly, are rejected because
+    they cannot round-trip through value equality, and ints beyond float
+    range because no model can read them.
     """
     if value is MISSING:
         return MISSING
@@ -128,6 +129,8 @@ def check_value(kind: ValueKind, value, where: str = None):
         v = _float_of(value, where)
         if not math.isfinite(v):
             raise _mismatch(where, f"non-finite value {value!r}")
+        if v != value:  # an int that float() rounds
+            raise _mismatch(where, f"integer {value!r} has no exact float")
         return v
     if isinstance(kind, Integer):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -241,18 +244,13 @@ class StaticSamples(_Samples):
 
 @dataclass(frozen=True)
 class TimeSeriesSamples(_Samples):
-    series: tuple[tuple[tuple, ...], ...]  # [sample][feature] -> ((t, v), ...)
+    # [sample][feature] -> (times, values): two equal-length tuples, times
+    # strictly increasing; an empty sequence is ((), ())
+    series: tuple[tuple[tuple[tuple, tuple], ...], ...]
 
     def sequence(self, sample_id: str, feature_id: str) -> tuple:
+        """The (times, values) pair of one sample's feature."""
         return self.series[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
-
-    def to_points(self) -> list:
-        out = []
-        for i, sid in enumerate(self.sample_ids):
-            for j, (fid, _) in enumerate(self.features):
-                for t, v in self.series[i][j]:
-                    out.append((sid, fid, t, v))
-        return out
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ class Dataset:
 # cell, error and message stem of a repeated record).
 _MODALITIES = {
     Modality.STATIC: (StaticSamples, MISSING, DuplicateCell, "duplicate cell"),
-    Modality.TEMPORAL: (TimeSeriesSamples, (), DuplicateTimePoint,
+    Modality.TEMPORAL: (TimeSeriesSamples, ((), ()), DuplicateTimePoint,
                         "duplicate time {t}"),
     Modality.EVENT: (EventSamples, None, DuplicateEvent, "duplicate event"),
 }
@@ -462,7 +460,8 @@ def _build(modality: Modality, records, kinds: dict, sample_ids):
     if series:
         for row in rows.values():
             for j, held in row.items():
-                row[j] = tuple(sorted(held.items()))
+                times = tuple(sorted(held))
+                row[j] = (times, tuple(map(held.__getitem__, times)))
     fids = [*features, *(f for f in kinds if f not in features)]
     return cls(tuple(rows), tuple((f, kinds[f]) for f in fids),
                tuple(tuple(row.get(j, empty) for j in range(len(fids)))
@@ -482,7 +481,8 @@ def build_static_samples(rows, kinds: dict, *, sample_ids=None) -> StaticSamples
 
 def build_time_series_samples(points, kinds: dict, *,
                               sample_ids=None) -> TimeSeriesSamples:
-    """Assemble per-(sample, feature) sequences, sorted ascending by time.
+    """Assemble per-(sample, feature) `(times, values)` sequences from
+    (sample_id, feature_id, time, value) points, sorted ascending by time.
 
     Unequal lengths and unaligned times across features are preserved.
     """
@@ -618,7 +618,7 @@ def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
         stats = ([], [], [], [], [])
         last, mean, mn, mx, slope = stats
         for sid, per_sample in zip(ts.sample_ids, ts.series):
-            observed = [(t, float(v)) for t, v in per_sample[j]
+            observed = [(t, float(v)) for t, v in zip(*per_sample[j])
                         if v is not MISSING]
             if not observed:
                 for col in stats:

@@ -59,11 +59,11 @@ def _persistence_fit(params, ds: Dataset) -> dict:
     return {"targets": _temporal_targets(ds)}
 
 
-def _last_observed(seq, sid, fid):
-    """(index, value) of the last observed point of seq."""
-    for j in range(len(seq) - 1, -1, -1):
-        if seq[j][1] is not MISSING:
-            return j, float(seq[j][1])
+def _last_observed(values, sid, fid):
+    """(index, value) of the last observed value of a sequence."""
+    for j in range(len(values) - 1, -1, -1):
+        if values[j] is not MISSING:
+            return j, float(values[j])
     raise EmptyTargetSeries(
         f"no observed value in target {fid!r} of sample {sid!r}")
 
@@ -80,15 +80,15 @@ def _persistence_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     for sid in ds.sample_ids:
         per_sample = []
         for fid in targets:
-            seq = ds.temporal.sequence(sid, fid)
-            j, v_last = _last_observed(seq, sid, fid)
-            t0 = seq[0][0]
+            times, values = ds.temporal.sequence(sid, fid)
+            j, v_last = _last_observed(values, sid, fid)
+            t0 = times[0]
             ks = range(1, horizon + 1)
-            if all(t == t0 + i * step for i, (t, _) in enumerate(seq)):
-                times = [t0 + (j + k) * step for k in ks]
+            if all(t == t0 + i * step for i, t in enumerate(times)):
+                grid = tuple(t0 + (j + k) * step for k in ks)
             else:
-                times = [seq[j][0] + k * step for k in ks]
-            per_sample.append(tuple((t, v_last) for t in times))
+                grid = tuple(times[j] + k * step for k in ks)
+            per_sample.append((grid, (v_last,) * horizon))
         series.append(tuple(per_sample))
     return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
 
@@ -104,19 +104,20 @@ register_plugin(EstimatorSpec(
 # forecast.ar
 # ---------------------------------------------------------------------------
 
-def _regular_values(seq, step: float, order: int, sid, fid) -> list:
+def _regular_values(times, values, step: float, order: int, sid,
+                    fid) -> list:
     """Validate one target sequence for AR use and return its values.
 
     The grid must satisfy times[k] == times[0] + k*step exactly, the same
     expression `resample.regular` emits, so resampled data always passes.
     """
-    if len(seq) < order + 1:
+    if len(times) < order + 1:
         raise InsufficientHistory(
-            f"target {fid!r} of sample {sid!r} has {len(seq)} points, "
+            f"target {fid!r} of sample {sid!r} has {len(times)} points, "
             f"order {order} needs at least {order + 1}")
-    t0 = seq[0][0]
-    values = []
-    for k, (t, v) in enumerate(seq):
+    t0 = times[0]
+    out = []
+    for k, (t, v) in enumerate(zip(times, values)):
         if t != t0 + k * step:
             raise IrregularSeries(
                 f"target {fid!r} of sample {sid!r} is not on a regular "
@@ -125,8 +126,8 @@ def _regular_values(seq, step: float, order: int, sid, fid) -> list:
             raise MissingInTarget(
                 f"target {fid!r} of sample {sid!r} has a missing value "
                 f"at t={t}")
-        values.append(float(v))
-    return values
+        out.append(float(v))
+    return out
 
 
 def _ar_fit(params, ds: Dataset) -> dict:
@@ -139,7 +140,7 @@ def _ar_fit(params, ds: Dataset) -> dict:
         lags = [[] for _ in range(order)]
         y = []
         for sid in ds.sample_ids:
-            values = _regular_values(ds.temporal.sequence(sid, fid), step,
+            values = _regular_values(*ds.temporal.sequence(sid, fid), step,
                                      order, sid, fid)
             for k, lag in enumerate(lags, 1):
                 lag.extend(values[order - k:len(values) - k])
@@ -160,24 +161,25 @@ def _ar_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     for sid in ds.sample_ids:
         per_sample = []
         for fid, model in models.items():
-            seq = ds.temporal.sequence(sid, fid)
-            if len(seq) < order:
+            times, values = ds.temporal.sequence(sid, fid)
+            if len(times) < order:
                 raise InsufficientHistory(
-                    f"target {fid!r} of sample {sid!r} has {len(seq)} "
+                    f"target {fid!r} of sample {sid!r} has {len(times)} "
                     f"points, order {order} needs at least {order}")
-            history = _regular_values(seq, step, len(seq) - 1, sid, fid)
-            t0 = seq[0][0]
+            history = _regular_values(times, values, step, len(times) - 1,
+                                      sid, fid)
+            t0 = times[0]
             c = model["c"]
             phi = model["phi"]
-            out = []
+            grid = []
             for _ in range(horizon):
                 nxt = c
                 for i in range(order):
                     nxt += phi[i] * history[-1 - i]
                 history.append(nxt)
                 # continue the grid `_regular_values` checks
-                out.append((t0 + (len(history) - 1) * step, nxt))
-            per_sample.append(tuple(out))
+                grid.append(t0 + (len(history) - 1) * step)
+            per_sample.append((tuple(grid), tuple(history[-horizon:])))
         series.append(tuple(per_sample))
     return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
 

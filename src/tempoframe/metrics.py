@@ -62,13 +62,15 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     futures = dict.fromkeys(targets, ())
 
     def cut(fid, column):
-        for sid, seq in zip(ids, column):
-            if len(seq) <= horizon:
+        for sid, (times, _) in zip(ids, column):
+            if len(times) <= horizon:
                 raise BenchError(
-                    f"sample {sid!r} target {fid!r} has {len(seq)} points; "
-                    f"holding out {horizon} leaves no history")
-        futures[fid] = tuple(seq[-horizon:] for seq in column)
-        return tuple(seq[:-horizon] for seq in column)
+                    f"sample {sid!r} target {fid!r} has {len(times)} "
+                    f"points; holding out {horizon} leaves no history")
+        futures[fid] = tuple((times[-horizon:], values[-horizon:])
+                             for times, values in column)
+        return tuple((times[:-horizon], values[:-horizon])
+                     for times, values in column)
 
     history = map_columns(ds, {fid: partial(cut, fid) for fid in targets})
     future = TimeSeriesSamples(
@@ -171,13 +173,13 @@ def rmse(pred, truth) -> float:
     for i, sid in enumerate(pred.sample_ids):
         for j, (fid, _) in enumerate(pred.features):
             if temporal:
-                sa = pred.series[i][j]
-                sb = truth.series[i][j]
-                if tuple(t for t, _ in sa) != tuple(t for t, _ in sb):
+                times, predicted = pred.series[i][j]
+                grid, observed = truth.series[i][j]
+                if times != grid:
                     raise AlignmentError(
                         f"time grids differ for sample {sid!r}, "
                         f"feature {fid!r}")
-                points = [(t, va, vb) for (t, va), (_, vb) in zip(sa, sb)]
+                points = zip(times, predicted, observed)
             else:
                 points = ((None, pred.values[i][j], truth.values[i][j]),)
             for t, va, vb in points:

@@ -67,7 +67,7 @@ def _observed_training_values(ds: Dataset) -> dict:
         for j, (fid, _) in enumerate(ds.temporal.features):
             vals = []
             for per_sample in ds.temporal.series:
-                for _, v in per_sample[j]:
+                for v in per_sample[j][1]:
                     if v is not MISSING:
                         vals.append(v)
             out[fid] = vals
@@ -76,7 +76,8 @@ def _observed_training_values(ds: Dataset) -> dict:
 
 def _map_values(ds: Dataset, fns: dict) -> Dataset:
     """`map_columns` with each `fns[fid]` applied to every value of the
-    feature: each static cell, each temporal point's value."""
+    feature: each static cell, each temporal point's value (a sequence
+    keeps its times tuple)."""
     lifted = {}
     for fid in (ds.static.feature_ids if ds.static is not None else ()):
         if fid in fns:
@@ -84,7 +85,7 @@ def _map_values(ds: Dataset, fns: dict) -> Dataset:
     for fid in (ds.temporal.feature_ids if ds.temporal is not None else ()):
         if fid in fns:
             lifted[fid] = lambda col, f=fns[fid]: tuple(
-                tuple((t, f(v)) for t, v in seq) for seq in col)
+                (times, tuple(map(f, values))) for times, values in col)
     return map_columns(ds, lifted)
 
 
@@ -147,21 +148,14 @@ def _locf_fit(params, ds: Dataset) -> dict:
         for fid, kind in ds.temporal.features}}
 
 
-def _locf_seq(seq, fallback):
+def _locf_seq(times, values, fallback):
     out = []
-    carry = None
-    for t, v in seq:
-        if v is MISSING:
-            if carry is not None:
-                out.append((t, carry))
-            elif fallback is not None:
-                out.append((t, fallback))
-            else:
-                out.append((t, MISSING))
-        else:
+    carry = MISSING if fallback is None else fallback
+    for v in values:
+        if v is not MISSING:
             carry = v
-            out.append((t, v))
-    return tuple(out)
+        out.append(carry)
+    return times, tuple(out)
 
 
 def _locf_transform(params, state, ds: Dataset) -> Dataset:
@@ -169,7 +163,7 @@ def _locf_transform(params, state, ds: Dataset) -> Dataset:
     fills = state["fills"]
     return map_columns(ds, {
         fid: lambda col, fallback=fills.get(fid): tuple(
-            _locf_seq(seq, fallback) for seq in col)
+            _locf_seq(*seq, fallback) for seq in col)
         for fid in ds.temporal.feature_ids})
 
 
@@ -242,9 +236,9 @@ def _onehot_value(v, cats, fid):
 
 def _onehot_seq(seq, cats, fid) -> list:
     """One indicator sequence per category, on the times of `seq`."""
-    bits = [_onehot_value(v, cats, fid) for _, v in seq]
-    return [tuple((t, b[k]) for (t, _), b in zip(seq, bits))
-            for k in range(len(cats))]
+    times, values = seq
+    bits = [_onehot_value(v, cats, fid) for v in values]
+    return [(times, tuple(b[k] for b in bits)) for k in range(len(cats))]
 
 
 def _onehot_transform(params, state, ds: Dataset) -> Dataset:
@@ -298,11 +292,11 @@ def _onehot_transform(params, state, ds: Dataset) -> Dataset:
 _MAX_GRID = 10 ** 6
 
 
-def _resample_seq(seq, step: float):
-    if not seq:
-        return ()
-    t_min = seq[0][0]
-    t_max = seq[-1][0]
+def _resample_seq(times, values, step: float):
+    if not times:
+        return (), ()
+    t_min = times[0]
+    t_max = times[-1]
     span = t_max - t_min
     count = span / step + 1  # a float, possibly inf, until known to be small
     if count <= _MAX_GRID + 1:
@@ -314,21 +308,21 @@ def _resample_seq(seq, step: float):
     if count > _MAX_GRID:
         raise InvalidStep(f"step {step} over a span of {span} gives "
                           f"{count:.0f} grid points, more than {_MAX_GRID}")
+    grid = []
     out = []
     src = 0
     carry = MISSING
-    prev_t = None
     for k in range(count):
         t = t_min + k * step
-        if prev_t is not None and not t > prev_t:
+        if grid and not t > grid[-1]:
             raise InvalidStep(
                 f"step {step} is below time resolution at t={t}")
-        prev_t = t
-        while src < len(seq) and seq[src][0] <= t:
-            carry = seq[src][1]
+        while src < len(times) and times[src] <= t:
+            carry = values[src]
             src += 1
-        out.append((t, carry))
-    return tuple(out)
+        grid.append(t)
+        out.append(carry)
+    return tuple(grid), tuple(out)
 
 
 def _resample_fit(params, ds: Dataset) -> dict:
@@ -342,7 +336,7 @@ def _resample_transform(params, state, ds: Dataset) -> Dataset:
     step = params["step"]
     check_step(step)
     return map_columns(ds, {
-        fid: lambda col: tuple(_resample_seq(seq, step) for seq in col)
+        fid: lambda col: tuple(_resample_seq(*seq, step) for seq in col)
         for fid in ds.temporal.feature_ids})
 
 

@@ -131,6 +131,22 @@ def static_rows(static) -> list:
             for (fid, _), v in zip(static.features, row)]
 
 
+def temporal_points(temporal) -> list:
+    """The long-form (sample_id, feature_id, time, value) point of every
+    sequence of a TimeSeriesSamples, sample-major then feature order: what
+    its builder reads."""
+    return [(sid, fid, t, v)
+            for sid, row in zip(temporal.sample_ids, temporal.series)
+            for (fid, _), (times, values) in zip(temporal.features, row)
+            for t, v in zip(times, values)]
+
+
+def sequence_of(pairs) -> tuple:
+    """The (times, values) sequence of (time, value) pairs; the inverse of
+    `tuple(zip(*sequence))`."""
+    return tuple(t for t, _ in pairs), tuple(v for _, v in pairs)
+
+
 def _with_observed_temporal(points, kinds, sample_ids, rng: Lcg):
     """Guarantee one observed point per temporal feature so imputers have a
     training statistic."""

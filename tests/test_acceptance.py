@@ -22,6 +22,7 @@ from datagen import (
     regular_series_dataset,
     static_rows,
     survival_dataset,
+    temporal_points,
 )
 from tempoframe.bench import load_config, report_text, run_benchmark, strip_timing
 from tempoframe.data import (
@@ -61,7 +62,7 @@ def test_c01_data_model_round_trips_200_datasets(tmp_path):
                                          dict(ds.static.features),
                                          sample_ids=ds.static.sample_ids)
             assert again == ds.static
-        again = build_time_series_samples(ds.temporal.to_points(),
+        again = build_time_series_samples(temporal_points(ds.temporal),
                                           dict(ds.temporal.features),
                                           sample_ids=ds.temporal.sample_ids)
         assert again == ds.temporal
@@ -323,7 +324,7 @@ def test_c07_imputation_completes_and_is_idempotent_100_datasets():
             assert not any(v is MISSING for row in once.static.values
                            for v in row)
         assert not any(v is MISSING for sample in once.temporal.series
-                       for seq in sample for _, v in seq)
+                       for seq in sample for v in seq[1])
         twice = fitted.transform(once)
         assert twice == once
 

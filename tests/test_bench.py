@@ -415,7 +415,7 @@ def test_cli_forecast_horizon_exhausting_a_series_fails_cleanly(
     short = kfold_split(ds, 2, 0)[1][1].sample_ids[0]
     temporal = ds.temporal
     i = temporal.sample_ids.index(short)
-    series = tuple(((seqs[0][:2],) if k == i else seqs)
+    series = tuple((((seqs[0][0][:2], seqs[0][1][:2]),) if k == i else seqs)
                    for k, seqs in enumerate(temporal.series))
     write_bundle(replace(ds, temporal=TimeSeriesSamples(
         temporal.sample_ids, temporal.features, series)),

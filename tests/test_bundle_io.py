@@ -158,7 +158,7 @@ def _edge_dataset():
 def test_round_trip_of_edge_case_ids_and_values(tmp_path):
     ds = _edge_dataset()
     assert ds.static.values[-1] == (MISSING,) * 3
-    assert len(ds.temporal.sequence("plain", "t\nf")) == _LONG
+    assert len(ds.temporal.sequence("plain", "t\nf")[0]) == _LONG
     write_bundle(ds, tmp_path / "one")
     # the long sequence goes on over rows whose fields csv can read
     with open(tmp_path / "one" / "temporal.csv", encoding="utf-8",
@@ -269,22 +269,27 @@ def test_write_bundle_checks_ids_before_writing(tmp_path, sid, fid, held):
 
 
 @pytest.mark.parametrize("modality,kind,points,held", [
-    ("temporal", Continuous(), ((1.0, 1.0), (0.0, 2.0)),
-     "point 1: time 0.0 is not after 1.0"),
+    ("temporal", Continuous(), ((1.0, 0.0), (1.0, 2.0)),
+     ", point 1: time 0.0 is not after 1.0"),
     ("temporal", Continuous(), ((1.0, 1.0), (1.0, 2.0)),
-     "point 1: time 1.0 is not after 1.0"),
-    ("temporal", Categorical(("x",)), ((1.0, "x"), (2.0, "y")),
-     "point 1: 'y' not in categories ['x']"),
-    ("temporal", Continuous(), ((1.0, math.nan),), "point 0: non-finite "
-                                                    "value nan"),
-    ("temporal", Continuous(), ((math.inf, 1.0),), "point 0: time must be "
-                                                    "finite, got inf"),
+     ", point 1: time 1.0 is not after 1.0"),
+    ("temporal", Categorical(("x",)), ((1.0, 2.0), ("x", "y")),
+     ", point 1: 'y' not in categories ['x']"),
+    ("temporal", Continuous(), ((1.0,), (math.nan,)), ", point 0: "
+                                                      "non-finite value nan"),
+    ("temporal", Continuous(), ((math.inf,), (1.0,)), ", point 0: time must "
+                                                      "be finite, got inf"),
+    ("temporal", Continuous(), ((0.0, 1.0), (2.0,)),
+     ": 2 times but 1 values"),
+    ("temporal", Continuous(), ((0.0,), (2 ** 53 + 1,)),
+     ", point 0: integer 9007199254740993 has no exact float"),
     ("events", Categorical(("x",)), (1.0, "y"),
-     "point 0: 'y' not in categories ['x']"),
-    ("events", Integer(), (math.nan, 1), "point 0: time must be finite, "
-                                        "got nan"),
+     ", point 0: 'y' not in categories ['x']"),
+    ("events", Integer(), (math.nan, 1), ", point 0: time must be finite, "
+                                         "got nan"),
 ], ids=["decreasing", "repeated", "category", "nan-value", "inf-time",
-        "event-category", "event-nan-time"])
+        "unequal-lengths", "inexact-int", "event-category",
+        "event-nan-time"])
 def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
                                                          kind, points, held):
     # a container built directly skips the builders' checks; a point the
@@ -294,7 +299,7 @@ def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
     ds = assemble_dataset(**{modality: container},
                           roles=RoleMap.of(covariates=("f",)))
     with pytest.raises(KindMismatch, match=re.escape(
-            f"sample 's0', feature 'f', {held}")):
+            f"sample 's0', feature 'f'{held}")):
         write_bundle(ds, tmp_path / "b")
     assert not (tmp_path / "b").exists()
 
@@ -314,8 +319,10 @@ def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
                           "got 2.5"),
     (Integer(), (1, 10 ** 400), "sample 'b', feature 'f': integer beyond "
                                 "float range"),
+    (Continuous(), (1, 2 ** 53 + 1), "sample 'b', feature 'f': integer "
+                                     "9007199254740993 has no exact float"),
 ], ids=["nan", "inf", "continuous-str", "category", "integer-bool",
-        "integer-float", "integer-huge"])
+        "integer-float", "integer-huge", "continuous-inexact-int"])
 def test_write_bundle_checks_static_cells_before_writing(tmp_path, kind,
                                                          column, held):
     # a container built directly skips the builders' checks; a cell the
@@ -439,7 +446,7 @@ def test_round_trip_empty_sequences_and_absent_entries(tmp_path):
                           roles=RoleMap.of(covariates=("f",)))
     write_bundle(ds, tmp_path / "b")
     loaded = read_bundle(tmp_path / "b" / MANIFEST_NAME)
-    assert loaded.temporal.sequence("b", "f") == ()
+    assert loaded.temporal.sequence("b", "f") == ((), ())
     assert loaded.sample_ids == ("a", "b")
 
 

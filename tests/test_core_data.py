@@ -7,7 +7,13 @@ import re
 
 import pytest
 
-from datagen import random_dataset, static_rows
+from datagen import (
+    random_dataset,
+    regular_series_dataset,
+    static_rows,
+    temporal_points,
+)
+from tempoframe.bundle import MANIFEST_NAME, read_bundle, write_bundle
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -17,6 +23,7 @@ from tempoframe.data import (
     Modality,
     Role,
     RoleMap,
+    TimeSeriesSamples,
     assemble_dataset,
     binary_codes,
     build_event_samples,
@@ -46,6 +53,8 @@ from tempoframe.errors import (
     SampleIndexMismatch,
     UnknownSample,
 )
+from tempoframe.metrics import _holdout_forecast
+from tempoframe.plugins import create
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +86,25 @@ def test_check_value_canonical_forms():
 def test_check_value_rejections(kind, value):
     with pytest.raises(KindMismatch):
         check_value(kind, value, "w")
+
+
+def test_a_continuous_int_no_float_holds_is_a_kind_mismatch():
+    # 2**53 + 1 would be stored, written and read back as 2**53
+    odd = 2 ** 53 + 1
+    held = "integer 9007199254740993 has no exact float"
+    with pytest.raises(KindMismatch, match=rf"^w: {held}$"):
+        check_value(Continuous(), odd, "w")
+    with pytest.raises(KindMismatch, match=rf"^\(a, x\): {held}$"):
+        build_static_samples([("a", "x", odd)], {"x": Continuous()})
+    with pytest.raises(KindMismatch, match=rf"^\(a, f, t=0.0\): {held}$"):
+        build_time_series_samples([("a", "f", 0.0, odd)],
+                                  {"f": Continuous()})
+    with pytest.raises(KindMismatch, match=rf"^\(a, d\): {held}$"):
+        build_event_samples([("a", "d", 0.0, odd)], {"d": Continuous()})
+    # ints a float holds exactly pass, and an Integer value is any int
+    assert check_value(Continuous(), -2 ** 53) == -2.0 ** 53
+    assert check_value(Continuous(), 10 ** 22) == 1e22
+    assert check_value(Integer(), odd) == odd
 
 
 def test_ints_beyond_float_range_are_kind_mismatches():
@@ -188,10 +216,10 @@ def test_time_series_builder_sorts_and_preserves_irregularity():
         [("a", "f", 3.0, 30.0), ("a", "f", 1.0, 10.0), ("a", "g", 0.5, 1.0),
          ("b", "f", 2.0, 20.0)],
         {"f": Continuous(), "g": Continuous()})
-    assert ts.sequence("a", "f") == ((1.0, 10.0), (3.0, 30.0))
-    assert ts.sequence("a", "g") == ((0.5, 1.0),)
-    assert ts.sequence("b", "g") == ()
-    times = [t for t, _ in ts.sequence("a", "f")]
+    assert ts.sequence("a", "f") == ((1.0, 3.0), (10.0, 30.0))
+    assert ts.sequence("a", "g") == ((0.5,), (1.0,))
+    assert ts.sequence("b", "g") == ((), ())
+    times = list(ts.sequence("a", "f")[0])
     assert times == sorted(times)
 
 
@@ -231,7 +259,7 @@ def test_builder_round_trip_on_random_datasets():
                 sample_ids=ids)
             assert rebuilt == ds.static
         rebuilt = build_time_series_samples(
-            ds.temporal.to_points(), dict(ds.temporal.features),
+            temporal_points(ds.temporal), dict(ds.temporal.features),
             sample_ids=ids)
         assert rebuilt == ds.temporal
         if ds.events is not None:
@@ -300,6 +328,14 @@ def test_dataset_rejects_sample_index_disagreement():
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
         assemble_dataset(roles=RoleMap.of())
+
+
+def test_a_directly_built_dataset_with_no_container_has_no_sample_ids():
+    # `assemble_dataset` refuses this dataset first; built directly, it
+    # has no sample index to give
+    ds = Dataset(None, None, None, RoleMap(()))
+    with pytest.raises(EmptyDataset, match="^dataset has no containers$"):
+        ds.sample_ids
 
 
 def test_all_features_container_order():
@@ -580,3 +616,77 @@ def test_containers_are_immutable():
     with pytest.raises(AttributeError):
         ds.roles.assignment = ()
     assert isinstance(ds, Dataset)
+
+
+# ---------------------------------------------------------------------------
+# Sequence layout: every producer of a temporal container
+# ---------------------------------------------------------------------------
+
+def _read_back(seed, tmp_path):
+    path = tmp_path / f"b{seed}"
+    write_bundle(random_dataset(seed), path)
+    return read_bundle(path / MANIFEST_NAME).temporal
+
+
+def _selected(seed, tmp_path):
+    ds = random_dataset(seed)
+    return select_samples(ds, reversed(ds.sample_ids)).temporal
+
+
+def _transformed(name, params=None):
+    def produce(seed, tmp_path):
+        ds = random_dataset(seed, ensure_observed=True)
+        return create(name, params or {}).fit(ds).transform(ds).temporal
+    return produce
+
+
+def _forecast(name, params):
+    def produce(seed, tmp_path):
+        ds = regular_series_dataset(seed, n=6, length=12)
+        return create(name, params).fit(ds).predict(ds)
+    return produce
+
+
+def _held_out(side):
+    def produce(seed, tmp_path):
+        ds = regular_series_dataset(seed, n=6, length=12)
+        history, future = _holdout_forecast(ds, 3)
+        return history.temporal if side == "history" else future
+    return produce
+
+
+_PRODUCERS = {
+    "builder": lambda seed, tmp_path: random_dataset(seed).temporal,
+    "read_bundle": _read_back,
+    "select_samples": _selected,
+    "impute.mean": _transformed("impute.mean"),
+    "impute.locf": _transformed("impute.locf"),
+    "scale.zscore": _transformed("scale.zscore"),
+    "encode.onehot": _transformed("encode.onehot"),
+    "resample.regular": _transformed("resample.regular", {"step": 0.7}),
+    "forecast.persistence": _forecast("forecast.persistence",
+                                      {"horizon": 3, "step": 1.0}),
+    "forecast.ar": _forecast("forecast.ar",
+                             {"order": 2, "horizon": 3, "step": 1.0}),
+    "holdout-history": _held_out("history"),
+    "holdout-future": _held_out("future"),
+}
+
+
+@pytest.mark.parametrize("produce", list(_PRODUCERS.values()),
+                         ids=list(_PRODUCERS))
+def test_every_sequence_is_a_pair_of_equal_length_tuples(produce, tmp_path):
+    points = 0
+    for seed in range(6):
+        ts = produce(seed, tmp_path)
+        assert isinstance(ts, TimeSeriesSamples)
+        for row in ts.series:
+            assert len(row) == len(ts.features)
+            for seq in row:
+                assert type(seq) is tuple and len(seq) == 2
+                times, values = seq
+                assert type(times) is tuple and type(values) is tuple
+                assert len(times) == len(values)
+                assert all(a < b for a, b in zip(times, times[1:]))
+                points += len(times)
+    assert points > 0

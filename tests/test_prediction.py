@@ -11,6 +11,7 @@ from datagen import (
     classification_dataset,
     offset_grid_dataset,
     regular_series_dataset,
+    sequence_of,
 )
 from tempoframe.data import (
     Categorical,
@@ -99,11 +100,9 @@ def test_persistence_repeats_last_observed():
     fitted = create("forecast.persistence",
                     {"horizon": 3, "step": 1.0}).fit(ds)
     out = fitted.predict(ds)
-    assert out.sequence("s00", "y") == \
-        ((3.0, 5.0), (4.0, 5.0), (5.0, 5.0))
+    assert out.sequence("s00", "y") == ((3.0, 4.0, 5.0), (5.0, 5.0, 5.0))
     # the forecast grid is anchored at the last OBSERVED point's time
-    assert out.sequence("s01", "y") == \
-        ((1.0, 4.0), (2.0, 4.0), (3.0, 4.0))
+    assert out.sequence("s01", "y") == ((1.0, 2.0, 3.0), (4.0, 4.0, 4.0))
 
 
 def test_persistence_rejects_fully_missing_series():
@@ -166,7 +165,7 @@ def test_ar1_recovers_noiseless_coefficients():
     assert abs(model["phi"][0] - 0.8) <= 1e-6
     out = fitted.predict(ds)
     last = series[0][-1]
-    for k, (t, v) in enumerate(out.sequence("s00", "y")):
+    for k, (t, v) in enumerate(zip(*out.sequence("s00", "y"))):
         last = 0.5 + 0.8 * last
         assert t == 29.0 + (k + 1) * 1.0
         assert abs(v - last) <= 1e-6
@@ -232,14 +231,14 @@ def test_ar_forecast_continues_the_history_grid():
                                  "step": step}).fit(ds).predict(ds)
     off_grid = 0
     for sid in ds.sample_ids:
-        seq = ds.temporal.sequence(sid, "y")
-        forecast = out.sequence(sid, "y")
-        t0 = seq[0][0]
-        assert [t for t, _ in forecast] == \
-            [t0 + (len(seq) + k) * step for k in range(3)]
-        _regular_values(seq + forecast, step, 1, sid, "y")
-        off_grid += any(t != seq[-1][0] + (k + 1) * step
-                        for k, (t, _) in enumerate(forecast))
+        times, values = ds.temporal.sequence(sid, "y")
+        grid, forecast = out.sequence(sid, "y")
+        t0 = times[0]
+        assert list(grid) == \
+            [t0 + (len(times) + k) * step for k in range(3)]
+        _regular_values(times + grid, values + forecast, step, 1, sid, "y")
+        off_grid += any(t != times[-1] + (k + 1) * step
+                        for k, t in enumerate(grid))
     # the data does tell the two grid expressions apart
     assert off_grid > 0
 
@@ -252,12 +251,13 @@ def test_persistence_continues_the_history_grid():
     out = fitted.predict(ds)
     off_grid = 0
     for sid in ds.sample_ids:
-        seq = ds.temporal.sequence(sid, "y")
-        t0 = seq[0][0]
-        assert out.sequence(sid, "y") == tuple(
-            (t0 + (len(seq) + k) * step, seq[-1][1]) for k in range(2))
-        off_grid += any(t0 + (len(seq) + k) * step
-                        != seq[-1][0] + (k + 1) * step for k in range(2))
+        times, values = ds.temporal.sequence(sid, "y")
+        t0 = times[0]
+        assert out.sequence(sid, "y") == (
+            tuple(t0 + (len(times) + k) * step for k in range(2)),
+            (values[-1],) * 2)
+        off_grid += any(t0 + (len(times) + k) * step
+                        != times[-1] + (k + 1) * step for k in range(2))
     assert off_grid > 0
     # a sequence off any grid of that step continues from its last point
     irregular = assemble_dataset(
@@ -268,7 +268,7 @@ def test_persistence_continues_the_history_grid():
              ("a", "y", 0.3, 3.0)], {"y": Continuous()}),
         roles=RoleMap.of(covariates=("age",), targets=("y",)))
     assert fitted.predict(irregular).sequence("a", "y") == \
-        ((0.3 + 0.1, 3.0), (0.3 + 0.2, 3.0))
+        ((0.3 + 0.1, 0.3 + 0.2), (3.0, 3.0))
 
 
 def test_ar_beats_persistence_on_mean_reverting_series():
@@ -276,7 +276,7 @@ def test_ar_beats_persistence_on_mean_reverting_series():
     truth_tail = {}
     points = []
     for sid in ds.sample_ids:
-        seq = ds.temporal.sequence(sid, "hr")
+        seq = tuple(zip(*ds.temporal.sequence(sid, "hr")))
         truth_tail[sid] = seq[-5:]
         for t, v in seq[:-5]:
             points.append((sid, "hr", t, v))
@@ -536,7 +536,7 @@ def _holdout_rows(ds, horizon):
                in ds.features_with_role(Role.TARGET, Modality.TEMPORAL)]
     series, futures = [], []
     for i, sid in enumerate(c.sample_ids):
-        row = list(c.series[i])
+        row = [tuple(zip(*seq)) for seq in c.series[i]]
         future = []
         for fid in targets:
             j = c.feature_ids.index(fid)
@@ -546,8 +546,8 @@ def _holdout_rows(ds, horizon):
                     f"points; holding out {horizon} leaves no history")
             future.append(row[j][-horizon:])
             row[j] = row[j][:-horizon]
-        series.append(tuple(row))
-        futures.append(tuple(future))
+        series.append(tuple(map(sequence_of, row)))
+        futures.append(tuple(map(sequence_of, future)))
     history = replace(ds, temporal=TimeSeriesSamples(
         c.sample_ids, c.features, tuple(series)))
     return history, TimeSeriesSamples(
@@ -580,8 +580,9 @@ def test_two_target_holdout_matches_the_row_wise_oracle():
         history, future = _holdout_forecast(ds, horizon)
         assert (history, future) == _holdout_rows(ds, horizon)
         assert future.feature_ids == ("y1", "y2")
+        times, values = ds.temporal.sequence("s1", "y2")
         assert history.temporal.sequence("s1", "y2") == \
-            ds.temporal.sequence("s1", "y2")[:-horizon]
+            (times[:-horizon], values[:-horizon])
     # several series too short: the first sample of the first short target
     # is reported, where the sample-major oracle reports the first sample
     with pytest.raises(BenchError, match=(

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from datagen import random_dataset
+from datagen import random_dataset, sequence_of
 from tempoframe.data import (
     Categorical,
     Continuous,
@@ -40,7 +40,13 @@ def _no_missing(container) -> bool:
     if isinstance(container, StaticSamples):
         return all(v is not MISSING for row in container.values for v in row)
     return all(v is not MISSING for per_sample in container.series
-               for seq in per_sample for _, v in seq)
+               for seq in per_sample for v in seq[1])
+
+
+def _point(container, sid, fid, k):
+    """The (time, value) of point k of one sequence."""
+    times, values = container.sequence(sid, fid)
+    return times[k], values[k]
 
 
 def _static_ds(rows, kinds, roles, events=None):
@@ -82,8 +88,8 @@ def test_mean_fills_static_and_temporal():
     # modal category, lexicographic tie break between one "f" and one "m"
     assert out.static.cell("c", "sex") == "f"
     mean_hr = (60.0 + 70.0 + 80.0 + 90.0) / 4
-    assert out.temporal.sequence("a", "hr")[1] == (1.0, mean_hr)
-    assert out.temporal.sequence("b", "hr")[0] == (0.5, mean_hr)
+    assert _point(out.temporal, "a", "hr", 1) == (1.0, mean_hr)
+    assert _point(out.temporal, "b", "hr", 0) == (0.5, mean_hr)
     # events pass through untouched
     assert out.events is ds.events
     assert _no_missing(out.static)
@@ -159,10 +165,10 @@ def test_locf_carries_forward():
     ds = _mixed_ds()
     out = create("impute.locf").fit(ds).transform(ds)
     assert out.temporal.sequence("a", "hr") == \
-        ((0.0, 60.0), (1.0, 60.0), (2.0, 70.0))
+        ((0.0, 1.0, 2.0), (60.0, 60.0, 70.0))
     # leading gap falls back to the training mean
     mean_hr = (60.0 + 70.0 + 80.0 + 90.0) / 4
-    assert out.temporal.sequence("b", "hr")[0] == (0.5, mean_hr)
+    assert _point(out.temporal, "b", "hr", 0) == (0.5, mean_hr)
     # static and events untouched
     assert out.static is ds.static
     assert out.events is ds.events
@@ -184,8 +190,7 @@ def test_locf_leading_gap_without_fallback_stays_missing():
     ds = assemble_dataset(temporal=temporal,
                           roles=RoleMap.of(covariates=("x", "y")))
     out = create("impute.locf").fit(ds).transform(ds)
-    assert out.temporal.sequence("a", "x") == \
-        ((0.0, MISSING), (1.0, MISSING))
+    assert out.temporal.sequence("a", "x") == ((0.0, 1.0), (MISSING, MISSING))
 
 
 def test_locf_idempotent():
@@ -212,7 +217,7 @@ def test_zscore_standardizes_continuous_covariates():
     assert out.static.cell("b", "age") is MISSING
     assert out.static.column("sex") == ds.static.column("sex")
     # temporal covariate is scaled with its own training stats
-    hr = [v for _, v in out.temporal.sequence("a", "hr")
+    hr = [v for v in out.temporal.sequence("a", "hr")[1]
           if v is not MISSING]
     assert all(abs(v) < 3 for v in hr)
 
@@ -284,9 +289,9 @@ def test_onehot_expands_temporal_and_preserves_times():
     ds = assemble_dataset(temporal=temporal,
                           roles=RoleMap.of(covariates=("state", "hr")))
     out = create("encode.onehot").fit(ds).transform(ds)
-    assert out.temporal.sequence("a", "state=hi") == ((0.0, 0), (1.0, 1))
-    assert out.temporal.sequence("a", "state=lo") == ((0.0, 1), (1.0, 0))
-    assert out.temporal.sequence("a", "hr") == ((0.0, 60.0),)
+    assert out.temporal.sequence("a", "state=hi") == ((0.0, 1.0), (0, 1))
+    assert out.temporal.sequence("a", "state=lo") == ((0.0, 1.0), (1, 0))
+    assert out.temporal.sequence("a", "hr") == ((0.0,), (60.0,))
 
 
 def test_onehot_skips_categorical_targets():
@@ -323,7 +328,7 @@ def test_resample_builds_regular_grid_with_carry():
                           roles=RoleMap.of(covariates=("x",)))
     out = create("resample.regular", {"step": 0.5}).fit(ds).transform(ds)
     assert out.temporal.sequence("a", "x") == \
-        ((0.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 3.0))
+        ((0.0, 0.5, 1.0, 1.5, 2.0), (1.0, 1.0, 2.0, 2.0, 3.0))
 
 
 def test_resample_single_point_and_leading_gap():
@@ -334,8 +339,8 @@ def test_resample_single_point_and_leading_gap():
     ds = assemble_dataset(temporal=temporal,
                           roles=RoleMap.of(covariates=("x",)))
     out = create("resample.regular", {"step": 1.0}).fit(ds).transform(ds)
-    assert out.temporal.sequence("a", "x") == ((3.0, 9.0),)
-    assert out.temporal.sequence("b", "x") == ((0.0, MISSING), (1.0, 5.0))
+    assert out.temporal.sequence("a", "x") == ((3.0,), (9.0,))
+    assert out.temporal.sequence("b", "x") == ((0.0, 1.0), (MISSING, 5.0))
 
 
 def test_resample_rejects_bad_steps():
@@ -436,9 +441,9 @@ def _mean_transform(params, state, ds):
     if temporal is not None:
         series = tuple(
             tuple(
-                tuple((t, fills[fid])
-                      if v is MISSING and fid in fills else (t, v)
-                      for t, v in seq)
+                sequence_of(tuple((t, fills[fid])
+                                  if v is MISSING and fid in fills else (t, v)
+                                  for t, v in zip(*seq)))
                 for seq, (fid, _) in zip(per_sample, temporal.features))
             for per_sample in temporal.series)
         temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
@@ -450,7 +455,7 @@ def _locf_transform(params, state, ds):
     fills = state["fills"]
     temporal = ds.temporal
     series = tuple(
-        tuple(_locf_seq(seq, fills.get(fid))
+        tuple(_locf_seq(*seq, fills.get(fid))
               for seq, (fid, _) in zip(per_sample, temporal.features))
         for per_sample in temporal.series)
     temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
@@ -471,7 +476,8 @@ def _zscore_transform(params, state, ds):
     if temporal is not None:
         series = tuple(
             tuple(
-                tuple((t, _zscore_apply(v, stats[fid])) for t, v in seq)
+                sequence_of(tuple((t, _zscore_apply(v, stats[fid]))
+                                  for t, v in zip(*seq)))
                 if fid in stats else seq
                 for seq, (fid, _) in zip(per_sample, temporal.features))
             for per_sample in temporal.series)
@@ -486,7 +492,7 @@ def _resample_transform(params, state, ds):
         raise InvalidStep(f"step must be a positive real, got {step}")
     temporal = ds.temporal
     series = tuple(
-        tuple(_resample_seq(seq, step) for seq in per_sample)
+        tuple(_resample_seq(*seq, step) for seq in per_sample)
         for per_sample in temporal.series)
     temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
                                  series)
@@ -580,11 +586,11 @@ def _onehot_transform(params, state, ds):
                 if fid in by_feature:
                     cats = by_feature[fid]
                     expanded = [[] for _ in cats]
-                    for t, v in seq:
+                    for t, v in zip(*seq):
                         bits = _onehot_value(v, cats, fid)
                         for slot, bit in zip(expanded, bits):
                             slot.append((t, bit))
-                    new_per_sample.extend(tuple(s) for s in expanded)
+                    new_per_sample.extend(sequence_of(s) for s in expanded)
                 else:
                     new_per_sample.append(seq)
             series.append(tuple(new_per_sample))

@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from datagen import random_dataset
+from datagen import random_dataset, sequence_of
 from tempoframe.bundle import (
     VIOLATION_ERRORS,
     Violation,
@@ -53,7 +53,7 @@ from tempoframe.rng import Lcg
 _MODALITIES = {
     Modality.STATIC: (StaticSamples, MISSING, "duplicate_cell",
                       "duplicate cell"),
-    Modality.TEMPORAL: (TimeSeriesSamples, (), "duplicate_time",
+    Modality.TEMPORAL: (TimeSeriesSamples, ((), ()), "duplicate_time",
                         "duplicate time {t}"),
     Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
 }
@@ -128,7 +128,8 @@ def _oracle_grid(modality, scan, kinds, pin=None):
     cls, empty, _, _ = _MODALITIES[modality]
     cells, scan_samples, scan_features, _ = scan
     if modality is Modality.TEMPORAL:
-        cells = {key: tuple(sorted(seq.items())) for key, seq in cells.items()}
+        cells = {key: sequence_of(sorted(seq.items()))
+                 for key, seq in cells.items()}
     samples = tuple(scan_samples if pin is None else pin)
     features = list(scan_features)
     features += [f for f in kinds if f not in scan_features]
