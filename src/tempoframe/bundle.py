@@ -24,10 +24,11 @@ produce byte-identical bundles. A manifest of any other schema, such as
 
 This module holds the file grammar, and owns the violation codes of its
 table faults and the error each raises (`VIOLATION_ERRORS`). Reading and
-validation share the manifest check, one pass over each listed table
-(`scan_wide` for the static table, `scan_sequences` for a timed one) that
-checks each data row and places it in its sample's row, and the assembly
-of clean tables into a Dataset, so both fail on the same bundles.
+validation share one scan (`_scan_bundle`): the manifest check, one pass
+over each listed table (`scan_wide` for the static table,
+`scan_sequences` for a timed one) that checks each data row and places it
+in its sample's row, and the assembly of clean tables into a Dataset, so
+both fail on the same bundles.
 `validate_bundle` returns every table fault; `read_bundle` raises the
 first in row order as `<path>:<line>: <detail>`, with the error type of
 its code.
@@ -41,7 +42,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import NamedTuple
 
@@ -191,66 +192,6 @@ def _manifest_json(m: BundleManifest) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _table_rows(modality: Modality, container):
-    """The header and data rows of a container's table, as written:
-    csv.writer writes None (a Missing value) as an empty field and a float
-    by its shortest round-trip repr; a packed field joins the same tokens,
-    a category by its index."""
-    if modality is Modality.STATIC:
-        yield ["sample_id", *container.feature_ids]
-        for sid, row in zip(container.sample_ids, container.values):
-            yield [sid, *[None if v is MISSING else v for v in row]]
-        return
-    yield _TIMED_HEADERS[modality]
-    if modality is Modality.EVENT:
-        for sid, fid, t, v in container.to_entries():
-            yield [sid, fid, t, None if v is MISSING else v]
-        return
-    index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
-             for fid, kind in container.features
-             if isinstance(kind, Categorical)}
-    for sid, row in zip(container.sample_ids, container.series):
-        for (fid, _), seq in zip(container.features, row):
-            codes = index.get(fid)
-            times, values, size = [], [], 0
-            for t, v in zip(*seq):
-                tt = repr(t)
-                vt = "" if v is MISSING else codes[v] if codes else repr(v)
-                size += len(tt) + len(vt) + 2
-                if size > _ROW_CHARS and times:
-                    yield [sid, fid, " ".join(times), " ".join(values)]
-                    times, values, size = [], [], len(tt) + len(vt) + 2
-                times.append(tt)
-                values.append(vt)
-            if times:
-                yield [sid, fid, " ".join(times), " ".join(values)]
-
-
-def _check_points(modality: Modality, container) -> None:
-    """KindMismatch, naming the sample, feature and point, unless each
-    sequence of a timed container has as many times as values, and each
-    point a finite time after the one before it and a value `check_value`
-    accepts: what `read_bundle` reads back."""
-    rows = (container.series if modality is Modality.TEMPORAL
-            else [[((), ()) if e is None else ((e[0],), (e[1],))
-                   for e in row] for row in container.entries])
-    for sid, row in zip(container.sample_ids, rows):
-        for (fid, kind), (times, values) in zip(container.features, row):
-            if len(times) != len(values):
-                raise KindMismatch(f"sample {sid!r}, feature {fid!r}: "
-                                   f"{len(times)} times but {len(values)} "
-                                   "values")
-            prev = -math.inf
-            for k, (t, v) in enumerate(zip(times, values)):
-                where = f"sample {sid!r}, feature {fid!r}, point {k}"
-                t = check_time(t, where)
-                if not prev < t:
-                    raise KindMismatch(f"{where}: time {t!r} is not after "
-                                       f"{prev!r}")
-                check_value(kind, v, where)
-                prev = t
-
-
 # Kind -> the one type `check_value` stores a cell of that kind as.
 _STORED = {Continuous: float, Integer: int, Categorical: str}
 
@@ -274,48 +215,101 @@ def _clean_column(kind: ValueKind, column) -> bool:
         return False
 
 
-def _check_static(container: StaticSamples) -> None:
-    """KindMismatch, naming the sample and feature, unless each cell of a
-    static container is one `check_value` accepts: what `read_bundle`
-    reads back. A column `_clean_column` doubts is checked cell by cell."""
-    for (fid, kind), column in zip(container.features,
-                                   zip(*container.values)):
-        if not _clean_column(kind, column):
-            for sid, v in zip(container.sample_ids, column):
-                check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
+def _table_rows(modality: Modality, container):
+    """The header and data rows of a container's table, as written, once
+    each cell or point is checked as `read_bundle` reads it back; else
+    KindMismatch naming the sample, feature (and point).
+
+    csv.writer writes None (a Missing value) as an empty field and a float
+    by its shortest round-trip repr; a packed field joins the same tokens,
+    a category by its index. Static cells are checked column by column
+    (a column `_clean_column` doubts, cell by cell) and their rows come
+    as the writer reads them; timed rows are all built here."""
+    if modality is Modality.STATIC:
+        for (fid, kind), column in zip(container.features,
+                                       zip(*container.values)):
+            if not _clean_column(kind, column):
+                for sid, v in zip(container.sample_ids, column):
+                    check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
+        return chain([["sample_id", *container.feature_ids]],
+                     ([sid, *[None if v is MISSING else v for v in row]]
+                      for sid, row in zip(container.sample_ids,
+                                          container.values)))
+    return [_TIMED_HEADERS[modality], *_timed_rows(modality, container)]
+
+
+def _timed_rows(modality: Modality, container):
+    """The data rows of a timed container, each sequence walked once (an
+    event as a one-point sequence): its times and values equal in number,
+    and each point a time `check_time` takes, after the one before it,
+    and a value `check_value` takes. The location of a point is built
+    only when it raises."""
+    packed = modality is Modality.TEMPORAL
+    index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
+             for fid, kind in container.features
+             if packed and isinstance(kind, Categorical)}
+    for sid, row in zip(container.sample_ids,
+                        container.series if packed else container.entries):
+        for (fid, kind), seq in zip(container.features, row):
+            if seq is None:  # no event
+                continue
+            times, values = seq if packed else ((seq[0],), (seq[1],))
+            if len(times) != len(values):
+                raise KindMismatch(f"sample {sid!r}, feature {fid!r}: "
+                                   f"{len(times)} times but {len(values)} "
+                                   "values")
+            codes = index.get(fid)
+            ts, vs, size = [], [], 0
+            prev = -math.inf
+            for k, (t, v) in enumerate(zip(times, values)):
+                try:
+                    last, prev = prev, check_time(t)
+                    if not last < prev:
+                        raise KindMismatch(f"time {prev!r} is not after "
+                                           f"{last!r}")
+                    check_value(kind, v)
+                except KindMismatch as e:
+                    raise KindMismatch(f"sample {sid!r}, feature {fid!r}, "
+                                       f"point {k}: {e}") from None
+                if not packed:
+                    yield [sid, fid, t, None if v is MISSING else v]
+                    continue
+                tt = repr(t)
+                vt = "" if v is MISSING else codes[v] if codes else repr(v)
+                size += len(tt) + len(vt) + 2
+                if size > _ROW_CHARS and ts:
+                    yield [sid, fid, " ".join(ts), " ".join(vs)]
+                    ts, vs, size = [], [], len(tt) + len(vt) + 2
+                ts.append(tt)
+                vs.append(vt)
+            if ts:
+                yield [sid, fid, " ".join(ts), " ".join(vs)]
 
 
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     """Write manifest plus one CSV per present modality; deterministic.
 
-    Before any file is opened, every sample id, feature id and category is
-    checked with `_check_id`, the static container with `_check_static`
-    and each timed one with `_check_points`, so a directly built container
-    whose ids, cells or points `read_bundle` would refuse raises
+    Before any file is opened, every sample and feature id is checked
+    with `_check_id` (a category is checked by `Categorical` itself) and
+    each table's rows are built by `_table_rows`, so a directly built
+    container whose ids, cells or points `read_bundle` would refuse raises
     `KindMismatch` and writes nothing."""
     manifest = manifest_for(ds)
     for sid in manifest.samples:
         _check_id(sid, "sample_id")
-    for fid, kind in manifest.kinds.items():
+    for fid in manifest.kinds:
         _check_id(fid, "feature_id")
-        if isinstance(kind, Categorical):
-            for c in kind.categories:
-                _check_id(c, "category")
-    for modality, container in ds.containers():
-        if modality is Modality.STATIC:
-            _check_static(container)
-        else:
-            _check_points(modality, container)
+    tables = [(_TABLES[modality][0], _table_rows(modality, container))
+              for modality, container in ds.containers()]
     try:
         os.makedirs(dir_path, exist_ok=True)
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
-        for modality, container in ds.containers():
-            with open(os.path.join(dir_path, _TABLES[modality][0]), "w",
-                      encoding="utf-8", newline="") as f:
-                csv.writer(f, lineterminator="\n").writerows(
-                    _table_rows(modality, container))
+        for name, rows in tables:
+            with open(os.path.join(dir_path, name), "w", encoding="utf-8",
+                      newline="") as f:
+                csv.writer(f, lineterminator="\n").writerows(rows)
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
@@ -719,19 +713,34 @@ def _assemble(manifest: BundleManifest, manifest_path, tables) -> Dataset:
         raise type(e)(f"{manifest_path}: {e}") from None
 
 
+def _scan_bundle(manifest_path) -> tuple:
+    """(violations, Dataset or None) of a bundle: the manifest check, the
+    scan of each listed table and, when every table is clean, the
+    assembly. Violations are (file name, path, Violation) in table and row
+    order. A table that cannot be read raises only when no earlier table
+    has a violation; `read_bundle` would stop before it."""
+    manifest = _load_manifest(manifest_path)
+    tables, found = [], []
+    try:
+        for table in _scanned_tables(manifest, manifest_path):
+            _, name, path, _, scan = table
+            tables.append(table)
+            found.extend((name, path, v) for v in scan.violations)
+    except (ManifestError, ParseError, IoError):
+        if not found:
+            raise
+    return found, None if found else _assemble(manifest, manifest_path,
+                                               tables)
+
+
 def read_bundle(manifest_path) -> Dataset:
     """Load a bundle. A table fault raises as `<path>:<line>: <detail>`;
     a dataset-level fault carries the manifest path."""
-    manifest = _load_manifest(manifest_path)
-    tables = []
-    for table in _scanned_tables(manifest, manifest_path):
-        _, _, path, _, scan = table
-        if scan.violations:
-            v = scan.violations[0]
-            raise VIOLATION_ERRORS[v.code](
-                f"{path}:{table_line(v)}: {v.detail}")
-        tables.append(table)
-    return _assemble(manifest, manifest_path, tables)
+    found, ds = _scan_bundle(manifest_path)
+    if found:
+        _, path, v = found[0]
+        raise VIOLATION_ERRORS[v.code](f"{path}:{table_line(v)}: {v.detail}")
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -750,18 +759,4 @@ def validate_bundle(manifest_path) -> list:
     cannot be read when no earlier table has a violation (such as a
     missing file) or, when every table is clean, for a dataset-level
     fault."""
-    manifest = _load_manifest(manifest_path)
-    tables, found = [], []
-    try:
-        for table in _scanned_tables(manifest, manifest_path):
-            _, name, _, _, scan = table
-            tables.append(table)
-            found.extend((name, v) for v in scan.violations)
-    except (ManifestError, ParseError, IoError):
-        # a table that cannot be read; read_bundle stops before it when
-        # an earlier table has a violation
-        if not found:
-            raise
-    if not found:
-        _assemble(manifest, manifest_path, tables)
-    return found
+    return [(name, v) for name, _, v in _scan_bundle(manifest_path)[0]]

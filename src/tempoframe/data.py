@@ -179,12 +179,15 @@ def kind_from_json(d, where: str) -> ValueKind:
 
 
 def check_time(t, where: str = None) -> float:
-    """t as a finite float, or KindMismatch named as in `check_value`."""
+    """t as a finite float, or KindMismatch named as in `check_value`; an
+    int that no float holds exactly is refused, as a Continuous value is."""
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise _mismatch(where, f"time must be a real number, got {t!r}")
     tf = _float_of(t, where)
     if not math.isfinite(tf):
         raise _mismatch(where, f"time must be finite, got {t!r}")
+    if tf != t:  # an int that float() rounds
+        raise _mismatch(where, f"time {t!r} has no exact float")
     return tf
 
 
@@ -259,15 +262,6 @@ class EventSamples(_Samples):
 
     def entry(self, sample_id: str, feature_id: str):
         return self.entries[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
-
-    def to_entries(self) -> list:
-        out = []
-        for i, sid in enumerate(self.sample_ids):
-            for j, (fid, _) in enumerate(self.features):
-                e = self.entries[i][j]
-                if e is not None:
-                    out.append((sid, fid, e[0], e[1]))
-        return out
 
 
 # ---------------------------------------------------------------------------

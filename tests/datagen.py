@@ -141,6 +141,15 @@ def temporal_points(temporal) -> list:
             for t, v in zip(times, values)]
 
 
+def event_entries(events) -> list:
+    """The long-form (sample_id, feature_id, time, value) entry of every
+    event of an EventSamples, sample-major then feature order: what its
+    builder reads."""
+    return [(sid, fid, *e)
+            for sid, row in zip(events.sample_ids, events.entries)
+            for (fid, _), e in zip(events.features, row) if e is not None]
+
+
 def sequence_of(pairs) -> tuple:
     """The (times, values) sequence of (time, value) pairs; the inverse of
     `tuple(zip(*sequence))`."""

@@ -18,6 +18,7 @@ import pytest
 
 from datagen import (
     classification_dataset,
+    event_entries,
     random_dataset,
     regular_series_dataset,
     static_rows,
@@ -67,7 +68,7 @@ def test_c01_data_model_round_trips_200_datasets(tmp_path):
                                           sample_ids=ds.temporal.sample_ids)
         assert again == ds.temporal
         if ds.events is not None:
-            again = build_event_samples(ds.events.to_entries(),
+            again = build_event_samples(event_entries(ds.events),
                                         dict(ds.events.features),
                                         sample_ids=ds.events.sample_ids)
             assert again == ds.events

@@ -287,9 +287,11 @@ def test_write_bundle_checks_ids_before_writing(tmp_path, sid, fid, held):
      ", point 0: 'y' not in categories ['x']"),
     ("events", Integer(), (math.nan, 1), ", point 0: time must be finite, "
                                          "got nan"),
+    ("temporal", Continuous(), ((0.0, 2 ** 53 + 1), (1.0, 2.0)),
+     ", point 1: time 9007199254740993 has no exact float"),
 ], ids=["decreasing", "repeated", "category", "nan-value", "inf-time",
         "unequal-lengths", "inexact-int", "event-category",
-        "event-nan-time"])
+        "event-nan-time", "inexact-int-time"])
 def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
                                                          kind, points, held):
     # a container built directly skips the builders' checks; a point the
@@ -300,6 +302,28 @@ def test_write_bundle_checks_timed_points_before_writing(tmp_path, modality,
                           roles=RoleMap.of(covariates=("f",)))
     with pytest.raises(KindMismatch, match=re.escape(
             f"sample 's0', feature 'f'{held}")):
+        write_bundle(ds, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+def test_write_bundle_refuses_the_last_timed_point_before_writing(tmp_path):
+    # static.csv is clean and written first, and the fault is in the last
+    # point of the last timed table: every table's rows are built before
+    # any file is opened, so nothing is written
+    ids = ("a", "b")
+    static = build_static_samples([("a", "x", 1.0), ("b", "x", 2.0)],
+                                  {"x": Continuous()})
+    temporal = build_time_series_samples(
+        [(s, "f", float(t), 1.0) for s in ids for t in range(3)],
+        {"f": Continuous()})
+    events = EventSamples(ids, (("d", Integer()), ("e", Integer())),
+                          (((1.0, 1), (2.0, 0)), ((1.0, 1), (3.0, 1.5))))
+    ds = assemble_dataset(static=static, temporal=temporal, events=events,
+                          roles=RoleMap.of(covariates=("x", "f", "d"),
+                                           targets=("e",)))
+    with pytest.raises(KindMismatch, match=re.escape(
+            "sample 'b', feature 'e', point 0: expected an integer, "
+            "got 1.5")):
         write_bundle(ds, tmp_path / "b")
     assert not (tmp_path / "b").exists()
 

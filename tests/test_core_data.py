@@ -8,6 +8,7 @@ import re
 import pytest
 
 from datagen import (
+    event_entries,
     random_dataset,
     regular_series_dataset,
     static_rows,
@@ -105,6 +106,22 @@ def test_a_continuous_int_no_float_holds_is_a_kind_mismatch():
     assert check_value(Continuous(), -2 ** 53) == -2.0 ** 53
     assert check_value(Continuous(), 10 ** 22) == 1e22
     assert check_value(Integer(), odd) == odd
+
+
+def test_an_int_time_no_float_holds_is_a_kind_mismatch():
+    # 2**53 + 1 would be written by its digits and read back as 2**53
+    odd = 2 ** 53 + 1
+    held = "time 9007199254740993 has no exact float"
+    with pytest.raises(KindMismatch, match=rf"^w: {held}$"):
+        check_time(odd, "w")
+    with pytest.raises(KindMismatch, match=rf"^\(a, f\): {held}$"):
+        build_time_series_samples([("a", "f", odd, 1.0)],
+                                  {"f": Continuous()})
+    with pytest.raises(KindMismatch, match=rf"^\(a, d\): {held}$"):
+        build_event_samples([("a", "d", odd, 1)], {"d": Integer()})
+    # an int time a float holds exactly passes, as its float
+    assert check_time(2 ** 53) == 2.0 ** 53
+    assert check_time(-7) == -7.0
 
 
 def test_ints_beyond_float_range_are_kind_mismatches():
@@ -264,7 +281,7 @@ def test_builder_round_trip_on_random_datasets():
         assert rebuilt == ds.temporal
         if ds.events is not None:
             rebuilt = build_event_samples(
-                ds.events.to_entries(), dict(ds.events.features),
+                event_entries(ds.events), dict(ds.events.features),
                 sample_ids=ids)
             assert rebuilt == ds.events
 
