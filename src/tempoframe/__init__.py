@@ -51,7 +51,6 @@ from tempoframe.metrics import accuracy, brier_score, concordance_index, rmse
 from tempoframe.interpret import permutation_importance
 from tempoframe.bench import (
     BenchConfig,
-    BenchReport,
     kfold_split,
     load_config,
     report_text,
@@ -75,6 +74,6 @@ __all__ = [
     "event_outcomes",
     "synth_treatment_data",
     "permutation_importance",
-    "BenchConfig", "BenchReport", "kfold_split", "load_config",
-    "run_benchmark", "report_text",
+    "BenchConfig", "kfold_split", "load_config", "run_benchmark",
+    "report_text",
 ]

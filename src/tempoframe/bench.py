@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from tempoframe._version import __version__
-from tempoframe.bundle import locate_manifest, read_bundle
+from tempoframe.bundle import _NOT_NUMBER, locate_manifest, read_bundle
 from tempoframe.data import Dataset, select_samples
 from tempoframe.errors import (
     BenchError,
@@ -33,8 +33,8 @@ from tempoframe.errors import (
 )
 from tempoframe.interpret import check_importance, permutation_importance
 from tempoframe.kernels import mean_std
-from tempoframe.metrics import TASKS, resolve_metric
-from tempoframe.plugins import build_pipeline
+from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
+from tempoframe.plugins import Estimator, build_pipeline
 from tempoframe.rng import Lcg
 
 log = logging.getLogger("tempoframe.bench")
@@ -81,12 +81,14 @@ def kfold_split(ds: Dataset, k: int, seed: int) -> list:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """A checked config, which is also the run's plan: every fold fits
+    `estimator` and scores with `metrics`."""
     doc: dict            # parsed config, echoed verbatim into the report
     sha256: str
     bundle: str          # absolute manifest path
     task: str
-    pipeline: tuple      # ((plugin_name, params_dict), ...)
-    metrics: tuple
+    estimator: Estimator  # the unfitted pipeline
+    metrics: tuple       # (MetricSpec, ...) in config order
     folds: int
     seed: int
     output: str = None
@@ -115,8 +117,8 @@ def _check_object(obj, allowed: tuple, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
-def _check_metric(name, task: str, where: str) -> None:
-    """Refuse `name` unless it names a metric of `task`."""
+def _check_metric(name, task: str, where: str) -> MetricSpec:
+    """The spec of `name` if it names a metric of `task`."""
     if not isinstance(name, str):
         raise ConfigError(f"{where} must hold metric names, got {name!r}")
     try:
@@ -126,12 +128,14 @@ def _check_metric(name, task: str, where: str) -> None:
     if spec.task != task:
         raise ConfigError(f"{where}: metric {name!r} does not apply to task "
                           f"{task!r}")
+    return spec
 
 
 def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
-    """The config of a parsed document, checked by building what the run
-    builds; every key is read by `_require`. A ConfigError names the key
-    and its object. Paths are resolved against `base_dir`."""
+    """The config of a parsed document, checked by building the pipeline
+    and resolving the metrics the run uses; every key is read by
+    `_require`. A ConfigError names the key and its object. Paths are
+    resolved against `base_dir`."""
     _check_object(doc, ("bundle", "task", "pipeline", "metrics", "cv",
                       "output", "truth", "importance"), "config")
     bundle = _require(doc, "bundle", str, "a path string")
@@ -159,8 +163,7 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
             f"got {est.spec.name!r} ({est.spec.category.value})")
 
     metrics = _require(doc, "metrics", list, "a list of metric names")
-    for m in metrics:
-        _check_metric(m, task, "config 'metrics'")
+    specs = tuple(_check_metric(m, task, "config 'metrics'") for m in metrics)
     if not metrics or len(set(metrics)) != len(metrics):
         raise ConfigError("config 'metrics' must name one or more distinct "
                           "metrics")
@@ -202,7 +205,7 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
 
     return BenchConfig(doc=doc, sha256=sha256,
                        bundle=locate_manifest(resolve(bundle)), task=task,
-                       pipeline=tuple(steps), metrics=tuple(metrics),
+                       estimator=est, metrics=specs,
                        folds=folds, seed=seed, output=resolve(output),
                        truth=resolve(truth), importance=importance)
 
@@ -223,8 +226,8 @@ def load_config(path) -> BenchConfig:
 
 
 def read_truth(path) -> dict:
-    """Per-sample true effects, each finite: CSV with header
-    sample_id,effect."""
+    """Per-sample true effects, each finite and written in the characters
+    `repr` writes for a number: CSV with header sample_id,effect."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -242,7 +245,8 @@ def read_truth(path) -> dict:
         if sid in out:
             raise ConfigError(f"{path}: line {i}: duplicate sample {sid!r}")
         try:
-            effect = float(val)
+            effect = math.nan if val.translate(_NOT_NUMBER[False]) \
+                else float(val)
         except ValueError:
             effect = math.nan
         if not math.isfinite(effect):
@@ -281,11 +285,11 @@ def _eval_fold(config: BenchConfig, fold: int, fitted, test: Dataset,
     with _step(fold, "predict"):
         pred, truth = TASKS[config.task].observe(fitted, test, truth_map)
     values = {}
-    for name in config.metrics:
-        with _step(fold, f"metric {name}"):
-            values[name] = resolve_metric(name).score(pred, truth)
-            if not math.isfinite(values[name]):
-                raise BenchError(f"non-finite score {values[name]!r}")
+    for spec in config.metrics:
+        with _step(fold, f"metric {spec.name}"):
+            values[spec.name] = spec.score(pred, truth)
+            if not math.isfinite(values[spec.name]):
+                raise BenchError(f"non-finite score {values[spec.name]!r}")
     return values
 
 
@@ -293,35 +297,9 @@ def _eval_fold(config: BenchConfig, fold: int, fitted, test: Dataset,
 # Report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchReport:
-    config_doc: dict
-    config_sha256: str
-    version: str
-    folds: int
-    metrics: dict        # name -> {"folds": [...], "mean": x, "stddev": x}
-    importance: dict
-    fold_seconds: list
-    total_seconds: float
-
-    def to_doc(self) -> dict:
-        doc = {
-            "config": self.config_doc,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "folds": self.folds,
-            "metrics": self.metrics,
-        }
-        if self.importance is not None:
-            doc["importance"] = self.importance
-        # Timing comes last so deterministic content forms a stable prefix.
-        doc["timing"] = {"fold_seconds": self.fold_seconds,
-                         "total_seconds": self.total_seconds}
-        return doc
-
-
-def _report_json(doc: dict) -> str:
-    """`doc` as report text; a non-finite float is a BenchError."""
+def report_text(doc: dict) -> str:
+    """A report document as text: fixed key order, repr floats, LF line
+    ends; a non-finite float is a BenchError."""
     try:
         return json.dumps(doc, indent=2, ensure_ascii=False,
                           allow_nan=False) + "\n"
@@ -330,17 +308,12 @@ def _report_json(doc: dict) -> str:
                          "report") from None
 
 
-def report_text(report: BenchReport) -> str:
-    """Fixed key order, repr floats, LF line ends."""
-    return _report_json(report.to_doc())
-
-
 def strip_timing(text: str) -> str:
     """Report text with the timing block zeroed, for byte comparisons."""
     doc = json.loads(text)
     doc["timing"] = {"fold_seconds": [0.0] * len(doc["timing"]["fold_seconds"]),
                      "total_seconds": 0.0}
-    return _report_json(doc)
+    return report_text(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +327,14 @@ def _run_fold(config: BenchConfig, fold: int, train: Dataset,
              len(train.sample_ids), len(test.sample_ids))
     t0 = time.perf_counter()
     with _step(fold, "fit"):
-        fitted = build_pipeline(config.pipeline).fit(train)
+        fitted = config.estimator.fit(train)
     values = _eval_fold(config, fold, fitted, test, truth_map)
     rep = None
     if config.importance is not None:
         with _step(fold, "importance"):
             rep = permutation_importance(fitted, test, **config.importance)
     seconds = time.perf_counter() - t0
-    log.info("fold %d done: %s", fold,
-             {k: values[k] for k in config.metrics})
+    log.info("fold %d done: %s", fold, values)
     return values, rep, seconds
 
 
@@ -479,35 +451,31 @@ def _run_folds(config: BenchConfig, splits: list, truth_map) -> list:
             os.waitpid(pid, 0)
 
 
-def run_benchmark(config: BenchConfig) -> BenchReport:
+def run_benchmark(config: BenchConfig) -> dict:
+    """The report document of `config`'s run, also written to
+    `config.output` when it is set."""
     t_start = time.perf_counter()
     ds = read_bundle(config.bundle)
     truth_map = read_truth(config.truth) if config.truth is not None else None
     splits = kfold_split(ds, config.folds, config.seed)
-    per_metric = {name: [] for name in config.metrics}
-    importance = None
+    results = _run_folds(config, splits, truth_map)
+    metrics = {}
+    for spec in config.metrics:
+        folds = [values[spec.name] for values, _, _ in results]
+        mean, std = mean_std(folds)
+        metrics[spec.name] = {"folds": folds, "mean": mean, "stddev": std}
+    report = {"config": config.doc, "config_sha256": config.sha256,
+              "version": __version__, "folds": config.folds,
+              "metrics": metrics}
     if config.importance is not None:
-        importance = {**config.importance, "features": None,
-                      "baselines": [], "folds": []}
-    fold_seconds = []
-    for values, rep, seconds in _run_folds(config, splits, truth_map):
-        for name in config.metrics:
-            per_metric[name].append(values[name])
-        if importance is not None:
-            importance["features"] = list(rep.features)
-            importance["baselines"].append(rep.baseline)
-            importance["folds"].append(list(rep.importances))
-        fold_seconds.append(seconds)
-    metrics_doc = {}
-    for name in config.metrics:
-        mean, std = mean_std(per_metric[name])
-        metrics_doc[name] = {"folds": list(per_metric[name]),
-                             "mean": mean, "stddev": std}
-    report = BenchReport(
-        config_doc=config.doc, config_sha256=config.sha256,
-        version=__version__, folds=config.folds, metrics=metrics_doc,
-        importance=importance, fold_seconds=fold_seconds,
-        total_seconds=time.perf_counter() - t_start)
+        reps = [rep for _, rep, _ in results]
+        report["importance"] = {
+            **config.importance, "features": list(reps[-1].features),
+            "baselines": [rep.baseline for rep in reps],
+            "folds": [list(rep.importances) for rep in reps]}
+    # Timing comes last so deterministic content forms a stable prefix.
+    report["timing"] = {"fold_seconds": [sec for _, _, sec in results],
+                        "total_seconds": time.perf_counter() - t_start}
     if config.output is not None:
         try:
             with open(config.output, "w", encoding="utf-8",

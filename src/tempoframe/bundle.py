@@ -220,21 +220,27 @@ def _table_rows(modality: Modality, container):
     each cell or point is checked as `read_bundle` reads it back; else
     KindMismatch naming the sample, feature (and point).
 
-    csv.writer writes None (a Missing value) as an empty field and a float
-    by its shortest round-trip repr; a packed field joins the same tokens,
-    a category by its index. Static cells are checked column by column
-    (a column `_clean_column` doubts, cell by cell) and their rows come
-    as the writer reads them; timed rows are all built here."""
+    Each time and value is written in the form `check_time` or
+    `check_value` returns: csv.writer writes None (a Missing value) as an
+    empty field and a float by its shortest round-trip repr; a packed
+    field joins the same tokens, a category by its index. Static cells
+    are checked column by column (a column `_clean_column` doubts, cell
+    by cell, and then written as checked) and their rows come as the
+    writer reads them; timed rows are all built here."""
     if modality is Modality.STATIC:
-        for (fid, kind), column in zip(container.features,
-                                       zip(*container.values)):
+        rows, checked = container.values, {}
+        for j, ((fid, kind), column) in enumerate(zip(container.features,
+                                                      zip(*rows))):
             if not _clean_column(kind, column):
-                for sid, v in zip(container.sample_ids, column):
-                    check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
+                checked[j] = [check_value(kind, v,
+                                          f"sample {sid!r}, feature {fid!r}")
+                              for sid, v in zip(container.sample_ids, column)]
+        if checked:
+            rows = zip(*[checked.get(j, column)
+                         for j, column in enumerate(zip(*rows))])
         return chain([["sample_id", *container.feature_ids]],
                      ([sid, *[None if v is MISSING else v for v in row]]
-                      for sid, row in zip(container.sample_ids,
-                                          container.values)))
+                      for sid, row in zip(container.sample_ids, rows)))
     return [_TIMED_HEADERS[modality], *_timed_rows(modality, container)]
 
 
@@ -242,8 +248,8 @@ def _timed_rows(modality: Modality, container):
     """The data rows of a timed container, each sequence walked once (an
     event as a one-point sequence): its times and values equal in number,
     and each point a time `check_time` takes, after the one before it,
-    and a value `check_value` takes. The location of a point is built
-    only when it raises."""
+    and a value `check_value` takes, written as they return it. The
+    location of a point is built only when it raises."""
     packed = modality is Modality.TEMPORAL
     index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
              for fid, kind in container.features
@@ -267,14 +273,14 @@ def _timed_rows(modality: Modality, container):
                     if not last < prev:
                         raise KindMismatch(f"time {prev!r} is not after "
                                            f"{last!r}")
-                    check_value(kind, v)
+                    v = check_value(kind, v)
                 except KindMismatch as e:
                     raise KindMismatch(f"sample {sid!r}, feature {fid!r}, "
                                        f"point {k}: {e}") from None
                 if not packed:
-                    yield [sid, fid, t, None if v is MISSING else v]
+                    yield [sid, fid, prev, None if v is MISSING else v]
                     continue
-                tt = repr(t)
+                tt = repr(prev)
                 vt = "" if v is MISSING else codes[v] if codes else repr(v)
                 size += len(tt) + len(vt) + 2
                 if size > _ROW_CHARS and ts:

@@ -135,8 +135,9 @@ def check_value(kind: ValueKind, value, where: str = None):
     if isinstance(kind, Integer):
         if isinstance(value, bool) or not isinstance(value, int):
             raise _mismatch(where, f"expected an integer, got {value!r}")
-        _float_of(value, where)
-        return value
+        v = int(value)  # an int subclass may write itself as other text
+        _float_of(v, where)
+        return v
     if isinstance(value, str) and value in kind.categories:
         return value
     raise _mismatch(

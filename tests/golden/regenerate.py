@@ -36,7 +36,7 @@ from tempoframe.bench import (  # noqa: E402
     write_truth,
 )
 from tempoframe.bundle import read_bundle, write_bundle  # noqa: E402
-from tempoframe.plugins import build_pipeline, save_fitted  # noqa: E402
+from tempoframe.plugins import save_fitted  # noqa: E402
 from tempoframe.treatment import (  # noqa: E402
     SynthGroundTruth,
     synth_treatment_data,
@@ -113,8 +113,7 @@ def regenerate(task: str) -> None:
 def fitted_blob(config) -> bytes:
     """The `save_fitted` bytes of the config's pipeline fitted on its
     whole bundle."""
-    return save_fitted(build_pipeline(config.pipeline).fit(
-        read_bundle(config.bundle)))
+    return save_fitted(config.estimator.fit(read_bundle(config.bundle)))
 
 
 if __name__ == "__main__":

@@ -21,10 +21,9 @@ import pytest
 
 from datagen import classification_dataset, offset_grid_dataset, \
     patient_dataset, regular_series_dataset, survival_dataset
-from tempoframe import bench, interpret, plugins
+from tempoframe import bench, interpret, metrics, plugins
 from tempoframe.bench import (
     BenchConfig,
-    BenchReport,
     config_from_doc,
     kfold_split,
     load_config,
@@ -143,7 +142,9 @@ def test_config_happy_path_resolves_paths(tmp_path):
     assert config.task == "classify"
     assert config.bundle == str(tmp_path / "bundle" / "manifest")
     assert config.output == str(tmp_path / "out" / "report.txt")
-    assert config.pipeline == (("classify.logistic", {"iters": 60}),)
+    assert config.estimator.spec.name == "classify.logistic"
+    assert config.estimator.params == {"lr": 0.1, "iters": 60}
+    assert config.estimator.front == ()
     assert config.folds == 2 and config.seed == 0
     raw = (tmp_path / "config.json").read_bytes()
     assert config.sha256 == hashlib.sha256(raw).hexdigest()
@@ -311,6 +312,23 @@ def test_truth_rejections(tmp_path):
         read_truth(str(path))
 
 
+@pytest.mark.parametrize("effect", ["1_0", " 1.5 ", "\u0661.\u0665",
+                                    "1.5\t"],
+                         ids=["underscore", "spaces", "arabic-digits", "tab"])
+def test_truth_effect_holds_only_the_characters_repr_writes(tmp_path, effect):
+    # float() reads each of these, but `write_truth`'s repr writes none
+    path = tmp_path / "t.csv"
+    path.write_text(f"sample_id,effect\na,1.0\nb,{effect}\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=(
+            rf": line 3: bad effect {re.escape(repr(effect))}$")):
+        read_truth(str(path))
+    # a sign or an exponent is in the alphabet
+    path.write_text("sample_id,effect\na,+2.50\nb,-1e-05\n",
+                    encoding="utf-8")
+    assert read_truth(str(path)) == {"a": 2.5, "b": -1e-05}
+
+
 @pytest.mark.parametrize("effect", ["nan", "inf", "-inf", "1e999"])
 def test_cli_non_finite_true_effect_names_its_line(tmp_path, effect):
     assert cli(["synth-ite", "--n", "40", "--seed", "1", "--out",
@@ -338,16 +356,16 @@ def test_cli_non_finite_true_effect_names_its_line(tmp_path, effect):
 def test_classify_benchmark_and_report_shape(tmp_path):
     config = load_config(_classify_setup(tmp_path, n=30))
     report = run_benchmark(config)
-    assert report.version == __version__
-    assert report.folds == 2
-    entry = report.metrics["accuracy"]
+    assert report["version"] == __version__
+    assert report["folds"] == 2
+    entry = report["metrics"]["accuracy"]
     assert len(entry["folds"]) == 2
     assert all(0.0 <= v <= 1.0 for v in entry["folds"])
     mean = sum(entry["folds"]) / 2
     assert entry["mean"] == mean
     var = sum((v - mean) ** 2 for v in entry["folds"]) / 2
     assert math.isclose(entry["stddev"], math.sqrt(var), abs_tol=1e-15)
-    assert len(report.fold_seconds) == 2
+    assert len(report["timing"]["fold_seconds"]) == 2
 
 
 def test_forecast_benchmark(tmp_path):
@@ -359,11 +377,11 @@ def test_forecast_benchmark(tmp_path):
                                     "step": 1.0}}],
            "metrics": ["rmse"], "cv": {"folds": 2, "seed": 7}}
     report = run_benchmark(load_config(_write_config(tmp_path, doc)))
-    folds = report.metrics["rmse"]["folds"]
+    folds = report["metrics"]["rmse"]["folds"]
     assert len(folds) == 2
     assert all(v >= 0.0 and math.isfinite(v) for v in folds)
     # the AR(1) generator is recovered almost exactly
-    assert report.metrics["rmse"]["mean"] < 1e-6
+    assert report["metrics"]["rmse"]["mean"] < 1e-6
 
 
 def test_forecast_on_a_fractional_grid(tmp_path, capsys):
@@ -463,9 +481,9 @@ def test_survival_benchmark(tmp_path):
            "metrics": ["c_index", "brier@3.0"],
            "cv": {"folds": 2, "seed": 1}}
     report = run_benchmark(load_config(_write_config(tmp_path, doc)))
-    assert set(report.metrics) == {"c_index", "brier@3.0"}
-    assert report.metrics["c_index"]["mean"] > 0.5
-    assert 0.0 <= report.metrics["brier@3.0"]["mean"] <= 1.0
+    assert set(report["metrics"]) == {"c_index", "brier@3.0"}
+    assert report["metrics"]["c_index"]["mean"] > 0.5
+    assert 0.0 <= report["metrics"]["brier@3.0"]["mean"] <= 1.0
 
 
 def test_treatment_benchmark(tmp_path):
@@ -478,7 +496,7 @@ def test_treatment_benchmark(tmp_path):
            "metrics": ["pehe"], "cv": {"folds": 2, "seed": 3},
            "truth": "bundle/truth.csv"}
     report = run_benchmark(load_config(_write_config(tmp_path, doc)))
-    assert report.metrics["pehe"]["mean"] <= 1e-5
+    assert report["metrics"]["pehe"]["mean"] <= 1e-5
 
 
 def test_treatment_truth_must_cover_samples(tmp_path):
@@ -501,7 +519,7 @@ def test_benchmark_with_pipeline_and_importance(tmp_path):
                   {"plugin": "classify.logistic", "params": {"iters": 60}}],
         importance={"metric": "accuracy", "repeats": 2, "seed": 5})
     report = run_benchmark(load_config(path))
-    imp = report.importance
+    imp = report["importance"]
     assert imp["metric"] == "accuracy"
     assert imp["repeats"] == 2 and imp["seed"] == 5
     assert imp["features"] == ["x1", "x2"]
@@ -523,10 +541,10 @@ def test_importance_baseline_is_the_fold_score(tmp_path):
         "importance": {"metric": "c_index"}}, name="surv.json"))
     for config, metric in ((classify, "accuracy"), (survival, "c_index")):
         report = run_benchmark(config)
-        folds = report.metrics[metric]["folds"]
+        folds = report["metrics"][metric]["folds"]
         assert len(folds) == config.folds
         for i, value in enumerate(folds):
-            assert report.importance["baselines"][i] == value
+            assert report["importance"]["baselines"][i] == value
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +566,7 @@ def test_report_text_layout_and_determinism(tmp_path):
     assert a.endswith("\n") and "\r" not in a
     # floats survive their repr round trip exactly
     report = run_benchmark(config)
-    for v, parsed in zip(report.metrics["accuracy"]["folds"],
+    for v, parsed in zip(report["metrics"]["accuracy"]["folds"],
                          json.loads(a)["metrics"]["accuracy"]["folds"]):
         assert float(parsed) == v
 
@@ -562,22 +580,22 @@ def test_report_text_layout_and_determinism(tmp_path):
 
 
 def test_report_floats_are_written_by_repr():
-    report = BenchReport(
-        config_doc={"cv": {"seed": 1}}, config_sha256="0" * 64,
-        version=__version__, folds=2,
-        metrics={"rmse": {"folds": [0.1 + 0.2, 1.0], "mean": 2 / 3,
-                          "stddev": 5e-324}},
-        importance=None, fold_seconds=[0.5, 0.25], total_seconds=1e20)
+    report = {
+        "config": {"cv": {"seed": 1}}, "config_sha256": "0" * 64,
+        "version": __version__, "folds": 2,
+        "metrics": {"rmse": {"folds": [0.1 + 0.2, 1.0], "mean": 2 / 3,
+                             "stddev": 5e-324}},
+        "timing": {"fold_seconds": [0.5, 0.25], "total_seconds": 1e20}}
     text = report_text(report)
     for v in (0.1 + 0.2, 1.0, 2 / 3, 5e-324, 1e20):
         assert f" {v!r}" in text
-    assert json.loads(text) == report.to_doc()
+    assert json.loads(text) == report
     assert strip_timing(text) == text.replace("0.5,", "0.0,").replace(
         "0.25\n", "0.0\n").replace("1e+20", "0.0")
 
     # a non-finite float has no JSON text: the report is refused
-    nan = replace(report, metrics={"rmse": {"folds": [math.nan, 1.0],
-                                            "mean": math.nan, "stddev": 0.0}})
+    nan = {**report, "metrics": {"rmse": {"folds": [math.nan, 1.0],
+                                          "mean": math.nan, "stddev": 0.0}}}
     with pytest.raises(BenchError, match="^cannot serialize a non-finite "
                                          "float in a report$"):
         report_text(nan)
@@ -1438,8 +1456,7 @@ def test_classify_golden_fitted_blob():
     # Accuracy is a thresholded count, so the report alone misses a
     # change in the logistic weights; the fitted blob pins them.
     config = load_config(os.path.join(GOLDEN, "classify", "config.json"))
-    blob = save_fitted(build_pipeline(config.pipeline).fit(
-        read_bundle(config.bundle)))
+    blob = save_fitted(config.estimator.fit(read_bundle(config.bundle)))
     with open(os.path.join(GOLDEN, "classify", "fitted.json"), "rb") as f:
         assert blob == f.read()
 
@@ -1543,6 +1560,28 @@ def test_forked_folds_give_the_in_process_report(tmp_path, monkeypatch,
     in_process, forked = _fold_reports(config, monkeypatch)
     assert strip_timing(forked) == strip_timing(in_process)
     assert len(json.loads(forked)["timing"]["fold_seconds"]) == folds
+
+
+@pytest.mark.parametrize("task",
+                         ["forecast", "classify", "survival", "treatment"])
+def test_a_run_fits_and_scores_what_its_config_check_built(tmp_path,
+                                                           monkeypatch, task):
+    # the checked config is the run plan: once `load_config` returns, no
+    # fold builds a plugin or resolves a metric, in one process or forked
+    config = load_config(_write_config(tmp_path, _task_doc(tmp_path, task, 3)))
+    expected = strip_timing(report_text(run_benchmark(config)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or resolved after the config check")
+
+    for module, name in ((plugins, "create"), (plugins, "build_pipeline"),
+                         (bench, "build_pipeline"),
+                         (bench, "resolve_metric"),
+                         (metrics, "resolve_metric")):
+        monkeypatch.setattr(module, name, refuse)
+    in_process, forked = _fold_reports(config, monkeypatch)
+    assert strip_timing(in_process) == expected
+    assert strip_timing(forked) == expected
 
 
 def test_fold_result_larger_than_a_pipe_buffer(tmp_path, monkeypatch):

@@ -34,6 +34,7 @@ from tempoframe.data import (
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
+    check_value,
     select_samples,
 )
 from tempoframe.errors import (
@@ -362,13 +363,66 @@ def test_write_bundle_checks_static_cells_before_writing(tmp_path, kind,
 
 def test_write_bundle_takes_a_static_column_checked_cell_by_cell(tmp_path):
     # Continuous ints fail the column pass but `check_value` takes them;
-    # they read back as equal floats
+    # they are written as the floats it stores and read back equal
     static = StaticSamples(("a", "b"), (("f", Continuous()),), ((1,), (-2,)))
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("f",)))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_text(encoding="utf-8") == \
-        "sample_id,f\na,1\nb,-2\n"
+        "sample_id,f\na,1.0\nb,-2.0\n"
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
+
+
+class _Code(int):
+    """An int whose text is not its digits, as an IntEnum member's `str`
+    is not on Python 3.10."""
+
+    def __repr__(self):
+        return f"<code {int.__repr__(self)}>"
+
+    __str__ = __repr__
+
+
+def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
+    # `check_value` stores an Integer value as an int and `check_time` a
+    # time as a float, and the writer writes what they return, whether
+    # the builders or a direct construction made the container
+    one, two = _Code(1), _Code(2)
+    assert type(check_value(Integer(), one)) is int
+    roles = RoleMap.of(covariates=("x", "f"), targets=("e",))
+    built = assemble_dataset(
+        static=build_static_samples([("a", "x", one), ("b", "x", two)],
+                                    {"x": Integer()}),
+        temporal=build_time_series_samples(
+            [("a", "f", _Code(0), one), ("b", "f", one, two)],
+            {"f": Integer()}),
+        events=build_event_samples(
+            [("a", "e", one, one), ("b", "e", two, two)], {"e": Integer()}),
+        roles=roles)
+    direct = assemble_dataset(
+        static=StaticSamples(("a", "b"), (("x", Integer()),),
+                             ((one,), (two,))),
+        temporal=TimeSeriesSamples(("a", "b"), (("f", Integer()),),
+                                   ((((_Code(0),), (one,)),),
+                                    (((one,), (two,)),))),
+        events=EventSamples(("a", "b"), (("e", Integer()),),
+                            (((one, one),), ((two, two),))),
+        roles=roles)
+    for name, ds in (("built", built), ("direct", direct)):
+        write_bundle(ds, tmp_path / name)
+        tables = {f: (tmp_path / name / f).read_text(encoding="utf-8")
+                  for f in ("static.csv", "temporal.csv", "events.csv")}
+        assert tables == {
+            "static.csv": "sample_id,x\na,1\nb,2\n",
+            "temporal.csv": "sample_id,feature_id,times,values\n"
+                            "a,f,0.0,1\nb,f,1.0,2\n",
+            "events.csv": "sample_id,feature_id,time,value\n"
+                          "a,e,1.0,1\nb,e,2.0,2\n"}, name
+        assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
+    assert {type(v) for row in built.static.values for v in row} == {int}
+    assert {type(v) for row in built.temporal.series
+            for _, values in row for v in values} == {int}
+    assert {type(v) for row in built.events.entries
+            for _, v in row} == {int}
 
 
 def test_manifest_shape(tmp_path):

@@ -251,6 +251,10 @@ def test_private_imports_are_found():
 # Importing module -> the private names it may import from another
 # module, each with its reason.
 _SHARED_PRIVATE = {
+    "bench": {
+        "_NOT_NUMBER": "the characters `repr` writes for a number, which "
+                       "a truth file's effect shares with the timed tables",
+    },
     "bundle": {
         "_check_id": "the id rule the builders apply; the writer and the "
                      "manifest check apply the same one",
