@@ -14,12 +14,13 @@ leaves each sample's terms and each dot's terms added in the same order,
 so the doubles are those of one column at a time. `accumulate(...,
 initial=0.0)` adds left to right from 0.0 as `_dot` does, so its prefix
 sums are allowed. Do not replace any of these with `sum()`, `math.fsum` or
-`math.sumprod` (`tests/test_imports.py` fails on any call to them here):
-they round differently (and `sum()` of floats is compensated from Python
-3.12 on), which changes the golden bytes. `map(math.exp, ...)` is allowed
-where an `OverflowError` falls back to `_exp`, which keeps its saturation
-to inf. A fit that meets a singular system or produces non-finite values
-raises `FitDiverged` instead of returning them.
+`math.sumprod` (`tests/test_imports.py` fails on any call to them in any
+module of the package): they round differently (and `sum()` of floats is
+compensated from Python 3.12 on), which changes the golden bytes.
+`map(math.exp, ...)` is allowed where an `OverflowError` falls back to
+`_exp`, which keeps its saturation to inf. A fit that meets a singular
+system or produces non-finite values raises `FitDiverged` instead of
+returning them.
 """
 
 from __future__ import annotations
@@ -275,6 +276,24 @@ def _risk_layout(columns: list, groups: list, occurred: list) -> tuple:
     return n, permuted, positions, ends, times, first, shifted, event_sums
 
 
+def _tied_steps(layout: tuple, sums: list) -> list:
+    """[(t, d, S), ...] per event time of `layout`, earliest first: d
+    events at t, which end one group and so share S, their entry of
+    `sums` (one per event in sweep order, read at its group end)."""
+    _, _, _, ends, times, *_ = layout
+    tied = [list(g) for _, g in groupby(range(len(ends)), ends.__getitem__)]
+    return [(times[g[0]], len(g), sums[g[0]]) for g in reversed(tied)]
+
+
+def at_risk_counts(times: list, occurred: list) -> list:
+    """[(t, d, n), ...] per event time, earliest first: d events at t among
+    the n samples of R(t) = {j : t_j >= t}, the group ends of a layout of no
+    columns. Flags misaligned with `times` raise AlignmentError."""
+    _check_lengths(len(times), "samples", occurred=occurred)
+    layout = _risk_layout([], risk_groups(times), occurred)
+    return _tied_steps(layout, layout[3])
+
+
 def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
     """Breslow-tie log partial likelihood and its gradient at `beta`.
 
@@ -290,7 +309,7 @@ def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
     shift by a constant cancels, and each entry is `event_sums[j]` minus
     the dot of w with the shifted column (from `_dots`). A cumulative
     hazard that overflows raises `FitDiverged`, so it never reaches the
-    gradient.
+    gradient. Returns (objective, gradient, S0 of each event).
     """
     n, columns, positions, ends, times, first, shifted, event_sums = layout
     xb = linear_predictor(columns, beta, [0.0] * n)
@@ -321,15 +340,17 @@ def _cox_obj_grad(layout: tuple, lam: float, beta: list) -> tuple:
             for b, g, s in zip(beta, _dots(w, shifted), event_sums)]
     for b in beta:
         obj -= lam * b * b
-    return obj, grad
+    return obj, grad, s0
 
 
 def cox_gd(columns: list, times: list, occurred: list, step: float,
            iters: int, lam: float) -> tuple:
     """Gradient ascent on the ridged Breslow partial likelihood, zero init.
 
-    Returns (beta, objective_trace, final_gradient_norm); the trace has
-    iters+1 entries (value before each update, then at the final beta).
+    Returns (beta, objective_trace, final_gradient_norm, baseline); the
+    trace has iters+1 entries (value before each update, then at the final
+    beta), and the baseline is (event times ascending, Breslow H0(t), the
+    sum of d_u / S0(u) over event times u <= t) from the final pass's S0.
     Columns or flags misaligned with `times` raise AlignmentError.
     """
     _check_lengths(len(times), "samples", columns, occurred=occurred)
@@ -337,14 +358,16 @@ def cox_gd(columns: list, times: list, occurred: list, step: float,
     beta = [0.0] * len(columns)
     trace = []
     for _ in range(iters):
-        obj, grad = _cox_obj_grad(layout, lam, beta)
+        obj, grad, _ = _cox_obj_grad(layout, lam, beta)
         trace.append(obj)
         beta = [bj + step * g for bj, g in zip(beta, grad)]
-    obj, grad = _cox_obj_grad(layout, lam, beta)
+    obj, grad, s0 = _cox_obj_grad(layout, lam, beta)
     trace.append(obj)
     gnorm = math.sqrt(_dot(grad, grad))
     _check_finite("cox_gd", [*beta, *trace, gnorm])
-    return beta, trace, gnorm
+    steps = _tied_steps(layout, s0)
+    cumhaz = list(accumulate([d / s for _, d, s in steps], initial=0.0))
+    return beta, trace, gnorm, ([t for t, _, _ in steps], cumhaz[1:])
 
 
 def concordance_counts(n: int, times: list, occurred: list,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from tempoframe.bundle import _NOT_NUMBER
 from tempoframe.data import (
     Continuous,
     Dataset,
@@ -296,7 +297,8 @@ def resolve_metric(name: str) -> MetricSpec:
     if name.startswith("brier@"):
         raw = name[len("brier@"):]
         try:
-            horizon = float(raw)
+            horizon = math.nan if raw.translate(_NOT_NUMBER[False]) \
+                else float(raw)
         except ValueError:
             horizon = math.nan
         if not math.isfinite(horizon):

@@ -3,8 +3,9 @@
 One tie rule, from `kernels.risk_groups`: samples with equal times form
 one group. An event at t is scored against R(t) = {j : t_j >= t}, which
 includes t's whole group, censorings too (Kaplan-Meier, and Breslow ties
-in the Cox fit and baseline); concordance (`metrics.concordance_index`)
-compares an event at t only with strictly later groups.
+in the Cox fit and baseline, both read off the kernels' one risk layout);
+concordance (`metrics.concordance_index`) compares an event at t only
+with strictly later groups.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from tempoframe.data import (
     Dataset,
@@ -22,7 +25,7 @@ from tempoframe.data import (
     covariate_matrix,
 )
 from tempoframe.errors import EmptyInput, NoEvents, RequirementUnmet
-from tempoframe.kernels import _exp, cox_gd, linear_predictor, risk_groups
+from tempoframe.kernels import _exp, at_risk_counts, cox_gd, linear_predictor
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
 
@@ -83,20 +86,6 @@ def event_outcomes(ds: Dataset) -> list:
     return out
 
 
-def _event_steps(outcomes: list, weights: list) -> list:
-    """(t, d events, summed weight of R(t)) per event time, ascending;
-    the weights add up in `risk_groups` order, latest first."""
-    steps = []
-    at_risk = 0
-    for t, members in risk_groups([o.time for o in outcomes]):
-        for i in members:
-            at_risk += weights[i]
-        d = sum(1 for i in members if outcomes[i].occurred)
-        if d:
-            steps.append((t, d, at_risk))
-    return steps[::-1]
-
-
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 # ---------------------------------------------------------------------------
@@ -107,14 +96,10 @@ def kaplan_meier(outcomes) -> SurvivalCurve:
     outcomes = list(outcomes)
     if not outcomes:
         raise EmptyInput("kaplan_meier needs at least one sample")
-    breakpoints = []
-    values = []
-    s = 1.0
-    for t, d, n in _event_steps(outcomes, [1] * len(outcomes)):
-        s = s * (1.0 - d / n)
-        breakpoints.append(t)
-        values.append(s)
-    return SurvivalCurve(tuple(breakpoints), tuple(values))
+    steps = at_risk_counts([o.time for o in outcomes],
+                           [o.occurred for o in outcomes])
+    values = accumulate([1.0 - d / n for _, d, n in steps], mul, initial=1.0)
+    return SurvivalCurve(tuple(t for t, _, _ in steps), tuple(values)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +111,9 @@ def _cox_fit(params, ds: Dataset) -> dict:
     if not any(o.occurred for o in outcomes):
         raise NoEvents("all samples are censored")
     names, columns = covariate_matrix(ds)
-    times = [o.time for o in outcomes]
-    occurred = [1 if o.occurred else 0 for o in outcomes]
-    beta, trace, grad_norm = cox_gd(columns, times, occurred,
-                                    params["step_size"], params["iters"],
-                                    params["ridge"])
-    # Breslow: H0(t) = sum over event times u <= t of d_u / S0(u), with
-    # S0(u) = sum of e^{beta . z_j} over R(u), never inf (cox_gd checked).
-    weights = [_exp(r) for r in
-               linear_predictor(columns, beta, [0.0] * len(outcomes))]
-    base_times = []
-    cumhaz = []
-    h = 0.0
-    for t, d_t, s0 in _event_steps(outcomes, weights):
-        h += d_t / s0
-        base_times.append(t)
-        cumhaz.append(h)
+    beta, trace, grad_norm, (base_times, cumhaz) = cox_gd(
+        columns, [o.time for o in outcomes], [o.occurred for o in outcomes],
+        params["step_size"], params["iters"], params["ridge"])
     return {"beta": beta, "columns": names, "trace": trace,
             "grad_norm": grad_norm,
             "baseline": {"times": base_times, "cumhaz": cumhaz}}

@@ -190,11 +190,17 @@ def test_config_rejections(tmp_path):
                     "pipeline": [{"plugin": "survival.cox"}],
                     "metrics": ["rmse"], "cv": {"folds": 2, "seed": 0}}
     bad(survival_doc)
-    # a Brier horizon must be a finite number
-    for horizon in ("nan", "inf", "-inf", "1e400", "soon"):
+    # a Brier horizon must be a finite number, in the characters `repr`
+    # writes for one: `float()` alone reads `5_0` as 50 and takes spaces,
+    # non-ASCII digits and a capital E
+    for horizon in ("nan", "inf", "-inf", "1e400", "soon", "5_0", " 5",
+                    "5 ", "\u0665", "5E0", ""):
         bad(dict(survival_doc, metrics=[f"brier@{horizon}"]))
         bad(dict(survival_doc, metrics=["c_index"],
                  importance={"metric": f"brier@{horizon}"}))
+    for horizon in ("+5.0", "5.0", "1e1"):
+        config_from_doc(dict(survival_doc, metrics=[f"brier@{horizon}"]),
+                        base, "0" * 64)
 
     treatment_doc = {"bundle": "b", "task": "treatment",
                      "pipeline": [{"plugin": "treatment.t_learner"}],

@@ -7,7 +7,10 @@ as per-feature columns. The column kernels must return `==` results to
 them: same terms, same order of addition, so a reassociated loop fails
 here before it moves a golden report. The Cox gradient also keeps its
 earlier per-event form, S1_j / S0 at each event, as an independent
-referee that must agree within a stated relative tolerance."""
+referee that must agree within a stated relative tolerance. The Breslow
+baseline `cox_gd` returns keeps its oracle too: the per-time d / S0 rule
+the Cox estimator used before the kernel returned it, compared with
+`==`."""
 
 from __future__ import annotations
 
@@ -121,7 +124,8 @@ def _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups, occurred, lam,
     shifted by its value at the first sample in sweep order, the samples
     after the last event's group are left out, and each sample weighs
     e^{xb} times the suffix sum of 1/S0 from the first event whose risk
-    set holds it."""
+    set holds it. Returns (objective, gradient, S0 per event in sweep
+    order)."""
     xb = [0.0] * n_rows
     ex = [0.0] * n_rows
     for i in range(n_rows):
@@ -172,7 +176,7 @@ def _cox_obj_grad_oracle(n_rows, n_cols, z_flat, groups, occurred, lam,
     for j in range(n_cols):
         obj -= lam * beta[j] * beta[j]
         grad[j] = event_sums[j] - dots[j] - 2.0 * lam * beta[j]
-    return obj, grad
+    return obj, grad, sums
 
 
 def _cox_obj_grad_per_event(n_rows, n_cols, z_flat, groups, occurred, lam,
@@ -212,6 +216,35 @@ def _cox_obj_grad_per_event(n_rows, n_cols, z_flat, groups, occurred, lam,
     return obj, grad
 
 
+def _breslow_oracle(n_rows, n_cols, z_flat, groups, occurred, beta):
+    """(event times ascending, cumulative hazard) at `beta` by the per-time
+    rule: sweep the groups latest first, adding each sample's e^{xb} to
+    S0, and note (t, d, S0) at each time with d > 0 events; then H0 adds
+    d / S0 per time, earliest first."""
+    steps = []
+    s0 = 0.0
+    for t, members in groups:
+        d = 0
+        for i in members:
+            base = i * n_cols
+            s = 0.0
+            for j in range(n_cols):
+                s += beta[j] * z_flat[base + j]
+            s0 += math.exp(s)
+            if occurred[i]:
+                d += 1
+        if d:
+            steps.append((t, d, s0))
+    times = []
+    cumhaz = []
+    h = 0.0
+    for t, d, s in reversed(steps):
+        h += d / s
+        times.append(t)
+        cumhaz.append(h)
+    return times, cumhaz
+
+
 def _cox_gd_oracle(n_rows, n_cols, z_flat, times, occurred, step, iters,
                    lam, obj_grad=_cox_obj_grad_oracle):
     groups = kernels.risk_groups(times)
@@ -219,16 +252,18 @@ def _cox_gd_oracle(n_rows, n_cols, z_flat, times, occurred, step, iters,
     trace = []
     for _ in range(iters):
         obj, grad = obj_grad(n_rows, n_cols, z_flat, groups, occurred, lam,
-                             beta)
+                             beta)[:2]
         trace.append(obj)
         for j in range(n_cols):
             beta[j] += step * grad[j]
-    obj, grad = obj_grad(n_rows, n_cols, z_flat, groups, occurred, lam, beta)
+    obj, grad = obj_grad(n_rows, n_cols, z_flat, groups, occurred, lam,
+                         beta)[:2]
     trace.append(obj)
     gnorm = 0.0
     for j in range(n_cols):
         gnorm += grad[j] * grad[j]
-    return beta, trace, math.sqrt(gnorm)
+    return beta, trace, math.sqrt(gnorm), _breslow_oracle(
+        n_rows, n_cols, z_flat, groups, occurred, beta)
 
 
 def _random_columns(rng, n, d):
@@ -327,8 +362,8 @@ def test_cox_hazard_weights_agree_with_per_event_sums(case):
     z_flat = _flat(columns)
     groups = kernels.risk_groups(times)
     for beta in ([0.0] * d, ([0.4, -1.1, 0.25] * 4)[:d]):
-        obj, grad = _cox_obj_grad_oracle(n, d, z_flat, groups, occurred,
-                                         1e-3, beta)
+        obj, grad, _ = _cox_obj_grad_oracle(n, d, z_flat, groups,
+                                            occurred, 1e-3, beta)
         ref_obj, ref_grad = _cox_obj_grad_per_event(n, d, z_flat, groups,
                                                     occurred, 1e-3, beta)
         assert obj == ref_obj
@@ -336,9 +371,9 @@ def test_cox_hazard_weights_agree_with_per_event_sums(case):
             assert math.isclose(g, ref, rel_tol=GRADIENT_REL_TOL,
                                 abs_tol=GRADIENT_REL_TOL)
     for iters in iters_list:
-        beta, trace, _ = _cox_gd_oracle(n, d, z_flat, times, occurred, step,
-                                        iters, 1e-6)
-        ref_beta, ref_trace, _ = _cox_gd_oracle(
+        beta, trace, _, _ = _cox_gd_oracle(n, d, z_flat, times, occurred,
+                                           step, iters, 1e-6)
+        ref_beta, ref_trace, _, _ = _cox_gd_oracle(
             n, d, z_flat, times, occurred, step, iters, 1e-6,
             _cox_obj_grad_per_event)
         for v, ref in zip(beta + trace, ref_beta + ref_trace):
@@ -473,6 +508,10 @@ def test_linear_predictor_refuses_a_long_column(d, bad):
     (lambda: kernels.cox_gd(
         [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], [1, 1, 1, 1], 0.1, 2, 0.0),
      "occurred has 4 values for 3 samples"),
+    (lambda: kernels.at_risk_counts([1.0, 2.0, 3.0], [1, 1]),
+     "occurred has 2 values for 3 samples"),
+    (lambda: kernels.at_risk_counts([1.0, 2.0], [1, 1, 0]),
+     "occurred has 3 values for 2 samples"),
     (lambda: kernels.concordance_counts(
         3, [1.0, 2.0], [1, 1, 1], [1.0, 2.0, 3.0]),
      "times has 2 values for 3 samples"),
@@ -484,7 +523,8 @@ def test_linear_predictor_refuses_a_long_column(d, bad):
      "risks has 2 values for 3 samples"),
 ], ids=["ridge-short-column", "ridge-short-y", "ridge-extra-penalty",
         "ridge-no-penalty", "cox-short-column", "cox-long-column",
-        "cox-short-flags", "cox-long-flags", "concordance-short-times",
+        "cox-short-flags", "cox-long-flags", "at-risk-short-flags",
+        "at-risk-long-flags", "concordance-short-times",
         "concordance-long-flags", "concordance-short-risks"])
 def test_kernels_refuse_misaligned_inputs(call, message):
     with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
@@ -589,14 +629,17 @@ def _cox_inputs(seed, n=12, d=2, tie_times=True):
 @pytest.mark.parametrize("impl", KERNELS)
 def test_cox_trace_shape_and_zero_iters(impl):
     columns, times, occurred = _cox_inputs(0)
-    beta, trace, gnorm = impl.cox_gd(columns, times, occurred, 0.05, 0,
-                                     1e-6)
+    beta, trace, gnorm, _ = impl.cox_gd(columns, times, occurred, 0.05, 0,
+                                        1e-6)
     assert beta == [0.0, 0.0]
     assert len(trace) == 1
-    beta, trace, gnorm = impl.cox_gd(columns, times, occurred, 0.05, 40,
-                                     1e-6)
+    beta, trace, gnorm, (base_times, cumhaz) = impl.cox_gd(
+        columns, times, occurred, 0.05, 40, 1e-6)
     assert len(trace) == 41
     assert gnorm >= 0.0
+    # one baseline step per distinct event time, ascending
+    assert base_times == sorted({t for t, e in zip(times, occurred) if e})
+    assert len(cumhaz) == len(base_times)
 
 
 def test_cox_gradient_matches_finite_differences():
@@ -604,15 +647,15 @@ def test_cox_gradient_matches_finite_differences():
     layout = kernels._risk_layout(columns, kernels.risk_groups(times), occurred)
     beta = [0.3, -0.7]
     lam = 0.01
-    obj, grad = kernels._cox_obj_grad(layout, lam, beta)
+    obj, grad, _ = kernels._cox_obj_grad(layout, lam, beta)
     eps = 1e-6
     for j in range(2):
         up = list(beta)
         up[j] += eps
         down = list(beta)
         down[j] -= eps
-        o_up, _ = kernels._cox_obj_grad(layout, lam, up)
-        o_dn, _ = kernels._cox_obj_grad(layout, lam, down)
+        o_up, _, _ = kernels._cox_obj_grad(layout, lam, up)
+        o_dn, _, _ = kernels._cox_obj_grad(layout, lam, down)
         fd = (o_up - o_dn) / (2 * eps)
         assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
@@ -627,8 +670,25 @@ def test_cox_breslow_tied_objective_hand_value():
     beta = [0.5]
     denom = math.exp(0.5) + math.exp(0.0) + math.exp(-0.5)
     expected = (0.5 - math.log(denom)) + (0.0 - math.log(denom))
-    obj, _ = kernels._cox_obj_grad(layout, 0.0, beta)
+    obj, _, _ = kernels._cox_obj_grad(layout, 0.0, beta)
     assert math.isclose(obj, expected, rel_tol=1e-15)
+
+
+def test_cox_baseline_matches_per_time_oracle_on_tied_fixtures():
+    # the fixture of `test_cox_breslow_baseline_matches_rescan_oracle` in
+    # test_survival.py, over several seeds: 40 samples at times 1-6 tie
+    # events with events and with censorings, so a hazard that added 1/S0
+    # once per event instead of d/S0 once per time would round apart
+    for seed in range(12):
+        rng = Lcg(seed)
+        x = [rng.uniform_in(-1.0, 1.0) for _ in range(40)]
+        times = []
+        occurred = []
+        for _ in range(40):
+            times.append(float(1 + rng.below(6)))
+            occurred.append(1 if rng.uniform() < 0.6 else 0)
+        assert kernels.cox_gd([x], times, occurred, 0.1, 100, 1e-6) \
+            == _cox_gd_oracle(40, 1, x, times, occurred, 0.1, 100, 1e-6)
 
 
 @pytest.mark.parametrize("value", [0.1, -3.7, 1e6])
@@ -637,8 +697,8 @@ def test_cox_constant_column_keeps_beta_exactly_zero(value):
     # shifted copy is exact zeros, so its gradient is exactly -2 lam b
     varying, times, occurred = _cox_inputs(5, n=20, d=1)
     columns = [[value] * 20, varying[0]]
-    beta, trace, gnorm = kernels.cox_gd(columns, times, occurred, 0.05, 40,
-                                        1e-3)
+    beta, trace, gnorm, _ = kernels.cox_gd(columns, times, occurred, 0.05,
+                                           40, 1e-3)
     assert beta[0] == 0.0
     assert beta[1] != 0.0
 
@@ -656,7 +716,7 @@ def test_cox_layout_drops_samples_censored_before_every_event():
     assert first == [0, 1, 1]
     assert (positions, ends, event_times) == ([0, 2], [1, 3], [3.0, 1.0])
     # an overflowing risk score there cannot reach the gradient
-    obj, grad = kernels._cox_obj_grad(layout, 0.0, [1.0])
+    obj, grad, _ = kernels._cox_obj_grad(layout, 0.0, [1.0])
     assert math.isfinite(obj) and math.isfinite(grad[0])
 
 
