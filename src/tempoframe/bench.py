@@ -10,7 +10,6 @@ files, timing fields aside; that is what the golden-file tests compare.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import math
@@ -84,7 +83,6 @@ class BenchConfig:
     """A checked config, which is also the run's plan: every fold fits
     `estimator` and scores with `metrics`."""
     doc: dict            # parsed config, echoed verbatim into the report
-    sha256: str
     bundle: str          # absolute manifest path
     task: str
     estimator: Estimator  # the unfitted pipeline
@@ -131,7 +129,7 @@ def _check_metric(name, task: str, where: str) -> MetricSpec:
     return spec
 
 
-def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
+def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
     """The config of a parsed document, checked by building the pipeline
     and resolving the metrics the run uses; every key is read by
     `_require`. A ConfigError names the key and its object. Paths are
@@ -164,9 +162,15 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
 
     metrics = _require(doc, "metrics", list, "a list of metric names")
     specs = tuple(_check_metric(m, task, "config 'metrics'") for m in metrics)
-    if not metrics or len(set(metrics)) != len(metrics):
-        raise ConfigError("config 'metrics' must name one or more distinct "
-                          "metrics")
+    if not metrics:
+        raise ConfigError("config 'metrics' must name one or more metrics")
+    named = {}   # a metric name, or a Brier horizon -> the name first given
+    for name in metrics:
+        key = float(name[6:]) if name.startswith("brier@") else name
+        if key in named:
+            raise ConfigError(f"config 'metrics' names one metric twice: "
+                              f"{named[key]!r} and {name!r}")
+        named[key] = name
 
     cv = _require(doc, "cv", dict, "an object")
     _check_object(cv, ("folds", "seed"), "cv")
@@ -203,9 +207,8 @@ def config_from_doc(doc: dict, base_dir: str, sha256: str) -> BenchConfig:
         if p is not None:
             return os.path.normpath(os.path.join(base_dir, p))
 
-    return BenchConfig(doc=doc, sha256=sha256,
-                       bundle=locate_manifest(resolve(bundle)), task=task,
-                       estimator=est, metrics=specs,
+    return BenchConfig(doc=doc, bundle=locate_manifest(resolve(bundle)),
+                       task=task, estimator=est, metrics=specs,
                        folds=folds, seed=seed, output=resolve(output),
                        truth=resolve(truth), importance=importance)
 
@@ -216,13 +219,11 @@ def load_config(path) -> BenchConfig:
             raw = f.read()
     except OSError as e:
         raise IoError(f"cannot read config {path}: {e}") from e
-    sha256 = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from None
-    return config_from_doc(doc, os.path.dirname(os.path.abspath(path)),
-                           sha256)
+    return config_from_doc(doc, os.path.dirname(os.path.abspath(path)))
 
 
 def read_truth(path) -> dict:
@@ -464,9 +465,8 @@ def run_benchmark(config: BenchConfig) -> dict:
         folds = [values[spec.name] for values, _, _ in results]
         mean, std = mean_std(folds)
         metrics[spec.name] = {"folds": folds, "mean": mean, "stddev": std}
-    report = {"config": config.doc, "config_sha256": config.sha256,
-              "version": __version__, "folds": config.folds,
-              "metrics": metrics}
+    report = {"config": config.doc, "version": __version__,
+              "folds": config.folds, "metrics": metrics}
     if config.importance is not None:
         reps = [rep for _, rep, _ in results]
         report["importance"] = {

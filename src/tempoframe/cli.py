@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 
 import tempoframe  # noqa: F401  (registers all shipped plugins)
@@ -25,6 +26,7 @@ from tempoframe.bench import (
     write_truth,
 )
 from tempoframe.bundle import (
+    _NOT_NUMBER,
     locate_manifest,
     table_line,
     validate_bundle,
@@ -49,6 +51,24 @@ def _setup_logging() -> None:
         logger.addHandler(handler)
 
 
+def _integer(text: str) -> int:
+    """ASCII [+-]?[0-9]+, as an Integer field: `int()` also reads `1_0`."""
+    if re.fullmatch("[+-]?[0-9]+", text):
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _number(text: str) -> float:
+    """A number in the characters `repr` writes for one, as a truth effect
+    and a Brier horizon are: `float()` also reads `3_0` and ` 1`."""
+    try:
+        if not text.translate(_NOT_NUMBER[False]):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempoframe",
@@ -67,17 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser(
         "synth-ite",
         help="write a synthetic treatment bundle plus its true effects")
-    p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, required=True)
+    p_synth.add_argument("--n", type=_integer, required=True)
+    p_synth.add_argument("--seed", type=_integer, required=True)
     p_synth.add_argument("--out", required=True,
                          help="bundle directory to create")
     group = p_synth.add_mutually_exclusive_group()
-    group.add_argument("--tau0", type=float,
+    group.add_argument("--tau0", type=_number,
                        help="constant treatment effect (default 3.0)")
     group.add_argument("--gamma",
+                       type=lambda s: [_number(g) for g in s.split(",")],
                        help="comma-separated linear effect coefficients")
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--dim", type=int, default=2)
+    p_synth.add_argument("--noise", type=_number, default=0.0)
+    p_synth.add_argument("--dim", type=_integer, default=2)
     return parser
 
 
@@ -120,19 +141,10 @@ def _cmd_plugins(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    tau0 = args.tau0
-    gamma = None
-    if args.gamma is not None:
-        try:
-            gamma = [float(g) for g in args.gamma.split(",")]
-        except ValueError:
-            print(f"tempoframe: bad --gamma {args.gamma!r}", file=sys.stderr)
-            return 2
-    elif tau0 is None:
-        tau0 = 3.0
+    tau0 = 3.0 if args.tau0 is None and args.gamma is None else args.tau0
     try:
         truth = synth_treatment_data(args.n, args.seed, tau0=tau0,
-                                     gamma=gamma, noise=args.noise,
+                                     gamma=args.gamma, noise=args.noise,
                                      dim=args.dim)
     except TempoframeError as e:
         print(f"tempoframe: {e}", file=sys.stderr)

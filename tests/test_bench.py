@@ -146,8 +146,8 @@ def test_config_happy_path_resolves_paths(tmp_path):
     assert config.estimator.params == {"lr": 0.1, "iters": 60}
     assert config.estimator.front == ()
     assert config.folds == 2 and config.seed == 0
-    raw = (tmp_path / "config.json").read_bytes()
-    assert config.sha256 == hashlib.sha256(raw).hexdigest()
+    assert config.doc == json.loads(
+        (tmp_path / "config.json").read_text(encoding="utf-8"))
 
 
 def test_config_rejections(tmp_path):
@@ -155,7 +155,7 @@ def test_config_rejections(tmp_path):
 
     def bad(doc):
         with pytest.raises(ConfigError):
-            config_from_doc(doc, base, "0" * 64)
+            config_from_doc(doc, base)
 
     bad("not an object")
     bad(_classify_doc(surprise=1))
@@ -200,7 +200,19 @@ def test_config_rejections(tmp_path):
                  importance={"metric": f"brier@{horizon}"}))
     for horizon in ("+5.0", "5.0", "1e1"):
         config_from_doc(dict(survival_doc, metrics=[f"brier@{horizon}"]),
-                        base, "0" * 64)
+                        base)
+    # a Brier score is its horizon: two spellings of one are one metric
+    # named twice, and the refusal names both
+    for first, *rest in (["brier@5", "brier@5.0"],
+                         ["brier@5", "c_index", "brier@+5"],
+                         ["brier@1e1", "brier@10"], ["brier@0", "brier@-0"],
+                         ["c_index", "c_index"]):
+        twice = (f"config 'metrics' names one metric twice: {first!r} and "
+                 f"{rest[-1]!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(twice)}$"):
+            config_from_doc(dict(survival_doc, metrics=[first, *rest]), base)
+    config_from_doc(dict(survival_doc,
+                         metrics=["brier@5", "brier@5.5", "c_index"]), base)
 
     treatment_doc = {"bundle": "b", "task": "treatment",
                      "pipeline": [{"plugin": "treatment.t_learner"}],
@@ -240,7 +252,7 @@ def test_config_rejects_a_t_learner_seed(tmp_path):
            "metrics": ["pehe"], "cv": {"folds": 2, "seed": 0},
            "truth": "truth.csv"}
     with pytest.raises(ConfigError, match="unknown hyperparameter 'seed'"):
-        config_from_doc(doc, str(tmp_path), "0" * 64)
+        config_from_doc(doc, str(tmp_path))
 
 
 def test_config_rejects_a_negative_cox_step(tmp_path, capsys):
@@ -256,7 +268,7 @@ def test_config_rejects_a_negative_cox_step(tmp_path, capsys):
 
 def test_config_importance_defaults(tmp_path):
     doc = _classify_doc(importance={"metric": "accuracy"})
-    config = config_from_doc(doc, str(tmp_path), "0" * 64)
+    config = config_from_doc(doc, str(tmp_path))
     assert config.importance == {"metric": "accuracy", "repeats": 1,
                                  "seed": 0}
 
@@ -273,7 +285,7 @@ def test_config_refuses_importance_its_pipeline_cannot_serve(tmp_path,
     message = ("importance needs per-sample transforms; 'test.ident' does "
                "not declare derived_ids")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        config_from_doc(doc, str(tmp_path), "0" * 64)
+        config_from_doc(doc, str(tmp_path))
     write_bundle(classification_dataset(0, n=24), str(tmp_path / "bundle"))
     reads = []
     monkeypatch.setattr(bench, "read_bundle",
@@ -565,8 +577,8 @@ def test_report_text_layout_and_determinism(tmp_path):
     assert a != b or a == b  # timing may or may not coincide
 
     doc = json.loads(a)
-    assert list(doc.keys()) == ["config", "config_sha256", "version",
-                                "folds", "metrics", "timing"]
+    assert list(doc.keys()) == ["config", "version", "folds", "metrics",
+                                "timing"]
     assert doc["config"] == json.loads(
         (tmp_path / "config.json").read_text(encoding="utf-8"))
     assert a.endswith("\n") and "\r" not in a
@@ -587,8 +599,7 @@ def test_report_text_layout_and_determinism(tmp_path):
 
 def test_report_floats_are_written_by_repr():
     report = {
-        "config": {"cv": {"seed": 1}}, "config_sha256": "0" * 64,
-        "version": __version__, "folds": 2,
+        "config": {"cv": {"seed": 1}}, "version": __version__, "folds": 2,
         "metrics": {"rmse": {"folds": [0.1 + 0.2, 1.0], "mean": 2 / 3,
                              "stddev": 5e-324}},
         "timing": {"fold_seconds": [0.5, 0.25], "total_seconds": 1e20}}
@@ -1302,9 +1313,9 @@ def test_cli_synth_ite_bytes_are_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("arg,message", [
-    (("--noise", "nan"), "noise must be finite and >= 0, got nan"),
-    (("--tau0", "nan"), "tau0 and gamma must be finite: nan"),
-    (("--gamma", "1.0,inf"), "tau0 and gamma must be finite: [1.0, inf]"),
+    (("--noise", "1e400"), "noise must be finite and >= 0, got inf"),
+    (("--tau0", "1e400"), "tau0 and gamma must be finite: inf"),
+    (("--gamma", "1.0,1e400"), "tau0 and gamma must be finite: [1.0, inf]"),
 ], ids=["noise", "tau0", "gamma"])
 def test_cli_synth_ite_rejects_non_finite_parameters(tmp_path, arg, message):
     out = tmp_path / "synth"
@@ -1314,6 +1325,43 @@ def test_cli_synth_ite_rejects_non_finite_parameters(tmp_path, arg, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"tempoframe: {message}\n"
     assert not out.exists()
+
+
+# Number arguments are written in the characters `repr` writes for a
+# number, and integer arguments are ASCII [+-]?[0-9]+: `float()` and
+# `int()` alone read `3_0` as 30, and take spaces and non-ASCII digits.
+@pytest.mark.parametrize("arg", [
+    ("--tau0", "3_0"), ("--tau0", "\u0663"), ("--tau0", " 3"),
+    ("--tau0", "3E0"), ("--tau0", "nan"), ("--tau0", "inf"),
+    ("--tau0", ""), ("--tau0", "1e"), ("--gamma", "1_0,2"),
+    ("--gamma", " 1, 2"), ("--gamma", "1,,2"), ("--gamma", "1.0,inf"),
+    ("--noise", "0_5"), ("--noise", "nan"), ("--n", "1_2"),
+    ("--n", "\u0661\u0662"), ("--n", " 12"), ("--n", "12.0"), ("--n", "+"),
+    ("--seed", "0x1"), ("--seed", "1 "), ("--dim", "\u0662"),
+    ("--dim", "2_0"),
+], ids=lambda arg: f"{arg[0][2:]}={arg[1]!r}")
+def test_cli_synth_ite_refuses_numbers_outside_the_grammar(tmp_path, capsys,
+                                                           arg):
+    out = tmp_path / "synth"
+    given = dict([("--n", "12"), ("--seed", "4"), ("--dim", "2"), arg])
+    assert cli(["synth-ite", "--out", str(out),
+                *(x for kv in given.items() for x in kv)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {arg[0]}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_synth_ite_reads_numbers_in_the_grammar(tmp_path, capsys):
+    for i, (tau0, effect) in enumerate((("1.5", 1.5), ("-0.5", -0.5),
+                                        ("+2", 2.0), ("1e-3", 0.001))):
+        out = tmp_path / str(i)
+        assert cli(["synth-ite", "--n", "+8", "--seed", "-1", "--dim", "+2",
+                    "--tau0", tau0, "--noise", "1e-3", "--out",
+                    str(out)]) == 0
+        assert set(read_truth(str(out / "truth.csv")).values()) == {effect}
+    assert cli(["synth-ite", "--n", "8", "--seed", "1", "--gamma",
+                "+1,1e-3", "--out", str(tmp_path / "gamma")]) == 0
+    capsys.readouterr()
 
 
 def test_cli_usage_errors(capsys):

@@ -7,7 +7,8 @@ or README names it as a word. Tests are not callers, so a name only they
 use goes; `_KEEP_PUBLIC` lists each exception with its reason.
 Every name the benchmark in `perfbench/` imports from the library exists.
 No module imports another `tempoframe` module's private name, except the
-few `_SHARED_PRIVATE` lists, each with its reason.
+few `_SHARED_PRIVATE` lists, each with its reason. A `tempoframe run`
+loads no OpenSSL.
 
 Package `__init__` files are left out of the import check: their imports
 are the public names they re-export. An import kept for its side effect
@@ -23,8 +24,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +267,11 @@ _SHARED_PRIVATE = {
         "_float_of": "the integer range rule of `check_value`, for "
                      "Integer fields read from text",
     },
+    "cli": {
+        "_NOT_NUMBER": "the characters `repr` writes for a number, which "
+                       "a `synth-ite` number argument shares with the "
+                       "timed tables",
+    },
     "forecasting": {
         "_sigmoid": "the classifier predicts with the kernel's own "
                     "overflow-safe sigmoid, so fit and predict agree",
@@ -357,3 +367,26 @@ def test_the_metric_dispatch_holds_the_scoring_functions():
     assert metrics.resolve_metric("accuracy").score is metrics.accuracy
     for name in ("rmse", "accuracy", "concordance_index", "brier_score"):
         assert getattr(tempoframe, name) is getattr(metrics, name)
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # `hashlib` loads OpenSSL, which costs a process ~3.6 MB of resident
+    # memory and ~3.5 ms of start-up; neither the CLI nor a benchmark run
+    # needs it
+    golden = _SRC.parent.parent / "tests" / "golden"
+    doc = json.loads((golden / "config.json").read_text(encoding="utf-8"))
+    doc.update(bundle=str(golden / "bundle"),
+               output=str(tmp_path / "report.json"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    script = ("import sys\n"
+              "from tempoframe.cli import cli\n"
+              "code = cli(['run', sys.argv[1]])\n"
+              "print(code, sorted({'hashlib', '_hashlib', 'ssl'} & "
+              "set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config)], capture_output=True,
+        text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(_SRC.parent)})
+    assert (proc.stdout, proc.stderr) == ("0 []\n", "")
+    assert (tmp_path / "report.json").exists()
