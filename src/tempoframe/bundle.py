@@ -1,34 +1,35 @@
 """Bundle file format: a `manifest` JSON file plus one CSV per modality.
 
-Layout (schema "3"):
+Layout (schema "4"):
     manifest       JSON: schema_version, samples, files, features, kinds,
                    roles
-    static.csv     sample_id,<static feature ids>: one row per sample, in
-                   manifest order
+    static.csv     feature_id,values: one row per static feature, in
+                   manifest order, holding one token per manifest sample
     temporal.csv   sample_id,feature_id,times,values: one row per non-empty
                    (sample, feature) sequence, in manifest sample order,
                    then feature order
     events.csv     sample_id,feature_id,time,value: one row per event
 
-A packed `times` or `values` field holds one token per point, `repr`
-numbers separated by single spaces, with times strictly increasing. A
-Categorical temporal value is written as its 0-based index in the
-manifest's category list, since a category may hold a space; a static or
-event value is the category itself. An empty value (field or token) is
-Missing. A sequence whose two packed fields would pass `_ROW_CHARS`
-characters goes on in the next row, so no field reaches the csv module's
-field limit. Writing is deterministic: fixed field order, shortest
-round-trip float formatting, UTF-8, LF line endings, so identical datasets
-produce byte-identical bundles. A manifest of any other schema, such as
-"2" or "1", is refused.
+A packed field (`values` of a static column, `times` or `values` of a
+sequence) holds one token per sample or point, `repr` numbers separated by
+single spaces, with times strictly increasing. A Categorical token is its
+0-based index in the manifest's category list, since a category may hold
+a space; an event value is the category itself. An empty value (field or
+token) is Missing. A static column or a sequence whose packed fields
+would pass `_ROW_CHARS` characters goes on in the next row, so no field
+reaches the csv module's field limit. Writing is deterministic: fixed
+field order, shortest round-trip float formatting, UTF-8, LF line
+endings, so identical datasets produce byte-identical bundles. A manifest
+of any other schema, such as "3" (whose static table had one row per
+sample) or "2", is refused.
 
 This module holds the file grammar, and owns the violation codes of its
 table faults and the error each raises (`VIOLATION_ERRORS`). Reading and
 validation share one scan (`_scan_bundle`): the manifest check, one pass
-over each listed table (`scan_wide` for the static table,
-`scan_sequences` for a timed one) that checks each data row and places it
-in its sample's row, and the assembly of clean tables into a Dataset, so
-both fail on the same bundles.
+over each listed table (`scan_columns` for the static table,
+`scan_sequences` for a timed one) that checks each data row and places its
+values, and the assembly of clean tables into a Dataset, so both fail on
+the same bundles.
 `validate_bundle` returns every table fault; `read_bundle` raises the
 first in row order as `<path>:<line>: <detail>`, with the error type of
 its code.
@@ -42,8 +43,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
-from operator import lt
+from itertools import groupby, islice
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from tempoframe.data import (
@@ -79,7 +80,7 @@ from tempoframe.errors import (
     UnknownSample,
 )
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 MANIFEST_NAME = "manifest"
 
 # Modality -> (table file name, the container it is read into), in the
@@ -89,13 +90,15 @@ _TABLES = {
     Modality.TEMPORAL: ("temporal.csv", TimeSeriesSamples),
     Modality.EVENT: ("events.csv", EventSamples),
 }
-# Modality -> header of its timed table.
-_TIMED_HEADERS = {
+# Modality -> header of its table.
+_HEADERS = {
+    Modality.STATIC: ["feature_id", "values"],
     Modality.TEMPORAL: ["sample_id", "feature_id", "times", "values"],
     Modality.EVENT: ["sample_id", "feature_id", "time", "value"],
 }
-# The packed characters of one temporal row, times and values together:
-# half of `csv.field_size_limit()`'s default, which the reader keeps.
+# The packed characters of one row, a temporal row's times and values
+# together: half of `csv.field_size_limit()`'s default, which the reader
+# keeps.
 _ROW_CHARS = 65536
 
 
@@ -122,8 +125,9 @@ VIOLATION_ERRORS = {
 
 class Scan(NamedTuple):
     cells: list       # per manifest sample, one cell per feature (manifest
-                      # order); then a row per sample outside the manifest
-    violations: list  # Violation per rejected row, in row order
+                      # order); a timed table adds a row per sample
+                      # outside the manifest
+    violations: list  # Violation per rejected row or column, in row order
 
 
 @dataclass(frozen=True)
@@ -215,33 +219,32 @@ def _clean_column(kind: ValueKind, column) -> bool:
         return False
 
 
-def _table_rows(modality: Modality, container):
-    """The header and data rows of a container's table, as written, once
-    each cell or point is checked as `read_bundle` reads it back; else
-    KindMismatch naming the sample, feature (and point).
+def _token_writer(kind: ValueKind):
+    """The packed token of a stored value that is not Missing: a
+    category's index, or a number's shortest round-trip repr."""
+    if isinstance(kind, Categorical):
+        return {c: str(i) for i, c in enumerate(kind.categories)}.__getitem__
+    return repr
 
-    Each time and value is written in the form `check_time` or
-    `check_value` returns: csv.writer writes None (a Missing value) as an
-    empty field and a float by its shortest round-trip repr; a packed
-    field joins the same tokens, a category by its index. Static cells
-    are checked column by column (a column `_clean_column` doubts, cell
-    by cell, and then written as checked) and their rows come as the
-    writer reads them; timed rows are all built here."""
-    if modality is Modality.STATIC:
-        rows, checked = container.values, {}
-        for j, ((fid, kind), column) in enumerate(zip(container.features,
-                                                      zip(*rows))):
-            if not _clean_column(kind, column):
-                checked[j] = [check_value(kind, v,
-                                          f"sample {sid!r}, feature {fid!r}")
-                              for sid, v in zip(container.sample_ids, column)]
-        if checked:
-            rows = zip(*[checked.get(j, column)
-                         for j, column in enumerate(zip(*rows))])
-        return chain([["sample_id", *container.feature_ids]],
-                     ([sid, *[None if v is MISSING else v for v in row]]
-                      for sid, row in zip(container.sample_ids, rows)))
-    return [_TIMED_HEADERS[modality], *_timed_rows(modality, container)]
+
+def _static_rows(container):
+    """The data rows of a static container, one column each: its cells
+    checked column by column (a column `_clean_column` doubts, cell by
+    cell, and then written as checked) and packed, `_ROW_CHARS`
+    characters at most to a row. No samples, no rows."""
+    for (fid, kind), column in zip(container.features,
+                                   zip(*container.values)):
+        if not _clean_column(kind, column):
+            column = [check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
+                      for sid, v in zip(container.sample_ids, column)]
+        write = _token_writer(kind)
+        text = " ".join(["" if v is MISSING else write(v) for v in column])
+        start = 0
+        while len(text) - start > _ROW_CHARS:
+            cut = text.rfind(" ", start, start + _ROW_CHARS + 1)
+            yield [fid, text[start:cut]]
+            start = cut + 1
+        yield [fid, text[start:]]
 
 
 def _timed_rows(modality: Modality, container):
@@ -251,9 +254,7 @@ def _timed_rows(modality: Modality, container):
     and a value `check_value` takes, written as they return it. The
     location of a point is built only when it raises."""
     packed = modality is Modality.TEMPORAL
-    index = {fid: {c: str(i) for i, c in enumerate(kind.categories)}
-             for fid, kind in container.features
-             if packed and isinstance(kind, Categorical)}
+    writers = {fid: _token_writer(kind) for fid, kind in container.features}
     for sid, row in zip(container.sample_ids,
                         container.series if packed else container.entries):
         for (fid, kind), seq in zip(container.features, row):
@@ -264,7 +265,7 @@ def _timed_rows(modality: Modality, container):
                 raise KindMismatch(f"sample {sid!r}, feature {fid!r}: "
                                    f"{len(times)} times but {len(values)} "
                                    "values")
-            codes = index.get(fid)
+            write = writers[fid]
             ts, vs, size = [], [], 0
             prev = -math.inf
             for k, (t, v) in enumerate(zip(times, values)):
@@ -281,7 +282,7 @@ def _timed_rows(modality: Modality, container):
                     yield [sid, fid, prev, None if v is MISSING else v]
                     continue
                 tt = repr(prev)
-                vt = "" if v is MISSING else codes[v] if codes else repr(v)
+                vt = "" if v is MISSING else write(v)
                 size += len(tt) + len(vt) + 2
                 if size > _ROW_CHARS and ts:
                     yield [sid, fid, " ".join(ts), " ".join(vs)]
@@ -297,25 +298,38 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
 
     Before any file is opened, every sample and feature id is checked
     with `_check_id` (a category is checked by `Categorical` itself) and
-    each table's rows are built by `_table_rows`, so a directly built
-    container whose ids, cells or points `read_bundle` would refuse raises
-    `KindMismatch` and writes nothing."""
+    each table's rows are built, with each cell or point checked as
+    `read_bundle` reads it back, so a directly built container whose ids,
+    cells or points it would refuse raises `KindMismatch` (naming the
+    sample, feature and point) and writes nothing. A value goes out in
+    the form `check_time` or `check_value` returns it: csv.writer writes
+    None (a Missing event value) as an empty field and a float by repr."""
     manifest = manifest_for(ds)
     for sid in manifest.samples:
         _check_id(sid, "sample_id")
     for fid in manifest.kinds:
         _check_id(fid, "feature_id")
-    tables = [(_TABLES[modality][0], _table_rows(modality, container))
-              for modality, container in ds.containers()]
+    tables = [(modality, [_HEADERS[modality], *(
+        _static_rows(container) if modality is Modality.STATIC
+        else _timed_rows(modality, container))])
+        for modality, container in ds.containers()]
     try:
         os.makedirs(dir_path, exist_ok=True)
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
-        for name, rows in tables:
-            with open(os.path.join(dir_path, name), "w", encoding="utf-8",
-                      newline="") as f:
-                csv.writer(f, lineterminator="\n").writerows(rows)
+        for modality, rows in tables:
+            with open(os.path.join(dir_path, _TABLES[modality][0]), "w",
+                      encoding="utf-8", newline="") as f:
+                if modality is not Modality.STATIC:
+                    csv.writer(f, lineterminator="\n").writerows(rows)
+                    continue
+                # csv quotes a feature id as it must; a static values
+                # field holds no character csv quotes, so it goes as is
+                ids = csv.writer(f, lineterminator="")
+                for fid, values in rows:
+                    ids.writerow([fid, ""])
+                    f.write(values + "\n")
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
@@ -324,6 +338,13 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
 # ---------------------------------------------------------------------------
 # Table grammar
 # ---------------------------------------------------------------------------
+
+# The characters `repr` writes for a finite number; a packed number field
+# also holds the spaces between its tokens. `str.translate` deletes them.
+_NUMBER_CHARS = "0123456789.e+-"
+_NOT_NUMBER = {False: str.maketrans("", "", _NUMBER_CHARS),
+               True: str.maketrans("", "", _NUMBER_CHARS + " ")}
+
 
 def _parse_time(s: str) -> float:
     """A time token as a finite float, or ParseError."""
@@ -343,6 +364,8 @@ def _parse_value(kind: ValueKind, s: str):
         return MISSING
     if isinstance(kind, Continuous):
         try:
+            if s.translate(_NOT_NUMBER[False]):  # float() reads "2_5", "nan"
+                raise ValueError
             v = float(s)
         except ValueError:
             raise KindMismatch(f"{s!r} is not a real number") from None
@@ -395,13 +418,6 @@ class _RowFault(Exception):
     detail."""
 
 
-# The characters `repr` writes for a finite number; a packed number field
-# also holds the spaces between its tokens. `str.translate` deletes them.
-_NUMBER_CHARS = "0123456789.e+-"
-_NOT_NUMBER = {False: str.maketrans("", "", _NUMBER_CHARS),
-               True: str.maketrans("", "", _NUMBER_CHARS + " ")}
-
-
 def _check_number_field(field: str, packed: bool, code: str, name: str):
     """Refuse a number field that holds a character `repr` does not write
     for a finite number, or a space outside a `packed` field; checked once
@@ -412,55 +428,74 @@ def _check_number_field(field: str, packed: bool, code: str, name: str):
         raise _RowFault(code, f"{name} field holds {odd[0]!r}")
 
 
-def scan_wide(rows, kinds: dict, pin) -> Scan:
-    """Check, convert and place the data rows of a wide static table in
-    one pass.
+def scan_columns(rows, kinds: dict, pin) -> Scan:
+    """Check, convert and place the data rows of a static table, one
+    column at a time.
 
-    Each row is a sample id, then one text field per feature of `kinds`,
-    in its order, read by `_parse_value` (an empty field is Missing). A
-    row that breaks a rule is left out and gives one Violation, with its
-    1-based row, for the first rule it breaks: its field count, the first
-    field its feature's kind refuses (the detail names the feature), a
-    repeat of an earlier row's sample (`duplicate_cell`), or a sample
-    outside `pin`, which still gets a row after the pinned ones. A pinned
-    sample no row names gets a row of Missing.
+    Adjacent rows that name one feature of `kinds` hold its column: their
+    values fields, joined by a space, hold one token per sample of `pin`,
+    in its order (an empty token is Missing, a category its index). A
+    column that breaks a rule is left out and gives one Violation, for the
+    first rule it breaks: the field count of a row (`arity`), its feature,
+    a feature whose column came before (`duplicate_cell`), its token count
+    (`arity`), or a token its kind refuses (`kind_mismatch`, naming the
+    sample and the feature). A feature no row names is Missing throughout.
+    The cells come back per sample, by one `zip` of the columns.
     """
-    fids = tuple(kinds)
-    kind_list = tuple(kinds.values())
-    width = len(fids) + 1
-    samples = {s: i for i, s in enumerate(pin)}
-    pinned = len(samples)
-    blank = [MISSING] * len(fids)  # the row of a sample no data row filled
-    cells = [blank] * pinned
-    bad = []
-    for row, rec in enumerate(rows, 1):
-        if len(rec) != width:
-            bad.append(Violation(row, "arity", f"expected {width} fields, "
-                                               f"got {len(rec)}"))
-            continue
-        sid = rec[0]
-        values = []
-        try:
-            for kind, s in zip(kind_list, rec[1:]):
-                values.append(_parse_value(kind, s))
-        except KindMismatch as e:
-            bad.append(Violation(row, "kind_mismatch",
-                                 f"feature {fids[len(values)]!r}: {e}"))
-            continue
-        i = samples.get(sid)
-        if i is None:
-            i = samples[sid] = len(cells)
-            cells.append(values)
-        elif cells[i] is blank:
-            cells[i] = values
+    columns, bad, row = {}, [], 0
+    for key, group in groupby(rows, itemgetter(slice(1))):
+        group = list(group)
+        got = _column(group, row + 1, key, kinds, columns, pin)
+        row += len(group)
+        if isinstance(got, Violation):
+            bad.append(got)
         else:
-            bad.append(Violation(row, "duplicate_cell",
-                                 f"duplicate row for sample {sid!r}"))
-            continue
-        if i >= pinned:
-            bad.append(Violation(row, "unknown_sample",
-                                 f"sample {sid!r} is not in the sample list"))
-    return Scan(cells, bad)
+            columns[key[0]] = got
+    blank = [MISSING] * len(pin)
+    columns = [columns.get(fid, blank) for fid in kinds]
+    return Scan(list(zip(*columns)) if columns else [()] * len(pin), bad)
+
+
+def _column(group: list, row: int, key: list, kinds: dict, done: dict, pin):
+    """The values of one feature's column from its rows, the first of them
+    data row `row`, or the Violation of the first rule they break. Each
+    field is checked and converted whole; only one that fails is walked
+    token by token."""
+    for at, rec in enumerate(group, row):
+        if len(rec) != 2:
+            return Violation(at, "arity", f"expected 2 fields, got {len(rec)}")
+    fid = key[0]
+    if fid not in kinds:
+        return Violation(row, "unknown_feature",
+                         f"feature {fid!r} has no declared kind")
+    if fid in done:
+        return Violation(row, "duplicate_cell",
+                         f"duplicate rows for feature {fid!r}")
+    kind = kinds[fid]
+    field = " ".join([rec[1] for rec in group])
+    tokens = field.split(" ")
+    if len(tokens) != len(pin):
+        return Violation(row, "arity", f"feature {fid!r}: expected "
+                                       f"{len(pin)} values, one per sample, "
+                                       f"got {len(tokens)}")
+    read = _token_reader(kind, True)
+    try:
+        if not isinstance(kind, Categorical):
+            _check_number_field(field, True, "kind_mismatch", "values")
+        if isinstance(kind, Continuous):
+            return _reals(tokens)
+        return list(map(read, tokens))
+    except (_RowFault, ValueError, KindMismatch):
+        pass
+    samples = iter(pin)
+    for at, rec in enumerate(group, row):
+        for s, sid in zip(rec[1].split(" "), samples):
+            try:
+                read(s)
+            except KindMismatch as e:
+                return Violation(at, "kind_mismatch",
+                                 f"sample {sid!r}, feature {fid!r}: {e}")
+    raise AssertionError("the fast path refused a column with no fault")
 
 
 def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
@@ -468,9 +503,9 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
 
     Each row is a sample id, a feature of `kinds`, a times field and a
     values field: packed tokens in `temporal.csv` (a category by its
-    index), one token in `events.csv` (a category by itself). As in
-    `scan_wide`, a row that breaks a rule is left out and gives one
-    Violation, for the first rule it breaks: its field count, its
+    index), one token in `events.csv` (a category by itself). A row that
+    breaks a rule is left out and gives one Violation, with its 1-based
+    row, for the first rule it breaks: its field count, its
     feature, an empty times field (`missing_time`), a number field outside
     `_check_number_field`, unequal token counts (`arity`), a second row of
     a (sample, feature) that is not a temporal row right after the first
@@ -690,12 +725,11 @@ def _scanned_tables(manifest: BundleManifest, manifest_path):
         path = os.path.join(base, name)
         kinds = {fid: manifest.kinds[fid]
                  for fid in manifest.features[modality.value]}
+        rows = _read_table(path, _HEADERS[modality])
         if modality is Modality.STATIC:
-            scan = scan_wide(_read_table(path, ["sample_id", *kinds]), kinds,
-                             manifest.samples)
+            scan = scan_columns(rows, kinds, manifest.samples)
         else:
-            scan = scan_sequences(_read_table(path, _TIMED_HEADERS[modality]),
-                                  modality, kinds, manifest.samples)
+            scan = scan_sequences(rows, modality, kinds, manifest.samples)
         yield modality, name, path, kinds, scan
 
 

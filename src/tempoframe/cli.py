@@ -159,11 +159,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _join_number_options(argv) -> list:
+    """`argv` with each `--tau0 X`, `--gamma X` and `--noise X` written as
+    `--tau0=X`: argparse takes a separate X that starts with "-" for an
+    option, unless it reads as -1 or -0.5 (not -1e-3 or -1,2)."""
+    out, args = [], iter(argv)
+    for arg in args:
+        value = (next(args, None) if arg in ("--tau0", "--gamma", "--noise")
+                 else None)
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def cli(argv) -> int:
     _setup_logging()
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_number_options(argv))
     except SystemExit as e:
         return int(e.code or 0)
     if args.command == "run":

@@ -662,12 +662,12 @@ def test_cli_validate(tmp_path, capsys):
 
     static = bundle / "static.csv"
     rows = static.read_text(encoding="utf-8").splitlines()
-    rows.insert(2, rows[1])  # duplicate sample row
+    rows.append(rows[1])  # a second column of the first feature
     static.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli(["validate", str(bundle)]) == 1
     out = capsys.readouterr().out
-    assert out == "static.csv:3: duplicate_cell: duplicate row for sample " \
-        "'s000'\n"
+    assert out == "static.csv:5: duplicate_cell: duplicate rows for " \
+        "feature 'x1'\n"
 
     assert cli(["validate", str(tmp_path / "nope")]) == 2
 
@@ -1161,16 +1161,17 @@ def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
     write_bundle(ds, str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[1] == "s00,0.0,0,0"
-    lines[1] = "s00,0.0,1" + "0" * 400 + ",0"
+    assert lines[2] == "k,0 1 2 0 1 2 0 1 2 0 1 2"
+    lines[2] = "k,1" + "0" * 400 + " 1 2 0 1 2 0 1 2 0 1 2"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == ("static.csv:2: kind_mismatch: feature 'k': "
-                           "integer beyond float range\n")
+    assert proc.stdout == ("static.csv:3: kind_mismatch: sample 's00', "
+                           "feature 'k': integer beyond float range\n")
     _assert_clean_exit_1(
         _cli_proc("run", _write_config(tmp_path, _classify_doc())),
-        "static.csv:2: feature 'k': integer beyond float range")
+        "static.csv:3: sample 's00', feature 'k': integer beyond float "
+        "range")
 
 
 @pytest.mark.parametrize("field", [
@@ -1182,23 +1183,23 @@ def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
     write_bundle(classification_dataset(0, n=6), str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    head, y = lines[1].rsplit(",", 1)
-    assert (lines[0], y) == ("sample_id,x1,x2,y", "0")
-    lines[1] = f"{head},{field}"
+    assert lines[3] == "y,0 1 0 0 0 1"
+    rest = " 1 0 0 0 1"  # the first sample's token is edited
+    lines[3] = f"y,{field}{rest}"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert proc.stdout == ("static.csv:2: kind_mismatch: feature 'y': "
-                           "integer beyond float range\n")
-    lines[1] = f"{head},1" + "0" * 4400 + "x"
+    assert proc.stdout == ("static.csv:4: kind_mismatch: sample 's000', "
+                           "feature 'y': integer beyond float range\n")
+    lines[3] = "y,1" + "0" * 4400 + "x" + rest
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert proc.returncode == 1
-    assert proc.stdout.startswith("static.csv:2: kind_mismatch: feature "
-                                  "'y': '100")
+    assert proc.stdout.startswith("static.csv:4: kind_mismatch: sample "
+                                  "'s000', feature 'y': '100")
     assert proc.stdout.endswith("0x' is not an integer\n")
     # leading zeros do not count toward the value: the field reads as 1
-    lines[1] = f"{head},+" + "0" * 4400 + "1"
+    lines[3] = "y,+" + "0" * 4400 + "1" + rest
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert _cli_proc("validate", str(bundle)).returncode == 0
     assert read_bundle(str(bundle / "manifest")).static.cell(
@@ -1211,16 +1212,25 @@ def test_cli_validate_lists_integer_fields_that_are_not_ascii_decimals(
     write_bundle(classification_dataset(0, n=6), str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    for k, field in enumerate(("0_1", " 7 ", "\u0663"), 1):
-        lines[k] = f"{lines[k].rsplit(',', 1)[0]},{field}"
+    assert lines[3] == "y,0 1 0 0 0 1"
+    # three Integer columns, each with one token int() reads
+    lines[1:] = ["y,0 1 0_1 0 0 1", "x1,1 0 \u0663 0 0 1",
+                 "x2,1 0 0 +-1 0 1"]
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = bundle / "manifest"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["features"]["static"] = ["y", "x1", "x2"]
+    doc["kinds"].update(x1={"kind": "integer"}, x2={"kind": "integer"})
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == (
-        "static.csv:2: kind_mismatch: feature 'y': '0_1' is not an integer\n"
-        "static.csv:3: kind_mismatch: feature 'y': ' 7 ' is not an integer\n"
-        "static.csv:4: kind_mismatch: feature 'y': '\u0663' is not an "
-        "integer\n")
+        "static.csv:2: kind_mismatch: sample 's002', feature 'y': '0_1' is "
+        "not an integer\n"
+        "static.csv:3: kind_mismatch: sample 's002', feature 'x1': "
+        "'\u0663' is not an integer\n"
+        "static.csv:4: kind_mismatch: sample 's003', feature 'x2': '+-1' "
+        "is not an integer\n")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -1289,13 +1299,13 @@ def test_cli_synth_ite(tmp_path, capsys):
 
 # sha256 of the files of one small `synth-ite` call, recorded from the
 # generator that built its grid from long-form records; the bundle files
-# were re-recorded at schema "2" from a bundle that reads to the same
-# dataset as the schema "1" one.
+# were re-recorded at schema "2", and again at schema "4", each from a
+# bundle that reads to the same dataset as the one before.
 _SYNTH_ITE_SHA256 = {
     "manifest":
-        "fe14a139b2f6ae4124ef9d9c401df0a15f84e8211615f6f94001421d972024b5",
+        "6890f755d33debddc0de1ce68bebb7d605d5152b08103ca350ae3e7f6d5a5868",
     "static.csv":
-        "d9af88cc036a6bf56820edbdb96ffcf0bfe8668880ec02bccaf3550c2072bb34",
+        "e12ce53d7c324fdc96b47ee68c5e3880f49b91f265582ca5bf979170ee96091f",
     "truth.csv":
         "1c16575fa3b9e7964f83f578f956cd9a6952b4bbf681db9f8262826ab644587f",
 }
@@ -1362,6 +1372,34 @@ def test_cli_synth_ite_reads_numbers_in_the_grammar(tmp_path, capsys):
     assert cli(["synth-ite", "--n", "8", "--seed", "1", "--gamma",
                 "+1,1e-3", "--out", str(tmp_path / "gamma")]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--tau0", "-1e-3"), ("--tau0", "-2"), ("--gamma", "-1,2"),
+    ("--gamma", "1.0,-0.5"), ("--noise", "0.25"), ("--noise", "-1e-3"),
+])
+def test_cli_synth_ite_reads_a_negative_number_as_a_value(tmp_path, capsys,
+                                                          option, value):
+    # argparse reads "-1e-3" or "-1,2" after an option as an option of its
+    # own; `--opt value` must write what `--opt=value` writes
+    outcomes = []
+    for name, spelling in (("apart", [option, value]),
+                           ("joined", [f"{option}={value}"])):
+        out = tmp_path / name
+        code = cli(["synth-ite", "--n", "8", "--seed", "3", "--dim", "2",
+                    *spelling, "--out", str(out)])
+        outcomes.append((code, capsys.readouterr().err,
+                         _bundle_bytes(out) if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    if value == "-1e-3" and option == "--noise":
+        assert outcomes[0][:2] == (
+            2, "tempoframe: noise must be finite and >= 0, got -0.001\n")
+    else:
+        assert outcomes[0][:2] == (0, "")
+
+
+def _bundle_bytes(path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
 def test_cli_usage_errors(capsys):
@@ -1478,7 +1516,7 @@ def test_golden_check_script(tmp_path):
     fitted.write_bytes(fitted.read_bytes().replace(b"0", b"1", 1))
     static = copy / "bundle" / "static.csv"
     static.write_bytes(static.read_bytes().replace(
-        b"s000,62.729213065756305", b"s000,62.7292130657563050", 1))
+        b"age,62.729213065756305 ", b"age,62.7292130657563050 ", 1))
     proc = _check_goldens(str(copy))
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()

@@ -45,6 +45,7 @@ from tempoframe.errors import (
     ManifestError,
     ParseError,
     RoleConflict,
+    TempoframeError,
     UnknownSample,
 )
 
@@ -178,21 +179,108 @@ def test_round_trip_of_edge_case_ids_and_values(tmp_path):
             (tmp_path / "two" / name).read_bytes()
 
 
-def test_wide_static_table_is_pinned(tmp_path):
+def _static_column(kind, column):
+    ids = [f"s{i}" for i in range(len(column))]
+    return assemble_dataset(
+        static=StaticSamples(tuple(ids), (("f", kind),),
+                             tuple((v,) for v in column)),
+        roles=RoleMap.of(covariates=("f",)))
+
+
+@pytest.mark.parametrize("kind,column", [
+    (Continuous(), [k / 7 + 1e-3 for k in range(4000)]),
+    (Continuous(), [MISSING] * 5),
+    (Categorical(("a b", "c,d", 'e"f', "g")),
+     ["a b", MISSING, "c,d", 'e"f', "a b", "g"]),
+    (Integer(), [2 ** 53, -2 ** 53, MISSING, 0]),
+], ids=["long", "all-missing", "categories-to-quote", "integer-2**53"])
+def test_a_static_column_round_trips(tmp_path, kind, column):
+    ds = _static_column(kind, column)
+    write_bundle(ds, tmp_path / "one")
+    with open(tmp_path / "one" / "static.csv", encoding="utf-8",
+              newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert {r[0] for r in rows} == {"f"}
+    assert all(len(r[1]) <= 65536 for r in rows)
+    # a column past 65,536 characters goes on in a second row
+    assert len(rows) == (2 if len(column) == 4000 else 1)
+    assert read_bundle(tmp_path / "one" / MANIFEST_NAME) == ds
+    assert validate_bundle(tmp_path / "one" / MANIFEST_NAME) == []
+    write_bundle(read_bundle(tmp_path / "one" / MANIFEST_NAME),
+                 tmp_path / "two")
+    assert _bundle_bytes(tmp_path / "two") == _bundle_bytes(tmp_path / "one")
+
+
+def test_a_static_table_of_no_samples_or_no_features_round_trips(tmp_path):
+    for name, ds in (("no-samples", _static_column(Continuous(), [])),
+                     ("no-features", assemble_dataset(
+                         static=StaticSamples(("a", "b"), (), ((), ())),
+                         temporal=build_time_series_samples(
+                             [("a", "t", 0.0, 1.0)], {"t": Continuous()},
+                             sample_ids=["a", "b"]),
+                         roles=RoleMap.of(covariates=("t",))))):
+        write_bundle(ds, tmp_path / name)
+        assert (tmp_path / name / "static.csv").read_text(
+            encoding="utf-8") == "feature_id,values\n"
+        assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
+
+
+# A static field and a temporal values field of one token read the same
+# spellings: the characters `repr` writes for a finite number.
+_SPELLINGS = [
+    ("2_5.0", None), (" 1.5 ", None), ("\u0661.\u0665", None),
+    ("nan", None), ("inf", None), ("1e400", None), ("+2.50", 2.5),
+    ("-0.0", -0.0), ("1.5", 1.5),
+]
+
+
+@pytest.mark.parametrize("spelling,value", _SPELLINGS,
+                         ids=[s for s, _ in _SPELLINGS])
+@pytest.mark.parametrize("table", ["static.csv", "temporal.csv"])
+def test_static_and_temporal_fields_share_the_number_grammar(
+        tmp_path, table, spelling, value):
+    ds = assemble_dataset(
+        static=build_static_samples([("s0", "x", 1.0)], {"x": Continuous()}),
+        temporal=build_time_series_samples([("s0", "f", 0.0, 1.0)],
+                                           {"f": Continuous()}),
+        roles=RoleMap.of(covariates=("x", "f")))
+    path = tmp_path / "b"
+    write_bundle(ds, path)
+    line = {"static.csv": "x,{}", "temporal.csv": "s0,f,0.0,{}"}[table]
+    (path / table).write_text(
+        (path / table).read_text(encoding="utf-8").replace(
+            line.format("1.0"), line.format(spelling)), encoding="utf-8")
+    found = validate_bundle(path / MANIFEST_NAME)
+    if value is None:
+        assert [v.code for _, v in found] in (["kind_mismatch"], ["arity"])
+        with pytest.raises(TempoframeError):
+            read_bundle(path / MANIFEST_NAME)
+        return
+    assert found == []
+    loaded = read_bundle(path / MANIFEST_NAME)
+    got = (loaded.static.cell("s0", "x") if table == "static.csv"
+           else loaded.temporal.sequence("s0", "f")[1][0])
+    assert (got, math.copysign(1, got)) == (value, math.copysign(1, value))
+
+
+def test_packed_static_table_is_pinned(tmp_path):
+    # one row per feature, in manifest order, and one token per sample, in
+    # manifest order; a Categorical value is its index, an empty token
+    # Missing; only a feature id is ever quoted
     kinds = {"x": Continuous(), "k": Integer(),
-             "c": Categorical(("lo", "hi"))}
+             'c,"d"': Categorical(("lo", "hi"))}
     static = build_static_samples(
-        [("s0", "x", 1.5), ("s0", "k", -3), ("s0", "c", "hi"),
-         ('s"q', "c", "lo"), ('s"q', "k", 7), ('s"q', "x", 1e-300)],
+        [("s0", "x", 1.5), ("s0", "k", -3), ("s0", 'c,"d"', "hi"),
+         ('s"q', 'c,"d"', "lo"), ('s"q', "k", 7), ('s"q', "x", 1e-300)],
         kinds, sample_ids=["s0", "a,b", 's"q'])
     ds = assemble_dataset(static=static,
-                          roles=RoleMap.of(covariates=("x", "k", "c")))
+                          roles=RoleMap.of(covariates=("x", "k", 'c,"d"')))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_bytes() == (
-        b'sample_id,x,k,c\n'
-        b's0,1.5,-3,hi\n'
-        b'"a,b",,,\n'
-        b'"s""q",1e-300,7,lo\n')
+        b'feature_id,values\n'
+        b'x,1.5  1e-300\n'
+        b'k,-3  7\n'
+        b'"c,""d""",1  0\n')
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
@@ -368,7 +456,7 @@ def test_write_bundle_takes_a_static_column_checked_cell_by_cell(tmp_path):
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("f",)))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_text(encoding="utf-8") == \
-        "sample_id,f\na,1.0\nb,-2.0\n"
+        "feature_id,values\nf,1.0 -2.0\n"
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
@@ -412,7 +500,7 @@ def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
         tables = {f: (tmp_path / name / f).read_text(encoding="utf-8")
                   for f in ("static.csv", "temporal.csv", "events.csv")}
         assert tables == {
-            "static.csv": "sample_id,x\na,1\nb,2\n",
+            "static.csv": "feature_id,values\nx,1 2\n",
             "temporal.csv": "sample_id,feature_id,times,values\n"
                             "a,f,0.0,1\nb,f,1.0,2\n",
             "events.csv": "sample_id,feature_id,time,value\n"
@@ -430,7 +518,7 @@ def test_manifest_shape(tmp_path):
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert list(doc) == ["schema_version", "samples", "files", "features",
                          "kinds", "roles"]
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
     assert doc["samples"] == list(ds.sample_ids)
     for modality, container in ds.containers():
         assert doc["features"][modality.value] == list(container.feature_ids)
@@ -445,7 +533,7 @@ def test_empty_value_field_means_missing(tmp_path):
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("x",)))
     write_bundle(ds, tmp_path / "b")
     text = (tmp_path / "b" / "static.csv").read_text(encoding="utf-8")
-    assert text == "sample_id,x\na,1.5\nb,\n"
+    assert text == "feature_id,values\nx,1.5 \n"
     loaded = read_bundle(tmp_path / "b" / MANIFEST_NAME)
     assert loaded.static.cell("b", "x") is MISSING
 
@@ -557,16 +645,16 @@ def _small_bundle(tmp_path):
 
 
 # code, table, data row to append, or (row number, replacement), error
-# type; more faults of the wide static.csv are in _WIDE_ROW_FAULTS. The
-# packed temporal.csv of `_small_bundle`:
+# type; more faults of the packed static.csv are in _STATIC_COLUMN_FAULTS.
+# The packed temporal.csv of `_small_bundle`:
 #   sample_id,feature_id,times,values / s0,f,0.0 1.0,1.0 2.0 / s1,f,0.5,3.0
 _ONE_ROW_FAULTS = [
-    ("arity", "static.csv", "s1,x", ParseError),
+    ("arity", "static.csv", "x", ParseError),
     ("missing_time", "temporal.csv", "s1,f,,4.0", ParseError),
     ("bad_time", "events.csv", (2, "s1,e,soon,"), ParseError),
     ("bad_time", "temporal.csv", "s1,f,inf,4.0", ParseError),
     ("unknown_feature", "temporal.csv", "s1,ghost,0.0,1.0", KindMismatch),
-    ("kind_mismatch", "static.csv", (2, "s1,abc,"), KindMismatch),
+    ("kind_mismatch", "static.csv", (2, "c,0 5"), KindMismatch),
     ("kind_mismatch", "events.csv", (1, "s0,e,4.0,1.5"), KindMismatch),
     ("unknown_sample", "temporal.csv", "ghost,f,0.0,1.0", UnknownSample),
     # a repeat of (s0, f) that does not follow its row
@@ -645,41 +733,70 @@ def test_a_temporal_category_token_is_its_index(tmp_path, token, detail):
                           KindMismatch) == detail
 
 
-# the wide static.csv of `_small_bundle`:
-#   sample_id,x,c / s0,1.5,a / s1,2.5,
-_WIDE_ROW_FAULTS = [
-    ("arity", "s1,2.5", ParseError, "expected 3 fields, got 2"),
-    ("arity", (1, "s0,1.5,a,"), ParseError, "expected 3 fields, got 4"),
-    ("kind_mismatch", (2, "s1,2.5,z"), KindMismatch,
-     "feature 'c': 'z' not in categories ['a', 'b']"),
-    ("kind_mismatch", (1, "s0,1e999,z"), KindMismatch,
-     "feature 'x': non-finite value '1e999'"),
-    ("unknown_sample", "ghost,1.0,b", UnknownSample,
-     "sample 'ghost' is not in the sample list"),
-    ("duplicate_cell", "s0,9.0,", DuplicateCell,
-     "duplicate row for sample 's0'"),
+# the packed static.csv of `_small_bundle`:
+#   feature_id,values / x,1.5 2.5 / c,0 (the category 'a', then Missing)
+# A fault of a column's token count, feature or repeat is reported at its
+# first row.
+_STATIC_COLUMN_FAULTS = [
+    ("arity", (1, "x,1.5 2.5,"), ParseError, "expected 2 fields, got 3"),
+    ("arity", (1, "x,1.5"), ParseError,
+     "feature 'x': expected 2 values, one per sample, got 1"),
+    ("arity", (1, "x,1.5 2.5 3.5"), ParseError,
+     "feature 'x': expected 2 values, one per sample, got 3"),
+    ("arity", (1, "x,1.5\nx,2.5 3.5"), ParseError,
+     "feature 'x': expected 2 values, one per sample, got 3"),
+    ("unknown_feature", "ghost,1 2", KindMismatch,
+     "feature 'ghost' has no declared kind"),
+    ("duplicate_cell", "x,1.5 2.5", DuplicateCell,
+     "duplicate rows for feature 'x'"),
+    ("kind_mismatch", (1, "x,1.5 abc"), KindMismatch,
+     "sample 's1', feature 'x': 'abc' is not a real number"),
+    ("kind_mismatch", (1, "x,1e999 2.5"), KindMismatch,
+     "sample 's0', feature 'x': non-finite value '1e999'"),
+    ("kind_mismatch", (2, "c,0 z"), KindMismatch,
+     "sample 's1', feature 'c': 'z' is not a category index below 2"),
 ]
 
 
-@pytest.mark.parametrize("code,edit,error,detail", _WIDE_ROW_FAULTS)
-def test_read_and_validate_agree_on_a_wide_row_fault(tmp_path, code, edit,
-                                                      error, detail):
+@pytest.mark.parametrize("code,edit,error,detail", _STATIC_COLUMN_FAULTS)
+def test_read_and_validate_agree_on_a_static_column_fault(tmp_path, code,
+                                                          edit, error,
+                                                          detail):
     path = _small_bundle(tmp_path)
     assert (path / "static.csv").read_text(encoding="utf-8") == \
-        "sample_id,x,c\ns0,1.5,a\ns1,2.5,\n"
+        "feature_id,values\nx,1.5 2.5\nc,0 \n"
     assert _one_row_fault(path, code, "static.csv", edit, error) == detail
+
+
+def test_a_static_token_fault_names_its_row_in_a_continued_column(
+        tmp_path):
+    # a column that goes on over two rows: the bad token is in the second
+    path = _small_bundle(tmp_path)
+    static = path / "static.csv"
+    static.write_text("feature_id,values\nx,1.5\nx,2_5\nc,0 \n",
+                      encoding="utf-8")
+    detail = "sample 's1', feature 'x': '2_5' is not a real number"
+    assert [(name, v.row, v.code, v.detail)
+            for name, v in validate_bundle(path / MANIFEST_NAME)] == \
+        [("static.csv", 2, "kind_mismatch", detail)]
+    with pytest.raises(KindMismatch) as err:
+        read_bundle(path / MANIFEST_NAME)
+    assert str(err.value) == f"{static}:3: {detail}"
+    static.write_text("feature_id,values\nx,1.5\nx,2.5\nc,0 \n",
+                      encoding="utf-8")
+    assert read_bundle(path / MANIFEST_NAME).static.column("x") == (1.5, 2.5)
 
 
 def test_a_repeated_unknown_sample_row_is_a_duplicate(tmp_path):
     # the row outside the sample list takes a row after the listed ones,
     # so its repeat is a duplicate, not a second unknown sample
     path = _small_bundle(tmp_path)
-    with open(path / "static.csv", "a", encoding="utf-8") as f:
-        f.write("ghost,1.0,a\nghost,2.0,b\n")
+    with open(path / "events.csv", "a", encoding="utf-8") as f:
+        f.write("ghost,e,1.0,1\nghost,e,2.0,0\n")
     found = validate_bundle(path / MANIFEST_NAME)
     assert [(v.row, v.code) for _, v in found] == [
-        (3, "unknown_sample"), (4, "duplicate_cell")]
-    with pytest.raises(UnknownSample, match=r"static.csv:4: sample 'ghost'"):
+        (3, "unknown_sample"), (4, "duplicate_event")]
+    with pytest.raises(UnknownSample, match=r"events.csv:4: sample 'ghost'"):
         read_bundle(path / MANIFEST_NAME)
 
 
@@ -772,22 +889,25 @@ def _static_table(text):
     (_static_table(""), ParseError, "{static}: missing header row"),
     (_static_table("sid,fid,value\n"), ParseError,
      "{static}: bad header ['sid', 'fid', 'value'], expected "
-     "['sample_id', 'x', 'c']"),
-    (_static_table("sample_id,c,x\ns0,a,1.5\n"), ParseError,
-     "{static}: bad header ['sample_id', 'c', 'x'], expected "
-     "['sample_id', 'x', 'c']"),
-    (_static_table("sample_id,x\ns0,1.5\n"), ParseError,
-     "{static}: bad header ['sample_id', 'x'], expected "
-     "['sample_id', 'x', 'c']"),
-    (_static_table("sample_id,x,c,ghost\n"), ParseError,
-     "{static}: bad header ['sample_id', 'x', 'c', 'ghost'], expected "
-     "['sample_id', 'x', 'c']"),
+     "['feature_id', 'values']"),
+    (_static_table("values,feature_id\n1.5 2.5,x\n"), ParseError,
+     "{static}: bad header ['values', 'feature_id'], expected "
+     "['feature_id', 'values']"),
+    (_static_table("feature_id\nx\n"), ParseError,
+     "{static}: bad header ['feature_id'], expected "
+     "['feature_id', 'values']"),
+    (_static_table("sample_id,x,c\ns0,1.5,a\n"), ParseError,
+     "{static}: bad header ['sample_id', 'x', 'c'], expected "
+     "['feature_id', 'values']"),
     (_manifest_edit(lambda d: dict(d, schema_version="2")), ManifestError,
-     "{manifest}: unsupported schema_version '2' (expected '3')"),
+     "{manifest}: unsupported schema_version '2' (expected '4')"),
     (_manifest_edit(lambda d: dict(d, schema_version="1")), ManifestError,
-     "{manifest}: unsupported schema_version '1' (expected '3')"),
-    (_manifest_edit(lambda d: dict(d, schema_version="4")), ManifestError,
-     "{manifest}: unsupported schema_version '4' (expected '3')"),
+     "{manifest}: unsupported schema_version '1' (expected '4')"),
+    # the version is a string
+    (_manifest_edit(lambda d: dict(d, schema_version=4)), ManifestError,
+     "{manifest}: unsupported schema_version 4 (expected '4')"),
+    (_manifest_edit(lambda d: dict(d, schema_version="3")), ManifestError,
+     "{manifest}: unsupported schema_version '3' (expected '4')"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", "s\r1"])),
      ManifestError,
      "{manifest}: sample_id 's\\r1' holds a lone carriage return"),
@@ -806,8 +926,8 @@ def _static_table(text):
         "unknown-modality", "no-feature-list", "unknown-role", "no-kind",
         "no-role", "bad-kind", "missing-file", "empty-table", "bad-header",
         "reordered-header", "short-header", "long-header", "schema-2",
-        "schema-1", "schema-4", "cr-in-sample", "cr-in-feature", "cr-in-category",
-        "nul-in-sample"])
+        "schema-1", "schema-4", "schema-3", "cr-in-sample", "cr-in-feature",
+        "cr-in-category", "nul-in-sample"])
 def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
                                               message):
     path = _small_bundle(tmp_path)
@@ -830,17 +950,17 @@ def test_validate_reports_row_faults_before_a_missing_table(tmp_path,
     write_bundle(survival_dataset(1, n=12), path)
     static = path / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines(keepends=True)
-    static.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+    static.write_text("".join(lines + ["ghost,1\n"]), encoding="utf-8")
     (path / "events.csv").unlink()
-    detail = "duplicate row for sample 's000'"
-    with pytest.raises(DuplicateCell) as exc:
+    detail = "feature 'ghost' has no declared kind"
+    with pytest.raises(KindMismatch) as exc:
         read_bundle(path / MANIFEST_NAME)
     assert str(exc.value) == f"{static}:3: {detail}"
     found = validate_bundle(path / MANIFEST_NAME)
     assert [(name, v.row, v.code, v.detail) for name, v in found] == \
-        [("static.csv", 2, "duplicate_cell", detail)]
+        [("static.csv", 2, "unknown_feature", detail)]
     assert cli(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"static.csv:3: duplicate_cell: " \
+    assert capsys.readouterr().out == f"static.csv:3: unknown_feature: " \
         f"{detail}\n"
 
     # with no earlier fault the missing table still raises
