@@ -21,12 +21,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from tempoframe._version import __version__
-from tempoframe.bundle import _NOT_NUMBER, locate_manifest, read_bundle
+from tempoframe.bundle import locate_manifest, read_bundle, read_number
 from tempoframe.data import Dataset, select_samples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
     IoError,
+    ParseError,
     TempoframeError,
     TooFewSamples,
 )
@@ -165,12 +166,12 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
     if not metrics:
         raise ConfigError("config 'metrics' must name one or more metrics")
     named = {}   # a metric name, or a Brier horizon -> the name first given
-    for name in metrics:
-        key = float(name[6:]) if name.startswith("brier@") else name
+    for spec in specs:
+        key = spec.name if spec.horizon is None else spec.horizon
         if key in named:
             raise ConfigError(f"config 'metrics' names one metric twice: "
-                              f"{named[key]!r} and {name!r}")
-        named[key] = name
+                              f"{named[key]!r} and {spec.name!r}")
+        named[key] = spec.name
 
     cv = _require(doc, "cv", dict, "an object")
     _check_object(cv, ("folds", "seed"), "cv")
@@ -227,8 +228,8 @@ def load_config(path) -> BenchConfig:
 
 
 def read_truth(path) -> dict:
-    """Per-sample true effects, each finite and written in the characters
-    `repr` writes for a number: CSV with header sample_id,effect."""
+    """Per-sample true effects, each a number `read_number` reads: CSV
+    with header sample_id,effect."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -246,13 +247,10 @@ def read_truth(path) -> dict:
         if sid in out:
             raise ConfigError(f"{path}: line {i}: duplicate sample {sid!r}")
         try:
-            effect = math.nan if val.translate(_NOT_NUMBER[False]) \
-                else float(val)
-        except ValueError:
-            effect = math.nan
-        if not math.isfinite(effect):
-            raise ConfigError(f"{path}: line {i}: bad effect {val!r}")
-        out[sid] = effect
+            out[sid] = read_number(val)
+        except ParseError:
+            raise ConfigError(f"{path}: line {i}: bad effect {val!r}") \
+                from None
     return out
 
 

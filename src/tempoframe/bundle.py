@@ -24,12 +24,14 @@ of any other schema, such as "3" (whose static table had one row per
 sample) or "2", is refused.
 
 This module holds the file grammar, and owns the violation codes of its
-table faults and the error each raises (`VIOLATION_ERRORS`). Reading and
-validation share one scan (`_scan_bundle`): the manifest check, one pass
-over each listed table (`scan_columns` for the static table,
-`scan_sequences` for a timed one) that checks each data row and places its
-values, and the assembly of clean tables into a Dataset, so both fail on
-the same bundles.
+table faults and the error each raises (`VIOLATION_ERRORS`). Its number
+readers, `read_number` and `read_integer`, are the one grammar of a number
+written as text: truth files, Brier horizons and `synth-ite` arguments
+read through them too. Reading and validation share one scan
+(`_scan_bundle`): the manifest check, one pass over each listed table
+(`scan_columns` for the static table, `scan_sequences` for a timed one)
+that checks each data row and places its values, and the assembly of
+clean tables into a Dataset, so both fail on the same bundles.
 `validate_bundle` returns every table fault; `read_bundle` raises the
 first in row order as `<path>:<line>: <detail>`, with the error type of
 its code.
@@ -346,15 +348,39 @@ _NOT_NUMBER = {False: str.maketrans("", "", _NUMBER_CHARS),
                True: str.maketrans("", "", _NUMBER_CHARS + " ")}
 
 
-def _parse_time(s: str) -> float:
-    """A time token as a finite float, or ParseError."""
+def read_number(text: str) -> float:
+    """A number written in the characters `repr` writes for a finite one,
+    as that float; else ParseError. `float()` alone would also read `2_5`,
+    ` 1.5`, non-ASCII digits, `nan` and `inf`, and `1e400` as inf."""
     try:
-        t = float(s)
+        if text.translate(_NOT_NUMBER[False]):
+            raise ValueError
+        v = float(text)
     except ValueError:
-        raise ParseError(f"time {s!r} is not decimal") from None
-    if not math.isfinite(t):
-        raise ParseError(f"time {s!r} is not finite")
-    return t
+        raise ParseError(f"{text!r} is not a real number") from None
+    if not math.isfinite(v):
+        raise ParseError(f"{text!r} is not finite")
+    return v
+
+
+def read_integer(text: str) -> int:
+    """An integer written as ASCII [+-]?[0-9]+, as that int; else
+    ParseError. `int()` alone would also read `0_1`, ` 7 ` and non-ASCII
+    digits."""
+    if not (text.isascii() and (text.isdigit() or text[:1] in "+-"
+                                and text[1:].isdigit())):
+        raise ParseError(f"{text!r} is not an integer")
+    try:
+        return int(text, 10)
+    except ValueError:
+        # int() refuses a field of digits only past its length limit
+        # (4,300 digits), leading zeros included; without them the value
+        # is read, or it is far beyond float range: do not echo it
+        sign = text[0] if text[0] in "+-" else ""
+        try:
+            return int(sign + (text[len(sign):].lstrip("0") or "0"), 10)
+        except ValueError:
+            raise ParseError("integer beyond float range") from None
 
 
 def _parse_value(kind: ValueKind, s: str):
@@ -362,35 +388,15 @@ def _parse_value(kind: ValueKind, s: str):
     empty one is Missing."""
     if s == "":
         return MISSING
-    if isinstance(kind, Continuous):
-        try:
-            if s.translate(_NOT_NUMBER[False]):  # float() reads "2_5", "nan"
-                raise ValueError
-            v = float(s)
-        except ValueError:
-            raise KindMismatch(f"{s!r} is not a real number") from None
-        if not math.isfinite(v):
-            raise KindMismatch(f"non-finite value {s!r}")
-        return v
-    if isinstance(kind, Integer):
-        # ASCII [+-]?[0-9]+ only: int() would also read "0_1", " 7 " and
-        # non-ASCII digits
-        if not (s.isascii() and (s.isdigit()
-                                 or s[0] in "+-" and s[1:].isdigit())):
-            raise KindMismatch(f"{s!r} is not an integer")
-        try:
-            i = int(s, 10)
-        except ValueError:
-            # int() refuses a field of digits only past its length limit
-            # (4,300 digits), leading zeros included; without them the
-            # value is read, or it is far beyond float range: do not echo it
-            sign = s[0] if s[0] in "+-" else ""
-            try:
-                i = int(sign + (s[len(sign):].lstrip("0") or "0"), 10)
-            except ValueError:
-                raise KindMismatch("integer beyond float range") from None
-        _float_of(i, None)
-        return i
+    try:
+        if isinstance(kind, Continuous):
+            return read_number(s)
+        if isinstance(kind, Integer):
+            i = read_integer(s)
+            _float_of(i, None)
+            return i
+    except ParseError as e:
+        raise KindMismatch(str(e)) from None
     if s in kind.categories:
         return s
     raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
@@ -419,10 +425,8 @@ class _RowFault(Exception):
 
 
 def _check_number_field(field: str, packed: bool, code: str, name: str):
-    """Refuse a number field that holds a character `repr` does not write
-    for a finite number, or a space outside a `packed` field; checked once
-    per field. `float()` and `int()` alone would read `2_5`, ` 1.5`,
-    non-ASCII digits and `nan`."""
+    """Refuse a number field that holds a character outside `read_number`'s
+    alphabet, or a space outside a `packed` field; checked once per field."""
     odd = field.translate(_NOT_NUMBER[packed])
     if odd:
         raise _RowFault(code, f"{name} field holds {odd[0]!r}")
@@ -601,10 +605,10 @@ def _points(ts, vs, read, reals: bool, prev: float) -> tuple:
         pass
     for k, (tt, vt) in enumerate(zip(ts, vs)):
         try:
-            t = _parse_time(tt)
+            t = read_number(tt)
             read(vt)
         except ParseError as e:
-            raise _RowFault("bad_time", f"point {k}: {e}") from None
+            raise _RowFault("bad_time", f"point {k}: time {e}") from None
         except KindMismatch as e:
             raise _RowFault("kind_mismatch", f"point {k}, t={t!r}: {e}") \
                 from None

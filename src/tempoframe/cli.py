@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import re
 import sys
 
 import tempoframe  # noqa: F401  (registers all shipped plugins)
@@ -26,13 +25,14 @@ from tempoframe.bench import (
     write_truth,
 )
 from tempoframe.bundle import (
-    _NOT_NUMBER,
     locate_manifest,
+    read_integer,
+    read_number,
     table_line,
     validate_bundle,
     write_bundle,
 )
-from tempoframe.errors import ConfigError, IoError, TempoframeError
+from tempoframe.errors import ConfigError, IoError, ParseError, TempoframeError
 from tempoframe.plugins import Category, list_specs
 from tempoframe.treatment import synth_treatment_data
 
@@ -51,22 +51,19 @@ def _setup_logging() -> None:
         logger.addHandler(handler)
 
 
-def _integer(text: str) -> int:
-    """ASCII [+-]?[0-9]+, as an Integer field: `int()` also reads `1_0`."""
-    if re.fullmatch("[+-]?[0-9]+", text):
-        return int(text)
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+def _argument(read):
+    """The argparse type of a bundle reader (`read_integer` or
+    `read_number`): its ParseError names the argument, not the reader."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
-def _number(text: str) -> float:
-    """A number in the characters `repr` writes for one, as a truth effect
-    and a Brier horizon are: `float()` also reads `3_0` and ` 1`."""
-    try:
-        if not text.translate(_NOT_NUMBER[False]):
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+_integer = _argument(read_integer)
+_number = _argument(read_number)
 
 
 def _build_parser() -> argparse.ArgumentParser:

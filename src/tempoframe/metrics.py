@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from tempoframe.bundle import _NOT_NUMBER
+from tempoframe.bundle import read_number
 from tempoframe.data import (
     Continuous,
     Dataset,
@@ -39,6 +39,7 @@ from tempoframe.errors import (
     MetricMismatch,
     NoComparablePairs,
     NoEvaluableSamples,
+    ParseError,
 )
 from tempoframe.forecasting import _temporal_targets
 from tempoframe.kernels import _check_lengths, concordance_counts
@@ -279,6 +280,7 @@ class MetricSpec:
     direction: str   # "loss" or "gain"
     task: str        # key of TASKS whose (pred, truth) pair it scores
     score: object    # (pred, truth) -> float
+    horizon: float = None  # a Brier score's horizon
 
 
 def resolve_metric(name: str) -> MetricSpec:
@@ -297,15 +299,12 @@ def resolve_metric(name: str) -> MetricSpec:
     if name.startswith("brier@"):
         raw = name[len("brier@"):]
         try:
-            horizon = math.nan if raw.translate(_NOT_NUMBER[False]) \
-                else float(raw)
-        except ValueError:
-            horizon = math.nan
-        if not math.isfinite(horizon):
+            horizon = read_number(raw)
+        except ParseError:
             raise MetricMismatch(
-                f"bad brier horizon {raw!r} in metric {name!r}")
+                f"bad brier horizon {raw!r} in metric {name!r}") from None
         return MetricSpec(
             name, "loss", "survival",
             lambda out, outcomes: brier_score(out.survival_at(horizon),
-                                              outcomes, horizon))
+                                              outcomes, horizon), horizon)
     raise MetricMismatch(f"unknown metric {name!r}")

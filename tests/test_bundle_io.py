@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,7 +12,9 @@ import re
 
 import pytest
 
+import tempoframe.cli
 from datagen import random_dataset, survival_dataset
+from tempoframe.bench import config_from_doc, read_truth
 from tempoframe.bundle import (
     MANIFEST_NAME,
     read_bundle,
@@ -38,16 +42,20 @@ from tempoframe.data import (
     select_samples,
 )
 from tempoframe.errors import (
+    ConfigError,
     DuplicateCell,
     DuplicateEvent,
     DuplicateTimePoint,
+    InvalidSpec,
     KindMismatch,
     ManifestError,
+    MetricMismatch,
     ParseError,
     RoleConflict,
     TempoframeError,
     UnknownSample,
 )
+from tempoframe.metrics import resolve_metric
 
 
 def _write(tmp_path, seed=5):
@@ -225,13 +233,19 @@ def test_a_static_table_of_no_samples_or_no_features_round_trips(tmp_path):
         assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
 
 
-# A static field and a temporal values field of one token read the same
-# spellings: the characters `repr` writes for a finite number.
+# Every entry point that reads a number written as text reads the same
+# spellings: the characters `repr` writes for a finite number
+# (`read_number`). A spelling -> the float it reads as, or None if refused.
 _SPELLINGS = [
     ("2_5.0", None), (" 1.5 ", None), ("\u0661.\u0665", None),
     ("nan", None), ("inf", None), ("1e400", None), ("+2.50", 2.5),
-    ("-0.0", -0.0), ("1.5", 1.5),
+    ("-0.0", -0.0), ("1.5", 1.5), ("2_5", None), (" 1.5", None),
+    ("3E0", None), ("1e-3", 0.001), ("-1e-3", -0.001),
 ]
+
+
+def _same_float(got, value) -> bool:
+    return (got, math.copysign(1, got)) == (value, math.copysign(1, value))
 
 
 @pytest.mark.parametrize("spelling,value", _SPELLINGS,
@@ -260,7 +274,82 @@ def test_static_and_temporal_fields_share_the_number_grammar(
     loaded = read_bundle(path / MANIFEST_NAME)
     got = (loaded.static.cell("s0", "x") if table == "static.csv"
            else loaded.temporal.sequence("s0", "f")[1][0])
-    assert (got, math.copysign(1, got)) == (value, math.copysign(1, value))
+    assert _same_float(got, value)
+
+
+def _truth_effect(tmp_path, spelling):
+    path = tmp_path / "truth.csv"
+    path.write_text(f"sample_id,effect\na,{spelling}\n", encoding="utf-8")
+    try:
+        return read_truth(str(path))["a"]
+    except ConfigError as e:
+        assert str(e) == f"{path}: line 2: bad effect {spelling!r}"
+
+
+def _brier_horizon(tmp_path, spelling):
+    try:
+        return resolve_metric(f"brier@{spelling}").horizon
+    except MetricMismatch:
+        pass
+
+
+def _config_brier_horizon(tmp_path, spelling):
+    doc = {"bundle": "b", "task": "survival",
+           "pipeline": [{"plugin": "survival.cox"}],
+           "metrics": [f"brier@{spelling}"], "cv": {"folds": 2, "seed": 0}}
+    try:
+        return config_from_doc(doc, str(tmp_path)).metrics[0].horizon
+    except ConfigError as e:
+        assert "bad brier horizon" in str(e)
+
+
+def _synth_ite_number(option):
+    """The value `synth-ite` passes on for `option` (the first entry of
+    `--gamma`), or None if the argument is refused."""
+    def read(tmp_path, spelling):
+        seen = {}
+
+        def synth(n, seed, **kwargs):
+            seen.update(kwargs)
+            raise InvalidSpec("stop before writing")
+        given = f"{spelling},1" if option == "--gamma" else spelling
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tempoframe.cli, "synth_treatment_data", synth)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli(["synth-ite", "--n", "8", "--seed", "1", "--dim",
+                            "2", option, given, "--out",
+                            str(tmp_path / "synth")]) == 2
+        if not seen:
+            assert f"argument {option}: " in err.getvalue()
+            return None
+        got = seen[option[2:]]
+        return got[0] if option == "--gamma" else got
+    return read
+
+
+_NUMBER_ENTRY_POINTS = {
+    "truth-effect": _truth_effect,
+    "brier-horizon": _brier_horizon,
+    "config-brier-horizon": _config_brier_horizon,
+    "tau0": _synth_ite_number("--tau0"),
+    "gamma": _synth_ite_number("--gamma"),
+    "noise": _synth_ite_number("--noise"),
+}
+
+
+@pytest.mark.parametrize("spelling,value", _SPELLINGS,
+                         ids=[s for s, _ in _SPELLINGS])
+@pytest.mark.parametrize("entry", list(_NUMBER_ENTRY_POINTS))
+def test_every_number_entry_point_shares_the_bundle_grammar(
+        tmp_path, entry, spelling, value):
+    # the entry points outside the bundle tables, which the test above
+    # runs against the same spellings
+    got = _NUMBER_ENTRY_POINTS[entry](tmp_path, spelling)
+    if value is None:
+        assert got is None
+    else:
+        assert _same_float(got, value)
 
 
 def test_packed_static_table_is_pinned(tmp_path):
@@ -700,11 +789,13 @@ def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
     ("bad_time", (1, "s0,f,0.0 1.0 1e999,1.0 2.0 3.0"), ParseError,
      "point 2: time '1e999' is not finite"),
     ("kind_mismatch", (1, "s0,f,0.0 1.0,1.0 1e999"), KindMismatch,
-     "point 1, t=1.0: non-finite value '1e999'"),
+     "point 1, t=1.0: '1e999' is not finite"),
     ("arity", (2, "s1,f,0.5 0.6,3.0"), ParseError, "2 times but 1 values"),
     ("duplicate_time", "s0,f,7.0,7.0", DuplicateTimePoint,
      "duplicate row for sample 's0', feature 'f'"),
     ("arity", "s1,f,0.5", ParseError, "expected 4 fields, got 3"),
+    ("bad_time", (1, "s0,f,0.0 1.2.3,1.0 2.0"), ParseError,
+     "point 1: time '1.2.3' is not a real number"),
 ])
 def test_a_packed_row_fault_names_its_point(tmp_path, code, edit, error,
                                             detail):
@@ -752,7 +843,7 @@ _STATIC_COLUMN_FAULTS = [
     ("kind_mismatch", (1, "x,1.5 abc"), KindMismatch,
      "sample 's1', feature 'x': 'abc' is not a real number"),
     ("kind_mismatch", (1, "x,1e999 2.5"), KindMismatch,
-     "sample 's0', feature 'x': non-finite value '1e999'"),
+     "sample 's0', feature 'x': '1e999' is not finite"),
     ("kind_mismatch", (2, "c,0 z"), KindMismatch,
      "sample 's1', feature 'c': 'z' is not a category index below 2"),
 ]

@@ -257,28 +257,17 @@ def test_private_imports_are_found():
 # Importing module -> the private names it may import from another
 # module, each with its reason.
 _SHARED_PRIVATE = {
-    "bench": {
-        "_NOT_NUMBER": "the characters `repr` writes for a number, which "
-                       "a truth file's effect shares with the timed tables",
-    },
     "bundle": {
         "_check_id": "the id rule the builders apply; the writer and the "
                      "manifest check apply the same one",
         "_float_of": "the integer range rule of `check_value`, for "
                      "Integer fields read from text",
     },
-    "cli": {
-        "_NOT_NUMBER": "the characters `repr` writes for a number, which "
-                       "a `synth-ite` number argument shares with the "
-                       "timed tables",
-    },
     "forecasting": {
         "_sigmoid": "the classifier predicts with the kernel's own "
                     "overflow-safe sigmoid, so fit and predict agree",
     },
     "metrics": {
-        "_NOT_NUMBER": "the characters `repr` writes for a number, which "
-                       "a Brier horizon shares with the timed tables",
         "_check_lengths": "the kernels' length check, for the Brier "
                           "score's survival column",
         "_temporal_targets": "the forecast metrics score the targets the "
