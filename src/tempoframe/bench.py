@@ -31,7 +31,7 @@ from tempoframe.errors import (
     TempoframeError,
     TooFewSamples,
 )
-from tempoframe.interpret import check_importance, permutation_importance
+from tempoframe.interpret import check_importance, importance_of
 from tempoframe.kernels import mean_std
 from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
 from tempoframe.plugins import Estimator, build_pipeline
@@ -82,7 +82,7 @@ def kfold_split(ds: Dataset, k: int, seed: int) -> list:
 @dataclass(frozen=True)
 class BenchConfig:
     """A checked config, which is also the run's plan: every fold fits
-    `estimator` and scores with `metrics`."""
+    `estimator` and scores with `metrics` (and `importance_metric`)."""
     doc: dict            # parsed config, echoed verbatim into the report
     bundle: str          # absolute manifest path
     task: str
@@ -93,6 +93,7 @@ class BenchConfig:
     output: str = None
     truth: str = None
     importance: dict = None
+    importance_metric: MetricSpec = None
 
 
 def _require(obj: dict, key: str, typ, what: str, default=...,
@@ -187,6 +188,7 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
         raise ConfigError("'truth' only applies to the treatment task")
 
     importance = _require(doc, "importance", dict, "an object", None)
+    importance_metric = None
     if importance is not None:
         where = "importance"
         _check_object(importance, ("metric", "repeats", "seed"), where)
@@ -200,7 +202,7 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
             raise ConfigError("importance 'repeats' must be >= 1")
         _check_metric(importance["metric"], task, "importance 'metric'")
         try:
-            check_importance(est, importance["metric"])
+            importance_metric = check_importance(est, importance["metric"])
         except TempoframeError as e:
             raise ConfigError(str(e)) from e
 
@@ -211,7 +213,8 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
     return BenchConfig(doc=doc, bundle=locate_manifest(resolve(bundle)),
                        task=task, estimator=est, metrics=specs,
                        folds=folds, seed=seed, output=resolve(output),
-                       truth=resolve(truth), importance=importance)
+                       truth=resolve(truth), importance=importance,
+                       importance_metric=importance_metric)
 
 
 def load_config(path) -> BenchConfig:
@@ -280,16 +283,29 @@ def _step(fold: int, label: str):
 
 
 def _eval_fold(config: BenchConfig, fold: int, fitted, test: Dataset,
-               truth_map) -> dict:
+               truth_map) -> tuple:
+    """(metric values, importance report or None) of `fitted` on `test`:
+    an in-place task scores both from one featurization of `test`."""
+    task = TASKS[config.task]
     with _step(fold, "predict"):
-        pred, truth = TASKS[config.task].observe(fitted, test, truth_map)
+        if task.in_place:
+            predict = fitted.predictor(test)
+            pred, truth = predict(None, None), task.truth(test)
+        else:
+            pred, truth = task.held_out(fitted, test, truth_map)
     values = {}
     for spec in config.metrics:
         with _step(fold, f"metric {spec.name}"):
             values[spec.name] = spec.score(pred, truth)
             if not math.isfinite(values[spec.name]):
                 raise BenchError(f"non-finite score {values[spec.name]!r}")
-    return values
+    if config.importance is None:
+        return values, None
+    with _step(fold, "importance"):
+        return values, importance_of(predict, pred, truth, test,
+                                     config.importance_metric,
+                                     config.importance["repeats"],
+                                     config.importance["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +343,7 @@ def _run_fold(config: BenchConfig, fold: int, train: Dataset,
     t0 = time.perf_counter()
     with _step(fold, "fit"):
         fitted = config.estimator.fit(train)
-    values = _eval_fold(config, fold, fitted, test, truth_map)
-    rep = None
-    if config.importance is not None:
-        with _step(fold, "importance"):
-            rep = permutation_importance(fitted, test, **config.importance)
+    values, rep = _eval_fold(config, fold, fitted, test, truth_map)
     seconds = time.perf_counter() - t0
     log.info("fold %d done: %s", fold, values)
     return values, rep, seconds

@@ -7,11 +7,12 @@ always means more important. Temporal features are permuted as whole
 per-sample sequences, which keeps within-series autocorrelation intact.
 
 A shuffle of one feature's samples commutes with every per-sample step:
-the transforms that declare `derived_ids` and the featurization
-(`covariate_matrix`). Importance needs every front step to declare it and
-the final estimator to have `predict_columns`; then the front and the
-featurization run once and each shuffle reindexes only the matrix columns
-derived from the feature.
+the transforms that declare `derived_ids` and the featurization. When
+every front step declares it and the final estimator has
+`predict_columns`, `FittedEstimator.predictor` runs the front and the
+featurization once and each shuffle reindexes only the matrix columns
+derived from the feature; a benchmark fold scores its metrics from the
+same predictor.
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from tempoframe.data import (
-    Dataset,
-    Modality,
-    Role,
-    covariate_groups,
-    covariate_matrix,
-)
+from tempoframe.data import Dataset, Modality, Role
 from tempoframe.errors import MetricMismatch, NonFiniteScore, TooFewSamples
-from tempoframe.metrics import TASKS, resolve_metric
-from tempoframe.plugins import FittedEstimator, check_fingerprint
+from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
+from tempoframe.plugins import FittedEstimator
 from tempoframe.rng import Lcg
 
 
@@ -69,57 +64,27 @@ def check_importance(est, metric: str):
     return m
 
 
-def _column_predictor(inner: FittedEstimator, ds: Dataset):
-    """predict(fid, perm): predictions of `inner`, which passed
-    `check_importance`, on ds with feature fid permuted by perm (fid None:
-    on ds itself), from one featurization of ds."""
-    running = inner.run_front(ds)
-    check_fingerprint(inner, running)
-    names, columns = covariate_matrix(running)
-    sources = [fid for fid, _, group in covariate_groups(running)
-               for _ in group]
-
-    def predict(fid, perm):
-        shuffled = columns
-        if fid is not None:
-            ids = {fid}
-            for step in inner.front:
-                ids = {out for i in ids for out in
-                       step.spec.derived_ids(step.params, step.state, i)}
-            shuffled = [[col[p] for p in perm] if src in ids else col
-                        for src, col in zip(sources, columns)]
-        return inner.spec.predict_columns(inner.params, inner.state,
-                                          running.sample_ids, names,
-                                          shuffled)
-    return predict
-
-
-def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
-                           repeats: int = 1, seed: int = 0) -> ImportanceReport:
-    """Score degradation per covariate feature under seeded value shuffles.
-
-    The inner estimator is never refitted; only the query changes. Event
-    covariates are not model inputs and are not permuted. Raises
-    NonFiniteScore, naming the metric and the feature, if a score is NaN
-    or infinite.
-    """
+def importance_of(predict, pred, truth, ds: Dataset, m: MetricSpec,
+                  repeats: int, seed: int) -> ImportanceReport:
+    """Degradation of `m` per covariate feature of ds under seeded value
+    shuffles: `predict` is the `predictor(ds)` of an estimator that passed
+    `check_importance` for `m`, `pred` its unpermuted prediction and
+    `truth` the truth of ds. Event covariates are not model inputs and are
+    not permuted. Raises NonFiniteScore, naming the metric and the
+    feature, if a score is NaN or infinite."""
     n = len(ds.sample_ids)
     if n < 2:
         raise TooFewSamples(f"importance needs at least 2 samples, got {n}")
     if repeats < 1:
         raise TooFewSamples(f"repeats must be >= 1, got {repeats}")
-    m = check_importance(inner, metric)
-    predict = _column_predictor(inner, ds)
-    unpermuted = predict(None, None)
-    truth = TASKS[m.task].truth(ds)
 
-    def score(pred, what: str) -> float:
-        value = m.score(pred, truth)
+    def score(out, what: str) -> float:
+        value = m.score(out, truth)
         if not math.isfinite(value):
-            raise NonFiniteScore(f"{metric} is {value!r} {what}")
+            raise NonFiniteScore(f"{m.name} is {value!r} {what}")
         return value
 
-    baseline = score(unpermuted, "at baseline")
+    baseline = score(pred, "at baseline")
     targets = [fid for fid, _, modality in ds.features_with_role(Role.COVARIATE)
                if modality is not Modality.EVENT]
     rng = Lcg(seed)
@@ -134,5 +99,15 @@ def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
             else:
                 total += baseline - value
         importances.append(total / repeats)
-    return ImportanceReport(metric, repeats, seed, baseline, tuple(targets),
+    return ImportanceReport(m.name, repeats, seed, baseline, tuple(targets),
                             tuple(importances))
+
+
+def permutation_importance(inner: FittedEstimator, ds: Dataset, metric: str,
+                           repeats: int = 1, seed: int = 0) -> ImportanceReport:
+    """`importance_of` `inner` on ds over `metric`. The inner estimator is
+    never refitted; only the query changes."""
+    m = check_importance(inner, metric)
+    predict = inner.predictor(ds)
+    return importance_of(predict, predict(None, None), TASKS[m.task].truth(ds),
+                         ds, m, repeats, seed)

@@ -113,13 +113,6 @@ class TaskSpec:
     def in_place(self) -> bool:
         return self.truth is not None
 
-    def observe(self, fitted, ds, effects) -> tuple:
-        """(pred, truth) of one evaluation dataset; an in-place task
-        predicts ds and reads the truth off it."""
-        if self.truth is None:
-            return self.held_out(fitted, ds, effects)
-        return fitted.predict(ds), self.truth(ds)
-
 
 TASKS = {
     "forecast": TaskSpec(Category.FORECASTER, held_out=_observe_forecast),

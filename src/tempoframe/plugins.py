@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from tempoframe.data import (
     Dataset,
+    covariate_groups,
     covariate_matrix,
     kind_to_json,
 )
@@ -31,6 +32,7 @@ from tempoframe.errors import (
     FitDiverged,
     InvalidAlternative,
     InvalidSpec,
+    MetricMismatch,
     NotATransform,
     NotFitted,
     ParamOutOfBounds,
@@ -135,8 +137,8 @@ class EstimatorSpec:
 
     - `predict_columns(params, state, sample_ids, names, columns)` is the
       prediction of a model that reads the `covariate_matrix` of its
-      query. A model sets it instead of `predict`; FittedEstimator.predict
-      applies it to the query's `covariate_matrix`.
+      query. A model sets it instead of `predict`; `predictor` applies it
+      to the query's `covariate_matrix`.
     - `derived_ids(params, state, feature_id) -> tuple` names the output
       features a transform computes from one input feature, and declares
       the transform per-sample: each output value of a sample depends only
@@ -287,18 +289,44 @@ class FittedEstimator:
         _check_superset_fingerprint(self, ds)
         return self.spec.transform(self.params, self.state, ds)
 
-    def predict(self, ds: Dataset):
+    def predictor(self, ds: Dataset):
+        """predict(fid, perm) from one run of the front and one
+        featurization of ds: the prediction on ds with covariate fid's
+        samples permuted by perm, or unpermuted for fid None. A shuffle
+        reindexes the matrix columns the front's `derived_ids` derive from
+        fid; only an estimator `interpret.check_importance` passes has one."""
         if self.spec.category not in _PREDICTING:
             raise WrongCategory(
                 f"{self.spec.name!r} ({self.spec.category.value}) "
                 "does not support predict")
         ds = self.run_front(ds)
         check_fingerprint(self, ds)
-        if self.spec.predict_columns is not None:
+        if self.spec.predict_columns is None:
+            def predict(fid, perm):
+                if fid is not None:
+                    raise MetricMismatch(f"{self.spec.name!r} has no "
+                                         "predict_columns to permute")
+                return self.spec.predict(self.params, self.state, ds)
+            return predict
+        names, columns = covariate_matrix(ds)
+        sources = [fid for fid, _, group in covariate_groups(ds)
+                   for _ in group]
+
+        def predict(fid, perm):
+            shuffled = columns
+            if fid is not None:
+                ids = {fid}
+                for step in self.front:
+                    ids = {out for i in ids for out in
+                           step.spec.derived_ids(step.params, step.state, i)}
+                shuffled = [[col[p] for p in perm] if src in ids else col
+                            for src, col in zip(sources, columns)]
             return self.spec.predict_columns(self.params, self.state,
-                                             ds.sample_ids,
-                                             *covariate_matrix(ds))
-        return self.spec.predict(self.params, self.state, ds)
+                                             ds.sample_ids, names, shuffled)
+        return predict
+
+    def predict(self, ds: Dataset):
+        return self.predictor(ds)(None, None)
 
     def predict_counterfactuals(self, ds: Dataset, alternatives):
         if self.spec.category is not Category.TREATMENT:

@@ -164,13 +164,17 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+_MAX_CELLS = 10 ** 6  # most n x (dim + 2) cells of one synthetic table
+
+
 def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
                          noise: float = 0.0, dim: int = 2) -> SynthGroundTruth:
     """Generate Y = x.w + tau(x) * a + eps with the true effect recorded.
 
     Exactly one of `tau0` (constant effect) or `gamma` (linear effect
     tau(x) = gamma . x) must be given; `noise`, `tau0` and `gamma` must be
-    finite. Deterministic per seed: the draw order is w, then per sample x,
+    finite, and a table of more than `_MAX_CELLS` is refused before any
+    draw. Deterministic per seed: the draw order is w, then per sample x,
     coin a, and (only if noise > 0) one normal for eps.
     """
     if n < 4:
@@ -180,6 +184,9 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
         raise InvalidSpec(f"noise must be finite and >= 0, got {noise}")
     if dim < 1:
         raise InvalidSpec(f"dim must be >= 1, got {dim}")
+    if n * (dim + 2) > _MAX_CELLS:
+        raise InvalidSpec(f"n={n} samples of dim={dim} give {n * (dim + 2)} "
+                          f"cells, more than {_MAX_CELLS}")
     if (tau0 is None) == (gamma is None):
         raise InvalidSpec("give exactly one of tau0 or gamma")
     if gamma is not None:

@@ -291,7 +291,7 @@ def _pehe(fitted, truth):
     """The `pehe` metric of a fit on its own synthetic dataset."""
     effects = dict(zip(truth.dataset.sample_ids, truth.effects))
     return resolve_metric("pehe").score(
-        *TASKS["treatment"].observe(fitted, truth.dataset, effects))
+        *TASKS["treatment"].held_out(fitted, truth.dataset, effects))
 
 
 def test_c06_treatment_effect_recovery_and_consistency():

@@ -21,7 +21,7 @@ import pytest
 
 from datagen import classification_dataset, offset_grid_dataset, \
     patient_dataset, regular_series_dataset, survival_dataset
-from tempoframe import bench, interpret, metrics, plugins
+from tempoframe import bench, interpret, metrics, plugins, treatment
 from tempoframe.bench import (
     BenchConfig,
     config_from_doc,
@@ -46,6 +46,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
+    covariate_matrix,
 )
 from tempoframe.errors import (
     BenchError,
@@ -796,6 +797,44 @@ def test_cli_run_non_finite_importance_fails_cleanly(tmp_path, monkeypatch,
                         "with feature 'x1' permuted\n")
 
 
+def test_cli_run_scores_a_classifier_without_predict_columns(
+        tmp_path, monkeypatch, capsys):
+    # a classifier may set only `predict`: a run scores what it predicts
+    # as it scores the built-in model, and only importance refuses it
+    logistic = plugins.spec_of("classify.logistic")
+    queried = []
+
+    def predict(params, state, ds):
+        queried.append(ds.sample_ids)
+        return logistic.predict_columns(params, state, ds.sample_ids,
+                                        *covariate_matrix(ds))
+
+    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic", replace(
+        logistic, name="test.dataset_logistic", predict_columns=None,
+        predict=predict))
+    _usable_cpus(monkeypatch, 1)
+    write_bundle(classification_dataset(0, n=24), str(tmp_path / "bundle"))
+    scored = []
+    for plugin in ("classify.logistic", "test.dataset_logistic"):
+        path = _write_config(tmp_path, _classify_doc(
+            pipeline=[{"plugin": plugin, "params": {"iters": 60}}],
+            cv={"folds": 3, "seed": 0}))
+        assert cli(["run", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        scored.append(json.loads(out)["metrics"])
+    assert scored[1] == scored[0]
+    assert len(queried) == 3
+    path = _write_config(tmp_path, _classify_doc(
+        pipeline=[{"plugin": "test.dataset_logistic"}],
+        importance={"metric": "accuracy"}))
+    assert cli(["run", path]) == 2
+    assert capsys.readouterr() == ("", (
+        "tempoframe: importance needs a model that reads the covariate "
+        "matrix; 'test.dataset_logistic' has no predict_columns\n"))
+    assert len(queried) == 3
+
+
 def test_cli_run_zero_risk_set_sum_fails_cleanly(tmp_path):
     doc = _diverging_cox_doc(tmp_path, 40, ["brier@5"])
     _assert_clean_failure(_run_cli(tmp_path, doc),
@@ -1359,6 +1398,26 @@ def test_cli_synth_ite_rejects_non_finite_parameters(tmp_path, arg, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size,cells", [
+    (("--n", "100000000", "--dim", "2"), 400000000),
+    (("--n", "8", "--dim", "100000000"), 800000016),
+], ids=["n", "dim"])
+def test_cli_synth_ite_refuses_a_table_too_large(tmp_path, capsys,
+                                                 monkeypatch, size, cells):
+    # refused before the first draw, so nothing of that size is allocated
+    def refuse(seed):
+        raise AssertionError("drew before the size check")
+
+    monkeypatch.setattr(treatment, "Lcg", refuse)
+    out = tmp_path / "synth"
+    assert cli(["synth-ite", "--seed", "1", *size, "--out", str(out)]) == 2
+    n, dim = size[1], size[3]
+    assert capsys.readouterr() == ("", (
+        f"tempoframe: n={n} samples of dim={dim} give {cells} cells, "
+        "more than 1000000\n"))
+    assert not out.exists()
+
+
 # Number arguments are written in the characters `repr` writes for a
 # number, and integer arguments are ASCII [+-]?[0-9]+: `float()` and
 # `int()` alone read `3_0` as 30, and take spaces and non-ASCII digits.
@@ -1596,6 +1655,22 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _count_featurizations(monkeypatch) -> list:
+    """The datasets `covariate_matrix` is called on from now on, in this
+    process, through any library module that imported it."""
+    calls = []
+
+    def counted(ds):
+        calls.append(ds)
+        return covariate_matrix(ds)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tempoframe") and getattr(
+                module, "covariate_matrix", None) is covariate_matrix:
+            monkeypatch.setattr(module, "covariate_matrix", counted)
+    return calls
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1682,9 +1757,15 @@ def test_forked_folds_give_the_in_process_report(tmp_path, monkeypatch,
 def test_a_run_fits_and_scores_what_its_config_check_built(tmp_path,
                                                            monkeypatch, task):
     # the checked config is the run plan: once `load_config` returns, no
-    # fold builds a plugin or resolves a metric, in one process or forked
+    # fold builds a plugin, resolves a metric or checks importance, in one
+    # process or forked
     config = load_config(_write_config(tmp_path, _task_doc(tmp_path, task, 3)))
+    featurized = _count_featurizations(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
     expected = strip_timing(report_text(run_benchmark(config)))
+    # a fold featurizes its train set once and its test set once, for its
+    # metrics and its importance alike; an AR forecaster reads no matrix
+    assert len(featurized) == (0 if task == "forecast" else 2 * config.folds)
 
     def refuse(*args, **kwargs):
         raise AssertionError("built or resolved after the config check")
@@ -1692,7 +1773,10 @@ def test_a_run_fits_and_scores_what_its_config_check_built(tmp_path,
     for module, name in ((plugins, "create"), (plugins, "build_pipeline"),
                          (bench, "build_pipeline"),
                          (bench, "resolve_metric"),
-                         (metrics, "resolve_metric")):
+                         (bench, "check_importance"),
+                         (metrics, "resolve_metric"),
+                         (interpret, "resolve_metric"),
+                         (interpret, "check_importance")):
         monkeypatch.setattr(module, name, refuse)
     in_process, forked = _fold_reports(config, monkeypatch)
     assert strip_timing(in_process) == expected
@@ -1792,14 +1876,21 @@ def test_worker_exception_reaches_the_parent_with_its_type(tmp_path,
 
 
 def test_debug_log_times_each_fold_phase_once(tmp_path):
-    path = _classify_setup(tmp_path, cv={"folds": 3, "seed": 0})
-    proc = subprocess.run(
-        [sys.executable, "-m", "tempoframe", "run", path],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, TEMPOFRAME_LOG="debug"))
-    assert proc.returncode == 0
-    lines = proc.stderr.splitlines()
-    for fold in range(3):
-        for phase in ("fit", "predict", "metric accuracy"):
-            pattern = rf"tempoframe\.bench: fold {fold}, {phase}: \d+\.\d+ s"
-            assert sum(bool(re.fullmatch(pattern, ln)) for ln in lines) == 1
+    for importance in (None, {"metric": "accuracy"}):
+        where = tmp_path / ("plain" if importance is None else "importance")
+        where.mkdir()
+        path = _classify_setup(where, cv={"folds": 3, "seed": 0},
+                               importance=importance)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tempoframe", "run", path],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, TEMPOFRAME_LOG="debug"))
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        for fold in range(3):
+            for phase in ("fit", "predict", "metric accuracy", "importance"):
+                pattern = (rf"tempoframe\.bench: fold {fold}, {phase}: "
+                           r"\d+\.\d+ s")
+                count = sum(bool(re.fullmatch(pattern, ln)) for ln in lines)
+                skipped = phase == "importance" and importance is None
+                assert count == (0 if skipped else 1)

@@ -167,6 +167,12 @@ def test_importance_needs_a_matrix_model(monkeypatch):
     with pytest.raises(MetricMismatch, match="'test.dataset_logistic' has "
                                              "no predict_columns"):
         permutation_importance(fitted, ds, "accuracy")
+    # its predictor answers the unshuffled query only
+    predict = fitted.predictor(ds)
+    assert predict(None, None) == fitted.predict(ds)
+    with pytest.raises(MetricMismatch, match="^'test.dataset_logistic' has "
+                                             "no predict_columns to permute$"):
+        predict("x1", Lcg(0).permutation(len(ds.sample_ids)))
 
 
 def test_non_finite_score_names_the_feature_and_the_metric(monkeypatch):
@@ -216,7 +222,7 @@ def _importance_oracle(fitted, ds, metric, repeats, seed):
     same Lcg draws and arithmetic as permutation_importance."""
     m = resolve_metric(metric)
     task = TASKS[m.task]
-    baseline = m.score(*task.observe(fitted, ds, None))
+    baseline = m.score(fitted.predict(ds), task.truth(ds))
     rng = Lcg(seed)
     features, importances = [], []
     for fid, _, role, modality in ds.all_features():
@@ -225,7 +231,7 @@ def _importance_oracle(fitted, ds, metric, repeats, seed):
         total = 0.0
         for _ in range(repeats):
             shuffled = _permuted(ds, fid, rng.permutation(len(ds.sample_ids)))
-            score = m.score(*task.observe(fitted, shuffled, None))
+            score = m.score(fitted.predict(shuffled), task.truth(shuffled))
             if m.direction == "loss":
                 total += score - baseline
             else:

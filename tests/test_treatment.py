@@ -7,6 +7,7 @@ import math
 import pytest
 
 from datagen import static_rows
+from tempoframe import treatment
 from tempoframe.data import (
     Categorical,
     Continuous,
@@ -44,7 +45,7 @@ def _pehe(fitted, truth):
     benchmark scores a treatment fold."""
     effects = dict(zip(truth.dataset.sample_ids, truth.effects))
     return resolve_metric("pehe").score(
-        *TASKS["treatment"].observe(fitted, truth.dataset, effects))
+        *TASKS["treatment"].held_out(fitted, truth.dataset, effects))
 
 
 def _effects(cf):
@@ -125,8 +126,8 @@ def test_counterfactual_output_is_sorted_and_consistent():
     assert cf.features == (("a=0", Continuous()), ("a=1", Continuous()))
     assert cf.sample_ids == ds.sample_ids
     # the scored effects are exactly the arm-1 minus arm-0 predictions
-    pred, _ = TASKS["treatment"].observe(fitted, ds,
-                                         dict.fromkeys(ds.sample_ids, 0.0))
+    pred, _ = TASKS["treatment"].held_out(fitted, ds,
+                                          dict.fromkeys(ds.sample_ids, 0.0))
     assert pred.feature_ids == ("effect",)
     assert pred.column("effect") == _effects(cf)
 
@@ -395,6 +396,16 @@ def test_synth_invalid_specs():
         synth_treatment_data(10, seed=0, gamma=(1.0,), dim=2)
     with pytest.raises(InvalidSpec):
         synth_treatment_data(10, seed=0, tau0=1.0, dim=0)
+
+
+def test_synth_bounds_its_cells(monkeypatch):
+    # 10 samples of dim 2 fill 10 x (2 + 2) = 40 cells
+    monkeypatch.setattr(treatment, "_MAX_CELLS", 40)
+    assert len(synth_treatment_data(10, seed=0, tau0=1.0).effects) == 10
+    monkeypatch.setattr(treatment, "_MAX_CELLS", 39)
+    with pytest.raises(InvalidSpec, match=r"^n=10 samples of dim=2 give 40 "
+                                          r"cells, more than 39$"):
+        synth_treatment_data(10, seed=0, tau0=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [
