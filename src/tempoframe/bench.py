@@ -35,7 +35,7 @@ from tempoframe.interpret import check_importance, importance_of
 from tempoframe.kernels import mean_std
 from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
 from tempoframe.plugins import Estimator, build_pipeline
-from tempoframe.rng import Lcg
+from tempoframe.rng import Lcg, check_seed
 
 log = logging.getLogger("tempoframe.bench")
 
@@ -58,14 +58,9 @@ def kfold_split(ds: Dataset, k: int, seed: int) -> list:
         raise TooFewSamples(f"{n} samples cannot fill {k} folds")
     perm = Lcg(seed).permutation(n)
     shuffled = [ids[i] for i in perm]
-    base = n // k
-    extra = n % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(shuffled[start:start + size])
-        start += size
+    base, extra = divmod(n, k)  # the first `extra` folds take one more
+    bounds = [i * base + min(i, extra) for i in range(k + 1)]
+    folds = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
     out = []
     for i in range(k):
         test = folds[i]
@@ -177,7 +172,8 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
     cv = _require(doc, "cv", dict, "an object")
     _check_object(cv, ("folds", "seed"), "cv")
     folds = _require(cv, "folds", int, "an integer", where="cv")
-    seed = _require(cv, "seed", int, "an integer", where="cv")
+    seed = check_seed(_require(cv, "seed", int, "an integer", where="cv"),
+                      "cv 'seed'", ConfigError)
     if folds < 2:
         raise ConfigError(f"cv 'folds' must be >= 2, got {folds}")
 
@@ -197,7 +193,9 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
                                where=where),
             "repeats": _require(importance, "repeats", int, "an integer",
                                 1, where),
-            "seed": _require(importance, "seed", int, "an integer", 0, where)}
+            "seed": check_seed(_require(importance, "seed", int, "an integer",
+                                        0, where), f"{where} 'seed'",
+                               ConfigError)}
         if importance["repeats"] < 1:
             raise ConfigError("importance 'repeats' must be >= 1")
         _check_metric(importance["metric"], task, "importance 'metric'")

@@ -126,9 +126,8 @@ VIOLATION_ERRORS = {
 
 
 class Scan(NamedTuple):
-    cells: list       # per manifest sample, one cell per feature (manifest
-                      # order); a timed table adds a row per sample
-                      # outside the manifest
+    columns: list     # per feature (manifest order), an entry per manifest
+                      # sample, then per sample outside it (timed tables)
     violations: list  # Violation per rejected row or column, in row order
 
 
@@ -234,8 +233,9 @@ def _static_rows(container):
     checked column by column (a column `_clean_column` doubts, cell by
     cell, and then written as checked) and packed, `_ROW_CHARS`
     characters at most to a row. No samples, no rows."""
-    for (fid, kind), column in zip(container.features,
-                                   zip(*container.values)):
+    if not container.sample_ids:
+        return
+    for (fid, kind), column in zip(container.features, container.columns):
         if not _clean_column(kind, column):
             column = [check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
                       for sid, v in zip(container.sample_ids, column)]
@@ -257,8 +257,8 @@ def _timed_rows(modality: Modality, container):
     location of a point is built only when it raises."""
     packed = modality is Modality.TEMPORAL
     writers = {fid: _token_writer(kind) for fid, kind in container.features}
-    for sid, row in zip(container.sample_ids,
-                        container.series if packed else container.entries):
+    # rows go in sample order, so the columns are walked across
+    for sid, row in zip(container.sample_ids, zip(*container.columns)):
         for (fid, kind), seq in zip(container.features, row):
             if seq is None:  # no event
                 continue
@@ -444,7 +444,6 @@ def scan_columns(rows, kinds: dict, pin) -> Scan:
     a feature whose column came before (`duplicate_cell`), its token count
     (`arity`), or a token its kind refuses (`kind_mismatch`, naming the
     sample and the feature). A feature no row names is Missing throughout.
-    The cells come back per sample, by one `zip` of the columns.
     """
     columns, bad, row = {}, [], 0
     for key, group in groupby(rows, itemgetter(slice(1))):
@@ -456,8 +455,7 @@ def scan_columns(rows, kinds: dict, pin) -> Scan:
         else:
             columns[key[0]] = got
     blank = [MISSING] * len(pin)
-    columns = [columns.get(fid, blank) for fid in kinds]
-    return Scan(list(zip(*columns)) if columns else [()] * len(pin), bad)
+    return Scan([columns.get(fid, blank) for fid in kinds], bad)
 
 
 def _column(group: list, row: int, key: list, kinds: dict, done: dict, pin):
@@ -527,7 +525,7 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
     readers = {f: (_token_reader(k, packed), k) for f, k in kinds.items()}
     samples = {s: i for i, s in enumerate(pin)}
     pinned = len(samples)
-    cells = [[empty] * len(features) for _ in samples]
+    columns = [[empty] * len(samples) for _ in features]
     bad = []
     last = None  # (row, slot) of the last accepted table row
     for row, rec in enumerate(rows, 1):
@@ -553,7 +551,7 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
                 ts, vs = (times,), (values,)
             j = features[fid]
             i = samples.get(sid)
-            held = empty if i is None else cells[i][j]
+            held = empty if i is None else columns[j][i]
             if held is empty:
                 prev = -math.inf
             elif packed and last == (i, j):
@@ -567,16 +565,17 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
             bad.append(Violation(row, *e.args))
             continue
         if i is None:
-            i = samples[sid] = len(cells)
-            cells.append([empty] * len(features))
+            i = samples[sid] = len(samples)
+            for column in columns:
+                column.append(empty)
         if held is not empty:  # the row goes on from the row before
             times, values = held[0] + times, held[1] + values
-        cells[i][j] = (times, values) if packed else (times[0], values[0])
+        columns[j][i] = (times, values) if packed else (times[0], values[0])
         last = (i, j)
         if i >= pinned:
             bad.append(Violation(row, "unknown_sample",
                                  f"sample {sid!r} is not in the sample list"))
-    return Scan(cells, bad)
+    return Scan(columns, bad)
 
 
 def _reals(tokens) -> list:
@@ -745,7 +744,7 @@ def _assemble(manifest: BundleManifest, manifest_path, tables) -> Dataset:
     for modality, _, _, kinds, scan in tables:
         containers[modality] = _TABLES[modality][1](
             manifest.samples, tuple(kinds.items()),
-            tuple(map(tuple, scan.cells)))
+            tuple(map(tuple, scan.columns)))
     role_map = RoleMap(tuple(
         (fid, Role(name)) for fid, name in manifest.roles.items()))
     try:

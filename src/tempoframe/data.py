@@ -213,56 +213,46 @@ def _check_id(s, what: str) -> str:
 
 @dataclass(frozen=True)
 class _Samples:
-    """Sample ids, typed features and the position maps of one container.
+    """Sample ids, typed features and one column per feature, the layout
+    of `static.csv`, `map_columns` and the kernels.
 
-    Each subclass adds its per-sample data as the one remaining init field,
-    so every container is built positionally as `(ids, features, rows)`.
+    `columns[j]` holds feature j's entries in sample order; each subclass
+    names what an entry is, and every container is built positionally as
+    `(ids, features, columns)`.
     """
     sample_ids: tuple[str, ...]
     features: tuple[tuple[str, ValueKind], ...]
-    _sample_pos: dict = field(init=False, repr=False, compare=False)
-    _feature_pos: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_sample_pos",
-                           {s: i for i, s in enumerate(self.sample_ids)})
-        object.__setattr__(self, "_feature_pos",
-                           {f: j for j, (f, _) in enumerate(self.features)})
+    columns: tuple[tuple, ...]
 
     @property
     def feature_ids(self) -> tuple[str, ...]:
         return tuple(f for f, _ in self.features)
 
+    def column(self, feature_id: str) -> tuple:
+        """The stored column of one feature, not a copy."""
+        return self.columns[self.feature_ids.index(feature_id)]
+
+    def _entry(self, sample_id: str, feature_id: str):
+        return self.column(feature_id)[self.sample_ids.index(sample_id)]
+
 
 @dataclass(frozen=True)
 class StaticSamples(_Samples):
-    values: tuple[tuple, ...]  # N rows x F columns of CellValue
-
-    def cell(self, sample_id: str, feature_id: str):
-        return self.values[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
-
-    def column(self, feature_id: str) -> tuple:
-        j = self._feature_pos[feature_id]
-        return tuple(row[j] for row in self.values)
+    """A column holds one CellValue per sample."""
+    cell = _Samples._entry
 
 
 @dataclass(frozen=True)
 class TimeSeriesSamples(_Samples):
-    # [sample][feature] -> (times, values): two equal-length tuples, times
-    # strictly increasing; an empty sequence is ((), ())
-    series: tuple[tuple[tuple[tuple, tuple], ...], ...]
-
-    def sequence(self, sample_id: str, feature_id: str) -> tuple:
-        """The (times, values) pair of one sample's feature."""
-        return self.series[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
+    """A column holds one `(times, values)` pair of equal-length tuples per
+    sample, times strictly increasing; an empty sequence is `((), ())`."""
+    sequence = _Samples._entry
 
 
 @dataclass(frozen=True)
 class EventSamples(_Samples):
-    entries: tuple[tuple, ...]  # [sample][feature] -> None or (time, value)
-
-    def entry(self, sample_id: str, feature_id: str):
-        return self.entries[self._sample_pos[sample_id]][self._feature_pos[feature_id]]
+    """A column holds None or one `(time, value)` per sample."""
+    entry = _Samples._entry
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +322,18 @@ class Dataset:
         raise EmptyDataset("dataset has no containers")
 
     def containers(self) -> list:
-        out = []
-        if self.static is not None:
-            out.append((Modality.STATIC, self.static))
-        if self.temporal is not None:
-            out.append((Modality.TEMPORAL, self.temporal))
-        if self.events is not None:
-            out.append((Modality.EVENT, self.events))
-        return out
+        """(modality, container) of each present container, in order."""
+        return [(m, c) for m, c in ((Modality.STATIC, self.static),
+                                    (Modality.TEMPORAL, self.temporal),
+                                    (Modality.EVENT, self.events))
+                if c is not None]
 
     def all_features(self) -> list:
         """(feature_id, kind, role, modality) in container order:
         static, then temporal, then events."""
-        out = []
-        for modality, c in self.containers():
-            for fid, kind in c.features:
-                out.append((fid, kind, self.roles.role_of(fid), modality))
-        return out
+        return [(fid, kind, self.roles.role_of(fid), modality)
+                for modality, c in self.containers()
+                for fid, kind in c.features]
 
     def features_with_role(self, role: Role, modality=None) -> list:
         """(feature_id, kind, modality) of each feature with `role`, in
@@ -409,13 +394,13 @@ def _build(modality: Modality, records, kinds: dict, sample_ids):
                                "kind instance")
     pin = [] if sample_ids is None else [_check_id(s, "sample_id")
                                          for s in sample_ids]
-    rows = {s: {} for s in pin}  # sample -> {slot: value, entry or sequence}
-    if len(rows) != len(pin):
+    samples = dict.fromkeys(pin)  # the sample ids, in order
+    if len(samples) != len(pin):
         raise SampleIndexMismatch("explicit sample_ids contains duplicates")
     timed = modality is not Modality.STATIC
     series = modality is Modality.TEMPORAL
     width = 4 if timed else 3
-    features: dict = {}  # feature id -> slot
+    features: dict = {}  # feature id -> {sample: value, entry or sequence}
     t = None
     for rec in records:
         if len(rec) != width:
@@ -438,33 +423,33 @@ def _build(modality: Modality, records, kinds: dict, sample_ids):
             # Located only on failure; a series value names its time.
             t_at = f", t={at}" if series and at is not None else ""
             raise KindMismatch(f"({sid}, {fid}{t_at}): {e}") from None
-        j = features.setdefault(fid, len(features))
-        cells = rows.get(sid)
+        samples.setdefault(sid)
+        cells = features.get(fid)
         if cells is None:
-            cells = rows[sid] = {}
-        key = j
+            cells = features[fid] = {}
+        key = sid
         if series:  # a sequence is a dict keyed by time
-            cells, key = cells.setdefault(j, {}), t
+            cells, key = cells.setdefault(sid, {}), t
         if key in cells:
             raise duplicate(f"{stem.format(t=t)} for sample {sid!r}, "
                             f"feature {fid!r}")
         cells[key] = (t, value) if modality is Modality.EVENT else value
-    if sample_ids is not None and len(rows) > len(pin):
-        extra = list(rows)[len(pin):]
+    if sample_ids is not None and len(samples) > len(pin):
+        extra = list(samples)[len(pin):]
         raise UnknownSample(f"rows mention samples not in sample_ids: {extra}")
     if series:
-        for row in rows.values():
-            for j, held in row.items():
+        for col in features.values():
+            for sid, held in col.items():
                 times = tuple(sorted(held))
-                row[j] = (times, tuple(map(held.__getitem__, times)))
+                col[sid] = (times, tuple(map(held.__getitem__, times)))
     fids = [*features, *(f for f in kinds if f not in features)]
-    return cls(tuple(rows), tuple((f, kinds[f]) for f in fids),
-               tuple(tuple(row.get(j, empty) for j in range(len(fids)))
-                     for row in rows.values()))
+    return cls(tuple(samples), tuple((f, kinds[f]) for f in fids),
+               tuple(tuple(features.get(f, {}).get(s, empty)
+                           for s in samples) for f in fids))
 
 
 def build_static_samples(rows, kinds: dict, *, sample_ids=None) -> StaticSamples:
-    """Assemble the N x F_s grid from long-form rows.
+    """Assemble the F_s columns of N cells from long-form rows.
 
     Absent (sample, feature) pairs become Missing. Sample and feature order
     is first-appearance order in `rows`; features declared in `kinds` but
@@ -532,46 +517,42 @@ def select_samples(ds: Dataset, ids) -> Dataset:
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise SampleIndexMismatch("selection contains duplicate sample ids")
-    known = set(ds.sample_ids)
+    known = {sid: i for i, sid in enumerate(ds.sample_ids)}
     for sid in ids:
         if sid not in known:
             raise UnknownSample(f"sample {sid!r} not in dataset")
+    # one sample index is shared by every container (`assemble_dataset`)
+    pos = list(map(known.__getitem__, ids))
 
-    def pick(container, rows_attr):
+    def pick(container):
         if container is None:
             return None
-        pos = [container._sample_pos[sid] for sid in ids]
-        rows = getattr(container, rows_attr)
-        return type(container)(tuple(ids), container.features,
-                               tuple(rows[i] for i in pos))
+        return type(container)(tuple(ids), container.features, tuple(
+            tuple(map(col.__getitem__, pos)) for col in container.columns))
 
-    return Dataset(static=pick(ds.static, "values"),
-                   temporal=pick(ds.temporal, "series"),
-                   events=pick(ds.events, "entries"),
-                   roles=ds.roles)
+    return Dataset(static=pick(ds.static), temporal=pick(ds.temporal),
+                   events=pick(ds.events), roles=ds.roles)
 
 
 def map_columns(ds: Dataset, fns: dict) -> Dataset:
     """Replace the column of each static or temporal feature `fid` in
     `fns` by `fns[fid](column)`.
 
-    A column is the tuple of the feature's per-sample values (static cells
-    or temporal sequences) in sample order, and `fns[fid]` returns one of
-    the same length. Other features, the events and the roles are kept; a
-    container with no mapped feature is returned as is.
+    A column is the container's tuple of the feature's per-sample entries
+    (static cells or temporal sequences) in sample order, and `fns[fid]`
+    returns a tuple of the same length. Other columns are passed on as the
+    same objects; the events and the roles are kept, and a container with
+    no mapped feature is returned as is.
     """
-    def remap(container, rows_attr):
+    def remap(container):
         if container is None or not any(
                 fid in fns for fid in container.feature_ids):
             return container
-        rows = getattr(container, rows_attr)
-        columns = [fns[fid](col) if fid in fns else col
-                   for col, (fid, _) in zip(zip(*rows), container.features)]
-        return type(container)(container.sample_ids, container.features,
-                               tuple(zip(*columns)))
+        return type(container)(container.sample_ids, container.features, tuple(
+            fns[fid](col) if fid in fns else col
+            for (fid, _), col in zip(container.features, container.columns)))
 
-    return Dataset(static=remap(ds.static, "values"),
-                   temporal=remap(ds.temporal, "series"),
+    return Dataset(static=remap(ds.static), temporal=remap(ds.temporal),
                    events=ds.events, roles=ds.roles)
 
 
@@ -598,8 +579,8 @@ def _ols_slope(points: list) -> float:
     return num / den if den != 0.0 else math.nan
 
 
-def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
-    """The five summary columns of each temporal feature at `positions`,
+def _summary_columns(ts: TimeSeriesSamples, fids) -> list:
+    """The five summary columns of each temporal feature of `fids`,
     in that order: the last observed value, their mean, min and max, and
     the OLS slope of value against time, each one value per sample in
     sample order. Missing points are skipped; a sample with fewer than two
@@ -608,12 +589,11 @@ def _summary_columns(ts: TimeSeriesSamples, positions) -> list:
     slope that is not finite.
     """
     columns = []
-    for j in positions:
-        fid = ts.features[j][0]
+    for fid in fids:
         stats = ([], [], [], [], [])
         last, mean, mn, mx, slope = stats
-        for sid, per_sample in zip(ts.sample_ids, ts.series):
-            observed = [(t, float(v)) for t, v in zip(*per_sample[j])
+        for sid, seq in zip(ts.sample_ids, ts.column(fid)):
+            observed = [(t, float(v)) for t, v in zip(*seq)
                         if v is not MISSING]
             if not observed:
                 for col in stats:
@@ -689,8 +669,7 @@ def covariate_matrix(ds: Dataset) -> tuple:
     columns = [ds.static.column(fid) for fid, modality, _ in groups
                if modality is Modality.STATIC]
     columns.extend(_summary_columns(ds.temporal, [
-        ds.temporal._feature_pos[fid] for fid, modality, _ in groups
-        if modality is Modality.TEMPORAL]))
+        fid for fid, modality, _ in groups if modality is Modality.TEMPORAL]))
     missing = [(col.index(MISSING), j) for j, col in enumerate(columns)
                if MISSING in col]
     if missing:

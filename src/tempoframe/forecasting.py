@@ -76,21 +76,21 @@ def _persistence_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     step = params["step"]
     targets = state["targets"]
     features = tuple((fid, Continuous()) for fid in targets)
-    series = []
-    for sid in ds.sample_ids:
-        per_sample = []
-        for fid in targets:
-            times, values = ds.temporal.sequence(sid, fid)
+    ks = range(1, horizon + 1)
+    columns = []
+    for fid in targets:
+        column = []
+        for sid, (times, values) in zip(ds.sample_ids,
+                                        ds.temporal.column(fid)):
             j, v_last = _last_observed(values, sid, fid)
             t0 = times[0]
-            ks = range(1, horizon + 1)
             if all(t == t0 + i * step for i, t in enumerate(times)):
                 grid = tuple(t0 + (j + k) * step for k in ks)
             else:
                 grid = tuple(times[j] + k * step for k in ks)
-            per_sample.append((grid, (v_last,) * horizon))
-        series.append(tuple(per_sample))
-    return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
+            column.append((grid, (v_last,) * horizon))
+        columns.append(tuple(column))
+    return TimeSeriesSamples(ds.sample_ids, features, tuple(columns))
 
 
 register_plugin(EstimatorSpec(
@@ -139,9 +139,8 @@ def _ar_fit(params, ds: Dataset) -> dict:
         # lags[k - 1][i] is the value k steps before target y[i]
         lags = [[] for _ in range(order)]
         y = []
-        for sid in ds.sample_ids:
-            values = _regular_values(*ds.temporal.sequence(sid, fid), step,
-                                     order, sid, fid)
+        for sid, seq in zip(ds.sample_ids, ds.temporal.column(fid)):
+            values = _regular_values(*seq, step, order, sid, fid)
             for k, lag in enumerate(lags, 1):
                 lag.extend(values[order - k:len(values) - k])
             y.extend(values[order:])
@@ -157,11 +156,11 @@ def _ar_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
     step = params["step"]
     models = state["models"]
     features = tuple((fid, Continuous()) for fid in models)
-    series = []
-    for sid in ds.sample_ids:
-        per_sample = []
-        for fid, model in models.items():
-            times, values = ds.temporal.sequence(sid, fid)
+    columns = []
+    for fid, model in models.items():
+        column = []
+        for sid, (times, values) in zip(ds.sample_ids,
+                                        ds.temporal.column(fid)):
             if len(times) < order:
                 raise InsufficientHistory(
                     f"target {fid!r} of sample {sid!r} has {len(times)} "
@@ -179,9 +178,9 @@ def _ar_predict(params, state, ds: Dataset) -> TimeSeriesSamples:
                 history.append(nxt)
                 # continue the grid `_regular_values` checks
                 grid.append(t0 + (len(history) - 1) * step)
-            per_sample.append((tuple(grid), tuple(history[-horizon:])))
-        series.append(tuple(per_sample))
-    return TimeSeriesSamples(ds.sample_ids, features, tuple(series))
+            column.append((tuple(grid), tuple(history[-horizon:])))
+        columns.append(tuple(column))
+    return TimeSeriesSamples(ds.sample_ids, features, tuple(columns))
 
 
 register_plugin(EstimatorSpec(
@@ -224,7 +223,7 @@ def _logistic_predict_columns(params, state, sample_ids, names,
     z = linear_predictor(columns, state["weights"],
                          [state["bias"]] * len(sample_ids))
     return StaticSamples(sample_ids, ((state["target"], Continuous()),),
-                         tuple((_sigmoid(v),) for v in z))
+                         (tuple(map(_sigmoid, z)),))
 
 
 register_plugin(EstimatorSpec(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from tempoframe.bundle import read_number
 from tempoframe.data import (
@@ -52,7 +51,7 @@ def static_target_table(ds: Dataset) -> StaticSamples:
     `classify.logistic` fits on."""
     fid, kind, _ = ds.sole_feature(Role.TARGET, Modality.STATIC)
     return StaticSamples(ds.sample_ids, ((fid, kind),),
-                         tuple((v,) for v in ds.static.column(fid)))
+                         (ds.static.column(fid),))
 
 
 def _holdout_forecast(ds: Dataset, horizon: int):
@@ -61,23 +60,19 @@ def _holdout_forecast(ds: Dataset, horizon: int):
     short, and the truth series of those points."""
     targets = _temporal_targets(ds)
     ids = ds.temporal.sample_ids
-    futures = dict.fromkeys(targets, ())
-
-    def cut(fid, column):
+    columns = [ds.temporal.column(fid) for fid in targets]
+    for fid, column in zip(targets, columns):
         for sid, (times, _) in zip(ids, column):
             if len(times) <= horizon:
                 raise BenchError(
                     f"sample {sid!r} target {fid!r} has {len(times)} "
                     f"points; holding out {horizon} leaves no history")
-        futures[fid] = tuple((times[-horizon:], values[-horizon:])
-                             for times, values in column)
-        return tuple((times[:-horizon], values[:-horizon])
-                     for times, values in column)
-
-    history = map_columns(ds, {fid: partial(cut, fid) for fid in targets})
+    history = map_columns(ds, dict.fromkeys(targets, lambda column: tuple(
+        (times[:-horizon], values[:-horizon]) for times, values in column)))
     future = TimeSeriesSamples(
         ids, tuple((fid, Continuous()) for fid in targets),
-        tuple(zip(*futures.values())))
+        tuple(tuple((times[-horizon:], values[-horizon:])
+                    for times, values in column) for column in columns))
     return history, future
 
 
@@ -98,9 +93,9 @@ def _observe_treatment(fitted, ds, effects):
     if missing:
         raise BenchError(f"truth file lacks samples {missing}")
     effect = (("effect", Continuous()),)
-    return (StaticSamples(ids, effect,
-                          tuple((y1 - y0,) for y0, y1 in outcomes.values)),
-            StaticSamples(ids, effect, tuple((effects[s],) for s in ids)))
+    estimate = tuple(y1 - y0 for y0, y1 in zip(*outcomes.columns))
+    return (StaticSamples(ids, effect, (estimate,)),
+            StaticSamples(ids, effect, (tuple(map(effects.get, ids)),)))
 
 
 @dataclass(frozen=True)
@@ -168,15 +163,15 @@ def rmse(pred, truth) -> float:
     for i, sid in enumerate(pred.sample_ids):
         for j, (fid, _) in enumerate(pred.features):
             if temporal:
-                times, predicted = pred.series[i][j]
-                grid, observed = truth.series[i][j]
+                times, predicted = pred.columns[j][i]
+                grid, observed = truth.columns[j][i]
                 if times != grid:
                     raise AlignmentError(
                         f"time grids differ for sample {sid!r}, "
                         f"feature {fid!r}")
                 points = zip(times, predicted, observed)
             else:
-                points = ((None, pred.values[i][j], truth.values[i][j]),)
+                points = ((None, pred.columns[j][i], truth.columns[j][i]),)
             for t, va, vb in points:
                 d = _numeric(va, sid, fid, t) - _numeric(vb, sid, fid, t)
                 total += d * d
@@ -204,11 +199,11 @@ def accuracy(pred, truth) -> float:
     count = 0
     for i, sid in enumerate(pred.sample_ids):
         for j, (fid, _) in enumerate(truth.features):
-            p = _numeric(pred.values[i][j], sid, fid)
+            p = _numeric(pred.columns[j][i], sid, fid)
             if math.isnan(p):
                 raise MetricMismatch(f"accuracy: ({sid}, {fid}): predicted "
                                      "probability is NaN")
-            tv = truth.values[i][j]
+            tv = truth.columns[j][i]
             if tv is MISSING:
                 raise AlignmentError(f"({sid}, {fid}): missing truth label")
             if tv not in codes[j]:

@@ -61,16 +61,12 @@ def _observed_training_values(ds: Dataset) -> dict:
     points, in container order."""
     out = {}
     if ds.static is not None:
-        for fid, _ in ds.static.features:
-            out[fid] = [v for v in ds.static.column(fid) if v is not MISSING]
+        for fid, column in zip(ds.static.feature_ids, ds.static.columns):
+            out[fid] = [v for v in column if v is not MISSING]
     if ds.temporal is not None:
-        for j, (fid, _) in enumerate(ds.temporal.features):
-            vals = []
-            for per_sample in ds.temporal.series:
-                for v in per_sample[j][1]:
-                    if v is not MISSING:
-                        vals.append(v)
-            out[fid] = vals
+        for fid, column in zip(ds.temporal.feature_ids, ds.temporal.columns):
+            out[fid] = [v for _, values in column for v in values
+                        if v is not MISSING]
     return out
 
 
@@ -78,15 +74,12 @@ def _map_values(ds: Dataset, fns: dict) -> Dataset:
     """`map_columns` with each `fns[fid]` applied to every value of the
     feature: each static cell, each temporal point's value (a sequence
     keeps its times tuple)."""
-    lifted = {}
-    for fid in (ds.static.feature_ids if ds.static is not None else ()):
-        if fid in fns:
-            lifted[fid] = lambda col, f=fns[fid]: tuple(f(v) for v in col)
-    for fid in (ds.temporal.feature_ids if ds.temporal is not None else ()):
-        if fid in fns:
-            lifted[fid] = lambda col, f=fns[fid]: tuple(
-                (times, tuple(map(f, values))) for times, values in col)
-    return map_columns(ds, lifted)
+    temporal = ds.temporal.feature_ids if ds.temporal is not None else ()
+    return map_columns(ds, {
+        fid: (lambda col, f=f: tuple((times, tuple(map(f, values)))
+                                     for times, values in col))
+        if fid in temporal else (lambda col, f=f: tuple(map(f, col)))
+        for fid, f in fns.items()})
 
 
 def _fill_value(plugin: str, fid: str, kind, observed: list):
@@ -247,34 +240,37 @@ def _onehot_transform(params, state, ds: Dataset) -> Dataset:
         return ds
     new_ids = []
 
-    def expand(container, rows_attr, indicators):
-        # Row by row, so the first unseen value in sample order, static
-        # before temporal, is the one reported.
+    def expand(container, indicators):
         if container is None or not any(
                 fid in by_feature for fid in container.feature_ids):
             return container
-        features = []
-        for fid, kind in container.features:
-            if fid in by_feature:
-                ids = [f"{fid}={c}" for c in by_feature[fid]]
-                new_ids.extend(ids)
-                features.extend((i, Integer()) for i in ids)
-            else:
+        features, columns, unseen = [], [], []
+        for (fid, kind), column in zip(container.features, container.columns):
+            cats = by_feature.get(fid)
+            if cats is None:
                 features.append((fid, kind))
-        rows = []
-        for row in getattr(container, rows_attr):
-            new_row = []
-            for cell, (fid, _) in zip(row, container.features):
-                if fid in by_feature:
-                    new_row.extend(indicators(cell, by_feature[fid], fid))
-                else:
-                    new_row.append(cell)
-            rows.append(tuple(new_row))
+                columns.append(column)
+                continue
+            ids = [f"{fid}={c}" for c in cats]
+            new_ids.extend(ids)
+            features.extend((i, Integer()) for i in ids)
+            bits = []
+            for i, cell in enumerate(column):
+                try:
+                    bits.append(indicators(cell, cats, fid))
+                except UnseenCategory as e:
+                    unseen.append((i, e))
+                    break
+            columns.extend(tuple(b[k] for b in bits) for k in range(len(cats)))
+        if unseen:
+            # the first in sample order, then feature order, as a walk of
+            # the samples meets it; static raises before temporal
+            raise min(unseen, key=lambda found: found[0])[1]
         return type(container)(container.sample_ids, tuple(features),
-                               tuple(rows))
+                               tuple(columns))
 
-    static = expand(ds.static, "values", _onehot_value)
-    temporal = expand(ds.temporal, "series", _onehot_seq)
+    static = expand(ds.static, _onehot_value)
+    temporal = expand(ds.temporal, _onehot_seq)
     assignment = [(fid, role) for fid, role in ds.roles.assignment
                   if fid not in by_feature]
     assignment.extend((fid, Role.COVARIATE) for fid in new_ids)

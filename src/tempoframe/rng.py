@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import math
 
+from tempoframe.errors import InvalidSpec
+
 _A = 6364136223846793005
 _C = 1442695040888963407
 _MASK = (1 << 64) - 1
 _TWO_POW_MINUS_53 = 2.0 ** -53
+
+
+def check_seed(seed: int, where: str = "seed", error=InvalidSpec) -> int:
+    """`seed` if it is a signed 64-bit integer, else `error` naming `where`:
+    the state keeps a seed modulo 2**64, so a wider one would alias."""
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise error(f"{where} must be a signed 64-bit integer, in "
+                    f"[-2**63, 2**63), got {seed}")
+    return seed
 
 
 class Lcg:
@@ -23,7 +34,7 @@ class Lcg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = check_seed(seed) & _MASK
 
     def next_u64(self) -> int:
         self.state = (_A * self.state + _C) & _MASK

@@ -75,8 +75,7 @@ def event_outcomes(ds: Dataset) -> list:
     """Derive per-sample (time, occurred) from the single event Target."""
     fid, _, _ = ds.sole_feature(Role.TARGET, Modality.EVENT)
     out = []
-    for sid in ds.sample_ids:
-        entry = ds.events.entry(sid, fid)
+    for sid, entry in zip(ds.sample_ids, ds.events.column(fid)):
         if entry is None:
             raise RequirementUnmet(
                 "incomplete_event_target",

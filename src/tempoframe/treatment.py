@@ -142,7 +142,7 @@ def _tl_predict_cf(params, state, ds: Dataset,
     return StaticSamples(
         ds.sample_ids,
         tuple((f"{state['treatment']}={a}", Continuous()) for a in alts),
-        tuple(zip(*outcomes)))
+        tuple(map(tuple, outcomes)))
 
 
 register_plugin(EstimatorSpec(
@@ -173,9 +173,9 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
 
     Exactly one of `tau0` (constant effect) or `gamma` (linear effect
     tau(x) = gamma . x) must be given; `noise`, `tau0` and `gamma` must be
-    finite, and a table of more than `_MAX_CELLS` is refused before any
-    draw. Deterministic per seed: the draw order is w, then per sample x,
-    coin a, and (only if noise > 0) one normal for eps.
+    finite, and a table of more than `_MAX_CELLS` or a seed `Lcg` refuses
+    is refused before any draw. Deterministic per seed: the draw order is
+    w, then per sample x, coin a, and (only if noise > 0) one normal.
     """
     if n < 4:
         raise InvalidSpec(f"need n >= 4 samples, got {n}")
@@ -201,7 +201,7 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
     w = [rng.uniform_in(-1.0, 1.0) for _ in range(dim)]
     x_names = [f"x{k + 1}" for k in range(dim)]
     ids = tuple(f"s{i:04d}" for i in range(n))
-    rows = []
+    columns = [[] for _ in range(dim + 2)]  # x1, ..., a, y
     effects = []
     for sid in ids:
         x = [rng.uniform_in(-1.0, 1.0) for _ in range(dim)]
@@ -218,11 +218,13 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
             f += wk * xv
         # Only y can be non-finite: each x is in [-1, 1) and a is 0 or 1.
         y = check_value(Continuous(), f + tau * a + eps, f"({sid}, y)")
-        rows.append((*x, a, y))
+        for column, v in zip(columns, (*x, a, y)):
+            column.append(v)
         effects.append(tau)
     static = StaticSamples(ids, (
         *((name, Continuous()) for name in x_names),
-        ("a", Integer()), ("y", Continuous())), tuple(rows))
+        ("a", Integer()), ("y", Continuous())),
+        tuple(map(tuple, columns)))
     roles = RoleMap.of(covariates=x_names, targets=("y",), treatments=("a",))
     ds = assemble_dataset(static=static, roles=roles)
     return SynthGroundTruth(ds, tuple(effects))

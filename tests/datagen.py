@@ -126,28 +126,29 @@ def random_dataset(seed: int, *, ensure_observed: bool = False,
 
 def static_rows(static) -> list:
     """The long-form (sample_id, feature_id, value) row of every cell of a
-    StaticSamples, Missing included, row-major: what its builder reads."""
-    return [(sid, fid, v) for sid, row in zip(static.sample_ids, static.values)
-            for (fid, _), v in zip(static.features, row)]
+    StaticSamples, Missing included, row-major: what its builder reads.
+    Each cell is read on its own, through `cell`."""
+    return [(sid, fid, static.cell(sid, fid)) for sid in static.sample_ids
+            for fid in static.feature_ids]
 
 
 def temporal_points(temporal) -> list:
     """The long-form (sample_id, feature_id, time, value) point of every
     sequence of a TimeSeriesSamples, sample-major then feature order: what
-    its builder reads."""
-    return [(sid, fid, t, v)
-            for sid, row in zip(temporal.sample_ids, temporal.series)
-            for (fid, _), (times, values) in zip(temporal.features, row)
-            for t, v in zip(times, values)]
+    its builder reads. Each sequence is read on its own, through
+    `sequence`."""
+    return [(sid, fid, t, v) for sid in temporal.sample_ids
+            for fid in temporal.feature_ids
+            for t, v in zip(*temporal.sequence(sid, fid))]
 
 
 def event_entries(events) -> list:
     """The long-form (sample_id, feature_id, time, value) entry of every
     event of an EventSamples, sample-major then feature order: what its
-    builder reads."""
-    return [(sid, fid, *e)
-            for sid, row in zip(events.sample_ids, events.entries)
-            for (fid, _), e in zip(events.features, row) if e is not None]
+    builder reads. Each entry is read on its own, through `entry`."""
+    return [(sid, fid, *events.entry(sid, fid)) for sid in events.sample_ids
+            for fid in events.feature_ids
+            if events.entry(sid, fid) is not None]
 
 
 def sequence_of(pairs) -> tuple:
@@ -173,12 +174,11 @@ def _with_observed_temporal(points, kinds, sample_ids, rng: Lcg):
 def _with_observed_static(static, rng: Lcg):
     from tempoframe.data import StaticSamples
 
-    grid = [list(row) for row in static.values]
-    for j, (fid, k) in enumerate(static.features):
-        if all(row[j] is MISSING for row in grid):
-            grid[0][j] = _random_value(rng, k)
-    return StaticSamples(static.sample_ids, static.features,
-                         tuple(tuple(row) for row in grid))
+    columns = tuple(
+        (_random_value(rng, k), *column[1:])
+        if all(v is MISSING for v in column) else column
+        for (_, k), column in zip(static.features, static.columns))
+    return StaticSamples(static.sample_ids, static.features, columns)
 
 
 def survival_dataset(seed: int, n: int = 30, censor_rate: float = 0.3,

@@ -322,10 +322,10 @@ def test_c07_imputation_completes_and_is_idempotent_100_datasets():
         fitted = pipeline.fit(ds)
         once = fitted.transform(ds)
         if once.static is not None:
-            assert not any(v is MISSING for row in once.static.values
-                           for v in row)
-        assert not any(v is MISSING for sample in once.temporal.series
-                       for seq in sample for v in seq[1])
+            assert not any(v is MISSING for column in once.static.columns
+                           for v in column)
+        assert not any(v is MISSING for column in once.temporal.columns
+                       for seq in column for v in seq[1])
         twice = fitted.transform(once)
         assert twice == once
 

@@ -41,17 +41,17 @@ from tempoframe.data import (
     EventSamples,
     Integer,
     RoleMap,
-    StaticSamples,
-    TimeSeriesSamples,
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
     covariate_matrix,
+    map_columns,
 )
 from tempoframe.errors import (
     BenchError,
     ConfigError,
     DuplicateFeature,
+    InvalidSpec,
     IoError,
     NonBinaryTarget,
     RoleConflict,
@@ -121,6 +121,23 @@ def test_kfold_is_seeded():
     assert [t.sample_ids for _, t in a] == [t.sample_ids for _, t in b]
     c = kfold_split(ds, 3, seed=6)
     assert [t.sample_ids for _, t in a] != [t.sample_ids for _, t in c]
+
+
+def test_a_seed_is_a_signed_64_bit_integer():
+    # `Lcg` keeps a seed modulo 2**64: a wider seed would alias another
+    for seed in (-2 ** 63, -1, 2 ** 63 - 1):
+        Lcg(seed)
+    assert Lcg(-1).permutation(9) != Lcg(2 ** 63 - 1).permutation(9)
+    ds = classification_dataset(2, n=12)
+    for seed in (2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64 + 11):
+        message = ("^seed must be a signed 64-bit integer, in "
+                   rf"\[-2\*\*63, 2\*\*63\), got {seed}$")
+        with pytest.raises(InvalidSpec, match=message):
+            Lcg(seed)
+        with pytest.raises(InvalidSpec, match=message):
+            kfold_split(ds, 3, seed)
+        with pytest.raises(InvalidSpec, match=message):
+            synth_treatment_data(8, seed, tau0=1.0)
 
 
 def test_kfold_bounds():
@@ -452,12 +469,10 @@ def test_cli_forecast_horizon_exhausting_a_series_fails_cleanly(
     # one series of 2 points, in fold 1's test set, cannot hold out 2
     ds = regular_series_dataset(1, n=6, length=5)
     short = kfold_split(ds, 2, 0)[1][1].sample_ids[0]
-    temporal = ds.temporal
-    i = temporal.sample_ids.index(short)
-    series = tuple((((seqs[0][0][:2], seqs[0][1][:2]),) if k == i else seqs)
-                   for k, seqs in enumerate(temporal.series))
-    write_bundle(replace(ds, temporal=TimeSeriesSamples(
-        temporal.sample_ids, temporal.features, series)),
+    i = ds.sample_ids.index(short)
+    write_bundle(map_columns(ds, {"hr": lambda column: tuple(
+        (times[:2], values[:2]) if k == i else (times, values)
+        for k, (times, values) in enumerate(column))}),
         str(tmp_path / "bundle"))
     doc = {"bundle": "bundle", "task": "forecast",
            "pipeline": [{"plugin": "forecast.persistence",
@@ -848,14 +863,13 @@ def test_cli_run_overflowing_risk_scores_cleanly(tmp_path):
     # on it, so that fit stays finite.
     ds = survival_dataset(5, n=40, censor_rate=0.2, effect=2.0)
     _, test = kfold_split(ds, 2, 1)[0]
-    st, ev = ds.static, ds.events
-    i = st.sample_ids.index(test.sample_ids[0])
-    rows = tuple((1e6,) if k == i else row for k, row in enumerate(st.values))
-    entries = tuple(((0.5, MISSING),) if k == i else e
-                    for k, e in enumerate(ev.entries))
-    ds = replace(ds,
-                 static=StaticSamples(st.sample_ids, st.features, rows),
-                 events=EventSamples(ev.sample_ids, ev.features, entries))
+    ev = ds.events
+    i = ds.sample_ids.index(test.sample_ids[0])
+    (event,) = ev.columns
+    ds = map_columns(ds, {"x": lambda column: tuple(
+        1e6 if k == i else v for k, v in enumerate(column))})
+    ds = replace(ds, events=EventSamples(ev.sample_ids, ev.features, (tuple(
+        (0.5, MISSING) if k == i else e for k, e in enumerate(event)),)))
     write_bundle(ds, str(tmp_path / "bundle"))
     doc = {"bundle": "bundle", "task": "survival",
            "pipeline": [{"plugin": "survival.cox", "params": {"iters": 50}}],
@@ -1071,12 +1085,8 @@ def test_cli_run_singular_t_learner_fails_cleanly(tmp_path):
     # a constant 1.0 covariate duplicates the intercept column; ridge 0
     # leaves the normal equations singular
     truth = synth_treatment_data(40, seed=1, tau0=3.0)
-    st = truth.dataset.static
-    j = st.feature_ids.index("x1")
-    rows = tuple(tuple(1.0 if k == j else v for k, v in enumerate(row))
-                 for row in st.values)
-    ds = replace(truth.dataset,
-                 static=StaticSamples(st.sample_ids, st.features, rows))
+    ds = map_columns(truth.dataset,
+                     {"x1": lambda column: (1.0,) * len(column)})
     write_bundle(ds, str(tmp_path / "bundle"))
     write_truth(str(tmp_path / "truth.csv"), ds.sample_ids, truth.effects)
     doc = {"bundle": "bundle", "task": "treatment",
@@ -1454,6 +1464,41 @@ def test_cli_synth_ite_reads_numbers_in_the_grammar(tmp_path, capsys):
     assert cli(["synth-ite", "--n", "8", "--seed", "1", "--gamma",
                 "+1,1e-3", "--out", str(tmp_path / "gamma")]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed,code", [
+    ("18446744073709551617", 2), ("-9223372036854775809", 2),
+    ("9223372036854775808", 2), ("9223372036854775807", 0),
+    ("-9223372036854775808", 0),
+])
+def test_cli_synth_ite_takes_a_signed_64_bit_seed(tmp_path, capsys, seed,
+                                                  code):
+    out = tmp_path / "synth"
+    assert cli(["synth-ite", "--n", "8", "--seed", seed, "--out",
+                str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and out.exists()
+    else:
+        assert err == ("tempoframe: seed must be a signed 64-bit integer, "
+                       f"in [-2**63, 2**63), got {seed}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("where,extra", [
+    ("cv", {"cv": {"folds": 2, "seed": 2 ** 64 + 11}}),
+    ("importance", {"importance": {"metric": "accuracy",
+                                   "seed": -2 ** 63 - 1}}),
+])
+def test_cli_run_refuses_a_seed_beyond_64_bits(tmp_path, capsys, where,
+                                               extra):
+    config = _classify_setup(tmp_path, output="report.txt", **extra)
+    assert cli(["run", config]) == 2
+    seed = extra[where]["seed"]
+    assert capsys.readouterr().err == (
+        f"tempoframe: {where} 'seed' must be a signed 64-bit integer, in "
+        f"[-2**63, 2**63), got {seed}\n")
+    assert not (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("option,value", [

@@ -167,7 +167,7 @@ def _edge_dataset():
 
 def test_round_trip_of_edge_case_ids_and_values(tmp_path):
     ds = _edge_dataset()
-    assert ds.static.values[-1] == (MISSING,) * 3
+    assert [column[-1] for column in ds.static.columns] == [MISSING] * 3
     assert len(ds.temporal.sequence("plain", "t\nf")[0]) == _LONG
     write_bundle(ds, tmp_path / "one")
     # the long sequence goes on over rows whose fields csv can read
@@ -190,8 +190,7 @@ def test_round_trip_of_edge_case_ids_and_values(tmp_path):
 def _static_column(kind, column):
     ids = [f"s{i}" for i in range(len(column))]
     return assemble_dataset(
-        static=StaticSamples(tuple(ids), (("f", kind),),
-                             tuple((v,) for v in column)),
+        static=StaticSamples(tuple(ids), (("f", kind),), (tuple(column),)),
         roles=RoleMap.of(covariates=("f",)))
 
 
@@ -222,7 +221,7 @@ def test_a_static_column_round_trips(tmp_path, kind, column):
 def test_a_static_table_of_no_samples_or_no_features_round_trips(tmp_path):
     for name, ds in (("no-samples", _static_column(Continuous(), [])),
                      ("no-features", assemble_dataset(
-                         static=StaticSamples(("a", "b"), (), ((), ())),
+                         static=StaticSamples(("a", "b"), (), ()),
                          temporal=build_time_series_samples(
                              [("a", "t", 0.0, 1.0)], {"t": Continuous()},
                              sample_ids=["a", "b"]),
@@ -495,7 +494,7 @@ def test_write_bundle_refuses_the_last_timed_point_before_writing(tmp_path):
         [(s, "f", float(t), 1.0) for s in ids for t in range(3)],
         {"f": Continuous()})
     events = EventSamples(ids, (("d", Integer()), ("e", Integer())),
-                          (((1.0, 1), (2.0, 0)), ((1.0, 1), (3.0, 1.5))))
+                          (((1.0, 1), (1.0, 1)), ((2.0, 0), (3.0, 1.5))))
     ds = assemble_dataset(static=static, temporal=temporal, events=events,
                           roles=RoleMap.of(covariates=("x", "f", "d"),
                                            targets=("e",)))
@@ -530,7 +529,7 @@ def test_write_bundle_checks_static_cells_before_writing(tmp_path, kind,
     # a container built directly skips the builders' checks; a cell the
     # reader would refuse is refused before any file is opened
     static = StaticSamples(("a", "b"), (("g", Continuous()), ("f", kind)),
-                           tuple((1.0, v) for v in column))
+                           ((1.0, 1.0), column))
     ds = assemble_dataset(static=static,
                           roles=RoleMap.of(covariates=("g", "f")))
     with pytest.raises(KindMismatch, match=f"^{re.escape(held)}$"):
@@ -541,7 +540,7 @@ def test_write_bundle_checks_static_cells_before_writing(tmp_path, kind,
 def test_write_bundle_takes_a_static_column_checked_cell_by_cell(tmp_path):
     # Continuous ints fail the column pass but `check_value` takes them;
     # they are written as the floats it stores and read back equal
-    static = StaticSamples(("a", "b"), (("f", Continuous()),), ((1,), (-2,)))
+    static = StaticSamples(("a", "b"), (("f", Continuous()),), ((1, -2),))
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("f",)))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_text(encoding="utf-8") == \
@@ -576,13 +575,12 @@ def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
             [("a", "e", one, one), ("b", "e", two, two)], {"e": Integer()}),
         roles=roles)
     direct = assemble_dataset(
-        static=StaticSamples(("a", "b"), (("x", Integer()),),
-                             ((one,), (two,))),
+        static=StaticSamples(("a", "b"), (("x", Integer()),), ((one, two),)),
         temporal=TimeSeriesSamples(("a", "b"), (("f", Integer()),),
-                                   ((((_Code(0),), (one,)),),
-                                    (((one,), (two,)),))),
+                                   ((((_Code(0),), (one,)),
+                                     ((one,), (two,))),)),
         events=EventSamples(("a", "b"), (("e", Integer()),),
-                            (((one, one),), ((two, two),))),
+                            (((one, one), (two, two)),)),
         roles=roles)
     for name, ds in (("built", built), ("direct", direct)):
         write_bundle(ds, tmp_path / name)
@@ -595,11 +593,12 @@ def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
             "events.csv": "sample_id,feature_id,time,value\n"
                           "a,e,1.0,1\nb,e,2.0,2\n"}, name
         assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
-    assert {type(v) for row in built.static.values for v in row} == {int}
-    assert {type(v) for row in built.temporal.series
-            for _, values in row for v in values} == {int}
-    assert {type(v) for row in built.events.entries
-            for _, v in row} == {int}
+    assert {type(v) for column in built.static.columns
+            for v in column} == {int}
+    assert {type(v) for column in built.temporal.columns
+            for _, values in column for v in values} == {int}
+    assert {type(v) for column in built.events.columns
+            for _, v in column} == {int}
 
 
 def test_manifest_shape(tmp_path):

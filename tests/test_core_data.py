@@ -8,6 +8,7 @@ import re
 import pytest
 
 from datagen import (
+    classification_dataset,
     event_entries,
     random_dataset,
     regular_series_dataset,
@@ -20,11 +21,12 @@ from tempoframe.data import (
     Categorical,
     Continuous,
     Dataset,
+    EventSamples,
     Integer,
     Modality,
     Role,
     RoleMap,
-    TimeSeriesSamples,
+    StaticSamples,
     assemble_dataset,
     binary_codes,
     build_event_samples,
@@ -54,8 +56,9 @@ from tempoframe.errors import (
     SampleIndexMismatch,
     UnknownSample,
 )
-from tempoframe.metrics import _holdout_forecast
+from tempoframe.metrics import _holdout_forecast, _observe_treatment
 from tempoframe.plugins import create
+from tempoframe.treatment import synth_treatment_data
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +493,11 @@ def test_map_columns_replaces_only_the_mapped_columns():
         assert [out.temporal.sequence(s, tf) for s in ds.sample_ids] == \
             [ds.temporal.sequence(s, tf) for s in reversed(ds.sample_ids)]
         for fid, _, _, modality in ds.all_features():
+            # an unmapped column is passed on as the same object
             if modality is Modality.STATIC and fid != sf:
-                assert out.static.column(fid) == ds.static.column(fid)
+                assert out.static.column(fid) is ds.static.column(fid)
             elif modality is Modality.TEMPORAL and fid != tf:
-                for s in ds.sample_ids:
-                    assert out.temporal.sequence(s, fid) == \
-                        ds.temporal.sequence(s, fid)
+                assert out.temporal.column(fid) is ds.temporal.column(fid)
         assert out.static.features == ds.static.features
         assert out.temporal.features == ds.temporal.features
         assert out.sample_ids == ds.sample_ids
@@ -629,38 +631,42 @@ def test_covariate_matrix_ignores_categorical_temporal_target():
 def test_containers_are_immutable():
     ds = _toy_dataset()
     with pytest.raises(AttributeError):
-        ds.static.values = ()
+        ds.static.columns = ()
     with pytest.raises(AttributeError):
         ds.roles.assignment = ()
     assert isinstance(ds, Dataset)
 
 
 # ---------------------------------------------------------------------------
-# Sequence layout: every producer of a temporal container
+# Container layout: every producer of a container
 # ---------------------------------------------------------------------------
+
+def _containers(ds):
+    return [c for _, c in ds.containers()]
+
 
 def _read_back(seed, tmp_path):
     path = tmp_path / f"b{seed}"
     write_bundle(random_dataset(seed), path)
-    return read_bundle(path / MANIFEST_NAME).temporal
+    return _containers(read_bundle(path / MANIFEST_NAME))
 
 
 def _selected(seed, tmp_path):
     ds = random_dataset(seed)
-    return select_samples(ds, reversed(ds.sample_ids)).temporal
+    return _containers(select_samples(ds, reversed(ds.sample_ids)))
 
 
 def _transformed(name, params=None):
     def produce(seed, tmp_path):
         ds = random_dataset(seed, ensure_observed=True)
-        return create(name, params or {}).fit(ds).transform(ds).temporal
+        return _containers(create(name, params or {}).fit(ds).transform(ds))
     return produce
 
 
 def _forecast(name, params):
     def produce(seed, tmp_path):
         ds = regular_series_dataset(seed, n=6, length=12)
-        return create(name, params).fit(ds).predict(ds)
+        return [create(name, params).fit(ds).predict(ds)]
     return produce
 
 
@@ -668,12 +674,37 @@ def _held_out(side):
     def produce(seed, tmp_path):
         ds = regular_series_dataset(seed, n=6, length=12)
         history, future = _holdout_forecast(ds, 3)
-        return history.temporal if side == "history" else future
+        return _containers(history) if side == "history" else [future]
     return produce
 
 
+def _logistic(seed, tmp_path):
+    ds = classification_dataset(seed, n=12)
+    return [create("classify.logistic", {"iters": 20}).fit(ds).predict(ds)]
+
+
+def _synth(seed, tmp_path):
+    return _containers(synth_treatment_data(8 + seed, seed, tau0=1.0,
+                                            dim=2).dataset)
+
+
+def _t_learner(seed, tmp_path):
+    truth = synth_treatment_data(20, seed, gamma=[0.5, -1.0], dim=2)
+    fitted = create("treatment.t_learner", {}).fit(truth.dataset)
+    return [fitted.predict_counterfactuals(truth.dataset, (0, 1)),
+            fitted.predict_counterfactuals(truth.dataset, (1,))]
+
+
+def _treatment_observer(seed, tmp_path):
+    truth = synth_treatment_data(20, seed, gamma=[0.5, -1.0], dim=2)
+    fitted = create("treatment.t_learner", {}).fit(truth.dataset)
+    ids = truth.dataset.sample_ids
+    return list(_observe_treatment(fitted, truth.dataset,
+                                   dict(zip(ids, truth.effects))))
+
+
 _PRODUCERS = {
-    "builder": lambda seed, tmp_path: random_dataset(seed).temporal,
+    "builder": lambda seed, tmp_path: _containers(random_dataset(seed)),
     "read_bundle": _read_back,
     "select_samples": _selected,
     "impute.mean": _transformed("impute.mean"),
@@ -687,23 +718,43 @@ _PRODUCERS = {
                              {"order": 2, "horizon": 3, "step": 1.0}),
     "holdout-history": _held_out("history"),
     "holdout-future": _held_out("future"),
+    "synth_treatment_data": _synth,
+    "classify.logistic": _logistic,
+    "treatment.t_learner": _t_learner,
+    "treatment-observer": _treatment_observer,
 }
+
+
+def _check_entry(c, entry) -> int:
+    """The points of one entry, after the check of its modality's shape."""
+    if isinstance(c, StaticSamples):
+        assert type(entry) is not tuple
+        return 1
+    if isinstance(c, EventSamples):
+        assert entry is None or type(entry) is tuple and len(entry) == 2
+        return entry is not None
+    assert type(entry) is tuple and len(entry) == 2
+    times, values = entry
+    assert type(times) is tuple and type(values) is tuple
+    assert len(times) == len(values)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    return len(times)
 
 
 @pytest.mark.parametrize("produce", list(_PRODUCERS.values()),
                          ids=list(_PRODUCERS))
 def test_every_sequence_is_a_pair_of_equal_length_tuples(produce, tmp_path):
+    """Every container holds one column per feature, one entry per sample
+    in each, and each sequence is a pair of equal-length tuples."""
     points = 0
     for seed in range(6):
-        ts = produce(seed, tmp_path)
-        assert isinstance(ts, TimeSeriesSamples)
-        for row in ts.series:
-            assert len(row) == len(ts.features)
-            for seq in row:
-                assert type(seq) is tuple and len(seq) == 2
-                times, values = seq
-                assert type(times) is tuple and type(values) is tuple
-                assert len(times) == len(values)
-                assert all(a < b for a, b in zip(times, times[1:]))
-                points += len(times)
+        containers = produce(seed, tmp_path)
+        assert containers
+        for c in containers:
+            assert type(c.columns) is tuple
+            assert len(c.columns) == len(c.features)
+            for column in c.columns:
+                assert type(column) is tuple
+                assert len(column) == len(c.sample_ids)
+                points += sum(_check_entry(c, e) for e in column)
     assert points > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import add
 
 import pytest
 
@@ -17,14 +18,13 @@ from tempoframe.data import (
     Modality,
     Role,
     RoleMap,
-    StaticSamples,
-    TimeSeriesSamples,
     assemble_dataset,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
     covariate_groups,
     covariate_matrix,
+    map_columns,
 )
 from tempoframe.errors import (
     MetricMismatch,
@@ -200,20 +200,19 @@ def test_non_finite_score_names_the_feature_and_the_metric(monkeypatch):
 
 def _permuted(ds, fid, perm):
     """ds with sample i's value (cell or whole sequence) of feature fid
-    taken from sample perm[i]."""
+    taken from sample perm[i]: walked sample by sample, through `cell` or
+    `sequence`, and turned into columns only at the end."""
+    ids = ds.sample_ids
     if ds.static is not None and fid in ds.static.feature_ids:
-        c = ds.static
-        j = c.feature_ids.index(fid)
-        rows = tuple(row[:j] + (c.values[p][j],) + row[j + 1:]
-                     for row, p in zip(c.values, perm))
-        return replace(ds, static=StaticSamples(c.sample_ids, c.features,
-                                                rows))
-    c = ds.temporal
-    j = c.feature_ids.index(fid)
-    series = tuple(per[:j] + (c.series[p][j],) + per[j + 1:]
-                   for per, p in zip(c.series, perm))
-    return replace(ds, temporal=TimeSeriesSamples(c.sample_ids, c.features,
-                                                  series))
+        modality, c, at = "static", ds.static, ds.static.cell
+    else:
+        modality, c, at = "temporal", ds.temporal, ds.temporal.sequence
+    rows = {sid: {f: at(ids[p] if f == fid else sid, f)
+                  for f in c.feature_ids}
+            for sid, p in zip(ids, perm)}
+    columns = tuple(tuple(rows[sid][f] for sid in ids)
+                    for f in c.feature_ids)
+    return replace(ds, **{modality: type(c)(ids, c.features, columns)})
 
 
 def _importance_oracle(fitted, ds, metric, repeats, seed):
@@ -307,11 +306,8 @@ def _categorical_ds(seed, n=48):
 def _mix_transform(params, state, ds):
     """x1 += x2 per sample: per-sample, but not per-feature, so shuffling
     x1 or x2 before it differs from shuffling its output columns."""
-    c = ds.static
-    i, j = c.feature_ids.index("x1"), c.feature_ids.index("x2")
-    rows = tuple(row[:i] + (row[i] + row[j],) + row[i + 1:]
-                 for row in c.values)
-    return replace(ds, static=StaticSamples(c.sample_ids, c.features, rows))
+    x2 = ds.static.column("x2")
+    return map_columns(ds, {"x1": lambda x1: tuple(map(add, x1, x2))})
 
 
 def _imputed_classifier():

@@ -114,15 +114,25 @@ def test_registry_contents():
                           "resample.regular", "scale.zscore"]
 
 
-def test_readme_plugin_table_matches_the_registry():
+def _readme() -> str:
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme, encoding="utf-8") as f:
-        text = f.read()
-    table = text.split("## Shipped plugins", 1)[1].split("\n\n", 2)[1]
+        return f.read()
+
+
+def test_readme_plugin_table_matches_the_registry():
+    table = _readme().split("## Shipped plugins", 1)[1].split("\n\n", 2)[1]
     rows = [re.match(r"\| `([^`]+)` \| (\w+) \|", line)
             for line in table.splitlines()[2:]]
     assert sorted(m.groups() for m in rows) == \
         [(s.name, s.category.value) for s in list_specs()]
+
+
+def test_readme_quick_tour_prints_the_line_it_shows(capsys):
+    tour = _readme().split("## Quick tour\n", 1)[1]
+    code, shown = re.findall(r"```\w*\n(.*?)```", tour, re.S)[:2]
+    exec(compile(code, "README quick tour", "exec"), {})
+    assert capsys.readouterr().out == shown
 
 
 def test_importance_is_not_a_plugin(capsys):

@@ -534,25 +534,29 @@ def _holdout_rows(ds, horizon):
     c = ds.temporal
     targets = [fid for fid, _, _
                in ds.features_with_role(Role.TARGET, Modality.TEMPORAL)]
-    series, futures = [], []
-    for i, sid in enumerate(c.sample_ids):
-        row = [tuple(zip(*seq)) for seq in c.series[i]]
-        future = []
+    rows, futures = {}, {}  # sample -> feature -> (time, value) pairs
+    for sid in c.sample_ids:
+        row = {fid: tuple(zip(*c.sequence(sid, fid)))
+               for fid in c.feature_ids}
+        future = {}
         for fid in targets:
-            j = c.feature_ids.index(fid)
-            if len(row[j]) <= horizon:
+            if len(row[fid]) <= horizon:
                 raise BenchError(
-                    f"sample {sid!r} target {fid!r} has {len(row[j])} "
+                    f"sample {sid!r} target {fid!r} has {len(row[fid])} "
                     f"points; holding out {horizon} leaves no history")
-            future.append(row[j][-horizon:])
-            row[j] = row[j][:-horizon]
-        series.append(tuple(map(sequence_of, row)))
-        futures.append(tuple(map(sequence_of, future)))
+            future[fid] = row[fid][-horizon:]
+            row[fid] = row[fid][:-horizon]
+        rows[sid], futures[sid] = row, future
+
+    def columns(per_sample, fids):
+        return tuple(tuple(sequence_of(per_sample[sid][fid])
+                           for sid in c.sample_ids) for fid in fids)
+
     history = replace(ds, temporal=TimeSeriesSamples(
-        c.sample_ids, c.features, tuple(series)))
+        c.sample_ids, c.features, columns(rows, c.feature_ids)))
     return history, TimeSeriesSamples(
         c.sample_ids, tuple((fid, Continuous()) for fid in targets),
-        tuple(futures))
+        columns(futures, targets))
 
 
 def _two_target_ds(lengths):
@@ -597,7 +601,7 @@ def test_accuracy_refuses_a_nan_probability():
     # p >= threshold is false for NaN, which would score NaN as label 0
     # built as a model builds its prediction; the builder refuses NaN
     pred = StaticSamples(("a", "b"), (("y", Continuous()),),
-                         ((0.9,), (math.nan,)))
+                         ((0.9, math.nan),))
     for label in (0, 1):
         truth = build_static_samples([("a", "y", 1), ("b", "y", label)],
                                      {"y": Integer()})
@@ -626,7 +630,7 @@ def test_finite_query_with_a_nan_probability_fails_scoring():
             [(sid, fid, v) for sid in ("q0", "q1")
              for fid, v in (("x1", 1e308), ("x2", 1e308), ("y", label))],
             kinds), roles=roles)
-        assert all(math.isnan(p) for (p,) in fitted.predict(query).values)
+        assert all(map(math.isnan, fitted.predict(query).column("y")))
         with pytest.raises(MetricMismatch, match=r"^accuracy: \(q0, y\): "):
             accuracy(fitted.predict(query), static_target_table(query))
         with pytest.raises(MetricMismatch, match=r"^accuracy: \(q0, y\): "):

@@ -16,7 +16,6 @@ from tempoframe.data import (
     Role,
     RoleMap,
     StaticSamples,
-    TimeSeriesSamples,
     assemble_dataset,
     build_event_samples,
     build_static_samples,
@@ -38,9 +37,10 @@ from tempoframe.preprocess import _locf_seq, _resample_seq, _zscore_apply
 
 def _no_missing(container) -> bool:
     if isinstance(container, StaticSamples):
-        return all(v is not MISSING for row in container.values for v in row)
-    return all(v is not MISSING for per_sample in container.series
-               for seq in per_sample for v in seq[1])
+        return all(v is not MISSING for column in container.columns
+                   for v in column)
+    return all(v is not MISSING for column in container.columns
+               for seq in column for v in seq[1])
 
 
 def _point(container, sid, fid, k):
@@ -420,6 +420,22 @@ def test_locf_and_resample_need_temporal_in_the_query():
 # rebuilding the grid and the series row by row
 # ---------------------------------------------------------------------------
 
+def _rows(container) -> list:
+    """Per sample, its entry of each feature, read one at a time through
+    `cell` or `sequence`."""
+    at = (container.cell if isinstance(container, StaticSamples)
+          else container.sequence)
+    return [tuple(at(sid, fid) for fid in container.feature_ids)
+            for sid in container.sample_ids]
+
+
+def _from_rows(container, features, rows):
+    """A container like `container` of `features` from per-sample rows,
+    turned into its columns only here."""
+    return type(container)(container.sample_ids, tuple(features), tuple(
+        tuple(row[j] for row in rows) for j in range(len(features))))
+
+
 def _rebuild(ds, static=None, temporal=None, roles=None):
     return assemble_dataset(
         static=static if static is not None else ds.static,
@@ -435,8 +451,8 @@ def _mean_transform(params, state, ds):
         grid = tuple(
             tuple(fills[fid] if v is MISSING and fid in fills else v
                   for v, (fid, _) in zip(row, static.features))
-            for row in static.values)
-        static = StaticSamples(static.sample_ids, static.features, grid)
+            for row in _rows(static))
+        static = _from_rows(static, static.features, grid)
     temporal = ds.temporal
     if temporal is not None:
         series = tuple(
@@ -445,9 +461,8 @@ def _mean_transform(params, state, ds):
                                   if v is MISSING and fid in fills else (t, v)
                                   for t, v in zip(*seq)))
                 for seq, (fid, _) in zip(per_sample, temporal.features))
-            for per_sample in temporal.series)
-        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                     series)
+            for per_sample in _rows(temporal))
+        temporal = _from_rows(temporal, temporal.features, series)
     return _rebuild(ds, static=static, temporal=temporal)
 
 
@@ -457,9 +472,8 @@ def _locf_transform(params, state, ds):
     series = tuple(
         tuple(_locf_seq(*seq, fills.get(fid))
               for seq, (fid, _) in zip(per_sample, temporal.features))
-        for per_sample in temporal.series)
-    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                 series)
+        for per_sample in _rows(temporal))
+    temporal = _from_rows(temporal, temporal.features, series)
     return _rebuild(ds, temporal=temporal)
 
 
@@ -470,8 +484,8 @@ def _zscore_transform(params, state, ds):
         grid = tuple(
             tuple(_zscore_apply(v, stats[fid]) if fid in stats else v
                   for v, (fid, _) in zip(row, static.features))
-            for row in static.values)
-        static = StaticSamples(static.sample_ids, static.features, grid)
+            for row in _rows(static))
+        static = _from_rows(static, static.features, grid)
     temporal = ds.temporal
     if temporal is not None:
         series = tuple(
@@ -480,9 +494,8 @@ def _zscore_transform(params, state, ds):
                                   for t, v in zip(*seq)))
                 if fid in stats else seq
                 for seq, (fid, _) in zip(per_sample, temporal.features))
-            for per_sample in temporal.series)
-        temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                     series)
+            for per_sample in _rows(temporal))
+        temporal = _from_rows(temporal, temporal.features, series)
     return _rebuild(ds, static=static, temporal=temporal)
 
 
@@ -493,9 +506,8 @@ def _resample_transform(params, state, ds):
     temporal = ds.temporal
     series = tuple(
         tuple(_resample_seq(*seq, step) for seq in per_sample)
-        for per_sample in temporal.series)
-    temporal = TimeSeriesSamples(temporal.sample_ids, temporal.features,
-                                 series)
+        for per_sample in _rows(temporal))
+    temporal = _from_rows(temporal, temporal.features, series)
     return _rebuild(ds, temporal=temporal)
 
 
@@ -557,7 +569,7 @@ def _onehot_transform(params, state, ds):
             else:
                 features.append((fid, kind))
         grid = []
-        for row in static.values:
+        for row in _rows(static):
             new_row = []
             for v, (fid, _) in zip(row, static.features):
                 if fid in by_feature:
@@ -565,8 +577,7 @@ def _onehot_transform(params, state, ds):
                 else:
                     new_row.append(v)
             grid.append(tuple(new_row))
-        static = StaticSamples(static.sample_ids, tuple(features),
-                               tuple(grid))
+        static = _from_rows(static, features, grid)
     temporal = ds.temporal
     if temporal is not None and \
             any(f in by_feature for f in temporal.feature_ids):
@@ -580,7 +591,7 @@ def _onehot_transform(params, state, ds):
             else:
                 features.append((fid, kind))
         series = []
-        for per_sample in temporal.series:
+        for per_sample in _rows(temporal):
             new_per_sample = []
             for seq, (fid, _) in zip(per_sample, temporal.features):
                 if fid in by_feature:
@@ -594,8 +605,7 @@ def _onehot_transform(params, state, ds):
                 else:
                     new_per_sample.append(seq)
             series.append(tuple(new_per_sample))
-        temporal = TimeSeriesSamples(temporal.sample_ids, tuple(features),
-                                     tuple(series))
+        temporal = _from_rows(temporal, features, series)
     assignment = [(fid, role) for fid, role in ds.roles.assignment
                   if fid not in dropped]
     assignment.extend((fid, Role.COVARIATE) for fid in new_roles)

@@ -134,8 +134,8 @@ def _oracle_grid(modality, scan, kinds, pin=None):
     features = list(scan_features)
     features += [f for f in kinds if f not in scan_features]
     return cls(samples, tuple((f, kinds[f]) for f in features),
-               tuple(tuple(cells.get((sid, fid), empty) for fid in features)
-                     for sid in samples))
+               tuple(tuple(cells.get((sid, fid), empty) for sid in samples)
+                     for fid in features))
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_missing_outcome_is_refused():
 
 def _effect_column(sample_ids, values):
     return StaticSamples(tuple(sample_ids), (("effect", Continuous()),),
-                         tuple((v,) for v in values))
+                         (tuple(values),))
 
 
 def test_pehe_hand_values():
