@@ -1,8 +1,7 @@
 """Bundle file format: a `manifest` JSON file plus one CSV per modality.
 
-Layout (schema "4"):
-    manifest       JSON: schema_version, samples, files, features, kinds,
-                   roles
+Layout (schema "5"):
+    manifest       JSON: schema_version, samples, features, roles
     static.csv     feature_id,values: one row per static feature, in
                    manifest order, holding one token per manifest sample
     temporal.csv   sample_id,feature_id,times,values: one row per non-empty
@@ -10,18 +9,22 @@ Layout (schema "4"):
                    then feature order
     events.csv     sample_id,feature_id,time,value: one row per event
 
+`features` maps each present modality, whose table is the file above
+beside the manifest, to its features in table order: each the id plus
+kind descriptor, `{"id": "arm", "kind": "categorical", "categories":
+[...]}`. `roles` maps each feature to its role in assignment order.
+
 A packed field (`values` of a static column, `times` or `values` of a
 sequence) holds one token per sample or point, `repr` numbers separated by
-single spaces, with times strictly increasing. A Categorical token is its
-0-based index in the manifest's category list, since a category may hold
-a space; an event value is the category itself. An empty value (field or
-token) is Missing. A static column or a sequence whose packed fields
-would pass `_ROW_CHARS` characters goes on in the next row, so no field
-reaches the csv module's field limit. Writing is deterministic: fixed
-field order, shortest round-trip float formatting, UTF-8, LF line
-endings, so identical datasets produce byte-identical bundles. A manifest
-of any other schema, such as "3" (whose static table had one row per
-sample) or "2", is refused.
+single spaces, with times strictly increasing. A Categorical token, in
+every table, is its 0-based index in the category list, since a category
+may hold a space. An empty value (field or token) is Missing. A static
+column or a sequence whose packed fields would pass `_ROW_CHARS`
+characters goes on in the next row, so no field reaches the csv module's
+field limit. Writing is deterministic: fixed field order, shortest
+round-trip float formatting, UTF-8, LF line endings, so identical datasets
+produce byte-identical bundles. A manifest of any other schema, such as
+"4" or "3", is refused.
 
 This module holds the file grammar, and owns the violation codes of its
 table faults and the error each raises (`VIOLATION_ERRORS`). Its number
@@ -82,7 +85,7 @@ from tempoframe.errors import (
     UnknownSample,
 )
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 MANIFEST_NAME = "manifest"
 
 # Modality -> (table file name, the container it is read into), in the
@@ -134,9 +137,7 @@ class Scan(NamedTuple):
 @dataclass(frozen=True)
 class BundleManifest:
     samples: tuple[str, ...]
-    files: dict           # modality name -> relative path
-    features: dict        # modality name -> ordered feature id list
-    kinds: dict           # feature_id -> ValueKind
+    features: dict        # modality name -> {feature_id: ValueKind}
     roles: dict           # feature_id -> role name
 
 
@@ -149,13 +150,6 @@ def locate_manifest(path: str) -> str:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
-
-def _manifest_kind(d, where: str) -> ValueKind:
-    try:
-        return kind_from_json(d, where)
-    except KindMismatch as e:
-        raise ManifestError(str(e)) from None
-
 
 def _is_string_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
@@ -173,25 +167,20 @@ def _manifest_id(s: str, what: str, manifest_path) -> None:
 # ---------------------------------------------------------------------------
 
 def manifest_for(ds: Dataset) -> BundleManifest:
-    files = {}
-    features = {}
-    for modality, container in ds.containers():
-        files[modality.value] = _TABLES[modality][0]
-        features[modality.value] = list(container.feature_ids)
-    kinds = {fid: kind for fid, kind, _, _ in ds.all_features()}
+    features = {modality.value: dict(container.features)
+                for modality, container in ds.containers()}
     # Assignment order, so the RoleMap read back equals this one.
     roles = {fid: role.value for fid, role in ds.roles.assignment}
-    return BundleManifest(tuple(ds.sample_ids), files, features, kinds,
-                          roles)
+    return BundleManifest(tuple(ds.sample_ids), features, roles)
 
 
 def _manifest_json(m: BundleManifest) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "samples": list(m.samples),
-        "files": m.files,
-        "features": m.features,
-        "kinds": {fid: kind_to_json(k) for fid, k in m.kinds.items()},
+        "features": {modality: [{"id": fid, **kind_to_json(kind)}
+                                for fid, kind in kinds.items()]
+                     for modality, kinds in m.features.items()},
         "roles": m.roles,
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -251,10 +240,11 @@ def _static_rows(container):
 
 def _timed_rows(modality: Modality, container):
     """The data rows of a timed container, each sequence walked once (an
-    event as a one-point sequence): its times and values equal in number,
-    and each point a time `check_time` takes, after the one before it,
-    and a value `check_value` takes, written as they return it. The
-    location of a point is built only when it raises."""
+    event as a one-point sequence, so its row is that sequence's packed
+    row): its times and values equal in number, and each point a time
+    `check_time` takes, after the one before it, and a value `check_value`
+    takes, written as they return it. The location of a point is built
+    only when it raises."""
     packed = modality is Modality.TEMPORAL
     writers = {fid: _token_writer(kind) for fid, kind in container.features}
     # rows go in sample order, so the columns are walked across
@@ -280,9 +270,6 @@ def _timed_rows(modality: Modality, container):
                 except KindMismatch as e:
                     raise KindMismatch(f"sample {sid!r}, feature {fid!r}, "
                                        f"point {k}: {e}") from None
-                if not packed:
-                    yield [sid, fid, prev, None if v is MISSING else v]
-                    continue
                 tt = repr(prev)
                 vt = "" if v is MISSING else write(v)
                 size += len(tt) + len(vt) + 2
@@ -304,12 +291,11 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
     `read_bundle` reads it back, so a directly built container whose ids,
     cells or points it would refuse raises `KindMismatch` (naming the
     sample, feature and point) and writes nothing. A value goes out in
-    the form `check_time` or `check_value` returns it: csv.writer writes
-    None (a Missing event value) as an empty field and a float by repr."""
+    the form `check_time` or `check_value` returns it."""
     manifest = manifest_for(ds)
     for sid in manifest.samples:
         _check_id(sid, "sample_id")
-    for fid in manifest.kinds:
+    for fid, *_ in ds.all_features():
         _check_id(fid, "feature_id")
     tables = [(modality, [_HEADERS[modality], *(
         _static_rows(container) if modality is Modality.STATIC
@@ -384,28 +370,24 @@ def read_integer(text: str) -> int:
 
 
 def _parse_value(kind: ValueKind, s: str):
-    """A value field or token in the stored form of `check_value`; the
-    empty one is Missing."""
+    """A Continuous or Integer token in the stored form of `check_value`;
+    the empty one is Missing."""
     if s == "":
         return MISSING
     try:
         if isinstance(kind, Continuous):
             return read_number(s)
-        if isinstance(kind, Integer):
-            i = read_integer(s)
-            _float_of(i, None)
-            return i
+        i = read_integer(s)
+        _float_of(i, None)
+        return i
     except ParseError as e:
         raise KindMismatch(str(e)) from None
-    if s in kind.categories:
-        return s
-    raise KindMismatch(f"{s!r} not in categories {list(kind.categories)}")
 
 
-def _token_reader(kind: ValueKind, indexed: bool):
-    """token -> stored value of `kind`, by `_parse_value`; a Categorical
-    token of a packed (`indexed`) field is the category's index."""
-    if not (indexed and isinstance(kind, Categorical)):
+def _token_reader(kind: ValueKind):
+    """token -> stored value of `kind`: a number by `_parse_value`, a
+    category by its index."""
+    if not isinstance(kind, Categorical):
         return partial(_parse_value, kind)
     by_index = {str(i): c for i, c in enumerate(kind.categories)}
     by_index[""] = MISSING
@@ -480,7 +462,7 @@ def _column(group: list, row: int, key: list, kinds: dict, done: dict, pin):
         return Violation(row, "arity", f"feature {fid!r}: expected "
                                        f"{len(pin)} values, one per sample, "
                                        f"got {len(tokens)}")
-    read = _token_reader(kind, True)
+    read = _token_reader(kind)
     try:
         if not isinstance(kind, Categorical):
             _check_number_field(field, True, "kind_mismatch", "values")
@@ -504,25 +486,24 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
     """Check, convert and place the data rows of a timed table in one pass.
 
     Each row is a sample id, a feature of `kinds`, a times field and a
-    values field: packed tokens in `temporal.csv` (a category by its
-    index), one token in `events.csv` (a category by itself). A row that
-    breaks a rule is left out and gives one Violation, with its 1-based
-    row, for the first rule it breaks: its field count, its
-    feature, an empty times field (`missing_time`), a number field outside
-    `_check_number_field`, unequal token counts (`arity`), a second row of
-    a (sample, feature) that is not a temporal row right after the first
-    (the modality's duplicate code), a point of `_points`, or a sample
-    outside `pin`, which still gets a row after the pinned ones. A row
-    right after the first continues its sequence. Slots follow `kinds`
-    (manifest) order; one no row fills holds an empty sequence, or None
-    for no event.
+    values field: packed tokens in `temporal.csv`, one token in
+    `events.csv`. A row that breaks a rule is left out and gives one
+    Violation, with its 1-based row, for the first rule it breaks: its
+    field count, its feature, an empty times field (`missing_time`), a
+    number field outside `_check_number_field`, unequal token counts
+    (`arity`), a second row of a (sample, feature) that is not a temporal
+    row right after the first (the modality's duplicate code), a point of
+    `_points`, or a sample outside `pin`, which still gets a row after the
+    pinned ones. A row right after the first continues its sequence. Slots
+    follow `kinds` (manifest) order; one no row fills holds an empty
+    sequence, or None for no event.
     """
     packed = modality is Modality.TEMPORAL
     dup_code = "duplicate_time" if packed else "duplicate_event"
     empty = ((), ()) if packed else None  # an empty sequence, no event entry
     features = {f: j for j, f in enumerate(kinds)}
     # feature -> its token reader and kind
-    readers = {f: (_token_reader(k, packed), k) for f, k in kinds.items()}
+    readers = {f: (_token_reader(k), k) for f, k in kinds.items()}
     samples = {s: i for i, s in enumerate(pin)}
     pinned = len(samples)
     columns = [[empty] * len(samples) for _ in features]
@@ -645,8 +626,7 @@ def _load_manifest(manifest_path) -> BundleManifest:
         raise ManifestError(f"{manifest_path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ManifestError(f"{manifest_path}: manifest must be an object")
-    for key in ("schema_version", "samples", "files", "features", "kinds",
-                "roles"):
+    for key in ("schema_version", "samples", "features", "roles"):
         if key not in doc:
             raise ManifestError(f"{manifest_path}: missing key {key!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
@@ -660,42 +640,38 @@ def _load_manifest(manifest_path) -> BundleManifest:
         raise ManifestError(f"{manifest_path}: samples repeat a sample id")
     for sid in samples:
         _manifest_id(sid, "sample_id", manifest_path)
-    for key in ("files", "features", "kinds", "roles"):
+    for key in ("features", "roles"):
         if not isinstance(doc[key], dict):
             raise ManifestError(f"{manifest_path}: {key} must be an object")
-    files = doc["files"]
-    features = doc["features"]
     roles = doc["roles"]
-    for modality, name in files.items():
-        if modality not in ("static", "temporal", "event"):
-            raise ManifestError(
-                f"{manifest_path}: unknown modality {modality!r}")
-        if not isinstance(name, str):
-            raise ManifestError(
-                f"{manifest_path}: file name for {modality!r} must be a "
-                "string")
-        if modality not in features:
-            raise ManifestError(
-                f"{manifest_path}: no feature list for {modality!r}")
-    kinds = {fid: _manifest_kind(d, f"{manifest_path}: kinds[{fid!r}]")
-             for fid, d in doc["kinds"].items()}
     for fid, role in roles.items():
         if role not in ("covariate", "target", "treatment"):
             raise ManifestError(
                 f"{manifest_path}: unknown role {role!r} for {fid!r}")
-    for modality, fids in features.items():
-        if not _is_string_list(fids):
+    features = {}
+    for modality, entries in doc["features"].items():
+        if modality not in ("static", "temporal", "event"):
+            raise ManifestError(
+                f"{manifest_path}: unknown modality {modality!r}")
+        if not isinstance(entries, list):
             raise ManifestError(f"{manifest_path}: features of {modality!r} "
-                                "must be a string list")
-        for fid in fids:
+                                "must be a list")
+        kinds = features[modality] = {}
+        for entry in entries:
+            if not isinstance(entry, dict) or "id" not in entry:
+                raise ManifestError(f"{manifest_path}: a feature of "
+                                    f"{modality!r} is not an object with "
+                                    "an id")
+            fid = entry["id"]
             _manifest_id(fid, "feature_id", manifest_path)
-            if fid not in kinds:
-                raise ManifestError(f"{manifest_path}: feature {fid!r} has "
-                                    "no kind")
-            if fid not in roles:
-                raise ManifestError(f"{manifest_path}: feature {fid!r} has "
-                                    "no role")
-    return BundleManifest(tuple(samples), files, features, kinds, roles)
+            if fid in kinds:
+                raise ManifestError(f"{manifest_path}: feature {fid!r} is "
+                                    f"listed twice in {modality!r}")
+            try:
+                kinds[fid] = kind_from_json(entry, f"feature {fid!r}")
+            except KindMismatch as e:
+                raise ManifestError(f"{manifest_path}: {e}") from None
+    return BundleManifest(tuple(samples), features, roles)
 
 
 def _read_table(path, header: list):
@@ -719,15 +695,13 @@ def _read_table(path, header: list):
 
 
 def _scanned_tables(manifest: BundleManifest, manifest_path):
-    """(modality, file name, path, kinds, Scan) of each listed table."""
+    """(modality, file name, path, kinds, Scan) of each present table."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    for modality in _TABLES:
-        name = manifest.files.get(modality.value)
-        if name is None:
+    for modality, (name, _) in _TABLES.items():
+        kinds = manifest.features.get(modality.value)
+        if kinds is None:
             continue
         path = os.path.join(base, name)
-        kinds = {fid: manifest.kinds[fid]
-                 for fid in manifest.features[modality.value]}
         rows = _read_table(path, _HEADERS[modality])
         if modality is Modality.STATIC:
             scan = scan_columns(rows, kinds, manifest.samples)

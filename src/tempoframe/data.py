@@ -85,13 +85,13 @@ class Categorical:
     def __post_init__(self):
         if not self.categories:
             raise KindMismatch("categorical kind requires at least one category")
-        if len(set(self.categories)) != len(self.categories):
-            raise KindMismatch("categorical categories must be unique")
         for c in self.categories:
             if not isinstance(c, str) or c == "":
                 raise KindMismatch(
                     "categorical categories must be non-empty strings")
             _check_id(c, "category")
+        if len(set(self.categories)) != len(self.categories):
+            raise KindMismatch("categorical categories must be unique")
         object.__setattr__(self, "categories", tuple(self.categories))
 
 

@@ -389,6 +389,8 @@ def _step_from_doc(doc, front=()) -> FittedEstimator:
     if not isinstance(doc, dict) or "plugin" not in doc:
         raise CorruptBlob("missing plugin name")
     name = doc["plugin"]
+    if not isinstance(name, str):
+        raise CorruptBlob(f"plugin name {name!r} is not a string")
     try:
         features = tuple(tuple(t) for t in doc["features"])
         if any(len(t) != 4 or {*map(type, t)} != {str} for t in features):
@@ -397,6 +399,9 @@ def _step_from_doc(doc, front=()) -> FittedEstimator:
         state = doc["state"]
     except (KeyError, TypeError) as e:
         raise CorruptBlob(f"malformed fitted-estimator document: {e}") from None
+    for key, value in (("params", params), ("state", state)):
+        if not isinstance(value, dict):
+            raise CorruptBlob(f"{name!r}: stored {key} is not an object")
     if name not in _REGISTRY:
         raise UnknownPluginInBlob(f"blob names unregistered plugin {name!r}")
     spec = _REGISTRY[name]

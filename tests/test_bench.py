@@ -695,7 +695,8 @@ def test_cli_validate(tmp_path, capsys):
      "roles assigned to unknown features: ['ghost']"),
     (lambda doc: doc["roles"].update(x="target"), RoleGap,
      "dataset has no covariate feature"),
-    (lambda doc: doc["features"]["event"].append("x"), DuplicateFeature,
+    (lambda doc: doc["features"]["event"].append(
+        {"id": "x", "kind": "continuous"}), DuplicateFeature,
      "feature ids repeat across containers: ['x']"),
 ], ids=["unknown-feature-role", "no-covariate", "repeated-feature"])
 def test_validate_and_read_agree_on_dataset_faults(tmp_path, capsys, edit,
@@ -1288,8 +1289,8 @@ def test_cli_validate_lists_integer_fields_that_are_not_ascii_decimals(
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = bundle / "manifest"
     doc = json.loads(manifest.read_text(encoding="utf-8"))
-    doc["features"]["static"] = ["y", "x1", "x2"]
-    doc["kinds"].update(x1={"kind": "integer"}, x2={"kind": "integer"})
+    doc["features"]["static"] = [{"id": fid, "kind": "integer"}
+                                 for fid in ("y", "x1", "x2")]
     manifest.write_text(json.dumps(doc), encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
@@ -1303,9 +1304,10 @@ def test_cli_validate_lists_integer_fields_that_are_not_ascii_decimals(
 
 
 @pytest.mark.parametrize("key,value", [
-    ("kinds", []),
+    ("features", {"static": [{"id": "x1", "kind": "categorical",
+                              "categories": [["x"]]}]}),
     ("features", {"static": 5}),
-    ("files", {"static": 5}),
+    ("features", {"static": [{"kind": "continuous"}]}),
 ])
 def test_cli_malformed_manifest_fails_cleanly(tmp_path, key, value):
     bundle = tmp_path / "bundle"
@@ -1368,11 +1370,12 @@ def test_cli_synth_ite(tmp_path, capsys):
 
 # sha256 of the files of one small `synth-ite` call, recorded from the
 # generator that built its grid from long-form records; the bundle files
-# were re-recorded at schema "2", and again at schema "4", each from a
-# bundle that reads to the same dataset as the one before.
+# were re-recorded at schema "2", again at schema "4", and the manifest at
+# schema "5", each from a bundle that reads to the same dataset as the one
+# before.
 _SYNTH_ITE_SHA256 = {
     "manifest":
-        "6890f755d33debddc0de1ce68bebb7d605d5152b08103ca350ae3e7f6d5a5868",
+        "de5f4086ca4bc17f70d5eb2f31448ac22f4496da9227610cf9c4f925184b66fe",
     "static.csv":
         "e12ce53d7c324fdc96b47ee68c5e3880f49b91f265582ca5bf979170ee96091f",
     "truth.csv":

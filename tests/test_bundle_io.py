@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import pytest
 
@@ -39,6 +40,7 @@ from tempoframe.data import (
     build_static_samples,
     build_time_series_samples,
     check_value,
+    kind_to_json,
     select_samples,
 )
 from tempoframe.errors import (
@@ -52,6 +54,7 @@ from tempoframe.errors import (
     MetricMismatch,
     ParseError,
     RoleConflict,
+    RoleGap,
     TempoframeError,
     UnknownSample,
 )
@@ -604,15 +607,15 @@ def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
 def test_manifest_shape(tmp_path):
     ds, path = _write(tmp_path, seed=2)
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
-    assert list(doc) == ["schema_version", "samples", "files", "features",
-                         "kinds", "roles"]
-    assert doc["schema_version"] == "4"
+    assert list(doc) == ["schema_version", "samples", "features", "roles"]
+    assert doc["schema_version"] == "5"
     assert doc["samples"] == list(ds.sample_ids)
     for modality, container in ds.containers():
-        assert doc["features"][modality.value] == list(container.feature_ids)
+        assert doc["features"][modality.value] == [
+            {"id": fid, **kind_to_json(kind)}
+            for fid, kind in container.features]
     for fid, _, role, _ in ds.all_features():
         assert doc["roles"][fid] == role.value
-        assert "kind" in doc["kinds"][fid]
 
 
 def test_empty_value_field_means_missing(tmp_path):
@@ -646,8 +649,8 @@ def test_read_rejects_missing_or_bad_manifest(tmp_path):
     with pytest.raises(ManifestError):
         read_bundle(bad / MANIFEST_NAME)
     (bad / MANIFEST_NAME).write_text(
-        json.dumps({"schema_version": "99", "samples": [], "files": {},
-                    "features": {}, "kinds": {}, "roles": {}}),
+        json.dumps({"schema_version": "99", "samples": [], "features": {},
+                    "roles": {}}),
         encoding="utf-8")
     with pytest.raises(ManifestError):
         read_bundle(bad / MANIFEST_NAME)
@@ -912,10 +915,10 @@ def _one_row_fault(path, code, table, edit, error) -> str:
 
 
 @pytest.mark.parametrize("key,sub,value", [
-    ("kinds", None, []),
+    ("features", "static", [{"id": "x"}]),
     ("features", "static", 5),
     ("features", "static", ["x", 5]),
-    ("files", "static", 5),
+    ("features", "static", [{"kind": "continuous"}]),
     ("samples", None, ["s0", "s0"]),
 ])
 def test_malformed_manifest_is_a_manifest_error(tmp_path, key, sub, value):
@@ -943,6 +946,13 @@ def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def _entry_edit(fid, entry):
+    """Replace the static entry of feature `fid` by `entry`."""
+    return _manifest_edit(lambda d: dict(d, features=dict(
+        d["features"], static=[entry if e["id"] == fid else e
+                               for e in d["features"]["static"]])))
+
+
 def _static_table(text):
     def edit(path):
         if text is None:
@@ -959,21 +969,25 @@ def _static_table(text):
      "{manifest}: missing key 'roles'"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", 1])), ManifestError,
      "{manifest}: samples must be a string list"),
-    (_manifest_edit(lambda d: dict(d, files=dict(d["files"],
-                                                 video="video.csv"))),
+    (_manifest_edit(lambda d: dict(d, features=dict(d["features"],
+                                                    video=[]))),
      ManifestError, "{manifest}: unknown modality 'video'"),
-    (_manifest_edit(lambda d: dict(d, features=_without(d["features"],
-                                                        "temporal"))),
-     ManifestError, "{manifest}: no feature list for 'temporal'"),
+    (_manifest_edit(lambda d: dict(d, features=dict(d["features"],
+                                                    temporal=None))),
+     ManifestError, "{manifest}: features of 'temporal' must be a list"),
     (_manifest_edit(lambda d: dict(d, roles=dict(d["roles"], x="label"))),
      ManifestError, "{manifest}: unknown role 'label' for 'x'"),
-    (_manifest_edit(lambda d: dict(d, kinds=_without(d["kinds"], "x"))),
-     ManifestError, "{manifest}: feature 'x' has no kind"),
+    (_entry_edit("x", {"id": "x"}), ManifestError,
+     "{manifest}: feature 'x': malformed kind descriptor {{'id': 'x'}}"),
     (_manifest_edit(lambda d: dict(d, roles=_without(d["roles"], "x"))),
-     ManifestError, "{manifest}: feature 'x' has no role"),
-    (_manifest_edit(lambda d: dict(d, kinds=dict(d["kinds"],
-                                                 x={"kind": "complex"}))),
-     ManifestError, "{manifest}: kinds['x']: unknown kind 'complex'"),
+     RoleGap, "{manifest}: features without a role: ['x']"),
+    (_entry_edit("x", {"id": "x", "kind": "complex"}), ManifestError,
+     "{manifest}: feature 'x': unknown kind 'complex'"),
+    (_entry_edit("x", "x"), ManifestError,
+     "{manifest}: a feature of 'static' is not an object with an id"),
+    (_manifest_edit(lambda d: dict(d, features=dict(
+        d["features"], static=d["features"]["static"] * 2))),
+     ManifestError, "{manifest}: feature 'x' is listed twice in 'static'"),
     (_static_table(None), ManifestError,
      "listed file does not exist: {static}"),
     (_static_table(""), ParseError, "{static}: missing header row"),
@@ -990,34 +1004,39 @@ def _static_table(text):
      "{static}: bad header ['sample_id', 'x', 'c'], expected "
      "['feature_id', 'values']"),
     (_manifest_edit(lambda d: dict(d, schema_version="2")), ManifestError,
-     "{manifest}: unsupported schema_version '2' (expected '4')"),
+     "{manifest}: unsupported schema_version '2' (expected '5')"),
     (_manifest_edit(lambda d: dict(d, schema_version="1")), ManifestError,
-     "{manifest}: unsupported schema_version '1' (expected '4')"),
+     "{manifest}: unsupported schema_version '1' (expected '5')"),
     # the version is a string
     (_manifest_edit(lambda d: dict(d, schema_version=4)), ManifestError,
-     "{manifest}: unsupported schema_version 4 (expected '4')"),
+     "{manifest}: unsupported schema_version 4 (expected '5')"),
     (_manifest_edit(lambda d: dict(d, schema_version="3")), ManifestError,
-     "{manifest}: unsupported schema_version '3' (expected '4')"),
+     "{manifest}: unsupported schema_version '3' (expected '5')"),
+    (_manifest_edit(lambda d: dict(d, schema_version="4")), ManifestError,
+     "{manifest}: unsupported schema_version '4' (expected '5')"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", "s\r1"])),
      ManifestError,
      "{manifest}: sample_id 's\\r1' holds a lone carriage return"),
-    (_manifest_edit(lambda d: dict(
-        d, features=dict(d["features"], static=["x", "c\r"]))),
-     ManifestError,
+    (_entry_edit("c", {"id": "c\r", "kind": "continuous"}), ManifestError,
      "{manifest}: feature_id 'c\\r' holds a lone carriage return"),
-    (_manifest_edit(lambda d: dict(d, kinds=dict(
-        d["kinds"], c={"kind": "categorical", "categories": ["a", "\rb"]}))),
+    (_entry_edit("c", {"id": "c", "kind": "categorical",
+                       "categories": ["a", "\rb"]}),
      ManifestError,
-     "{manifest}: kinds['c']: category '\\rb' holds a lone carriage "
+     "{manifest}: feature 'c': category '\\rb' holds a lone carriage "
      "return"),
+    (_entry_edit("c", {"id": "c", "kind": "categorical",
+                       "categories": [["x"]]}),
+     ManifestError, "{manifest}: feature 'c': categorical categories must "
+     "be non-empty strings"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", "s\x001"])),
      ManifestError, "{manifest}: sample_id 's\\x001' holds a NUL character"),
 ], ids=["not-an-object", "missing-key", "samples-not-strings",
         "unknown-modality", "no-feature-list", "unknown-role", "no-kind",
-        "no-role", "bad-kind", "missing-file", "empty-table", "bad-header",
-        "reordered-header", "short-header", "long-header", "schema-2",
-        "schema-1", "schema-4", "schema-3", "cr-in-sample", "cr-in-feature",
-        "cr-in-category", "nul-in-sample"])
+        "no-role", "bad-kind", "not-an-entry", "repeated-feature",
+        "missing-file", "empty-table", "bad-header", "reordered-header",
+        "short-header", "long-header", "schema-2", "schema-1", "schema-4",
+        "schema-3", "schema-4-text", "cr-in-sample", "cr-in-feature",
+        "cr-in-category", "list-category", "nul-in-sample"])
 def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
                                               message):
     path = _small_bundle(tmp_path)
@@ -1030,6 +1049,97 @@ def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
         assert str(exc.value) == expected
     assert cli(["validate", str(path)]) == 1
     assert capsys.readouterr().err == f"tempoframe: {expected}\n"
+
+
+def test_a_leftover_files_map_cannot_name_another_table(tmp_path):
+    # each table is the fixed file beside the manifest, so a schema-4
+    # `files` entry left in the manifest opens nothing
+    path = _small_bundle(tmp_path)
+    before = read_bundle(path / MANIFEST_NAME)
+    outside = tmp_path / "outside.csv"
+    outside.write_text("feature_id,values\nx,9.5 9.5\n", encoding="utf-8")
+    _manifest_edit(lambda d: dict(d, files={"static": str(outside)}))(path)
+    assert read_bundle(path / MANIFEST_NAME) == before
+    assert validate_bundle(path / MANIFEST_NAME) == []
+
+
+def test_an_event_category_is_written_as_its_index(tmp_path):
+    kind = Categorical(("a, b", "c"))
+    events = build_event_samples(
+        [("s0", "e", 1.0, "a, b"), ("s1", "e", 2.0, "c"),
+         ("s2", "e", 3.0, MISSING)], {"e": kind})
+    ds = assemble_dataset(events=events, roles=RoleMap.of(covariates=("e",)))
+    path = tmp_path / "b"
+    write_bundle(ds, path)
+    table = path / "events.csv"
+    assert table.read_text(encoding="utf-8") == (
+        "sample_id,feature_id,time,value\n"
+        "s0,e,1.0,0\ns1,e,2.0,1\ns2,e,3.0,\n")
+    assert read_bundle(path / MANIFEST_NAME) == ds
+    # a category written by name is refused, as in the other tables
+    detail = _one_row_fault(path, "kind_mismatch", "events.csv",
+                            (2, "s1,e,2.0,c"), KindMismatch)
+    assert detail == "point 0, t=2.0: 'c' is not a category index below 2"
+
+
+_GOLDEN_BUNDLE = os.path.join(os.path.dirname(__file__), "golden", "bundle")
+# Values put in place of a manifest value: each JSON type, empty and not.
+_ODD_VALUES = [None, 5, "", [], {}, [[]], [{}], "x"]
+
+
+def _value_paths(node, depth: int, path=()):
+    """The key path of every value of `node`, `depth` levels down."""
+    if depth == 0 or not isinstance(node, (dict, list)):
+        return
+    for k in (node if isinstance(node, dict) else range(len(node))):
+        yield path + (k,)
+        yield from _value_paths(node[k], depth - 1, path + (k,))
+
+
+def _manifest_mutants(doc):
+    """`doc` with one value replaced by each of `_ODD_VALUES`, to depth 4
+    (a feature entry's fields), then with each feature entry made a
+    categorical one whose categories are each of them."""
+    for path in _value_paths(doc, 4):
+        for value in _ODD_VALUES:
+            mutant = json.loads(json.dumps(doc))
+            node = mutant
+            for k in path[:-1]:
+                node = node[k]
+            node[path[-1]] = value
+            yield mutant
+    for modality, entries in doc["features"].items():
+        for i, entry in enumerate(entries):
+            for value in _ODD_VALUES:
+                mutant = json.loads(json.dumps(doc))
+                mutant["features"][modality][i] = {
+                    "id": entry["id"], "kind": "categorical",
+                    "categories": value}
+                yield mutant
+
+
+def test_every_manifest_mutant_fails_as_a_typed_error(tmp_path, capsys):
+    # read and validate agree on each mutant, and the CLI exits 0 or 1 as
+    # they do, printing no traceback
+    bundle = tmp_path / "bundle"
+    shutil.copytree(_GOLDEN_BUNDLE, bundle)
+    manifest = bundle / MANIFEST_NAME
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    mutants = list(_manifest_mutants(doc))
+    assert len(mutants) == 8 * (4 + 12 + 2 + 4) + 8 * 2
+    for mutant in [doc, *mutants]:
+        manifest.write_text(json.dumps(mutant), encoding="utf-8")
+        try:
+            read = read_bundle(manifest) is not None
+        except TempoframeError:
+            read = False
+        try:
+            clean = validate_bundle(manifest) == []
+        except TempoframeError:
+            clean = False
+        assert clean == read, mutant
+        assert cli(["validate", str(bundle)]) == (0 if read else 1), mutant
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_reports_row_faults_before_a_missing_table(tmp_path,

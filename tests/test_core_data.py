@@ -155,6 +155,11 @@ def test_categorical_requires_unique_nonempty_categories():
         Categorical(("a", "a"))
     with pytest.raises(KindMismatch):
         Categorical(("a", ""))
+    # checked before the uniqueness test, whose set() cannot hash a list
+    for categories in ((["x"],), ({},), ("a", ["a"]), (5,)):
+        with pytest.raises(KindMismatch, match=(
+                "^categorical categories must be non-empty strings$")):
+            Categorical(categories)
 
 
 def test_kind_json_round_trip():

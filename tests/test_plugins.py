@@ -593,8 +593,18 @@ def test_corrupt_blobs():
      "malformed fitted-estimator document: 'state'"),
     (lambda doc: doc["fitted"]["front"][0].pop("params"),
      "malformed fitted-estimator document: 'params'"),
+    (lambda doc: doc["fitted"].update(params=5),
+     "'classify.logistic': stored params is not an object"),
+    (lambda doc: doc["fitted"]["front"][0].update(params=5),
+     "'scale.zscore': stored params is not an object"),
+    (lambda doc: doc["fitted"].update(plugin=[]),
+     "plugin name [] is not a string"),
+    (lambda doc: doc["fitted"].update(state=5),
+     "'classify.logistic': stored state is not an object"),
 ], ids=["no-fitted", "no-plugin", "front-not-a-document", "no-state",
-        "front-no-params"])
+        "front-no-params", "params-not-an-object",
+        "front-params-not-an-object", "plugin-not-a-string",
+        "state-not-an-object"])
 def test_a_blob_with_a_malformed_document_is_corrupt(edit, held):
     ds = classification_dataset(12)
     doc = json.loads(save_fitted(build_pipeline([
