@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from tempoframe._version import __version__
 from tempoframe.bundle import locate_manifest, read_bundle, read_number
-from tempoframe.data import Dataset, select_samples
+from tempoframe.data import Dataset, fields, load_json, select_samples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -91,27 +91,6 @@ class BenchConfig:
     importance_metric: MetricSpec = None
 
 
-def _require(obj: dict, key: str, typ, what: str, default=...,
-             where: str = "config"):
-    """obj[key], a `typ` but never a bool. An absent or null key takes its
-    `default`, and is refused if that is `...`; `where` names obj."""
-    v = obj.get(key)
-    if v is None and default is ...:
-        raise ConfigError(f"{where} is missing {key!r}")
-    if v is not None and (not isinstance(v, typ) or isinstance(v, bool)):
-        raise ConfigError(f"{where} {key!r} must be {what}")
-    return default if v is None else v
-
-
-def _check_object(obj, allowed: tuple, where: str) -> None:
-    """Refuse `obj` unless it is a JSON object with only `allowed` keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {unknown}")
-
-
 def _check_metric(name, task: str, where: str) -> MetricSpec:
     """The spec of `name` if it names a metric of `task`."""
     if not isinstance(name, str):
@@ -128,26 +107,23 @@ def _check_metric(name, task: str, where: str) -> MetricSpec:
 
 def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
     """The config of a parsed document, checked by building the pipeline
-    and resolving the metrics the run uses; every key is read by
-    `_require`. A ConfigError names the key and its object. Paths are
-    resolved against `base_dir`."""
-    _check_object(doc, ("bundle", "task", "pipeline", "metrics", "cv",
-                      "output", "truth", "importance"), "config")
-    bundle = _require(doc, "bundle", str, "a path string")
-    task = _require(doc, "task", str, "a task name")
+    and resolving the metrics the run uses; every object is read by
+    `fields`, and an optional key may be null. A ConfigError names the key
+    and its object. Paths are resolved against `base_dir`."""
+    (bundle, task, raw_steps, metrics, cv, output, truth,
+     importance) = fields(doc, {
+        "bundle": (str, ...), "task": (str, ...), "pipeline": (list, ...),
+        "metrics": (list, ...), "cv": (dict, ...), "output": (str, None),
+        "truth": (str, None), "importance": (dict, None)},
+        ConfigError, "config", nullable=True)
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; one of {list(TASKS)}")
 
-    raw_steps = _require(doc, "pipeline", list, "a list of steps")
     if not raw_steps:
         raise ConfigError("pipeline must have at least one step")
-    steps = []
-    for i, step in enumerate(raw_steps):
-        where = f"pipeline step {i}"
-        _check_object(step, ("plugin", "params"), where)
-        steps.append((_require(step, "plugin", str, "a plugin name",
-                               where=where),
-                      _require(step, "params", dict, "an object", {}, where)))
+    steps = [fields(step, {"plugin": (str, ...), "params": (dict, {})},
+                    ConfigError, f"pipeline step {i}", nullable=True)
+             for i, step in enumerate(raw_steps)]
     try:
         est = build_pipeline(steps)
     except TempoframeError as e:
@@ -157,7 +133,6 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
             f"task {task!r} needs a final {TASKS[task].category.value} step, "
             f"got {est.spec.name!r} ({est.spec.category.value})")
 
-    metrics = _require(doc, "metrics", list, "a list of metric names")
     specs = tuple(_check_metric(m, task, "config 'metrics'") for m in metrics)
     if not metrics:
         raise ConfigError("config 'metrics' must name one or more metrics")
@@ -169,38 +144,29 @@ def config_from_doc(doc: dict, base_dir: str) -> BenchConfig:
                               f"{named[key]!r} and {spec.name!r}")
         named[key] = spec.name
 
-    cv = _require(doc, "cv", dict, "an object")
-    _check_object(cv, ("folds", "seed"), "cv")
-    folds = _require(cv, "folds", int, "an integer", where="cv")
-    seed = check_seed(_require(cv, "seed", int, "an integer", where="cv"),
-                      "cv 'seed'", ConfigError)
+    folds, seed = fields(cv, {"folds": (int, ...), "seed": (int, ...)},
+                         ConfigError, "cv", nullable=True)
+    seed = check_seed(seed, "cv 'seed'", ConfigError)
     if folds < 2:
         raise ConfigError(f"cv 'folds' must be >= 2, got {folds}")
 
-    output = _require(doc, "output", str, "a path string", None)
-    truth = _require(doc, "truth", str, "a path string",
-                     ... if task == "treatment" else None)
-    if task != "treatment" and truth is not None:
-        raise ConfigError("'truth' only applies to the treatment task")
+    if (task == "treatment") != (truth is not None):
+        raise ConfigError("config is missing 'truth'" if truth is None else
+                          "'truth' only applies to the treatment task")
 
-    importance = _require(doc, "importance", dict, "an object", None)
     importance_metric = None
     if importance is not None:
-        where = "importance"
-        _check_object(importance, ("metric", "repeats", "seed"), where)
-        importance = {
-            "metric": _require(importance, "metric", str, "a metric name",
-                               where=where),
-            "repeats": _require(importance, "repeats", int, "an integer",
-                                1, where),
-            "seed": check_seed(_require(importance, "seed", int, "an integer",
-                                        0, where), f"{where} 'seed'",
-                               ConfigError)}
-        if importance["repeats"] < 1:
+        metric, repeats, shuffle_seed = fields(importance, {
+            "metric": (str, ...), "repeats": (int, 1), "seed": (int, 0)},
+            ConfigError, "importance", nullable=True)
+        importance = {"metric": metric, "repeats": repeats,
+                      "seed": check_seed(shuffle_seed, "importance 'seed'",
+                                         ConfigError)}
+        if repeats < 1:
             raise ConfigError("importance 'repeats' must be >= 1")
-        _check_metric(importance["metric"], task, "importance 'metric'")
+        _check_metric(metric, task, "importance 'metric'")
         try:
-            importance_metric = check_importance(est, importance["metric"])
+            importance_metric = check_importance(est, metric)
         except TempoframeError as e:
             raise ConfigError(str(e)) from e
 
@@ -221,11 +187,8 @@ def load_config(path) -> BenchConfig:
             raw = f.read()
     except OSError as e:
         raise IoError(f"cannot read config {path}: {e}") from e
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: not valid JSON: {e}") from None
-    return config_from_doc(doc, os.path.dirname(os.path.abspath(path)))
+    return config_from_doc(load_json(raw, ConfigError, path),
+                           os.path.dirname(os.path.abspath(path)))
 
 
 def read_truth(path) -> dict:
@@ -323,7 +286,7 @@ def report_text(doc: dict) -> str:
 
 def strip_timing(text: str) -> str:
     """Report text with the timing block zeroed, for byte comparisons."""
-    doc = json.loads(text)
+    doc = load_json(text, BenchError, "report")
     doc["timing"] = {"fold_seconds": [0.0] * len(doc["timing"]["fold_seconds"]),
                      "total_seconds": 0.0}
     return report_text(doc)

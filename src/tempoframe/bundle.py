@@ -46,7 +46,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby, islice
 from operator import itemgetter, lt
@@ -70,8 +70,10 @@ from tempoframe.data import (
     assemble_dataset,
     check_time,
     check_value,
+    fields,
     kind_from_json,
     kind_to_json,
+    load_json,
 )
 from tempoframe.errors import (
     DuplicateCell,
@@ -109,9 +111,10 @@ _ROW_CHARS = 65536
 
 @dataclass(frozen=True)
 class Violation:
-    row: int
+    row: int           # 1-based data row
     code: str
     detail: str
+    line: int = None   # the file line the row starts on, set by the scan
 
 
 # Violation code -> the error `read_bundle` raises for it.
@@ -150,17 +153,6 @@ def locate_manifest(path: str) -> str:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
-
-def _is_string_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(s, str) for s in x)
-
-
-def _manifest_id(s: str, what: str, manifest_path) -> None:
-    try:
-        _check_id(s, what)
-    except KindMismatch as e:
-        raise ManifestError(f"{manifest_path}: {e}") from None
-
 
 # ---------------------------------------------------------------------------
 # Writing
@@ -614,68 +606,56 @@ def _load_manifest(manifest_path) -> BundleManifest:
     if not os.path.exists(manifest_path):
         raise ManifestError(f"no manifest at {manifest_path}")
     try:
-        with open(manifest_path, encoding="utf-8") as f:
+        with open(manifest_path, "rb") as f:
             raw = f.read()
     except OSError as e:
         raise IoError(f"cannot read {manifest_path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ManifestError(f"{manifest_path}: not UTF-8 text: {e}") from None
-    try:
-        doc = json.loads(raw)
-    except ValueError as e:
-        raise ManifestError(f"{manifest_path}: not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{manifest_path}: manifest must be an object")
-    for key in ("schema_version", "samples", "features", "roles"):
-        if key not in doc:
-            raise ManifestError(f"{manifest_path}: missing key {key!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    doc = load_json(raw, ManifestError, manifest_path)
+    # the version first: a manifest of another schema has other keys
+    if isinstance(doc, dict) and doc.get("schema_version",
+                                         SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ManifestError(
             f"{manifest_path}: unsupported schema_version "
             f"{doc['schema_version']!r} (expected {SCHEMA_VERSION!r})")
-    samples = doc["samples"]
-    if not _is_string_list(samples):
+    _, samples, features, roles = fields(doc, {
+        "schema_version": (str, ...), "samples": (list, ...),
+        "features": (dict, ...), "roles": (dict, ...)},
+        ManifestError, f"{manifest_path}: manifest")
+    if not all(isinstance(sid, str) for sid in samples):
         raise ManifestError(f"{manifest_path}: samples must be a string list")
     if len(set(samples)) != len(samples):
         raise ManifestError(f"{manifest_path}: samples repeat a sample id")
-    for sid in samples:
-        _manifest_id(sid, "sample_id", manifest_path)
-    for key in ("features", "roles"):
-        if not isinstance(doc[key], dict):
-            raise ManifestError(f"{manifest_path}: {key} must be an object")
-    roles = doc["roles"]
+    try:
+        for sid in samples:
+            _check_id(sid, "sample_id")
+    except KindMismatch as e:
+        raise ManifestError(f"{manifest_path}: {e}") from None
     for fid, role in roles.items():
         if role not in ("covariate", "target", "treatment"):
             raise ManifestError(
                 f"{manifest_path}: unknown role {role!r} for {fid!r}")
-    features = {}
-    for modality, entries in doc["features"].items():
-        if modality not in ("static", "temporal", "event"):
-            raise ManifestError(
-                f"{manifest_path}: unknown modality {modality!r}")
-        if not isinstance(entries, list):
-            raise ManifestError(f"{manifest_path}: features of {modality!r} "
-                                "must be a list")
-        kinds = features[modality] = {}
-        for entry in entries:
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise ManifestError(f"{manifest_path}: a feature of "
-                                    f"{modality!r} is not an object with "
-                                    "an id")
-            fid = entry["id"]
-            _manifest_id(fid, "feature_id", manifest_path)
+    fields(features, {m.value: (list, None) for m in Modality},
+           ManifestError, f"{manifest_path}: features")
+    kinds_of = {}
+    for modality, entries in features.items():
+        kinds = kinds_of[modality] = {}
+        for n, entry in enumerate(entries):
+            try:
+                fid, kind = kind_from_json(
+                    entry, f"features {modality!r} entry {n}")
+            except KindMismatch as e:
+                raise ManifestError(f"{manifest_path}: {e}") from None
             if fid in kinds:
                 raise ManifestError(f"{manifest_path}: feature {fid!r} is "
                                     f"listed twice in {modality!r}")
-            try:
-                kinds[fid] = kind_from_json(entry, f"feature {fid!r}")
-            except KindMismatch as e:
-                raise ManifestError(f"{manifest_path}: {e}") from None
-    return BundleManifest(tuple(samples), features, roles)
+            kinds[fid] = kind
+    return BundleManifest(tuple(samples), kinds_of, roles)
 
 
-def _read_table(path, header: list):
-    """Data rows of one CSV table, after its header row is checked."""
+def _read_table(path, header: list, lines: list):
+    """Data rows of one CSV table, after its header row is checked; the
+    file line the header and then each row ends on goes to `lines`, since
+    a quoted id may hold a line break."""
     if not os.path.exists(path):
         raise ManifestError(f"listed file does not exist: {path}")
     try:
@@ -687,7 +667,10 @@ def _read_table(path, header: list):
             if first != header:
                 raise ParseError(f"{path}: bad header {first!r}, "
                                  f"expected {header!r}")
-            yield from reader
+            lines.append(reader.line_num)
+            for rec in reader:
+                yield rec
+                lines.append(reader.line_num)
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
     except (UnicodeDecodeError, csv.Error) as e:
@@ -695,18 +678,22 @@ def _read_table(path, header: list):
 
 
 def _scanned_tables(manifest: BundleManifest, manifest_path):
-    """(modality, file name, path, kinds, Scan) of each present table."""
+    """(modality, file name, path, kinds, Scan) of each present table, each
+    violation with its file line."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     for modality, (name, _) in _TABLES.items():
         kinds = manifest.features.get(modality.value)
         if kinds is None:
             continue
         path = os.path.join(base, name)
-        rows = _read_table(path, _HEADERS[modality])
+        lines = []
+        rows = _read_table(path, _HEADERS[modality], lines)
         if modality is Modality.STATIC:
             scan = scan_columns(rows, kinds, manifest.samples)
         else:
             scan = scan_sequences(rows, modality, kinds, manifest.samples)
+        scan = scan._replace(violations=[
+            replace(v, line=lines[v.row - 1] + 1) for v in scan.violations])
         yield modality, name, path, kinds, scan
 
 
@@ -756,7 +743,7 @@ def read_bundle(manifest_path) -> Dataset:
     found, ds = _scan_bundle(manifest_path)
     if found:
         _, path, v = found[0]
-        raise VIOLATION_ERRORS[v.code](f"{path}:{table_line(v)}: {v.detail}")
+        raise VIOLATION_ERRORS[v.code](f"{path}:{v.line}: {v.detail}")
     return ds
 
 
@@ -764,14 +751,9 @@ def read_bundle(manifest_path) -> Dataset:
 # Validation (non-fail-fast)
 # ---------------------------------------------------------------------------
 
-def table_line(v: Violation) -> int:
-    """The file line of a table violation: data rows follow the header."""
-    return v.row + 1
-
-
 def validate_bundle(manifest_path) -> list:
     """Validate all tables of a bundle; returns (file, Violation) pairs.
-    Row numbers count data rows; `table_line` gives the file line. Raises
+    Row numbers count data rows; `line` is the file line. Raises
     the error `read_bundle` raises for a manifest fault, for a table that
     cannot be read when no earlier table has a violation (such as a
     missing file) or, when every table is clean, for a dataset-level

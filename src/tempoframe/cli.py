@@ -28,7 +28,6 @@ from tempoframe.bundle import (
     locate_manifest,
     read_integer,
     read_number,
-    table_line,
     validate_bundle,
     write_bundle,
 )
@@ -126,7 +125,7 @@ def _cmd_validate(args) -> int:
         print(f"tempoframe: {e}", file=sys.stderr)
         return 1
     for fname, v in violations:
-        print(f"{fname}:{table_line(v)}: {v.code}: {v.detail}")
+        print(f"{fname}:{v.line}: {v.code}: {v.detail}")
     return 1 if violations else 0
 
 

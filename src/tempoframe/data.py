@@ -5,12 +5,14 @@ validating constructors: they take Python values and raise at the first
 record that breaks a rule. Internal operations preserve invariants by
 construction and may instantiate the dataclasses directly. A bundle's text
 tables are read and checked by `tempoframe.bundle`, which owns the
-violation codes and their errors.
+violation codes and their errors. `load_json` and `fields` read every
+JSON document (config, manifest, blob): closed objects with unique keys.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +63,58 @@ class Modality(enum.Enum):
     STATIC = "static"
     TEMPORAL = "temporal"
     EVENT = "event"
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
+
+def load_json(raw, error, where: str):
+    """The document of JSON text or its UTF-8 bytes. A name repeated in one
+    object (RFC 7493 §2.3), bytes not UTF-8, text not JSON and nesting too
+    deep to parse each raise `error` naming `where`."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            names = [k for k, _ in pairs]
+            raise error(f"{where}: repeated key "
+                        f"{next(k for k in names if names.count(k) > 1)!r}")
+        return obj
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        return json.loads(text, object_pairs_hook=unique)
+    except UnicodeDecodeError as e:
+        raise error(f"{where}: not UTF-8 text: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise error(f"{where}: not valid JSON: {e}") from None
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list",
+               dict: "an object"}
+
+
+def fields(obj, keys: dict, error, where: str, nullable=False) -> list:
+    """The values of JSON object `obj` under `keys`, in their order: each
+    key it may hold -> (a type of `_JSON_TYPES`, which no bool is; the
+    value when absent, `...` if required). With `nullable`, null is absent.
+    A non-object, an unknown or missing key, or a value of another type
+    raises `error` naming `where` and the key."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object")
+    unknown = sorted(obj.keys() - keys.keys())
+    if unknown:
+        raise error(f"{where} has unknown keys: {unknown}")
+    out = []
+    for key, (typ, default) in keys.items():
+        v = obj.get(key)
+        if v is None and (nullable or key not in obj):
+            if default is ...:
+                raise error(f"{where} is missing {key!r}")
+            v = default
+        elif isinstance(v, bool) or not isinstance(v, typ):
+            raise error(f"{where} {key!r} must be {_JSON_TYPES[typ]}")
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +215,23 @@ def kind_to_json(kind: ValueKind) -> dict:
     return {"kind": kind.name}
 
 
-def kind_from_json(d, where: str) -> ValueKind:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise KindMismatch(f"{where}: malformed kind descriptor {d!r}")
-    name = d["kind"]
+def kind_from_json(d, where: str) -> tuple:
+    """(id, kind) of a feature entry: `id`, `kind` and, for a categorical
+    kind only, `categories`; KindMismatch names `where`, or the feature."""
+    keys = {"id": (str, ...), "kind": (str, ...)}
+    if isinstance(d, dict) and d.get("kind") == Categorical.name:
+        keys["categories"] = (list, ...)
+    fid, name, *categories = fields(d, keys, KindMismatch, where)
+    _check_id(fid, "feature_id")
     for cls in (Continuous, Integer):
         if name == cls.name:
-            return cls()
-    if name == Categorical.name:
-        cats = d.get("categories")
-        if not isinstance(cats, list):
-            raise KindMismatch(f"{where}: categorical kind needs categories")
-        try:
-            return Categorical(tuple(cats))
-        except KindMismatch as e:
-            raise KindMismatch(f"{where}: {e}") from None
-    raise KindMismatch(f"{where}: unknown kind {name!r}")
+            return fid, cls()
+    if not categories:
+        raise KindMismatch(f"feature {fid!r}: unknown kind {name!r}")
+    try:
+        return fid, Categorical(tuple(categories[0]))
+    except KindMismatch as e:
+        raise KindMismatch(f"feature {fid!r}: {e}") from None
 
 
 def check_time(t, where: str = None) -> float:

@@ -22,7 +22,9 @@ from tempoframe.data import (
     Dataset,
     covariate_groups,
     covariate_matrix,
+    fields,
     kind_to_json,
+    load_json,
 )
 from tempoframe.errors import (
     BadPipelineShape,
@@ -385,28 +387,40 @@ def _step_to_doc(f: FittedEstimator) -> dict:
             "features": [list(t) for t in f.features]}
 
 
-def _step_from_doc(doc, front=()) -> FittedEstimator:
-    if not isinstance(doc, dict) or "plugin" not in doc:
-        raise CorruptBlob("missing plugin name")
-    name = doc["plugin"]
-    if not isinstance(name, str):
-        raise CorruptBlob(f"plugin name {name!r} is not a string")
+def _finite(params: dict, state: dict) -> bool:
+    """Whether a step's params and state hold no NaN or infinity, which a
+    blob neither stores nor loads."""
     try:
-        features = tuple(tuple(t) for t in doc["features"])
-        if any(len(t) != 4 or {*map(type, t)} != {str} for t in features):
-            raise CorruptBlob(f"{name!r}: stored features are malformed")
-        params = doc["params"]
-        state = doc["state"]
-    except (KeyError, TypeError) as e:
-        raise CorruptBlob(f"malformed fitted-estimator document: {e}") from None
-    for key, value in (("params", params), ("state", state)):
-        if not isinstance(value, dict):
-            raise CorruptBlob(f"{name!r}: stored {key} is not an object")
+        json.dumps([params, state], allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def _step_from_doc(doc, where: str, top=False) -> FittedEstimator:
+    """The step of blob document `doc`, and in the `top` one only, its
+    front steps'; a fault raises CorruptBlob naming `where`."""
+    keys = {"plugin": (str, ...), "params": (dict, ...),
+            "state": (dict, ...), "features": (list, ...),
+            "fingerprint": (str, None)}  # older blobs' hash, never read
+    if top:
+        keys["front"] = (list, ...)
+    name, params, state, features, _, *front = fields(doc, keys,
+                                                      CorruptBlob, where)
+    if any(not isinstance(t, list) or len(t) != 4 or {*map(type, t)} != {str}
+           for t in features):
+        raise CorruptBlob(f"{name!r}: stored features are malformed")
+    if not _finite(params, state):
+        raise CorruptBlob(f"{where} ({name}): params or state hold a "
+                          "non-finite number")
     if name not in _REGISTRY:
         raise UnknownPluginInBlob(f"blob names unregistered plugin {name!r}")
     spec = _REGISTRY[name]
-    return FittedEstimator(spec, resolve_params(spec.schema, params), state,
-                           features, front)
+    return FittedEstimator(
+        spec, resolve_params(spec.schema, params), state,
+        tuple(map(tuple, features)),
+        [_step_from_doc(d, f"front step {i}") for i, d in
+         enumerate(front[0] if top else ())])
 
 
 def save_fitted(f: FittedEstimator) -> bytes:
@@ -415,33 +429,20 @@ def save_fitted(f: FittedEstimator) -> bytes:
     doc = {"format": _BLOB_FORMAT, "version": _BLOB_VERSION,
            "fitted": {**_step_to_doc(f),
                       "front": [_step_to_doc(s) for s in f.front]}}
-    try:
-        text = json.dumps(doc, sort_keys=True, allow_nan=False)
-    except ValueError:
-        for step in (*f.front, f):
-            try:
-                json.dumps([step.params, step.state], allow_nan=False)
-            except ValueError:
-                raise FitDiverged(f"{step.spec.name}: fitted state holds a "
-                                  "non-finite number, which a blob cannot "
-                                  "store") from None
-        raise
-    return text.encode("utf-8")
+    for step in (*f.front, f):
+        if not _finite(step.params, step.state):
+            raise FitDiverged(f"{step.spec.name}: fitted state holds a "
+                              "non-finite number, which a blob cannot store")
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def load_fitted(blob: bytes) -> FittedEstimator:
-    try:
-        doc = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as e:
-        raise CorruptBlob(f"blob is not valid JSON: {e}") from None
+    doc = load_json(blob, CorruptBlob, "blob")
+    # the format and version first: another blob has other keys
     if not isinstance(doc, dict) or doc.get("format") != _BLOB_FORMAT:
         raise CorruptBlob("not a fitted-estimator blob")
     if doc.get("version") != _BLOB_VERSION:
         raise CorruptBlob(f"unsupported blob version {doc.get('version')!r}")
-    if "fitted" not in doc:
-        raise CorruptBlob("blob has no fitted document")
-    fitted = doc["fitted"]
-    front = fitted.get("front") if isinstance(fitted, dict) else None
-    if not isinstance(front, list):
-        raise CorruptBlob("fitted document has no front list")
-    return _step_from_doc(fitted, [_step_from_doc(d) for d in front])
+    *_, fitted = fields(doc, {"format": (str, ...), "version": (int, ...),
+                              "fitted": (dict, ...)}, CorruptBlob, "blob")
+    return _step_from_doc(fitted, "fitted", top=True)

@@ -4,10 +4,13 @@ Everything is driven by the library's own Lcg so fixtures are reproducible
 across machines. Generated datasets exercise the awkward corners on
 purpose: irregular unaligned unequal-length series, all-Missing cells,
 censoring records, categorical features, and samples that appear only in
-the explicit sample-id list.
+the explicit sample-id list. `repeated_key_text` writes the JSON text of a
+document with one key repeated, which `json.dumps` cannot write.
 """
 
 from __future__ import annotations
+
+import json
 
 from tempoframe.data import (
     MISSING,
@@ -317,3 +320,16 @@ def patient_dataset(seed: int, n: int = 48, outcome: str = "survival"):
         roles=RoleMap.of(covariates=("age", "sex", "hr", "lab"),
                          targets=(target,)))
 
+
+
+def repeated_key_text(node, at, path=()) -> str:
+    """JSON text of `node`, in which the object at key path `at` repeats
+    its first key (with that key's value); `at=None` repeats none."""
+    if isinstance(node, dict):
+        items = [json.dumps(k) + ": " + repeated_key_text(v, at, path + (k,))
+                 for k, v in node.items()]
+        return "{" + ", ".join(items + items[:1] * (path == at)) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(repeated_key_text(v, at, path + (i,))
+                               for i, v in enumerate(node)) + "]"
+    return json.dumps(node)

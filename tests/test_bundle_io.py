@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ import shutil
 import pytest
 
 import tempoframe.cli
-from datagen import random_dataset, survival_dataset
+from datagen import random_dataset, repeated_key_text, survival_dataset
 from tempoframe.bench import config_from_doc, read_truth
 from tempoframe.bundle import (
     MANIFEST_NAME,
@@ -966,25 +967,25 @@ def _static_table(text):
     (_manifest_edit(lambda d: ["manifest"]), ManifestError,
      "{manifest}: manifest must be an object"),
     (_manifest_edit(lambda d: _without(d, "roles")), ManifestError,
-     "{manifest}: missing key 'roles'"),
+     "{manifest}: manifest is missing 'roles'"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", 1])), ManifestError,
      "{manifest}: samples must be a string list"),
     (_manifest_edit(lambda d: dict(d, features=dict(d["features"],
                                                     video=[]))),
-     ManifestError, "{manifest}: unknown modality 'video'"),
+     ManifestError, "{manifest}: features has unknown keys: ['video']"),
     (_manifest_edit(lambda d: dict(d, features=dict(d["features"],
                                                     temporal=None))),
-     ManifestError, "{manifest}: features of 'temporal' must be a list"),
+     ManifestError, "{manifest}: features 'temporal' must be a list"),
     (_manifest_edit(lambda d: dict(d, roles=dict(d["roles"], x="label"))),
      ManifestError, "{manifest}: unknown role 'label' for 'x'"),
     (_entry_edit("x", {"id": "x"}), ManifestError,
-     "{manifest}: feature 'x': malformed kind descriptor {{'id': 'x'}}"),
+     "{manifest}: features 'static' entry 0 is missing 'kind'"),
     (_manifest_edit(lambda d: dict(d, roles=_without(d["roles"], "x"))),
      RoleGap, "{manifest}: features without a role: ['x']"),
     (_entry_edit("x", {"id": "x", "kind": "complex"}), ManifestError,
      "{manifest}: feature 'x': unknown kind 'complex'"),
     (_entry_edit("x", "x"), ManifestError,
-     "{manifest}: a feature of 'static' is not an object with an id"),
+     "{manifest}: features 'static' entry 0 must be an object"),
     (_manifest_edit(lambda d: dict(d, features=dict(
         d["features"], static=d["features"]["static"] * 2))),
      ManifestError, "{manifest}: feature 'x' is listed twice in 'static'"),
@@ -1051,16 +1052,27 @@ def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
     assert capsys.readouterr().err == f"tempoframe: {expected}\n"
 
 
-def test_a_leftover_files_map_cannot_name_another_table(tmp_path):
-    # each table is the fixed file beside the manifest, so a schema-4
-    # `files` entry left in the manifest opens nothing
+def test_a_leftover_files_map_cannot_name_another_table(tmp_path,
+                                                       monkeypatch):
+    # each table is the fixed file beside the manifest, and the manifest
+    # is a closed object: a schema-4 `files` entry left in it is refused
+    # before any table is read, so the file it names is never opened
     path = _small_bundle(tmp_path)
-    before = read_bundle(path / MANIFEST_NAME)
+    manifest = path / MANIFEST_NAME
     outside = tmp_path / "outside.csv"
     outside.write_text("feature_id,values\nx,9.5 9.5\n", encoding="utf-8")
     _manifest_edit(lambda d: dict(d, files={"static": str(outside)}))(path)
-    assert read_bundle(path / MANIFEST_NAME) == before
-    assert validate_bundle(path / MANIFEST_NAME) == []
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: (
+        opened.append(str(file)) or real_open(file, *args, **kwargs)))
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(ManifestError) as exc:
+            load(manifest)
+        assert str(exc.value) == \
+            f"{manifest}: manifest has unknown keys: ['files']"
+    monkeypatch.undo()
+    assert opened == [str(manifest)] * 2
 
 
 def test_an_event_category_is_written_as_its_index(tmp_path):
@@ -1097,9 +1109,10 @@ def _value_paths(node, depth: int, path=()):
 
 
 def _manifest_mutants(doc):
-    """`doc` with one value replaced by each of `_ODD_VALUES`, to depth 4
-    (a feature entry's fields), then with each feature entry made a
-    categorical one whose categories are each of them."""
+    """The text of `doc` with one value replaced by each of `_ODD_VALUES`,
+    to depth 4 (a feature entry's fields), then with each feature entry
+    made a categorical one whose categories are each of them, then with
+    each object given a stray key and, apart, its first key twice."""
     for path in _value_paths(doc, 4):
         for value in _ODD_VALUES:
             mutant = json.loads(json.dumps(doc))
@@ -1107,7 +1120,7 @@ def _manifest_mutants(doc):
             for k in path[:-1]:
                 node = node[k]
             node[path[-1]] = value
-            yield mutant
+            yield json.dumps(mutant)
     for modality, entries in doc["features"].items():
         for i, entry in enumerate(entries):
             for value in _ODD_VALUES:
@@ -1115,7 +1128,20 @@ def _manifest_mutants(doc):
                 mutant["features"][modality][i] = {
                     "id": entry["id"], "kind": "categorical",
                     "categories": value}
-                yield mutant
+                yield json.dumps(mutant)
+    objects = [()] + [path for path in _value_paths(doc, 4)
+                      if isinstance(_value_at(doc, path), dict)]
+    for path in objects:
+        mutant = json.loads(json.dumps(doc))
+        _value_at(mutant, path)["zzz"] = "covariate"
+        yield json.dumps(mutant)
+        yield repeated_key_text(doc, path)
+
+
+def _value_at(node, path):
+    for k in path:
+        node = node[k]
+    return node
 
 
 def test_every_manifest_mutant_fails_as_a_typed_error(tmp_path, capsys):
@@ -1126,9 +1152,10 @@ def test_every_manifest_mutant_fails_as_a_typed_error(tmp_path, capsys):
     manifest = bundle / MANIFEST_NAME
     doc = json.loads(manifest.read_text(encoding="utf-8"))
     mutants = list(_manifest_mutants(doc))
-    assert len(mutants) == 8 * (4 + 12 + 2 + 4) + 8 * 2
-    for mutant in [doc, *mutants]:
-        manifest.write_text(json.dumps(mutant), encoding="utf-8")
+    # five objects: the manifest, features, two entries and roles
+    assert len(mutants) == 8 * (4 + 12 + 2 + 4) + 8 * 2 + 2 * 5
+    for mutant in [json.dumps(doc), *mutants]:
+        manifest.write_text(mutant, encoding="utf-8")
         try:
             read = read_bundle(manifest) is not None
         except TempoframeError:
@@ -1140,6 +1167,41 @@ def test_every_manifest_mutant_fails_as_a_typed_error(tmp_path, capsys):
         assert clean == read, mutant
         assert cli(["validate", str(bundle)]) == (0 if read else 1), mutant
         assert "Traceback" not in capsys.readouterr().err
+    # each stray or repeated key is refused
+    for mutant in mutants[-10:]:
+        manifest.write_text(mutant, encoding="utf-8")
+        with pytest.raises(TempoframeError):
+            read_bundle(manifest)
+
+
+@pytest.mark.parametrize("table", ["temporal.csv", "events.csv"])
+def test_a_fault_after_an_id_that_holds_a_line_feed_names_its_file_line(
+        tmp_path, capsys, table):
+    # an id that holds a line feed is written as a quoted record over two
+    # file lines, so the rows after it are not at data row + 1; the fault
+    # below is at file line 5 in this layout
+    records = [("a\nb", "f", 0.0, 1.25), ("s1", "f", 0.0, 2.25),
+               ("s2", "f", 0.0, 3.25)]
+    if table == "temporal.csv":
+        temporal = build_time_series_samples(records, {"f": Continuous()})
+        ds = assemble_dataset(temporal=temporal,
+                              roles=RoleMap.of(covariates=("f",)))
+    else:
+        events = build_event_samples(records, {"f": Continuous()})
+        ds = assemble_dataset(events=events,
+                              roles=RoleMap.of(covariates=("f",)))
+    path = tmp_path / "bundle"
+    write_bundle(ds, path)
+    text = (path / table).read_text(encoding="utf-8")
+    line = text[:text.index("3.25")].count("\n") + 1
+    (path / table).write_text(text.replace("3.25", "x"), encoding="utf-8")
+    detail = "values field holds 'x'"
+    with pytest.raises(KindMismatch) as exc:
+        read_bundle(path / MANIFEST_NAME)
+    assert str(exc.value) == f"{path / table}:{line}: {detail}"
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        f"{table}:{line}: kind_mismatch: {detail}\n"
 
 
 def test_validate_reports_row_faults_before_a_missing_table(tmp_path,

@@ -164,19 +164,29 @@ def test_categorical_requires_unique_nonempty_categories():
 
 def test_kind_json_round_trip():
     for kind in (Continuous(), Integer(), Categorical(("x", "y", "z"))):
-        assert kind_from_json(kind_to_json(kind), "w") == kind
+        assert kind_from_json({"id": "f", **kind_to_json(kind)}, "w") == \
+            ("f", kind)
     with pytest.raises(KindMismatch):
-        kind_from_json({"kind": "tensor"}, "w")
+        kind_from_json({"id": "f", "kind": "tensor"}, "w")
 
 
 @pytest.mark.parametrize("d, held", [
-    (["continuous"], "w: malformed kind descriptor ['continuous']"),
-    ("continuous", "w: malformed kind descriptor 'continuous'"),
-    ({"name": "integer"}, "w: malformed kind descriptor {'name': 'integer'}"),
-    ({"kind": "categorical"}, "w: categorical kind needs categories"),
-    ({"kind": "categorical", "categories": "ab"},
-     "w: categorical kind needs categories"),
-], ids=["list", "str", "no-kind", "no-categories", "categories-not-a-list"])
+    (["continuous"], "w must be an object"),
+    ("continuous", "w must be an object"),
+    ({"id": "f", "name": "integer"}, "w has unknown keys: ['name']"),
+    ({"id": "f"}, "w is missing 'kind'"),
+    ({"id": "f", "kind": "categorical"}, "w is missing 'categories'"),
+    ({"id": "f", "kind": "categorical", "categories": "ab"},
+     "w 'categories' must be a list"),
+    ({"id": "f", "kind": "continuous", "categories": ["a"]},
+     "w has unknown keys: ['categories']"),
+    ({"kind": "continuous"}, "w is missing 'id'"),
+    ({"id": 5, "kind": "continuous"}, "w 'id' must be a string"),
+    ({"id": "f", "kind": "categorical", "categories": []},
+     "feature 'f': categorical kind requires at least one category"),
+], ids=["list", "str", "no-kind", "no-kind-key", "no-categories",
+        "categories-not-a-list", "stray-categories", "no-id",
+        "id-not-a-string", "no-category"])
 def test_kind_from_json_refuses_a_malformed_descriptor(d, held):
     with pytest.raises(KindMismatch, match=f"^{re.escape(held)}$"):
         kind_from_json(d, "w")

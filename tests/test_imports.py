@@ -18,6 +18,11 @@ No module of the package calls `sum`, `math.fsum` or `math.sumprod`:
 they round differently from the left-to-right loops that the kernels,
 the metrics, the transforms and the estimators add floats with, so one
 call in any module that feeds a golden report would move its bytes.
+
+No module calls `json.loads` or `json.load` outside `data.load_json`: a
+plain parse keeps the last of a repeated key and raises a raw
+`RecursionError` on deep nesting, so every document goes through the one
+reader that refuses both with the document's own error.
 """
 
 from __future__ import annotations
@@ -328,6 +333,54 @@ def test_no_module_calls_a_reassociating_sum():
              for path in sorted(_SRC.rglob("*.py"))
              for call in reassociating_sums(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def json_parses(source: str) -> list:
+    """(line, enclosing top-level function or None, name) of each call in
+    `source` to `json.load` or `json.loads`, by attribute or by a name
+    imported from `json`."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names}
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == "json" and f.attr in ("load", "loads")):
+                found.append((node.lineno, owner, f"json.{f.attr}"))
+            elif isinstance(f, ast.Name) and imported.get(f.id) in (
+                    "load", "loads"):
+                found.append((node.lineno, owner, f"json.{imported[f.id]}"))
+    return sorted(found)
+
+
+def test_json_parses_are_found():
+    source = ("import json\n"
+              "from json import loads as parse\n"
+              "DOC = json.loads('{}')\n"
+              "def read(f, text):\n"
+              "    return json.load(f), parse(text), json.dumps(text)\n"
+              "class Box:\n"
+              "    def get(self, text):\n"
+              "        return json.loads(text)\n")
+    assert json_parses(source) == [
+        (3, None, "json.loads"), (5, "read", "json.load"),
+        (5, "read", "json.loads"), (8, None, "json.loads")]
+
+
+def test_every_json_document_is_read_by_load_json():
+    found = [(path.relative_to(_SRC).as_posix(), owner, name)
+             for path in sorted(_SRC.rglob("*.py"))
+             for _, owner, name in json_parses(
+                 path.read_text(encoding="utf-8"))]
+    assert found == [("data.py", "load_json", "json.loads")]
 
 
 def test_benchmark_imports_from_the_library_resolve():

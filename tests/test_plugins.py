@@ -456,7 +456,7 @@ def test_blob_is_the_last_step_with_a_front_list():
     with pytest.raises(CorruptBlob, match="^unsupported blob version 1$"):
         load_fitted(json.dumps(v1).encode("utf-8"))
     del doc["fitted"]["front"]
-    with pytest.raises(CorruptBlob, match="^fitted document has no front"):
+    with pytest.raises(CorruptBlob, match="^fitted is missing 'front'$"):
         load_fitted(json.dumps(doc).encode("utf-8"))
 
 
@@ -586,21 +586,21 @@ def test_corrupt_blobs():
 
 
 @pytest.mark.parametrize("edit, held", [
-    (lambda doc: doc.pop("fitted"), "blob has no fitted document"),
-    (lambda doc: doc["fitted"].pop("plugin"), "missing plugin name"),
-    (lambda doc: doc["fitted"]["front"].append([]), "missing plugin name"),
-    (lambda doc: doc["fitted"].pop("state"),
-     "malformed fitted-estimator document: 'state'"),
+    (lambda doc: doc.pop("fitted"), "blob is missing 'fitted'"),
+    (lambda doc: doc["fitted"].pop("plugin"), "fitted is missing 'plugin'"),
+    (lambda doc: doc["fitted"]["front"].append([]),
+     "front step 1 must be an object"),
+    (lambda doc: doc["fitted"].pop("state"), "fitted is missing 'state'"),
     (lambda doc: doc["fitted"]["front"][0].pop("params"),
-     "malformed fitted-estimator document: 'params'"),
+     "front step 0 is missing 'params'"),
     (lambda doc: doc["fitted"].update(params=5),
-     "'classify.logistic': stored params is not an object"),
+     "fitted 'params' must be an object"),
     (lambda doc: doc["fitted"]["front"][0].update(params=5),
-     "'scale.zscore': stored params is not an object"),
+     "front step 0 'params' must be an object"),
     (lambda doc: doc["fitted"].update(plugin=[]),
-     "plugin name [] is not a string"),
+     "fitted 'plugin' must be a string"),
     (lambda doc: doc["fitted"].update(state=5),
-     "'classify.logistic': stored state is not an object"),
+     "fitted 'state' must be an object"),
 ], ids=["no-fitted", "no-plugin", "front-not-a-document", "no-state",
         "front-no-params", "params-not-an-object",
         "front-params-not-an-object", "plugin-not-a-string",
