@@ -196,15 +196,21 @@ def read_truth(path) -> dict:
     with header sample_id,effect."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(f))
+            reader = csv.reader(f)
+            # each record with the file line it starts on, since a quoted
+            # sample id may hold a line break
+            rows, line = [], 1
+            for row in reader:
+                rows.append((line, row))
+                line = reader.line_num + 1
     except OSError as e:
         raise IoError(f"cannot read truth file {path}: {e}") from e
     except (UnicodeDecodeError, csv.Error) as e:
         raise ConfigError(f"{path}: unreadable CSV: {e}") from None
-    if not rows or rows[0] != ["sample_id", "effect"]:
+    if not rows or rows[0][1] != ["sample_id", "effect"]:
         raise ConfigError(f"{path}: expected header sample_id,effect")
     out = {}
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != 2:
             raise ConfigError(f"{path}: line {i}: expected 2 fields")
         sid, val = row

@@ -1,30 +1,32 @@
-"""Bundle file format: a `manifest` JSON file plus one CSV per modality.
+"""Bundle file format: a `manifest` JSON file plus one table per modality.
 
-Layout (schema "5"):
+Layout (schema "6"):
     manifest       JSON: schema_version, samples, features, roles
-    static.csv     feature_id,values: one row per static feature, in
-                   manifest order, holding one token per manifest sample
-    temporal.csv   sample_id,feature_id,times,values: one row per non-empty
+    static.csv     values: one line per static feature, in manifest order,
+                   holding one token per manifest sample
+    temporal.csv   sample,feature,times,values: one line per non-empty
                    (sample, feature) sequence, in manifest sample order,
                    then feature order
-    events.csv     sample_id,feature_id,time,value: one row per event
+    events.csv     sample,feature,time,value: one line per event
 
 `features` maps each present modality, whose table is the file above
 beside the manifest, to its features in table order: each the id plus
 kind descriptor, `{"id": "arm", "kind": "categorical", "categories":
 [...]}`. `roles` maps each feature to its role in assignment order.
 
-A packed field (`values` of a static column, `times` or `values` of a
-sequence) holds one token per sample or point, `repr` numbers separated by
-single spaces, with times strictly increasing. A Categorical token, in
-every table, is its 0-based index in the category list, since a category
-may hold a space. An empty value (field or token) is Missing. A static
-column or a sequence whose packed fields would pass `_ROW_CHARS`
-characters goes on in the next row, so no field reaches the csv module's
-field limit. Writing is deterministic: fixed field order, shortest
-round-trip float formatting, UTF-8, LF line endings, so identical datasets
-produce byte-identical bundles. A manifest of any other schema, such as
-"4" or "3", is refused.
+Ids live in the manifest only, which JSON escapes. A table row names its
+sample and its feature by their 0-based index in `samples` and in its
+modality's `features` list, so every field of a table is an integer or a
+packed number field, a row is one line split at its commas, and a table
+cannot be read without its manifest. A packed field (`values` of a static
+line, `times` or `values` of a sequence) holds one token per sample or
+point, `repr` numbers separated by single spaces, with times strictly
+increasing. A Categorical token, in every table, is its 0-based index in
+the category list. An empty value (field or token) is Missing; with no
+manifest sample a static line is empty and holds no token. Writing is
+deterministic: fixed field order, shortest round-trip float formatting,
+UTF-8, LF line endings, so identical datasets produce byte-identical
+bundles. A manifest of any other schema, such as "5" or "4", is refused.
 
 This module holds the file grammar, and owns the violation codes of its
 table faults and the error each raises (`VIOLATION_ERRORS`). Its number
@@ -42,14 +44,13 @@ its code.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
-from operator import itemgetter, lt
+from itertools import islice
+from operator import lt
 from typing import NamedTuple
 
 from tempoframe.data import (
@@ -76,7 +77,6 @@ from tempoframe.data import (
     load_json,
 )
 from tempoframe.errors import (
-    DuplicateCell,
     DuplicateEvent,
     DuplicateTimePoint,
     IoError,
@@ -87,7 +87,7 @@ from tempoframe.errors import (
     UnknownSample,
 )
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 MANIFEST_NAME = "manifest"
 
 # Modality -> (table file name, the container it is read into), in the
@@ -99,14 +99,10 @@ _TABLES = {
 }
 # Modality -> header of its table.
 _HEADERS = {
-    Modality.STATIC: ["feature_id", "values"],
-    Modality.TEMPORAL: ["sample_id", "feature_id", "times", "values"],
-    Modality.EVENT: ["sample_id", "feature_id", "time", "value"],
+    Modality.STATIC: ["values"],
+    Modality.TEMPORAL: ["sample", "feature", "times", "values"],
+    Modality.EVENT: ["sample", "feature", "time", "value"],
 }
-# The packed characters of one row, a temporal row's times and values
-# together: half of `csv.field_size_limit()`'s default, which the reader
-# keeps.
-_ROW_CHARS = 65536
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,11 @@ class Violation:
     row: int           # 1-based data row
     code: str
     detail: str
-    line: int = None   # the file line the row starts on, set by the scan
+
+    @property
+    def line(self) -> int:
+        """The file line of the row: one line per row, after the header."""
+        return self.row + 1
 
 
 # Violation code -> the error `read_bundle` raises for it.
@@ -125,16 +125,15 @@ VIOLATION_ERRORS = {
     "unknown_feature": KindMismatch,
     "kind_mismatch": KindMismatch,
     "unknown_sample": UnknownSample,
-    "duplicate_cell": DuplicateCell,
     "duplicate_time": DuplicateTimePoint,
     "duplicate_event": DuplicateEvent,
 }
 
 
 class Scan(NamedTuple):
-    columns: list     # per feature (manifest order), an entry per manifest
-                      # sample, then per sample outside it (timed tables)
-    violations: list  # Violation per rejected row or column, in row order
+    columns: list     # of a clean scan: per feature (manifest order), an
+                      # entry per manifest sample
+    violations: list  # Violation per rejected row, in row order
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,6 @@ def locate_manifest(path: str) -> str:
     manifest itself."""
     return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
 
-
-# ---------------------------------------------------------------------------
-# Serialization helpers
-# ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
 # Writing
@@ -209,39 +204,31 @@ def _token_writer(kind: ValueKind):
     return repr
 
 
-def _static_rows(container):
-    """The data rows of a static container, one column each: its cells
+def _static_lines(container):
+    """The data lines of a static container, one per column: its cells
     checked column by column (a column `_clean_column` doubts, cell by
-    cell, and then written as checked) and packed, `_ROW_CHARS`
-    characters at most to a row. No samples, no rows."""
-    if not container.sample_ids:
-        return
+    cell, and then written as checked) and packed."""
     for (fid, kind), column in zip(container.features, container.columns):
         if not _clean_column(kind, column):
             column = [check_value(kind, v, f"sample {sid!r}, feature {fid!r}")
                       for sid, v in zip(container.sample_ids, column)]
         write = _token_writer(kind)
-        text = " ".join(["" if v is MISSING else write(v) for v in column])
-        start = 0
-        while len(text) - start > _ROW_CHARS:
-            cut = text.rfind(" ", start, start + _ROW_CHARS + 1)
-            yield [fid, text[start:cut]]
-            start = cut + 1
-        yield [fid, text[start:]]
+        yield " ".join(["" if v is MISSING else write(v) for v in column])
 
 
-def _timed_rows(modality: Modality, container):
-    """The data rows of a timed container, each sequence walked once (an
-    event as a one-point sequence, so its row is that sequence's packed
-    row): its times and values equal in number, and each point a time
+def _timed_lines(modality: Modality, container):
+    """The data lines of a timed container, each sequence walked once (an
+    event as a one-point sequence, so its line is that sequence's packed
+    line): its times and values equal in number, and each point a time
     `check_time` takes, after the one before it, and a value `check_value`
     takes, written as they return it. The location of a point is built
     only when it raises."""
     packed = modality is Modality.TEMPORAL
-    writers = {fid: _token_writer(kind) for fid, kind in container.features}
-    # rows go in sample order, so the columns are walked across
-    for sid, row in zip(container.sample_ids, zip(*container.columns)):
-        for (fid, kind), seq in zip(container.features, row):
+    writers = [_token_writer(kind) for _, kind in container.features]
+    # lines go in sample order, so the columns are walked across
+    for i, (sid, row) in enumerate(zip(container.sample_ids,
+                                       zip(*container.columns))):
+        for j, ((fid, kind), seq) in enumerate(zip(container.features, row)):
             if seq is None:  # no event
                 continue
             times, values = seq if packed else ((seq[0],), (seq[1],))
@@ -249,8 +236,8 @@ def _timed_rows(modality: Modality, container):
                 raise KindMismatch(f"sample {sid!r}, feature {fid!r}: "
                                    f"{len(times)} times but {len(values)} "
                                    "values")
-            write = writers[fid]
-            ts, vs, size = [], [], 0
+            write = writers[j]
+            ts, vs = [], []
             prev = -math.inf
             for k, (t, v) in enumerate(zip(times, values)):
                 try:
@@ -262,24 +249,18 @@ def _timed_rows(modality: Modality, container):
                 except KindMismatch as e:
                     raise KindMismatch(f"sample {sid!r}, feature {fid!r}, "
                                        f"point {k}: {e}") from None
-                tt = repr(prev)
-                vt = "" if v is MISSING else write(v)
-                size += len(tt) + len(vt) + 2
-                if size > _ROW_CHARS and ts:
-                    yield [sid, fid, " ".join(ts), " ".join(vs)]
-                    ts, vs, size = [], [], len(tt) + len(vt) + 2
-                ts.append(tt)
-                vs.append(vt)
+                ts.append(repr(prev))
+                vs.append("" if v is MISSING else write(v))
             if ts:
-                yield [sid, fid, " ".join(ts), " ".join(vs)]
+                yield f"{i},{j},{' '.join(ts)},{' '.join(vs)}"
 
 
 def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
-    """Write manifest plus one CSV per present modality; deterministic.
+    """Write manifest plus one table per present modality; deterministic.
 
     Before any file is opened, every sample and feature id is checked
     with `_check_id` (a category is checked by `Categorical` itself) and
-    each table's rows are built, with each cell or point checked as
+    each table's lines are built, with each cell or point checked as
     `read_bundle` reads it back, so a directly built container whose ids,
     cells or points it would refuse raises `KindMismatch` (naming the
     sample, feature and point) and writes nothing. A value goes out in
@@ -289,27 +270,19 @@ def write_bundle(ds: Dataset, dir_path) -> BundleManifest:
         _check_id(sid, "sample_id")
     for fid, *_ in ds.all_features():
         _check_id(fid, "feature_id")
-    tables = [(modality, [_HEADERS[modality], *(
-        _static_rows(container) if modality is Modality.STATIC
-        else _timed_rows(modality, container))])
+    tables = [(modality, [",".join(_HEADERS[modality]), *(
+        _static_lines(container) if modality is Modality.STATIC
+        else _timed_lines(modality, container))])
         for modality, container in ds.containers()]
     try:
         os.makedirs(dir_path, exist_ok=True)
         with open(os.path.join(dir_path, MANIFEST_NAME), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write(_manifest_json(manifest))
-        for modality, rows in tables:
+        for modality, lines in tables:
             with open(os.path.join(dir_path, _TABLES[modality][0]), "w",
-                      encoding="utf-8", newline="") as f:
-                if modality is not Modality.STATIC:
-                    csv.writer(f, lineterminator="\n").writerows(rows)
-                    continue
-                # csv quotes a feature id as it must; a static values
-                # field holds no character csv quotes, so it goes as is
-                ids = csv.writer(f, lineterminator="")
-                for fid, values in rows:
-                    ids.writerow([fid, ""])
-                    f.write(values + "\n")
+                      encoding="utf-8", newline="\n") as f:
+                f.writelines(f"{line}\n" for line in lines)
     except OSError as e:
         raise IoError(f"cannot write bundle at {dir_path}: {e}") from e
     return manifest
@@ -406,50 +379,57 @@ def _check_number_field(field: str, packed: bool, code: str, name: str):
         raise _RowFault(code, f"{name} field holds {odd[0]!r}")
 
 
+def _index(field: str, size: int, code: str, what: str) -> int:
+    """The index a row field names, an integer `read_integer` reads that is
+    at least 0 and below `size`; else the row's fault `code`."""
+    try:
+        i = read_integer(field)
+    except ParseError:
+        i = -1
+    if not 0 <= i < size:
+        raise _RowFault(code, f"{what} {field!r} is not an index below {size}")
+    return i
+
+
 def scan_columns(rows, kinds: dict, pin) -> Scan:
     """Check, convert and place the data rows of a static table, one
-    column at a time.
+    column per row.
 
-    Adjacent rows that name one feature of `kinds` hold its column: their
-    values fields, joined by a space, hold one token per sample of `pin`,
-    in its order (an empty token is Missing, a category its index). A
-    column that breaks a rule is left out and gives one Violation, for the
-    first rule it breaks: the field count of a row (`arity`), its feature,
-    a feature whose column came before (`duplicate_cell`), its token count
-    (`arity`), or a token its kind refuses (`kind_mismatch`, naming the
-    sample and the feature). A feature no row names is Missing throughout.
+    Row j holds feature j of `kinds` (manifest order) in one field of one
+    token per sample of `pin`, in its order (an empty token is Missing, a
+    category its index; with no sample the field is empty). A row that
+    breaks a rule gives one Violation, for the first rule it breaks: its
+    field count, its token count (`arity`), or a token its kind refuses
+    (`kind_mismatch`, naming the sample and the feature). A table of fewer
+    rows than `kinds` has features, or of more, gives one more `arity`
+    Violation, at the first row it lacks or has too many.
     """
-    columns, bad, row = {}, [], 0
-    for key, group in groupby(rows, itemgetter(slice(1))):
-        group = list(group)
-        got = _column(group, row + 1, key, kinds, columns, pin)
-        row += len(group)
+    rows = iter(rows)
+    columns, bad = [], []
+    for row, ((fid, kind), rec) in enumerate(zip(kinds.items(), rows), 1):
+        got = _column(rec, row, fid, kind, pin)
         if isinstance(got, Violation):
             bad.append(got)
         else:
-            columns[key[0]] = got
-    blank = [MISSING] * len(pin)
-    return Scan([columns.get(fid, blank) for fid in kinds], bad)
+            columns.append(got)
+    count = len(columns) + len(bad)  # the rows read, one fault a row
+    if count < len(kinds):
+        bad.append(Violation(count + 1, "arity",
+                             f"feature {list(kinds)[count]!r} has no row"))
+    elif next(rows, None) is not None:
+        bad.append(Violation(count + 1, "arity", "more rows than static "
+                                                 f"features ({count})"))
+    return Scan(columns, bad)
 
 
-def _column(group: list, row: int, key: list, kinds: dict, done: dict, pin):
-    """The values of one feature's column from its rows, the first of them
-    data row `row`, or the Violation of the first rule they break. Each
-    field is checked and converted whole; only one that fails is walked
-    token by token."""
-    for at, rec in enumerate(group, row):
-        if len(rec) != 2:
-            return Violation(at, "arity", f"expected 2 fields, got {len(rec)}")
-    fid = key[0]
-    if fid not in kinds:
-        return Violation(row, "unknown_feature",
-                         f"feature {fid!r} has no declared kind")
-    if fid in done:
-        return Violation(row, "duplicate_cell",
-                         f"duplicate rows for feature {fid!r}")
-    kind = kinds[fid]
-    field = " ".join([rec[1] for rec in group])
-    tokens = field.split(" ")
+def _column(rec: list, row: int, fid: str, kind: ValueKind, pin):
+    """The values of feature `fid`'s column from data row `row`, or the
+    Violation of the first rule it breaks. The field is checked and
+    converted whole; only one that fails is walked token by token."""
+    if len(rec) != 1:
+        return Violation(row, "arity", f"expected 1 field, got {len(rec)}")
+    field = rec[0]
+    tokens = field.split(" ") if field or pin else []
     if len(tokens) != len(pin):
         return Violation(row, "arity", f"feature {fid!r}: expected "
                                        f"{len(pin)} values, one per sample, "
@@ -458,58 +438,48 @@ def _column(group: list, row: int, key: list, kinds: dict, done: dict, pin):
     try:
         if not isinstance(kind, Categorical):
             _check_number_field(field, True, "kind_mismatch", "values")
-        if isinstance(kind, Continuous):
-            return _reals(tokens)
-        return list(map(read, tokens))
+        return _values(tokens, kind, read)
     except (_RowFault, ValueError, KindMismatch):
         pass
-    samples = iter(pin)
-    for at, rec in enumerate(group, row):
-        for s, sid in zip(rec[1].split(" "), samples):
-            try:
-                read(s)
-            except KindMismatch as e:
-                return Violation(at, "kind_mismatch",
-                                 f"sample {sid!r}, feature {fid!r}: {e}")
-    raise AssertionError("the fast path refused a column with no fault")
+    values = []
+    for s, sid in zip(tokens, pin):
+        try:
+            values.append(read(s))
+        except KindMismatch as e:
+            return Violation(row, "kind_mismatch",
+                             f"sample {sid!r}, feature {fid!r}: {e}")
+    return values
 
 
 def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
     """Check, convert and place the data rows of a timed table in one pass.
 
-    Each row is a sample id, a feature of `kinds`, a times field and a
-    values field: packed tokens in `temporal.csv`, one token in
-    `events.csv`. A row that breaks a rule is left out and gives one
-    Violation, with its 1-based row, for the first rule it breaks: its
-    field count, its feature, an empty times field (`missing_time`), a
-    number field outside `_check_number_field`, unequal token counts
-    (`arity`), a second row of a (sample, feature) that is not a temporal
-    row right after the first (the modality's duplicate code), a point of
-    `_points`, or a sample outside `pin`, which still gets a row after the
-    pinned ones. A row right after the first continues its sequence. Slots
-    follow `kinds` (manifest) order; one no row fills holds an empty
-    sequence, or None for no event.
+    Each row is a sample index into `pin`, a feature index into `kinds`, a
+    times field and a values field: packed tokens in `temporal.csv`, one
+    token in `events.csv`. A row that breaks a rule is left out and gives
+    one Violation, with its 1-based row, for the first rule it breaks: its
+    field count (`arity`), its sample (`unknown_sample`), its feature
+    (`unknown_feature`), an empty times field (`missing_time`), a number
+    field outside `_check_number_field`, unequal token counts (`arity`), a
+    second row of one (sample, feature) (the modality's duplicate code),
+    or a point of `_points`. Slots follow `kinds` (manifest) order; one no
+    row fills holds an empty sequence, or None for no event.
     """
     packed = modality is Modality.TEMPORAL
     dup_code = "duplicate_time" if packed else "duplicate_event"
     empty = ((), ()) if packed else None  # an empty sequence, no event entry
-    features = {f: j for j, f in enumerate(kinds)}
-    # feature -> its token reader and kind
-    readers = {f: (_token_reader(k), k) for f, k in kinds.items()}
-    samples = {s: i for i, s in enumerate(pin)}
-    pinned = len(samples)
-    columns = [[empty] * len(samples) for _ in features]
+    # per feature, its id, kind and token reader
+    features = [(f, k, _token_reader(k)) for f, k in kinds.items()]
+    columns = [[empty] * len(pin) for _ in features]
     bad = []
-    last = None  # (row, slot) of the last accepted table row
     for row, rec in enumerate(rows, 1):
         try:
             if len(rec) != 4:
                 raise _RowFault("arity", f"expected 4 fields, got {len(rec)}")
-            sid, fid, times, values = rec
-            if fid not in readers:
-                raise _RowFault("unknown_feature",
-                                f"feature {fid!r} has no declared kind")
-            read, kind = readers[fid]
+            i, j, times, values = rec
+            i = _index(i, len(pin), "unknown_sample", "sample")
+            j = _index(j, len(features), "unknown_feature", "feature")
+            fid, kind, read = features[j]
             if times == "":
                 raise _RowFault("missing_time", "empty time field")
             _check_number_field(times, packed, "bad_time", "times")
@@ -522,80 +492,67 @@ def scan_sequences(rows, modality: Modality, kinds: dict, pin) -> Scan:
                                              f"{len(vs)} values")
             else:
                 ts, vs = (times,), (values,)
-            j = features[fid]
-            i = samples.get(sid)
-            held = empty if i is None else columns[j][i]
-            if held is empty:
-                prev = -math.inf
-            elif packed and last == (i, j):
-                prev = held[0][-1]
-            else:
-                raise _RowFault(dup_code, f"duplicate row for sample {sid!r}, "
-                                          f"feature {fid!r}")
-            times, values = _points(ts, vs, read,
-                                    isinstance(kind, Continuous), prev)
+            if columns[j][i] is not empty:
+                raise _RowFault(dup_code, f"duplicate row for sample "
+                                          f"{pin[i]!r}, feature {fid!r}")
+            times, values = _points(ts, vs, kind, read)
         except _RowFault as e:
             bad.append(Violation(row, *e.args))
             continue
-        if i is None:
-            i = samples[sid] = len(samples)
-            for column in columns:
-                column.append(empty)
-        if held is not empty:  # the row goes on from the row before
-            times, values = held[0] + times, held[1] + values
         columns[j][i] = (times, values) if packed else (times[0], values[0])
-        last = (i, j)
-        if i >= pinned:
-            bad.append(Violation(row, "unknown_sample",
-                                 f"sample {sid!r} is not in the sample list"))
     return Scan(columns, bad)
 
 
-def _reals(tokens) -> list:
-    """The Continuous values of number-field tokens, or ValueError; after
-    `_check_number_field` no token reads as nan, so a non-finite one is
-    ±inf."""
-    values = [float(s) if s else MISSING for s in tokens]
-    if math.inf in values or -math.inf in values:
-        raise ValueError("non-finite value")
-    return values
+def _values(tokens, kind: ValueKind, read) -> list:
+    """The values of a value field's tokens, converted whole, or ValueError
+    or KindMismatch. After `_check_number_field` no Continuous token reads
+    as nan, so a non-finite one is ±inf; an Integer token of 308
+    characters at most is an int in float range."""
+    if isinstance(kind, Continuous):
+        values = [float(s) if s else MISSING for s in tokens]
+        if math.inf in values or -math.inf in values:
+            raise ValueError("non-finite value")
+        return values
+    if isinstance(kind, Integer):
+        if max(map(len, tokens), default=0) > 308:
+            raise ValueError("a token too long to check whole")
+        return [int(s) if s else MISSING for s in tokens]
+    return list(map(read, tokens))
 
 
-def _points(ts, vs, read, reals: bool, prev: float) -> tuple:
+def _points(ts, vs, kind: ValueKind, read) -> tuple:
     """The (times, values) tuples of one row's tokens, values read by
-    `read` (by `_reals` when `reals`); times must be finite and strictly
-    increasing after `prev`. Else the first point that breaks a rule,
-    found one point at a time, raises; the detail names its index and
-    time."""
+    `read` (converted whole by `_values` first); times must be finite and
+    strictly increasing. Else the first point that breaks a rule, found
+    one point at a time, raises; the detail names its index and time."""
     try:
         times = [float(s) for s in ts]
-        values = _reals(vs) if reals else list(map(read, vs))
-        if (prev < times[0] and times[-1] < math.inf
+        values = _values(vs, kind, read)
+        if (-math.inf < times[0] and times[-1] < math.inf
                 and all(map(lt, times, islice(times, 1, None)))):
             return tuple(times), tuple(values)
     except (ValueError, KindMismatch):
         pass
+    times, values = [], []
+    prev = -math.inf
     for k, (tt, vt) in enumerate(zip(ts, vs)):
         try:
             t = read_number(tt)
-            read(vt)
+            values.append(read(vt))
         except ParseError as e:
             raise _RowFault("bad_time", f"point {k}: time {e}") from None
         except KindMismatch as e:
             raise _RowFault("kind_mismatch", f"point {k}, t={t!r}: {e}") \
                 from None
-        if not prev < t:
-            if k == 0:  # the row goes on from the row before
-                detail = (f"time {t!r} is not after {prev!r}, the last of "
-                          "the row before")
-            elif t == prev:
-                detail = f"duplicate time {t!r}"
-            else:
-                detail = f"time {t!r} is not after {prev!r}"
-            code = "bad_time" if k and t < prev else "duplicate_time"
-            raise _RowFault(code, f"point {k}: {detail}")
+        if t == prev:
+            raise _RowFault("duplicate_time", f"point {k}: duplicate time "
+                                              f"{t!r}")
+        if t < prev:
+            raise _RowFault("bad_time", f"point {k}: time {t!r} is not after "
+                                        f"{prev!r}")
+        times.append(t)
         prev = t
-    raise AssertionError("the fast path refused a row with no fault")
+    return tuple(times), tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -652,48 +609,41 @@ def _load_manifest(manifest_path) -> BundleManifest:
     return BundleManifest(tuple(samples), kinds_of, roles)
 
 
-def _read_table(path, header: list, lines: list):
-    """Data rows of one CSV table, after its header row is checked; the
-    file line the header and then each row ends on goes to `lines`, since
-    a quoted id may hold a line break."""
+def _read_table(path, header: list):
+    """Data rows of one table, each line split at its commas, after its
+    header line is checked."""
     if not os.path.exists(path):
         raise ManifestError(f"listed file does not exist: {path}")
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            first = next(reader, None)
+        with open(path, encoding="utf-8", newline="\n") as f:
+            first = next(f, None)
             if first is None:
                 raise ParseError(f"{path}: missing header row")
+            first = first.rstrip("\n").split(",")
             if first != header:
                 raise ParseError(f"{path}: bad header {first!r}, "
                                  f"expected {header!r}")
-            lines.append(reader.line_num)
-            for rec in reader:
-                yield rec
-                lines.append(reader.line_num)
+            for line in f:
+                yield line.rstrip("\n").split(",")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise ParseError(f"{path}: unreadable CSV: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _scanned_tables(manifest: BundleManifest, manifest_path):
-    """(modality, file name, path, kinds, Scan) of each present table, each
-    violation with its file line."""
+    """(modality, file name, path, kinds, Scan) of each present table."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     for modality, (name, _) in _TABLES.items():
         kinds = manifest.features.get(modality.value)
         if kinds is None:
             continue
         path = os.path.join(base, name)
-        lines = []
-        rows = _read_table(path, _HEADERS[modality], lines)
+        rows = _read_table(path, _HEADERS[modality])
         if modality is Modality.STATIC:
             scan = scan_columns(rows, kinds, manifest.samples)
         else:
             scan = scan_sequences(rows, modality, kinds, manifest.samples)
-        scan = scan._replace(violations=[
-            replace(v, line=lines[v.row - 1] + 1) for v in scan.violations])
         yield modality, name, path, kinds, scan
 
 

@@ -249,10 +249,12 @@ def check_time(t, where: str = None) -> float:
 
 def _check_id(s, what: str) -> str:
     """`s` if it can be an id (a sample or feature id, a category): a
-    string with no NUL and no lone carriage return. The CSV writer of
-    Python 3.10 cannot write a NUL, and some interpreters' writer (LF line
-    ends) leaves a "\\r" outside "\\r\\n" unquoted, so a reader then ends
-    the record there."""
+    string with no NUL and no lone carriage return. A bundle keeps ids in
+    its JSON manifest, but `truth.csv`, the one file still written by the
+    csv module, names samples by id: the CSV writer of Python 3.10 cannot
+    write a NUL, and some interpreters' writer (LF line ends) leaves a
+    "\\r" outside "\\r\\n" unquoted, so a reader then ends the record
+    there."""
     if not isinstance(s, str):
         raise KindMismatch(f"{what} must be a string, got {s!r}")
     if "\0" in s:

@@ -350,6 +350,24 @@ def test_truth_rejections(tmp_path):
         read_truth(str(path))
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace("w,3.0", "w,bad"), "line 5: bad effect 'bad'"),
+    (lambda t: t.replace("z,2.0", "z,2.0,9"), "line 4: expected 2 fields"),
+    (lambda t: t.replace("w,3.0", "z,3.0"), "line 5: duplicate sample 'z'"),
+], ids=["bad-effect", "arity", "duplicate"])
+def test_truth_fault_after_an_id_that_holds_a_line_feed_names_its_line(
+        tmp_path, edit, message):
+    # the quoted id "x\ny" takes file lines 2 and 3, so the record of z
+    # starts on line 4 and that of w on line 5
+    path = tmp_path / "truth.csv"
+    write_truth(str(path), ["x\ny", "z", "w"], [1.0, 2.0, 3.0])
+    assert read_truth(str(path)) == {"x\ny": 1.0, "z": 2.0, "w": 3.0}
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        read_truth(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("effect", ["1_0", " 1.5 ", "\u0661.\u0665",
                                     "1.5\t"],
                          ids=["underscore", "spaces", "arabic-digits", "tab"])
@@ -680,12 +698,12 @@ def test_cli_validate(tmp_path, capsys):
 
     static = bundle / "static.csv"
     rows = static.read_text(encoding="utf-8").splitlines()
-    rows.append(rows[1])  # a second column of the first feature
+    rows.append(rows[1])  # a fourth row for three static features
     static.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli(["validate", str(bundle)]) == 1
     out = capsys.readouterr().out
-    assert out == "static.csv:5: duplicate_cell: duplicate rows for " \
-        "feature 'x1'\n"
+    assert out == "static.csv:5: arity: more rows than static features " \
+        "(3)\n"
 
     assert cli(["validate", str(tmp_path / "nope")]) == 2
 
@@ -1213,8 +1231,8 @@ def test_cli_integer_beyond_float_range_fails_cleanly(tmp_path):
     write_bundle(ds, str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[2] == "k,0 1 2 0 1 2 0 1 2 0 1 2"
-    lines[2] = "k,1" + "0" * 400 + " 1 2 0 1 2 0 1 2 0 1 2"
+    assert lines[2] == "0 1 2 0 1 2 0 1 2 0 1 2"  # k
+    lines[2] = "1" + "0" * 400 + " 1 2 0 1 2 0 1 2 0 1 2"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
@@ -1235,15 +1253,15 @@ def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
     write_bundle(classification_dataset(0, n=6), str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[3] == "y,0 1 0 0 0 1"
+    assert lines[3] == "0 1 0 0 0 1"  # y
     rest = " 1 0 0 0 1"  # the first sample's token is edited
-    lines[3] = f"y,{field}{rest}"
+    lines[3] = f"{field}{rest}"
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == ("static.csv:4: kind_mismatch: sample 's000', "
                            "feature 'y': integer beyond float range\n")
-    lines[3] = "y,1" + "0" * 4400 + "x" + rest
+    lines[3] = "1" + "0" * 4400 + "x" + rest
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     proc = _cli_proc("validate", str(bundle))
     assert proc.returncode == 1
@@ -1251,7 +1269,7 @@ def test_cli_integer_past_the_digit_limit_is_not_echoed(tmp_path, field):
                                   "'s000', feature 'y': '100")
     assert proc.stdout.endswith("0x' is not an integer\n")
     # leading zeros do not count toward the value: the field reads as 1
-    lines[3] = "y,+" + "0" * 4400 + "1" + rest
+    lines[3] = "+" + "0" * 4400 + "1" + rest
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert _cli_proc("validate", str(bundle)).returncode == 0
     assert read_bundle(str(bundle / "manifest")).static.cell(
@@ -1282,10 +1300,9 @@ def test_cli_validate_lists_integer_fields_that_are_not_ascii_decimals(
     write_bundle(classification_dataset(0, n=6), str(bundle))
     static = bundle / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines()
-    assert lines[3] == "y,0 1 0 0 0 1"
+    assert lines[3] == "0 1 0 0 0 1"  # y
     # three Integer columns, each with one token int() reads
-    lines[1:] = ["y,0 1 0_1 0 0 1", "x1,1 0 \u0663 0 0 1",
-                 "x2,1 0 0 +-1 0 1"]
+    lines[1:] = ["0 1 0_1 0 0 1", "1 0 \u0663 0 0 1", "1 0 0 +-1 0 1"]
     static.write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = bundle / "manifest"
     doc = json.loads(manifest.read_text(encoding="utf-8"))
@@ -1329,11 +1346,19 @@ def test_cli_undecodable_or_oversized_input_fails_cleanly(tmp_path):
         _assert_clean_exit_1(_cli_proc(*args), "manifest: not UTF-8")
     manifest.write_bytes(good)
     static = bundle / "static.csv"
-    head = static.read_bytes().splitlines()[:2]
-    for bad in (b"s000,x1,\xff", b"s000,x1," + b"1" * 131073):
-        static.write_bytes(b"\n".join(head + [bad]) + b"\n")
-        for args in (("validate", str(bundle)), ("run", config)):
-            _assert_clean_exit_1(_cli_proc(*args), "static.csv: unreadable")
+    lines = static.read_bytes().splitlines()
+    static.write_bytes(b"\n".join(lines[:2] + [b"\xff"]) + b"\n")
+    for args in (("validate", str(bundle)), ("run", config)):
+        _assert_clean_exit_1(_cli_proc(*args), "static.csv: not UTF-8")
+    # a line has no length limit: one of 131,073 characters is read whole
+    # and fails on its token count
+    static.write_bytes(b"\n".join(lines[:2] + [b"1" * 131073] + lines[3:])
+                       + b"\n")
+    detail = "feature 'x2': expected 12 values, one per sample, got 1"
+    proc = _cli_proc("validate", str(bundle))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == f"static.csv:3: arity: {detail}\n"
+    _assert_clean_exit_1(_cli_proc("run", config), f"static.csv:3: {detail}")
 
     truth = synth_treatment_data(12, seed=1, tau0=3.0)
     write_bundle(truth.dataset, str(tmp_path / "tbundle"))
@@ -1370,14 +1395,14 @@ def test_cli_synth_ite(tmp_path, capsys):
 
 # sha256 of the files of one small `synth-ite` call, recorded from the
 # generator that built its grid from long-form records; the bundle files
-# were re-recorded at schema "2", again at schema "4", and the manifest at
-# schema "5", each from a bundle that reads to the same dataset as the one
-# before.
+# were re-recorded at schema "2", again at schema "4", the manifest at
+# schema "5", and both at schema "6", each from a bundle that reads to the
+# same dataset as the one before.
 _SYNTH_ITE_SHA256 = {
     "manifest":
-        "de5f4086ca4bc17f70d5eb2f31448ac22f4496da9227610cf9c4f925184b66fe",
+        "e7b1da507cc0f94b046a2acc3ddbfbbadd2532d13822b8a1cdccc460c23b8486",
     "static.csv":
-        "e12ce53d7c324fdc96b47ee68c5e3880f49b91f265582ca5bf979170ee96091f",
+        "4d046f223356abcf1a4b08d830dba14b0b40478d2928376a300947704c0fe8fa",
     "truth.csv":
         "1c16575fa3b9e7964f83f578f956cd9a6952b4bbf681db9f8262826ab644587f",
 }
@@ -1646,7 +1671,7 @@ def test_golden_check_script(tmp_path):
     fitted.write_bytes(fitted.read_bytes().replace(b"0", b"1", 1))
     static = copy / "bundle" / "static.csv"
     static.write_bytes(static.read_bytes().replace(
-        b"age,62.729213065756305 ", b"age,62.7292130657563050 ", 1))
+        b"\n62.729213065756305 ", b"\n62.7292130657563050 ", 1))
     proc = _check_goldens(str(copy))
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()

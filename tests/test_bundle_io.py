@@ -1,10 +1,9 @@
-"""Bundle serialization: manifest, CSV tables, round-trips, validation."""
+"""Bundle serialization: manifest, tables, round-trips, validation."""
 
 from __future__ import annotations
 
 import builtins
 import contextlib
-import csv
 import io
 import json
 import math
@@ -46,7 +45,6 @@ from tempoframe.data import (
 )
 from tempoframe.errors import (
     ConfigError,
-    DuplicateCell,
     DuplicateEvent,
     DuplicateTimePoint,
     InvalidSpec,
@@ -130,16 +128,17 @@ def test_write_is_deterministic(tmp_path):
 
 # Categories that hold a space, a comma, a quote and CRLF.
 _EDGE_CATEGORIES = ("lo", "a b", "hi,\"q\"", "\r\n")
-_LONG = 10_000  # points of one sequence, past the csv field limit packed
+_LONG = 10_000  # points of one sequence, a line of over 131,072 characters
 
 
 def _edge_dataset():
-    """Ids that need CSV quoting, every kind, and samples whose static
-    cells are all Missing; sequences of extreme values, of one point, of
-    Missing values only, none at all, and one too long for one row."""
+    """Ids that hold a comma, a quote or a line break (in every modality,
+    a static feature's too), every kind, and samples whose static cells
+    are all Missing; sequences of extreme values, of one point, of Missing
+    values only, none at all, and one of `_LONG` points."""
     ids = ["plain", "a,b", 's"q', "line\nfeed", "cr\r\nlf", "\ufeffbom",
            "sep\u2028", " lead", "", "all-missing"]
-    kinds = {"x": Continuous(), "k,1": Integer(),
+    kinds = {"g\nh": Continuous(), "k,1": Integer(),
              "c": Categorical(_EDGE_CATEGORIES)}
     values = [(-0.0, 2 ** 63, "lo"), (5e-324, -7, "hi,\"q\""),
               (1e308, 0, "\r\n"), (-1e308, MISSING, "a b"),
@@ -164,9 +163,10 @@ def _edge_dataset():
             zip(ids, _EDGE_CATEGORIES + (MISSING,)))],
         {"e,v": Categorical(_EDGE_CATEGORIES)}, sample_ids=ids)
     return assemble_dataset(static=static, temporal=temporal, events=events,
-                            roles=RoleMap.of(covariates=("x", "k,1", "t\nf",
-                                                         "k t", "c t"),
-                                             targets=("c", "e,v")))
+                            roles=RoleMap.of(
+                                covariates=("g\nh", "k,1", "t\nf", "k t",
+                                            "c t"),
+                                targets=("c", "e,v")))
 
 
 def test_round_trip_of_edge_case_ids_and_values(tmp_path):
@@ -174,14 +174,6 @@ def test_round_trip_of_edge_case_ids_and_values(tmp_path):
     assert [column[-1] for column in ds.static.columns] == [MISSING] * 3
     assert len(ds.temporal.sequence("plain", "t\nf")[0]) == _LONG
     write_bundle(ds, tmp_path / "one")
-    # the long sequence goes on over rows whose fields csv can read
-    with open(tmp_path / "one" / "temporal.csv", encoding="utf-8",
-              newline="") as f:
-        rows = list(csv.reader(f))
-    long_rows = [r for r in rows if r[:2] == ["plain", "t\nf"]]
-    assert len(long_rows) > 1
-    assert sum(len(r[2]) for r in long_rows) > csv.field_size_limit()
-    assert all(len(r[2]) + len(r[3]) <= 65536 for r in rows)
     assert read_bundle(tmp_path / "one" / MANIFEST_NAME) == ds
     assert validate_bundle(tmp_path / "one" / MANIFEST_NAME) == []
     write_bundle(read_bundle(tmp_path / "one" / MANIFEST_NAME),
@@ -208,13 +200,10 @@ def _static_column(kind, column):
 def test_a_static_column_round_trips(tmp_path, kind, column):
     ds = _static_column(kind, column)
     write_bundle(ds, tmp_path / "one")
-    with open(tmp_path / "one" / "static.csv", encoding="utf-8",
-              newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    assert {r[0] for r in rows} == {"f"}
-    assert all(len(r[1]) <= 65536 for r in rows)
-    # a column past 65,536 characters goes on in a second row
-    assert len(rows) == (2 if len(column) == 4000 else 1)
+    # one line holds the column, however long
+    header, line, end = (tmp_path / "one" / "static.csv").read_text(
+        encoding="utf-8").split("\n")
+    assert (header, end) == ("values", "") and "," not in line
     assert read_bundle(tmp_path / "one" / MANIFEST_NAME) == ds
     assert validate_bundle(tmp_path / "one" / MANIFEST_NAME) == []
     write_bundle(read_bundle(tmp_path / "one" / MANIFEST_NAME),
@@ -223,17 +212,23 @@ def test_a_static_column_round_trips(tmp_path, kind, column):
 
 
 def test_a_static_table_of_no_samples_or_no_features_round_trips(tmp_path):
-    for name, ds in (("no-samples", _static_column(Continuous(), [])),
-                     ("no-features", assemble_dataset(
-                         static=StaticSamples(("a", "b"), (), ()),
-                         temporal=build_time_series_samples(
-                             [("a", "t", 0.0, 1.0)], {"t": Continuous()},
-                             sample_ids=["a", "b"]),
-                         roles=RoleMap.of(covariates=("t",))))):
+    # an empty line holds no token when the manifest lists no sample, and
+    # one Missing token when it lists one
+    for name, ds, text in (
+            ("no-samples", _static_column(Continuous(), []), "values\n\n"),
+            ("one-missing", _static_column(Continuous(), [MISSING]),
+             "values\n\n"),
+            ("no-features", assemble_dataset(
+                static=StaticSamples(("a", "b"), (), ()),
+                temporal=build_time_series_samples(
+                    [("a", "t", 0.0, 1.0)], {"t": Continuous()},
+                    sample_ids=["a", "b"]),
+                roles=RoleMap.of(covariates=("t",))), "values\n")):
         write_bundle(ds, tmp_path / name)
         assert (tmp_path / name / "static.csv").read_text(
-            encoding="utf-8") == "feature_id,values\n"
+            encoding="utf-8") == text
         assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
+        assert validate_bundle(tmp_path / name / MANIFEST_NAME) == []
 
 
 # Every entry point that reads a number written as text reads the same
@@ -263,7 +258,7 @@ def test_static_and_temporal_fields_share_the_number_grammar(
         roles=RoleMap.of(covariates=("x", "f")))
     path = tmp_path / "b"
     write_bundle(ds, path)
-    line = {"static.csv": "x,{}", "temporal.csv": "s0,f,0.0,{}"}[table]
+    line = {"static.csv": "\n{}\n", "temporal.csv": "\n0,0,0.0,{}\n"}[table]
     (path / table).write_text(
         (path / table).read_text(encoding="utf-8").replace(
             line.format("1.0"), line.format(spelling)), encoding="utf-8")
@@ -356,9 +351,9 @@ def test_every_number_entry_point_shares_the_bundle_grammar(
 
 
 def test_packed_static_table_is_pinned(tmp_path):
-    # one row per feature, in manifest order, and one token per sample, in
+    # one line per feature, in manifest order, and one token per sample, in
     # manifest order; a Categorical value is its index, an empty token
-    # Missing; only a feature id is ever quoted
+    # Missing; no id is written
     kinds = {"x": Continuous(), "k": Integer(),
              'c,"d"': Categorical(("lo", "hi"))}
     static = build_static_samples(
@@ -369,16 +364,17 @@ def test_packed_static_table_is_pinned(tmp_path):
                           roles=RoleMap.of(covariates=("x", "k", 'c,"d"')))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_bytes() == (
-        b'feature_id,values\n'
-        b'x,1.5  1e-300\n'
-        b'k,-3  7\n'
-        b'"c,""d""",1  0\n')
+        b'values\n'
+        b'1.5  1e-300\n'
+        b'-3  7\n'
+        b'1  0\n')
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
 def test_packed_temporal_table_is_pinned(tmp_path):
-    # one row per non-empty sequence, in sample then feature order; a
-    # Categorical value is its index, an empty token Missing
+    # one line per non-empty sequence, in sample then feature order, each
+    # naming them by manifest index; a Categorical value is its index, an
+    # empty token Missing
     kinds = {"y": Continuous(), "c": Categorical(("lo", "a b"))}
     temporal = build_time_series_samples(
         [("s0", "y", 2.5, -3), ("s0", "y", 0.5, 1.5), ("s0", "y", 1.0, MISSING),
@@ -390,11 +386,11 @@ def test_packed_temporal_table_is_pinned(tmp_path):
                           roles=RoleMap.of(covariates=("y", "c")))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "temporal.csv").read_bytes() == (
-        b'sample_id,feature_id,times,values\n'
-        b's0,y,0.5 1.0 2.5,1.5  -3.0\n'
-        b's0,c,0.0 2.0,1 0\n'
-        b'"s""q",y,1e-300,1e+300\n'
-        b'"s""q",c,1.0 3.0, \n')
+        b'sample,feature,times,values\n'
+        b'0,0,0.5 1.0 2.5,1.5  -3.0\n'
+        b'0,1,0.0 2.0,1 0\n'
+        b'2,0,1e-300,1e+300\n'
+        b'2,1,1.0 3.0, \n')
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
@@ -548,7 +544,7 @@ def test_write_bundle_takes_a_static_column_checked_cell_by_cell(tmp_path):
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("f",)))
     write_bundle(ds, tmp_path / "b")
     assert (tmp_path / "b" / "static.csv").read_text(encoding="utf-8") == \
-        "feature_id,values\nf,1.0 -2.0\n"
+        "values\n1.0 -2.0\n"
     assert read_bundle(tmp_path / "b" / MANIFEST_NAME) == ds
 
 
@@ -591,11 +587,11 @@ def test_an_int_subclass_is_written_as_the_int_it_stores(tmp_path):
         tables = {f: (tmp_path / name / f).read_text(encoding="utf-8")
                   for f in ("static.csv", "temporal.csv", "events.csv")}
         assert tables == {
-            "static.csv": "feature_id,values\nx,1 2\n",
-            "temporal.csv": "sample_id,feature_id,times,values\n"
-                            "a,f,0.0,1\nb,f,1.0,2\n",
-            "events.csv": "sample_id,feature_id,time,value\n"
-                          "a,e,1.0,1\nb,e,2.0,2\n"}, name
+            "static.csv": "values\n1 2\n",
+            "temporal.csv": "sample,feature,times,values\n"
+                            "0,0,0.0,1\n1,0,1.0,2\n",
+            "events.csv": "sample,feature,time,value\n"
+                          "0,0,1.0,1\n1,0,2.0,2\n"}, name
         assert read_bundle(tmp_path / name / MANIFEST_NAME) == ds
     assert {type(v) for column in built.static.columns
             for v in column} == {int}
@@ -609,7 +605,7 @@ def test_manifest_shape(tmp_path):
     ds, path = _write(tmp_path, seed=2)
     doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert list(doc) == ["schema_version", "samples", "features", "roles"]
-    assert doc["schema_version"] == "5"
+    assert doc["schema_version"] == "6"
     assert doc["samples"] == list(ds.sample_ids)
     for modality, container in ds.containers():
         assert doc["features"][modality.value] == [
@@ -625,7 +621,7 @@ def test_empty_value_field_means_missing(tmp_path):
     ds = assemble_dataset(static=static, roles=RoleMap.of(covariates=("x",)))
     write_bundle(ds, tmp_path / "b")
     text = (tmp_path / "b" / "static.csv").read_text(encoding="utf-8")
-    assert text == "feature_id,values\nx,1.5 \n"
+    assert text == "values\n1.5 \n"
     loaded = read_bundle(tmp_path / "b" / MANIFEST_NAME)
     assert loaded.static.cell("b", "x") is MISSING
 
@@ -672,10 +668,10 @@ def test_read_reports_offending_file(tmp_path):
 def test_validate_long_table_timed_rules():
     kinds = {"f": Continuous()}
     rows = [
-        ["s0", "f", "1.0", "2.0"],
-        ["s0", "f", "1.0", "3.0"],   # duplicate time
-        ["s0", "f", "", "3.0"],      # missing time
-        ["s0", "f", "zzz", "3.0"],   # bad time
+        ["0", "0", "1.0", "2.0"],
+        ["0", "0", "1.0", "3.0"],   # a second row of (s0, f)
+        ["0", "0", "", "3.0"],      # missing time
+        ["0", "0", "zzz", "3.0"],   # bad time
     ]
     violations = scan_sequences(rows, Modality.TEMPORAL, kinds,
                                 ["s0"]).violations
@@ -738,25 +734,27 @@ def _small_bundle(tmp_path):
 
 # code, table, data row to append, or (row number, replacement), error
 # type; more faults of the packed static.csv are in _STATIC_COLUMN_FAULTS.
-# The packed temporal.csv of `_small_bundle`:
-#   sample_id,feature_id,times,values / s0,f,0.0 1.0,1.0 2.0 / s1,f,0.5,3.0
+# A timed row is written with ids, which `_one_row_fault` puts in the file
+# as their manifest indices. The packed temporal.csv of `_small_bundle`:
+#   sample,feature,times,values / 0,0,0.0 1.0,1.0 2.0 / 1,0,0.5,3.0
+# that is, rows s0,f,0.0 1.0,1.0 2.0 and s1,f,0.5,3.0.
 _ONE_ROW_FAULTS = [
     ("arity", "static.csv", "x", ParseError),
     ("missing_time", "temporal.csv", "s1,f,,4.0", ParseError),
     ("bad_time", "events.csv", (2, "s1,e,soon,"), ParseError),
     ("bad_time", "temporal.csv", "s1,f,inf,4.0", ParseError),
     ("unknown_feature", "temporal.csv", "s1,ghost,0.0,1.0", KindMismatch),
-    ("kind_mismatch", "static.csv", (2, "c,0 5"), KindMismatch),
+    ("kind_mismatch", "static.csv", (2, "0 5"), KindMismatch),
     ("kind_mismatch", "events.csv", (1, "s0,e,4.0,1.5"), KindMismatch),
     ("unknown_sample", "temporal.csv", "ghost,f,0.0,1.0", UnknownSample),
-    # a repeat of (s0, f) that does not follow its row
+    # a second row of (s0, f), whatever its times
     ("duplicate_time", "temporal.csv", "s0,f,1.0,7.0", DuplicateTimePoint),
     ("duplicate_event", "events.csv", "s1,e,3.0,0", DuplicateEvent),
     ("arity", "temporal.csv", (2, "s1,f,0.5 0.7,3.0"), ParseError),
     ("duplicate_time", "temporal.csv", (1, "s0,f,0.0 0.0,1.0 2.0"),
      DuplicateTimePoint),
     ("bad_time", "temporal.csv", (1, "s0,f,1.0 0.0,1.0 2.0"), ParseError),
-    # a row that goes on from (s1, f) at a time before its last one
+    # a second row of (s1, f), right after its first
     ("duplicate_time", "temporal.csv", "s1,f,0.25 0.75,4.0 5.0",
      DuplicateTimePoint),
     ("kind_mismatch", "temporal.csv", (1, "s0,f,0.0 1.0,1.0 1.2.3"),
@@ -786,7 +784,7 @@ def test_read_and_validate_agree_on_a_one_row_fault(tmp_path, code, table,
     ("bad_time", (1, "s0,f,0.0 2.0 1.5,1.0 2.0 3.0"), ParseError,
      "point 2: time 1.5 is not after 2.0"),
     ("duplicate_time", "s1,f,0.5 0.75,4.0 5.0", DuplicateTimePoint,
-     "point 0: time 0.5 is not after 0.5, the last of the row before"),
+     "duplicate row for sample 's1', feature 'f'"),
     ("bad_time", (1, "s0,f,0.0 1.0 inf,1.0 2.0 3.0"), ParseError,
      "times field holds 'i'"),
     ("bad_time", (1, "s0,f,0.0 1.0 1e999,1.0 2.0 3.0"), ParseError,
@@ -804,8 +802,7 @@ def test_a_packed_row_fault_names_its_point(tmp_path, code, edit, error,
                                             detail):
     path = _small_bundle(tmp_path)
     assert (path / "temporal.csv").read_text(encoding="utf-8") == \
-        "sample_id,feature_id,times,values\ns0,f,0.0 1.0,1.0 2.0\n" \
-        "s1,f,0.5,3.0\n"
+        "sample,feature,times,values\n0,0,0.0 1.0,1.0 2.0\n1,0,0.5,3.0\n"
     assert _one_row_fault(path, code, "temporal.csv", edit, error) == detail
 
 
@@ -821,33 +818,31 @@ def test_a_temporal_category_token_is_its_index(tmp_path, token, detail):
     write_bundle(assemble_dataset(temporal=temporal,
                                   roles=RoleMap.of(covariates=("k",))), path)
     assert (path / "temporal.csv").read_text(encoding="utf-8") == \
-        "sample_id,feature_id,times,values\ns0,k,0.0 1.0,0 1\n"
+        "sample,feature,times,values\n0,0,0.0 1.0,0 1\n"
     assert _one_row_fault(path, "kind_mismatch", "temporal.csv",
                           (1, f"s0,k,0.0 1.0,0 {token}"),
                           KindMismatch) == detail
 
 
 # the packed static.csv of `_small_bundle`:
-#   feature_id,values / x,1.5 2.5 / c,0 (the category 'a', then Missing)
-# A fault of a column's token count, feature or repeat is reported at its
-# first row.
+#   values / 1.5 2.5 / 0 (x, then c: the category 'a', then Missing)
 _STATIC_COLUMN_FAULTS = [
-    ("arity", (1, "x,1.5 2.5,"), ParseError, "expected 2 fields, got 3"),
-    ("arity", (1, "x,1.5"), ParseError,
+    ("arity", (1, "1.5 2.5,"), ParseError, "expected 1 field, got 2"),
+    ("arity", (1, "1.5"), ParseError,
      "feature 'x': expected 2 values, one per sample, got 1"),
-    ("arity", (1, "x,1.5 2.5 3.5"), ParseError,
+    ("arity", (1, "1.5 2.5 3.5"), ParseError,
      "feature 'x': expected 2 values, one per sample, got 3"),
-    ("arity", (1, "x,1.5\nx,2.5 3.5"), ParseError,
-     "feature 'x': expected 2 values, one per sample, got 3"),
-    ("unknown_feature", "ghost,1 2", KindMismatch,
-     "feature 'ghost' has no declared kind"),
-    ("duplicate_cell", "x,1.5 2.5", DuplicateCell,
-     "duplicate rows for feature 'x'"),
-    ("kind_mismatch", (1, "x,1.5 abc"), KindMismatch,
+    ("arity", (2, "0  1"), ParseError,
+     "feature 'c': expected 2 values, one per sample, got 3"),
+    # a line past the feature count
+    ("arity", "1 2", ParseError, "more rows than static features (2)"),
+    ("kind_mismatch", (2, "0 -1"), KindMismatch,
+     "sample 's1', feature 'c': '-1' is not a category index below 2"),
+    ("kind_mismatch", (1, "1.5 abc"), KindMismatch,
      "sample 's1', feature 'x': 'abc' is not a real number"),
-    ("kind_mismatch", (1, "x,1e999 2.5"), KindMismatch,
+    ("kind_mismatch", (1, "1e999 2.5"), KindMismatch,
      "sample 's0', feature 'x': '1e999' is not finite"),
-    ("kind_mismatch", (2, "c,0 z"), KindMismatch,
+    ("kind_mismatch", (2, "0 z"), KindMismatch,
      "sample 's1', feature 'c': 'z' is not a category index below 2"),
 ]
 
@@ -858,53 +853,32 @@ def test_read_and_validate_agree_on_a_static_column_fault(tmp_path, code,
                                                           detail):
     path = _small_bundle(tmp_path)
     assert (path / "static.csv").read_text(encoding="utf-8") == \
-        "feature_id,values\nx,1.5 2.5\nc,0 \n"
+        "values\n1.5 2.5\n0 \n"
     assert _one_row_fault(path, code, "static.csv", edit, error) == detail
 
 
-def test_a_static_token_fault_names_its_row_in_a_continued_column(
-        tmp_path):
-    # a column that goes on over two rows: the bad token is in the second
-    path = _small_bundle(tmp_path)
-    static = path / "static.csv"
-    static.write_text("feature_id,values\nx,1.5\nx,2_5\nc,0 \n",
-                      encoding="utf-8")
-    detail = "sample 's1', feature 'x': '2_5' is not a real number"
-    assert [(name, v.row, v.code, v.detail)
-            for name, v in validate_bundle(path / MANIFEST_NAME)] == \
-        [("static.csv", 2, "kind_mismatch", detail)]
-    with pytest.raises(KindMismatch) as err:
-        read_bundle(path / MANIFEST_NAME)
-    assert str(err.value) == f"{static}:3: {detail}"
-    static.write_text("feature_id,values\nx,1.5\nx,2.5\nc,0 \n",
-                      encoding="utf-8")
-    assert read_bundle(path / MANIFEST_NAME).static.column("x") == (1.5, 2.5)
-
-
-def test_a_repeated_unknown_sample_row_is_a_duplicate(tmp_path):
-    # the row outside the sample list takes a row after the listed ones,
-    # so its repeat is a duplicate, not a second unknown sample
-    path = _small_bundle(tmp_path)
-    with open(path / "events.csv", "a", encoding="utf-8") as f:
-        f.write("ghost,e,1.0,1\nghost,e,2.0,0\n")
-    found = validate_bundle(path / MANIFEST_NAME)
-    assert [(v.row, v.code) for _, v in found] == [
-        (3, "unknown_sample"), (4, "duplicate_event")]
-    with pytest.raises(UnknownSample, match=r"events.csv:4: sample 'ghost'"):
-        read_bundle(path / MANIFEST_NAME)
+def _indexed(path, table, row):
+    """A timed table row written with ids, each id the manifest lists put
+    as its index there."""
+    doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
+    samples = {sid: str(i) for i, sid in enumerate(doc["samples"])}
+    modality = "temporal" if table == "temporal.csv" else "event"
+    features = {entry["id"]: str(j)
+                for j, entry in enumerate(doc["features"][modality])}
+    sid, fid, *rest = row.split(",")
+    return ",".join([samples.get(sid, sid), features.get(fid, fid), *rest])
 
 
 def _one_row_fault(path, code, table, edit, error) -> str:
     """Apply a one-row edit to a table, check that validate and read report
-    it alike, and return its detail."""
+    it alike, and return its detail. A timed row is given with ids, which
+    `_indexed` writes as indices."""
     csv_path = path / table
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    if isinstance(edit, tuple):
-        row, text = edit
-        lines[row] = text
-    else:
-        lines.append(edit)
-        row = len(lines) - 1
+    row, text = edit if isinstance(edit, tuple) else (len(lines), edit)
+    if table != "static.csv":
+        text = _indexed(path, table, text)
+    lines[row:row + 1] = [text]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     found = validate_bundle(path / MANIFEST_NAME)
     assert [(f, v.row, v.code) for f, v in found] == [(table, row, code)]
@@ -993,28 +967,24 @@ def _static_table(text):
      "listed file does not exist: {static}"),
     (_static_table(""), ParseError, "{static}: missing header row"),
     (_static_table("sid,fid,value\n"), ParseError,
-     "{static}: bad header ['sid', 'fid', 'value'], expected "
-     "['feature_id', 'values']"),
+     "{static}: bad header ['sid', 'fid', 'value'], expected ['values']"),
     (_static_table("values,feature_id\n1.5 2.5,x\n"), ParseError,
-     "{static}: bad header ['values', 'feature_id'], expected "
-     "['feature_id', 'values']"),
+     "{static}: bad header ['values', 'feature_id'], expected ['values']"),
     (_static_table("feature_id\nx\n"), ParseError,
-     "{static}: bad header ['feature_id'], expected "
-     "['feature_id', 'values']"),
+     "{static}: bad header ['feature_id'], expected ['values']"),
     (_static_table("sample_id,x,c\ns0,1.5,a\n"), ParseError,
-     "{static}: bad header ['sample_id', 'x', 'c'], expected "
-     "['feature_id', 'values']"),
+     "{static}: bad header ['sample_id', 'x', 'c'], expected ['values']"),
     (_manifest_edit(lambda d: dict(d, schema_version="2")), ManifestError,
-     "{manifest}: unsupported schema_version '2' (expected '5')"),
+     "{manifest}: unsupported schema_version '2' (expected '6')"),
     (_manifest_edit(lambda d: dict(d, schema_version="1")), ManifestError,
-     "{manifest}: unsupported schema_version '1' (expected '5')"),
+     "{manifest}: unsupported schema_version '1' (expected '6')"),
     # the version is a string
     (_manifest_edit(lambda d: dict(d, schema_version=4)), ManifestError,
-     "{manifest}: unsupported schema_version 4 (expected '5')"),
+     "{manifest}: unsupported schema_version 4 (expected '6')"),
     (_manifest_edit(lambda d: dict(d, schema_version="3")), ManifestError,
-     "{manifest}: unsupported schema_version '3' (expected '5')"),
+     "{manifest}: unsupported schema_version '3' (expected '6')"),
     (_manifest_edit(lambda d: dict(d, schema_version="4")), ManifestError,
-     "{manifest}: unsupported schema_version '4' (expected '5')"),
+     "{manifest}: unsupported schema_version '4' (expected '6')"),
     (_manifest_edit(lambda d: dict(d, samples=["s0", "s\r1"])),
      ManifestError,
      "{manifest}: sample_id 's\\r1' holds a lone carriage return"),
@@ -1052,6 +1022,98 @@ def test_manifest_and_table_faults_are_pinned(tmp_path, capsys, edit, error,
     assert capsys.readouterr().err == f"tempoframe: {expected}\n"
 
 
+def _table_lines(table, *lines):
+    """An edit that puts `lines` in place of the data lines of `table`."""
+    def edit(path):
+        header = (path / table).read_text(encoding="utf-8").split("\n")[0]
+        (path / table).write_text("".join(
+            f"{line}\n" for line in (header, *lines)), encoding="utf-8")
+    return edit
+
+
+# Faults of the schema-6 tables of `_small_bundle`, whose rows are
+#   static.csv    1.5 2.5 / 0  (features x, c; samples s0, s1)
+#   temporal.csv  0,0,0.0 1.0,1.0 2.0 / 1,0,0.5,3.0  (feature f)
+#   events.csv    0,0,4.0,1 / 1,0,2.0,  (feature e)
+# as (edit, error, table, data row, code, detail); a manifest fault has no
+# table or row, and its detail follows the manifest path.
+_SCHEMA_6_FAULTS = [
+    (_table_lines("temporal.csv", "0,0,0.0,1.0", "2,0,0.5,3.0"),
+     UnknownSample, "temporal.csv", 2, "unknown_sample",
+     "sample '2' is not an index below 2"),
+    (_table_lines("temporal.csv", "-1,0,0.5,3.0"), UnknownSample,
+     "temporal.csv", 1, "unknown_sample",
+     "sample '-1' is not an index below 2"),
+    (_table_lines("temporal.csv", "s1,0,0.5,3.0"), UnknownSample,
+     "temporal.csv", 1, "unknown_sample",
+     "sample 's1' is not an index below 2"),
+    (_table_lines("temporal.csv", "0.0,0,0.5,3.0"), UnknownSample,
+     "temporal.csv", 1, "unknown_sample",
+     "sample '0.0' is not an index below 2"),
+    (_table_lines("temporal.csv", ",0,0.5,3.0"), UnknownSample,
+     "temporal.csv", 1, "unknown_sample",
+     "sample '' is not an index below 2"),
+    (_table_lines("events.csv", "0,1,4.0,1"), KindMismatch, "events.csv", 1,
+     "unknown_feature", "feature '1' is not an index below 1"),
+    (_table_lines("events.csv", "0,0,4.0,1", "1,-1,2.0,"), KindMismatch,
+     "events.csv", 2, "unknown_feature",
+     "feature '-1' is not an index below 1"),
+    (_table_lines("events.csv", "0,e,4.0,1"), KindMismatch, "events.csv", 1,
+     "unknown_feature", "feature 'e' is not an index below 1"),
+    (_table_lines("events.csv", "0,,4.0,1"), KindMismatch, "events.csv", 1,
+     "unknown_feature", "feature '' is not an index below 1"),
+    (_table_lines("static.csv", "1.5 2.5"), ParseError, "static.csv", 2,
+     "arity", "feature 'c' has no row"),
+    (_table_lines("static.csv"), ParseError, "static.csv", 1,
+     "arity", "feature 'x' has no row"),
+    (_table_lines("static.csv", "1.5 2.5", "0 ", "", "1 1"), ParseError,
+     "static.csv", 3, "arity", "more rows than static features (2)"),
+    (_table_lines("temporal.csv", "0,0,0.0 1.0,1.0 2.0", "1,0,0.5,3.0",
+                  "0,0,5.0,1.0"), DuplicateTimePoint, "temporal.csv", 3,
+     "duplicate_time", "duplicate row for sample 's0', feature 'f'"),
+    (_table_lines("events.csv", "1,0,2.0,", "0,0,4.0,1", "1,0,3.0,0"),
+     DuplicateEvent, "events.csv", 3, "duplicate_event",
+     "duplicate row for sample 's1', feature 'e'"),
+    (_manifest_edit(lambda d: dict(d, schema_version="5")), ManifestError,
+     None, None, None, "unsupported schema_version '5' (expected '6')"),
+]
+
+
+@pytest.mark.parametrize("edit,error,table,row,code,detail",
+                         _SCHEMA_6_FAULTS, ids=[
+                             "sample-out-of-range", "sample-negative",
+                             "sample-an-id", "sample-a-real", "sample-empty",
+                             "feature-out-of-range", "feature-negative",
+                             "feature-an-id", "feature-empty",
+                             "static-one-row-short", "static-no-rows",
+                             "static-two-rows-over", "duplicate-sequence",
+                             "duplicate-event", "schema-5"])
+def test_read_validate_and_the_cli_agree_on_a_schema_6_fault(
+        tmp_path, capsys, edit, error, table, row, code, detail):
+    path = _small_bundle(tmp_path)
+    manifest = path / MANIFEST_NAME
+    edit(path)
+    if table is None:
+        message = f"{manifest}: {detail}"
+        for load in (read_bundle, validate_bundle):
+            with pytest.raises(error) as exc:
+                load(manifest)
+            assert str(exc.value) == message
+        assert cli(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"tempoframe: {message}\n"
+        return
+    assert [(name, v.row, v.code, v.detail)
+            for name, v in validate_bundle(manifest)] == \
+        [(table, row, code, detail)]
+    with pytest.raises(error) as exc:
+        read_bundle(manifest)
+    assert str(exc.value) == f"{path / table}:{row + 1}: {detail}"
+    assert cli(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (f"{table}:{row + 1}: {code}: {detail}\n",
+                                  "")
+
+
 def test_a_leftover_files_map_cannot_name_another_table(tmp_path,
                                                        monkeypatch):
     # each table is the fixed file beside the manifest, and the manifest
@@ -1060,7 +1122,7 @@ def test_a_leftover_files_map_cannot_name_another_table(tmp_path,
     path = _small_bundle(tmp_path)
     manifest = path / MANIFEST_NAME
     outside = tmp_path / "outside.csv"
-    outside.write_text("feature_id,values\nx,9.5 9.5\n", encoding="utf-8")
+    outside.write_text("values\n9.5 9.5\n0 1\n", encoding="utf-8")
     _manifest_edit(lambda d: dict(d, files={"static": str(outside)}))(path)
     opened = []
     real_open = builtins.open
@@ -1085,8 +1147,8 @@ def test_an_event_category_is_written_as_its_index(tmp_path):
     write_bundle(ds, path)
     table = path / "events.csv"
     assert table.read_text(encoding="utf-8") == (
-        "sample_id,feature_id,time,value\n"
-        "s0,e,1.0,0\ns1,e,2.0,1\ns2,e,3.0,\n")
+        "sample,feature,time,value\n"
+        "0,0,1.0,0\n1,0,2.0,1\n2,0,3.0,\n")
     assert read_bundle(path / MANIFEST_NAME) == ds
     # a category written by name is refused, as in the other tables
     detail = _one_row_fault(path, "kind_mismatch", "events.csv",
@@ -1177,9 +1239,8 @@ def test_every_manifest_mutant_fails_as_a_typed_error(tmp_path, capsys):
 @pytest.mark.parametrize("table", ["temporal.csv", "events.csv"])
 def test_a_fault_after_an_id_that_holds_a_line_feed_names_its_file_line(
         tmp_path, capsys, table):
-    # an id that holds a line feed is written as a quoted record over two
-    # file lines, so the rows after it are not at data row + 1; the fault
-    # below is at file line 5 in this layout
+    # an id that holds a line feed lives in the manifest only, so every
+    # table row is one file line and the fault below is at data row + 1
     records = [("a\nb", "f", 0.0, 1.25), ("s1", "f", 0.0, 2.25),
                ("s2", "f", 0.0, 3.25)]
     if table == "temporal.csv":
@@ -1194,6 +1255,7 @@ def test_a_fault_after_an_id_that_holds_a_line_feed_names_its_file_line(
     write_bundle(ds, path)
     text = (path / table).read_text(encoding="utf-8")
     line = text[:text.index("3.25")].count("\n") + 1
+    assert line == 4
     (path / table).write_text(text.replace("3.25", "x"), encoding="utf-8")
     detail = "values field holds 'x'"
     with pytest.raises(KindMismatch) as exc:
@@ -1212,18 +1274,17 @@ def test_validate_reports_row_faults_before_a_missing_table(tmp_path,
     write_bundle(survival_dataset(1, n=12), path)
     static = path / "static.csv"
     lines = static.read_text(encoding="utf-8").splitlines(keepends=True)
-    static.write_text("".join(lines + ["ghost,1\n"]), encoding="utf-8")
+    static.write_text("".join(lines + ["1\n"]), encoding="utf-8")
     (path / "events.csv").unlink()
-    detail = "feature 'ghost' has no declared kind"
-    with pytest.raises(KindMismatch) as exc:
+    detail = "more rows than static features (1)"
+    with pytest.raises(ParseError) as exc:
         read_bundle(path / MANIFEST_NAME)
     assert str(exc.value) == f"{static}:3: {detail}"
     found = validate_bundle(path / MANIFEST_NAME)
     assert [(name, v.row, v.code, v.detail) for name, v in found] == \
-        [("static.csv", 2, "unknown_feature", detail)]
+        [("static.csv", 2, "arity", detail)]
     assert cli(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"static.csv:3: unknown_feature: " \
-        f"{detail}\n"
+    assert capsys.readouterr().out == f"static.csv:3: arity: {detail}\n"
 
     # with no earlier fault the missing table still raises
     static.write_text("".join(lines), encoding="utf-8")
@@ -1244,8 +1305,16 @@ def test_undecodable_or_oversized_input_names_the_file(tmp_path):
     manifest.write_bytes(good)
     static = path / "static.csv"
     lines = static.read_bytes().splitlines()
-    for bad in (b"s0,c,\xff", b"s0,c," + b"a" * 131073):
-        static.write_bytes(b"\n".join(lines[:2] + [bad]) + b"\n")
-        for load in (read_bundle, validate_bundle):
-            with pytest.raises(ParseError, match="static.csv: unreadable CSV"):
-                load(manifest)
+    static.write_bytes(b"\n".join(lines[:2] + [b"\xff"]) + b"\n")
+    for load in (read_bundle, validate_bundle):
+        with pytest.raises(ParseError, match="static.csv: not UTF-8 text"):
+            load(manifest)
+    # a line has no length limit: one of 131,073 characters is read whole
+    static.write_bytes(b"\n".join(lines[:2] + [b" ".join([b"0"] * 65537)])
+                       + b"\n")
+    detail = "feature 'c': expected 2 values, one per sample, got 65537"
+    assert [(name, v.row, v.code, v.detail)
+            for name, v in validate_bundle(manifest)] == \
+        [("static.csv", 2, "arity", detail)]
+    with pytest.raises(ParseError, match=f"static.csv:3: {detail}$"):
+        read_bundle(manifest)

@@ -23,6 +23,11 @@ No module calls `json.loads` or `json.load` outside `data.load_json`: a
 plain parse keeps the last of a repeated key and raises a raw
 `RecursionError` on deep nesting, so every document goes through the one
 reader that refuses both with the document's own error.
+
+No module but `bench.py` imports `csv`: a bundle keeps its ids in the
+JSON manifest, so every table field is an integer or a packed number
+field and a row is a line split at its commas; only `truth.csv`, which
+names samples by id, is written and read through the csv module.
 """
 
 from __future__ import annotations
@@ -381,6 +386,41 @@ def test_every_json_document_is_read_by_load_json():
              for _, owner, name in json_parses(
                  path.read_text(encoding="utf-8"))]
     assert found == [("data.py", "load_json", "json.loads")]
+
+
+def module_imports(source: str, module: str) -> list:
+    """The line of each import of `module` (or of a name from it) in
+    `source`, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(f"{module}.")
+               for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_module_imports_are_found():
+    source = ("import csv\n"
+              "import os, csv as c\n"
+              "from csv import reader\n"
+              "import csvkit\n"
+              "from . import csv\n"
+              "def f():\n"
+              "    import csv.x\n")
+    assert module_imports(source, "csv") == [1, 2, 3, 7]
+
+
+def test_only_bench_imports_csv():
+    found = [path.relative_to(_SRC).as_posix()
+             for path in sorted(_SRC.rglob("*.py"))
+             if module_imports(path.read_text(encoding="utf-8"), "csv")]
+    assert found == ["bench.py"]
 
 
 def test_benchmark_imports_from_the_library_resolve():

@@ -32,15 +32,22 @@ from tempoframe.data import (
     EventSamples,
     Integer,
     Modality,
+    RoleMap,
     StaticSamples,
     TimeSeriesSamples,
+    assemble_dataset,
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
     check_time,
     check_value,
 )
-from tempoframe.errors import KindMismatch, TempoframeError, UnknownSample
+from tempoframe.errors import (
+    DuplicateCell,
+    KindMismatch,
+    TempoframeError,
+    UnknownSample,
+)
 from tempoframe.rng import Lcg
 
 
@@ -57,6 +64,9 @@ _MODALITIES = {
                         "duplicate time {t}"),
     Modality.EVENT: (EventSamples, None, "duplicate_event", "duplicate event"),
 }
+# Violation code -> the error a builder raises for it: the codes of the
+# bundle tables, and the repeated static cell, which no table can hold.
+_ERRORS = {**VIOLATION_ERRORS, "duplicate_cell": DuplicateCell}
 
 
 def _oracle_scan(records, modality, kinds, pin=None):
@@ -151,6 +161,10 @@ _PY_TIMES = (0, 1, 2.5, 1.0, 0.0, "x", math.inf, True)
 _BUILDERS = {Modality.STATIC: build_static_samples,
              Modality.TEMPORAL: build_time_series_samples,
              Modality.EVENT: build_event_samples}
+# Modality -> its `assemble_dataset` argument and bundle table.
+_TABLES = {Modality.STATIC: ("static", "static.csv"),
+           Modality.TEMPORAL: ("temporal", "temporal.csv"),
+           Modality.EVENT: ("events", "events.csv")}
 
 
 def _pick(rng, seq):
@@ -218,7 +232,7 @@ def _assert_same(records, modality, pin):
     if faults:
         with pytest.raises(TempoframeError) as info:
             build(records, _KINDS, sample_ids=pin)
-        assert type(info.value) is VIOLATION_ERRORS[faults[0].code]
+        assert type(info.value) is _ERRORS[faults[0].code]
         assert str(info.value) == faults[0].detail
     elif violations:
         extra = [s for s in samples if s not in pin]
@@ -257,18 +271,43 @@ def test_scan_matches_the_dict_keyed_oracle(modality):
     (Modality.TEMPORAL, (0.0, 1.5)),
     (Modality.EVENT, (0.0, 1.5)),
 ])
-def test_duplicate_of_an_out_of_pin_record(modality, fields):
-    # The record outside the pin takes a row after the pinned ones; its
-    # repeat is a duplicate, raised before the unknown sample.
+def test_duplicate_of_an_out_of_pin_record(tmp_path, modality, fields):
+    # The builders give the record outside the pin a slot after the pinned
+    # ones; its repeat is a duplicate, raised before the unknown sample.
     records = [("s1", "f1", *fields), ("s1", "f1", *fields),
                ("s0", "f2", *fields[:-1], 3)]
+    dup_code = _MODALITIES[modality][2]
     violations = _assert_same(records, modality, ["s0"])
     assert [(v.row, v.code) for v in violations] == [
-        (1, "unknown_sample"), (2, _MODALITIES[modality][2])]
+        (1, "unknown_sample"), (2, dup_code)]
     # Without the repeat only the unknown sample is left.
-    del records[1]
-    assert [v.code for v in _assert_same(records, modality, ["s0"])] == [
+    assert [v.code for v in _assert_same(records[1:], modality, ["s0"])] == [
         "unknown_sample"]
+
+    # A bundle row names its sample by manifest index, and one out of range
+    # takes no slot: its repeat is a second unknown sample, and a repeat of
+    # the listed sample's row is the duplicate. A static row names no
+    # sample; rows past the feature count are one `arity` fault.
+    container = _BUILDERS[modality](records[2:], _KINDS, sample_ids=["s0"])
+    assert container.feature_ids == ("f2", "f1", "f3")
+    arg, table = _TABLES[modality]
+    write_bundle(assemble_dataset(**{arg: container}, roles=RoleMap.of(
+        covariates=container.feature_ids)), str(tmp_path))
+    added = (["1.5", "1.5"] if modality is Modality.STATIC
+             else [f"1,1,{fields[0]!r},1.5"] * 2 + [f"0,0,{fields[0]!r},3"])
+    with open(tmp_path / table, "a", encoding="utf-8") as f:
+        f.write("".join(f"{line}\n" for line in added))
+    found = [(v.row, v.code, v.detail)
+             for _, v in validate_bundle(str(tmp_path / "manifest"))]
+    unknown = (2, "unknown_sample", "sample '1' is not an index below 1")
+    assert found == (
+        [(4, "arity", "more rows than static features (3)")]
+        if modality is Modality.STATIC else [unknown, (3, *unknown[1:]), (
+            4, dup_code, "duplicate row for sample 's0', feature 'f2'")])
+    with pytest.raises(VIOLATION_ERRORS[found[0][1]]) as info:
+        read_bundle(str(tmp_path / "manifest"))
+    assert str(info.value) == \
+        f"{tmp_path / table}:{found[0][0] + 1}: {found[0][2]}"
 
 
 def test_table_out_of_manifest_feature_order(tmp_path):
