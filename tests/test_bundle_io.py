@@ -857,6 +857,23 @@ def test_read_and_validate_agree_on_a_static_column_fault(tmp_path, code,
     assert _one_row_fault(path, code, "static.csv", edit, error) == detail
 
 
+def test_a_repeated_out_of_range_sample_row_is_a_second_unknown_sample(
+        tmp_path):
+    # a sample index out of range takes no slot, so its repeat is not a
+    # duplicate: each of the two rows is its own unknown sample
+    path = _small_bundle(tmp_path)
+    with open(path / "events.csv", "a", encoding="utf-8") as f:
+        f.write("2,0,1.0,1\n2,0,2.0,0\n")
+    found = validate_bundle(path / MANIFEST_NAME)
+    detail = "sample '2' is not an index below 2"
+    assert [(name, v.row, v.code, v.detail) for name, v in found] == [
+        ("events.csv", 3, "unknown_sample", detail),
+        ("events.csv", 4, "unknown_sample", detail)]
+    with pytest.raises(UnknownSample) as err:
+        read_bundle(path / MANIFEST_NAME)
+    assert str(err.value) == f"{path / 'events.csv'}:4: {detail}"
+
+
 def _indexed(path, table, row):
     """A timed table row written with ids, each id the manifest lists put
     as its index there."""
