@@ -27,7 +27,7 @@ from tempoframe.data import (
     build_static_samples,
     build_time_series_samples,
     covariate_matrix,
-    select_samples,
+    take_samples,
 )
 from tempoframe.bundle import read_bundle, validate_bundle, write_bundle
 from tempoframe.plugins import (
@@ -51,7 +51,6 @@ from tempoframe.metrics import accuracy, brier_score, concordance_index, rmse
 from tempoframe.interpret import permutation_importance
 from tempoframe.bench import (
     BenchConfig,
-    kfold_split,
     load_config,
     report_text,
     run_benchmark,
@@ -64,7 +63,7 @@ __all__ = [
     "StaticSamples", "TimeSeriesSamples", "EventSamples",
     "build_static_samples", "build_time_series_samples",
     "build_event_samples", "assemble_dataset",
-    "select_samples", "covariate_matrix",
+    "take_samples", "covariate_matrix",
     "read_bundle", "write_bundle", "validate_bundle",
     "Category", "EstimatorSpec", "Param", "FittedEstimator",
     "register_plugin", "create", "list_specs", "build_pipeline",
@@ -74,6 +73,6 @@ __all__ = [
     "event_outcomes",
     "synth_treatment_data",
     "permutation_importance",
-    "BenchConfig", "kfold_split", "load_config", "run_benchmark",
+    "BenchConfig", "load_config", "run_benchmark",
     "report_text",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from tempoframe._version import __version__
 from tempoframe.bundle import locate_manifest, read_bundle, read_number
-from tempoframe.data import Dataset, fields, load_json, select_samples
+from tempoframe.data import Dataset, fields, load_json, take_samples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -44,30 +44,22 @@ log = logging.getLogger("tempoframe.bench")
 # Cross-validation splitting
 # ---------------------------------------------------------------------------
 
-def kfold_split(ds: Dataset, k: int, seed: int) -> list:
-    """Seeded sample-level partition into k (train, test) pairs.
+def fold_positions(n: int, k: int, seed: int) -> list:
+    """Seeded sample-level partition of positions 0..n-1 into k
+    (train, test) position lists.
 
     Fold sizes differ by at most one; a sample's entire static/temporal/event
     data stays on one side of each split.
     """
     if k < 2:
         raise TooFewSamples(f"cross-validation needs k >= 2, got k={k}")
-    ids = list(ds.sample_ids)
-    n = len(ids)
     if n < k:
         raise TooFewSamples(f"{n} samples cannot fill {k} folds")
     perm = Lcg(seed).permutation(n)
-    shuffled = [ids[i] for i in perm]
     base, extra = divmod(n, k)  # the first `extra` folds take one more
     bounds = [i * base + min(i, extra) for i in range(k + 1)]
-    folds = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
-    out = []
-    for i in range(k):
-        test = folds[i]
-        train = [sid for j, fold in enumerate(folds) if j != i
-                 for sid in fold]
-        out.append((select_samples(ds, train), select_samples(ds, test)))
-    return out
+    return [(perm[:a] + perm[b:], perm[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +294,11 @@ def strip_timing(text: str) -> str:
 # Harness
 # ---------------------------------------------------------------------------
 
-def _run_fold(config: BenchConfig, fold: int, train: Dataset,
-              test: Dataset, truth_map) -> tuple:
-    """One fold: (metric values, importance report or None, seconds)."""
+def _run_fold(config: BenchConfig, fold: int, ds: Dataset, positions,
+              truth_map) -> tuple:
+    """One fold, on the samples of `ds` at its (train, test) `positions`:
+    (metric values, importance report or None, seconds)."""
+    train, test = (take_samples(ds, p) for p in positions)
     log.info("fold %d: %d train / %d test samples", fold,
              len(train.sample_ids), len(test.sample_ids))
     t0 = time.perf_counter()
@@ -392,7 +386,8 @@ def _collect_fold(fold: int, pid: int, r: int):
     return msg[1]
 
 
-def _run_folds(config: BenchConfig, splits: list, truth_map) -> list:
+def _run_folds(config: BenchConfig, ds: Dataset, folds: list,
+               truth_map) -> list:
     """Every fold's `_run_fold` result, in fold order.
 
     Folds 1..k-1 run in forked children, at most `_max_children()` at a
@@ -401,12 +396,12 @@ def _run_folds(config: BenchConfig, splits: list, truth_map) -> list:
     path. Where no child may be forked, this process runs every fold.
     """
     def run(i):
-        return _run_fold(config, i, *splits[i], truth_map)
+        return _run_fold(config, i, ds, folds[i], truth_map)
 
     limit = _max_children()
     if limit == 0:
-        return [run(i) for i in range(len(splits))]
-    queue = iter(range(1, len(splits)))
+        return [run(i) for i in range(len(folds))]
+    queue = iter(range(1, len(folds)))
     live = {}    # fold -> (pid, read fd)
     try:
         for i in queue:
@@ -414,7 +409,7 @@ def _run_folds(config: BenchConfig, splits: list, truth_map) -> list:
             if len(live) == limit:
                 break
         results = [run(0)]
-        for i in range(1, len(splits)):
+        for i in range(1, len(folds)):
             results.append(_collect_fold(i, *live.pop(i)))
             nxt = next(queue, None)
             if nxt is not None:
@@ -435,13 +430,13 @@ def run_benchmark(config: BenchConfig) -> dict:
     t_start = time.perf_counter()
     ds = read_bundle(config.bundle)
     truth_map = read_truth(config.truth) if config.truth is not None else None
-    splits = kfold_split(ds, config.folds, config.seed)
-    results = _run_folds(config, splits, truth_map)
+    folds = fold_positions(len(ds.sample_ids), config.folds, config.seed)
+    results = _run_folds(config, ds, folds, truth_map)
     metrics = {}
     for spec in config.metrics:
-        folds = [values[spec.name] for values, _, _ in results]
-        mean, std = mean_std(folds)
-        metrics[spec.name] = {"folds": folds, "mean": mean, "stddev": std}
+        scores = [values[spec.name] for values, _, _ in results]
+        mean, std = mean_std(scores)
+        metrics[spec.name] = {"folds": scores, "mean": mean, "stddev": std}
     report = {"config": config.doc, "version": __version__,
               "folds": config.folds, "metrics": metrics}
     if config.importance is not None:

@@ -380,13 +380,13 @@ def _check_number_field(field: str, packed: bool, code: str, name: str):
 
 
 def _index(field: str, size: int, code: str, what: str) -> int:
-    """The index a row field names, an integer `read_integer` reads that is
-    at least 0 and below `size`; else the row's fault `code`."""
+    """The index a row field names, `str(i)` of an i at least 0 and below
+    `size` (the writer's one form); else the row's fault `code`."""
     try:
         i = read_integer(field)
     except ParseError:
         i = -1
-    if not 0 <= i < size:
+    if not 0 <= i < size or str(i) != field:
         raise _RowFault(code, f"{what} {field!r} is not an index below {size}")
     return i
 

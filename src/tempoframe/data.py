@@ -15,6 +15,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from tempoframe.errors import (
     AlignmentError,
@@ -569,23 +570,26 @@ def assemble_dataset(static=None, temporal=None, events=None, *,
 # Operations
 # ---------------------------------------------------------------------------
 
-def select_samples(ds: Dataset, ids) -> Dataset:
-    """Restrict every container to `ids`, in the given order."""
-    ids = list(ids)
-    if len(set(ids)) != len(ids):
-        raise SampleIndexMismatch("selection contains duplicate sample ids")
-    known = {sid: i for i, sid in enumerate(ds.sample_ids)}
-    for sid in ids:
-        if sid not in known:
-            raise UnknownSample(f"sample {sid!r} not in dataset")
-    # one sample index is shared by every container (`assemble_dataset`)
-    pos = list(map(known.__getitem__, ids))
+def take_samples(ds: Dataset, positions) -> Dataset:
+    """Restrict every container to the samples at `positions` (0-based in
+    `ds.sample_ids`), in the given order."""
+    pos = list(positions)
+    n = len(ds.sample_ids)
+    if len(set(pos)) != len(pos):
+        raise SampleIndexMismatch("selection repeats a sample position")
+    for p in pos:
+        if not 0 <= p < n:
+            raise UnknownSample(f"no sample at position {p} of {n}")
+    # itemgetter needs a position, and returns a lone item bare
+    take = itemgetter(*pos) if len(pos) > 1 else (
+        lambda seq: tuple(map(seq.__getitem__, pos)))
 
+    # one sample index is shared by every container (`assemble_dataset`)
     def pick(container):
         if container is None:
             return None
-        return type(container)(tuple(ids), container.features, tuple(
-            tuple(map(col.__getitem__, pos)) for col in container.columns))
+        return type(container)(take(container.sample_ids), container.features,
+                               tuple(map(take, container.columns)))
 
     return Dataset(static=pick(ds.static), temporal=pick(ds.temporal),
                    events=pick(ds.events), roles=ds.roles)

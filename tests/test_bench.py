@@ -25,7 +25,7 @@ from tempoframe import bench, interpret, metrics, plugins, treatment
 from tempoframe.bench import (
     BenchConfig,
     config_from_doc,
-    kfold_split,
+    fold_positions,
     load_config,
     read_truth,
     report_text,
@@ -46,6 +46,7 @@ from tempoframe.data import (
     build_time_series_samples,
     covariate_matrix,
     map_columns,
+    take_samples,
 )
 from tempoframe.errors import (
     BenchError,
@@ -96,31 +97,28 @@ def _classify_setup(tmp_path, n=24, **extra):
 
 
 # ---------------------------------------------------------------------------
-# kfold_split
+# fold_positions
 # ---------------------------------------------------------------------------
 
 def test_kfold_partitions_samples():
-    ds = classification_dataset(1, n=23)
     for k in (2, 3, 5):
-        splits = kfold_split(ds, k, seed=4)
-        assert len(splits) == k
-        test_ids = [list(test.sample_ids) for _, test in splits]
-        flat = [sid for fold in test_ids for sid in fold]
-        assert sorted(flat) == sorted(ds.sample_ids)
-        sizes = [len(fold) for fold in test_ids]
+        folds = fold_positions(23, k, seed=4)
+        assert len(folds) == k
+        flat = [p for _, test in folds for p in test]
+        assert sorted(flat) == list(range(23))
+        sizes = [len(test) for _, test in folds]
         assert max(sizes) - min(sizes) <= 1
-        for train, test in splits:
-            assert set(train.sample_ids).isdisjoint(test.sample_ids)
-            assert len(train.sample_ids) + len(test.sample_ids) == 23
+        for train, test in folds:
+            assert set(train).isdisjoint(test)
+            assert len(train) + len(test) == 23
 
 
 def test_kfold_is_seeded():
-    ds = classification_dataset(2, n=12)
-    a = kfold_split(ds, 3, seed=5)
-    b = kfold_split(ds, 3, seed=5)
-    assert [t.sample_ids for _, t in a] == [t.sample_ids for _, t in b]
-    c = kfold_split(ds, 3, seed=6)
-    assert [t.sample_ids for _, t in a] != [t.sample_ids for _, t in c]
+    a = fold_positions(12, 3, seed=5)
+    b = fold_positions(12, 3, seed=5)
+    assert [t for _, t in a] == [t for _, t in b]
+    c = fold_positions(12, 3, seed=6)
+    assert [t for _, t in a] != [t for _, t in c]
 
 
 def test_a_seed_is_a_signed_64_bit_integer():
@@ -128,26 +126,29 @@ def test_a_seed_is_a_signed_64_bit_integer():
     for seed in (-2 ** 63, -1, 2 ** 63 - 1):
         Lcg(seed)
     assert Lcg(-1).permutation(9) != Lcg(2 ** 63 - 1).permutation(9)
-    ds = classification_dataset(2, n=12)
     for seed in (2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64 + 11):
         message = ("^seed must be a signed 64-bit integer, in "
                    rf"\[-2\*\*63, 2\*\*63\), got {seed}$")
         with pytest.raises(InvalidSpec, match=message):
             Lcg(seed)
         with pytest.raises(InvalidSpec, match=message):
-            kfold_split(ds, 3, seed)
+            fold_positions(12, 3, seed)
         with pytest.raises(InvalidSpec, match=message):
             synth_treatment_data(8, seed, tau0=1.0)
 
 
 def test_kfold_bounds():
+    with pytest.raises(TooFewSamples,
+                       match=r"^cross-validation needs k >= 2, got k=1$"):
+        fold_positions(6, 1, seed=0)
+    with pytest.raises(TooFewSamples, match="^6 samples cannot fill 7 folds$"):
+        fold_positions(6, 7, seed=0)
+    folds = fold_positions(6, 6, seed=0)
+    assert all(len(test) == 1 for _, test in folds)
+    # a one-position fold takes a one-sample test set
     ds = classification_dataset(3, n=6)
-    with pytest.raises(TooFewSamples):
-        kfold_split(ds, 1, seed=0)
-    with pytest.raises(TooFewSamples):
-        kfold_split(ds, 7, seed=0)
-    splits = kfold_split(ds, 6, seed=0)
-    assert all(len(test.sample_ids) == 1 for _, test in splits)
+    for _, test in folds:
+        assert take_samples(ds, test).sample_ids == (ds.sample_ids[test[0]],)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +487,8 @@ def test_cli_forecast_horizon_exhausting_a_series_fails_cleanly(
         tmp_path, monkeypatch, capfd, cpus):
     # one series of 2 points, in fold 1's test set, cannot hold out 2
     ds = regular_series_dataset(1, n=6, length=5)
-    short = kfold_split(ds, 2, 0)[1][1].sample_ids[0]
+    _, test = fold_positions(len(ds.sample_ids), 2, 0)[1]
+    short = take_samples(ds, test).sample_ids[0]
     i = ds.sample_ids.index(short)
     write_bundle(map_columns(ds, {"hr": lambda column: tuple(
         (times[:2], values[:2]) if k == i else (times, values)
@@ -881,7 +883,8 @@ def test_cli_run_overflowing_risk_scores_cleanly(tmp_path):
     # Censored before every event, it joins no risk set when fold 1 trains
     # on it, so that fit stays finite.
     ds = survival_dataset(5, n=40, censor_rate=0.2, effect=2.0)
-    _, test = kfold_split(ds, 2, 1)[0]
+    _, test = fold_positions(len(ds.sample_ids), 2, 1)[0]
+    test = take_samples(ds, test)
     ev = ds.events
     i = ds.sample_ids.index(test.sample_ids[0])
     (event,) = ev.columns
@@ -1811,6 +1814,39 @@ def _fold_reports(config, monkeypatch):
     assert len(forks) == config.folds - 1
     _assert_no_child_left()
     return in_process, forked
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
+def test_each_fold_takes_its_samples_in_its_own_process(tmp_path, monkeypatch,
+                                                        cpus):
+    # A forked run's parent takes fold 0's train and test sets only; each
+    # child takes its own fold's. Calls are logged to a file, since a
+    # child's memory does not reach the parent.
+    config = load_config(_classify_setup(tmp_path,
+                                         cv={"folds": 3, "seed": 0}))
+    calls = tmp_path / "takes"
+    real = bench.take_samples
+
+    def take(ds, positions):
+        with open(calls, "a", encoding="utf-8") as f:
+            f.write(json.dumps([os.getpid(), positions]) + "\n")
+        return real(ds, positions)
+
+    monkeypatch.setattr(bench, "take_samples", take)
+    _usable_cpus(monkeypatch, cpus)
+    with _deadline(60):
+        run_benchmark(config)
+    _assert_no_child_left()
+    by_pid = {}
+    for line in calls.read_text(encoding="utf-8").splitlines():
+        pid, positions = json.loads(line)
+        by_pid.setdefault(pid, []).append(positions)
+    folds = [list(fold) for fold in fold_positions(24, 3, 0)]
+    if cpus == 1:
+        assert by_pid == {os.getpid(): [p for fold in folds for p in fold]}
+    else:
+        assert by_pid.pop(os.getpid()) == folds[0]
+        assert sorted(by_pid.values()) == sorted(folds[1:])
 
 
 @pytest.mark.parametrize("folds", [2, 3, 5])

@@ -41,7 +41,7 @@ from tempoframe.data import (
     build_time_series_samples,
     check_value,
     kind_to_json,
-    select_samples,
+    take_samples,
 )
 from tempoframe.errors import (
     ConfigError,
@@ -87,8 +87,8 @@ def test_round_trip_many_random_datasets(tmp_path):
     # of what was read gives the same bytes.
     for seed in range(20):
         ds = random_dataset(seed)
-        for i, case in enumerate((ds, select_samples(
-                ds, ds.sample_ids[::-1]))):
+        for i, case in enumerate((ds, take_samples(
+                ds, range(len(ds.sample_ids))[::-1]))):
             path = tmp_path / f"b{seed}-{i}"
             write_bundle(case, path)
             loaded = read_bundle(path / MANIFEST_NAME)
@@ -1070,6 +1070,12 @@ _SCHEMA_6_FAULTS = [
     (_table_lines("temporal.csv", ",0,0.5,3.0"), UnknownSample,
      "temporal.csv", 1, "unknown_sample",
      "sample '' is not an index below 2"),
+    (_table_lines("temporal.csv", "+0,0,0.5,3.0"), UnknownSample,
+     "temporal.csv", 1, "unknown_sample",
+     "sample '+0' is not an index below 2"),
+    (_table_lines("temporal.csv", "0,0,0.0,1.0", "01,0,0.5,3.0"),
+     UnknownSample, "temporal.csv", 2, "unknown_sample",
+     "sample '01' is not an index below 2"),
     (_table_lines("events.csv", "0,1,4.0,1"), KindMismatch, "events.csv", 1,
      "unknown_feature", "feature '1' is not an index below 1"),
     (_table_lines("events.csv", "0,0,4.0,1", "1,-1,2.0,"), KindMismatch,
@@ -1079,6 +1085,10 @@ _SCHEMA_6_FAULTS = [
      "unknown_feature", "feature 'e' is not an index below 1"),
     (_table_lines("events.csv", "0,,4.0,1"), KindMismatch, "events.csv", 1,
      "unknown_feature", "feature '' is not an index below 1"),
+    (_table_lines("events.csv", "0,-0,4.0,1"), KindMismatch, "events.csv", 1,
+     "unknown_feature", "feature '-0' is not an index below 1"),
+    (_table_lines("events.csv", "0,00,4.0,1"), KindMismatch, "events.csv", 1,
+     "unknown_feature", "feature '00' is not an index below 1"),
     (_table_lines("static.csv", "1.5 2.5"), ParseError, "static.csv", 2,
      "arity", "feature 'c' has no row"),
     (_table_lines("static.csv"), ParseError, "static.csv", 1,
@@ -1100,8 +1110,10 @@ _SCHEMA_6_FAULTS = [
                          _SCHEMA_6_FAULTS, ids=[
                              "sample-out-of-range", "sample-negative",
                              "sample-an-id", "sample-a-real", "sample-empty",
+                             "sample-plus-zero", "sample-leading-zero",
                              "feature-out-of-range", "feature-negative",
                              "feature-an-id", "feature-empty",
+                             "feature-minus-zero", "feature-double-zero",
                              "static-one-row-short", "static-no-rows",
                              "static-two-rows-over", "duplicate-sequence",
                              "duplicate-event", "schema-5"])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import glob
 import math
+import os
 import re
 
 import pytest
@@ -38,7 +40,7 @@ from tempoframe.data import (
     kind_from_json,
     kind_to_json,
     map_columns,
-    select_samples,
+    take_samples,
 )
 from tempoframe.errors import (
     DuplicateCell,
@@ -467,11 +469,11 @@ def test_binary_codes():
 # Operations
 # ---------------------------------------------------------------------------
 
-def test_select_samples_reorders_every_container():
+def test_take_samples_reorders_every_container():
     ds = random_dataset(11)
     ids = list(ds.sample_ids)
     picked = [ids[-1], ids[0]]
-    sub = select_samples(ds, picked)
+    sub = take_samples(ds, [len(ids) - 1, 0])
     assert sub.sample_ids == tuple(picked)
     for fid, _, _, modality in sub.all_features():
         if modality is Modality.STATIC:
@@ -487,9 +489,55 @@ def test_select_samples_reorders_every_container():
             for sid in picked:
                 assert sub.events.entry(sid, fid) == ds.events.entry(sid, fid)
     with pytest.raises(UnknownSample):
-        select_samples(ds, ["nope"])
+        take_samples(ds, [len(ids)])
     with pytest.raises(SampleIndexMismatch):
-        select_samples(ds, [ids[0], ids[0]])
+        take_samples(ds, [0, 0])
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden_datasets() -> list:
+    return [read_bundle(os.path.join(path, MANIFEST_NAME))
+            for path in sorted(glob.glob(os.path.join(_GOLDEN, "**", "bundle"),
+                                         recursive=True))]
+
+
+def _taken_by_hand(ds, positions) -> dict:
+    """The entries of `ds` at `positions`, one sample at a time, through
+    the containers' per-sample readers: {modality: [per-sample rows]}."""
+    readers = {Modality.STATIC: "cell", Modality.TEMPORAL: "sequence",
+               Modality.EVENT: "entry"}
+    return {m: [[getattr(c, readers[m])(ds.sample_ids[p], fid)
+                 for fid in c.feature_ids] for p in positions]
+            for m, c in ds.containers()}
+
+
+@pytest.mark.parametrize("source", ["golden", "random"])
+def test_take_samples_matches_a_per_sample_oracle(source):
+    datasets = (_golden_datasets() if source == "golden"
+                else [random_dataset(seed) for seed in range(20)])
+    assert len(datasets) == (5 if source == "golden" else 20)
+    for ds in datasets:
+        n = len(ds.sample_ids)
+        for positions in (list(range(n)), list(reversed(range(n))), [n - 1],
+                          [], list(range(n))[::-2]):
+            sub = take_samples(ds, positions)
+            assert sub.sample_ids == tuple(ds.sample_ids[p] for p in positions)
+            assert sub.roles == ds.roles
+            assert [m for m, _ in sub.containers()] == [
+                m for m, _ in ds.containers()]
+            for (_, c), (_, whole) in zip(sub.containers(), ds.containers()):
+                assert c.sample_ids == sub.sample_ids
+                assert c.features == whole.features
+                assert all(type(col) is tuple and len(col) == len(positions)
+                           for col in c.columns)
+            assert _taken_by_hand(sub, range(len(positions))) == \
+                _taken_by_hand(ds, positions)
+        for bad, error in (([0, 0], SampleIndexMismatch),
+                           ([-1], UnknownSample), ([n], UnknownSample)):
+            with pytest.raises(error):
+                take_samples(ds, bad)
 
 
 def test_map_columns_replaces_only_the_mapped_columns():
@@ -666,9 +714,9 @@ def _read_back(seed, tmp_path):
     return _containers(read_bundle(path / MANIFEST_NAME))
 
 
-def _selected(seed, tmp_path):
+def _taken(seed, tmp_path):
     ds = random_dataset(seed)
-    return _containers(select_samples(ds, reversed(ds.sample_ids)))
+    return _containers(take_samples(ds, reversed(range(len(ds.sample_ids)))))
 
 
 def _transformed(name, params=None):
@@ -721,7 +769,7 @@ def _treatment_observer(seed, tmp_path):
 _PRODUCERS = {
     "builder": lambda seed, tmp_path: _containers(random_dataset(seed)),
     "read_bundle": _read_back,
-    "select_samples": _selected,
+    "take_samples": _taken,
     "impute.mean": _transformed("impute.mean"),
     "impute.locf": _transformed("impute.locf"),
     "scale.zscore": _transformed("scale.zscore"),

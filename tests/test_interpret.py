@@ -132,8 +132,8 @@ def test_metric_and_sample_guards():
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, ds, "accuracy", repeats=0)
 
-    from tempoframe.data import select_samples
-    tiny = select_samples(ds, ds.sample_ids[:1])
+    from tempoframe.data import take_samples
+    tiny = take_samples(ds, [0])
     with pytest.raises(TooFewSamples):
         permutation_importance(fitted, tiny, "accuracy")
 

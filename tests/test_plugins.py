@@ -21,7 +21,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_event_samples,
     build_static_samples,
-    select_samples,
+    take_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -540,7 +540,7 @@ def test_save_refuses_non_finite_state_naming_the_plugin():
     with pytest.raises(FitDiverged, match=re.escape(
             "scale.zscore of 'x': mean is not finite (inf)")):
         create("scale.zscore").fit(ds)
-    fitted = create("scale.zscore").fit(select_samples(ds, ["a"]))
+    fitted = create("scale.zscore").fit(take_samples(ds, [0]))
     fitted = FittedEstimator(fitted.spec, fitted.params,
                              {"stats": {"x": [math.inf, math.inf]}},
                              fitted.features)

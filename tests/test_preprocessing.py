@@ -20,7 +20,7 @@ from tempoframe.data import (
     build_event_samples,
     build_static_samples,
     build_time_series_samples,
-    select_samples,
+    take_samples,
 )
 from tempoframe.errors import (
     AllMissingFeature,
@@ -523,7 +523,7 @@ def test_transform_matches_row_wise_oracle(name, params, oracle,
         ds = random_dataset(seed, ensure_observed=True,
                             numeric_only=numeric_only)
         fitted = create(name, params).fit(ds)
-        query = select_samples(ds, reversed(ds.sample_ids))
+        query = take_samples(ds, reversed(range(len(ds.sample_ids))))
         for q in (ds, query):
             assert fitted.transform(q) == \
                 oracle(fitted.params, fitted.state, q)
@@ -635,7 +635,7 @@ def test_onehot_matches_row_wise_oracle():
         # are unseen, so the first one in row order is reported.
         narrowed = {"encoded": [[fid, m, cats[:-1]]
                                 for fid, m, cats in fitted.state["encoded"]]}
-        for q in (ds, select_samples(ds, reversed(ds.sample_ids))):
+        for q in (ds, take_samples(ds, reversed(range(len(ds.sample_ids))))):
             assert fitted.transform(q) == \
                 _onehot_transform({}, fitted.state, q)
             got = _outcome(transform, narrowed, q)
