@@ -11,7 +11,11 @@ sample in column order. Both consume the columns four per pass over the
 samples (`_dots` keeps four accumulators; the predictor adds four terms in
 one left-to-right expression), which saves interpreter loop overhead but
 leaves each sample's terms and each dot's terms added in the same order,
-so the doubles are those of one column at a time. `accumulate(...,
+so the doubles are those of one column at a time. `logistic_gd` makes
+one pass over the samples per iteration, in a loop generated for its
+column count (`_logistic_source`) over row tuples: each row's predictor,
+link and gradient terms are added in the order `linear_predictor`,
+`_sigmoid` and `_dots` add them, so its doubles are theirs. `accumulate(...,
 initial=0.0)` adds left to right from 0.0 as `_dot` does, so its prefix
 sums are allowed. Do not replace any of these with `sum()`, `math.fsum` or
 `math.sumprod` (`tests/test_imports.py` fails on any call to them in any
@@ -29,7 +33,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, groupby
 
-from tempoframe.errors import AlignmentError, FitDiverged
+from tempoframe.errors import AlignmentError, EmptyInput, FitDiverged
 
 _INF = float("inf")
 
@@ -200,23 +204,53 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def _logistic_source(p: int) -> str:
+    """The source of `fit(rows, scale, iters)`, logistic GD from zero over
+    row tuples (y, x0, ..., x{p-1}) for p columns, returning
+    ([w0, ..., w{p-1}], b). Each iteration is one pass over the rows. Per
+    row, z = b + w0 * x0 + ... in column order, as `linear_predictor`
+    adds it; d = `_sigmoid(z)` - y, its two branches inlined; then
+    gb += d and g_j += d * x_j, each from 0.0 as `_dots` adds it. The
+    update is w_j - scale * g_j and b - scale * gb. `exp` is `math.exp`.
+    """
+    js = range(p)
+    return "\n".join([
+        "def fit(rows, scale, iters):",
+        "    " + " = ".join(["b", *(f"w{j}" for j in js)]) + " = 0.0",
+        "    for _ in range(iters):",
+        "        " + " = ".join(["gb", *(f"g{j}" for j in js)]) + " = 0.0",
+        "        for y, " + "".join(f"x{j}, " for j in js) + "in rows:",
+        "            z = b" + "".join(f" + w{j} * x{j}" for j in js),
+        "            if z >= 0.0:",
+        "                d = 1.0 / (1.0 + exp(-z)) - y",
+        "            else:",
+        "                e = exp(z)",
+        "                d = e / (1.0 + e) - y",
+        "            gb += d",
+        *(f"            g{j} += d * x{j}" for j in js),
+        *(f"        w{j} -= scale * g{j}" for j in js),
+        "        b -= scale * gb",
+        "    return [" + ", ".join(f"w{j}" for j in js) + "], b",
+        ""])
+
+
 def logistic_gd(columns: list, y: list, lr: float, iters: int) -> tuple:
     """Full-batch gradient descent on mean logistic log-loss, zero init.
 
-    Returns (weights, bias).
+    Each iteration is one pass over the rows of `columns`, in a loop
+    compiled from `_logistic_source` for the column count; its additions
+    are those of `linear_predictor`, `_sigmoid` and `_dots` in turn.
+    Returns (weights, bias). Raises AlignmentError unless each column has
+    one value per label, and EmptyInput when there are no samples.
     """
     n = len(y)
-    w = [0.0] * len(columns)
-    b = 0.0
-    scale = lr / n
-    for _ in range(iters):
-        d = [_sigmoid(z) - yi
-             for z, yi in zip(linear_predictor(columns, w, [b] * n), y)]
-        gb = 0.0
-        for v in d:
-            gb += v
-        w = [wj - scale * g for wj, g in zip(w, _dots(d, columns))]
-        b -= scale * gb
+    _check_lengths(n, "samples", columns)
+    if not n:
+        raise EmptyInput("logistic_gd needs at least one sample")
+    namespace = {"exp": math.exp}
+    exec(compile(_logistic_source(len(columns)), "<logistic_gd>", "exec"),
+         namespace)
+    w, b = namespace["fit"](list(zip(y, *columns)), lr / n, iters)
     _check_finite("logistic_gd", [*w, b])
     return w, b
 

@@ -20,7 +20,7 @@ import re
 import pytest
 
 from tempoframe import kernels
-from tempoframe.errors import AlignmentError, FitDiverged
+from tempoframe.errors import AlignmentError, EmptyInput, FitDiverged
 from tempoframe.rng import Lcg
 
 # One value keeps the test ids these tests had while the kernels lived in
@@ -296,10 +296,12 @@ def test_ridge_matches_row_major_oracle(n, d):
         assert kernels.ridge_normal_solve(columns, y, lam, penalty) == want
 
 
-@pytest.mark.parametrize("iters", [0, 1, 60])
-def test_logistic_matches_row_major_oracle(iters):
+@pytest.mark.parametrize("case", [0, 1, 60, "bench-shape"])
+def test_logistic_matches_row_major_oracle(case):
+    # an int case is the iteration count at 50 samples and 4 columns;
+    # "bench-shape" is the classify workload's 12 columns
     rng = Lcg(11)
-    n, d = 50, 4
+    n, d, iters = (267, 12, 25) if case == "bench-shape" else (50, 4, case)
     columns = _random_columns(rng, n, d)
     y = [1.0 if rng.uniform() < 0.4 else 0.0 for _ in range(n)]
     want = _logistic_oracle(n, d, _flat(columns), y, 0.3, iters)
@@ -496,6 +498,11 @@ def test_linear_predictor_refuses_a_long_column(d, bad):
     (lambda: kernels.ridge_normal_solve(
         [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], 1e-3, []),
      "penalty has 0 values for 1 columns"),
+    (lambda: kernels.logistic_gd(
+        [[1.0, 2.0, 3.0], [1.0, 2.0]], [1.0, 0.0, 1.0], 0.1, 2),
+     "column 1 has 2 values for 3 samples"),
+    (lambda: kernels.logistic_gd([[1.0, 2.0, 3.0]], [1.0, 0.0], 0.1, 0),
+     "column 0 has 3 values for 2 samples"),
     (lambda: kernels.cox_gd(
         [[1.0, 2.0]], [1.0, 2.0, 3.0], [1, 1, 1], 0.1, 2, 0.0),
      "column 0 has 2 values for 3 samples"),
@@ -522,7 +529,8 @@ def test_linear_predictor_refuses_a_long_column(d, bad):
         3, [1.0, 2.0, 3.0], [1, 1, 1], [1.0, 2.0]),
      "risks has 2 values for 3 samples"),
 ], ids=["ridge-short-column", "ridge-short-y", "ridge-extra-penalty",
-        "ridge-no-penalty", "cox-short-column", "cox-long-column",
+        "ridge-no-penalty", "logistic-short-column", "logistic-long-column",
+        "cox-short-column", "cox-long-column",
         "cox-short-flags", "cox-long-flags", "at-risk-short-flags",
         "at-risk-long-flags", "concordance-short-times",
         "concordance-long-flags", "concordance-short-risks"])
@@ -585,6 +593,14 @@ def test_logistic_learns_separable_sign(impl):
     w, b = impl.logistic_gd(columns, y, 0.5, 500)
     assert w[0] > 1.0
     assert abs(b) < 1.0
+
+
+def test_logistic_refuses_zero_samples():
+    # the gradient is a mean over the samples, so it needs one
+    for columns in ([], [[]]):
+        with pytest.raises(EmptyInput,
+                           match="^logistic_gd needs at least one sample$"):
+            kernels.logistic_gd(columns, [], 0.1, 5)
 
 
 def test_logistic_more_iters_lowers_loss():

@@ -26,6 +26,7 @@ from tempoframe.data import (
     assemble_dataset,
     build_static_samples,
     build_time_series_samples,
+    take_samples,
 )
 from tempoframe.errors import (
     AlignmentError,
@@ -49,7 +50,7 @@ from tempoframe.metrics import (
     rmse,
     static_target_table,
 )
-from tempoframe.plugins import FittedEstimator, create
+from tempoframe.plugins import FittedEstimator, build_pipeline, create
 from tempoframe.rng import Lcg
 
 
@@ -357,6 +358,13 @@ def test_logistic_rejects_bad_targets():
                                            targets=("y",)))
     with pytest.raises(MissingInTarget):
         create("classify.logistic", {"iters": 5}).fit(ds)
+
+
+def test_logistic_refuses_a_dataset_of_no_samples():
+    ds = take_samples(classification_dataset(0, n=40), [])
+    with pytest.raises(EmptyInput,
+                       match="^logistic_gd needs at least one sample$"):
+        build_pipeline([("classify.logistic", {})]).fit(ds)
 
 
 def test_logistic_requires_single_static_target():
