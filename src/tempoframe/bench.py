@@ -18,11 +18,10 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from tempoframe._version import __version__
 from tempoframe.bundle import locate_manifest, read_bundle, read_number
-from tempoframe.data import Dataset, fields, load_json, take_samples
+from tempoframe.data import Dataset, Record, fields, load_json, take_samples
 from tempoframe.errors import (
     BenchError,
     ConfigError,
@@ -66,8 +65,7 @@ def fold_positions(n: int, k: int, seed: int) -> list:
 # Config
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(Record):
     """A checked config, which is also the run's plan: every fold fits
     `estimator` and scores with `metrics` (and `importance_metric`)."""
     doc: dict            # parsed config, echoed verbatim into the report

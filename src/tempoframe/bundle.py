@@ -47,11 +47,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import lt
-from typing import NamedTuple
 
 from tempoframe.data import (
     Categorical,
@@ -61,6 +59,7 @@ from tempoframe.data import (
     Integer,
     MISSING,
     Modality,
+    Record,
     Role,
     RoleMap,
     StaticSamples,
@@ -105,8 +104,7 @@ _HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     row: int           # 1-based data row
     code: str
     detail: str
@@ -130,14 +128,13 @@ VIOLATION_ERRORS = {
 }
 
 
-class Scan(NamedTuple):
+class Scan(Record):
     columns: list     # of a clean scan: per feature (manifest order), an
                       # entry per manifest sample
     violations: list  # Violation per rejected row, in row order
 
 
-@dataclass(frozen=True)
-class BundleManifest:
+class BundleManifest(Record):
     samples: tuple[str, ...]
     features: dict        # modality name -> {feature_id: ValueKind}
     roles: dict           # feature_id -> role name

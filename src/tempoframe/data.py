@@ -3,7 +3,7 @@
 Containers are immutable after construction. The builder functions are the
 validating constructors: they take Python values and raise at the first
 record that breaks a rule. Internal operations preserve invariants by
-construction and may instantiate the dataclasses directly. A bundle's text
+construction and may instantiate the records directly. A bundle's text
 tables are read and checked by `tempoframe.bundle`, which owns the
 violation codes and their errors. `load_json` and `fields` read every
 JSON document (config, manifest, blob): closed objects with unique keys.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from tempoframe.errors import (
@@ -64,6 +63,85 @@ class Modality(enum.Enum):
     STATIC = "static"
     TEMPORAL = "temporal"
     EVENT = "event"
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the immutable value types, built the way
+    `@dataclass(frozen=True)` builds one but with no generated code, so
+    importing the package compiles and loads no more than it must.
+
+    The fields are the annotated names of the class and its bases, bases
+    first; a class attribute of a field's name is its default. A record
+    takes its fields by position or by name, then runs `__post_init__`.
+    It compares and hashes as its field tuple, equal only to a record of
+    its own class, has the dataclass repr and refuses assignment. Its
+    fields live in its `__dict__`, so it pickles as it is.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}
+        for base in cls.__mro__[-2::-1]:  # Record ... cls, without object
+            names.update(dict.fromkeys(base.__annotations__))
+        cls._fields = tuple(names)
+        cls._defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """Every field's value, in order, of a call that does not give
+        them all by position."""
+        name, names = type(self).__name__, self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} fields, "
+                            f"got {len(args)} by position")
+        for key in kwargs:
+            if key in names[:len(args)]:
+                raise TypeError(f"{name}() got field {key!r} twice")
+            if key not in names:
+                raise TypeError(f"{name}() has no field {key!r}")
+        values = list(args)
+        for n in names[len(args):]:
+            if n in kwargs:
+                values.append(kwargs[n])
+            elif n in self._defaults:
+                values.append(self._defaults[n])
+            else:
+                raise TypeError(f"{name}() is missing field {n!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +200,15 @@ def fields(obj, keys: dict, error, where: str, nullable=False) -> list:
 # Value kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Continuous:
+class Continuous(Record):
     name = "continuous"
 
 
-@dataclass(frozen=True)
-class Integer:
+class Integer(Record):
     name = "integer"
 
 
-@dataclass(frozen=True)
-class Categorical:
+class Categorical(Record):
     categories: tuple[str, ...]
     name = "categorical"
 
@@ -269,8 +344,7 @@ def _check_id(s, what: str) -> str:
 # Containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Samples:
+class _Samples(Record):
     """Sample ids, typed features and one column per feature, the layout
     of `static.csv`, `map_columns` and the kernels.
 
@@ -294,20 +368,17 @@ class _Samples:
         return self.column(feature_id)[self.sample_ids.index(sample_id)]
 
 
-@dataclass(frozen=True)
 class StaticSamples(_Samples):
     """A column holds one CellValue per sample."""
     cell = _Samples._entry
 
 
-@dataclass(frozen=True)
 class TimeSeriesSamples(_Samples):
     """A column holds one `(times, values)` pair of equal-length tuples per
     sample, times strictly increasing; an empty sequence is `((), ())`."""
     sequence = _Samples._entry
 
 
-@dataclass(frozen=True)
 class EventSamples(_Samples):
     """A column holds None or one `(time, value)` per sample."""
     entry = _Samples._entry
@@ -317,10 +388,8 @@ class EventSamples(_Samples):
 # Roles and datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoleMap:
+class RoleMap(Record):
     assignment: tuple[tuple[str, Role], ...]
-    _by_feature: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_feature = {}
@@ -365,8 +434,7 @@ def missing_role(role: Role, modality=None) -> RequirementUnmet:
         f"no {where}feature has the {role.value.capitalize()} role")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     static: StaticSamples | None
     temporal: TimeSeriesSamples | None
     events: EventSamples | None

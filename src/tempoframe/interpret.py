@@ -18,17 +18,15 @@ same predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from tempoframe.data import Dataset, Modality, Role
+from tempoframe.data import Dataset, Modality, Record, Role
 from tempoframe.errors import MetricMismatch, NonFiniteScore, TooFewSamples
 from tempoframe.metrics import TASKS, MetricSpec, resolve_metric
 from tempoframe.plugins import FittedEstimator
 from tempoframe.rng import Lcg
 
 
-@dataclass(frozen=True)
-class ImportanceReport:
+class ImportanceReport(Record):
     """Per-feature mean metric degradation over `repeats` seeded shuffles."""
 
     metric: str

@@ -17,7 +17,6 @@ documented deviation from the censoring-weighted variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from tempoframe.bundle import read_number
 from tempoframe.data import (
@@ -25,6 +24,7 @@ from tempoframe.data import (
     Dataset,
     MISSING,
     Modality,
+    Record,
     Role,
     StaticSamples,
     TimeSeriesSamples,
@@ -98,8 +98,7 @@ def _observe_treatment(fitted, ds, effects):
             StaticSamples(ids, effect, (tuple(map(effects.get, ids)),)))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     category: Category     # of the pipeline's final estimator
     truth: object = None   # ds -> truth read off ds itself, if in place
     held_out: object = None  # the observer of a task not scorable in place
@@ -262,8 +261,7 @@ def brier_score(survival, outcomes, horizon: float) -> float:
     return total / count
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Record):
     name: str
     direction: str   # "loss" or "gain"
     task: str        # key of TASKS whose (pred, truth) pair it scores

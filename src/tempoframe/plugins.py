@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 
 from tempoframe.data import (
     Dataset,
+    Record,
     covariate_groups,
     covariate_matrix,
     fields,
@@ -68,8 +68,7 @@ _LIFECYCLE = {Category.TRANSFORM: ("transform",),
 # Hyperparameter schema
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """One hyperparameter: name, type, bounds and a default.
 
     type is "real" or "integer". Bounds are inclusive and optional.
@@ -127,8 +126,7 @@ def resolve_params(schema: tuple, given: dict) -> dict:
 # Specs and registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EstimatorSpec:
+class EstimatorSpec(Record):
     """Registry entry: lifecycle functions keyed by a unique dotted name.
 
     fit(params, ds) -> state dict (JSON-able). The optional lifecycle

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -20,6 +19,7 @@ from tempoframe.data import (
     Dataset,
     MISSING,
     Modality,
+    Record,
     Role,
     check_column_names,
     covariate_matrix,
@@ -29,8 +29,7 @@ from tempoframe.kernels import _exp, at_risk_counts, cox_gd, linear_predictor
 from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
+class SurvivalCurve(Record):
     """Right-continuous step function; S(t) = 1 before the first breakpoint.
 
     Breakpoints are strictly increasing event times.
@@ -44,15 +43,13 @@ class SurvivalCurve:
         return 1.0 if idx == 0 else self.values[idx - 1]
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(Record):
     sample_id: str
     time: float
     occurred: bool
 
 
-@dataclass(frozen=True)
-class SurvivalOutput:
+class SurvivalOutput(Record):
     """Per-sample risks (higher = earlier expected event) and the shared
     baseline cumulative hazard H0; S_i(t) = exp(-H0(t) * e^{risk_i})."""
 

@@ -10,7 +10,6 @@ Sequential treatment regimes are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from tempoframe.data import (
     Categorical,
@@ -19,6 +18,7 @@ from tempoframe.data import (
     Integer,
     MISSING,
     Modality,
+    Record,
     Role,
     RoleMap,
     StaticSamples,
@@ -41,8 +41,7 @@ from tempoframe.plugins import Category, EstimatorSpec, Param, register_plugin
 from tempoframe.rng import Lcg
 
 
-@dataclass(frozen=True)
-class SynthGroundTruth:
+class SynthGroundTruth(Record):
     """Synthetic dataset plus the per-sample true effect, aligned with
     dataset.sample_ids."""
 
@@ -203,6 +202,7 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
     ids = tuple(f"s{i:04d}" for i in range(n))
     columns = [[] for _ in range(dim + 2)]  # x1, ..., a, y
     effects = []
+    continuous = Continuous()
     for sid in ids:
         x = [rng.uniform_in(-1.0, 1.0) for _ in range(dim)]
         a = rng.coin()
@@ -217,13 +217,13 @@ def synth_treatment_data(n: int, seed: int, *, tau0=None, gamma=None,
         for wk, xv in zip(w, x):
             f += wk * xv
         # Only y can be non-finite: each x is in [-1, 1) and a is 0 or 1.
-        y = check_value(Continuous(), f + tau * a + eps, f"({sid}, y)")
+        y = check_value(continuous, f + tau * a + eps, f"({sid}, y)")
         for column, v in zip(columns, (*x, a, y)):
             column.append(v)
         effects.append(tau)
     static = StaticSamples(ids, (
-        *((name, Continuous()) for name in x_names),
-        ("a", Integer()), ("y", Continuous())),
+        *((name, continuous) for name in x_names),
+        ("a", Integer()), ("y", continuous)),
         tuple(map(tuple, columns)))
     roles = RoleMap.of(covariates=x_names, targets=("y",), treatments=("a",))
     ds = assemble_dataset(static=static, roles=roles)

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,7 @@ from tempoframe.cli import cli
 from tempoframe.data import (
     MISSING,
     Continuous,
+    Dataset,
     EventSamples,
     Integer,
     RoleMap,
@@ -845,9 +845,10 @@ def test_cli_run_scores_a_classifier_without_predict_columns(
         return logistic.predict_columns(params, state, ds.sample_ids,
                                         *covariate_matrix(ds))
 
-    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic", replace(
-        logistic, name="test.dataset_logistic", predict_columns=None,
-        predict=predict))
+    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic",
+                        EstimatorSpec("test.dataset_logistic",
+                                      logistic.category, logistic.schema,
+                                      logistic.fit, predict=predict))
     _usable_cpus(monkeypatch, 1)
     write_bundle(classification_dataset(0, n=24), str(tmp_path / "bundle"))
     scored = []
@@ -890,8 +891,10 @@ def test_cli_run_overflowing_risk_scores_cleanly(tmp_path):
     (event,) = ev.columns
     ds = map_columns(ds, {"x": lambda column: tuple(
         1e6 if k == i else v for k, v in enumerate(column))})
-    ds = replace(ds, events=EventSamples(ev.sample_ids, ev.features, (tuple(
-        (0.5, MISSING) if k == i else e for k, e in enumerate(event)),)))
+    ds = Dataset(ds.static, ds.temporal, EventSamples(
+        ev.sample_ids, ev.features, (tuple(
+            (0.5, MISSING) if k == i else e for k, e in enumerate(event)),)),
+        ds.roles)
     write_bundle(ds, str(tmp_path / "bundle"))
     doc = {"bundle": "bundle", "task": "survival",
            "pipeline": [{"plugin": "survival.cox", "params": {"iters": 50}}],

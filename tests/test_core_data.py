@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import math
 import os
+import pickle
 import re
 
 import pytest
@@ -17,7 +18,12 @@ from datagen import (
     static_rows,
     temporal_points,
 )
-from tempoframe.bundle import MANIFEST_NAME, read_bundle, write_bundle
+from tempoframe.bundle import (
+    MANIFEST_NAME,
+    Violation,
+    read_bundle,
+    write_bundle,
+)
 from tempoframe.data import (
     MISSING,
     Categorical,
@@ -58,8 +64,14 @@ from tempoframe.errors import (
     SampleIndexMismatch,
     UnknownSample,
 )
-from tempoframe.metrics import _holdout_forecast, _observe_treatment
-from tempoframe.plugins import create
+from tempoframe.interpret import ImportanceReport
+from tempoframe.metrics import (
+    MetricSpec,
+    _holdout_forecast,
+    _observe_treatment,
+)
+from tempoframe.plugins import Category, EstimatorSpec, Param, create
+from tempoframe.survival import EventOutcome
 from tempoframe.treatment import synth_treatment_data
 
 
@@ -698,6 +710,89 @@ def test_containers_are_immutable():
     with pytest.raises(AttributeError):
         ds.roles.assignment = ()
     assert isinstance(ds, Dataset)
+
+
+def _round_trip(record):
+    """A pickle round trip, as a fold result crosses the fork pipe."""
+    return pickle.loads(pickle.dumps(record))
+
+
+def _report():
+    return ImportanceReport("accuracy", 2, 0, 0.75, ("x",), (0.125,))
+
+
+def _role_map():
+    return RoleMap.of(covariates=("x",), targets=("y",))
+
+
+def _spec(**kwargs):
+    return EstimatorSpec("m", Category.CLASSIFIER, **kwargs)
+
+
+# Each case of the record contract -> (make, expected): the value `make()`
+# returns, or the error it raises when `expected` is an exception class.
+# The reprs are those `@dataclass(frozen=True)` wrote.
+_RECORD_CONTRACT = {
+    "equal-hash-equal": (
+        lambda: (Continuous() == Continuous(),
+                 hash(Continuous()) == hash(Continuous())), (True, True)),
+    "other-class-unequal": (lambda: Continuous() != Integer(), True),
+    "repr-categorical": (lambda: repr(Categorical(("a", "b"))),
+                         "Categorical(categories=('a', 'b'))"),
+    "repr-event-outcome": (
+        lambda: repr(EventOutcome("s1", 2.5, False)),
+        "EventOutcome(sample_id='s1', time=2.5, occurred=False)"),
+    "repr-violation": (
+        lambda: repr(Violation(3, "arity", "expected 2 fields, got 1")),
+        "Violation(row=3, code='arity', detail='expected 2 fields, got 1')"),
+    "assign-refused": (lambda: setattr(Integer(), "name", "real"),
+                       AttributeError),
+    "new-attribute-refused": (lambda: setattr(Continuous(), "x", 1),
+                              AttributeError),
+    "delete-refused": (lambda: delattr(EventOutcome("s1", 1.0, True),
+                                       "time"), AttributeError),
+    "pickle-importance-report": (lambda: _round_trip(_report()),
+                                 _report()),
+    "pickle-dataset": (lambda: _round_trip(_toy_dataset()), _toy_dataset()),
+    "pickled-role-map-answers": (
+        lambda: _round_trip(_toy_dataset()).roles.role_of("y"), Role.TARGET),
+    "bind-by-name": (
+        lambda: _spec(fit=len, predict=repr) == EstimatorSpec(
+            "m", Category.CLASSIFIER, (), len, None, repr, None, None, None),
+        True),
+    "bind-defaults": (lambda: (_spec().schema, _spec().derived_ids),
+                      ((), None)),
+    "bind-positional-default": (
+        lambda: MetricSpec("brier@5", "loss", "survival", None).horizon,
+        None),
+    "bind-positional-and-name": (
+        lambda: MetricSpec("b", "loss", "survival", None, horizon=5.0)
+        == MetricSpec("b", "loss", "survival", None, 5.0), True),
+    "missing-field": (lambda: MetricSpec("b", "loss"), TypeError),
+    "unknown-field": (lambda: _spec(score=len), TypeError),
+    "repeated-field": (lambda: MetricSpec("b", "loss", "survival", None,
+                                          name="c"), TypeError),
+    "too-many-fields": (lambda: Continuous(1), TypeError),
+    "empty-categorical": (lambda: Categorical(()), KindMismatch),
+    "bad-param-type": (lambda: Param("k", "float", 1), ValueError),
+    "role-conflict": (lambda: RoleMap((("x", Role.COVARIATE),
+                                       ("x", Role.TARGET))), RoleConflict),
+    "role-map-compares-its-assignment": (
+        lambda: (_role_map() == _role_map(),
+                 hash(_role_map()) == hash(_role_map()), repr(_role_map())),
+        (True, True, "RoleMap(assignment=(('x', <Role.COVARIATE: "
+                     "'covariate'>), ('y', <Role.TARGET: 'target'>)))")),
+}
+
+
+@pytest.mark.parametrize("make, expected", _RECORD_CONTRACT.values(),
+                         ids=_RECORD_CONTRACT)
+def test_records_keep_the_frozen_dataclass_contract(make, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            make()
+    else:
+        assert make() == expected
 
 
 # ---------------------------------------------------------------------------

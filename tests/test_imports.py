@@ -29,6 +29,11 @@ No module but `bench.py` imports `csv`: a bundle keeps its ids in the
 JSON manifest, so every table field is an integer or a packed number
 field and a row is a line split at its commas; only `truth.csv`, which
 names samples by id, is written and read through the csv module.
+
+No module imports `dataclasses` or `typing`: every value type is a
+`data.Record`, so importing the package generates no code and loads
+neither `dataclasses` (with its `inspect`, `ast` and `dis`) nor `typing`,
+which were about a quarter of the start-up.
 """
 
 from __future__ import annotations
@@ -432,6 +437,14 @@ def test_only_bench_imports_csv():
     assert found == ["bench.py"]
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "typing"])
+def test_no_module_imports_the_dataclass_machinery(module):
+    found = [path.relative_to(_SRC).as_posix()
+             for path in sorted(_SRC.rglob("*.py"))
+             if module_imports(path.read_text(encoding="utf-8"), module)]
+    assert found == []
+
+
 def test_benchmark_imports_from_the_library_resolve():
     # A name the benchmark imports and the library no longer has fails
     # every benchmark run, so a refactor that drops one fails here first.
@@ -463,7 +476,8 @@ def test_the_metric_dispatch_holds_the_scoring_functions():
 def test_a_run_loads_no_openssl(tmp_path):
     # `hashlib` loads OpenSSL, which costs a process ~3.6 MB of resident
     # memory and ~3.5 ms of start-up; neither the CLI nor a benchmark run
-    # needs it
+    # needs it. Nor do they need `dataclasses` and the `inspect` it
+    # imports, ~7 ms of start-up before any class is built.
     golden = _SRC.parent.parent / "tests" / "golden"
     doc = json.loads((golden / "config.json").read_text(encoding="utf-8"))
     doc.update(bundle=str(golden / "bundle"),
@@ -473,8 +487,8 @@ def test_a_run_loads_no_openssl(tmp_path):
     script = ("import sys\n"
               "from tempoframe.cli import cli\n"
               "code = cli(['run', sys.argv[1]])\n"
-              "print(code, sorted({'hashlib', '_hashlib', 'ssl'} & "
-              "set(sys.modules)))\n")
+              "print(code, sorted({'hashlib', '_hashlib', 'ssl', "
+              "'dataclasses', 'inspect'} & set(sys.modules)))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, str(config)], capture_output=True,
         text=True, timeout=60, cwd=tmp_path,

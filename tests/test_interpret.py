@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import add
 
 import pytest
@@ -14,6 +13,7 @@ from tempoframe.data import (
     MISSING,
     Categorical,
     Continuous,
+    Dataset,
     Integer,
     Modality,
     Role,
@@ -156,10 +156,15 @@ def test_event_covariates_are_neither_featurized_nor_permuted():
 
 def test_importance_needs_a_matrix_model(monkeypatch):
     logistic = plugins.spec_of("classify.logistic")
-    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic", replace(
-        logistic, name="test.dataset_logistic", predict_columns=None,
-        predict=lambda params, state, ds: logistic.predict_columns(
-            params, state, ds.sample_ids, *covariate_matrix(ds))))
+
+    def predict(params, state, ds):
+        return logistic.predict_columns(params, state, ds.sample_ids,
+                                        *covariate_matrix(ds))
+
+    monkeypatch.setitem(plugins._REGISTRY, "test.dataset_logistic",
+                        EstimatorSpec("test.dataset_logistic",
+                                      logistic.category, logistic.schema,
+                                      logistic.fit, predict=predict))
     ds = _noise_classifier_ds(4)
     fitted = create("test.dataset_logistic", {"iters": 50}).fit(ds)
     assert fitted.predict(ds) == create(
@@ -212,7 +217,10 @@ def _permuted(ds, fid, perm):
             for sid, p in zip(ids, perm)}
     columns = tuple(tuple(rows[sid][f] for sid in ids)
                     for f in c.feature_ids)
-    return replace(ds, **{modality: type(c)(ids, c.features, columns)})
+    parts = {"static": ds.static, "temporal": ds.temporal,
+             "events": ds.events}
+    parts[modality] = type(c)(ids, c.features, columns)
+    return Dataset(**parts, roles=ds.roles)
 
 
 def _importance_oracle(fitted, ds, metric, repeats, seed):

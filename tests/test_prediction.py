@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from datagen import (
 from tempoframe.data import (
     Categorical,
     Continuous,
+    Dataset,
     Integer,
     MISSING,
     Modality,
@@ -560,8 +560,9 @@ def _holdout_rows(ds, horizon):
         return tuple(tuple(sequence_of(per_sample[sid][fid])
                            for sid in c.sample_ids) for fid in fids)
 
-    history = replace(ds, temporal=TimeSeriesSamples(
-        c.sample_ids, c.features, columns(rows, c.feature_ids)))
+    history = Dataset(ds.static, TimeSeriesSamples(
+        c.sample_ids, c.features, columns(rows, c.feature_ids)), ds.events,
+        ds.roles)
     return history, TimeSeriesSamples(
         c.sample_ids, tuple((fid, Continuous()) for fid in targets),
         columns(futures, targets))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +34,7 @@ from tempoframe.rng import Lcg
 from tempoframe.survival import (
     EventOutcome,
     SurvivalCurve,
+    SurvivalOutput,
     event_outcomes,
     kaplan_meier,
 )
@@ -246,7 +246,8 @@ def test_cox_predictions_are_valid_curves():
     c = concordance_index(out.risks, event_outcomes(ds))
     assert c > 0.6
     # an e^risk that overflows gives S = 0.0 past the first breakpoint
-    extreme = replace(out, risks=(0.0, 1e6, -1e6))
+    extreme = SurvivalOutput(out.sample_ids, (0.0, 1e6, -1e6), out.base_times,
+                             out.cumhaz)
     first = out.base_times[0]
     assert extreme.survival_at(first - 1.0) == (1.0, 1.0, 1.0)
     assert extreme.survival_at(first) == (math.exp(-out.cumhaz[0]), 0.0,
